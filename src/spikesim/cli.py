@@ -10,10 +10,12 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, replace
+from itertools import groupby
 from pathlib import Path
 
 from . import __version__, io
 from .jump import (
+    JumpTrajectory,
     ProcessKind,
     build_global,
     build_meanfield,
@@ -22,7 +24,7 @@ from .jump import (
 )
 from .lyapunov import scan_drift_condition
 from .model import ModelParams, State, stability_report
-from .ode import integrate
+from .ode import Trajectory, integrate
 from .spikes import (
     InsufficientDataError,
     PathSeries,
@@ -80,6 +82,11 @@ class RunConfig:
     pairs_out: str | None = None
     survival_out: str | None = None
     label: str = "run"
+
+    def path_key(self) -> tuple:
+        """Everything the simulated or integrated path depends on."""
+        return (self.mode, self.params, self.n_units, self.initial, self.t_end,
+                self.max_jumps, self.dt, self.seed)
 
 
 def preset(name: str) -> list[RunConfig]:
@@ -141,32 +148,42 @@ def preset(name: str) -> list[RunConfig]:
     raise UsageError(f"unknown preset {name!r} (know fig1, fig2, fig3, fig5, fig6, fig7)")
 
 
-def run(config: RunConfig, outdir: str | Path = ".") -> list[Path]:
-    """Execute one RunConfig; returns the artifact paths written."""
+def simulate_run(config: RunConfig) -> Trajectory | JumpTrajectory:
+    """The path a RunConfig analyses: the ODE solution in ds mode, else one
+    jump-process trajectory.  It depends on ``config.path_key()`` alone."""
+    if config.mode == "ds":
+        if config.t_end is None:
+            raise UsageError("ds mode needs --t-end")
+        return integrate(config.params, config.initial, config.t_end, dt=config.dt)
+    spec = _build_spec(config)
+    initial = spec.lattice_state(config.initial.r, config.initial.n)
+    return simulate(
+        spec,
+        initial,
+        t_end=config.t_end,
+        max_jumps=config.max_jumps,
+        seed=config.seed,
+    )
+
+
+def analyse_run(
+    config: RunConfig, traj: Trajectory | JumpTrajectory, outdir: str | Path = "."
+) -> list[Path]:
+    """Write the artifacts of one RunConfig from its path ``traj`` (as made
+    by ``simulate_run``); returns the artifact paths written."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     report: dict = {"mode": config.mode, "seed": config.seed, "label": config.label}
 
     if config.mode == "ds":
-        if config.t_end is None:
-            raise UsageError("ds mode needs --t-end")
-        traj = integrate(config.params, config.initial, config.t_end, dt=config.dt)
         out = Path(config.out) if config.out else outdir / f"{config.label}.csv"
         io.write_ode_csv(out, traj, {"r0": config.initial.r, "n0": config.initial.n})
         written.append(out)
         series = PathSeries.from_ode(traj)
         jump_traj = None
     else:
-        spec = _build_spec(config)
-        initial = spec.lattice_state(config.initial.r, config.initial.n)
-        jump_traj = simulate(
-            spec,
-            initial,
-            t_end=config.t_end,
-            max_jumps=config.max_jumps,
-            seed=config.seed,
-        )
+        jump_traj = traj
         report["n_events"] = jump_traj.n_events
         report["terminated_by"] = jump_traj.terminated_by.value
         # Keep the raw path when explicitly requested, or when it is the
@@ -233,6 +250,11 @@ def run(config: RunConfig, outdir: str | Path = ".") -> list[Path]:
         io.write_json(report_path, report, config.params)
         written.append(report_path)
     return written
+
+
+def run(config: RunConfig, outdir: str | Path = ".") -> list[Path]:
+    """Execute one RunConfig; returns the artifact paths written."""
+    return analyse_run(config, simulate_run(config), outdir)
 
 
 def _build_spec(config: RunConfig):
@@ -442,13 +464,18 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "preset":
         runs = preset(args.name)
-        for config in runs:
-            if args.seed is not None:
-                config = replace(config, seed=args.seed)
-            if args.t_end is not None:
-                config = replace(config, t_end=args.t_end)
-            for path in run(config, outdir=args.outdir):
-                print(path)
+        if args.seed is not None:
+            runs = [replace(config, seed=args.seed) for config in runs]
+        if args.t_end is not None:
+            runs = [replace(config, t_end=args.t_end) for config in runs]
+        # Adjacent runs on the same path share one simulation, so only one
+        # path is held at a time.
+        for _key, group in groupby(runs, key=RunConfig.path_key):
+            group = list(group)
+            traj = simulate_run(group[0])
+            for config in group:
+                for written in analyse_run(config, traj, outdir=args.outdir):
+                    print(written)
         return 0
 
     raise UsageError(f"unknown command {args.command!r}")

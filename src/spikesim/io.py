@@ -112,7 +112,7 @@ def write_json(path: str | Path, payload: dict, params: ModelParams | None = Non
         }
     doc.update(payload)
     with open(path, "w", newline="") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=False)
+        json.dump(doc, fh, indent=2, sort_keys=False, allow_nan=False)
         fh.write("\n")
 
 

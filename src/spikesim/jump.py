@@ -1,34 +1,38 @@
 """Exact stochastic simulation of the three Markov limits of the rate model.
 
 All three processes share one structure: five jump channels acting on an
-integer lattice, with state-dependent intensities.
+integer lattice, each with a bilinear intensity
+
+    rate(r, n) = (k_rn*r*n + k_r*r + k_n*n + k_1) / div
 
 * global(N): density process on (1/(gamma*N))Z+ x (1/N)Z+, rates of order N;
 * meanfield: a single unit whose interaction term is frozen at an anchor
   (by default the deterministic fixed point), lattice (1/gamma)Z+ x Z+;
 * oneunit:  the N = 1 chain on the same lattice, rates x*y, alpha*x, y, p, y/beta.
 
-Simulation is the exact direct method: exponential waiting time at the total
-rate, categorical channel choice.  States are kept as integer lattice
-coordinates so non-negativity is structural and there is no float drift over
-millions of jumps.
+A process is its coefficient table (one row per channel).  Simulation is the
+exact direct method: exponential waiting time at the total rate, categorical
+channel choice.  States are kept as integer lattice coordinates so
+non-negativity is structural and there is no float drift over millions of
+jumps.
 """
 
+import functools
+import math
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .model import ModelParams, State, stationary_point
-from .ode import Trajectory
-
-RateFn = Callable[[float, float, float], float]  # (r, n, t) -> intensity
 
 CHANNEL_LABELS = ("stim-emission", "spont-emission", "absorption", "pumping", "leak")
 # (dkr, dkn) lattice increments, common to all three processes.
 CHANNEL_STEPS = ((-1, +1), (-1, +1), (+1, -1), (+1, 0), (0, -1))
+_STEPS = np.array(CHANNEL_STEPS, dtype=np.int64).T.copy()  # rows: dkr, dkn
 
 DEFAULT_MAX_EVENTS = 10_000_000
 
@@ -75,16 +79,40 @@ class LatticeState:
 
 @dataclass(frozen=True)
 class JumpChannel:
-    """One transition type: lattice increment plus raw intensity function.
+    """One transition type: lattice increment plus one row of the
+    coefficient table, rate(r, n) = (k_rn*r*n + k_r*r + k_n*n + k_1) / div.
 
-    ``rate`` gives the uncensored intensity at physical state (r, n) and time
-    t; the engine zeroes it whenever the jump would leave the lattice.
+    ``rate`` is the uncensored intensity; the engine zeroes it whenever the
+    jump would leave the lattice.  The divisor keeps a rate such as n / beta
+    exactly as written, which n * (1 / beta) would not be.
     """
 
     label: str
     dkr: int
     dkn: int
-    rate: RateFn
+    k_rn: float = 0.0
+    k_r: float = 0.0
+    k_n: float = 0.0
+    k_1: float = 0.0
+    div: float = 1.0
+
+    def rate(self, r, n):
+        """Zero terms are skipped, which gives the same float as the full
+        form; over a column of r and a row of n, a rate in one variable
+        stays a column or a row."""
+        value = self.k_rn * r * n if self.k_rn else 0.0
+        for coef, var in ((self.k_r, r), (self.k_n, n), (self.k_1, 1.0)):
+            if coef:
+                value = value + coef * var
+        return value / self.div if self.div != 1.0 else value
+
+    @property
+    def guard(self) -> tuple[int, int]:
+        """(kr, kn) below which the rate must be forced to zero (0: never).
+        Steps are unit steps, so a term in r vanishes at kr = 0 and a term
+        in n at kn = 0; only a term that survives there needs a guard."""
+        return (-self.dkr if self.dkr < 0 and (self.k_n or self.k_1) else 0,
+                -self.dkn if self.dkn < 0 and (self.k_r or self.k_1) else 0)
 
 
 @dataclass(frozen=True)
@@ -98,7 +126,14 @@ class ProcessSpec:
     n_unit: Fraction
     n_units: int = 1
     anchor: State | None = None
-    time_coupled: bool = False
+    _kernel: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        rates = tuple(_rate_source(i, ch) for i, ch in enumerate(self.channels))
+        kernel = _compile_kernel(rates, tuple((ch.dkr, ch.dkn) for ch in self.channels))
+        coef = tuple(c for ch in self.channels for c in (ch.k_rn, ch.k_r, ch.k_n, ch.k_1, ch.div))
+        object.__setattr__(self, "_kernel", functools.partial(
+            kernel, coef, float(self.r_unit), float(self.n_unit)))
 
     def lattice_state(self, r: float, n: float) -> LatticeState:
         """Nearest lattice point to the physical state (r, n)."""
@@ -111,20 +146,17 @@ class ProcessSpec:
             n_unit=self.n_unit,
         )
 
-    def channel_rates(self, s: LatticeState, t: float = 0.0) -> list[float]:
+    def channel_rates(self, s: LatticeState) -> list[float]:
         """Censored intensities at ``s``: a channel that would push a
         coordinate negative contributes zero."""
         r, n = s.r, s.n
-        rates = []
-        for ch in self.channels:
-            if s.kr + ch.dkr < 0 or s.kn + ch.dkn < 0:
-                rates.append(0.0)
-            else:
-                rates.append(ch.rate(r, n, t))
-        return rates
+        return [
+            0.0 if s.kr + ch.dkr < 0 or s.kn + ch.dkn < 0 else ch.rate(r, n)
+            for ch in self.channels
+        ]
 
-    def total_rate(self, s: LatticeState, t: float = 0.0) -> float:
-        return sum(self.channel_rates(s, t))
+    def total_rate(self, s: LatticeState) -> float:
+        return sum(self.channel_rates(s))
 
 
 @dataclass
@@ -177,130 +209,144 @@ def build_global(params: ModelParams, n_units: int) -> ProcessSpec:
         raise ValueError(f"n_units must be a positive integer, got {n_units}")
     a, b, p = params.alpha, params.beta, params.p
     nf = float(n_units)
-    rates: tuple[RateFn, ...] = (
-        lambda r, n, t: nf * r * n,
-        lambda r, n, t: a * nf * r,
-        lambda r, n, t: nf * n,
-        lambda r, n, t: nf * p,
-        lambda r, n, t: nf * n / b,
-    )
     return ProcessSpec(
         params=params,
         kind=ProcessKind.GLOBAL,
-        channels=_make_channels(rates),
+        channels=_make_channels(
+            {"k_rn": nf}, {"k_r": a * nf}, {"k_n": nf}, {"k_1": nf * p}, {"k_n": nf, "div": b},
+        ),
         r_unit=Fraction(1, n_units) / Fraction(params.gamma),
         n_unit=Fraction(1, n_units),
         n_units=n_units,
     )
 
 
-def build_meanfield(
-    params: ModelParams,
-    anchor: State | None = None,
-    reference: Trajectory | None = None,
-) -> ProcessSpec:
-    """Single-unit process with the interaction term frozen at ``anchor``.
+def build_meanfield(params: ModelParams, anchor: State | None = None) -> ProcessSpec:
+    """Single-unit process with the interaction term frozen at ``anchor``
+    (default: the deterministic fixed point), which makes the chain
+    time-homogeneous.
 
-    Default anchor is the deterministic fixed point, which makes the chain
-    time-homogeneous.  Passing an ODE ``reference`` trajectory instead
-    re-evaluates the anchor at the current jump time (piecewise-frozen
-    between jumps); that variant is an uncontrolled approximation, provided
-    for comparison only.
-
-    Note the stimulated channel keeps a positive raw rate at kr = 0, where
-    the jump would exit the lattice; the engine censors it there.
+    The stimulated rate 0.5*(r*na + ra*n) is stored as (0.5*na)*r +
+    (0.5*ra)*n, the same number bit for bit.  It stays positive at kr = 0,
+    where the jump would exit the lattice; the engine censors it there.
     """
     a, b, p = params.alpha, params.beta, params.p
-    if reference is not None:
-        ref_t, ref_r, ref_n = reference.t, reference.r, reference.n
-
-        def stim(r: float, n: float, t: float) -> float:
-            ra = float(np.interp(t, ref_t, ref_r))
-            na = float(np.interp(t, ref_t, ref_n))
-            return 0.5 * (r * na + ra * n)
-
-        anchor_used = None
-        time_coupled = True
-    else:
-        if anchor is None:
-            anchor = stationary_point(params)
-        ra, na = float(anchor[0]), float(anchor[1])
-        if ra < 0 or na < 0:
-            raise ValueError(f"anchor must be non-negative, got ({ra}, {na})")
-
-        def stim(r: float, n: float, t: float) -> float:
-            return 0.5 * (r * na + ra * n)
-
-        anchor_used = State(ra, na)
-        time_coupled = False
-
-    rates: tuple[RateFn, ...] = (
-        stim,
-        lambda r, n, t: a * r,
-        lambda r, n, t: n,
-        lambda r, n, t: p,
-        lambda r, n, t: n / b,
-    )
+    if anchor is None:
+        anchor = stationary_point(params)
+    ra, na = float(anchor[0]), float(anchor[1])
+    if ra < 0 or na < 0:
+        raise ValueError(f"anchor must be non-negative, got ({ra}, {na})")
     return ProcessSpec(
         params=params,
         kind=ProcessKind.MEANFIELD,
-        channels=_make_channels(rates),
+        channels=_make_channels(
+            {"k_r": 0.5 * na, "k_n": 0.5 * ra}, {"k_r": a}, {"k_n": 1.0}, {"k_1": p},
+            {"k_n": 1.0, "div": b},
+        ),
         r_unit=Fraction(1) / Fraction(params.gamma),
         n_unit=Fraction(1),
-        anchor=anchor_used,
-        time_coupled=time_coupled,
+        anchor=State(ra, na),
     )
 
 
 def build_oneunit(params: ModelParams) -> ProcessSpec:
     """The N = 1 chain: rates x*y, alpha*x, y, p, y/beta on (1/gamma)Z+ x Z+."""
     a, b, p = params.alpha, params.beta, params.p
-    rates: tuple[RateFn, ...] = (
-        lambda r, n, t: r * n,
-        lambda r, n, t: a * r,
-        lambda r, n, t: n,
-        lambda r, n, t: p,
-        lambda r, n, t: n / b,
-    )
     return ProcessSpec(
         params=params,
         kind=ProcessKind.ONEUNIT,
-        channels=_make_channels(rates),
+        channels=_make_channels(
+            {"k_rn": 1.0}, {"k_r": a}, {"k_n": 1.0}, {"k_1": p}, {"k_n": 1.0, "div": b},
+        ),
         r_unit=Fraction(1) / Fraction(params.gamma),
         n_unit=Fraction(1),
     )
 
 
-def _make_channels(rates: Sequence[RateFn]) -> tuple[JumpChannel, ...]:
+def _make_channels(*rows: dict) -> tuple[JumpChannel, ...]:
     return tuple(
-        JumpChannel(label=lbl, dkr=dkr, dkn=dkn, rate=fn)
-        for (lbl, (dkr, dkn), fn) in zip(CHANNEL_LABELS, CHANNEL_STEPS, rates)
+        JumpChannel(label=lbl, dkr=dkr, dkn=dkn, **row)
+        for lbl, (dkr, dkn), row in zip(CHANNEL_LABELS, CHANNEL_STEPS, rows, strict=True)
     )
 
 
+def _rate_source(i: int, ch: JumpChannel) -> str:
+    """Channel ``i``'s censored rate as an expression over r, n, kr and kn,
+    with its coefficients as the kernel locals k{i}_rn, k{i}_r, k{i}_n,
+    k{i}_1 and d{i}.  Zero terms and unit factors are left out, as in
+    ``JumpChannel.rate``."""
+    terms = [f"k{i}_1" if var is None else var if coef == 1.0 else f"k{i}_{name} * {var}"
+             for coef, name, var in ((ch.k_rn, "rn", "r * n"), (ch.k_r, "r", "r"),
+                                     (ch.k_n, "n", "n"), (ch.k_1, "1", None)) if coef]
+    expr = " + ".join(terms) or "0.0"
+    if ch.div != 1.0:
+        expr = f"({expr}) / d{i}"
+    guards = " and ".join(f"{var} >= {low}" for var, low in zip(("kr", "kn"), ch.guard) if low)
+    return f"({expr} if {guards} else 0.0)" if guards else expr
+
+
+@functools.lru_cache(maxsize=None)
+def _compile_kernel(rates: tuple[str, ...], steps: tuple[tuple[int, int], ...]) -> Callable:
+    """The direct-method loop with the channel rates inlined.
+
+    Per event: cumulative rates c0 <= c1 <= ... <= total summed in channel
+    order, one standard exponential for the waiting time, then one uniform
+    for the channel, picked as the first cumulative rate above it (the last
+    channel when round-off puts it on the top edge).  Only the event time
+    and the channel index are stored.
+    """
+    last = len(rates) - 1
+    cum = [f"c{i}" for i in range(last)] + ["total"]
+    event = [f"{cum[i]} = " + (f"{cum[i - 1]} + " if i else "") + rates[i] for i in range(last + 1)]
+    event += ["if total <= 0.0: return ABSORBED",
+              "t_next = t + exponential() / total",
+              "if t_next > t_end: return TIME_HORIZON",
+              "t = t_next",
+              "u = uniform() * total"]
+    for i, (dkr, dkn) in enumerate(steps):
+        test = "else" if i == last else f"{'el' if i else ''}if u < {cum[i]}"
+        moves = "".join(f"; {var} += {d}" for var, d in (("kr", dkr), ("kn", dkn)) if d)
+        event.append(f"{test}: append_pick({i}){moves}")
+    coef = ", ".join(f"k{i}_rn, k{i}_r, k{i}_n, k{i}_1, d{i}" for i in range(last + 1))
+    body = "".join(f"\n        {line}" for line in event)
+    source = f"""\
+def kernel(coef, ru, nu, kr, kn, t_end, limit, exponential, uniform, times, picks):
+    {coef} = coef
+    append_time, append_pick = times.append, picks.append
+    t = 0.0
+    for _ in range(limit):
+        r = kr * ru
+        n = kn * nu{body}
+        append_time(t)
+    return MAX_JUMPS
+"""
+    namespace = {"ABSORBED": Termination.ABSORBED, "TIME_HORIZON": Termination.TIME_HORIZON,
+                 "MAX_JUMPS": Termination.MAX_JUMPS}
+    exec(compile(source, "<spikesim.jump kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _run(spec: ProcessSpec, kr: int, kn: int, rng: np.random.Generator, t_end: float,
+         limit: int) -> tuple[array, bytearray, Termination]:
+    """At most ``limit`` events from (kr, kn) at t = 0: event times, channel
+    indices and why the loop stopped."""
+    times, picks = array("d"), bytearray()
+    terminated = spec._kernel(kr, kn, t_end, limit, rng.standard_exponential, rng.random,
+                              times, picks)
+    return times, picks, terminated
+
+
 def next_jump(
-    spec: ProcessSpec,
-    s: LatticeState,
-    rng: np.random.Generator,
-    t: float = 0.0,
+    spec: ProcessSpec, s: LatticeState, rng: np.random.Generator
 ) -> tuple[float, int] | None:
     """Draw (waiting time, channel index) at state ``s``, or None if absorbed.
 
-    Consumes exactly two draws (one exponential, one uniform) per call, so
-    trajectories are reproducible from the seed and draw count alone.
+    One step of the ``simulate`` kernel: exactly two draws (one exponential,
+    one uniform), so trajectories are reproducible from the seed and draw
+    count alone.
     """
-    rates = spec.channel_rates(s, t)
-    total = sum(rates)
-    if total <= 0.0:
-        return None
-    wait = rng.standard_exponential() / total
-    u = rng.random() * total
-    acc = 0.0
-    for i, rate in enumerate(rates):
-        acc += rate
-        if u < acc:
-            return wait, i
-    return wait, len(rates) - 1  # u landed on the top edge by round-off
+    times, picks, _ = _run(spec, s.kr, s.kn, rng, math.inf, 1)
+    return (times[0], picks[0]) if picks else None
 
 
 def simulate(
@@ -315,7 +361,9 @@ def simulate(
     """Exact direct-method simulation until a horizon or absorption.
 
     Identical (spec, initial, seed) give identical trajectories.  The number
-    of stored events is hard-capped at ``max_events``.
+    of stored events is hard-capped at ``max_events``.  The loop keeps only
+    event times and channel indices (9 bytes an event); the states are
+    rebuilt afterwards as an exact integer cumulative sum of the steps.
     """
     if t_end is None and max_jumps is None:
         raise ValueError("provide t_end and/or max_jumps")
@@ -324,76 +372,27 @@ def simulate(
     if initial.r_unit != spec.r_unit or initial.n_unit != spec.n_unit:
         raise ValueError("initial state is not on the process lattice")
 
-    rng = np.random.default_rng(seed)
-    kr, kn = initial.kr, initial.kn
-    ru, nu = float(spec.r_unit), float(spec.n_unit)
-    chans = [(ch.dkr, ch.dkn, ch.rate) for ch in spec.channels]
-
-    times: list[float] = []
-    krs: list[int] = []
-    kns: list[int] = []
-    picks: list[int] = []
-    t = 0.0
-    standard_exponential = rng.standard_exponential
-    uniform = rng.random
-
-    while True:
-        if max_jumps is not None and len(times) >= max_jumps:
-            terminated = Termination.MAX_JUMPS
-            break
-        r = kr * ru
-        n = kn * nu
-        total = 0.0
-        rates = []
-        for dkr, dkn, fn in chans:
-            if kr + dkr < 0 or kn + dkn < 0:
-                rates.append(0.0)
-            else:
-                rate = fn(r, n, t)
-                rates.append(rate)
-                total += rate
-        if total <= 0.0:
-            terminated = Termination.ABSORBED
-            break
-        wait = standard_exponential() / total
-        if t_end is not None and t + wait > t_end:
-            terminated = Termination.TIME_HORIZON
-            break
-        t += wait
-        u = uniform() * total
-        acc = 0.0
-        pick = len(chans) - 1
-        for i, rate in enumerate(rates):
-            acc += rate
-            if u < acc:
-                pick = i
-                break
-        kr += chans[pick][0]
-        kn += chans[pick][1]
-        if kr < 0 or kn < 0:  # cannot happen with censoring; guard regressions
-            raise RuntimeError(f"negative lattice state ({kr}, {kn}) after {CHANNEL_LABELS[pick]}")
-        if len(times) >= max_events:
-            raise EventCapError(f"event cap of {max_events} exceeded at t = {t:.6g}")
-        times.append(t)
-        krs.append(kr)
-        kns.append(kn)
-        picks.append(pick)
-
-    covered = t_end if t_end is not None else (times[-1] if times else 0.0)
-    return JumpTrajectory(
-        spec=spec,
-        initial=initial,
-        seed=seed,
-        times=np.asarray(times, dtype=np.float64),
-        krs=np.asarray(krs, dtype=np.int64),
-        kns=np.asarray(kns, dtype=np.int64),
-        channels=np.asarray(picks, dtype=np.int8),
-        terminated_by=terminated,
-        t_end=covered,
+    # One event past the cap is enough to know the cap is exceeded.
+    limit = max_events + 1 if max_jumps is None else min(max_jumps, max_events + 1)
+    times, picks, terminated = _run(
+        spec, initial.kr, initial.kn, np.random.default_rng(seed),
+        math.inf if t_end is None else t_end, limit,
     )
+    if len(picks) > max_events:
+        raise EventCapError(f"event cap of {max_events} exceeded at t = {times[-1]:.6g}")
+
+    channels = np.frombuffer(picks, dtype=np.int8)
+    krs, kns = path = np.take(_STEPS, channels, axis=1)  # exact integer step sums
+    path[:, :1] += [[initial.kr], [initial.kn]]
+    np.cumsum(path, axis=1, out=path)
+    if path.size and path.min() < 0:  # cannot happen with censoring; guards regressions
+        raise RuntimeError("negative lattice state on the simulated path")
+    covered = t_end if t_end is not None else (times[-1] if times else 0.0)
+    return JumpTrajectory(spec, initial, seed, np.frombuffer(times, dtype=np.float64),
+                          krs, kns, channels, terminated, covered)
 
 
-def expected_drift(spec: ProcessSpec, s: LatticeState, t: float = 0.0) -> tuple[float, float]:
+def expected_drift(spec: ProcessSpec, s: LatticeState) -> tuple[float, float]:
     """Mean instantaneous motion: sum of censored rate * physical increment.
 
     For the global process this coincides with the deterministic vector
@@ -401,10 +400,9 @@ def expected_drift(spec: ProcessSpec, s: LatticeState, t: float = 0.0) -> tuple[
     matches the mean-field drift field away from the censored kr = 0 edge.
     """
     ru, nu = float(spec.r_unit), float(spec.n_unit)
-    rates = spec.channel_rates(s, t)
     dr = 0.0
     dn = 0.0
-    for ch, rate in zip(spec.channels, rates):
+    for ch, rate in zip(spec.channels, spec.channel_rates(s)):
         dr += rate * ch.dkr * ru
         dn += rate * ch.dkn * nu
     return dr, dn

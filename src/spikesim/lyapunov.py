@@ -224,14 +224,13 @@ def scan_drift_condition(
 
     spec = _build_spec(kind, params, anchor_state)
     g = params.gamma
-    kr = np.arange(kr_max + 1, dtype=np.int64)
-    kn = np.arange(kn_max + 1, dtype=np.int64)
-    KR, KN = np.meshgrid(kr, kn, indexing="ij")
-    X = KR / g
-    Y = KN.astype(np.float64)
+    # Physical coordinates as a column (kr) and a row (kn); every grid
+    # expression broadcasts them to the (kr_max + 1) x (kn_max + 1) box.
+    X = (np.arange(kr_max + 1) / g)[:, None]
+    Y = np.arange(kn_max + 1, dtype=np.float64)[None, :]
 
     in_a = in_exceptional_set(kind, params, X, Y, epsilon, anchor_state)
-    drift_grid = _generator_drift_grid(spec, KR, KN, X, Y)
+    drift_grid = _generator_drift_grid(spec, X, Y)
 
     bad = (~in_a) & (drift_grid > -epsilon)
     violations = [
@@ -308,22 +307,24 @@ def _analytic_extent(
     return kr_ext, kn_ext
 
 
-def _generator_drift_grid(
-    spec: ProcessSpec,
-    KR: np.ndarray,
-    KN: np.ndarray,
-    X: np.ndarray,
-    Y: np.ndarray,
-) -> np.ndarray:
-    """Vectorized generator application with boundary censoring."""
+def _generator_drift_grid(spec: ProcessSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Generator applied to f on the box spanned by the column X (physical
+    r at kr = 0, 1, ...) and the row Y (physical n at kn = 0, 1, ...).
+
+    One channel at a time: a rate in r or n alone stays a column or a row,
+    and a full-size rate is censored and scaled in place before it is added.
+    """
     g = spec.params.gamma
     ru, nu = float(spec.r_unit), float(spec.n_unit)
-    total = np.zeros_like(X)
+    total = np.zeros((X.shape[0], Y.shape[1]))
     for ch in spec.channels:
-        rate = ch.rate(X, Y, 0.0)
-        if np.isscalar(rate):
-            rate = np.full_like(X, float(rate))
-        alive = (KR + ch.dkr >= 0) & (KN + ch.dkn >= 0)
-        df = (g + 1.0) * ch.dkr * ru + ch.dkn * nu
-        total += np.where(alive, rate, 0.0) * df
+        rate = ch.rate(X, Y)
+        kr_min, kn_min = ch.guard
+        if kr_min or kn_min:
+            if np.shape(rate) != total.shape:
+                rate = np.broadcast_to(rate, total.shape).copy()
+            rate[:kr_min] = 0.0
+            rate[:, :kn_min] = 0.0
+        full = np.shape(rate) == total.shape
+        total += np.multiply(rate, (g + 1.0) * ch.dkr * ru + ch.dkn * nu, out=rate if full else None)
     return total

@@ -39,8 +39,9 @@ class Regime(str, Enum):
 class ModelParams:
     """The four model parameters plus the derived combination z = beta*p + alpha.
 
-    Constraints: beta > 0, gamma > 0, alpha >= 0, p >= 0.  ``z`` is computed
-    once at construction; the dataclass is frozen so it cannot go stale.
+    Constraints: all four finite, beta > 0, gamma > 0, alpha >= 0, p >= 0.
+    ``z`` is computed once at construction; the dataclass is frozen so it
+    cannot go stale.
     """
 
     alpha: float
@@ -50,6 +51,9 @@ class ModelParams:
     z: float = field(init=False)
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "beta", "gamma", "p"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.beta > 0):
             raise ValueError(f"beta must be > 0, got {self.beta}")
         if not (self.gamma > 0):

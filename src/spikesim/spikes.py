@@ -260,12 +260,12 @@ def pair_plateau_spike(
 
 def correlation(pairs) -> CorrelationSummary:
     """Pearson and Spearman (average ranks on ties) coefficients of pairs."""
+    n = len(pairs)
+    if n < 3:
+        raise InsufficientDataError(f"need at least 3 pairs, got {n}")
     arr = np.asarray(pairs, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("pairs must be a sequence of (length, amplitude)")
-    n = len(arr)
-    if n < 3:
-        raise InsufficientDataError(f"need at least 3 pairs, got {n}")
     x, y = arr[:, 0], arr[:, 1]
     pearson = _pearson(x, y)
     spearman = _pearson(_average_ranks(x), _average_ranks(y))

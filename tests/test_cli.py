@@ -1,11 +1,22 @@
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import spikesim.cli
 from spikesim import State, build_oneunit, integrate, simulate
 from spikesim import io
-from spikesim.cli import RunConfig, UsageError, main, preset, run
+from spikesim.cli import (
+    RunConfig,
+    UsageError,
+    analyse_run,
+    main,
+    preset,
+    run,
+    simulate_run,
+)
 
 
 @pytest.fixture
@@ -47,6 +58,10 @@ class TestIO:
         text = path.read_bytes().decode()
         assert "," in text and ";" not in text
         assert "\r" not in text
+
+    def test_json_rejects_non_finite_numbers(self, fig1_params, out):
+        with pytest.raises(ValueError):
+            io.write_json(out / "r.json", {"value": math.nan}, fig1_params)
 
     def test_json_embeds_params_and_version(self, fig1_params, out):
         path = out / "r.json"
@@ -136,6 +151,40 @@ class TestCLI:
         ])
         assert code == 1
         assert "invalid parameter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["stability", "--alpha", "nan"],
+        ["simulate", "--mode", "oneunit", "--gamma", "inf", "--t-end", "1"],
+    ])
+    def test_non_finite_parameters_are_usage_error(self, out, capsys, argv):
+        path = out / "x.out"
+        assert main(argv + ["--out", str(path)]) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_analyze_without_pairs_writes_note(self, fig1_params, out):
+        spec = build_oneunit(fig1_params)
+        traj = simulate(spec, spec.lattice_state(0.0, 0.0), t_end=1.0, seed=11)
+        csv_path = out / "short.csv"
+        io.write_jump_csv(csv_path, traj)
+        report_path = out / "analysis.json"
+        code = main([
+            "analyze", "--input", str(csv_path), "--a0", "10", "--thr", "10",
+            "--out", str(report_path), "--pairs-out", str(out / "pairs.csv"),
+        ])
+        assert code == 0
+        doc = json.loads(report_path.read_text())
+        assert "3 pairs" in doc["correlation"]["note"]
+
+    def test_simulate_without_pairs_writes_note(self, out):
+        code = main([
+            "simulate", "--mode", "oneunit", "--seed", "11", "--t-end", "1",
+            "--r0", "0", "--n0", "0", "--a0", "10", "--thr", "10",
+            "--out", str(out / "short.csv"),
+        ])
+        assert code == 0
+        doc = json.loads((out / "short_report.json").read_text())
+        assert "3 pairs" in doc["correlation"]["note"]
 
     def test_unwritable_path_is_runtime_error(self, out, capsys):
         code = main([
@@ -245,3 +294,33 @@ class TestPresets:
         ]
         meta, _ = io.read_trajectory_csv(out / "fig5_oneunit_gamma2_seed5.csv")
         assert meta["seed"] == "5"
+
+
+class TestPresetDeduplication:
+    def test_fig7_simulates_each_path_once(self, out, monkeypatch):
+        calls = []
+        engine = spikesim.cli.simulate
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["seed"])
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(spikesim.cli, "simulate", counting)
+        shared, alone = out / "shared", out / "alone"
+        assert main(["preset", "fig7", "--outdir", str(shared), "--t-end", "300"]) == 0
+        assert len(calls) == 2
+
+        for config in preset("fig7"):
+            config = replace(config, t_end=300.0)
+            analyse_run(config, simulate_run(config), alone)
+        assert len(calls) == 2 + 4
+        names = sorted(p.name for p in shared.iterdir())
+        assert names == sorted(p.name for p in alone.iterdir())
+        assert len(names) == 12  # survival, pairs and report for each of 4 runs
+        for name in names:
+            assert (shared / name).read_bytes() == (alone / name).read_bytes()
+
+    def test_path_key_ignores_analysis_settings(self):
+        thr0, thr10 = preset("fig7")[:2]
+        assert thr0.path_key() == thr10.path_key()
+        assert thr0.path_key() != replace(thr0, seed=2).path_key()

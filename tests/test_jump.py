@@ -12,7 +12,6 @@ from spikesim import (
     build_oneunit,
     derive_path_seed,
     expected_drift,
-    integrate,
     meanfield_drift_field,
     next_jump,
     simulate,
@@ -53,7 +52,7 @@ class TestBuilders:
         r_star = stationary_point(fig1_params).r
         s = spec.lattice_state(0.0, 5.0)
         # Raw intensity is positive, but the jump would take kr to -1.
-        assert spec.channels[0].rate(s.r, s.n, 0.0) == pytest.approx(0.5 * r_star * 5)
+        assert spec.channels[0].rate(s.r, s.n) == pytest.approx(0.5 * r_star * 5)
         assert spec.channel_rates(s)[0] == 0.0
 
     def test_meanfield_origin_total_rate(self, fig1_params):
@@ -64,7 +63,7 @@ class TestBuilders:
         params = ModelParams(alpha=0.0, beta=1.0, gamma=2.0, p=7.0)
         spec = build_meanfield(params, anchor=State(0.0, 0.0))
         for r, n in [(1.0, 3.0), (2.5, 0.0), (4.0, 11.0)]:
-            assert spec.channels[0].rate(r, n, 0.0) == 0.0
+            assert spec.channels[0].rate(r, n) == 0.0
 
     def test_meanfield_rejects_negative_anchor(self, fig1_params):
         with pytest.raises(ValueError):
@@ -299,20 +298,6 @@ class TestExpectedDrift:
         dr, dn = expected_drift(spec, s)
         assert dr == pytest.approx(1.99, abs=1e-12)
         assert dn == pytest.approx(0.02, abs=1e-12)
-
-
-class TestTimeCoupledMeanfield:
-    def test_tracks_reference_anchor(self, fig1_params):
-        ref = integrate(fig1_params, State(0.01, 0.01), t_end=50.0, dt=1e-2)
-        spec = build_meanfield(fig1_params, reference=ref)
-        assert spec.time_coupled
-        # Early on the anchor is near the (tiny) initial state, so the
-        # stimulated rate is much smaller than under the frozen anchor.
-        frozen = build_meanfield(fig1_params)
-        r, n = 1.0, 1.0
-        assert spec.channels[0].rate(r, n, 0.0) < frozen.channels[0].rate(r, n, 0.0)
-        traj = simulate(spec, spec.lattice_state(0.01, 0.01), t_end=50.0, seed=21)
-        assert traj.n_events > 0
 
 
 class TestSeedDerivation:

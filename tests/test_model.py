@@ -44,6 +44,14 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(**kwargs)
 
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "p"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, name, value):
+        kwargs = dict(alpha=0.01, beta=1.0, gamma=100.0, p=7.0)
+        kwargs[name] = value
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams(**kwargs)
+
 
 class TestVectorField:
     def test_annihilated_at_stationary_point(self, fig1_params):
