@@ -194,48 +194,31 @@ def analyse_run(
             written.append(out)
         series = PathSeries.from_jump(jump_traj)
 
-    spikes = None
-    if config.a0 is not None:
-        spikes = detect_spikes(series, config.a0)
-        amps = [s.amplitude for s in spikes]
-        report["spikes"] = {"a0": config.a0, "count": len(spikes)}
-        try:
-            fit = fit_exponential(amps, config.a0)
-            report["spikes"]["tail_fit"] = fit.to_dict()
-            grid, survival = tail_survival(amps, config.a0)
-            surv_path = (
-                Path(config.survival_out)
-                if config.survival_out
-                else outdir / f"{config.label}_survival.csv"
-            )
-            io.write_survival_csv(
-                surv_path, grid, survival, config.params,
-                {"a0": config.a0, "seed": config.seed, "mode": config.mode},
-            )
-            written.append(surv_path)
-        except InsufficientDataError as exc:
-            report["spikes"]["tail_fit"] = None
-            report["spikes"]["note"] = str(exc)
-
-    if config.thr is not None:
-        plateaus = detect_plateaus(series, config.thr)
-        report["plateaus"] = {"thr": config.thr, "count": len(plateaus)}
-        if spikes is not None:
-            pairs = pair_plateau_spike(plateaus, spikes)
-            pairs_path = (
-                Path(config.pairs_out)
-                if config.pairs_out
-                else outdir / f"{config.label}_pairs.csv"
-            )
-            io.write_pairs_csv(
-                pairs_path, pairs, config.params,
-                {"a0": config.a0, "thr": config.thr, "seed": config.seed},
-            )
-            written.append(pairs_path)
-            try:
-                report["correlation"] = correlation(pairs).to_dict()
-            except InsufficientDataError as exc:
-                report["correlation"] = {"note": str(exc)}
+    stats, amps, pairs = _analyse(series, config.a0, config.thr)
+    report.update(stats)
+    if amps is not None and stats["spikes"]["tail_fit"] is not None:
+        grid, survival = tail_survival(amps, config.a0)
+        surv_path = (
+            Path(config.survival_out)
+            if config.survival_out
+            else outdir / f"{config.label}_survival.csv"
+        )
+        io.write_survival_csv(
+            surv_path, grid, survival, config.params,
+            {"a0": config.a0, "seed": config.seed, "mode": config.mode},
+        )
+        written.append(surv_path)
+    if pairs is not None:
+        pairs_path = (
+            Path(config.pairs_out)
+            if config.pairs_out
+            else outdir / f"{config.label}_pairs.csv"
+        )
+        io.write_pairs_csv(
+            pairs_path, pairs, config.params,
+            {"a0": config.a0, "thr": config.thr, "seed": config.seed},
+        )
+        written.append(pairs_path)
 
     if config.lln_reference and jump_traj is not None and config.t_end is not None:
         ref = integrate(config.params, config.initial, config.t_end, dt=config.dt)
@@ -250,6 +233,35 @@ def analyse_run(
         io.write_json(report_path, report, config.params)
         written.append(report_path)
     return written
+
+
+def _analyse(
+    series: PathSeries, a0: float | None, thr: float | None
+) -> tuple[dict, list[float] | None, list[tuple[float, float]] | None]:
+    """The spike, tail-fit, plateau, pairing and correlation report of one
+    path, with the spike amplitudes (None without ``a0``) and the
+    plateau-spike pairs (None unless both levels are given)."""
+    report: dict = {}
+    amps = pairs = spikes = None
+    if a0 is not None:
+        spikes = detect_spikes(series, a0)
+        amps = [s.amplitude for s in spikes]
+        report["spikes"] = {"a0": a0, "count": len(spikes)}
+        try:
+            report["spikes"]["tail_fit"] = fit_exponential(amps, a0).to_dict()
+        except InsufficientDataError as exc:
+            report["spikes"]["tail_fit"] = None
+            report["spikes"]["note"] = str(exc)
+    if thr is not None:
+        plateaus = detect_plateaus(series, thr)
+        report["plateaus"] = {"thr": thr, "count": len(plateaus)}
+        if spikes is not None:
+            pairs = pair_plateau_spike(plateaus, spikes)
+            try:
+                report["correlation"] = correlation(pairs).to_dict()
+            except InsufficientDataError as exc:
+                report["correlation"] = {"note": str(exc)}
+    return report, amps, pairs
 
 
 def run(config: RunConfig, outdir: str | Path = ".") -> list[Path]:
@@ -492,33 +504,21 @@ def _run_analyze(args: argparse.Namespace) -> int:
         )
     except KeyError as exc:
         raise UsageError(f"{args.input}: missing parameter header {exc}") from exc
-    is_step = "channel" in meta
     t = columns["t"]
-    series = PathSeries(times=t, values=columns["n"], t_end=float(t[-1]), step=is_step)
+    if len(t) == 0:
+        raise UsageError(f"{args.input}: no data rows")
+    # Jump CSVs record the horizon the path covers; ODE CSVs end at their
+    # last sample.
+    t_end = float(meta.get("t_end", t[-1]))
+    if t_end < t[-1]:
+        raise UsageError(f"{args.input}: t_end={t_end!r} precedes the last sample time")
+    series = PathSeries(times=t, values=columns["n"], t_end=t_end, step="channel" in meta)
 
     report: dict = {"input": str(args.input), "mode": meta.get("mode", "unknown")}
-    spikes = None
-    if args.a0 is not None:
-        spikes = detect_spikes(series, args.a0)
-        amps = [s.amplitude for s in spikes]
-        report["spikes"] = {"a0": args.a0, "count": len(spikes)}
-        try:
-            report["spikes"]["tail_fit"] = fit_exponential(amps, args.a0).to_dict()
-        except InsufficientDataError as exc:
-            report["spikes"]["tail_fit"] = None
-            report["spikes"]["note"] = str(exc)
-    if args.thr is not None:
-        plateaus = detect_plateaus(series, args.thr)
-        report["plateaus"] = {"thr": args.thr, "count": len(plateaus)}
-        if spikes is not None:
-            pairs = pair_plateau_spike(plateaus, spikes)
-            if args.pairs_out:
-                io.write_pairs_csv(args.pairs_out, pairs, params,
-                                   {"a0": args.a0, "thr": args.thr})
-            try:
-                report["correlation"] = correlation(pairs).to_dict()
-            except InsufficientDataError as exc:
-                report["correlation"] = {"note": str(exc)}
+    stats, _amps, pairs = _analyse(series, args.a0, args.thr)
+    report.update(stats)
+    if pairs is not None and args.pairs_out:
+        io.write_pairs_csv(args.pairs_out, pairs, params, {"a0": args.a0, "thr": args.thr})
     io.write_json(args.out, report, params)
     return 0
 

@@ -6,6 +6,7 @@ independent: '.' decimal separator, '\\n' newlines, no grouping.
 """
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ def write_ode_csv(path: str | Path, traj: Trajectory, extra: dict | None = None)
             fh.write(f"{float(t)!r},{float(r)!r},{float(n)!r}\n")
 
 
-def write_jump_csv(path: str | Path, traj: JumpTrajectory, extra: dict | None = None) -> None:
+def write_jump_csv(path: str | Path, traj: JumpTrajectory) -> None:
     spec = traj.spec
     meta = {
         "mode": spec.kind.value,
@@ -55,8 +56,6 @@ def write_jump_csv(path: str | Path, traj: JumpTrajectory, extra: dict | None = 
     if spec.anchor is not None:
         meta["anchor_r"] = spec.anchor.r
         meta["anchor_n"] = spec.anchor.n
-    if extra:
-        meta.update(extra)
     rs = traj.r_values()
     ns = traj.n_values()
     with open(path, "w", newline="") as fh:
@@ -119,31 +118,27 @@ def write_json(path: str | Path, payload: dict, params: ModelParams | None = Non
 def read_trajectory_csv(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a trajectory CSV back as (meta dict, column arrays).
 
-    The channel column, when present, is returned as a list of labels under
-    the 'channel' key of the meta dict.
+    The channel column, when present, is returned as an array of labels
+    under the 'channel' key of the meta dict.
     """
     meta: dict = {}
-    rows: list[list[str]] = []
-    header: list[str] | None = None
     with open(path) as fh:
         for line in fh:
             line = line.rstrip("\n")
-            if not line:
-                continue
             if line.startswith("#"):
                 key, _, value = line[1:].strip().partition("=")
                 meta[key.strip()] = value.strip()
-                continue
-            if header is None:
+            elif line:
                 header = line.split(",")
-                continue
-            rows.append(line.split(","))
-    if header is None:
-        raise ValueError(f"{path}: no header line found")
-    columns: dict[str, np.ndarray] = {}
-    for j, name in enumerate(header):
-        if name == "channel":
-            meta["channel"] = [row[j] for row in rows]
+                break
         else:
-            columns[name] = np.array([float(row[j]) for row in rows])
+            raise ValueError(f"{path}: no header line found")
+        dtype = [(name, "U16" if name == "channel" else "f8") for name in header]
+        with warnings.catch_warnings():
+            # A path with no data rows reads as empty columns.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=1)
+    columns = {name: data[name] for name in header if name != "channel"}
+    if "channel" in header:
+        meta["channel"] = data["channel"]
     return meta, columns

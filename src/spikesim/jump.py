@@ -177,7 +177,6 @@ class JumpTrajectory:
     channels: np.ndarray
     terminated_by: Termination
     t_end: float
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_events(self) -> int:
@@ -188,9 +187,6 @@ class JumpTrajectory:
 
     def n_values(self) -> np.ndarray:
         return self.kns * float(self.spec.n_unit)
-
-    def channel_labels(self) -> list[str]:
-        return [CHANNEL_LABELS[i] for i in self.channels]
 
     def step_times(self) -> np.ndarray:
         """Event times prefixed with t = 0 (matching step_* value arrays)."""

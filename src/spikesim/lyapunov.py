@@ -8,7 +8,7 @@ ergodicity conditions, and scans a lattice box to exhibit the exceptional set
 and verify drift <= -epsilon outside it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,6 @@ class DriftReport:
     condition_margin: float
     a_extent: tuple[int, int] = (0, 0)  # max (kr, kn) of A within the box
     analytic_extent: tuple[int | None, int | None] = (None, None)
-    meta: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {

@@ -6,7 +6,7 @@ parameter sets of interest, so adaptivity buys nothing.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class Trajectory:
     dt: float
     sample_every: int
     clamp_count: int = 0
-    meta: dict = field(default_factory=dict)
 
     def final_state(self) -> State:
         return State(float(self.r[-1]), float(self.n[-1]))

@@ -36,14 +36,12 @@ class PathSeries:
     step: bool
 
     @classmethod
-    def from_jump(cls, traj: JumpTrajectory, component: str = "n") -> "PathSeries":
-        values = traj.step_n() if component == "n" else traj.step_r()
-        return cls(traj.step_times(), values, traj.t_end, step=True)
+    def from_jump(cls, traj: JumpTrajectory) -> "PathSeries":
+        return cls(traj.step_times(), traj.step_n(), traj.t_end, step=True)
 
     @classmethod
-    def from_ode(cls, traj: Trajectory, component: str = "n") -> "PathSeries":
-        values = traj.n if component == "n" else traj.r
-        return cls(traj.t, values, float(traj.t[-1]), step=False)
+    def from_ode(cls, traj: Trajectory) -> "PathSeries":
+        return cls(traj.t, traj.n, float(traj.t[-1]), step=False)
 
 
 @dataclass(frozen=True)

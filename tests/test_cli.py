@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import spikesim.cli
-from spikesim import State, build_oneunit, integrate, simulate
+from spikesim import ModelParams, State, build_oneunit, integrate, simulate
 from spikesim import io
 from spikesim.cli import (
     RunConfig,
@@ -33,8 +33,8 @@ class TestIO:
         assert meta["alpha"] == "0.01"
         assert meta["mode"] == "ds"
         assert "version" in meta
-        assert np.allclose(columns["t"], traj.t)
-        assert np.allclose(columns["n"], traj.n)
+        assert np.array_equal(columns["t"], traj.t)
+        assert np.array_equal(columns["n"], traj.n)
 
     def test_jump_csv_round_trip(self, fig1_params, out):
         spec = build_oneunit(fig1_params)
@@ -49,7 +49,7 @@ class TestIO:
         assert meta["channel"][1] in {
             "stim-emission", "spont-emission", "absorption", "pumping", "leak"
         }
-        assert np.allclose(columns["t"][1:], traj.times)
+        assert np.array_equal(columns["t"][1:], traj.times)
 
     def test_csv_is_locale_independent(self, fig1_params, out):
         traj = integrate(fig1_params, State(0.01, 0.01), t_end=0.1, dt=1e-2)
@@ -253,6 +253,89 @@ class TestCLI:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "spikesim" in capsys.readouterr().out
+
+
+def _data_rows(path) -> list[str]:
+    return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
+class TestAnalyzeRoutesAgree:
+    """``simulate --a0/--thr`` and ``analyze`` of the CSV it writes report the
+    same statistics."""
+
+    ANALYSED = ("spikes", "plateaus", "correlation")
+
+    def _analyze(self, csv_path, report_path, pairs_path=None) -> dict:
+        argv = ["analyze", "--input", str(csv_path), "--a0", "10", "--thr", "10",
+                "--out", str(report_path)]
+        if pairs_path is not None:
+            argv += ["--pairs-out", str(pairs_path)]
+        assert main(argv) == 0
+        return json.loads(report_path.read_text())
+
+    def test_plateau_open_at_the_horizon(self, out):
+        # This path ends in a plateau after its last event; it is cut at the
+        # horizon, not at the last event time.
+        assert main([
+            "simulate", "--mode", "oneunit", "--gamma", "2", "--seed", "57",
+            "--t-end", "300", "--a0", "10", "--thr", "10", "--out", str(out / "p.csv"),
+        ]) == 0
+        inline = json.loads((out / "p_report.json").read_text())
+        analysed = self._analyze(out / "p.csv", out / "a.json")
+        assert inline["plateaus"]["count"] == 285
+        for key in self.ANALYSED:
+            assert analysed[key] == inline[key]
+
+    @pytest.mark.parametrize("mode, n_units, gamma, initial, seed, t_end", [
+        ("global", 10, 100.0, State(0.01, 0.01), 11, 80.0),
+        ("meanfield", 1, 100.0, State(0.01, 0.01), 4, 80.0),
+        ("oneunit", 1, 2.0, State(0.0, 0.0), 3, 40.0),
+    ])
+    def test_spike_open_at_the_horizon(self, out, mode, n_units, gamma, initial, seed, t_end):
+        config = RunConfig(
+            params=ModelParams(alpha=0.01, beta=1.0, gamma=gamma, p=7.0), mode=mode,
+            n_units=n_units, initial=initial, t_end=t_end, seed=seed,
+            a0=10.0, thr=10.0, out=str(out / "path.csv"), label="path",
+        )
+        traj = simulate_run(config)
+        assert traj.step_n()[-1] > 10.0  # the last spike is still open
+        analyse_run(config, traj, out)
+        inline = json.loads((out / "path_report.json").read_text())
+        analysed = self._analyze(out / "path.csv", out / "a.json", out / "a_pairs.csv")
+        assert inline["correlation"]["n"] >= 3
+        for key in self.ANALYSED:
+            assert analysed[key] == inline[key]
+        assert _data_rows(out / "a_pairs.csv") == _data_rows(out / "path_pairs.csv")
+
+    def test_ode_path_ends_at_its_last_sample(self, fig1_params, out):
+        traj = integrate(fig1_params, State(0.01, 0.01), t_end=1.0, dt=1e-2)
+        io.write_ode_csv(out / "ds.csv", traj)
+        analysed = self._analyze(out / "ds.csv", out / "a.json")
+        assert analysed["plateaus"]["count"] == 1  # n stays below 10 throughout
+
+    def _jump_csv(self, fig1_params, path):
+        spec = build_oneunit(fig1_params)
+        io.write_jump_csv(path, simulate(spec, spec.lattice_state(0.0, 0.0), t_end=5.0, seed=1))
+        return path.read_text().splitlines()
+
+    def test_horizon_before_last_sample_is_usage_error(self, fig1_params, out, capsys):
+        lines = self._jump_csv(fig1_params, out / "p.csv")
+        lines = [("# t_end=1.0" if line.startswith("# t_end=") else line) for line in lines]
+        (out / "p.csv").write_text("\n".join(lines) + "\n")
+        code = main(["analyze", "--input", str(out / "p.csv"), "--a0", "10",
+                     "--out", str(out / "a.json")])
+        assert code == 1
+        assert "precedes the last sample" in capsys.readouterr().err
+        assert not (out / "a.json").exists()
+
+    def test_no_data_rows_is_usage_error(self, fig1_params, out, capsys):
+        lines = self._jump_csv(fig1_params, out / "p.csv")
+        header_end = lines.index("t,r,n,channel") + 1
+        (out / "p.csv").write_text("\n".join(lines[:header_end]) + "\n")
+        code = main(["analyze", "--input", str(out / "p.csv"), "--a0", "10",
+                     "--out", str(out / "a.json")])
+        assert code == 1
+        assert "no data rows" in capsys.readouterr().err
 
 
 class TestPresets:

@@ -5,13 +5,14 @@ the same verdict on every run.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spikesim import (
     LatticeState,
     ModelParams,
     State,
+    Trajectory,
     build_global,
     build_meanfield,
     build_oneunit,
@@ -20,6 +21,7 @@ from spikesim import (
     simulate,
     vector_field,
 )
+from spikesim.io import read_trajectory_csv, write_jump_csv, write_ode_csv
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -84,3 +86,45 @@ def test_path_seeds_are_distinct_over_an_index_range(seed, start, count):
     seeds = [derive_path_seed(seed, k) for k in range(start, start + count)]
     assert len(set(seeds)) == count
     assert all(0 <= s < 2**64 for s in seeds)
+
+
+@PROPERTY
+@given(
+    params=params_strategy,
+    kind=st.sampled_from(["global", "meanfield", "oneunit"]),
+    n_units=st.integers(1, 30),
+    r0=st.floats(0.0, 5.0, **finite),
+    n0=st.floats(0.0, 20.0, **finite),
+    seed=st.integers(0, 2**32),
+    max_jumps=st.integers(0, 300),
+)
+@example(params=ModelParams(alpha=0.01, beta=1.0, gamma=100.0, p=7.0), kind="oneunit",
+         n_units=1, r0=0.0, n0=0.0, seed=1, max_jumps=0)
+def test_jump_csv_round_trip_is_exact(
+    tmp_path_factory, params, kind, n_units, r0, n0, seed, max_jumps
+):
+    spec = _build(kind, params, n_units)
+    traj = simulate(spec, spec.lattice_state(r0, n0), max_jumps=max_jumps, seed=seed)
+    path = tmp_path_factory.mktemp("csv") / "jump.csv"
+    write_jump_csv(path, traj)
+    meta, columns = read_trajectory_csv(path)
+    assert len(columns["t"]) == traj.n_events + 1  # the initial state is a row
+    assert np.array_equal(columns["t"], traj.step_times())
+    assert np.array_equal(columns["r"], traj.step_r())
+    assert np.array_equal(columns["n"], traj.step_n())
+    assert float(meta["t_end"]) == traj.t_end
+
+
+@PROPERTY
+@given(
+    params=params_strategy,
+    rows=st.lists(st.tuples(*[st.floats(**finite)] * 3), min_size=1, max_size=40),
+)
+def test_ode_csv_round_trip_is_exact(tmp_path_factory, params, rows):
+    t, r, n = (np.array(column) for column in zip(*rows))
+    traj = Trajectory(t=t, r=r, n=n, params=params, dt=1e-3, sample_every=1)
+    path = tmp_path_factory.mktemp("csv") / "ode.csv"
+    write_ode_csv(path, traj)
+    _meta, columns = read_trajectory_csv(path)
+    for name in ("t", "r", "n"):
+        assert np.array_equal(columns[name], getattr(traj, name))
