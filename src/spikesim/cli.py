@@ -7,6 +7,7 @@ Option precedence: built-in defaults < config file (flat key=value lines)
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -269,6 +270,15 @@ def run(config: RunConfig, outdir: str | Path = ".") -> list[Path]:
     return analyse_run(config, simulate_run(config), outdir)
 
 
+def _check_levels(a0: float | None, thr: float | None) -> None:
+    """Reject spike and plateau levels the analysis cannot use, before
+    anything is simulated or written."""
+    if a0 is not None and not (math.isfinite(a0) and a0 > 0):
+        raise UsageError(f"a0 must be finite and > 0, got {a0}")
+    if thr is not None and not (math.isfinite(thr) and thr >= 0):
+        raise UsageError(f"thr must be finite and >= 0, got {thr}")
+
+
 def _build_spec(config: RunConfig):
     if config.mode == "global":
         return build_global(config.params, config.n_units)
@@ -454,6 +464,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             survival_out=args.survival_out,
             label=Path(args.out).stem,
         )
+        _check_levels(config.a0, config.thr)
         run(config, outdir=Path(args.out).parent)
         return 0
 
@@ -494,22 +505,22 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def _run_analyze(args: argparse.Namespace) -> int:
+    _check_levels(args.a0, args.thr)
     meta, columns = io.read_trajectory_csv(args.input)
     if "t" not in columns or "n" not in columns:
         raise UsageError(f"{args.input}: expected columns t and n")
+    alpha, beta, gamma, p = (_header_number(args.input, meta, key)
+                             for key in ("alpha", "beta", "gamma", "p"))
     try:
-        params = ModelParams(
-            alpha=float(meta["alpha"]), beta=float(meta["beta"]),
-            gamma=float(meta["gamma"]), p=float(meta["p"]),
-        )
-    except KeyError as exc:
-        raise UsageError(f"{args.input}: missing parameter header {exc}") from exc
+        params = ModelParams(alpha=alpha, beta=beta, gamma=gamma, p=p)
+    except ValueError as exc:
+        raise UsageError(f"{args.input}: invalid parameter header: {exc}") from exc
     t = columns["t"]
     if len(t) == 0:
         raise UsageError(f"{args.input}: no data rows")
     # Jump CSVs record the horizon the path covers; ODE CSVs end at their
     # last sample.
-    t_end = float(meta.get("t_end", t[-1]))
+    t_end = _header_number(args.input, meta, "t_end") if "t_end" in meta else float(t[-1])
     if t_end < t[-1]:
         raise UsageError(f"{args.input}: t_end={t_end!r} precedes the last sample time")
     series = PathSeries(times=t, values=columns["n"], t_end=t_end, step="channel" in meta)
@@ -521,6 +532,19 @@ def _run_analyze(args: argparse.Namespace) -> int:
         io.write_pairs_csv(args.pairs_out, pairs, params, {"a0": args.a0, "thr": args.thr})
     io.write_json(args.out, report, params)
     return 0
+
+
+def _header_number(path: str, meta: dict, key: str) -> float:
+    """The finite number a ``# key=value`` header line of ``path`` holds."""
+    try:
+        value = float(meta[key])
+    except KeyError:
+        raise UsageError(f"{path}: missing header {key!r}") from None
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise UsageError(f"{path}: header {key}={meta[key]!r} is not a finite number")
+    return value
 
 
 if __name__ == "__main__":

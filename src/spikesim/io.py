@@ -7,6 +7,7 @@ independent: '.' decimal separator, '\\n' newlines, no grouping.
 
 import json
 import warnings
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,14 @@ from . import __version__
 from .jump import CHANNEL_LABELS, JumpTrajectory
 from .model import ModelParams
 from .ode import Trajectory
+
+# Rows per write.  A slice's text is about 100 kB.  Slices of 8192 rows
+# wrote no faster, and on some seeds their larger temporaries left the heap
+# fragmented enough to raise sample_paths' peak RSS by about 9 MB.
+_SLICE_ROWS = 1024
+# The reader's channel column: wide enough for the longest label and no
+# wider, since it is most of the memory a read row takes.
+_CHANNEL_DTYPE = f"U{max(map(len, CHANNEL_LABELS))}"
 
 
 def _meta_lines(params: ModelParams, extra: dict | None = None) -> list[str]:
@@ -32,6 +41,39 @@ def _meta_lines(params: ModelParams, extra: dict | None = None) -> list[str]:
     return [f"# {key}={value}" for key, value in items.items()]
 
 
+def _write_rows(fh, *columns: tuple[np.ndarray, Callable]) -> None:
+    """Write one CSV line per row of ``columns``, given as (values, format)
+    pairs of equal length, ``_SLICE_ROWS`` rows per ``fh.write``."""
+    n_rows = len(columns[0][0])
+    for start in range(0, n_rows, _SLICE_ROWS):
+        stop = start + _SLICE_ROWS
+        cells = [map(fmt, values[start:stop].tolist()) for values, fmt in columns]
+        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _floats(values) -> np.ndarray:
+    # Every value is written as the repr of a Python float.
+    return np.asarray(values, dtype=np.float64)
+
+
+class _LatticeText(dict):
+    """The text of lattice value ``k * unit`` by index ``k``.
+
+    Each entry is made the first time its index is looked up, so the table
+    holds one entry per distinct index on the path and no full-length
+    temporary is built.  The value is the int64-times-float64 product that
+    ``JumpTrajectory.r_values``/``n_values`` form.
+    """
+
+    def __init__(self, unit: float) -> None:
+        super().__init__()
+        self.unit = unit
+
+    def __missing__(self, k: int) -> str:
+        text = self[k] = repr(float(np.int64(k) * self.unit))
+        return text
+
+
 def write_ode_csv(path: str | Path, traj: Trajectory, extra: dict | None = None) -> None:
     meta = {"mode": "ds", "dt": traj.dt, "sample_every": traj.sample_every}
     if extra:
@@ -40,8 +82,7 @@ def write_ode_csv(path: str | Path, traj: Trajectory, extra: dict | None = None)
         for line in _meta_lines(traj.params, meta):
             fh.write(line + "\n")
         fh.write("t,r,n\n")
-        for t, r, n in zip(traj.t, traj.r, traj.n):
-            fh.write(f"{float(t)!r},{float(r)!r},{float(n)!r}\n")
+        _write_rows(fh, *((_floats(column), repr) for column in (traj.t, traj.r, traj.n)))
 
 
 def write_jump_csv(path: str | Path, traj: JumpTrajectory) -> None:
@@ -56,18 +97,18 @@ def write_jump_csv(path: str | Path, traj: JumpTrajectory) -> None:
     if spec.anchor is not None:
         meta["anchor_r"] = spec.anchor.r
         meta["anchor_n"] = spec.anchor.n
-    rs = traj.r_values()
-    ns = traj.n_values()
     with open(path, "w", newline="") as fh:
         for line in _meta_lines(spec.params, meta):
             fh.write(line + "\n")
         fh.write("t,r,n,channel\n")
         fh.write(f"{0.0!r},{traj.initial.r!r},{traj.initial.n!r},\n")
-        for i in range(traj.n_events):
-            fh.write(
-                f"{float(traj.times[i])!r},{float(rs[i])!r},{float(ns[i])!r},"
-                f"{CHANNEL_LABELS[traj.channels[i]]}\n"
-            )
+        _write_rows(
+            fh,
+            (_floats(traj.times), repr),
+            (traj.krs, _LatticeText(float(spec.r_unit)).__getitem__),
+            (traj.kns, _LatticeText(float(spec.n_unit)).__getitem__),
+            (traj.channels, CHANNEL_LABELS.__getitem__),
+        )
 
 
 def write_survival_csv(
@@ -81,8 +122,7 @@ def write_survival_csv(
         for line in _meta_lines(params, extra):
             fh.write(line + "\n")
         fh.write("a,survival\n")
-        for a, s in zip(grid, survival):
-            fh.write(f"{float(a)!r},{float(s)!r}\n")
+        _write_rows(fh, (_floats(grid), repr), (_floats(survival), repr))
 
 
 def write_pairs_csv(
@@ -95,8 +135,8 @@ def write_pairs_csv(
         for line in _meta_lines(params, extra):
             fh.write(line + "\n")
         fh.write("plateau_length,amplitude\n")
-        for length, amplitude in pairs:
-            fh.write(f"{float(length)!r},{float(amplitude)!r}\n")
+        table = _floats(pairs).reshape(-1, 2)
+        _write_rows(fh, (table[:, 0], repr), (table[:, 1], repr))
 
 
 def write_json(path: str | Path, payload: dict, params: ModelParams | None = None) -> None:
@@ -133,7 +173,7 @@ def read_trajectory_csv(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
                 break
         else:
             raise ValueError(f"{path}: no header line found")
-        dtype = [(name, "U16" if name == "channel" else "f8") for name in header]
+        dtype = [(name, _CHANNEL_DTYPE if name == "channel" else "f8") for name in header]
         with warnings.catch_warnings():
             # A path with no data rows reads as empty columns.
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")

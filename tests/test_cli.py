@@ -162,6 +162,30 @@ class TestCLI:
         assert "must be finite" in capsys.readouterr().err
         assert not path.exists()
 
+    @pytest.mark.parametrize("levels, message", [
+        (["--thr", "-1"], "thr must be finite and >= 0"),
+        (["--thr", "nan"], "thr must be finite and >= 0"),
+        (["--a0", "0"], "a0 must be finite and > 0"),
+        (["--a0", "inf", "--thr", "10"], "a0 must be finite and > 0"),
+    ])
+    def test_simulate_out_of_range_level_is_usage_error(self, out, capsys, levels, message):
+        code = main(["simulate", "--mode", "oneunit", "--t-end", "1", *levels,
+                     "--out", str(out / "path.csv")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []  # no trajectory and no report
+
+    @pytest.mark.parametrize("levels", [["--a0", "0"], ["--a0", "10", "--thr", "-1"]])
+    def test_analyze_out_of_range_level_is_usage_error(self, fig1_params, out, capsys, levels):
+        spec = build_oneunit(fig1_params)
+        io.write_jump_csv(out / "p.csv", simulate(spec, spec.lattice_state(0.0, 0.0),
+                                                  t_end=5.0, seed=1))
+        code = main(["analyze", "--input", str(out / "p.csv"), *levels,
+                     "--out", str(out / "a.json"), "--pairs-out", str(out / "pairs.csv")])
+        assert code == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert sorted(path.name for path in out.iterdir()) == ["p.csv"]
+
     def test_analyze_without_pairs_writes_note(self, fig1_params, out):
         spec = build_oneunit(fig1_params)
         traj = simulate(spec, spec.lattice_state(0.0, 0.0), t_end=1.0, seed=11)
@@ -326,6 +350,22 @@ class TestAnalyzeRoutesAgree:
                      "--out", str(out / "a.json")])
         assert code == 1
         assert "precedes the last sample" in capsys.readouterr().err
+        assert not (out / "a.json").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("t_end", "abc"), ("t_end", "inf"), ("t_end", "nan"), ("alpha", "abc"), ("gamma", "inf"),
+    ])
+    def test_header_that_is_not_a_finite_number_is_usage_error(
+        self, fig1_params, out, capsys, key, value
+    ):
+        lines = self._jump_csv(fig1_params, out / "p.csv")
+        lines = [(f"# {key}={value}" if line.startswith(f"# {key}=") else line)
+                 for line in lines]
+        (out / "p.csv").write_text("\n".join(lines) + "\n")
+        code = main(["analyze", "--input", str(out / "p.csv"), "--a0", "10",
+                     "--out", str(out / "a.json")])
+        assert code == 1
+        assert f"header {key}={value!r} is not a finite number" in capsys.readouterr().err
         assert not (out / "a.json").exists()
 
     def test_no_data_rows_is_usage_error(self, fig1_params, out, capsys):
