@@ -52,7 +52,6 @@ from .lyapunov import (  # noqa: F401
     BoxTooSmallError,
     DriftReport,
     ErgodicityCheck,
-    drift,
     drift_closed_form,
     drift_via_generator,
     ergodicity_condition,

@@ -10,9 +10,12 @@ import argparse
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import groupby
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, io
 from .jump import (
@@ -61,6 +64,15 @@ OPTION_DEFAULTS: dict[str, tuple[type, object]] = {
 
 class UsageError(ValueError):
     pass
+
+
+@contextmanager
+def _argument_checks():
+    """Report the ValueError of a library argument check as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 @dataclass
@@ -151,20 +163,23 @@ def preset(name: str) -> list[RunConfig]:
 
 def simulate_run(config: RunConfig) -> Trajectory | JumpTrajectory:
     """The path a RunConfig analyses: the ODE solution in ds mode, else one
-    jump-process trajectory.  It depends on ``config.path_key()`` alone."""
+    jump-process trajectory.  It depends on ``config.path_key()`` alone.
+    Arguments the library rejects raise UsageError."""
     if config.mode == "ds":
         if config.t_end is None:
             raise UsageError("ds mode needs --t-end")
-        return integrate(config.params, config.initial, config.t_end, dt=config.dt)
-    spec = _build_spec(config)
-    initial = spec.lattice_state(config.initial.r, config.initial.n)
-    return simulate(
-        spec,
-        initial,
-        t_end=config.t_end,
-        max_jumps=config.max_jumps,
-        seed=config.seed,
-    )
+        with _argument_checks():
+            return integrate(config.params, config.initial, config.t_end, dt=config.dt)
+    with _argument_checks():
+        spec = _build_spec(config)
+        initial = spec.lattice_state(config.initial.r, config.initial.n)
+        return simulate(
+            spec,
+            initial,
+            t_end=config.t_end,
+            max_jumps=config.max_jumps,
+            seed=config.seed,
+        )
 
 
 def analyse_run(
@@ -362,10 +377,11 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _read_config_file(path: str | None) -> dict[str, str]:
+def _read_config_file(path: str | None) -> dict[str, object]:
+    """The options a config file sets, converted to their types."""
     if not path:
         return {}
-    values: dict[str, str] = {}
+    values: dict[str, object] = {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -377,32 +393,38 @@ def _read_config_file(path: str | None) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise UsageError(f"config line without '=': {raw!r}")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in OPTION_DEFAULTS:
+            raise UsageError(f"config file {path}: unknown key {key!r}")
+        values[key] = _convert(key, value.strip(), f"config file {path}")
     return values
 
 
-def _resolve(name: str, args: argparse.Namespace, file_values: dict[str, str]):
+def _convert(name: str, text: str, source: str):
+    typ = OPTION_DEFAULTS[name][0]
+    try:
+        return typ(text)
+    except ValueError:
+        raise UsageError(f"{source}: {name}={text!r} is not a valid {typ.__name__}") from None
+
+
+def _resolve(name: str, args: argparse.Namespace, file_values: dict[str, object]):
     """defaults < config file < environment < flags."""
-    typ, value = OPTION_DEFAULTS[name]
-    if name in file_values:
-        value = typ(file_values[name])
-    env = os.environ.get(ENV_PREFIX + name.upper())
+    value = file_values.get(name, OPTION_DEFAULTS[name][1])
+    env_name = ENV_PREFIX + name.upper()
+    env = os.environ.get(env_name)
     if env is not None:
-        value = typ(env)
+        value = _convert(name, env, f"environment variable {env_name}")
     flag = getattr(args, name, None)
     if flag is not None:
         value = flag
     return value
 
 
-def _params_from(args: argparse.Namespace, file_values: dict[str, str]) -> ModelParams:
+def _params_from(args: argparse.Namespace, file_values: dict[str, object]) -> ModelParams:
+    values = {name: _resolve(name, args, file_values) for name in ("alpha", "beta", "gamma", "p")}
     try:
-        return ModelParams(
-            alpha=_resolve("alpha", args, file_values),
-            beta=_resolve("beta", args, file_values),
-            gamma=_resolve("gamma", args, file_values),
-            p=_resolve("p", args, file_values),
-        )
+        return ModelParams(**values)
     except ValueError as exc:
         raise UsageError(f"invalid parameter combination: {exc}") from exc
 
@@ -441,7 +463,9 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "stability":
         params = _params_from(args, file_values)
-        io.write_json(args.out, stability_report(params).to_dict(), params)
+        with _argument_checks():
+            report = stability_report(params)
+        io.write_json(args.out, report.to_dict(), params)
         return 0
 
     if args.command == "simulate":
@@ -479,9 +503,10 @@ def _dispatch(args: argparse.Namespace) -> int:
             if args.box_kr is None or args.box_kn is None:
                 raise UsageError("provide both --box-kr and --box-kn or neither")
             box = (args.box_kr, args.box_kn)
-        report = scan_drift_condition(
-            kind, params, epsilon=_resolve("epsilon", args, file_values), scan_box=box
-        )
+        with _argument_checks():
+            report = scan_drift_condition(
+                kind, params, epsilon=_resolve("epsilon", args, file_values), scan_box=box
+            )
         io.write_json(args.out, report.to_dict(), params)
         return 0 if (report.passed or report.inconclusive) else 2
 
@@ -518,6 +543,11 @@ def _run_analyze(args: argparse.Namespace) -> int:
     t = columns["t"]
     if len(t) == 0:
         raise UsageError(f"{args.input}: no data rows")
+    for key in ("t", "r", "n"):
+        if key in columns and not np.isfinite(columns[key]).all():
+            raise UsageError(f"{args.input}: column {key} holds a value that is not finite")
+    if np.any(t[1:] < t[:-1]):
+        raise UsageError(f"{args.input}: times go backwards")
     # Jump CSVs record the horizon the path covers; ODE CSVs end at their
     # last sample.
     t_end = _header_number(args.input, meta, "t_end") if "t_end" in meta else float(t[-1])

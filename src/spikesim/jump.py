@@ -137,8 +137,8 @@ class ProcessSpec:
 
     def lattice_state(self, r: float, n: float) -> LatticeState:
         """Nearest lattice point to the physical state (r, n)."""
-        if r < 0 or n < 0:
-            raise ValueError(f"physical state must be non-negative, got ({r}, {n})")
+        if not (0 <= r < math.inf and 0 <= n < math.inf):
+            raise ValueError(f"physical state must be finite and non-negative, got ({r}, {n})")
         return LatticeState(
             kr=round(r / float(self.r_unit)),
             kn=round(n / float(self.n_unit)),
@@ -147,11 +147,11 @@ class ProcessSpec:
         )
 
     def channel_rates(self, s: LatticeState) -> list[float]:
-        """Censored intensities at ``s``: a channel that would push a
-        coordinate negative contributes zero."""
+        """Censored intensities at ``s``: a channel below its guard
+        contributes zero."""
         r, n = s.r, s.n
         return [
-            0.0 if s.kr + ch.dkr < 0 or s.kn + ch.dkn < 0 else ch.rate(r, n)
+            ch.rate(r, n) if s.kr >= ch.guard[0] and s.kn >= ch.guard[1] else 0.0
             for ch in self.channels
         ]
 
@@ -363,8 +363,12 @@ def simulate(
     """
     if t_end is None and max_jumps is None:
         raise ValueError("provide t_end and/or max_jumps")
-    if t_end is not None and not (t_end > 0):
-        raise ValueError(f"t_end must be > 0, got {t_end}")
+    if t_end is not None and not (0 < t_end < math.inf):
+        raise ValueError(f"t_end must be finite and > 0, got {t_end}")
+    if max_jumps is not None and max_jumps < 0:
+        raise ValueError(f"max_jumps must be >= 0, got {max_jumps}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if initial.r_unit != spec.r_unit or initial.n_unit != spec.n_unit:
         raise ValueError("initial state is not on the process lattice")
 
@@ -395,13 +399,35 @@ def expected_drift(spec: ProcessSpec, s: LatticeState) -> tuple[float, float]:
     field at every lattice state; for the frozen mean-field process it
     matches the mean-field drift field away from the censored kr = 0 edge.
     """
-    ru, nu = float(spec.r_unit), float(spec.n_unit)
-    dr = 0.0
-    dn = 0.0
-    for ch, rate in zip(spec.channels, spec.channel_rates(s)):
-        dr += rate * ch.dkr * ru
-        dn += rate * ch.dkn * nu
-    return dr, dn
+    r, n, first = np.array([[s.r]]), np.array([[s.n]]), (s.kr, s.kn)
+    return (float(_generator_sum(spec, float(spec.r_unit), 0.0, r, n, first)[0, 0]),
+            float(_generator_sum(spec, 0.0, float(spec.n_unit), r, n, first)[0, 0]))
+
+
+def _generator_sum(spec: ProcessSpec, w_r: float, w_n: float, r: np.ndarray, n: np.ndarray,
+                   first: tuple[int, int] = (0, 0)) -> np.ndarray:
+    """Sum over the channels of censored rate * (w_r*dkr + w_n*dkn) on the
+    box of lattice states spanned by the column ``r`` (physical r at
+    kr = first[0], first[0] + 1, ...) and the row ``n`` (physical n at
+    kn = first[1], first[1] + 1, ...).  A single state is a 1x1 box.
+
+    One channel at a time, in channel order: a rate in r or n alone stays a
+    column or a row, and a full-size rate is censored and scaled in place
+    before it is added.
+    """
+    total = np.zeros((r.shape[0], n.shape[1]))
+    for ch in spec.channels:
+        rate = ch.rate(r, n)
+        # Rows and columns of the box below the channel's guard.
+        cut_r, cut_n = (max(low - k, 0) for low, k in zip(ch.guard, first))
+        if cut_r or cut_n:
+            if np.shape(rate) != total.shape:
+                rate = np.broadcast_to(rate, total.shape).copy()
+            rate[:cut_r] = 0.0
+            rate[:, :cut_n] = 0.0
+        full = np.shape(rate) == total.shape
+        total += np.multiply(rate, w_r * ch.dkr + w_n * ch.dkn, out=rate if full else None)
+    return total
 
 
 def meanfield_drift_field(

@@ -8,6 +8,7 @@ ergodicity conditions, and scans a lattice box to exhibit the exceptional set
 and verify drift <= -epsilon outside it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,10 +17,11 @@ from .jump import (
     LatticeState,
     ProcessKind,
     ProcessSpec,
+    _generator_sum,
     build_meanfield,
     build_oneunit,
 )
-from .model import ModelParams, State, stationary_point
+from .model import ModelParams, stationary_point
 
 DEFAULT_EPSILON = 0.1
 AUTO_BOX_CAP = 1024  # per-axis cap when auto-sizing the scan box
@@ -82,47 +84,21 @@ def lyapunov_value(s: LatticeState, gamma: float) -> float:
     return (gamma + 1.0) * s.r + s.n
 
 
-def drift_closed_form(
-    kind: ProcessKind,
-    params: ModelParams,
-    x,
-    y,
-    anchor: State | None = None,
-):
+def drift_closed_form(kind: ProcessKind, params: ModelParams, x, y):
     """Generator applied to f, in closed form; broadcasts over arrays.
 
     The closed form ignores boundary censoring, so on the mean-field kr = 0
     edge it differs from the actual chain drift (which is larger there).
     """
-    a, b, g, p = params.alpha, params.beta, params.gamma, params.p
-    pump_gain = (g + 1.0) / g * p
-    if kind is ProcessKind.ONEUNIT:
-        return -(x * y + a * x + (g / b - 1.0) * y) / g + pump_gain
-    if kind is ProcessKind.MEANFIELD:
-        ra, na = _resolve_anchor(params, anchor)
-        return -(x * (na / 2.0 + a) + y * (g / b + ra / 2.0 - 1.0)) / g + pump_gain
-    raise ValueError(f"no Lyapunov drift for kind {kind}")
+    g = params.gamma
+    return -_decay(kind, params, x, y) / g + (g + 1.0) / g * params.p
 
 
 def drift_via_generator(spec: ProcessSpec, s: LatticeState) -> float:
     """Sum of censored rate * f-increment over the five channels."""
-    g = spec.params.gamma
-    ru, nu = float(spec.r_unit), float(spec.n_unit)
-    rates = spec.channel_rates(s)
-    total = 0.0
-    for ch, rate in zip(spec.channels, rates):
-        total += rate * ((g + 1.0) * ch.dkr * ru + ch.dkn * nu)
-    return total
-
-
-def drift(
-    kind: ProcessKind,
-    params: ModelParams,
-    s: LatticeState,
-    anchor: State | None = None,
-) -> float:
-    """Closed-form generator drift of f at lattice state ``s``."""
-    return float(drift_closed_form(kind, params, s.r, s.n, anchor))
+    total = _generator_sum(spec, *_f_weights(spec), np.array([[s.r]]), np.array([[s.n]]),
+                           (s.kr, s.kn))
+    return float(total[0, 0])
 
 
 def ergodicity_condition(kind: ProcessKind, params: ModelParams) -> ErgodicityCheck:
@@ -130,11 +106,8 @@ def ergodicity_condition(kind: ProcessKind, params: ModelParams) -> ErgodicityCh
     if kind is ProcessKind.ONEUNIT:
         margin = params.gamma - params.beta
         return ErgodicityCheck(kind, margin >= 0.0, margin, "gamma >= beta")
-    if kind is ProcessKind.MEANFIELD:
-        r_star = stationary_point(params).r
-        margin = params.gamma / params.beta + r_star / 2.0 - 1.0
-        return ErgodicityCheck(kind, margin > 0.0, margin, "gamma/beta + r*/2 > 1")
-    raise ValueError(f"no ergodicity condition for kind {kind}")
+    margin = _decay_coefficients(kind, params)[1]
+    return ErgodicityCheck(kind, margin > 0.0, margin, "gamma/beta + r*/2 > 1")
 
 
 def membership_bound(params: ModelParams, epsilon: float) -> float:
@@ -142,31 +115,14 @@ def membership_bound(params: ModelParams, epsilon: float) -> float:
     return (params.gamma + 1.0) * params.p + params.gamma * epsilon
 
 
-def in_exceptional_set(
-    kind: ProcessKind,
-    params: ModelParams,
-    x,
-    y,
-    epsilon: float,
-    anchor: State | None = None,
-):
+def in_exceptional_set(kind: ProcessKind, params: ModelParams, x, y, epsilon: float):
     """Membership in the exceptional set A (broadcasts over arrays)."""
-    a, b, g = params.alpha, params.beta, params.gamma
-    bound = membership_bound(params, epsilon)
-    if kind is ProcessKind.ONEUNIT:
-        lhs = x * y + a * x + (g / b - 1.0) * y
-    elif kind is ProcessKind.MEANFIELD:
-        ra, na = _resolve_anchor(params, anchor)
-        lhs = x * (na / 2.0 + a) + y * (g / b + ra / 2.0 - 1.0)
-    else:
-        raise ValueError(f"no exceptional set for kind {kind}")
-    return lhs <= bound
+    return _decay(kind, params, x, y) <= membership_bound(params, epsilon)
 
 
 def scan_drift_condition(
     kind: ProcessKind,
     params: ModelParams,
-    anchor: State | None = None,
     epsilon: float = DEFAULT_EPSILON,
     scan_box: tuple[int, int] | None = None,
     require_containment: bool = False,
@@ -180,11 +136,10 @@ def scan_drift_condition(
     far along the y = 0 axis, so a truncated scan is the norm; pass
     ``require_containment=True`` to make truncation a hard error instead.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    if not (0 < epsilon < math.inf):
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     condition = ergodicity_condition(kind, params)
-    anchor_state = _anchor_state(kind, params, anchor)
-    analytic = _analytic_extent(kind, params, epsilon, anchor_state)
+    analytic = _analytic_extent(kind, params, epsilon)
 
     if not condition.holds:
         return DriftReport(
@@ -221,15 +176,14 @@ def scan_drift_condition(
             f"beyond the scan box {scan_box}"
         )
 
-    spec = _build_spec(kind, params, anchor_state)
-    g = params.gamma
+    spec = build_oneunit(params) if kind is ProcessKind.ONEUNIT else build_meanfield(params)
     # Physical coordinates as a column (kr) and a row (kn); every grid
     # expression broadcasts them to the (kr_max + 1) x (kn_max + 1) box.
-    X = (np.arange(kr_max + 1) / g)[:, None]
+    X = (np.arange(kr_max + 1) / params.gamma)[:, None]
     Y = np.arange(kn_max + 1, dtype=np.float64)[None, :]
 
-    in_a = in_exceptional_set(kind, params, X, Y, epsilon, anchor_state)
-    drift_grid = _generator_drift_grid(spec, X, Y)
+    in_a = in_exceptional_set(kind, params, X, Y, epsilon)
+    drift_grid = _generator_sum(spec, *_f_weights(spec), X, Y)
 
     bad = (~in_a) & (drift_grid > -epsilon)
     violations = [
@@ -261,69 +215,40 @@ def scan_drift_condition(
     )
 
 
-def _resolve_anchor(params: ModelParams, anchor: State | None) -> tuple[float, float]:
-    if anchor is None:
-        anchor = stationary_point(params)
-    return float(anchor[0]), float(anchor[1])
-
-
-def _anchor_state(
-    kind: ProcessKind, params: ModelParams, anchor: State | None
-) -> State | None:
-    if kind is not ProcessKind.MEANFIELD:
-        return None
-    ra, na = _resolve_anchor(params, anchor)
-    return State(ra, na)
-
-
-def _build_spec(
-    kind: ProcessKind, params: ModelParams, anchor: State | None
-) -> ProcessSpec:
+def _decay_coefficients(kind: ProcessKind, params: ModelParams) -> tuple[float, float]:
+    """(c_x, c_y) of the decay polynomial c_x*x + c_y*y (plus x*y for the
+    one-unit kind); the mean-field chain is frozen at the fixed point."""
+    a, b, g = params.alpha, params.beta, params.gamma
     if kind is ProcessKind.ONEUNIT:
-        return build_oneunit(params)
-    return build_meanfield(params, anchor=anchor)
+        return a, g / b - 1.0
+    if kind is ProcessKind.MEANFIELD:
+        ra, na = stationary_point(params)
+        return na / 2.0 + a, g / b + ra / 2.0 - 1.0
+    raise ValueError(f"no Lyapunov drift for kind {kind}")
+
+
+def _decay(kind: ProcessKind, params: ModelParams, x, y):
+    """The decay polynomial: gamma * ((gamma + 1) p / gamma - drift of f).
+    The one-unit sum stays one expression, so that numpy adds into the x*y
+    temporary in place."""
+    c_x, c_y = _decay_coefficients(kind, params)
+    if kind is ProcessKind.ONEUNIT:
+        return x * y + c_x * x + c_y * y
+    return c_x * x + c_y * y
 
 
 def _analytic_extent(
-    kind: ProcessKind,
-    params: ModelParams,
-    epsilon: float,
-    anchor: State | None,
+    kind: ProcessKind, params: ModelParams, epsilon: float
 ) -> tuple[int | None, int | None]:
     """Largest lattice indices that can satisfy the A-inequality, per axis
     (None when A is unbounded along that axis)."""
-    a, b, g = params.alpha, params.beta, params.gamma
+    c_x, c_y = _decay_coefficients(kind, params)
     bound = membership_bound(params, epsilon)
-    if kind is ProcessKind.ONEUNIT:
-        x_coef = a
-        y_coef = g / b - 1.0
-    else:
-        ra, na = _resolve_anchor(params, anchor)
-        x_coef = na / 2.0 + a
-        y_coef = g / b + ra / 2.0 - 1.0
-    kr_ext = int(bound / x_coef * g) if x_coef > 0 else None
-    kn_ext = int(bound / y_coef) if y_coef > 0 else None
+    kr_ext = int(bound / c_x * params.gamma) if c_x > 0 else None
+    kn_ext = int(bound / c_y) if c_y > 0 else None
     return kr_ext, kn_ext
 
 
-def _generator_drift_grid(spec: ProcessSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Generator applied to f on the box spanned by the column X (physical
-    r at kr = 0, 1, ...) and the row Y (physical n at kn = 0, 1, ...).
-
-    One channel at a time: a rate in r or n alone stays a column or a row,
-    and a full-size rate is censored and scaled in place before it is added.
-    """
-    g = spec.params.gamma
-    ru, nu = float(spec.r_unit), float(spec.n_unit)
-    total = np.zeros((X.shape[0], Y.shape[1]))
-    for ch in spec.channels:
-        rate = ch.rate(X, Y)
-        kr_min, kn_min = ch.guard
-        if kr_min or kn_min:
-            if np.shape(rate) != total.shape:
-                rate = np.broadcast_to(rate, total.shape).copy()
-            rate[:kr_min] = 0.0
-            rate[:, :kn_min] = 0.0
-        full = np.shape(rate) == total.shape
-        total += np.multiply(rate, (g + 1.0) * ch.dkr * ru + ch.dkn * nu, out=rate if full else None)
-    return total
+def _f_weights(spec: ProcessSpec) -> tuple[float, float]:
+    """f-increments of one lattice step in r and in n."""
+    return (spec.params.gamma + 1.0) * float(spec.r_unit), float(spec.n_unit)

@@ -70,10 +70,10 @@ def integrate(
     state, naming the first bad step.
     """
     r0, n0 = float(initial[0]), float(initial[1])
-    if r0 < 0 or n0 < 0:
-        raise ValueError(f"initial state must be non-negative, got ({r0}, {n0})")
-    if not (t_end > 0):
-        raise ValueError(f"t_end must be > 0, got {t_end}")
+    if not (0 <= r0 < math.inf and 0 <= n0 < math.inf):
+        raise ValueError(f"initial state must be finite and non-negative, got ({r0}, {n0})")
+    if not (0 < t_end < math.inf):
+        raise ValueError(f"t_end must be finite and > 0, got {t_end}")
     if not (0 < dt <= t_end):
         raise ValueError(f"dt must satisfy 0 < dt <= t_end, got {dt}")
 

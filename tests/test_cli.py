@@ -279,6 +279,122 @@ class TestCLI:
         assert "spikesim" in capsys.readouterr().out
 
 
+OUT = "<out>"  # stands for the output path (or directory) of each command below
+
+OUT_OF_RANGE = {
+    "simulate --max-jumps -5": (["simulate", "--mode", "oneunit", "--max-jumps", "-5"],
+                                "max_jumps must be >= 0"),
+    "simulate --n-units 0": (["simulate", "--mode", "global", "--n-units", "0", "--t-end", "1"],
+                             "n_units must be a positive integer"),
+    "simulate --t-end -1": (["simulate", "--mode", "oneunit", "--t-end", "-1"],
+                            "t_end must be finite and > 0"),
+    "simulate --t-end nan": (["simulate", "--mode", "oneunit", "--t-end", "nan"],
+                             "t_end must be finite and > 0"),
+    "simulate --t-end inf": (["simulate", "--mode", "oneunit", "--t-end", "inf"],
+                             "t_end must be finite and > 0"),
+    "simulate --r0 -1": (["simulate", "--mode", "oneunit", "--t-end", "1", "--r0", "-1"],
+                         "physical state must be finite and non-negative"),
+    "simulate --r0 nan": (["simulate", "--mode", "meanfield", "--t-end", "1", "--r0", "nan"],
+                          "physical state must be finite and non-negative"),
+    "simulate --seed -1": (["simulate", "--mode", "oneunit", "--t-end", "1", "--seed", "-1"],
+                           "seed must be >= 0"),
+    "ds --dt 0": (["ds", "--t-end", "1", "--dt", "0"], "dt must satisfy 0 < dt <= t_end"),
+    "ds --t-end inf": (["ds", "--t-end", "inf"], "t_end must be finite and > 0"),
+    "ds --r0 nan": (["ds", "--t-end", "1", "--r0", "nan"],
+                    "initial state must be finite and non-negative"),
+    "lyapunov --epsilon 0": (["lyapunov", "--mode", "oneunit", "--epsilon", "0"],
+                             "epsilon must be finite and > 0"),
+    "lyapunov --epsilon nan": (["lyapunov", "--mode", "oneunit", "--epsilon", "nan"],
+                               "epsilon must be finite and > 0"),
+    "lyapunov --box-kr 0": (["lyapunov", "--mode", "oneunit", "--box-kr", "0", "--box-kn", "10"],
+                            "scan box must be at least 1x1"),
+    "preset --t-end -1": (["preset", "fig5", "--t-end", "-1", "--outdir", OUT],
+                          "t_end must be finite and > 0"),
+    "stability --p 0 --alpha 0": (["stability", "--p", "0", "--alpha", "0"],
+                                  "stationary point undefined"),
+    "lyapunov meanfield --p 0 --alpha 0": (
+        ["lyapunov", "--mode", "meanfield", "--p", "0", "--alpha", "0"],
+        "stationary point undefined"),
+}
+
+
+@pytest.mark.parametrize("case", list(OUT_OF_RANGE))
+def test_out_of_range_argument_is_usage_error(out, capsys, case):
+    argv, message = OUT_OF_RANGE[case]
+    argv = argv if OUT in argv else argv + ["--out", OUT]
+    code = main([str(out / "run") if arg == OUT else arg for arg in argv])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert list(out.iterdir()) == []  # nothing written
+
+
+class TestOptionSources:
+    """A config key or value, or an environment value, that cannot be used
+    is a usage error naming the key and where it came from."""
+
+    ARGV = ["simulate", "--mode", "oneunit", "--t-end", "1"]
+
+    def test_unknown_config_key(self, out, capsys):
+        config = out / "run.cfg"
+        config.write_text("gama=3\n")
+        path = out / "stab.json"
+        assert main(["stability", "--config", str(config), "--out", str(path)]) == 1
+        assert f"config file {config}: unknown key 'gama'" in capsys.readouterr().err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("key, value, typ", [("seed", "abc", "int"), ("gamma", "abc", "float")])
+    def test_non_numeric_config_value(self, out, capsys, key, value, typ):
+        config = out / "run.cfg"
+        config.write_text(f"{key}={value}\n")
+        code = main(self.ARGV + ["--config", str(config), "--out", str(out / "p.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"config file {config}: {key}={value!r} is not a valid {typ}" in err
+        assert sorted(path.name for path in out.iterdir()) == ["run.cfg"]
+
+    @pytest.mark.parametrize("key, value, typ", [("seed", "x", "int"), ("gamma", "abc", "float")])
+    def test_non_numeric_environment_value(self, out, capsys, monkeypatch, key, value, typ):
+        monkeypatch.setenv(f"SPIKESIM_{key.upper()}", value)
+        assert main(self.ARGV + ["--out", str(out / "p.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f"environment variable SPIKESIM_{key.upper()}: {key}={value!r}" in err
+        assert f"is not a valid {typ}" in err
+        assert list(out.iterdir()) == []
+
+
+class TestAnalyzeRejectsMalformedInput:
+    def _analyze(self, fig1_params, out, rows):
+        """``analyze`` of an ODE CSV whose data rows are replaced by ``rows``."""
+        io.write_ode_csv(out / "p.csv", integrate(fig1_params, State(0.01, 0.01), 1.0, dt=0.5))
+        lines = [line for line in (out / "p.csv").read_text().splitlines()
+                 if line.startswith("#") or line == "t,r,n"]
+        (out / "p.csv").write_text("\n".join(lines + rows) + "\n")
+        return main(["analyze", "--input", str(out / "p.csv"), "--a0", "1", "--thr", "0.5",
+                     "--out", str(out / "a.json")])
+
+    def test_times_going_backwards(self, fig1_params, out, capsys):
+        code = self._analyze(fig1_params, out, ["0,0.01,0.01", "1,0.02,2", "0.5,0.03,3"])
+        assert code == 1
+        assert "times go backwards" in capsys.readouterr().err
+        assert sorted(path.name for path in out.iterdir()) == ["p.csv"]
+
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value(self, fig1_params, out, capsys, column, value):
+        rows = [["0", "0.01", "0.01"], ["1", "0.02", "2"], ["2", "0.03", "3"]]
+        rows[1][column] = value
+        code = self._analyze(fig1_params, out, [",".join(row) for row in rows])
+        assert code == 1
+        assert f"column {'trn'[column]} holds a value that is not finite" in capsys.readouterr().err
+        assert sorted(path.name for path in out.iterdir()) == ["p.csv"]
+
+    def test_equal_consecutive_times_are_legal(self, fig1_params, out):
+        # Two jump events may share a time.
+        code = self._analyze(fig1_params, out, ["0,0.01,0.01", "1,0.02,2", "1,0.03,3", "2,0,0"])
+        assert code == 0
+        assert json.loads((out / "a.json").read_text())["spikes"]["count"] == 1
+
+
 def _data_rows(path) -> list[str]:
     return [line for line in path.read_text().splitlines() if not line.startswith("#")]
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import spikesim.lyapunov
 from spikesim import (
     BoxTooSmallError,
     LatticeState,
@@ -9,7 +10,6 @@ from spikesim import (
     State,
     build_meanfield,
     build_oneunit,
-    drift,
     drift_closed_form,
     drift_via_generator,
     ergodicity_condition,
@@ -42,7 +42,8 @@ class TestLyapunovValue:
 class TestDrift:
     def test_oneunit_origin(self, fig1_params):
         spec = build_oneunit(fig1_params)
-        value = drift(ProcessKind.ONEUNIT, fig1_params, spec.lattice_state(0.0, 0.0))
+        s = spec.lattice_state(0.0, 0.0)
+        value = drift_closed_form(ProcessKind.ONEUNIT, fig1_params, s.r, s.n)
         assert value == pytest.approx(7.07, abs=1e-12)
 
     def test_oneunit_flat_in_y_when_gamma_equals_beta(self):
@@ -51,7 +52,8 @@ class TestDrift:
         expected = (params.gamma + 1.0) / params.gamma * params.p
         for y in (0.0, 1.0, 5.0, 40.0):
             s = spec.lattice_state(0.0, y)
-            assert drift(ProcessKind.ONEUNIT, params, s) == pytest.approx(expected)
+            value = drift_closed_form(ProcessKind.ONEUNIT, params, s.r, s.n)
+            assert value == pytest.approx(expected)
 
     def test_meanfield_linear_decrease_in_y(self, fig1_params):
         r_star = stationary_point(fig1_params).r
@@ -83,6 +85,32 @@ class TestDrift:
         s = spec.lattice_state(0.0, 5.0)
         closed = float(drift_closed_form(ProcessKind.MEANFIELD, fig1_params, 0.0, 5.0))
         assert drift_via_generator(spec, s) > closed
+
+
+@pytest.mark.parametrize("kind", [ProcessKind.ONEUNIT, ProcessKind.MEANFIELD])
+@pytest.mark.parametrize("params", [
+    ModelParams(0.01, 1.0, 100.0, 7.0),
+    ModelParams(0.01, 1.0, 2.0, 7.0),
+    ModelParams(0.3, 0.7, 3.0, 2.5),
+    ModelParams(0.0, 1.3, 7.0, 0.4),
+], ids=["gamma100", "gamma2", "gamma3_beta0.7", "alpha0"])
+def test_scan_grid_equals_drift_via_generator(monkeypatch, kind, params):
+    # The scan sums the generator over the whole box at once; each state of
+    # it, the kr = 0 and kn = 0 edges included, must equal the sum at that
+    # state alone.
+    grids = []
+    box_sum = spikesim.lyapunov._generator_sum
+    monkeypatch.setattr(spikesim.lyapunov, "_generator_sum",
+                        lambda *args: grids.append(box_sum(*args)) or grids[-1])
+    scan_drift_condition(kind, params, epsilon=0.1, scan_box=(12, 9))
+    monkeypatch.undo()
+    (grid,) = grids
+    spec = build_oneunit(params) if kind is ProcessKind.ONEUNIT else build_meanfield(params)
+    assert grid.shape == (13, 10)
+    for kr in range(13):
+        for kn in range(10):
+            s = LatticeState(kr, kn, spec.r_unit, spec.n_unit)
+            assert grid[kr, kn] == drift_via_generator(spec, s)
 
 
 class TestErgodicityCondition:

@@ -16,6 +16,7 @@ from spikesim import (
     JumpTrajectory,
     LatticeState,
     ModelParams,
+    ProcessKind,
     State,
     Termination,
     Trajectory,
@@ -23,6 +24,7 @@ from spikesim import (
     build_meanfield,
     build_oneunit,
     derive_path_seed,
+    drift_via_generator,
     expected_drift,
     integrate,
     simulate,
@@ -100,6 +102,52 @@ def test_global_expected_drift_is_the_vector_field(params, n_units, kr, kn):
     scale = spec.total_rate(s) * max(float(spec.r_unit), float(spec.n_unit))
     for got, want in zip(drift, field):
         assert abs(got - want) <= 1e-12 * (1.0 + scale)
+
+
+def _reference_channel_rates(spec, s):
+    """Censoring by the step itself: zero when the jump would leave the
+    lattice."""
+    return [0.0 if s.kr + ch.dkr < 0 or s.kn + ch.dkn < 0 else ch.rate(s.r, s.n)
+            for ch in spec.channels]
+
+
+def _reference_expected_drift(spec, s):
+    """One scalar accumulation per component, channel by channel."""
+    ru, nu = float(spec.r_unit), float(spec.n_unit)
+    dr = dn = 0.0
+    for ch, rate in zip(spec.channels, _reference_channel_rates(spec, s)):
+        dr += rate * ch.dkr * ru
+        dn += rate * ch.dkn * nu
+    return dr, dn
+
+
+def _reference_drift_via_generator(spec, s):
+    g = spec.params.gamma
+    ru, nu = float(spec.r_unit), float(spec.n_unit)
+    total = 0.0
+    for ch, rate in zip(spec.channels, _reference_channel_rates(spec, s)):
+        total += rate * ((g + 1.0) * ch.dkr * ru + ch.dkn * nu)
+    return total
+
+
+lattice_index = st.one_of(st.integers(0, 2), st.integers(0, 5_000))
+
+
+@PROPERTY
+@given(
+    params=params_strategy,
+    kind=st.sampled_from(["global", "meanfield", "oneunit"]),
+    n_units=st.integers(1, 30),
+    kr=lattice_index,
+    kn=lattice_index,
+)
+def test_rates_and_generator_sums_match_the_scalar_loops(params, kind, n_units, kr, kn):
+    spec = _build(kind, params, n_units)
+    s = LatticeState(kr, kn, spec.r_unit, spec.n_unit)
+    assert spec.channel_rates(s) == _reference_channel_rates(spec, s)
+    assert expected_drift(spec, s) == _reference_expected_drift(spec, s)
+    if spec.kind is not ProcessKind.GLOBAL:
+        assert drift_via_generator(spec, s) == _reference_drift_via_generator(spec, s)
 
 
 @PROPERTY
