@@ -1,0 +1,140 @@
+"""The direct-method loop of ``_kernel.c``: built on first use, loaded with
+ctypes and run a chunk at a time.
+
+``spikesim.jump`` imports this module on the first run that wants the
+compiled loop, never at import.  The library is compiled once per C source,
+flags, numpy, Python and platform into ``$XDG_CACHE_HOME/spikesim`` or
+``~/.cache/spikesim`` (a per-user directory in the temp dir when neither can
+be written), against numpy's random headers and ``libnpyrandom.a``, so it
+draws from the caller's bit generator exactly as ``Generator`` does.
+"""
+
+import ctypes
+import functools
+import hashlib
+import os
+import platform
+import sys
+import tempfile
+from array import array
+from pathlib import Path
+from typing import Callable
+
+import numpy as np
+
+# Events per call of the loop.  A run copies each chunk onto its time and
+# channel buffers, so it holds at most one chunk beyond its 9 bytes an event.
+CHUNK_EVENTS = 1 << 16
+SOURCE = Path(__file__).with_name("_kernel.c")
+CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+class Table(ctypes.Structure):
+    """A process's coefficient table as the loop reads it (struct table)."""
+
+    _fields_ = [("n_channels", ctypes.c_int64), ("r_unit", ctypes.c_double),
+                ("n_unit", ctypes.c_double), ("coef", ctypes.POINTER(ctypes.c_double)),
+                ("guard", ctypes.POINTER(ctypes.c_int64)), ("step", ctypes.POINTER(ctypes.c_int64))]
+
+
+class _Run(ctypes.Structure):
+    """Where a run stands between calls of the loop (struct run)."""
+
+    _fields_ = [("t", ctypes.c_double), ("t_end", ctypes.c_double), ("kr", ctypes.c_int64),
+                ("kn", ctypes.c_int64), ("limit", ctypes.c_int64), ("stop", ctypes.c_int64)]
+
+
+def table(channels, r_unit: float, n_unit: float) -> Table:
+    """The table of ``channels`` (``JumpChannel``s) on a lattice with these
+    units: per channel its coefficients, guard and step."""
+    coef = [c for ch in channels for c in (ch.k_rn, ch.k_r, ch.k_n, ch.k_1, ch.div)]
+    pairs = ctypes.c_int64 * (2 * len(channels))
+    return Table(len(channels), r_unit, n_unit, (ctypes.c_double * len(coef))(*coef),
+                 pairs(*(low for ch in channels for low in ch.guard)),
+                 pairs(*(d for ch in channels for d in (ch.dkr, ch.dkn))))
+
+
+def load() -> Callable | None:
+    """``run`` bound to the loaded library, or None when it cannot be built
+    (no compiler, headers or static library) or loaded."""
+    try:
+        loop = ctypes.CDLL(str(build_library())).spikesim_direct_method
+    except (OSError, AttributeError):
+        return None
+    loop.restype = ctypes.c_int64
+    loop.argtypes = (ctypes.c_void_p,) * 5
+    return functools.partial(run, loop)
+
+
+def run(loop, tab: Table, kr: int, kn: int, rng: np.random.Generator, t_end: float,
+        limit: int) -> tuple[array, bytearray, int]:
+    """At most ``limit`` events from (kr, kn) at t = 0: event times, channel
+    indices and why the loop stopped (0 limit, 1 absorbed, 2 time horizon).
+    Each chunk resumes from the state, time and bit generator the last one
+    left."""
+    times, picks = array("d"), bytearray()
+    size = min(limit, CHUNK_EVENTS)
+    time_buf, pick_buf = array("d", bytes(8 * size)), array("b", bytes(size))
+    state = _Run(0.0, t_end, kr, kn)
+    args = (ctypes.addressof(tab), ctypes.addressof(state),
+            time_buf.buffer_info()[0], pick_buf.buffer_info()[0])
+    bitgen = rng.bit_generator
+    with bitgen.lock:
+        while True:
+            state.limit = min(limit - len(picks), size)
+            count = loop(bitgen.ctypes.bit_generator, *args)
+            times += time_buf[:count]
+            picks += pick_buf[:count]
+            if state.stop or len(picks) == limit:
+                return times, picks, state.stop
+
+
+def build_library() -> Path:
+    """Compile ``_kernel.c`` into the cache directory, unless a library built
+    from the same source, flags, numpy, Python and platform is there."""
+    key = hashlib.sha256(SOURCE.read_bytes())
+    for part in (CFLAGS, np.__version__, sys.version, sys.platform, platform.machine()):
+        key.update(repr(part).encode())
+    target = cache_dir() / f"_kernel-{key.hexdigest()[:16]}.so"
+    if target.exists():
+        return target
+
+    # Only a build needs these; subprocess alone takes about 8 ms to import.
+    import shlex
+    import subprocess
+    import sysconfig
+
+    paths = sysconfig.get_paths()
+    static = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+    fd, partial = tempfile.mkstemp(suffix=".so.tmp", dir=target.parent)
+    os.close(fd)
+    try:
+        # Written under a temporary name and renamed into place, so that
+        # concurrent first uses never load a half-written library.
+        subprocess.run([*shlex.split(sysconfig.get_config_var("CC") or "cc"), *CFLAGS,
+                        f"-I{np.get_include()}", f"-I{paths['include']}",
+                        f"-I{paths['platinclude']}", str(SOURCE), str(static), "-lm",
+                        "-o", partial],
+                       check=True, capture_output=True, timeout=300)
+        os.replace(partial, target)
+    except subprocess.SubprocessError as exc:
+        raise OSError(f"cannot build the compiled jump engine: {exc}") from exc
+    finally:
+        if os.path.exists(partial):
+            os.unlink(partial)
+    return target
+
+
+def cache_dir() -> Path:
+    """``$XDG_CACHE_HOME/spikesim`` or ``~/.cache/spikesim``; a per-user
+    directory in the temp dir when that cannot be made or written."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    for cache in (Path(base, "spikesim"), Path(tempfile.gettempdir(), f"spikesim-{os.getuid()}")):
+        try:
+            cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+        except OSError:
+            continue
+        # Only a directory of the user's own: the library in it gets loaded.
+        if cache.stat().st_uid == os.getuid() and os.access(cache, os.W_OK):
+            return cache
+    raise OSError("no writable cache directory for the compiled jump engine")

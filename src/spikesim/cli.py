@@ -24,6 +24,7 @@ from .jump import (
     build_global,
     build_meanfield,
     build_oneunit,
+    engine,
     simulate,
 )
 from .lyapunov import scan_drift_condition
@@ -187,6 +188,12 @@ def analyse_run(
 ) -> list[Path]:
     """Write the artifacts of one RunConfig from its path ``traj`` (as made
     by ``simulate_run``); returns the artifact paths written."""
+    ref = None
+    if config.lln_reference and config.mode != "ds" and config.t_end is not None:
+        # Before anything is written: a reference that cannot be integrated
+        # leaves no artifact.
+        with _argument_checks():
+            ref = integrate(config.params, config.initial, config.t_end, dt=config.dt)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -236,8 +243,7 @@ def analyse_run(
         )
         written.append(pairs_path)
 
-    if config.lln_reference and jump_traj is not None and config.t_end is not None:
-        ref = integrate(config.params, config.initial, config.t_end, dt=config.dt)
+    if ref is not None:
         report["lln_sup_distance"] = lln_sup_distance(jump_traj, ref, config.t_end)
 
     if config.a0 is not None or config.thr is not None or config.lln_reference:
@@ -310,6 +316,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+class _Version(argparse.Action):
+    """--version: the package version and the jump engine in use, which is
+    built here if it is not built yet."""
+
+    def __init__(self, option_strings, dest, **kwargs):
+        super().__init__(option_strings, dest, nargs=0,
+                         help="show the version and the jump engine, then exit")
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(f"spikesim {__version__} (jump engine: {engine()})")
+        parser.exit()
+
+
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--alpha", type=float)
     sub.add_argument("--beta", type=float)
@@ -320,7 +339,7 @@ def _add_param_flags(sub: argparse.ArgumentParser) -> None:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="spikesim", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"spikesim {__version__}")
+    parser.add_argument("--version", action=_Version)
     subs = parser.add_subparsers(dest="command", required=True)
 
     ds = subs.add_parser("ds", help="integrate the deterministic system")
@@ -421,6 +440,12 @@ def _resolve(name: str, args: argparse.Namespace, file_values: dict[str, object]
     return value
 
 
+def _given(name: str, args: argparse.Namespace, file_values: dict[str, object]) -> bool:
+    """Whether the config file, the environment or a flag sets ``name``."""
+    return (name in file_values or ENV_PREFIX + name.upper() in os.environ
+            or getattr(args, name, None) is not None)
+
+
 def _params_from(args: argparse.Namespace, file_values: dict[str, object]) -> ModelParams:
     values = {name: _resolve(name, args, file_values) for name in ("alpha", "beta", "gamma", "p")}
     try:
@@ -470,14 +495,16 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "simulate":
         params = _params_from(args, file_values)
+        max_jumps = _resolve("max_jumps", args, file_values)
         config = RunConfig(
             params=params,
             mode=args.mode,
             n_units=_resolve("n_units", args, file_values),
             initial=State(_resolve("r0", args, file_values), _resolve("n0", args, file_values)),
-            t_end=None if args.max_jumps is not None and args.t_end is None
+            # A jump count alone bounds the run unless a horizon is set too.
+            t_end=None if max_jumps is not None and not _given("t_end", args, file_values)
             else _resolve("t_end", args, file_values),
-            max_jumps=args.max_jumps,
+            max_jumps=max_jumps,
             seed=_resolve("seed", args, file_values),
             a0=_resolve("a0", args, file_values),
             thr=_resolve("thr", args, file_values),

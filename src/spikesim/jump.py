@@ -15,6 +15,11 @@ exact direct method: exponential waiting time at the total rate, categorical
 channel choice.  States are kept as integer lattice coordinates so
 non-negativity is structural and there is no float drift over millions of
 jumps.
+
+The direct-method loop runs in C (``_kernel.c``, driven by ``_compiled``),
+built on first use and called on the caller's numpy bit generator, so it
+draws the same stream as the Python kernel generated from the table.  Where
+it cannot be built or loaded, the Python kernel runs.
 """
 
 import functools
@@ -37,6 +42,10 @@ _STEPS = np.array(CHANNEL_STEPS, dtype=np.int64).T.copy()  # rows: dkr, dkn
 DEFAULT_MAX_EVENTS = 10_000_000
 
 _MASK64 = (1 << 64) - 1
+
+# Shorter runs (``next_jump`` is a run of one event) take the Python kernel:
+# one ctypes call costs more than two events of the Python loop.
+_COMPILED_MIN_EVENTS = 3
 
 
 class EventCapError(RuntimeError):
@@ -134,6 +143,13 @@ class ProcessSpec:
         coef = tuple(c for ch in self.channels for c in (ch.k_rn, ch.k_r, ch.k_n, ch.k_1, ch.div))
         object.__setattr__(self, "_kernel", functools.partial(
             kernel, coef, float(self.r_unit), float(self.n_unit)))
+
+    @functools.cached_property
+    def _table(self):
+        """The table as the compiled loop reads it, made on its first run."""
+        from . import _compiled
+
+        return _compiled.table(self.channels, float(self.r_unit), float(self.n_unit))
 
     def lattice_state(self, r: float, n: float) -> LatticeState:
         """Nearest lattice point to the physical state (r, n)."""
@@ -293,7 +309,10 @@ def _compile_kernel(rates: tuple[str, ...], steps: tuple[tuple[int, int], ...]) 
     """
     last = len(rates) - 1
     cum = [f"c{i}" for i in range(last)] + ["total"]
-    event = [f"{cum[i]} = " + (f"{cum[i - 1]} + " if i else "") + rates[i] for i in range(last + 1)]
+    # Each rate in parentheses: a cumulative rate is the previous one plus
+    # the whole channel rate, never its terms one by one.
+    event = [f"{cum[i]} = " + (f"{cum[i - 1]} + ({rates[i]})" if i else rates[i])
+             for i in range(last + 1)]
     event += ["if total <= 0.0: return ABSORBED",
               "t_next = t + exponential() / total",
               "if t_next > t_end: return TIME_HORIZON",
@@ -325,11 +344,57 @@ def kernel(coef, ru, nu, kr, kn, t_end, limit, exponential, uniform, times, pick
 def _run(spec: ProcessSpec, kr: int, kn: int, rng: np.random.Generator, t_end: float,
          limit: int) -> tuple[array, bytearray, Termination]:
     """At most ``limit`` events from (kr, kn) at t = 0: event times, channel
-    indices and why the loop stopped."""
+    indices and why the loop stopped.  The compiled loop runs where it is
+    available, the Python kernel elsewhere and for the shortest runs; the two
+    draw the same stream."""
+    compiled = _compiled_run()
+    if compiled is None or limit < _COMPILED_MIN_EVENTS:
+        return _run_python(spec, kr, kn, rng, t_end, limit)
+    times, picks, stop = compiled(spec._table, kr, kn, rng, t_end, limit)
+    return times, picks, _STOPS[stop]
+
+
+def _run_python(spec: ProcessSpec, kr: int, kn: int, rng: np.random.Generator, t_end: float,
+                limit: int) -> tuple[array, bytearray, Termination]:
     times, picks = array("d"), bytearray()
     terminated = spec._kernel(kr, kn, t_end, limit, rng.standard_exponential, rng.random,
                               times, picks)
     return times, picks, terminated
+
+
+# Termination by the compiled loop's stop code.
+_STOPS = (Termination.MAX_JUMPS, Termination.ABSORBED, Termination.TIME_HORIZON)
+
+
+def engine() -> str:
+    """The jump engine that ``simulate`` and ``next_jump`` run: "compiled" or
+    "python".  The first call builds the compiled loop if it is not built."""
+    return "python" if _compiled_run() is None else "compiled"
+
+
+@functools.cache
+def _compiled_run() -> Callable | None:
+    """The compiled loop's ``run``, loaded on first use; None (the Python
+    kernel runs) when it cannot be built or loaded, or when it does not
+    reproduce the Python kernel."""
+    from . import _compiled
+
+    compiled = _compiled.load()
+    if compiled is None:
+        return None
+    # A toolchain that fuses or reorders floating-point operations, or a
+    # libnpyrandom that draws differently, would change the stream.  This
+    # table has every kind of term, a divisor, a guard (on channel 0) and
+    # rates of several terms with and without a guard.
+    spec = ProcessSpec(ModelParams(alpha=0.01, beta=0.7, gamma=3.0, p=7.0), ProcessKind.ONEUNIT,
+                       _make_channels({"k_rn": 0.5, "k_n": 0.3}, {"k_r": 0.01},
+                                      {"k_rn": 0.2, "k_n": 1.0}, {"k_1": 7.0},
+                                      {"k_n": 1.0, "div": 0.7}),
+                       r_unit=Fraction(1, 3), n_unit=Fraction(1))
+    # From a high state, so that the rates take a wide range of values.
+    times, picks, stop = compiled(spec._table, 5, 200, np.random.default_rng(0), math.inf, 400)
+    expected = _run_python(spec, 5, 200, np.random.default_rng(0), math.inf, 400)
+    return compiled if (times, picks, _STOPS[stop]) == expected else None
 
 
 def next_jump(

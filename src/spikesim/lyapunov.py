@@ -157,7 +157,7 @@ def scan_drift_condition(
 
     if scan_box is None:
         scan_box = tuple(
-            min(4 * ext, AUTO_BOX_CAP) if ext is not None else AUTO_BOX_CAP
+            max(min(4 * ext, AUTO_BOX_CAP), 1) if ext is not None else AUTO_BOX_CAP
             for ext in analytic
         )
     kr_max, kn_max = scan_box

@@ -1,6 +1,7 @@
 import pytest
 
 from spikesim import ModelParams
+from spikesim.jump import engine
 
 # Figure-caption parameter sets: the focus case (gamma = 100) and the
 # near-boundary case (gamma = 2).
@@ -16,6 +17,10 @@ PARAM_GRID = [
     for g in (1.0, 2.0, 100.0)
     for p in (1.0, 7.0)
 ]
+
+
+def pytest_report_header(config):
+    return f"spikesim jump engine: {engine()}"
 
 
 @pytest.fixture

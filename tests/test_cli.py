@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import spikesim.cli
-from spikesim import ModelParams, State, build_oneunit, integrate, simulate
+from spikesim import ModelParams, State, __version__, build_oneunit, integrate, simulate
 from spikesim import io
 from spikesim.cli import (
     RunConfig,
@@ -17,6 +17,7 @@ from spikesim.cli import (
     run,
     simulate_run,
 )
+from spikesim.jump import engine
 
 
 @pytest.fixture
@@ -276,7 +277,18 @@ class TestCLI:
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
-        assert "spikesim" in capsys.readouterr().out
+        assert engine() in ("compiled", "python")
+        assert capsys.readouterr().out == f"spikesim {__version__} (jump engine: {engine()})\n"
+
+    def test_lyapunov_auto_box_with_a_zero_extent(self, out):
+        # Unpumped with a fast leak: the exceptional set's analytic extent
+        # along kn is 0, and the auto-sized box is one state deep there.
+        path = out / "ly.json"
+        assert main(["lyapunov", "--mode", "oneunit", "--gamma", "100", "--beta", "0.01",
+                     "--p", "0", "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        assert doc["analytic_extent"][1] == 0
+        assert doc["scan_box"] == [1024, 1]
 
 
 OUT = "<out>"  # stands for the output path (or directory) of each command below
@@ -310,6 +322,9 @@ OUT_OF_RANGE = {
                             "scan box must be at least 1x1"),
     "preset --t-end -1": (["preset", "fig5", "--t-end", "-1", "--outdir", OUT],
                           "t_end must be finite and > 0"),
+    "simulate --lln-reference --t-end 0.0005": (
+        ["simulate", "--mode", "oneunit", "--t-end", "0.0005", "--lln-reference"],
+        "dt must satisfy 0 < dt <= t_end"),
     "stability --p 0 --alpha 0": (["stability", "--p", "0", "--alpha", "0"],
                                   "stationary point undefined"),
     "lyapunov meanfield --p 0 --alpha 0": (
@@ -360,6 +375,38 @@ class TestOptionSources:
         assert f"environment variable SPIKESIM_{key.upper()}: {key}={value!r}" in err
         assert f"is not a valid {typ}" in err
         assert list(out.iterdir()) == []
+
+
+class TestMaxJumpsSources:
+    """max_jumps resolves like every option, and bounds the run alone unless
+    some source also sets a horizon."""
+
+    ARGV = ["simulate", "--mode", "oneunit"]
+
+    def _events(self, out, argv) -> int:
+        path = out / "p.csv"
+        assert main(self.ARGV + argv + ["--out", str(path)]) == 0
+        _meta, columns = io.read_trajectory_csv(path)
+        return len(columns["t"]) - 1  # the first row is the initial state
+
+    def test_config_file(self, out):
+        config = out / "run.cfg"
+        config.write_text("max_jumps=5\n")
+        assert self._events(out, ["--config", str(config)]) == 5
+
+    def test_environment(self, out, monkeypatch):
+        monkeypatch.setenv("SPIKESIM_MAX_JUMPS", "5")
+        assert self._events(out, []) == 5
+
+    def test_horizon_from_config_file_still_bounds_the_run(self, out):
+        config = out / "run.cfg"
+        config.write_text("t_end=0.5\n")
+        path = out / "p.csv"
+        assert main(self.ARGV + ["--config", str(config), "--max-jumps", "1000",
+                                 "--out", str(path)]) == 0
+        meta, columns = io.read_trajectory_csv(path)
+        assert float(meta["t_end"]) == 0.5
+        assert 0 < len(columns["t"]) - 1 < 1000
 
 
 class TestAnalyzeRejectsMalformedInput:

@@ -5,15 +5,20 @@ to a coefficient table.  Any change to the draw protocol (one standard
 exponential, then one uniform, per event), to the order in which channel
 rates are summed and picked, or to the rate arithmetic changes a digest.
 Acceptance criteria 8 and 9 are statistical verdicts on fixed seeds, so the
-stream must not move.
+stream must not move.  The module-level tests run the engine in use
+(``spikesim.jump.engine()``, the compiled loop wherever it builds);
+``TestPythonKernel`` runs them again on the Python kernel.
 """
 
 import hashlib
+import sysconfig
+import tempfile
 
 import numpy as np
 import pytest
 
 from spikesim import (
+    EventCapError,
     ModelParams,
     State,
     build_global,
@@ -22,6 +27,7 @@ from spikesim import (
     next_jump,
     simulate,
 )
+from spikesim import _compiled, jump
 
 BUILDERS = {
     "oneunit": build_oneunit,
@@ -147,3 +153,87 @@ def test_first_event_equals_next_jump(kind, seed):
     wait, channel = next_jump(spec, s, np.random.default_rng(seed))
     assert traj.times[0] == wait
     assert traj.channels[0] == channel
+
+
+@pytest.fixture
+def python_kernel(monkeypatch):
+    """The exec-generated Python kernel, the reference, in place of the
+    compiled loop."""
+    monkeypatch.setattr(jump, "_compiled_run", lambda: None)
+
+
+@pytest.mark.usefixtures("python_kernel")
+class TestPythonKernel:
+    test_grid_stream_is_frozen = staticmethod(test_grid_stream_is_frozen)
+    test_edge_case_stream_is_frozen = staticmethod(test_edge_case_stream_is_frozen)
+    test_first_event_equals_next_jump = staticmethod(test_first_event_equals_next_jump)
+
+
+CHUNK = _compiled.CHUNK_EVENTS
+
+
+def _outcome(spec, start, **run):
+    """The digest of ``simulate``'s trajectory, or its EventCapError."""
+    try:
+        return digest(simulate(spec, start, seed=5, **run))
+    except EventCapError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("run", [{"max_jumps": 2 * CHUNK + 3},
+                                 {"t_end": 1e9, "max_events": CHUNK + 1}],
+                         ids=["two_chunks_and_a_bit", "cap_one_past_a_chunk"])
+def test_runs_across_chunks_match_the_python_kernel(run, monkeypatch):
+    spec = BUILDERS["global"](ModelParams(alpha=0.01, beta=0.7, gamma=2.0, p=7.0))
+    start = spec.lattice_state(*START["global"])
+    engine_in_use = _outcome(spec, start, **run)
+    monkeypatch.setattr(jump, "_compiled_run", lambda: None)
+    assert engine_in_use == _outcome(spec, start, **run)
+
+
+def test_the_compiled_engine_runs_wherever_it_builds():
+    # A loop that builds but draws differently falls back to the Python
+    # kernel at its check run; that must not pass unnoticed.
+    assert jump.engine() == ("python" if _compiled.load() is None else "compiled")
+
+
+class TestBuild:
+    """The compiled loop is built into the cache on first use, and the
+    Python kernel runs where it cannot be built."""
+
+    @pytest.fixture
+    def empty_cache(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(_compiled, "cache_dir", lambda: tmp_path)
+        jump._compiled_run.cache_clear()
+        yield tmp_path
+        jump._compiled_run.cache_clear()
+
+    def test_falls_back_to_the_python_kernel_without_a_compiler(self, empty_cache, monkeypatch):
+        config_var = sysconfig.get_config_var
+        monkeypatch.setattr(sysconfig, "get_config_var",
+                            lambda name: "/nonexistent/cc" if name == "CC" else config_var(name))
+        assert jump.engine() == "python"
+        assert list(empty_cache.iterdir()) == []  # no partial library left behind
+        for key in [("oneunit", 100.0, 1.0, 0), ("meanfield", 2.0, 0.7, 7)]:
+            test_grid_stream_is_frozen(key)
+
+    @pytest.mark.skipif(jump.engine() != "compiled", reason="no compiled jump engine here")
+    def test_builds_once_into_the_cache(self, empty_cache):
+        assert jump.engine() == "compiled"
+        (library,) = empty_cache.iterdir()
+        assert library.name.startswith("_kernel-") and library.suffix == ".so"
+        built = library.stat().st_mtime_ns
+        jump._compiled_run.cache_clear()
+        assert jump.engine() == "compiled"
+        assert [p.stat().st_mtime_ns for p in empty_cache.iterdir()] == [built]
+
+    def test_cache_directory(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        assert _compiled.cache_dir() == tmp_path / "xdg" / "spikesim"
+        # A cache home that cannot be made: a per-user directory in the
+        # temp dir instead.
+        (tmp_path / "file").write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        cache = _compiled.cache_dir()
+        assert cache.parent == tmp_path / "tmp" and cache.name.startswith("spikesim-")

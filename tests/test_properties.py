@@ -5,6 +5,8 @@ the same verdict on every run.
 """
 
 import math
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from spikesim import (
+    EventCapError,
     JumpTrajectory,
     LatticeState,
     ModelParams,
@@ -27,9 +30,11 @@ from spikesim import (
     drift_via_generator,
     expected_drift,
     integrate,
+    next_jump,
     simulate,
     vector_field,
 )
+from spikesim import _compiled, jump
 from spikesim.io import (
     _SLICE_ROWS,
     _meta_lines,
@@ -39,7 +44,7 @@ from spikesim.io import (
     write_pairs_csv,
     write_survival_csv,
 )
-from spikesim.jump import CHANNEL_LABELS
+from spikesim.jump import CHANNEL_LABELS, ProcessSpec, _make_channels
 from spikesim.ode import (
     MAX_STORED_SAMPLES,
     IntegrationBlowupError,
@@ -148,6 +153,73 @@ def test_rates_and_generator_sums_match_the_scalar_loops(params, kind, n_units, 
     assert expected_drift(spec, s) == _reference_expected_drift(spec, s)
     if spec.kind is not ProcessKind.GLOBAL:
         assert drift_via_generator(spec, s) == _reference_drift_via_generator(spec, s)
+
+
+# A table coefficient: zero (the term is left out), one (a bare variable)
+# or any other positive value; a divisor: one (no division) or another.
+coefficient = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 50.0, **finite))
+divisor = st.one_of(st.just(1.0), st.floats(0.05, 20.0, **finite))
+row_strategy = st.fixed_dictionaries(
+    {"k_rn": coefficient, "k_r": coefficient, "k_n": coefficient, "k_1": coefficient,
+     "div": divisor})
+# Lattice edges (where the guards act) drawn often.
+lattice_index = st.one_of(st.integers(0, 2), st.integers(0, 200))
+
+
+def _outcome(spec, start, **run):
+    """The trajectory of ``simulate``, or the message of its EventCapError."""
+    try:
+        return simulate(spec, start, **run)
+    except EventCapError as exc:
+        return str(exc)
+
+
+# The compiled loop as built, without the check run that would replace it by
+# the Python kernel if it drew differently.
+COMPILED_RUN = _compiled.load()
+
+
+@pytest.mark.skipif(COMPILED_RUN is None, reason="no compiled jump engine here")
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    rows=st.lists(row_strategy, min_size=5, max_size=5),
+    units=st.tuples(st.integers(1, 100), st.integers(1, 30)),
+    kr=lattice_index,
+    kn=lattice_index,
+    seed=st.integers(0, 2**32),
+    t_end=st.one_of(st.none(), st.floats(0.01, 50.0, **finite)),
+    max_jumps=st.integers(0, 300),
+    max_events=st.integers(0, 400),
+    chunk=st.integers(1, 40),
+)
+def test_compiled_and_python_kernels_draw_the_same_stream(
+    rows, units, kr, kn, seed, t_end, max_jumps, max_events, chunk
+):
+    spec = ProcessSpec(ModelParams(alpha=0.01, beta=1.0, gamma=float(units[0]), p=7.0),
+                       ProcessKind.ONEUNIT, _make_channels(*rows),
+                       r_unit=Fraction(1, units[0]), n_unit=Fraction(1, units[1]))
+    start = LatticeState(kr, kn, spec.r_unit, spec.n_unit)
+    run = {"t_end": t_end, "max_jumps": max_jumps, "seed": seed, "max_events": max_events}
+    # Every run on the compiled loop, however short, in chunks of ``chunk``
+    # events, so that runs and the event cap cross chunk boundaries.
+    with mock.patch.object(jump, "_compiled_run", lambda: COMPILED_RUN), \
+            mock.patch.object(jump, "_COMPILED_MIN_EVENTS", 0), \
+            mock.patch.object(_compiled, "CHUNK_EVENTS", chunk):
+        compiled = _outcome(spec, start, **run)
+        compiled_step = next_jump(spec, start, np.random.default_rng(seed))
+    with mock.patch.object(jump, "_compiled_run", lambda: None):
+        python = _outcome(spec, start, **run)
+        python_step = next_jump(spec, start, np.random.default_rng(seed))
+    assert compiled_step == python_step
+    if isinstance(python, str):
+        assert compiled == python
+        return
+    assert np.array_equal(compiled.times, python.times)
+    assert np.array_equal(compiled.channels, python.channels)
+    assert np.array_equal(compiled.krs, python.krs)
+    assert np.array_equal(compiled.kns, python.kns)
+    assert compiled.terminated_by == python.terminated_by
+    assert compiled.t_end == python.t_end
 
 
 @PROPERTY
