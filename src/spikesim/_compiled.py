@@ -1,12 +1,14 @@
-"""The direct-method loop of ``_kernel.c``: built on first use, loaded with
-ctypes and run a chunk at a time.
+"""The library of ``_kernel.c``: built on first use and loaded with ctypes.
+It holds the direct-method loop (run a chunk at a time), the RK4 loop and
+the float formatter of the CSV writers.
 
-``spikesim.jump`` imports this module on the first run that wants the
-compiled loop, never at import.  The library is compiled once per C source,
-flags, numpy, Python and platform into ``$XDG_CACHE_HOME/spikesim`` or
-``~/.cache/spikesim`` (a per-user directory in the temp dir when neither can
-be written), against numpy's random headers and ``libnpyrandom.a``, so it
-draws from the caller's bit generator exactly as ``Generator`` does.
+``spikesim.jump``, ``spikesim.ode`` and ``spikesim.io`` import this module
+on the first call that wants the library, never at import.  The library is
+compiled once per C source, flags, numpy, Python and platform into
+``$XDG_CACHE_HOME/spikesim`` or ``~/.cache/spikesim`` (a per-user directory
+in the temp dir when neither can be written), against numpy's random headers
+and ``libnpyrandom.a``, so it draws from the caller's bit generator exactly
+as ``Generator`` does.
 """
 
 import ctypes
@@ -18,7 +20,7 @@ import sys
 import tempfile
 from array import array
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -54,16 +56,34 @@ def table(channels, r_unit: float, n_unit: float) -> Table:
                  pairs(*(d for ch in channels for d in (ch.dkr, ch.dkn))))
 
 
-def load() -> Callable | None:
-    """``run`` bound to the loaded library, or None when it cannot be built
-    (no compiler, headers or static library) or loaded."""
+# One handle per library file, however many entry points are taken from it.
+_open = functools.cache(ctypes.CDLL)
+
+
+def library() -> ctypes.CDLL | None:
+    """The library, built if it is not in the cache; None when it cannot be
+    built (no compiler, headers or static library) or loaded."""
     try:
-        loop = ctypes.CDLL(str(build_library())).spikesim_direct_method
-    except (OSError, AttributeError):
+        return _open(str(build_library()))
+    except OSError:
         return None
-    loop.restype = ctypes.c_int64
-    loop.argtypes = (ctypes.c_void_p,) * 5
-    return functools.partial(run, loop)
+
+
+def _entry(name: str, prototype) -> Callable | None:
+    """The library's function ``name`` declared as ``prototype``, or None
+    when the library or the function cannot be had."""
+    lib = library()
+    try:
+        return None if lib is None else prototype((name, lib))
+    except AttributeError:
+        return None
+
+
+def load() -> Callable | None:
+    """``run`` bound to the library's direct-method loop, or None."""
+    loop = _entry("spikesim_direct_method",
+                  ctypes.CFUNCTYPE(ctypes.c_int64, *(ctypes.c_void_p,) * 5))
+    return None if loop is None else functools.partial(run, loop)
 
 
 def run(loop, tab: Table, kr: int, kn: int, rng: np.random.Generator, t_end: float,
@@ -87,6 +107,69 @@ def run(loop, tab: Table, kr: int, kn: int, rng: np.random.Generator, t_end: flo
             picks += pick_buf[:count]
             if state.stop or len(picks) == limit:
                 return times, picks, state.stop
+
+
+class Rk4(ctypes.Structure):
+    """An RK4 run's settings and, after the loop, its outcome (struct rk4)."""
+
+    _fields_ = [*((name, ctypes.c_double)
+                  for name in ("alpha", "beta", "gamma", "p", "h", "overshoot_limit")),
+                *((name, ctypes.c_int64)
+                  for name in ("n_steps", "sample_every", "clamps", "fail", "fail_step")),
+                ("fail_value", ctypes.c_double)]
+
+
+def load_rk4() -> Callable | None:
+    """``rk4`` bound to the library's RK4 loop, or None."""
+    loop = _entry("spikesim_rk4", ctypes.CFUNCTYPE(ctypes.c_int64, *(ctypes.c_void_p,) * 4))
+    return None if loop is None else functools.partial(rk4, loop)
+
+
+# What failed a step, by the loop's fail code: a non-finite state, or r or n
+# below the overshoot limit.
+_FAILURES = (None, "non-finite", "r", "n")
+
+
+def rk4(loop, params, h: float, n_steps: int, sample_every: int, overshoot_limit: float,
+        ts: np.ndarray, rs: np.ndarray, ns: np.ndarray) -> tuple[int, int, tuple | None]:
+    """``n_steps`` RK4 steps of size ``h`` from (rs[0], ns[0]) at t = 0, the
+    samples stored in the float64 arrays ``ts``, ``rs`` and ``ns``: the
+    samples stored, the clamp count, and None or, when a step fails, (what
+    failed it, the step, the value below the limit)."""
+    run = Rk4(params.alpha, params.beta, params.gamma, params.p, h, overshoot_limit,
+              n_steps, sample_every)
+    kept = loop(ctypes.addressof(run), ts.ctypes.data, rs.ctypes.data, ns.ctypes.data)
+    failure = _FAILURES[run.fail]
+    return kept, run.clamps, None if failure is None else (failure, run.fail_step, run.fail_value)
+
+
+def load_formatter() -> Callable | None:
+    """``format_rows`` bound to the library's float formatter, or None.
+
+    It holds the GIL while it runs (``PYFUNCTYPE``): CPython's float
+    formatting allocates with PyMem and shares a pool of big integers."""
+    formatter = _entry("spikesim_format_floats",
+                       ctypes.PYFUNCTYPE(ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+                                         ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+                                         ctypes.c_int64))
+    return None if formatter is None else functools.partial(format_rows, formatter)
+
+
+# Bytes a float takes at most: the 24 of "-2.2250738585072014e-308" and a
+# separator.
+_CELL_BYTES = 25
+
+
+def format_rows(formatter, columns: list[np.ndarray], slice_rows: int) -> Iterator[str]:
+    """The CSV lines of equal-length, contiguous float64 ``columns``, each
+    value written as its ``repr``, ``slice_rows`` rows per string."""
+    pointers = (ctypes.c_void_p * len(columns))(*(column.ctypes.data for column in columns))
+    buf = ctypes.create_string_buffer(slice_rows * len(columns) * _CELL_BYTES)
+    n_rows = len(columns[0])
+    for start in range(0, n_rows, slice_rows):
+        size = formatter(pointers, len(columns), start, min(start + slice_rows, n_rows),
+                         buf, len(buf))
+        yield ctypes.string_at(buf, size).decode("ascii")
 
 
 def build_library() -> Path:
@@ -118,7 +201,7 @@ def build_library() -> Path:
                        check=True, capture_output=True, timeout=300)
         os.replace(partial, target)
     except subprocess.SubprocessError as exc:
-        raise OSError(f"cannot build the compiled jump engine: {exc}") from exc
+        raise OSError(f"cannot build the compiled library: {exc}") from exc
     finally:
         if os.path.exists(partial):
             os.unlink(partial)
@@ -137,4 +220,4 @@ def cache_dir() -> Path:
         # Only a directory of the user's own: the library in it gets loaded.
         if cache.stat().st_uid == os.getuid() and os.access(cache, os.W_OK):
             return cache
-    raise OSError("no writable cache directory for the compiled jump engine")
+    raise OSError("no writable cache directory for the compiled library")

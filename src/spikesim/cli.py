@@ -10,6 +10,7 @@ import argparse
 import math
 import os
 import sys
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import groupby
@@ -33,6 +34,7 @@ from .ode import Trajectory, integrate
 from .spikes import (
     InsufficientDataError,
     PathSeries,
+    SpikeRecord,
     correlation,
     detect_plateaus,
     detect_spikes,
@@ -188,85 +190,101 @@ def analyse_run(
 ) -> list[Path]:
     """Write the artifacts of one RunConfig from its path ``traj`` (as made
     by ``simulate_run``); returns the artifact paths written."""
-    ref = None
-    if config.lln_reference and config.mode != "ds" and config.t_end is not None:
-        # Before anything is written: a reference that cannot be integrated
-        # leaves no artifact.
-        with _argument_checks():
-            ref = integrate(config.params, config.initial, config.t_end, dt=config.dt)
+    return list(analyse_group([config], traj, outdir))
+
+
+def analyse_group(
+    configs: list[RunConfig], traj: Trajectory | JumpTrajectory, outdir: str | Path = "."
+) -> Iterator[Path]:
+    """``analyse_run`` for each of ``configs``, RunConfigs that share the path
+    ``traj``, in turn, yielding each artifact path once it is written.  The
+    path's series is built once, when a config first asks for spikes or
+    plateaus, and its spikes are detected once per level."""
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    report: dict = {"mode": config.mode, "seed": config.seed, "label": config.label}
+    series: PathSeries | None = None
+    spikes_at: dict[float, list[SpikeRecord]] = {}
+    for config in configs:
+        ref = None
+        if config.lln_reference and config.mode != "ds" and config.t_end is not None:
+            # Before anything is written: a reference that cannot be integrated
+            # leaves no artifact.
+            with _argument_checks():
+                ref = integrate(config.params, config.initial, config.t_end, dt=config.dt)
+        outdir.mkdir(parents=True, exist_ok=True)
+        report: dict = {"mode": config.mode, "seed": config.seed, "label": config.label}
 
-    if config.mode == "ds":
-        out = Path(config.out) if config.out else outdir / f"{config.label}.csv"
-        io.write_ode_csv(out, traj, {"r0": config.initial.r, "n0": config.initial.n})
-        written.append(out)
-        series = PathSeries.from_ode(traj)
-        jump_traj = None
-    else:
-        jump_traj = traj
-        report["n_events"] = jump_traj.n_events
-        report["terminated_by"] = jump_traj.terminated_by.value
-        # Keep the raw path when explicitly requested, or when it is the
-        # only artifact; statistics-only runs skip the (large) CSV.
-        if config.out or (config.a0 is None and config.thr is None):
-            out = Path(config.out) if config.out else outdir / f"{config.label}_seed{config.seed}.csv"
-            io.write_jump_csv(out, jump_traj)
-            written.append(out)
-        series = PathSeries.from_jump(jump_traj)
+        if config.mode == "ds":
+            out = Path(config.out) if config.out else outdir / f"{config.label}.csv"
+            io.write_ode_csv(out, traj, {"r0": config.initial.r, "n0": config.initial.n})
+            yield out
+        else:
+            report["n_events"] = traj.n_events
+            report["terminated_by"] = traj.terminated_by.value
+            # Keep the raw path when explicitly requested, or when it is the
+            # only artifact; statistics-only runs skip the (large) CSV.
+            if config.out or (config.a0 is None and config.thr is None):
+                out = (Path(config.out) if config.out
+                       else outdir / f"{config.label}_seed{config.seed}.csv")
+                io.write_jump_csv(out, traj)
+                yield out
 
-    stats, amps, pairs = _analyse(series, config.a0, config.thr)
-    report.update(stats)
-    if amps is not None and stats["spikes"]["tail_fit"] is not None:
-        grid, survival = tail_survival(amps, config.a0)
-        surv_path = (
-            Path(config.survival_out)
-            if config.survival_out
-            else outdir / f"{config.label}_survival.csv"
-        )
-        io.write_survival_csv(
-            surv_path, grid, survival, config.params,
-            {"a0": config.a0, "seed": config.seed, "mode": config.mode},
-        )
-        written.append(surv_path)
-    if pairs is not None:
-        pairs_path = (
-            Path(config.pairs_out)
-            if config.pairs_out
-            else outdir / f"{config.label}_pairs.csv"
-        )
-        io.write_pairs_csv(
-            pairs_path, pairs, config.params,
-            {"a0": config.a0, "thr": config.thr, "seed": config.seed},
-        )
-        written.append(pairs_path)
+        if series is None and (config.a0 is not None or config.thr is not None):
+            series = PathSeries.from_ode(traj) if config.mode == "ds" else PathSeries.from_jump(traj)
+        if config.a0 is not None and config.a0 not in spikes_at:
+            spikes_at[config.a0] = detect_spikes(series, config.a0)
+        stats, amps, pairs = _analyse(series, config.a0, config.thr, spikes_at.get(config.a0))
+        report.update(stats)
+        if amps is not None and stats["spikes"]["tail_fit"] is not None:
+            grid, survival = tail_survival(amps, config.a0)
+            surv_path = (
+                Path(config.survival_out)
+                if config.survival_out
+                else outdir / f"{config.label}_survival.csv"
+            )
+            io.write_survival_csv(
+                surv_path, grid, survival, config.params,
+                {"a0": config.a0, "seed": config.seed, "mode": config.mode},
+            )
+            yield surv_path
+        if pairs is not None:
+            pairs_path = (
+                Path(config.pairs_out)
+                if config.pairs_out
+                else outdir / f"{config.label}_pairs.csv"
+            )
+            io.write_pairs_csv(
+                pairs_path, pairs, config.params,
+                {"a0": config.a0, "thr": config.thr, "seed": config.seed},
+            )
+            yield pairs_path
 
-    if ref is not None:
-        report["lln_sup_distance"] = lln_sup_distance(jump_traj, ref, config.t_end)
+        if ref is not None:
+            report["lln_sup_distance"] = lln_sup_distance(traj, ref, config.t_end)
 
-    if config.a0 is not None or config.thr is not None or config.lln_reference:
-        report_path = (
-            Path(config.report_out)
-            if config.report_out
-            else outdir / f"{config.label}_report.json"
-        )
-        io.write_json(report_path, report, config.params)
-        written.append(report_path)
-    return written
+        if config.a0 is not None or config.thr is not None or config.lln_reference:
+            report_path = (
+                Path(config.report_out)
+                if config.report_out
+                else outdir / f"{config.label}_report.json"
+            )
+            io.write_json(report_path, report, config.params)
+            yield report_path
 
 
 def _analyse(
-    series: PathSeries, a0: float | None, thr: float | None
+    series: PathSeries | None, a0: float | None, thr: float | None,
+    spikes: list[SpikeRecord] | None = None,
 ) -> tuple[dict, list[float] | None, list[tuple[float, float]] | None]:
     """The spike, tail-fit, plateau, pairing and correlation report of one
     path, with the spike amplitudes (None without ``a0``) and the
-    plateau-spike pairs (None unless both levels are given)."""
+    plateau-spike pairs (None unless both levels are given).  ``series`` is
+    used only when a level is given; ``spikes`` are its spikes at ``a0``
+    when they are already detected."""
     report: dict = {}
-    amps = pairs = spikes = None
+    amps = pairs = None
     if a0 is not None:
-        spikes = detect_spikes(series, a0)
+        if spikes is None:
+            spikes = detect_spikes(series, a0)
         amps = [s.amplitude for s in spikes]
         report["spikes"] = {"a0": a0, "count": len(spikes)}
         try:
@@ -547,10 +565,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         # path is held at a time.
         for _key, group in groupby(runs, key=RunConfig.path_key):
             group = list(group)
-            traj = simulate_run(group[0])
-            for config in group:
-                for written in analyse_run(config, traj, outdir=args.outdir):
-                    print(written)
+            for written in analyse_group(group, simulate_run(group[0]), outdir=args.outdir):
+                print(written)
         return 0
 
     raise UsageError(f"unknown command {args.command!r}")

@@ -5,9 +5,12 @@ is enough on its own to rerun the experiment.  CSV output is locale
 independent: '.' decimal separator, '\\n' newlines, no grouping.
 """
 
+import functools
 import json
+import math
 import warnings
 from collections.abc import Callable
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +59,44 @@ def _floats(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
+def _write_floats(fh, *columns) -> None:
+    """Write one CSV line per row of equal-length float ``columns``, each
+    value as its ``repr``: through the compiled formatter where it is
+    available, else ``_write_rows``, which gives the same bytes."""
+    columns = [np.ascontiguousarray(column, dtype=np.float64) for column in columns]
+    if any(column.shape != columns[0].shape for column in columns) or columns[0].ndim != 1:
+        raise ValueError(f"expected columns of one length, got shapes "
+                         f"{[column.shape for column in columns]}")
+    format_rows = _compiled_formatter()
+    if format_rows is None:
+        _write_rows(fh, *((column, repr) for column in columns))
+        return
+    for text in format_rows(columns, _SLICE_ROWS):
+        fh.write(text)
+
+
+@functools.cache
+def _compiled_formatter() -> Callable | None:
+    """The library's ``format_rows``, loaded on first use; None
+    (``_write_rows`` writes) when the library cannot be built or loaded, or
+    when it does not write what ``_write_rows`` writes."""
+    from . import _compiled
+
+    format_rows = _compiled.load_formatter()
+    if format_rows is None:
+        return None
+    # Special values, a subnormal, 17-digit values and the switches between
+    # positional and exponent notation, in slices of two rows.
+    values = _floats([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072014e-308,
+                      0.1, 1 / 3, 0.30000000000000004, -1.7976931348623157e308, 1e16, 1e22,
+                      9007199254740993.0, 123456.7890123456, 1e-4, 1e-5, 2.5])
+    columns = [values[:9], values[9:]]
+    expected = StringIO()
+    _write_rows(expected, *((column, repr) for column in columns))
+    got = "".join(format_rows(columns, 2))
+    return format_rows if got == expected.getvalue() else None
+
+
 class _LatticeText(dict):
     """The text of lattice value ``k * unit`` by index ``k``.
 
@@ -82,7 +123,7 @@ def write_ode_csv(path: str | Path, traj: Trajectory, extra: dict | None = None)
         for line in _meta_lines(traj.params, meta):
             fh.write(line + "\n")
         fh.write("t,r,n\n")
-        _write_rows(fh, *((_floats(column), repr) for column in (traj.t, traj.r, traj.n)))
+        _write_floats(fh, traj.t, traj.r, traj.n)
 
 
 def write_jump_csv(path: str | Path, traj: JumpTrajectory) -> None:
@@ -122,7 +163,7 @@ def write_survival_csv(
         for line in _meta_lines(params, extra):
             fh.write(line + "\n")
         fh.write("a,survival\n")
-        _write_rows(fh, (_floats(grid), repr), (_floats(survival), repr))
+        _write_floats(fh, grid, survival)
 
 
 def write_pairs_csv(
@@ -136,7 +177,7 @@ def write_pairs_csv(
             fh.write(line + "\n")
         fh.write("plateau_length,amplitude\n")
         table = _floats(pairs).reshape(-1, 2)
-        _write_rows(fh, (table[:, 0], repr), (table[:, 1], repr))
+        _write_floats(fh, table[:, 0], table[:, 1])
 
 
 def write_json(path: str | Path, payload: dict, params: ModelParams | None = None) -> None:

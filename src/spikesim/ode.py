@@ -5,7 +5,9 @@ jump paths trivial; the system is two-dimensional and non-stiff at the
 parameter sets of interest, so adaptivity buys nothing.
 """
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +86,14 @@ def integrate(
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
 
+    rk4 = _compiled_rk4() or _rk4_python
+    return _integrate(rk4, params, r0, n0, h, n_steps, sample_every)
+
+
+def _integrate(rk4: Callable, params: ModelParams, r0: float, n0: float, h: float,
+               n_steps: int, sample_every: int) -> Trajectory:
+    """The trajectory of ``n_steps`` steps of size ``h`` from (r0, n0), run
+    by ``rk4`` (``_rk4_python`` or the compiled loop)."""
     n_kept = n_steps // sample_every + 1
     if n_steps % sample_every:
         n_kept += 1  # keep the terminal state even off-stride
@@ -91,8 +101,25 @@ def integrate(
     rs = np.empty(n_kept)
     ns = np.empty(n_kept)
     ts[0], rs[0], ns[0] = 0.0, r0, n0
+    kept, clamps = rk4(params, h, n_steps, sample_every, ts, rs, ns)
+    return Trajectory(
+        t=ts[:kept],
+        r=rs[:kept],
+        n=ns[:kept],
+        params=params,
+        dt=h,
+        sample_every=sample_every,
+        clamp_count=clamps,
+    )
 
-    r, n = r0, n0
+
+def _rk4_python(params: ModelParams, h: float, n_steps: int, sample_every: int,
+                ts: np.ndarray, rs: np.ndarray, ns: np.ndarray) -> tuple[int, int]:
+    """The RK4 loop from (rs[0], ns[0]): it stores the samples in ``ts``,
+    ``rs`` and ``ns`` and returns how many it stored, the start included,
+    and the clamp count.  The reference of the compiled loop and its
+    fallback."""
+    r, n = float(rs[0]), float(ns[0])
     clamps = 0
     kept = 1
     half = 0.5 * h
@@ -117,9 +144,7 @@ def integrate(
         n += sixth * (k1n + 2.0 * k2n + 2.0 * k3n + k4n)
 
         if not (isfinite(r) and isfinite(n)):
-            raise IntegrationBlowupError(
-                f"non-finite state at step {step} (t = {step * h:.6g})"
-            )
+            raise _blowup(step, h)
         if r < 0.0:
             r = _floor_component(r, "r", step, step * h)
             clamps += 1
@@ -130,16 +155,48 @@ def integrate(
         if step % sample_every == 0 or step == n_steps:
             ts[kept], rs[kept], ns[kept] = step * h, r, n
             kept += 1
+    return kept, clamps
 
-    return Trajectory(
-        t=ts[:kept],
-        r=rs[:kept],
-        n=ns[:kept],
-        params=params,
-        dt=h,
-        sample_every=sample_every,
-        clamp_count=clamps,
-    )
+
+def _rk4_compiled(loop: Callable, params: ModelParams, h: float, n_steps: int,
+                  sample_every: int, ts: np.ndarray, rs: np.ndarray,
+                  ns: np.ndarray) -> tuple[int, int]:
+    """``_rk4_python`` run by the compiled loop, raising what it raises."""
+    kept, clamps, failure = loop(params, h, n_steps, sample_every, OVERSHOOT_LIMIT, ts, rs, ns)
+    if failure is not None:
+        what, step, value = failure
+        if what == "non-finite":
+            raise _blowup(step, h)
+        _floor_component(value, what, step, step * h)
+    return kept, clamps
+
+
+@functools.cache
+def _compiled_rk4() -> Callable | None:
+    """``_rk4_compiled`` on the library's loop, loaded on first use; None
+    (``_rk4_python`` runs) when the library cannot be built or loaded, or
+    when its loop does not reproduce ``_rk4_python``."""
+    from . import _compiled
+
+    loop = _compiled.load_rk4()
+    if loop is None:
+        return None
+    rk4 = functools.partial(_rk4_compiled, loop)
+    # A toolchain that fuses or reorders floating-point operations would
+    # move the path.  These parameters clamp r to 0 on many steps, and the
+    # stride leaves the terminal sample off-stride.
+    run = (ModelParams(alpha=7.0, beta=0.05, gamma=0.01, p=0.0), 0.0, 1e-10, 1e-2, 500, 7)
+    expected = _integrate(_rk4_python, *run)
+    try:
+        got = _integrate(rk4, *run)
+    except (IntegrationBlowupError, NegativeOvershootError):
+        return None
+    same = all(np.array_equal(getattr(got, key), getattr(expected, key)) for key in "trn")
+    return rk4 if same and got.clamp_count == expected.clamp_count > 0 else None
+
+
+def _blowup(step: int, h: float) -> IntegrationBlowupError:
+    return IntegrationBlowupError(f"non-finite state at step {step} (t = {step * h:.6g})")
 
 
 def _floor_component(value: float, name: str, step: int, t: float) -> float:

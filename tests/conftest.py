@@ -3,6 +3,9 @@ import pytest
 from spikesim import ModelParams
 from spikesim.jump import engine
 
+# For the test that runs a failing property in a separate pytest.
+pytest_plugins = ["pytester"]
+
 # Figure-caption parameter sets: the focus case (gamma = 100) and the
 # near-boundary case (gamma = 2).
 FIG1_PARAMS = ModelParams(alpha=0.01, beta=1.0, gamma=100.0, p=7.0)

@@ -584,22 +584,30 @@ class TestPresets:
 
 class TestPresetDeduplication:
     def test_fig7_simulates_each_path_once(self, out, monkeypatch):
-        calls = []
-        engine = spikesim.cli.simulate
+        calls, detections = [], []
+        engine, detect = spikesim.cli.simulate, spikesim.cli.detect_spikes
 
         def counting(*args, **kwargs):
             calls.append(kwargs["seed"])
             return engine(*args, **kwargs)
 
+        def counting_detect(series, a0):
+            detections.append(a0)
+            return detect(series, a0)
+
         monkeypatch.setattr(spikesim.cli, "simulate", counting)
+        monkeypatch.setattr(spikesim.cli, "detect_spikes", counting_detect)
         shared, alone = out / "shared", out / "alone"
         assert main(["preset", "fig7", "--outdir", str(shared), "--t-end", "300"]) == 0
         assert len(calls) == 2
+        # Both plateau levels of a path pair with the spikes of one detection.
+        assert len(detections) == 2
 
         for config in preset("fig7"):
             config = replace(config, t_end=300.0)
             analyse_run(config, simulate_run(config), alone)
         assert len(calls) == 2 + 4
+        assert len(detections) == 2 + 4
         names = sorted(p.name for p in shared.iterdir())
         assert names == sorted(p.name for p in alone.iterdir())
         assert len(names) == 12  # survival, pairs and report for each of 4 runs

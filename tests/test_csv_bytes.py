@@ -6,7 +6,10 @@ rows than one write slice, so slice boundaries are crossed.  The
 ``# version=`` line is left out of each digest, so a version bump moves
 none of them.  Any change to the row layout, to the float formatting (the
 shortest round-trip ``repr``) or to the header lines changes a digest: the
-bytes are part of the reproducibility contract.
+bytes are part of the reproducibility contract.  The module-level test runs
+the RK4 loop and the float formatter of the compiled library wherever it
+builds; ``TestPythonPaths`` runs the ODE, survival and pairs cases again on
+their Python references.
 """
 
 import hashlib
@@ -28,6 +31,7 @@ from spikesim import (
     simulate,
     tail_survival,
 )
+from spikesim import _compiled, io, ode
 from spikesim.io import write_jump_csv, write_ode_csv, write_pairs_csv, write_survival_csv
 
 P100 = ModelParams(alpha=0.01, beta=1.0, gamma=100.0, p=7.0)
@@ -124,3 +128,29 @@ def test_csv_bytes_are_frozen(tmp_path, write):
     path = tmp_path / "out.csv"
     write(path)
     assert digest(path) == CASES[write]
+
+
+# The cases whose files the RK4 loop or the float formatter make.
+FLOAT_CASES = [ode_fig1, ode_fig2_strided, survival_oneunit, survival_long, pairs_oneunit,
+               pairs_long]
+
+
+@pytest.mark.usefixtures("python_paths")
+class TestPythonPaths:
+    @pytest.fixture
+    def python_paths(self, monkeypatch):
+        """The Python RK4 loop and row writer, the references, in place of
+        the compiled library."""
+        monkeypatch.setattr(ode, "_compiled_rk4", lambda: None)
+        monkeypatch.setattr(io, "_compiled_formatter", lambda: None)
+
+    @pytest.mark.parametrize("write", FLOAT_CASES, ids=lambda fn: fn.__name__)
+    def test_csv_bytes_are_frozen(self, tmp_path, write):
+        test_csv_bytes_are_frozen(tmp_path, write)
+
+
+def test_the_compiled_library_runs_wherever_it_builds():
+    # An entry point that builds but computes differently falls back to its
+    # Python reference at its check; that must not pass unnoticed.
+    assert (ode._compiled_rk4() is None) == (_compiled.load_rk4() is None)
+    assert (io._compiled_formatter() is None) == (_compiled.load_formatter() is None)

@@ -16,6 +16,7 @@ import tempfile
 
 import numpy as np
 import pytest
+import test_csv_bytes
 
 from spikesim import (
     EventCapError,
@@ -27,7 +28,7 @@ from spikesim import (
     next_jump,
     simulate,
 )
-from spikesim import _compiled, jump
+from spikesim import _compiled, io, jump, ode
 
 BUILDERS = {
     "oneunit": build_oneunit,
@@ -198,17 +199,23 @@ def test_the_compiled_engine_runs_wherever_it_builds():
 
 
 class TestBuild:
-    """The compiled loop is built into the cache on first use, and the
-    Python kernel runs where it cannot be built."""
+    """The compiled library is built into the cache on first use, and the
+    Python kernel, RK4 loop and row writer run where it cannot be built."""
+
+    # Each module's checked entry point into the library, loaded once.
+    LOADED = (jump._compiled_run, ode._compiled_rk4, io._compiled_formatter)
 
     @pytest.fixture
     def empty_cache(self, monkeypatch, tmp_path):
         monkeypatch.setattr(_compiled, "cache_dir", lambda: tmp_path)
-        jump._compiled_run.cache_clear()
+        for loaded in self.LOADED:
+            loaded.cache_clear()
         yield tmp_path
-        jump._compiled_run.cache_clear()
+        for loaded in self.LOADED:
+            loaded.cache_clear()
 
-    def test_falls_back_to_the_python_kernel_without_a_compiler(self, empty_cache, monkeypatch):
+    def test_falls_back_to_the_python_kernel_without_a_compiler(self, empty_cache, monkeypatch,
+                                                                tmp_path_factory):
         config_var = sysconfig.get_config_var
         monkeypatch.setattr(sysconfig, "get_config_var",
                             lambda name: "/nonexistent/cc" if name == "CC" else config_var(name))
@@ -216,6 +223,10 @@ class TestBuild:
         assert list(empty_cache.iterdir()) == []  # no partial library left behind
         for key in [("oneunit", 100.0, 1.0, 0), ("meanfield", 2.0, 0.7, 7)]:
             test_grid_stream_is_frozen(key)
+        # integrate and the ODE writer take their Python loops, same bytes.
+        assert ode._compiled_rk4() is None and io._compiled_formatter() is None
+        for write in (test_csv_bytes.ode_fig1, test_csv_bytes.ode_fig2_strided):
+            test_csv_bytes.test_csv_bytes_are_frozen(tmp_path_factory.mktemp("csv"), write)
 
     @pytest.mark.skipif(jump.engine() != "compiled", reason="no compiled jump engine here")
     def test_builds_once_into_the_cache(self, empty_cache):

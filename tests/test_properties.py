@@ -4,6 +4,7 @@ Examples are drawn from a fixed seed (``derandomize``), so the suite gives
 the same verdict on every run.
 """
 
+import functools
 import math
 from fractions import Fraction
 from unittest import mock
@@ -34,7 +35,7 @@ from spikesim import (
     simulate,
     vector_field,
 )
-from spikesim import _compiled, jump
+from spikesim import _compiled, io, jump, ode
 from spikesim.io import (
     _SLICE_ROWS,
     _meta_lines,
@@ -341,10 +342,21 @@ def _reference_bytes(path, write, *args) -> bytes:
     return reference.read_bytes()
 
 
+# Values that uniform bit patterns almost never give.
+EDGE_FLOATS = np.array([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                        2.225073858507201e-308, 1.7976931348623157e308, 0.1, 1 / 3,
+                        0.30000000000000004, 1e16, 9007199254740993.0, 1e-4, 1e-5])
+
+
 def _any_floats(rng, size: int) -> np.ndarray:
     """Doubles from uniform bit patterns: every exponent, subnormals, signed
-    zeros, infinities and NaNs included."""
-    return rng.integers(0, 2**64, size=size, dtype=np.uint64).view(np.float64)
+    zeros, infinities and NaNs included, with one value in eight an edge
+    value (NaN, infinities, signed zeros, subnormals, 17-digit values and
+    the switches to exponent notation)."""
+    values = rng.integers(0, 2**64, size=size, dtype=np.uint64).view(np.float64)
+    edge = rng.random(size) < 1 / 8
+    values[edge] = rng.choice(EDGE_FLOATS, size=int(edge.sum()))
+    return values
 
 
 # Row counts around the write slice: empty, short, and one and two slice
@@ -354,27 +366,35 @@ ROW_COUNTS = [0, 1, 7, _SLICE_ROWS - 1, _SLICE_ROWS, _SLICE_ROWS + 1, 2 * _SLICE
 # failing file smaller; it only reruns slow reference writers for minutes.
 SLICED = settings(PROPERTY, max_examples=25,
                   phases=(Phase.explicit, Phase.reuse, Phase.generate))
+# The compiled float formatter as built, without the check that would replace
+# it by the row loop if it wrote differently.
+COMPILED_FORMATTER = _compiled.load_formatter()
 
 
 @SLICED
-@given(params=params_strategy, seed=st.integers(0, 2**32), rows=st.sampled_from(ROW_COUNTS))
-def test_float_writers_match_the_row_loops(tmp_path_factory, params, seed, rows):
+@given(
+    params=params_strategy,
+    seed=st.integers(0, 2**32),
+    rows=st.one_of(st.sampled_from(ROW_COUNTS), st.integers(_SLICE_ROWS - 1, 2 * _SLICE_ROWS + 5)),
+    formatter=st.sampled_from([None, COMPILED_FORMATTER]),
+)
+def test_float_writers_match_the_row_loops(tmp_path_factory, params, seed, rows, formatter):
     rng = np.random.default_rng(seed)
     a, b, c = (_any_floats(rng, rows) for _ in range(3))
     extra = {"a0": 10.0, "seed": seed, "mode": "oneunit"}
     out = tmp_path_factory.mktemp("csv")
 
     traj = Trajectory(t=a, r=b, n=c, params=params, dt=1e-3, sample_every=3)
-    write_ode_csv(out / "ode.csv", traj, extra)
+    pairs = list(zip(b.tolist(), c.tolist()))
+    # ``formatter`` None: the writers' own row loop, their fallback.
+    with mock.patch.object(io, "_compiled_formatter", lambda: formatter):
+        write_ode_csv(out / "ode.csv", traj, extra)
+        write_survival_csv(out / "survival.csv", a, b, params, extra)
+        write_pairs_csv(out / "pairs.csv", pairs, params, extra)
     assert (out / "ode.csv").read_bytes() == _reference_bytes(
         out / "ode.csv", _reference_write_ode_csv, traj, extra)
-
-    write_survival_csv(out / "survival.csv", a, b, params, extra)
     assert (out / "survival.csv").read_bytes() == _reference_bytes(
         out / "survival.csv", _reference_write_survival_csv, a, b, params, extra)
-
-    pairs = list(zip(b.tolist(), c.tolist()))
-    write_pairs_csv(out / "pairs.csv", pairs, params, extra)
     assert (out / "pairs.csv").read_bytes() == _reference_bytes(
         out / "pairs.csv", _reference_write_pairs_csv, pairs, params, extra)
 
@@ -482,3 +502,74 @@ def test_inlined_rk4_matches_vector_field_when_it_clamps(params, initial, dt):
 )
 def test_inlined_rk4_matches_vector_field(params, r0, n0, dt, sample_every):
     _assert_rk4_matches_vector_field(params, State(r0, n0), 2.0, dt, sample_every)
+
+
+# The compiled RK4 loop as built, without the check that would replace it by
+# the Python loop if it computed differently.
+COMPILED_RK4 = _compiled.load_rk4()
+
+
+def _rk4_outcome(rk4, params, initial, t_end, dt, sample_every):
+    """``integrate`` run by ``rk4`` (None: the Python loop): the samples and
+    the clamp count, or the type and message of the error it raised."""
+    with mock.patch.object(ode, "_compiled_rk4", lambda: rk4):
+        try:
+            traj = integrate(params, initial, t_end, dt=dt, sample_every=sample_every)
+        except (IntegrationBlowupError, NegativeOvershootError) as exc:
+            return type(exc), str(exc)
+    return traj.t, traj.r, traj.n, traj.clamp_count
+
+
+# Steps too long for stiff parameters and starts far from the fixed point
+# are drawn often: they overshoot below the limit or blow up.
+stiff_params_strategy = st.builds(
+    ModelParams,
+    alpha=st.floats(0.0, 20.0, **finite),
+    beta=st.one_of(st.floats(0.001, 0.1, **finite), st.floats(0.05, 20.0, **finite)),
+    gamma=st.one_of(st.floats(0.001, 0.1, **finite), st.floats(0.1, 500.0, **finite)),
+    p=st.one_of(st.just(0.0), st.floats(0.0, 20.0, **finite)),
+)
+rk4_start = st.one_of(st.sampled_from([0.0, -0.0, 1e-10]), st.floats(0.0, 50.0, **finite),
+                      st.floats(0.0, 1e200, **finite))
+
+
+@pytest.mark.skipif(COMPILED_RK4 is None, reason="no compiled library here")
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    params=stiff_params_strategy,
+    r0=rk4_start,
+    n0=rk4_start,
+    t_end=st.floats(0.01, 10.0, **finite),
+    dt=st.sampled_from([1e-3, 1e-2, 0.1, 0.5, 2.0]),
+    sample_every=st.one_of(st.none(), st.integers(1, 50)),
+)
+def test_compiled_and_python_rk4_agree(params, r0, n0, t_end, dt, sample_every):
+    run = (params, State(r0, n0), t_end, min(dt, t_end), sample_every)
+    compiled = _rk4_outcome(functools.partial(ode._rk4_compiled, COMPILED_RK4), *run)
+    python = _rk4_outcome(None, *run)
+    assert len(compiled) == len(python)
+    if len(python) == 2:  # both raised
+        assert compiled == python
+        return
+    for got, expected in zip(compiled[:3], python[:3]):
+        assert np.array_equal(got, expected)
+    assert compiled[3] == python[3]
+
+
+def test_a_failing_property_reports_its_falsifying_example(pytester, pytestconfig):
+    # Under this suite's warning filters, where any warning is an error.
+    filters = "".join(f"\n    {entry}" for entry in pytestconfig.getini("filterwarnings"))
+    pytester.makeini(f"[pytest]\nfilterwarnings ={filters}\n")
+    pytester.makepyfile("""
+        from hypothesis import given, settings, strategies as st
+
+        @settings(derandomize=True, database=None)
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 10
+    """)
+    result = pytester.runpytest_subprocess("-p", "no:cacheprovider")
+    output = result.stdout.str() + result.stderr.str()
+    assert "INTERNALERROR" not in output
+    result.assert_outcomes(failed=1)
+    assert "Falsifying example: test_fails(" in output
