@@ -1,6 +1,6 @@
 """The library of ``_kernel.c``: built on first use and loaded with ctypes.
 It holds the direct-method loop (run a chunk at a time), the RK4 loop and
-the float formatter of the CSV writers.
+the row formatter of the CSV writers.
 
 ``spikesim.jump``, ``spikesim.ode`` and ``spikesim.io`` import this module
 on the first call that wants the library, never at import.  The library is
@@ -143,32 +143,51 @@ def rk4(loop, params, h: float, n_steps: int, sample_every: int, overshoot_limit
     return kept, run.clamps, None if failure is None else (failure, run.fail_step, run.fail_value)
 
 
-def load_formatter() -> Callable | None:
-    """``format_rows`` bound to the library's float formatter, or None.
+class Column(ctypes.Structure):
+    """One column of CSV rows as the formatter reads it (struct column)."""
 
-    It holds the GIL while it runs (``PYFUNCTYPE``): CPython's float
-    formatting allocates with PyMem and shares a pool of big integers."""
-    formatter = _entry("spikesim_format_floats",
-                       ctypes.PYFUNCTYPE(ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
-                                         ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
-                                         ctypes.c_int64))
+    _fields_ = [("kind", ctypes.c_int64), ("values", ctypes.c_void_p), ("unit", ctypes.c_double),
+                ("labels", ctypes.POINTER(ctypes.c_char_p))]
+
+
+# Column kinds (the C enum's order): float64 values, each written as its
+# repr; int64 lattice indices k, written as the repr of k * unit; int8 codes
+# into the label table, written as their label.
+KINDS = ("float", "lattice", "label")
+# Bytes a float takes at most: the 24 of "-2.2250738585072014e-308".
+_FLOAT_BYTES = 24
+
+
+def load_formatter() -> Callable | None:
+    """``format_rows`` bound to the library's row formatter, or None.  It
+    calls no Python, so it runs with the GIL released (``CFUNCTYPE``)."""
+    formatter = _entry("spikesim_format_rows",
+                       ctypes.CFUNCTYPE(ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+                                        ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+                                        ctypes.c_int64))
     return None if formatter is None else functools.partial(format_rows, formatter)
 
 
-# Bytes a float takes at most: the 24 of "-2.2250738585072014e-308" and a
-# separator.
-_CELL_BYTES = 25
-
-
-def format_rows(formatter, columns: list[np.ndarray], slice_rows: int) -> Iterator[str]:
-    """The CSV lines of equal-length, contiguous float64 ``columns``, each
-    value written as its ``repr``, ``slice_rows`` rows per string."""
-    pointers = (ctypes.c_void_p * len(columns))(*(column.ctypes.data for column in columns))
-    buf = ctypes.create_string_buffer(slice_rows * len(columns) * _CELL_BYTES)
-    n_rows = len(columns[0])
+def format_rows(formatter, columns: list[tuple[str, np.ndarray, float]], labels: tuple[str, ...],
+                slice_rows: int) -> Iterator[str]:
+    """The CSV lines of ``columns``, ``slice_rows`` rows per string.  Each
+    column is a (kind, values, unit) triple of a kind in ``KINDS``; the
+    caller has checked that the values are contiguous and 1-D, of one
+    length, of the kind's dtype, and that every label code indexes
+    ``labels``, since the C loop trusts all of that."""
+    label_text = (ctypes.c_char_p * len(labels))(*(label.encode("ascii") for label in labels))
+    cells = (Column * len(columns))(*(Column(KINDS.index(kind), values.ctypes.data, unit,
+                                             label_text)
+                                      for kind, values, unit in columns))
+    width = sum(max(map(len, labels)) + 1 if kind == "label" else _FLOAT_BYTES + 1
+                for kind, _values, _unit in columns)
+    buf = ctypes.create_string_buffer(slice_rows * width)
+    n_rows = len(columns[0][1])
     for start in range(0, n_rows, slice_rows):
-        size = formatter(pointers, len(columns), start, min(start + slice_rows, n_rows),
+        size = formatter(cells, len(columns), start, min(start + slice_rows, n_rows),
                          buf, len(buf))
+        if size < 0:
+            raise OverflowError("CSV slice exceeds its buffer")
         yield ctypes.string_at(buf, size).decode("ascii")
 
 
@@ -182,22 +201,16 @@ def build_library() -> Path:
     if target.exists():
         return target
 
-    # Only a build needs these; subprocess alone takes about 8 ms to import.
-    import shlex
+    # Only a build needs it; subprocess alone takes about 8 ms to import.
     import subprocess
-    import sysconfig
 
-    paths = sysconfig.get_paths()
     static = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
     fd, partial = tempfile.mkstemp(suffix=".so.tmp", dir=target.parent)
     os.close(fd)
     try:
         # Written under a temporary name and renamed into place, so that
         # concurrent first uses never load a half-written library.
-        subprocess.run([*shlex.split(sysconfig.get_config_var("CC") or "cc"), *CFLAGS,
-                        f"-I{np.get_include()}", f"-I{paths['include']}",
-                        f"-I{paths['platinclude']}", str(SOURCE), str(static), "-lm",
-                        "-o", partial],
+        subprocess.run([*compile_command(), str(SOURCE), str(static), "-lm", "-o", partial],
                        check=True, capture_output=True, timeout=300)
         os.replace(partial, target)
     except subprocess.SubprocessError as exc:
@@ -206,6 +219,16 @@ def build_library() -> Path:
         if os.path.exists(partial):
             os.unlink(partial)
     return target
+
+
+def compile_command() -> list[str]:
+    """The compiler, ``CFLAGS`` and include paths that build the library."""
+    import shlex
+    import sysconfig
+
+    paths = sysconfig.get_paths()
+    return [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *CFLAGS,
+            f"-I{np.get_include()}", f"-I{paths['include']}", f"-I{paths['platinclude']}"]
 
 
 def cache_dir() -> Path:

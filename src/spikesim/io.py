@@ -59,20 +59,57 @@ def _floats(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def _write_floats(fh, *columns) -> None:
-    """Write one CSV line per row of equal-length float ``columns``, each
-    value as its ``repr``: through the compiled formatter where it is
-    available, else ``_write_rows``, which gives the same bytes."""
-    columns = [np.ascontiguousarray(column, dtype=np.float64) for column in columns]
-    if any(column.shape != columns[0].shape for column in columns) or columns[0].ndim != 1:
-        raise ValueError(f"expected columns of one length, got shapes "
-                         f"{[column.shape for column in columns]}")
+# A column's dtype by kind: float64 values written as their repr, int64
+# lattice indices k written as the repr of k * unit, int8 channel codes
+# written as their CHANNEL_LABELS.
+_DTYPES = {"float": np.float64, "lattice": np.int64, "label": np.int8}
+
+
+def _write_columns(fh, *columns: tuple[str, object, float]) -> None:
+    """Write one CSV line per row of equal-length ``columns``, each a (kind,
+    values, unit) triple with a kind of ``_DTYPES`` (unit is read only for
+    "lattice"): through the compiled formatter where it is available, else
+    ``_write_rows``, which gives the same bytes."""
+    checked = _checked_columns(columns)
     format_rows = _compiled_formatter()
     if format_rows is None:
-        _write_rows(fh, *((column, repr) for column in columns))
+        _write_python(fh, checked)
         return
-    for text in format_rows(columns, _SLICE_ROWS):
+    for text in format_rows(checked, CHANNEL_LABELS, _SLICE_ROWS):
         fh.write(text)
+
+
+def _checked_columns(columns) -> list[tuple[str, np.ndarray, float]]:
+    """The columns as contiguous 1-D arrays of their kind's dtype, of one
+    length and with every channel code a label index; a ValueError
+    otherwise.  Checked before either path, so that a bad code never
+    reaches the C loop's label table, and is no label on the Python path."""
+    checked = []
+    for kind, values, unit in columns:
+        values = np.asarray(values)
+        if kind == "label" and values.size and not (
+                0 <= values.min() and values.max() < len(CHANNEL_LABELS)):
+            raise ValueError(f"channel codes must be in [0, {len(CHANNEL_LABELS)}), got "
+                             f"{values.min()} .. {values.max()}")
+        checked.append((kind, np.ascontiguousarray(values, dtype=_DTYPES[kind]), float(unit)))
+    shapes = [values.shape for _kind, values, _unit in checked]
+    if any(shape != shapes[0] for shape in shapes) or len(shapes[0]) != 1:
+        raise ValueError(f"expected columns of one length, got shapes {shapes}")
+    return checked
+
+
+def _write_python(fh, columns: list[tuple[str, np.ndarray, float]]) -> None:
+    """``_write_rows`` on checked columns: the reference the compiled
+    formatter is held to, and its fallback."""
+    formats = {"float": repr, "label": CHANNEL_LABELS.__getitem__}
+    _write_rows(fh, *((values, _LatticeText(unit).__getitem__ if kind == "lattice"
+                       else formats[kind]) for kind, values, unit in columns))
+
+
+def _write_floats(fh, *columns) -> None:
+    """Write one CSV line per row of equal-length float ``columns``, each
+    value as its ``repr``."""
+    _write_columns(fh, *(("float", column, 0.0) for column in columns))
 
 
 @functools.cache
@@ -85,15 +122,30 @@ def _compiled_formatter() -> Callable | None:
     format_rows = _compiled.load_formatter()
     if format_rows is None:
         return None
-    # Special values, a subnormal, 17-digit values and the switches between
-    # positional and exponent notation, in slices of two rows.
-    values = _floats([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072014e-308,
-                      0.1, 1 / 3, 0.30000000000000004, -1.7976931348623157e308, 1e16, 1e22,
-                      9007199254740993.0, 123456.7890123456, 1e-4, 1e-5, 2.5])
-    columns = [values[:9], values[9:]]
+    # Special values, subnormals, 17-digit values, powers of two from 2^-1074
+    # to 2^1023 (every eighth: repr of all 2098 takes 10-20 ms in a fresh
+    # interpreter, most of a short run; the tests take every one), and the
+    # powers of ten around the switches between positional and exponent
+    # notation with both their neighbours; beside them a small table of
+    # lattice values, indices up to 2^53 + 1, and every channel label.
+    twos = np.ldexp(1.0, np.r_[-1074:1024:8, -1022, 1023])
+    tens = 10.0 ** np.arange(-7, 19)
+    values = np.concatenate([
+        [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072014e-308,
+         2.225073858507201e-308, 0.1, 1 / 3, 0.30000000000000004, -1.7976931348623157e308,
+         1e22, 9007199254740993.0, 123456.7890123456],
+        twos * np.resize([1, -1], len(twos)), tens, np.nextafter(tens, 0.0),
+        np.nextafter(tens, math.inf)])
+    rows = np.arange(len(values))
+    columns = _checked_columns([("float", values, 0.0),
+                                ("lattice", np.resize([0, 1, 2, 7, 1000, 2**31, 2**53 + 1],
+                                                      len(rows)), 1 / 3),
+                                ("lattice", rows % 11, 0.02),
+                                ("label", rows % len(CHANNEL_LABELS), 0.0)])
     expected = StringIO()
-    _write_rows(expected, *((column, repr) for column in columns))
-    got = "".join(format_rows(columns, 2))
+    _write_python(expected, columns)
+    # In slices of seven rows, so that slices end mid-table.
+    got = "".join(format_rows(columns, CHANNEL_LABELS, 7))
     return format_rows if got == expected.getvalue() else None
 
 
@@ -143,13 +195,8 @@ def write_jump_csv(path: str | Path, traj: JumpTrajectory) -> None:
             fh.write(line + "\n")
         fh.write("t,r,n,channel\n")
         fh.write(f"{0.0!r},{traj.initial.r!r},{traj.initial.n!r},\n")
-        _write_rows(
-            fh,
-            (_floats(traj.times), repr),
-            (traj.krs, _LatticeText(float(spec.r_unit)).__getitem__),
-            (traj.kns, _LatticeText(float(spec.n_unit)).__getitem__),
-            (traj.channels, CHANNEL_LABELS.__getitem__),
-        )
+        _write_columns(fh, ("float", traj.times, 0.0), ("lattice", traj.krs, spec.r_unit),
+                       ("lattice", traj.kns, spec.n_unit), ("label", traj.channels, 0.0))
 
 
 def write_survival_csv(

@@ -7,9 +7,9 @@ rows than one write slice, so slice boundaries are crossed.  The
 none of them.  Any change to the row layout, to the float formatting (the
 shortest round-trip ``repr``) or to the header lines changes a digest: the
 bytes are part of the reproducibility contract.  The module-level test runs
-the RK4 loop and the float formatter of the compiled library wherever it
-builds; ``TestPythonPaths`` runs the ODE, survival and pairs cases again on
-their Python references.
+the RK4 loop and the row formatter of the compiled library wherever it
+builds; ``TestPythonPaths`` runs every case again on the Python RK4 loop and
+row writer, their references.
 """
 
 import hashlib
@@ -130,11 +130,6 @@ def test_csv_bytes_are_frozen(tmp_path, write):
     assert digest(path) == CASES[write]
 
 
-# The cases whose files the RK4 loop or the float formatter make.
-FLOAT_CASES = [ode_fig1, ode_fig2_strided, survival_oneunit, survival_long, pairs_oneunit,
-               pairs_long]
-
-
 @pytest.mark.usefixtures("python_paths")
 class TestPythonPaths:
     @pytest.fixture
@@ -144,7 +139,7 @@ class TestPythonPaths:
         monkeypatch.setattr(ode, "_compiled_rk4", lambda: None)
         monkeypatch.setattr(io, "_compiled_formatter", lambda: None)
 
-    @pytest.mark.parametrize("write", FLOAT_CASES, ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("write", list(CASES), ids=lambda fn: fn.__name__)
     def test_csv_bytes_are_frozen(self, tmp_path, write):
         test_csv_bytes_are_frozen(tmp_path, write)
 

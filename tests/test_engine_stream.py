@@ -11,6 +11,7 @@ stream must not move.  The module-level tests run the engine in use
 """
 
 import hashlib
+import platform
 import sysconfig
 import tempfile
 
@@ -198,6 +199,17 @@ def test_the_compiled_engine_runs_wherever_it_builds():
     assert jump.engine() == ("python" if _compiled.load() is None else "compiled")
 
 
+def _has_fma() -> bool:
+    """Whether this machine runs x86-64 code with FMA instructions."""
+    if platform.machine() not in ("x86_64", "AMD64"):
+        return False
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return any(line.startswith("flags") and "fma" in line.split() for line in fh)
+    except OSError:
+        return False
+
+
 class TestBuild:
     """The compiled library is built into the cache on first use, and the
     Python kernel, RK4 loop and row writer run where it cannot be built."""
@@ -223,9 +235,10 @@ class TestBuild:
         assert list(empty_cache.iterdir()) == []  # no partial library left behind
         for key in [("oneunit", 100.0, 1.0, 0), ("meanfield", 2.0, 0.7, 7)]:
             test_grid_stream_is_frozen(key)
-        # integrate and the ODE writer take their Python loops, same bytes.
+        # integrate and the CSV writers take their Python loops, same bytes.
         assert ode._compiled_rk4() is None and io._compiled_formatter() is None
-        for write in (test_csv_bytes.ode_fig1, test_csv_bytes.ode_fig2_strided):
+        for write in (test_csv_bytes.ode_fig1, test_csv_bytes.ode_fig2_strided,
+                      test_csv_bytes.jump_meanfield, test_csv_bytes.jump_oneunit):
             test_csv_bytes.test_csv_bytes_are_frozen(tmp_path_factory.mktemp("csv"), write)
 
     @pytest.mark.skipif(jump.engine() != "compiled", reason="no compiled jump engine here")
@@ -237,6 +250,14 @@ class TestBuild:
         jump._compiled_run.cache_clear()
         assert jump.engine() == "compiled"
         assert [p.stat().st_mtime_ns for p in empty_cache.iterdir()] == [built]
+
+    @pytest.mark.skipif(jump.engine() != "compiled" or not _has_fma(),
+                        reason="needs the compiled jump engine on an x86-64 CPU with FMA")
+    def test_rejects_a_build_that_fuses_multiply_adds(self, empty_cache, monkeypatch):
+        # Fused, a rate's sum rounds once fewer than the Python kernel's.
+        monkeypatch.setattr(_compiled, "CFLAGS", (*_compiled.CFLAGS, "-mfma", "-ffp-contract=fast"))
+        assert _compiled.load() is not None  # it builds and loads, and is refused:
+        assert jump._compiled_run() is None
 
     def test_cache_directory(self, monkeypatch, tmp_path):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))

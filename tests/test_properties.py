@@ -178,6 +178,9 @@ def _outcome(spec, start, **run):
 # The compiled loop as built, without the check run that would replace it by
 # the Python kernel if it drew differently.
 COMPILED_RUN = _compiled.load()
+# The compiled row formatter as built, without the check that would replace
+# it by the row loop if it wrote differently.
+COMPILED_FORMATTER = _compiled.load_formatter()
 
 
 @pytest.mark.skipif(COMPILED_RUN is None, reason="no compiled jump engine here")
@@ -240,16 +243,19 @@ def test_path_seeds_are_distinct_over_an_index_range(seed, start, count):
     n0=st.floats(0.0, 20.0, **finite),
     seed=st.integers(0, 2**32),
     max_jumps=st.integers(0, 300),
+    formatter=st.sampled_from([None, COMPILED_FORMATTER]),
 )
 @example(params=ModelParams(alpha=0.01, beta=1.0, gamma=100.0, p=7.0), kind="oneunit",
-         n_units=1, r0=0.0, n0=0.0, seed=1, max_jumps=0)
+         n_units=1, r0=0.0, n0=0.0, seed=1, max_jumps=0, formatter=COMPILED_FORMATTER)
 def test_jump_csv_round_trip_is_exact(
-    tmp_path_factory, params, kind, n_units, r0, n0, seed, max_jumps
+    tmp_path_factory, params, kind, n_units, r0, n0, seed, max_jumps, formatter
 ):
     spec = _build(kind, params, n_units)
     traj = simulate(spec, spec.lattice_state(r0, n0), max_jumps=max_jumps, seed=seed)
     path = tmp_path_factory.mktemp("csv") / "jump.csv"
-    write_jump_csv(path, traj)
+    # ``formatter`` None: the writer's own row loop, its fallback.
+    with mock.patch.object(io, "_compiled_formatter", lambda: formatter):
+        write_jump_csv(path, traj)
     assert path.read_bytes() == _reference_bytes(path, _reference_write_jump_csv, traj)
     meta, columns = read_trajectory_csv(path)
     assert len(columns["t"]) == traj.n_events + 1  # the initial state is a row
@@ -366,9 +372,6 @@ ROW_COUNTS = [0, 1, 7, _SLICE_ROWS - 1, _SLICE_ROWS, _SLICE_ROWS + 1, 2 * _SLICE
 # failing file smaller; it only reruns slow reference writers for minutes.
 SLICED = settings(PROPERTY, max_examples=25,
                   phases=(Phase.explicit, Phase.reuse, Phase.generate))
-# The compiled float formatter as built, without the check that would replace
-# it by the row loop if it wrote differently.
-COMPILED_FORMATTER = _compiled.load_formatter()
 
 
 @SLICED
@@ -408,9 +411,10 @@ def test_float_writers_match_the_row_loops(tmp_path_factory, params, seed, rows,
     rows=st.sampled_from(ROW_COUNTS),
     distinct=st.integers(1, 40),
     largest=st.sampled_from([1, 1_000, 2**31, 2**53]),
+    formatter=st.sampled_from([None, COMPILED_FORMATTER]),
 )
 def test_jump_writer_matches_the_row_loop_on_sparse_lattices(
-    tmp_path_factory, params, kind, n_units, seed, rows, distinct, largest
+    tmp_path_factory, params, kind, n_units, seed, rows, distinct, largest, formatter
 ):
     # Few distinct lattice indices, spread up to ``largest``: the writer's
     # table of formatted values must not depend on how far apart they are.
@@ -424,7 +428,8 @@ def test_jump_writer_matches_the_row_loop_on_sparse_lattices(
         Termination.TIME_HORIZON, 1.0,
     )
     path = tmp_path_factory.mktemp("csv") / "jump.csv"
-    write_jump_csv(path, traj)
+    with mock.patch.object(io, "_compiled_formatter", lambda: formatter):
+        write_jump_csv(path, traj)
     assert path.read_bytes() == _reference_bytes(path, _reference_write_jump_csv, traj)
 
 
