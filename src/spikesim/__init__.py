@@ -49,7 +49,6 @@ from .jump import (  # noqa: F401
     simulate,
 )
 from .lyapunov import (  # noqa: F401
-    BoxTooSmallError,
     DriftReport,
     ErgodicityCheck,
     drift_closed_form,

@@ -46,14 +46,14 @@ class _Run(ctypes.Structure):
                 ("kn", ctypes.c_int64), ("limit", ctypes.c_int64), ("stop", ctypes.c_int64)]
 
 
-def table(channels, r_unit: float, n_unit: float) -> Table:
-    """The table of ``channels`` (``JumpChannel``s) on a lattice with these
-    units: per channel its coefficients, guard and step."""
-    coef = [c for ch in channels for c in (ch.k_rn, ch.k_r, ch.k_n, ch.k_1, ch.div)]
-    pairs = ctypes.c_int64 * (2 * len(channels))
-    return Table(len(channels), r_unit, n_unit, (ctypes.c_double * len(coef))(*coef),
-                 pairs(*(low for ch in channels for low in ch.guard)),
-                 pairs(*(d for ch in channels for d in (ch.dkr, ch.dkn))))
+def table(rows, r_unit: float, n_unit: float) -> Table:
+    """The table of ``rows``, one per channel (k_rn, k_r, k_n, k_1, div,
+    guard_kr, guard_kn, dkr, dkn), on a lattice with these units."""
+    coef = [c for row in rows for c in row[:5]]
+    pairs = ctypes.c_int64 * (2 * len(rows))
+    return Table(len(rows), r_unit, n_unit, (ctypes.c_double * len(coef))(*coef),
+                 pairs(*(low for row in rows for low in row[5:7])),
+                 pairs(*(d for row in rows for d in row[7:])))
 
 
 # One handle per library file, however many entry points are taken from it.

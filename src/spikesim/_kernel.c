@@ -8,10 +8,11 @@
    multiply-add is fused and no sum is reordered: both loops must do their
    Python reference's floating-point operations in the same order.
 
-   The direct-method loop is the loop that jump._compile_kernel generates in
-   Python, bit for bit: the same draws from the caller's numpy bit generator
-   (numpy's own random_standard_exponential, then next_double, per event)
-   and the same floating-point operations in the same order:
+   The direct-method loop is jump._run_python, the plain Python loop over the
+   same coefficient table, bit for bit: the same draws from the caller's
+   numpy bit generator (numpy's own random_standard_exponential, then
+   next_double, per event) and the same floating-point operations in the
+   same order:
 
    * channel i's rate is (k_rn*r)*n + k_r*r + k_n*n + k_1, summed left to
      right with the zero terms left out, then divided by div unless div is 1;

@@ -304,9 +304,13 @@ def _analyse(
     return report, amps, pairs
 
 
-def run(config: RunConfig, outdir: str | Path = ".") -> list[Path]:
-    """Execute one RunConfig; returns the artifact paths written."""
-    return analyse_run(config, simulate_run(config), outdir)
+def _check_overrides(seed: int | None, t_end: float | None) -> None:
+    """Reject a preset's seed and horizon overrides, when given, before its
+    first run writes anything."""
+    if seed is not None and seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
+    if t_end is not None and not (0 < t_end < math.inf):
+        raise UsageError(f"t_end must be finite and > 0, got {t_end}")
 
 
 def _check_levels(a0: float | None, thr: float | None) -> None:
@@ -501,7 +505,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             dt=_resolve("dt", args, file_values),
             out=args.out,
         )
-        run(config, outdir=Path(args.out).parent)
+        analyse_run(config, simulate_run(config), Path(args.out).parent)
         return 0
 
     if args.command == "stability":
@@ -534,7 +538,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             label=Path(args.out).stem,
         )
         _check_levels(config.a0, config.thr)
-        run(config, outdir=Path(args.out).parent)
+        analyse_run(config, simulate_run(config), Path(args.out).parent)
         return 0
 
     if args.command == "analyze":
@@ -557,6 +561,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "preset":
         runs = preset(args.name)
+        _check_overrides(args.seed, args.t_end)
         if args.seed is not None:
             runs = [replace(config, seed=args.seed) for config in runs]
         if args.t_end is not None:

@@ -27,10 +27,6 @@ DEFAULT_EPSILON = 0.1
 AUTO_BOX_CAP = 1024  # per-axis cap when auto-sizing the scan box
 
 
-class BoxTooSmallError(ValueError):
-    """The exceptional set provably extends beyond the requested scan box."""
-
-
 @dataclass(frozen=True)
 class ErgodicityCheck:
     """Outcome of a sufficient drift condition.
@@ -125,7 +121,6 @@ def scan_drift_condition(
     params: ModelParams,
     epsilon: float = DEFAULT_EPSILON,
     scan_box: tuple[int, int] | None = None,
-    require_containment: bool = False,
 ) -> DriftReport:
     """Enumerate a lattice box, classify states by the A-inequality, and
     check that the actual (censored) generator drift is <= -epsilon outside A.
@@ -133,8 +128,7 @@ def scan_drift_condition(
     The report records A's extent inside the box together with the analytic
     extent of the full set; ``contained`` says whether A provably fits
     strictly inside the box.  With small spontaneous rates A stretches very
-    far along the y = 0 axis, so a truncated scan is the norm; pass
-    ``require_containment=True`` to make truncation a hard error instead.
+    far along the y = 0 axis, so a truncated scan is the norm.
     """
     if not (0 < epsilon < math.inf):
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
@@ -170,11 +164,6 @@ def scan_drift_condition(
         and analytic[0] < kr_max
         and analytic[1] < kn_max
     )
-    if require_containment and not contained:
-        raise BoxTooSmallError(
-            f"exceptional set extends to about {analytic} (lattice units), "
-            f"beyond the scan box {scan_box}"
-        )
 
     spec = build_oneunit(params) if kind is ProcessKind.ONEUNIT else build_meanfield(params)
     # Physical coordinates as a column (kr) and a row (kn); every grid

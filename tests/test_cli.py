@@ -14,7 +14,6 @@ from spikesim.cli import (
     analyse_run,
     main,
     preset,
-    run,
     simulate_run,
 )
 from spikesim.jump import engine
@@ -77,7 +76,7 @@ class TestRun:
     def test_ds_run_writes_csv(self, fig1_params, out):
         config = RunConfig(params=fig1_params, mode="ds", initial=State(0.01, 0.01),
                            t_end=1.0, dt=1e-2, label="demo")
-        written = run(config, outdir=out)
+        written = analyse_run(config, simulate_run(config), out)
         assert written == [out / "demo.csv"]
         header = [
             line for line in written[0].read_text().splitlines()
@@ -90,7 +89,7 @@ class TestRun:
             params=fig1_params, mode="oneunit", initial=State(0.0, 0.0),
             t_end=3000.0, seed=2, a0=10.0, thr=10.0, label="stats",
         )
-        written = run(config, outdir=out)
+        written = analyse_run(config, simulate_run(config), out)
         names = {p.name for p in written}
         assert names == {"stats_survival.csv", "stats_pairs.csv", "stats_report.json"}
         report = json.loads((out / "stats_report.json").read_text())
@@ -104,7 +103,7 @@ class TestRun:
             initial=State(0.01, 0.01), t_end=5.0, seed=3,
             lln_reference=True, label="lln",
         )
-        run(config, outdir=out)
+        analyse_run(config, simulate_run(config), out)
         report = json.loads((out / "lln_report.json").read_text())
         assert report["lln_sup_distance"] > 0
 
@@ -310,6 +309,14 @@ OUT_OF_RANGE = {
                           "physical state must be finite and non-negative"),
     "simulate --seed -1": (["simulate", "--mode", "oneunit", "--t-end", "1", "--seed", "-1"],
                            "seed must be >= 0"),
+    # At gamma 100, r0 = 1e17 is lattice index 1e19, past int64, and
+    # r0 = 1e307 is an index past the largest float.
+    "simulate --r0 1e17": (["simulate", "--mode", "oneunit", "--r0", "1e17", "--n0", "1",
+                            "--max-jumps", "5"],
+                           "is past lattice index 2**62"),
+    "simulate --r0 1e307": (["simulate", "--mode", "oneunit", "--r0", "1e307",
+                             "--max-jumps", "5"],
+                            "is past lattice index 2**62"),
     "ds --dt 0": (["ds", "--t-end", "1", "--dt", "0"], "dt must satisfy 0 < dt <= t_end"),
     "ds --t-end inf": (["ds", "--t-end", "inf"], "t_end must be finite and > 0"),
     "ds --r0 nan": (["ds", "--t-end", "1", "--r0", "nan"],
@@ -322,6 +329,9 @@ OUT_OF_RANGE = {
                             "scan box must be at least 1x1"),
     "preset --t-end -1": (["preset", "fig5", "--t-end", "-1", "--outdir", OUT],
                           "t_end must be finite and > 0"),
+    # fig1's first run integrates the ODE, which needs no seed.
+    "preset --seed -1": (["preset", "fig1", "--seed", "-1", "--t-end", "1", "--outdir", OUT],
+                         "seed must be >= 0"),
     "simulate --lln-reference --t-end 0.0005": (
         ["simulate", "--mode", "oneunit", "--t-end", "0.0005", "--lln-reference"],
         "dt must satisfy 0 < dt <= t_end"),

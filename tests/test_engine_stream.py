@@ -159,7 +159,7 @@ def test_first_event_equals_next_jump(kind, seed):
 
 @pytest.fixture
 def python_kernel(monkeypatch):
-    """The exec-generated Python kernel, the reference, in place of the
+    """The plain Python kernel, the reference, in place of the
     compiled loop."""
     monkeypatch.setattr(jump, "_compiled_run", lambda: None)
 

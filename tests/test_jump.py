@@ -4,6 +4,7 @@ import pytest
 from spikesim import (
     CHANNEL_LABELS,
     EventCapError,
+    LatticeState,
     ModelParams,
     State,
     Termination,
@@ -18,6 +19,7 @@ from spikesim import (
     stationary_point,
     vector_field,
 )
+from spikesim import jump
 
 # chi-square 99% quantile, 4 degrees of freedom (5 channels - 1)
 CHI2_99_DF4 = 13.2767
@@ -41,7 +43,7 @@ class TestBuilders:
     def test_global_absorbing_without_pumping(self):
         params = ModelParams(alpha=0.01, beta=1.0, gamma=2.0, p=0.0)
         spec = build_global(params, 5)
-        assert spec.total_rate(spec.lattice_state(0.0, 0.0)) == 0.0
+        assert sum(spec.channel_rates(spec.lattice_state(0.0, 0.0))) == 0.0
 
     def test_global_rejects_bad_n(self, fig1_params):
         with pytest.raises(ValueError):
@@ -57,7 +59,7 @@ class TestBuilders:
 
     def test_meanfield_origin_total_rate(self, fig1_params):
         spec = build_meanfield(fig1_params)
-        assert spec.total_rate(spec.lattice_state(0.0, 0.0)) == pytest.approx(7.0)
+        assert sum(spec.channel_rates(spec.lattice_state(0.0, 0.0))) == pytest.approx(7.0)
 
     def test_meanfield_zero_anchor_kills_stimulated_channel(self):
         params = ModelParams(alpha=0.0, beta=1.0, gamma=2.0, p=7.0)
@@ -80,7 +82,7 @@ class TestBuilders:
     def test_oneunit_pumping_from_origin(self, fig1_params):
         spec = build_oneunit(fig1_params)
         s = spec.lattice_state(0.0, 0.0)
-        assert spec.total_rate(s) == pytest.approx(7.0)
+        assert sum(spec.channel_rates(s)) == pytest.approx(7.0)
         rng = np.random.default_rng(0)
         wait, channel = next_jump(spec, s, rng)
         assert CHANNEL_LABELS[channel] == "pumping"
@@ -102,8 +104,6 @@ class TestBuilders:
 
 class TestDensityDependence:
     def test_rate_scaling_is_exact(self, fig1_params):
-        from spikesim import LatticeState
-
         spec1 = build_global(fig1_params, 10)
         spec2 = build_global(fig1_params, 20)
         for kr, kn in [(0, 0), (3, 5), (40, 17), (213, 88)]:
@@ -199,6 +199,23 @@ class TestSimulate:
         with pytest.raises(EventCapError):
             simulate(spec, spec.lattice_state(0.0, 0.0), t_end=1e5, seed=1,
                      max_events=1000)
+
+    @pytest.mark.parametrize("kr, kn", [(2**62, 0), (0, 2**62), (2**63 + 5, 3)])
+    def test_rejects_indices_past_the_int64_room(self, fig1_params, kr, kn):
+        spec = build_oneunit(fig1_params)
+        with pytest.raises(ValueError, match=r"< 2\*\*62"):
+            LatticeState(kr, kn, spec.r_unit, spec.n_unit)
+
+    def test_kernels_agree_from_the_largest_start(self, fig1_params, monkeypatch):
+        spec = build_oneunit(fig1_params)
+        start = LatticeState(2**62 - 1, 3, spec.r_unit, spec.n_unit)
+        in_use = simulate(spec, start, max_jumps=5, seed=4)
+        monkeypatch.setattr(jump, "_compiled_run", lambda: None)
+        python = simulate(spec, start, max_jumps=5, seed=4)
+        assert in_use.n_events == python.n_events == 5
+        assert np.array_equal(in_use.times, python.times)
+        assert np.array_equal(in_use.krs, python.krs)
+        assert np.array_equal(in_use.channels, python.channels)
 
     def test_requires_horizon(self, fig1_params):
         spec = build_oneunit(fig1_params)

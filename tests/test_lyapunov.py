@@ -3,7 +3,6 @@ import pytest
 
 import spikesim.lyapunov
 from spikesim import (
-    BoxTooSmallError,
     LatticeState,
     ModelParams,
     ProcessKind,
@@ -199,19 +198,11 @@ class TestScan:
         report = scan_drift_condition(ProcessKind.ONEUNIT, params, epsilon=0.1)
         assert report.inconclusive and not report.passed
 
-    def test_containment_enforcement(self, fig1_params):
-        with pytest.raises(BoxTooSmallError):
-            scan_drift_condition(
-                ProcessKind.ONEUNIT, fig1_params, epsilon=0.1,
-                scan_box=(400, 400), require_containment=True,
-            )
-
     def test_contained_scan(self):
         # Large alpha keeps the set small enough to enclose completely.
         params = ModelParams(alpha=5.0, beta=1.0, gamma=10.0, p=2.0)
         report = scan_drift_condition(
             ProcessKind.ONEUNIT, params, epsilon=0.1, scan_box=(500, 40),
-            require_containment=True,
         )
         assert report.contained and report.passed
         assert report.a_extent[0] < 500 and report.a_extent[1] < 40

@@ -105,7 +105,7 @@ def test_global_expected_drift_is_the_vector_field(params, n_units, kr, kn):
     field = vector_field(params, State(s.r, s.n))
     # Each component sums five rate * increment terms; allow a few ulps of
     # the largest of them.
-    scale = spec.total_rate(s) * max(float(spec.r_unit), float(spec.n_unit))
+    scale = sum(spec.channel_rates(s)) * max(float(spec.r_unit), float(spec.n_unit))
     for got, want in zip(drift, field):
         assert abs(got - want) <= 1e-12 * (1.0 + scale)
 
@@ -204,10 +204,9 @@ def test_compiled_and_python_kernels_draw_the_same_stream(
                        r_unit=Fraction(1, units[0]), n_unit=Fraction(1, units[1]))
     start = LatticeState(kr, kn, spec.r_unit, spec.n_unit)
     run = {"t_end": t_end, "max_jumps": max_jumps, "seed": seed, "max_events": max_events}
-    # Every run on the compiled loop, however short, in chunks of ``chunk``
-    # events, so that runs and the event cap cross chunk boundaries.
+    # Every run on the compiled loop in chunks of ``chunk`` events, so that
+    # runs and the event cap cross chunk boundaries.
     with mock.patch.object(jump, "_compiled_run", lambda: COMPILED_RUN), \
-            mock.patch.object(jump, "_COMPILED_MIN_EVENTS", 0), \
             mock.patch.object(_compiled, "CHUNK_EVENTS", chunk):
         compiled = _outcome(spec, start, **run)
         compiled_step = next_jump(spec, start, np.random.default_rng(seed))
