@@ -322,6 +322,13 @@ def _check_levels(a0: float | None, thr: float | None) -> None:
         raise UsageError(f"thr must be finite and >= 0, got {thr}")
 
 
+def _check_output(flag: str, path: str | None, written: bool, needs: str) -> None:
+    """Reject an output file that the run would not write, before anything
+    is simulated or written."""
+    if path and not written:
+        raise UsageError(f"{flag} writes nothing without {needs}")
+
+
 def _build_spec(config: RunConfig):
     if config.mode == "global":
         return build_global(config.params, config.n_units)
@@ -538,6 +545,11 @@ def _dispatch(args: argparse.Namespace) -> int:
             label=Path(args.out).stem,
         )
         _check_levels(config.a0, config.thr)
+        spikes, plateaus = config.a0 is not None, config.thr is not None
+        _check_output("--pairs-out", config.pairs_out, spikes and plateaus, "both --a0 and --thr")
+        _check_output("--survival-out", config.survival_out, spikes, "--a0")
+        _check_output("--report-out", config.report_out,
+                      spikes or plateaus or config.lln_reference, "--a0, --thr or --lln-reference")
         analyse_run(config, simulate_run(config), Path(args.out).parent)
         return 0
 
@@ -579,6 +591,8 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 def _run_analyze(args: argparse.Namespace) -> int:
     _check_levels(args.a0, args.thr)
+    _check_output("--pairs-out", args.pairs_out, args.a0 is not None and args.thr is not None,
+                  "both --a0 and --thr")
     meta, columns = io.read_trajectory_csv(args.input)
     if "t" not in columns or "n" not in columns:
         raise UsageError(f"{args.input}: expected columns t and n")

@@ -103,18 +103,26 @@ class CorrelationSummary:
         return {"pearson": self.pearson, "spearman": self.spearman, "n": self.n}
 
 
-def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal runs of True as (first, last) inclusive index pairs."""
-    if len(mask) == 0:
-        return []
-    diff = np.diff(mask.astype(np.int8))
-    starts = list(np.flatnonzero(diff == 1) + 1)
-    ends = list(np.flatnonzero(diff == -1))
-    if mask[0]:
-        starts.insert(0, 0)
-    if mask[-1]:
-        ends.append(len(mask) - 1)
-    return list(zip(starts, ends))
+def _excursions(
+    series: PathSeries, inside: np.ndarray, level: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Maximal runs of True in the sample mask ``inside``: each run's first
+    index, the index just past its end, and its start and end times.
+
+    A run's ends are sample times on a step path and the linear crossings of
+    ``level`` on any other path.  A run open at the first sample starts at
+    its time, and one still open at the last sample ends at ``series.t_end``.
+    """
+    t, v = series.times, series.values
+    edges = np.flatnonzero(np.diff(inside, prepend=False, append=False))
+    times = np.where(edges < len(t), t.take(edges, mode="clip"), series.t_end)
+    if not series.step:
+        # The two samples at an inner edge lie on opposite sides of the
+        # level, so the crossing is well defined.
+        inner = (edges > 0) & (edges < len(t))
+        i = edges[inner] - 1
+        times[inner] = t[i] + (level - v[i]) / (v[i + 1] - v[i]) * (t[i + 1] - t[i])
+    return edges[::2], edges[1::2], times[::2], times[1::2]
 
 
 def detect_spikes(series: PathSeries, a0: float) -> list[SpikeRecord]:
@@ -122,66 +130,35 @@ def detect_spikes(series: PathSeries, a0: float) -> list[SpikeRecord]:
     if not (a0 > 0):
         raise ValueError(f"a0 must be > 0, got {a0}")
     t, v = series.times, series.values
-    records = []
-    for first, last in _runs(v > a0):
-        seg = v[first : last + 1]
-        peak_idx = first + int(np.argmax(seg))
-        if series.step or first == 0:
-            t_start = float(t[first])
-        else:
-            t_start = _crossing_time(t[first - 1], v[first - 1], t[first], v[first], a0)
-        if last + 1 < len(t):
-            if series.step:
-                t_end = float(t[last + 1])
-            else:
-                t_end = _crossing_time(t[last], v[last], t[last + 1], v[last + 1], a0)
-        else:
-            t_end = series.t_end
-        records.append(
-            SpikeRecord(
-                t_peak=float(t[peak_idx]),
-                amplitude=float(seg.max()),
-                t_start=t_start,
-                t_end=t_end,
-            )
+    first, _, t_start, t_end = _excursions(series, v > a0, a0)
+    if len(first) == 0:
+        return []
+    # The samples between two runs lie at or below a0, so each reduction
+    # from one run's first index to the next one's is that run's peak.
+    amps = np.maximum.reduceat(v, first)
+    # The samples that equal their run's peak; a run's first one is t_peak.
+    reached = first[0] + np.flatnonzero(
+        v[first[0]:] == np.repeat(amps, np.diff(first, append=len(v)))
+    )
+    t_peak = t[reached[np.searchsorted(reached, first)]]
+    return [
+        SpikeRecord(t_peak=peak, amplitude=amp, t_start=start, t_end=end)
+        for peak, amp, start, end in zip(
+            t_peak.tolist(), amps.tolist(), t_start.tolist(), t_end.tolist()
         )
-    return records
+    ]
 
 
 def detect_plateaus(series: PathSeries, thr: float) -> list[PlateauRecord]:
     """Maximal intervals with the path at or below ``thr``, in continuous time."""
     if thr < 0:
         raise ValueError(f"thr must be >= 0, got {thr}")
-    t, v = series.times, series.values
-    records = []
-    for first, last in _runs(v <= thr):
-        if series.step or first == 0:
-            t_start = float(t[first])
-        else:
-            t_start = _crossing_time(t[first - 1], v[first - 1], t[first], v[first], thr)
-        if last + 1 < len(t):
-            if series.step:
-                t_end = float(t[last + 1])
-            else:
-                t_end = _crossing_time(t[last], v[last], t[last + 1], v[last + 1], thr)
-        else:
-            t_end = series.t_end
-        if t_end > t_start:
-            records.append(
-                PlateauRecord(
-                    t_start=t_start,
-                    t_end=t_end,
-                    length=t_end - t_start,
-                    threshold=thr,
-                )
-            )
-    return records
-
-
-def _crossing_time(t0: float, v0: float, t1: float, v1: float, level: float) -> float:
-    if v1 == v0:
-        return float(t1)
-    return float(t0 + (level - v0) / (v1 - v0) * (t1 - t0))
+    _, _, t_start, t_end = _excursions(series, series.values <= thr, thr)
+    kept = t_end > t_start
+    return [
+        PlateauRecord(t_start=start, t_end=end, length=end - start, threshold=thr)
+        for start, end in zip(t_start[kept].tolist(), t_end[kept].tolist())
+    ]
 
 
 def tail_survival(amplitudes, a0: float) -> tuple[np.ndarray, np.ndarray]:
@@ -195,7 +172,7 @@ def tail_survival(amplitudes, a0: float) -> tuple[np.ndarray, np.ndarray]:
     if len(amps) == 0:
         raise InsufficientDataError(f"no amplitudes above a0 = {a0}")
     grid = np.concatenate(([a0], np.unique(amps)))
-    survival = (amps[None, :] > grid[:, None]).mean(axis=1)
+    survival = (len(amps) - np.searchsorted(np.sort(amps), grid, side="right")) / len(amps)
     return grid, survival
 
 
@@ -242,18 +219,17 @@ def pair_plateau_spike(
     """
     if not plateaus or not spikes:
         return []
-    spike_starts = np.array([s.t_start for s in spikes])
-    best: dict[int, PlateauRecord] = {}
-    for plateau in plateaus:
-        idx = int(np.searchsorted(spike_starts, plateau.t_end, side="left"))
-        if idx >= len(spikes):
-            continue
-        prev = best.get(idx)
-        if prev is None or plateau.t_end > prev.t_end:
-            best[idx] = plateau
-    return [
-        (best[idx].length, spikes[idx].amplitude) for idx in sorted(best)
-    ]
+    ends = np.array([p.t_end for p in plateaus])
+    starts = np.array([s.t_start for s in spikes])
+    # Ends ascending, equal ends last-listed first: the last end at or
+    # before a spike's start is then the first-listed latest plateau.
+    order = np.lexsort((-np.arange(len(ends)), ends))
+    latest = order[np.searchsorted(ends[order], starts, side="right") - 1]
+    # That plateau is the spike's own unless it ends at or before the
+    # previous spike's start (or after this one's, when none ends in time).
+    owned = (ends[latest] <= starts) & (ends[latest] > np.append(-np.inf, starts[:-1]))
+    return [(plateaus[i].length, spikes[j].amplitude)
+            for j, i in zip(np.flatnonzero(owned).tolist(), latest[owned].tolist())]
 
 
 def correlation(pairs) -> CorrelationSummary:
@@ -282,17 +258,9 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing their average rank."""
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x))
-    sorted_x = x[order]
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts) - 1
+    return (0.5 * (2 * last - counts + 1) + 1.0)[group]
 
 
 def lln_sup_distance(

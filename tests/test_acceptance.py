@@ -22,7 +22,6 @@ from spikesim import (
     derive_path_seed,
     detect_plateaus,
     detect_spikes,
-    discriminant,
     drift_closed_form,
     drift_via_generator,
     expected_drift,

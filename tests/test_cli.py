@@ -353,6 +353,48 @@ def test_out_of_range_argument_is_usage_error(out, capsys, case):
     assert list(out.iterdir()) == []  # nothing written
 
 
+# An output flag whose file the run would not write, judged on the levels
+# the run resolves (the environment's included).
+UNWRITTEN_OUTPUT = {
+    "simulate --pairs-out without --thr": (
+        ["simulate", "--mode", "oneunit", "--t-end", "200", "--a0", "10", "--pairs-out", "p.csv"],
+        {}, "--pairs-out writes nothing without both --a0 and --thr"),
+    "simulate --survival-out without --a0": (
+        ["simulate", "--mode", "oneunit", "--t-end", "200", "--survival-out", "s.csv"],
+        {"SPIKESIM_THR": "0"}, "--survival-out writes nothing without --a0"),
+    "simulate --report-out without a level": (
+        ["simulate", "--mode", "oneunit", "--t-end", "200", "--report-out", "r.json"],
+        {}, "--report-out writes nothing without --a0, --thr or --lln-reference"),
+    "analyze --pairs-out without --a0": (
+        ["analyze", "--input", "in.csv", "--thr", "0", "--pairs-out", "p.csv"],
+        {}, "--pairs-out writes nothing without both --a0 and --thr"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNWRITTEN_OUTPUT))
+def test_output_that_nothing_writes_is_usage_error(fig1_params, out, capsys, monkeypatch, case):
+    argv, env, message = UNWRITTEN_OUTPUT[case]
+    spec = build_oneunit(fig1_params)
+    io.write_jump_csv(out / "in.csv", simulate(spec, spec.lattice_state(0.0, 0.0),
+                                                t_end=5.0, seed=1))
+    monkeypatch.chdir(out)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(argv + ["--out", "a.csv"]) == 1
+    assert message in capsys.readouterr().err
+    assert [path.name for path in out.iterdir()] == ["in.csv"]
+
+
+def test_levels_from_config_and_environment_enable_the_outputs(out, monkeypatch):
+    (out / "run.cfg").write_text("a0 = 10\n")
+    monkeypatch.setenv("SPIKESIM_THR", "10")
+    assert main(["simulate", "--mode", "oneunit", "--t-end", "200",
+                 "--config", str(out / "run.cfg"),
+                 "--out", str(out / "a.csv"), "--pairs-out", str(out / "p.csv"),
+                 "--survival-out", str(out / "s.csv"), "--report-out", str(out / "r.json")]) == 0
+    assert {"p.csv", "s.csv", "r.json"} <= {path.name for path in out.iterdir()}
+
+
 class TestOptionSources:
     """A config key or value, or an environment value, that cannot be used
     is a usage error naming the key and where it came from."""

@@ -6,7 +6,6 @@ from spikesim import (
     LatticeState,
     ModelParams,
     ProcessKind,
-    State,
     build_meanfield,
     build_oneunit,
     drift_closed_form,

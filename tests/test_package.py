@@ -1,5 +1,5 @@
-"""The package as a whole: importing it stays cheap, and its modules carry
-no leftovers of removed code."""
+"""The package as a whole: importing it stays cheap, and its modules and the
+test files carry no leftovers of removed code."""
 
 import ast
 import os
@@ -13,6 +13,7 @@ import spikesim
 
 PACKAGE = Path(spikesim.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def test_import_and_building_specs_load_no_compiled_library():
@@ -53,7 +54,7 @@ def _referenced_names(tree: ast.AST) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"] + TESTS,
                          ids=lambda p: p.name)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))

@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 
 from spikesim import (
     EventCapError,
+    InsufficientDataError,
     JumpTrajectory,
     LatticeState,
     ModelParams,
+    PathSeries,
     ProcessKind,
     State,
     Termination,
@@ -28,11 +30,15 @@ from spikesim import (
     build_meanfield,
     build_oneunit,
     derive_path_seed,
+    detect_plateaus,
+    detect_spikes,
     drift_via_generator,
     expected_drift,
     integrate,
     next_jump,
+    pair_plateau_spike,
     simulate,
+    tail_survival,
     vector_field,
 )
 from spikesim import _compiled, io, jump, ode
@@ -52,6 +58,7 @@ from spikesim.ode import (
     NegativeOvershootError,
     _floor_component,
 )
+from spikesim.spikes import PlateauRecord, SpikeRecord, _average_ranks
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -558,6 +565,184 @@ def test_compiled_and_python_rk4_agree(params, r0, n0, t_end, dt, sample_every):
     for got, expected in zip(compiled[:3], python[:3]):
         assert np.array_equal(got, expected)
     assert compiled[3] == python[3]
+
+
+# Reference implementations: the per-run spike and plateau loops, the
+# per-plateau pairing, the tie-block ranks and the amplitude-by-grid survival
+# matrix.  The array versions do the same arithmetic, so they must give the
+# same records and the same floats.
+
+
+def _reference_runs(mask):
+    if len(mask) == 0:
+        return []
+    diff = np.diff(mask.astype(np.int8))
+    starts = list(np.flatnonzero(diff == 1) + 1)
+    ends = list(np.flatnonzero(diff == -1))
+    if mask[0]:
+        starts.insert(0, 0)
+    if mask[-1]:
+        ends.append(len(mask) - 1)
+    return list(zip(starts, ends))
+
+
+def _reference_crossing_time(t0, v0, t1, v1, level):
+    if v1 == v0:
+        return float(t1)
+    return float(t0 + (level - v0) / (v1 - v0) * (t1 - t0))
+
+
+def _reference_run_ends(series, first, last, level):
+    t, v = series.times, series.values
+    if series.step or first == 0:
+        t_start = float(t[first])
+    else:
+        t_start = _reference_crossing_time(t[first - 1], v[first - 1], t[first], v[first], level)
+    if last + 1 < len(t):
+        if series.step:
+            t_end = float(t[last + 1])
+        else:
+            t_end = _reference_crossing_time(t[last], v[last], t[last + 1], v[last + 1], level)
+    else:
+        t_end = series.t_end
+    return t_start, t_end
+
+
+def _reference_detect_spikes(series, a0):
+    t, v = series.times, series.values
+    records = []
+    for first, last in _reference_runs(v > a0):
+        seg = v[first : last + 1]
+        t_start, t_end = _reference_run_ends(series, first, last, a0)
+        records.append(SpikeRecord(t_peak=float(t[first + int(np.argmax(seg))]),
+                                   amplitude=float(seg.max()), t_start=t_start, t_end=t_end))
+    return records
+
+
+def _reference_detect_plateaus(series, thr):
+    records = []
+    for first, last in _reference_runs(series.values <= thr):
+        t_start, t_end = _reference_run_ends(series, first, last, thr)
+        if t_end > t_start:
+            records.append(PlateauRecord(t_start=t_start, t_end=t_end,
+                                         length=t_end - t_start, threshold=thr))
+    return records
+
+
+def _reference_pair_plateau_spike(plateaus, spikes):
+    if not plateaus or not spikes:
+        return []
+    spike_starts = np.array([s.t_start for s in spikes])
+    best = {}
+    for plateau in plateaus:
+        idx = int(np.searchsorted(spike_starts, plateau.t_end, side="left"))
+        if idx >= len(spikes):
+            continue
+        prev = best.get(idx)
+        if prev is None or plateau.t_end > prev.t_end:
+            best[idx] = plateau
+    return [(best[idx].length, spikes[idx].amplitude) for idx in sorted(best)]
+
+
+def _reference_average_ranks(x):
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(len(x))
+    sorted_x = x[order]
+    i = 0
+    while i < len(x):
+        j = i
+        while j + 1 < len(x) and sorted_x[j + 1] == sorted_x[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def _reference_tail_survival(amplitudes, a0):
+    amps = np.asarray(amplitudes, dtype=np.float64)
+    amps = amps[amps > a0]
+    grid = np.concatenate(([a0], np.unique(amps)))
+    return grid, (amps[None, :] > grid[:, None]).mean(axis=1)
+
+
+# Levels and values drawn from one small set, so that samples sit on the
+# levels and runs open at the first and last sample are common; time steps
+# of zero give equal consecutive times.
+LEVELS = [0.0, 1.0, 2.0, 10.0]
+level_value = st.one_of(st.sampled_from(LEVELS + [3.0, 12.0]), st.floats(0.0, 15.0, **finite))
+time_step = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 4.0, **finite))
+
+
+@st.composite
+def series_strategy(draw):
+    values = draw(st.lists(level_value, min_size=1, max_size=40))
+    steps = draw(st.lists(time_step, min_size=len(values) - 1, max_size=len(values) - 1))
+    times = np.cumsum([draw(st.floats(0.0, 2.0, **finite))] + steps)
+    step = draw(st.booleans())
+    # A step path is valid past its last jump; a linear one ends there.
+    tail = draw(st.sampled_from([0.0, 0.5, 2.0])) if step else 0.0
+    return PathSeries(times=times, values=np.array(values), t_end=float(times[-1]) + tail,
+                      step=step)
+
+
+LOOPS = settings(PROPERTY, max_examples=200)
+
+
+@LOOPS
+@given(series=series_strategy(),
+       a0=st.one_of(st.sampled_from(LEVELS[1:]), st.floats(0.01, 15.0, **finite)),
+       thr=st.one_of(st.sampled_from(LEVELS), st.floats(0.0, 15.0, **finite)))
+@example(series=PathSeries(np.array([0.0]), np.array([12.0]), 1.0, step=True), a0=10.0,
+         thr=0.0)
+@example(series=PathSeries(np.array([0.0]), np.array([0.0]), 0.0, step=False), a0=10.0,
+         thr=0.0)
+@example(series=PathSeries(np.array([0.0, 1.0, 1.0, 2.0, 3.0]),
+                           np.array([12.0, 0.0, 12.0, 15.0, 0.0]), 3.0, step=False),
+         a0=10.0, thr=0.0)
+def test_excursion_scan_matches_the_run_loops(series, a0, thr):
+    spikes = detect_spikes(series, a0)
+    plateaus = detect_plateaus(series, thr)
+    assert spikes == _reference_detect_spikes(series, a0)
+    assert plateaus == _reference_detect_plateaus(series, thr)
+    assert pair_plateau_spike(plateaus, spikes) == _reference_pair_plateau_spike(
+        plateaus, spikes)
+
+
+@LOOPS
+@given(ends=st.lists(st.sampled_from([0.0, 1.0, 1.5, 2.0, 4.0, 9.0]), max_size=12),
+       starts=st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, 5.0]), max_size=8))
+def test_pairing_matches_the_plateau_loop_on_tied_and_unordered_ends(ends, starts):
+    # Plateaus in any order with equal ends; spikes time-ordered, as
+    # detect_spikes gives them, with equal starts.
+    plateaus = [PlateauRecord(t_start=end - k - 1.0, t_end=end, length=k + 1.0, threshold=0.0)
+                for k, end in enumerate(ends)]
+    spikes = [SpikeRecord(t_peak=start, amplitude=k + 20.0, t_start=start, t_end=start + 0.5)
+              for k, start in enumerate(sorted(starts))]
+    assert pair_plateau_spike(plateaus, spikes) == _reference_pair_plateau_spike(
+        plateaus, spikes)
+
+
+@LOOPS
+@given(x=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5]),
+                            st.floats(-1e6, 1e6, **finite)), min_size=1, max_size=40))
+def test_average_ranks_match_the_tie_block_loop(x):
+    x = np.array(x)
+    assert np.array_equal(_average_ranks(x), _reference_average_ranks(x))
+
+
+@LOOPS
+@given(amps=st.lists(st.one_of(st.sampled_from([10.0, 11.0, 12.0]),
+                               st.floats(0.0, 40.0, **finite)), min_size=1, max_size=60),
+       a0=st.sampled_from([0.0, 10.0, 11.0]))
+def test_tail_survival_matches_the_grid_matrix(amps, a0):
+    if not any(a > a0 for a in amps):
+        with pytest.raises(InsufficientDataError):
+            tail_survival(amps, a0)
+        return
+    grid, survival = tail_survival(amps, a0)
+    want_grid, want_survival = _reference_tail_survival(amps, a0)
+    assert np.array_equal(grid, want_grid)
+    assert np.array_equal(survival, want_survival)
 
 
 def test_a_failing_property_reports_its_falsifying_example(pytester, pytestconfig):

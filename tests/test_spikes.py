@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,20 @@ class TestTailSurvival:
     def test_needs_data(self):
         with pytest.raises(InsufficientDataError):
             tail_survival([5.0, 7.0], 10.0)
+
+    def test_memory_is_linear_in_the_sample(self):
+        # 20,000 distinct amplitudes: an amplitude-by-grid matrix would take
+        # 400 MB; a few arrays of the sample take under 4 MB.
+        amps = 10.0 + np.random.default_rng(3).exponential(5.0, 20_000)
+        assert len(np.unique(amps)) == len(amps)
+        tracemalloc.start()
+        try:
+            grid, surv = tail_survival(amps, 10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(grid) == len(amps) + 1 and surv[-1] == 0.0
+        assert peak < 200 * len(amps)
 
 
 class TestFitExponential:
