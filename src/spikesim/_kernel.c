@@ -19,7 +19,8 @@
    * a channel below its guard, (kr, kn) < (guard_kr, guard_kn), has rate 0;
    * the cumulative rates are summed in channel order, and the channel picked
      is the first whose cumulative rate exceeds the uniform times the total,
-     or the last one when round-off puts the uniform on the top edge.
+     or the last one with a positive rate when round-off puts the uniform on
+     the top edge.
 
    Sums start at 0.0, which changes no value: 0.0 + x is x, apart from the
    sign of a zero, which no comparison sees. */
@@ -65,6 +66,7 @@ int64_t spikesim_direct_method(bitgen_t *bitgen, const struct table *table, stru
 
     for (; count < limit; count++) {
         double r = kr * r_unit, n = kn * n_unit, total = 0.0;
+        int top = 0;
         for (int i = 0; i < n_channels; i++) {
             const double *k = coef + 5 * i;
             double rate = 0.0;
@@ -74,6 +76,7 @@ int64_t spikesim_direct_method(bitgen_t *bitgen, const struct table *table, stru
                 if (k[2] != 0.0) rate += k[2] * n;
                 if (k[3] != 0.0) rate += k[3];
                 if (k[4] != 1.0) rate /= k[4];
+                if (rate > 0.0) top = i;
             }
             cum[i] = total += rate;
         }
@@ -88,8 +91,8 @@ int64_t spikesim_direct_method(bitgen_t *bitgen, const struct table *table, stru
         }
         t = t_next;
         double u = next_double(bitgen) * total;
-        int pick = n_channels - 1;
-        for (int i = 0; i < n_channels - 1; i++) {
+        int pick = top;
+        for (int i = 0; i < top; i++) {
             if (u < cum[i]) {
                 pick = i;
                 break;

@@ -104,6 +104,26 @@ class RunConfig:
         return (self.mode, self.params, self.n_units, self.initial, self.t_end,
                 self.max_jumps, self.dt, self.seed)
 
+    def artifacts(self, outdir: str | Path = ".") -> dict[str, Path]:
+        """The files the run writes, by kind, in the order it writes them: the
+        path (an ODE run always; a jump run when ``out`` names it or no level
+        is set, since a statistics-only run has no use for its large path
+        CSV), the survival curve given ``a0``, the plateau-spike pairs given
+        both levels, and the report given a level or ``lln_reference``.  A
+        file that ``out``/``*_out`` does not name goes in ``outdir`` under
+        the run's label."""
+        spikes, plateaus = self.a0 is not None, self.thr is not None
+        plan = (
+            ("path", self.out, self.mode == "ds" or self.out or not (spikes or plateaus),
+             f"{self.label}.csv" if self.mode == "ds" else f"{self.label}_seed{self.seed}.csv"),
+            ("survival", self.survival_out, spikes, f"{self.label}_survival.csv"),
+            ("pairs", self.pairs_out, spikes and plateaus, f"{self.label}_pairs.csv"),
+            ("report", self.report_out, spikes or plateaus or self.lln_reference,
+             f"{self.label}_report.json"),
+        )
+        return {kind: Path(named) if named else Path(outdir) / name
+                for kind, named, written, name in plan if written}
+
 
 def preset(name: str) -> list[RunConfig]:
     """Figure-reproduction recipes: caption parameters plus documented
@@ -204,6 +224,7 @@ def analyse_group(
     series: PathSeries | None = None
     spikes_at: dict[float, list[SpikeRecord]] = {}
     for config in configs:
+        files = config.artifacts(outdir)
         ref = None
         if config.lln_reference and config.mode != "ds" and config.t_end is not None:
             # Before anything is written: a reference that cannot be integrated
@@ -212,21 +233,17 @@ def analyse_group(
                 ref = integrate(config.params, config.initial, config.t_end, dt=config.dt)
         outdir.mkdir(parents=True, exist_ok=True)
         report: dict = {"mode": config.mode, "seed": config.seed, "label": config.label}
-
-        if config.mode == "ds":
-            out = Path(config.out) if config.out else outdir / f"{config.label}.csv"
-            io.write_ode_csv(out, traj, {"r0": config.initial.r, "n0": config.initial.n})
-            yield out
-        else:
+        if config.mode != "ds":
             report["n_events"] = traj.n_events
             report["terminated_by"] = traj.terminated_by.value
-            # Keep the raw path when explicitly requested, or when it is the
-            # only artifact; statistics-only runs skip the (large) CSV.
-            if config.out or (config.a0 is None and config.thr is None):
-                out = (Path(config.out) if config.out
-                       else outdir / f"{config.label}_seed{config.seed}.csv")
-                io.write_jump_csv(out, traj)
-                yield out
+
+        if "path" in files:
+            if config.mode == "ds":
+                io.write_ode_csv(files["path"], traj,
+                                 {"r0": config.initial.r, "n0": config.initial.n})
+            else:
+                io.write_jump_csv(files["path"], traj)
+            yield files["path"]
 
         if series is None and (config.a0 is not None or config.thr is not None):
             series = PathSeries.from_ode(traj) if config.mode == "ds" else PathSeries.from_jump(traj)
@@ -234,41 +251,27 @@ def analyse_group(
             spikes_at[config.a0] = detect_spikes(series, config.a0)
         stats, amps, pairs = _analyse(series, config.a0, config.thr, spikes_at.get(config.a0))
         report.update(stats)
-        if amps is not None and stats["spikes"]["tail_fit"] is not None:
-            grid, survival = tail_survival(amps, config.a0)
-            surv_path = (
-                Path(config.survival_out)
-                if config.survival_out
-                else outdir / f"{config.label}_survival.csv"
-            )
+        if "survival" in files:
+            # Header only when no spike exceeds a0.
+            grid, survival = tail_survival(amps, config.a0) if amps else ((), ())
             io.write_survival_csv(
-                surv_path, grid, survival, config.params,
+                files["survival"], grid, survival, config.params,
                 {"a0": config.a0, "seed": config.seed, "mode": config.mode},
             )
-            yield surv_path
-        if pairs is not None:
-            pairs_path = (
-                Path(config.pairs_out)
-                if config.pairs_out
-                else outdir / f"{config.label}_pairs.csv"
-            )
+            yield files["survival"]
+        if "pairs" in files:
             io.write_pairs_csv(
-                pairs_path, pairs, config.params,
+                files["pairs"], pairs, config.params,
                 {"a0": config.a0, "thr": config.thr, "seed": config.seed},
             )
-            yield pairs_path
+            yield files["pairs"]
 
         if ref is not None:
             report["lln_sup_distance"] = lln_sup_distance(traj, ref, config.t_end)
 
-        if config.a0 is not None or config.thr is not None or config.lln_reference:
-            report_path = (
-                Path(config.report_out)
-                if config.report_out
-                else outdir / f"{config.label}_report.json"
-            )
-            io.write_json(report_path, report, config.params)
-            yield report_path
+        if "report" in files:
+            io.write_json(files["report"], report, config.params)
+            yield files["report"]
 
 
 def _analyse(
@@ -322,11 +325,18 @@ def _check_levels(a0: float | None, thr: float | None) -> None:
         raise UsageError(f"thr must be finite and >= 0, got {thr}")
 
 
-def _check_output(flag: str, path: str | None, written: bool, needs: str) -> None:
-    """Reject an output file that the run would not write, before anything
-    is simulated or written."""
-    if path and not written:
-        raise UsageError(f"{flag} writes nothing without {needs}")
+# What each optional artifact needs, by kind.
+_NEEDS = {"survival": "--a0", "pairs": "both --a0 and --thr",
+          "report": "--a0, --thr or --lln-reference"}
+
+
+def _check_outputs(named: dict[str, str | None], written) -> None:
+    """Reject an output flag, ``--<kind>-out`` by kind, that names a file
+    the run would not write (its kind is not in ``written``), before
+    anything is simulated or written."""
+    for kind, path in named.items():
+        if path and kind not in written:
+            raise UsageError(f"--{kind}-out writes nothing without {_NEEDS[kind]}")
 
 
 def _build_spec(config: RunConfig):
@@ -545,11 +555,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             label=Path(args.out).stem,
         )
         _check_levels(config.a0, config.thr)
-        spikes, plateaus = config.a0 is not None, config.thr is not None
-        _check_output("--pairs-out", config.pairs_out, spikes and plateaus, "both --a0 and --thr")
-        _check_output("--survival-out", config.survival_out, spikes, "--a0")
-        _check_output("--report-out", config.report_out,
-                      spikes or plateaus or config.lln_reference, "--a0, --thr or --lln-reference")
+        _check_outputs({"survival": config.survival_out, "pairs": config.pairs_out,
+                        "report": config.report_out}, config.artifacts())
         analyse_run(config, simulate_run(config), Path(args.out).parent)
         return 0
 
@@ -591,8 +598,8 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 def _run_analyze(args: argparse.Namespace) -> int:
     _check_levels(args.a0, args.thr)
-    _check_output("--pairs-out", args.pairs_out, args.a0 is not None and args.thr is not None,
-                  "both --a0 and --thr")
+    _check_outputs({"pairs": args.pairs_out},
+                   ["pairs"] if args.a0 is not None and args.thr is not None else [])
     meta, columns = io.read_trajectory_csv(args.input)
     if "t" not in columns or "n" not in columns:
         raise UsageError(f"{args.input}: expected columns t and n")
@@ -610,12 +617,14 @@ def _run_analyze(args: argparse.Namespace) -> int:
             raise UsageError(f"{args.input}: column {key} holds a value that is not finite")
     if np.any(t[1:] < t[:-1]):
         raise UsageError(f"{args.input}: times go backwards")
-    # Jump CSVs record the horizon the path covers; ODE CSVs end at their
-    # last sample.
-    t_end = _header_number(args.input, meta, "t_end") if "t_end" in meta else float(t[-1])
+    # Jump CSVs record the horizon the path covers, and hold a step path;
+    # ODE CSVs end at their last sample, and are read as linear between
+    # samples.
+    step = "t_end" in meta
+    t_end = _header_number(args.input, meta, "t_end") if step else float(t[-1])
     if t_end < t[-1]:
         raise UsageError(f"{args.input}: t_end={t_end!r} precedes the last sample time")
-    series = PathSeries(times=t, values=columns["n"], t_end=t_end, step="channel" in meta)
+    series = PathSeries(times=t, values=columns["n"], t_end=t_end, step=step)
 
     report: dict = {"input": str(args.input), "mode": meta.get("mode", "unknown")}
     stats, _amps, pairs = _analyse(series, args.a0, args.thr)

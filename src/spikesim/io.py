@@ -9,8 +9,7 @@ import functools
 import json
 import math
 import warnings
-from collections.abc import Callable
-from io import StringIO
+from collections.abc import Callable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +23,6 @@ from .ode import Trajectory
 # wrote no faster, and on some seeds their larger temporaries left the heap
 # fragmented enough to raise sample_paths' peak RSS by about 9 MB.
 _SLICE_ROWS = 1024
-# The reader's channel column: wide enough for the longest label and no
-# wider, since it is most of the memory a read row takes.
-_CHANNEL_DTYPE = f"U{max(map(len, CHANNEL_LABELS))}"
 
 
 def _meta_lines(params: ModelParams, extra: dict | None = None) -> list[str]:
@@ -44,39 +40,29 @@ def _meta_lines(params: ModelParams, extra: dict | None = None) -> list[str]:
     return [f"# {key}={value}" for key, value in items.items()]
 
 
-def _write_rows(fh, *columns: tuple[np.ndarray, Callable]) -> None:
-    """Write one CSV line per row of ``columns``, given as (values, format)
-    pairs of equal length, ``_SLICE_ROWS`` rows per ``fh.write``."""
-    n_rows = len(columns[0][0])
-    for start in range(0, n_rows, _SLICE_ROWS):
-        stop = start + _SLICE_ROWS
-        cells = [map(fmt, values[start:stop].tolist()) for values, fmt in columns]
-        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
-
-
-def _floats(values) -> np.ndarray:
-    # Every value is written as the repr of a Python float.
-    return np.asarray(values, dtype=np.float64)
-
-
 # A column's dtype by kind: float64 values written as their repr, int64
 # lattice indices k written as the repr of k * unit, int8 channel codes
 # written as their CHANNEL_LABELS.
 _DTYPES = {"float": np.float64, "lattice": np.int64, "label": np.int8}
 
 
-def _write_columns(fh, *columns: tuple[str, object, float]) -> None:
-    """Write one CSV line per row of equal-length ``columns``, each a (kind,
-    values, unit) triple with a kind of ``_DTYPES`` (unit is read only for
-    "lattice"): through the compiled formatter where it is available, else
-    ``_write_rows``, which gives the same bytes."""
+def _write_csv(path: str | Path, params: ModelParams, meta: dict | None, names: tuple[str, ...],
+               columns, first_row: str = "") -> None:
+    """Write a CSV file: the ``# key=value`` lines of ``params`` and
+    ``meta``, the line of column ``names``, ``first_row`` as it is (a whole
+    line, or nothing), then one line per row of ``columns``.  Each column is
+    a (kind, values, unit) triple with a kind of ``_DTYPES`` (unit is read
+    only for "lattice").  The rows go through the compiled formatter where
+    it is available, else ``_python_rows``, which gives the same bytes.
+    The columns are checked before the file is opened, so a rejected column
+    leaves no file behind."""
     checked = _checked_columns(columns)
-    format_rows = _compiled_formatter()
-    if format_rows is None:
-        _write_python(fh, checked)
-        return
-    for text in format_rows(checked, CHANNEL_LABELS, _SLICE_ROWS):
-        fh.write(text)
+    format_rows = _compiled_formatter() or _python_rows
+    with open(path, "w", newline="") as fh:
+        fh.write("".join(line + "\n" for line in _meta_lines(params, meta))
+                 + ",".join(names) + "\n" + first_row)
+        for text in format_rows(checked, CHANNEL_LABELS, _SLICE_ROWS):
+            fh.write(text)
 
 
 def _checked_columns(columns) -> list[tuple[str, np.ndarray, float]]:
@@ -98,25 +84,25 @@ def _checked_columns(columns) -> list[tuple[str, np.ndarray, float]]:
     return checked
 
 
-def _write_python(fh, columns: list[tuple[str, np.ndarray, float]]) -> None:
-    """``_write_rows`` on checked columns: the reference the compiled
-    formatter is held to, and its fallback."""
-    formats = {"float": repr, "label": CHANNEL_LABELS.__getitem__}
-    _write_rows(fh, *((values, _LatticeText(unit).__getitem__ if kind == "lattice"
-                       else formats[kind]) for kind, values, unit in columns))
-
-
-def _write_floats(fh, *columns) -> None:
-    """Write one CSV line per row of equal-length float ``columns``, each
-    value as its ``repr``."""
-    _write_columns(fh, *(("float", column, 0.0) for column in columns))
+def _python_rows(columns: list[tuple[str, np.ndarray, float]], labels: tuple[str, ...],
+                 slice_rows: int) -> Iterator[str]:
+    """The CSV lines of checked ``columns``, ``slice_rows`` rows per string,
+    formatted in Python: the compiled formatter's reference, and its
+    fallback."""
+    formats = [_LatticeText(unit).__getitem__ if kind == "lattice"
+               else repr if kind == "float" else labels.__getitem__
+               for kind, _values, unit in columns]
+    for start in range(0, len(columns[0][1]), slice_rows):
+        cells = [map(fmt, values[start:start + slice_rows].tolist())
+                 for fmt, (_kind, values, _unit) in zip(formats, columns)]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 @functools.cache
 def _compiled_formatter() -> Callable | None:
     """The library's ``format_rows``, loaded on first use; None
-    (``_write_rows`` writes) when the library cannot be built or loaded, or
-    when it does not write what ``_write_rows`` writes."""
+    (``_python_rows`` writes) when the library cannot be built or loaded,
+    or when it does not write what ``_python_rows`` writes."""
     from . import _compiled
 
     format_rows = _compiled.load_formatter()
@@ -142,11 +128,10 @@ def _compiled_formatter() -> Callable | None:
                                                       len(rows)), 1 / 3),
                                 ("lattice", rows % 11, 0.02),
                                 ("label", rows % len(CHANNEL_LABELS), 0.0)])
-    expected = StringIO()
-    _write_python(expected, columns)
     # In slices of seven rows, so that slices end mid-table.
-    got = "".join(format_rows(columns, CHANNEL_LABELS, 7))
-    return format_rows if got == expected.getvalue() else None
+    got, expected = ("".join(lines(columns, CHANNEL_LABELS, 7))
+                     for lines in (format_rows, _python_rows))
+    return format_rows if got == expected else None
 
 
 class _LatticeText(dict):
@@ -168,17 +153,16 @@ class _LatticeText(dict):
 
 
 def write_ode_csv(path: str | Path, traj: Trajectory, extra: dict | None = None) -> None:
-    meta = {"mode": "ds", "dt": traj.dt, "sample_every": traj.sample_every}
-    if extra:
-        meta.update(extra)
-    with open(path, "w", newline="") as fh:
-        for line in _meta_lines(traj.params, meta):
-            fh.write(line + "\n")
-        fh.write("t,r,n\n")
-        _write_floats(fh, traj.t, traj.r, traj.n)
+    meta = {"mode": "ds", "dt": traj.dt, "sample_every": traj.sample_every, **(extra or {})}
+    _write_csv(path, traj.params, meta, ("t", "r", "n"),
+               [("float", column, 0.0) for column in (traj.t, traj.r, traj.n)])
 
 
 def write_jump_csv(path: str | Path, traj: JumpTrajectory) -> None:
+    """The path as one row for the initial state, with no channel, then one
+    row per event: its time, the state after it and its channel label.  A
+    state's values are the products that ``JumpTrajectory.step_r``/``step_n``
+    form."""
     spec = traj.spec
     meta = {
         "mode": spec.kind.value,
@@ -190,13 +174,11 @@ def write_jump_csv(path: str | Path, traj: JumpTrajectory) -> None:
     if spec.anchor is not None:
         meta["anchor_r"] = spec.anchor.r
         meta["anchor_n"] = spec.anchor.n
-    with open(path, "w", newline="") as fh:
-        for line in _meta_lines(spec.params, meta):
-            fh.write(line + "\n")
-        fh.write("t,r,n,channel\n")
-        fh.write(f"{0.0!r},{traj.initial.r!r},{traj.initial.n!r},\n")
-        _write_columns(fh, ("float", traj.times, 0.0), ("lattice", traj.krs, spec.r_unit),
-                       ("lattice", traj.kns, spec.n_unit), ("label", traj.channels, 0.0))
+    r_unit, n_unit = float(spec.r_unit), float(spec.n_unit)
+    first_row = f"{0.0!r},{traj.initial.kr * r_unit!r},{traj.initial.kn * n_unit!r},\n"
+    _write_csv(path, spec.params, meta, ("t", "r", "n", "channel"),
+               [("float", traj.times, 0.0), ("lattice", traj.krs, r_unit),
+                ("lattice", traj.kns, n_unit), ("label", traj.channels, 0.0)], first_row)
 
 
 def write_survival_csv(
@@ -206,11 +188,8 @@ def write_survival_csv(
     params: ModelParams,
     extra: dict | None = None,
 ) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in _meta_lines(params, extra):
-            fh.write(line + "\n")
-        fh.write("a,survival\n")
-        _write_floats(fh, grid, survival)
+    _write_csv(path, params, extra, ("a", "survival"),
+               [("float", grid, 0.0), ("float", survival, 0.0)])
 
 
 def write_pairs_csv(
@@ -219,12 +198,9 @@ def write_pairs_csv(
     params: ModelParams,
     extra: dict | None = None,
 ) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in _meta_lines(params, extra):
-            fh.write(line + "\n")
-        fh.write("plateau_length,amplitude\n")
-        table = _floats(pairs).reshape(-1, 2)
-        _write_floats(fh, table[:, 0], table[:, 1])
+    table = np.asarray(pairs, dtype=np.float64).reshape(-1, 2)
+    _write_csv(path, params, extra, ("plateau_length", "amplitude"),
+               [("float", table[:, 0], 0.0), ("float", table[:, 1], 0.0)])
 
 
 def write_json(path: str | Path, payload: dict, params: ModelParams | None = None) -> None:
@@ -244,11 +220,9 @@ def write_json(path: str | Path, payload: dict, params: ModelParams | None = Non
 
 
 def read_trajectory_csv(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a trajectory CSV back as (meta dict, column arrays).
-
-    The channel column, when present, is returned as an array of labels
-    under the 'channel' key of the meta dict.
-    """
+    """Read a trajectory CSV back as (meta dict, column arrays): each
+    ``# key=value`` header line as a str, and each numeric column (t, r, n)
+    as a float64 array.  A jump CSV's channel column is not read."""
     meta: dict = {}
     with open(path) as fh:
         for line in fh:
@@ -261,12 +235,10 @@ def read_trajectory_csv(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
                 break
         else:
             raise ValueError(f"{path}: no header line found")
-        dtype = [(name, _CHANNEL_DTYPE if name == "channel" else "f8") for name in header]
+        names = [name for name in header if name != "channel"]
         with warnings.catch_warnings():
             # A path with no data rows reads as empty columns.
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=1)
-    columns = {name: data[name] for name in header if name != "channel"}
-    if "channel" in header:
-        meta["channel"] = data["channel"]
-    return meta, columns
+            data = np.loadtxt(fh, delimiter=",", usecols=[header.index(name) for name in names],
+                              unpack=True, ndmin=2)
+    return meta, dict(zip(names, data))

@@ -205,10 +205,13 @@ class JumpTrajectory:
         return np.concatenate(([0.0], self.times))
 
     def step_r(self) -> np.ndarray:
-        return np.concatenate(([self.initial.r], self.r_values()))
+        """r at t = 0, then after each event.  Every entry, the first one
+        included, is the lattice index times the unit as ``r_values`` forms
+        it, so a lattice state has one value along the path."""
+        return np.concatenate(([self.initial.kr], self.krs)) * float(self.spec.r_unit)
 
     def step_n(self) -> np.ndarray:
-        return np.concatenate(([self.initial.n], self.n_values()))
+        return np.concatenate(([self.initial.kn], self.kns)) * float(self.spec.n_unit)
 
 
 def build_global(params: ModelParams, n_units: int) -> ProcessSpec:
@@ -298,17 +301,17 @@ def _run_python(spec: ProcessSpec, kr: int, kn: int, rng: np.random.Generator, t
     with its zero terms left out and zero below its guard; their cumulative
     sums in channel order up to the total; one standard exponential for the
     waiting time, then one uniform for the channel, picked as the first
-    cumulative rate above it (the last channel when round-off puts it on the
-    top edge).  Only the event time and the channel index are stored.
+    cumulative rate above it (the last channel with a positive rate when
+    round-off puts it on the top edge).  Only the event time and the channel
+    index are stored.
     """
     rows, r_unit, n_unit = spec._rows, float(spec.r_unit), float(spec.n_unit)
     exponential, uniform = rng.standard_exponential, rng.random
     times, picks = array("d"), bytearray()
     cum = [0.0] * len(rows)
-    last = len(rows) - 1
     t = 0.0
     for _ in range(limit):
-        r, n, total = kr * r_unit, kn * n_unit, 0.0
+        r, n, total, top = kr * r_unit, kn * n_unit, 0.0, 0
         for i, (k_rn, k_r, k_n, k_1, div, guard_kr, guard_kn, _dkr, _dkn) in enumerate(rows):
             rate = 0.0
             if kr >= guard_kr and kn >= guard_kn:
@@ -322,6 +325,8 @@ def _run_python(spec: ProcessSpec, kr: int, kn: int, rng: np.random.Generator, t
                     rate += k_1
                 if div != 1.0:
                     rate /= div
+                if rate > 0.0:
+                    top = i
             total += rate
             cum[i] = total
         if total <= 0.0:
@@ -331,8 +336,8 @@ def _run_python(spec: ProcessSpec, kr: int, kn: int, rng: np.random.Generator, t
             return times, picks, Termination.TIME_HORIZON
         t = t_next
         u = uniform() * total
-        pick = last
-        for i in range(last):
+        pick = top
+        for i in range(top):
             if u < cum[i]:
                 pick = i
                 break

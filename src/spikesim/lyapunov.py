@@ -43,10 +43,14 @@ class ErgodicityCheck:
 
 @dataclass
 class DriftReport:
+    """``set_A`` holds the (kr, kn) lattice indices of the exceptional set
+    found in the scan box as an (m, 2) int64 array, one row per state in
+    row-major order."""
+
     mode: str
     epsilon: float
     scan_box: tuple[int, int]
-    set_A: list[LatticeState]
+    set_A: np.ndarray
     violations: list[dict]
     passed: bool
     inconclusive: bool
@@ -60,7 +64,7 @@ class DriftReport:
             "mode": self.mode,
             "epsilon": self.epsilon,
             "scan_box": list(self.scan_box),
-            "set_A": [[s.kr, s.kn] for s in self.set_A],
+            "set_A": self.set_A.tolist(),
             "violations": self.violations,
             "passed": self.passed,
             "inconclusive": self.inconclusive,
@@ -140,7 +144,7 @@ def scan_drift_condition(
             mode=kind.value,
             epsilon=epsilon,
             scan_box=scan_box or (0, 0),
-            set_A=[],
+            set_A=np.empty((0, 2), dtype=np.int64),
             violations=[],
             passed=False,
             inconclusive=True,
@@ -180,14 +184,8 @@ def scan_drift_condition(
         for i, j in zip(*np.nonzero(bad))
     ]
 
-    a_kr, a_kn = np.nonzero(in_a)
-    set_a = [
-        LatticeState(int(i), int(j), spec.r_unit, spec.n_unit)
-        for i, j in zip(a_kr, a_kn)
-    ]
-    extent = (
-        (int(a_kr.max()), int(a_kn.max())) if len(a_kr) else (0, 0)
-    )
+    set_a = np.argwhere(in_a)
+    extent = tuple(map(int, set_a.max(axis=0))) if len(set_a) else (0, 0)
 
     return DriftReport(
         mode=kind.value,

@@ -45,11 +45,11 @@ class TestIO:
         assert meta["mode"] == "oneunit"
         assert meta["seed"] == "9"
         assert len(columns["t"]) == 51  # initial row + events
-        assert meta["channel"][0] == ""
-        assert meta["channel"][1] in {
-            "stim-emission", "spont-emission", "absorption", "pumping", "leak"
-        }
+        # Only the numeric columns are read back.
+        assert list(columns) == ["t", "r", "n"] and "channel" not in meta
         assert np.array_equal(columns["t"][1:], traj.times)
+        assert np.array_equal(columns["r"], traj.step_r())
+        assert np.array_equal(columns["n"], traj.step_n())
 
     def test_csv_is_locale_independent(self, fig1_params, out):
         traj = integrate(fig1_params, State(0.01, 0.01), t_end=0.1, dt=1e-2)
@@ -383,6 +383,41 @@ def test_output_that_nothing_writes_is_usage_error(fig1_params, out, capsys, mon
     assert main(argv + ["--out", "a.csv"]) == 1
     assert message in capsys.readouterr().err
     assert [path.name for path in out.iterdir()] == ["in.csv"]
+
+
+# The levels a simulate run can set, and whether each output flag's file is
+# written, given the level flags set.
+LEVELS = {"none": [], "a0 10": ["--a0", "10"], "a0 1000": ["--a0", "1000"],
+          "thr": ["--thr", "10"], "a0 10 thr": ["--a0", "10", "--thr", "10"],
+          "a0 1000 thr": ["--a0", "1000", "--thr", "10"]}
+WRITTEN = {"--survival-out": lambda given: "--a0" in given,
+           "--pairs-out": lambda given: {"--a0", "--thr"} <= given,
+           "--report-out": bool}
+
+
+@pytest.mark.parametrize("lln", [False, True], ids=["", "lln"])
+@pytest.mark.parametrize("flag", list(WRITTEN))
+@pytest.mark.parametrize("levels", list(LEVELS))
+def test_an_accepted_output_flag_names_a_file_the_run_writes(out, monkeypatch, levels, flag, lln):
+    level_flags = LEVELS[levels] + (["--lln-reference"] if lln else [])
+    monkeypatch.chdir(out)
+    code = main(["simulate", "--mode", "oneunit", "--t-end", "50", "--seed", "1", *level_flags,
+                 flag, "named", "--out", "q.csv"])
+    if WRITTEN[flag]({arg for arg in level_flags if arg.startswith("--")}):
+        assert code == 0
+        assert {"named", "q.csv"} <= {path.name for path in out.iterdir()}
+    else:
+        assert code == 1
+        assert list(out.iterdir()) == []
+
+
+def test_survival_with_no_spike_above_a0_is_its_header(out):
+    assert main(["simulate", "--mode", "oneunit", "--t-end", "50", "--seed", "1",
+                 "--a0", "1000", "--survival-out", str(out / "s.csv"),
+                 "--out", str(out / "q.csv")]) == 0
+    assert _data_rows(out / "s.csv") == ["a,survival"]
+    report = json.loads((out / "q_report.json").read_text())
+    assert report["spikes"]["count"] == 0
 
 
 def test_levels_from_config_and_environment_enable_the_outputs(out, monkeypatch):

@@ -1,15 +1,17 @@
 """Golden-bytes gate for the CSV writers.
 
 The sha256 digests below were taken from the per-row writers before they
-became columnar.  The long ODE, jump, survival and pairs files hold more
-rows than one write slice, so slice boundaries are crossed.  The
-``# version=`` line is left out of each digest, so a version bump moves
-none of them.  Any change to the row layout, to the float formatting (the
-shortest round-trip ``repr``) or to the header lines changes a digest: the
-bytes are part of the reproducibility contract.  The module-level test runs
-the RK4 loop and the row formatter of the compiled library wherever it
-builds; ``TestPythonPaths`` runs every case again on the Python RK4 loop and
-row writer, their references.
+became columnar; those of the two short survival files (no spike above a0,
+and one) came later, from the columnar writers.  The long ODE, jump,
+survival and pairs files hold more rows than one write slice, so slice
+boundaries are crossed.  The ``# version=`` line is left out of each
+digest, so a version bump moves none of them.  Any change to the row
+layout, to the float formatting (the shortest round-trip ``repr``) or to
+the header lines changes a digest: the bytes are part of the
+reproducibility contract.  The module-level test runs the RK4 loop and the
+row formatter of the compiled library wherever it builds;
+``TestPythonPaths`` runs every case again on the Python RK4 loop and row
+writer, their references.
 """
 
 import hashlib
@@ -85,6 +87,17 @@ def survival_oneunit(path):
     write_survival_csv(path, grid, survival, P2, {"a0": 10.0, "seed": 2, "mode": "oneunit"})
 
 
+def survival_no_spike(path):
+    # No spike above a0: the file is its header alone.
+    write_survival_csv(path, (), (), P2, {"a0": 1000.0, "seed": 2, "mode": "oneunit"})
+
+
+def survival_one_spike(path):
+    spikes, _plateaus = _oneunit_levels()
+    grid, survival = tail_survival([max(s.amplitude for s in spikes)], 10.0)
+    write_survival_csv(path, grid, survival, P2, {"a0": 10.0, "seed": 2, "mode": "oneunit"})
+
+
 def survival_long(path):
     k = np.arange(20_000)
     write_survival_csv(path, 10.0 + 0.37 * k, 1.0 / (1.0 + k), P100, {"a0": 10.0})
@@ -110,6 +123,8 @@ CASES = {
     jump_oneunit: "88e65a56f22727b67edbc08fa82bf5d1f3000db14d71f474199b49c4f86e8d76",  # 10220
     jump_no_events: "396f6aee9667c60f1834c407ab3057e8e5f02afe699a58b4e820921ba6887ad5",  # 1
     survival_oneunit: "4fa1555b0b0b44fa1e93de5a5f3b13f04139b4bd275406e14476960ac5cbc0ef",  # 21
+    survival_no_spike: "74e64d3d4201a5c0b93447309065b11b8dc8c38092ab07d7ec1f3a1d8d3c14f5",  # 0
+    survival_one_spike: "70caa53ba957953ab18e41a66a8ce56f6f7b10f6bf780452372e0e0d80327249",  # 2
     survival_long: "6eb7304d91fa46bd1a8ea2a4adc55f155754d7bf15a6cecc9c67f111ad3e29d3",  # 20000
     pairs_oneunit: "44e665923ddb565e225aa8719a7b1304c0177b1496af107fc8706ef31014b2b2",  # 232
     pairs_long: "d90c7af8bbcc3ae391e62633b0a73ecf6d6712f0e0b0c4c3697dcce2465af153",  # 20000

@@ -95,6 +95,7 @@ def test_channel_codes_outside_the_labels_are_rejected(tmp_path, monkeypatch, co
     monkeypatch.setattr(io, "_compiled_formatter", lambda: formatter if compiled_path else None)
     with pytest.raises(ValueError, match="channel codes"):
         write_jump_csv(tmp_path / "jump.csv", traj)
+    assert not (tmp_path / "jump.csv").exists()  # checked before the file is opened
 
 
 def test_kernel_compiles_without_warnings():

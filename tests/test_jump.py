@@ -19,7 +19,7 @@ from spikesim import (
     stationary_point,
     vector_field,
 )
-from spikesim import jump
+from spikesim import io, jump
 
 # chi-square 99% quantile, 4 degrees of freedom (5 channels - 1)
 CHI2_99_DF4 = 13.2767
@@ -216,6 +216,29 @@ class TestSimulate:
         assert np.array_equal(in_use.times, python.times)
         assert np.array_equal(in_use.krs, python.krs)
         assert np.array_equal(in_use.channels, python.channels)
+
+    @pytest.mark.parametrize("kernel", ["in use", "python"])
+    @pytest.mark.parametrize("make", [lambda p: build_global(p, 1), build_meanfield, build_oneunit],
+                             ids=["global", "meanfield", "oneunit"])
+    def test_top_edge_pick_is_a_channel_with_a_positive_rate(self, monkeypatch, make, kernel):
+        # At (0, 0) with p = 5e-324 only pumping has a positive rate, and the
+        # uniform times that subnormal total rounds onto the top edge of the
+        # cumulative rates, past which lies the leak at rate 0.
+        spec = make(ModelParams(alpha=0.0, beta=1.0, gamma=100.0, p=5e-324))
+        if kernel == "python":
+            monkeypatch.setattr(jump, "_compiled_run", lambda: None)
+        traj = simulate(spec, spec.lattice_state(0.0, 0.0), max_jumps=3, seed=0)
+        assert [CHANNEL_LABELS[c] for c in traj.channels] == ["pumping"] * 3
+
+    def test_a_lattice_state_has_one_value_along_the_path(self, fig1_params, tmp_path):
+        spec = build_meanfield(fig1_params)
+        traj = simulate(spec, LatticeState(190, 0, spec.r_unit, spec.n_unit), t_end=50.0, seed=1)
+        returns = np.flatnonzero(traj.krs == 190) + 1  # step indices back at kr = 190
+        assert len(returns) > 10
+        assert np.all(traj.step_r()[returns] == traj.step_r()[0])
+        io.write_jump_csv(tmp_path / "p.csv", traj)
+        _meta, columns = io.read_trajectory_csv(tmp_path / "p.csv")
+        assert np.all(columns["r"][returns] == columns["r"][0])
 
     def test_requires_horizon(self, fig1_params):
         spec = build_oneunit(fig1_params)

@@ -146,9 +146,8 @@ class TestScan:
         assert report.violations == []
         bound = membership_bound(fig1_params, 0.1)
         a, b, g = fig1_params.alpha, fig1_params.beta, fig1_params.gamma
-        for s in report.set_A:
-            x, y = s.r, s.n
-            assert x * y + a * x + (g / b - 1.0) * y <= bound
+        x, y = report.set_A[:, 0] / g, report.set_A[:, 1].astype(float)
+        assert np.all(x * y + a * x + (g / b - 1.0) * y <= bound)
         # The set is wide along y = 0 but shallow in y.
         assert report.a_extent[0] == 400  # truncated by the box
         assert report.a_extent[1] < 10
@@ -181,16 +180,16 @@ class TestScan:
         )
         assert report.passed
         bound = params.gamma * epsilon
-        for s in report.set_A:
-            lhs = s.r * s.n + params.alpha * s.r + (params.gamma / params.beta - 1) * s.n
-            assert lhs <= bound + 1e-12
+        x, y = report.set_A[:, 0] / params.gamma, report.set_A[:, 1].astype(float)
+        lhs = x * y + params.alpha * x + (params.gamma / params.beta - 1) * y
+        assert np.all(lhs <= bound + 1e-12)
 
     def test_origin_always_in_set(self, fig1_params):
         big_eps = 100.0 * (fig1_params.gamma + 1) / fig1_params.gamma * fig1_params.p
         report = scan_drift_condition(
             ProcessKind.ONEUNIT, fig1_params, epsilon=big_eps, scan_box=(50, 50)
         )
-        assert any(s.kr == 0 and s.kn == 0 for s in report.set_A)
+        assert [0, 0] in report.set_A.tolist()
 
     def test_inconclusive_when_condition_fails(self):
         params = ModelParams(alpha=0.01, beta=1.0, gamma=0.5, p=7.0)
@@ -217,11 +216,13 @@ class TestScan:
         report = scan_drift_condition(
             ProcessKind.ONEUNIT, fig1_params, epsilon=0.1, scan_box=(40, 40)
         )
+        assert report.set_A.dtype == np.int64 and report.set_A.shape[1] == 2
         d = report.to_dict()
         assert d["mode"] == "oneunit"
         assert d["epsilon"] == 0.1
         assert d["scan_box"] == [40, 40]
         assert d["violations"] == []
+        assert d["set_A"] == report.set_A.tolist() and len(d["set_A"]) > 0
         assert all(len(pair) == 2 for pair in d["set_A"])
 
 

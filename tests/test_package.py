@@ -80,3 +80,34 @@ def test_every_private_module_level_name_is_used():
                        if name.startswith("_") and not name.startswith("__")
                        and name not in used]
     assert unused == [], "private names that nothing in the package refers to"
+
+
+def _file_writes(tree: ast.Module) -> list[int]:
+    """The lines that open a file for writing: ``open`` or ``Path.open``
+    with a mode that is not plainly a read mode, ``write_text``,
+    ``write_bytes`` or ``json.dump``."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "open":
+            # open(file, mode) or path.open(mode)
+            position = 1 if isinstance(func, ast.Name) else 0
+            mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                        node.args[position] if len(node.args) > position else None)
+            if mode is not None and not (isinstance(mode, ast.Constant)
+                                         and set(mode.value) <= set("rbt")):
+                lines.append(node.lineno)
+        elif name in ("write_text", "write_bytes", "dump"):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_io_writes_files():
+    # One writer: every artifact goes through spikesim.io.
+    writes = {path.name: _file_writes(ast.parse(path.read_text(), filename=str(path)))
+              for path in MODULES}
+    assert writes.pop("io.py")  # the check sees io's own writes
+    assert {name: lines for name, lines in writes.items() if lines} == {}

@@ -89,6 +89,8 @@ def _build(kind: str, params: ModelParams, n_units: int):
     n0=st.floats(0.0, 20.0, **finite),
     seed=st.integers(0, 2**32),
 )
+@example(params=ModelParams(alpha=0.0, beta=1.0, gamma=100.0, p=5e-324), kind="oneunit",
+         n_units=1, r0=0.0, n0=0.0, seed=0)
 def test_lattice_states_stay_non_negative(params, kind, n_units, r0, n0, seed):
     spec = _build(kind, params, n_units)
     traj = simulate(spec, spec.lattice_state(r0, n0), max_jumps=400, seed=seed)
@@ -203,6 +205,14 @@ COMPILED_FORMATTER = _compiled.load_formatter()
     max_events=st.integers(0, 400),
     chunk=st.integers(1, 40),
 )
+# The one-unit table at alpha = 0 and p = 5e-324 from (0, 0): the uniform
+# lands on the top edge of a subnormal total, past which the leak's rate is 0.
+@example(rows=[{"k_rn": 1.0, "k_r": 0.0, "k_n": 0.0, "k_1": 0.0, "div": 1.0},
+               {"k_rn": 0.0, "k_r": 0.0, "k_n": 0.0, "k_1": 0.0, "div": 1.0},
+               {"k_rn": 0.0, "k_r": 0.0, "k_n": 1.0, "k_1": 0.0, "div": 1.0},
+               {"k_rn": 0.0, "k_r": 0.0, "k_n": 0.0, "k_1": 5e-324, "div": 1.0},
+               {"k_rn": 0.0, "k_r": 0.0, "k_n": 1.0, "k_1": 0.0, "div": 1.0}],
+         units=(100, 1), kr=0, kn=0, seed=0, t_end=None, max_jumps=3, max_events=400, chunk=1)
 def test_compiled_and_python_kernels_draw_the_same_stream(
     rows, units, kr, kn, seed, t_end, max_jumps, max_events, chunk
 ):
@@ -318,11 +328,13 @@ def _reference_write_jump_csv(path, traj):
         meta["anchor_n"] = spec.anchor.n
     rs = traj.r_values()
     ns = traj.n_values()
+    r0 = float(np.int64(traj.initial.kr) * float(spec.r_unit))
+    n0 = float(np.int64(traj.initial.kn) * float(spec.n_unit))
     with open(path, "w", newline="") as fh:
         for line in _meta_lines(spec.params, meta):
             fh.write(line + "\n")
         fh.write("t,r,n,channel\n")
-        fh.write(f"{0.0!r},{traj.initial.r!r},{traj.initial.n!r},\n")
+        fh.write(f"{0.0!r},{r0!r},{n0!r},\n")
         for i in range(traj.n_events):
             fh.write(
                 f"{float(traj.times[i])!r},{float(rs[i])!r},{float(ns[i])!r},"
