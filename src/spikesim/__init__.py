@@ -63,8 +63,6 @@ from .spikes import (  # noqa: F401
     CoverageError,
     InsufficientDataError,
     PathSeries,
-    PlateauRecord,
-    SpikeRecord,
     TailFit,
     correlation,
     detect_plateaus,

@@ -34,7 +34,6 @@ from .ode import Trajectory, integrate
 from .spikes import (
     InsufficientDataError,
     PathSeries,
-    SpikeRecord,
     correlation,
     detect_plateaus,
     detect_spikes,
@@ -222,11 +221,11 @@ def analyse_group(
     plateaus, and its spikes are detected once per level."""
     outdir = Path(outdir)
     series: PathSeries | None = None
-    spikes_at: dict[float, list[SpikeRecord]] = {}
+    spikes_at: dict[float, np.recarray] = {}
     for config in configs:
         files = config.artifacts(outdir)
         ref = None
-        if config.lln_reference and config.mode != "ds" and config.t_end is not None:
+        if config.lln_reference and config.mode != "ds":
             # Before anything is written: a reference that cannot be integrated
             # leaves no artifact.
             with _argument_checks():
@@ -253,7 +252,7 @@ def analyse_group(
         report.update(stats)
         if "survival" in files:
             # Header only when no spike exceeds a0.
-            grid, survival = tail_survival(amps, config.a0) if amps else ((), ())
+            grid, survival = tail_survival(amps, config.a0) if len(amps) else ((), ())
             io.write_survival_csv(
                 files["survival"], grid, survival, config.params,
                 {"a0": config.a0, "seed": config.seed, "mode": config.mode},
@@ -276,8 +275,8 @@ def analyse_group(
 
 def _analyse(
     series: PathSeries | None, a0: float | None, thr: float | None,
-    spikes: list[SpikeRecord] | None = None,
-) -> tuple[dict, list[float] | None, list[tuple[float, float]] | None]:
+    spikes: np.recarray | None = None,
+) -> tuple[dict, np.ndarray | None, np.ndarray | None]:
     """The spike, tail-fit, plateau, pairing and correlation report of one
     path, with the spike amplitudes (None without ``a0``) and the
     plateau-spike pairs (None unless both levels are given).  ``series`` is
@@ -288,7 +287,7 @@ def _analyse(
     if a0 is not None:
         if spikes is None:
             spikes = detect_spikes(series, a0)
-        amps = [s.amplitude for s in spikes]
+        amps = spikes.amplitude
         report["spikes"] = {"a0": a0, "count": len(spikes)}
         try:
             report["spikes"]["tail_fit"] = fit_exponential(amps, a0).to_dict()
@@ -555,6 +554,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             label=Path(args.out).stem,
         )
         _check_levels(config.a0, config.thr)
+        if config.lln_reference and config.t_end is None:
+            raise UsageError("--lln-reference needs a horizon (--t-end)")
         _check_outputs({"survival": config.survival_out, "pairs": config.pairs_out,
                         "report": config.report_out}, config.artifacts())
         analyse_run(config, simulate_run(config), Path(args.out).parent)

@@ -45,32 +45,6 @@ class PathSeries:
 
 
 @dataclass(frozen=True)
-class SpikeRecord:
-    """One maximal excursion above the detection threshold.
-
-    ``t_start`` is the time the path first exceeds the threshold, ``t_end``
-    the time it is first back at or below it (or the series end), and the
-    amplitude is the absolute peak value.  On lattice paths a one-event
-    excursion peaks at its entry point, so t_start == t_peak can occur.
-    """
-
-    t_peak: float
-    amplitude: float
-    t_start: float
-    t_end: float
-
-
-@dataclass(frozen=True)
-class PlateauRecord:
-    """Maximal interval [t_start, t_end) with the path at or below ``threshold``."""
-
-    t_start: float
-    t_end: float
-    length: float
-    threshold: float
-
-
-@dataclass(frozen=True)
 class TailFit:
     """Shifted-exponential fit of spike amplitudes above ``a0``.
 
@@ -125,40 +99,43 @@ def _excursions(
     return edges[::2], edges[1::2], times[::2], times[1::2]
 
 
-def detect_spikes(series: PathSeries, a0: float) -> list[SpikeRecord]:
-    """Maximal excursions of the path strictly above ``a0``, time-ordered."""
+def detect_spikes(series: PathSeries, a0: float) -> np.recarray:
+    """Maximal excursions of the path strictly above ``a0``, time-ordered:
+    a record array with fields ``t_peak, amplitude, t_start, t_end``.
+
+    ``t_start`` is the time the path first exceeds ``a0``, ``t_end`` the
+    time it is first back at or below it (or the series end), and the
+    amplitude is the absolute peak value.  On lattice paths a one-event
+    excursion peaks at its entry point, so t_start == t_peak can occur.
+    """
     if not (a0 > 0):
         raise ValueError(f"a0 must be > 0, got {a0}")
     t, v = series.times, series.values
     first, _, t_start, t_end = _excursions(series, v > a0, a0)
-    if len(first) == 0:
-        return []
-    # The samples between two runs lie at or below a0, so each reduction
-    # from one run's first index to the next one's is that run's peak.
-    amps = np.maximum.reduceat(v, first)
-    # The samples that equal their run's peak; a run's first one is t_peak.
-    reached = first[0] + np.flatnonzero(
-        v[first[0]:] == np.repeat(amps, np.diff(first, append=len(v)))
-    )
-    t_peak = t[reached[np.searchsorted(reached, first)]]
-    return [
-        SpikeRecord(t_peak=peak, amplitude=amp, t_start=start, t_end=end)
-        for peak, amp, start, end in zip(
-            t_peak.tolist(), amps.tolist(), t_start.tolist(), t_end.tolist()
+    amps = t_peak = t_start  # the empty columns when no run is found
+    if len(first):
+        # The samples between two runs lie at or below a0, so each reduction
+        # from one run's first index to the next one's is that run's peak.
+        amps = np.maximum.reduceat(v, first)
+        # The samples that equal their run's peak; a run's first one is t_peak.
+        reached = first[0] + np.flatnonzero(
+            v[first[0]:] == np.repeat(amps, np.diff(first, append=len(v)))
         )
-    ]
+        t_peak = t[reached[np.searchsorted(reached, first)]]
+    return np.rec.fromarrays([t_peak, amps, t_start, t_end],
+                             names="t_peak, amplitude, t_start, t_end")
 
 
-def detect_plateaus(series: PathSeries, thr: float) -> list[PlateauRecord]:
-    """Maximal intervals with the path at or below ``thr``, in continuous time."""
-    if thr < 0:
+def detect_plateaus(series: PathSeries, thr: float) -> np.recarray:
+    """Maximal intervals [t_start, t_end) with the path at or below ``thr``,
+    in continuous time: a record array with fields ``t_start, t_end, length``."""
+    if not (thr >= 0):
         raise ValueError(f"thr must be >= 0, got {thr}")
     _, _, t_start, t_end = _excursions(series, series.values <= thr, thr)
     kept = t_end > t_start
-    return [
-        PlateauRecord(t_start=start, t_end=end, length=end - start, threshold=thr)
-        for start, end in zip(t_start[kept].tolist(), t_end[kept].tolist())
-    ]
+    t_start, t_end = t_start[kept], t_end[kept]
+    return np.rec.fromarrays([t_start, t_end, t_end - t_start],
+                             names="t_start, t_end, length")
 
 
 def tail_survival(amplitudes, a0: float) -> tuple[np.ndarray, np.ndarray]:
@@ -209,18 +186,16 @@ def fit_exponential(amplitudes, a0: float) -> TailFit:
     )
 
 
-def pair_plateau_spike(
-    plateaus: list[PlateauRecord], spikes: list[SpikeRecord]
-) -> list[tuple[float, float]]:
+def pair_plateau_spike(plateaus: np.recarray, spikes: np.recarray) -> np.ndarray:
     """Pair each plateau with the first spike starting at or after its end.
 
     A spike accepts at most one plateau (the nearest preceding); plateaus
-    with no following spike are dropped.  Returns (length, amplitude) pairs.
+    with no following spike are dropped.  Returns the (length, amplitude)
+    pairs in spike order as an (m, 2) array, (0, 2) when nothing pairs.
     """
-    if not plateaus or not spikes:
-        return []
-    ends = np.array([p.t_end for p in plateaus])
-    starts = np.array([s.t_start for s in spikes])
+    if len(plateaus) == 0 or len(spikes) == 0:
+        return np.empty((0, 2))
+    ends, starts = plateaus.t_end, spikes.t_start
     # Ends ascending, equal ends last-listed first: the last end at or
     # before a spike's start is then the first-listed latest plateau.
     order = np.lexsort((-np.arange(len(ends)), ends))
@@ -228,8 +203,7 @@ def pair_plateau_spike(
     # That plateau is the spike's own unless it ends at or before the
     # previous spike's start (or after this one's, when none ends in time).
     owned = (ends[latest] <= starts) & (ends[latest] > np.append(-np.inf, starts[:-1]))
-    return [(plateaus[i].length, spikes[j].amplitude)
-            for j, i in zip(np.flatnonzero(owned).tolist(), latest[owned].tolist())]
+    return np.column_stack((plateaus.length[latest[owned]], spikes.amplitude[owned]))
 
 
 def correlation(pairs) -> CorrelationSummary:

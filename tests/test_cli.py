@@ -335,6 +335,11 @@ OUT_OF_RANGE = {
     "simulate --lln-reference --t-end 0.0005": (
         ["simulate", "--mode", "oneunit", "--t-end", "0.0005", "--lln-reference"],
         "dt must satisfy 0 < dt <= t_end"),
+    # A jump count alone bounds the run, so there is no horizon to compare over.
+    "simulate --lln-reference without a horizon": (
+        ["simulate", "--mode", "global", "--n-units", "10", "--max-jumps", "100",
+         "--lln-reference"],
+        "--lln-reference needs a horizon (--t-end)"),
     "stability --p 0 --alpha 0": (["stability", "--p", "0", "--alpha", "0"],
                                   "stationary point undefined"),
     "lyapunov meanfield --p 0 --alpha 0": (

@@ -1,5 +1,6 @@
-"""The package as a whole: importing it stays cheap, and its modules and the
-test files carry no leftovers of removed code."""
+"""The package as a whole: importing it stays cheap, its modules and the
+test files carry no leftovers of removed code, and the README's library
+example runs."""
 
 import ast
 import os
@@ -14,6 +15,7 @@ import spikesim
 PACKAGE = Path(spikesim.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
+README = Path(__file__).parents[1] / "README.md"
 
 
 def test_import_and_building_specs_load_no_compiled_library():
@@ -111,3 +113,11 @@ def test_only_io_writes_files():
               for path in MODULES}
     assert writes.pop("io.py")  # the check sees io's own writes
     assert {name: lines for name, lines in writes.items() if lines} == {}
+
+
+def test_readme_library_example_runs(capsys):
+    # The code block under "## Library example", exactly as the README shows it.
+    section = README.read_text().split("\n## Library example\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, f"{README.name}, Library example", "exec"), {})
+    assert capsys.readouterr().out.startswith("TailFit(a0=10.0, lambda_hat=")

@@ -7,6 +7,7 @@ the same verdict on every run.
 import functools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -58,7 +59,7 @@ from spikesim.ode import (
     NegativeOvershootError,
     _floor_component,
 )
-from spikesim.spikes import PlateauRecord, SpikeRecord, _average_ranks
+from spikesim.spikes import _average_ranks
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -582,7 +583,31 @@ def test_compiled_and_python_rk4_agree(params, r0, n0, t_end, dt, sample_every):
 # Reference implementations: the per-run spike and plateau loops, the
 # per-plateau pairing, the tie-block ranks and the amplitude-by-grid survival
 # matrix.  The array versions do the same arithmetic, so they must give the
-# same records and the same floats.
+# same rows and the same floats.
+
+
+class Spike(NamedTuple):
+    t_peak: float
+    amplitude: float
+    t_start: float
+    t_end: float
+
+
+class Plateau(NamedTuple):
+    t_start: float
+    t_end: float
+    length: float
+
+
+def _table(records, record_type):
+    """The record array of ``record_type`` rows, as the detectors return."""
+    columns = np.array(records, float).reshape(-1, len(record_type._fields)).T
+    return np.rec.fromarrays(columns, names=record_type._fields)
+
+
+def _rows(table):
+    """A record array's or a pairs array's rows as tuples."""
+    return [tuple(row) for row in table.tolist()]
 
 
 def _reference_runs(mask):
@@ -626,8 +651,8 @@ def _reference_detect_spikes(series, a0):
     for first, last in _reference_runs(v > a0):
         seg = v[first : last + 1]
         t_start, t_end = _reference_run_ends(series, first, last, a0)
-        records.append(SpikeRecord(t_peak=float(t[first + int(np.argmax(seg))]),
-                                   amplitude=float(seg.max()), t_start=t_start, t_end=t_end))
+        records.append(Spike(t_peak=float(t[first + int(np.argmax(seg))]),
+                             amplitude=float(seg.max()), t_start=t_start, t_end=t_end))
     return records
 
 
@@ -636,8 +661,7 @@ def _reference_detect_plateaus(series, thr):
     for first, last in _reference_runs(series.values <= thr):
         t_start, t_end = _reference_run_ends(series, first, last, thr)
         if t_end > t_start:
-            records.append(PlateauRecord(t_start=t_start, t_end=t_end,
-                                         length=t_end - t_start, threshold=thr))
+            records.append(Plateau(t_start=t_start, t_end=t_end, length=t_end - t_start))
     return records
 
 
@@ -712,12 +736,14 @@ LOOPS = settings(PROPERTY, max_examples=200)
                            np.array([12.0, 0.0, 12.0, 15.0, 0.0]), 3.0, step=False),
          a0=10.0, thr=0.0)
 def test_excursion_scan_matches_the_run_loops(series, a0, thr):
-    spikes = detect_spikes(series, a0)
-    plateaus = detect_plateaus(series, thr)
-    assert spikes == _reference_detect_spikes(series, a0)
-    assert plateaus == _reference_detect_plateaus(series, thr)
-    assert pair_plateau_spike(plateaus, spikes) == _reference_pair_plateau_spike(
-        plateaus, spikes)
+    spikes = _reference_detect_spikes(series, a0)
+    plateaus = _reference_detect_plateaus(series, thr)
+    found_spikes = detect_spikes(series, a0)
+    found_plateaus = detect_plateaus(series, thr)
+    assert _rows(found_spikes) == spikes
+    assert _rows(found_plateaus) == plateaus
+    assert _rows(pair_plateau_spike(found_plateaus, found_spikes)) == (
+        _reference_pair_plateau_spike(plateaus, spikes))
 
 
 @LOOPS
@@ -726,12 +752,12 @@ def test_excursion_scan_matches_the_run_loops(series, a0, thr):
 def test_pairing_matches_the_plateau_loop_on_tied_and_unordered_ends(ends, starts):
     # Plateaus in any order with equal ends; spikes time-ordered, as
     # detect_spikes gives them, with equal starts.
-    plateaus = [PlateauRecord(t_start=end - k - 1.0, t_end=end, length=k + 1.0, threshold=0.0)
+    plateaus = [Plateau(t_start=end - k - 1.0, t_end=end, length=k + 1.0)
                 for k, end in enumerate(ends)]
-    spikes = [SpikeRecord(t_peak=start, amplitude=k + 20.0, t_start=start, t_end=start + 0.5)
+    spikes = [Spike(t_peak=start, amplitude=k + 20.0, t_start=start, t_end=start + 0.5)
               for k, start in enumerate(sorted(starts))]
-    assert pair_plateau_spike(plateaus, spikes) == _reference_pair_plateau_spike(
-        plateaus, spikes)
+    pairs = pair_plateau_spike(_table(plateaus, Plateau), _table(spikes, Spike))
+    assert _rows(pairs) == _reference_pair_plateau_spike(plateaus, spikes)
 
 
 @LOOPS

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,6 @@ from spikesim import (
     simulate,
     tail_survival,
 )
-from spikesim.spikes import PlateauRecord, SpikeRecord
 
 
 def step_series(times, values, t_end):
@@ -52,7 +52,7 @@ def reflect_step(series: PathSeries) -> PathSeries:
 class TestDetectSpikes:
     def test_flat_zero_has_no_spikes(self):
         series = step_series([0.0, 1.0, 2.0], [0.0, 0.0, 0.0], 3.0)
-        assert detect_spikes(series, 10.0) == []
+        assert len(detect_spikes(series, 10.0)) == 0
 
     def test_two_square_spikes(self):
         series = step_series([0, 1, 2, 3, 4], [0, 12, 0, 25, 0], 5.0)
@@ -119,7 +119,7 @@ class TestDetectSpikes:
 class TestDetectPlateaus:
     def test_always_above_threshold(self):
         series = step_series([0, 1], [5, 6], 2.0)
-        assert detect_plateaus(series, 1.0) == []
+        assert len(detect_plateaus(series, 1.0)) == 0
 
     def test_lengths_of_zero_plateaus(self):
         series = step_series([0, 5, 6], [0, 12, 0], 10.0)
@@ -157,8 +157,9 @@ class TestDetectPlateaus:
         assert records[0].t_end == pytest.approx(3.0)
 
     def test_rejects_negative_threshold(self):
-        with pytest.raises(ValueError):
-            detect_plateaus(step_series([0.0], [0.0], 1.0), -1.0)
+        for thr in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                detect_plateaus(step_series([0.0], [0.0], 1.0), thr)
 
 
 class TestTailSurvival:
@@ -235,40 +236,60 @@ class TestFitExponential:
         assert set(fit.to_dict()) == {"a0", "lambda_hat", "r_squared", "n_spikes"}
 
 
-def plateau(t_start, t_end):
-    return PlateauRecord(t_start=t_start, t_end=t_end, length=t_end - t_start,
-                         threshold=0.0)
+def plateaus(*intervals):
+    """A plateau table of (t_start, t_end) intervals, as detect_plateaus gives."""
+    start, end = np.array(intervals, float).reshape(-1, 2).T
+    return np.rec.fromarrays([start, end, end - start], names="t_start, t_end, length")
 
 
-def spike(t_start, amplitude):
-    return SpikeRecord(t_peak=t_start + 0.1, amplitude=amplitude,
-                       t_start=t_start, t_end=t_start + 0.5)
+def spikes(*excursions):
+    """A spike table of (t_start, amplitude) excursions, as detect_spikes gives."""
+    start, amplitude = np.array(excursions, float).reshape(-1, 2).T
+    return np.rec.fromarrays([start + 0.1, amplitude, start, start + 0.5],
+                             names="t_peak, amplitude, t_start, t_end")
 
 
 class TestPairing:
     def test_no_spikes(self):
-        assert pair_plateau_spike([plateau(0, 5)], []) == []
+        assert len(pair_plateau_spike(plateaus((0, 5)), spikes())) == 0
 
     def test_each_plateau_takes_next_spike(self):
-        plateaus = [plateau(0, 5), plateau(8, 10)]
-        spikes = [spike(6, 30.0), spike(12, 50.0)]
-        pairs = pair_plateau_spike(plateaus, spikes)
-        assert pairs == [(5.0, 30.0), (2.0, 50.0)]
+        pairs = pair_plateau_spike(plateaus((0, 5), (8, 10)), spikes((6, 30.0), (12, 50.0)))
+        assert pairs.tolist() == [[5.0, 30.0], [2.0, 50.0]]
 
     def test_spike_pairs_with_nearest_preceding_plateau(self):
-        plateaus = [plateau(0, 3), plateau(4, 6)]
-        spikes = [spike(7, 30.0)]
-        assert pair_plateau_spike(plateaus, spikes) == [(2.0, 30.0)]
+        pairs = pair_plateau_spike(plateaus((0, 3), (4, 6)), spikes((7, 30.0)))
+        assert pairs.tolist() == [[2.0, 30.0]]
 
     def test_plateau_without_following_spike_dropped(self):
-        plateaus = [plateau(0, 3), plateau(50, 60)]
-        spikes = [spike(7, 30.0)]
-        assert pair_plateau_spike(plateaus, spikes) == [(3.0, 30.0)]
+        pairs = pair_plateau_spike(plateaus((0, 3), (50, 60)), spikes((7, 30.0)))
+        assert pairs.tolist() == [[3.0, 30.0]]
 
     def test_spike_start_at_plateau_end_pairs(self):
         # Equal plateau and spike thresholds make the excursion begin exactly
         # where the plateau ends.
-        assert pair_plateau_spike([plateau(0, 5)], [spike(5, 20.0)]) == [(5.0, 20.0)]
+        pairs = pair_plateau_spike(plateaus((0, 5)), spikes((5, 20.0)))
+        assert pairs.tolist() == [[5.0, 20.0]]
+
+
+def test_detection_and_pairing_return_arrays():
+    series = step_series([0, 1, 2, 3, 4], [0, 12, 0, 25, 0], 5.0)
+    found, quiet = detect_spikes(series, 10.0), detect_spikes(series, 30.0)
+    for table in (found, quiet):
+        assert isinstance(table, np.recarray)
+        assert table.dtype.names == ("t_peak", "amplitude", "t_start", "t_end")
+    assert len(found) == 2 and len(quiet) == 0
+    lows, none = detect_plateaus(series, 0.0), detect_plateaus(step_series([0], [5], 1.0), 0.0)
+    for table in (lows, none):
+        assert isinstance(table, np.recarray)
+        assert table.dtype.names == ("t_start", "t_end", "length")
+    assert len(lows) == 3 and len(none) == 0
+    for pairs, rows in ((pair_plateau_spike(lows, found), 2),
+                        (pair_plateau_spike(lows, quiet), 0),
+                        (pair_plateau_spike(none, found), 0),
+                        (pair_plateau_spike(plateaus((8, 9)), found), 0)):
+        assert isinstance(pairs, np.ndarray) and pairs.dtype == np.float64
+        assert pairs.shape == (rows, 2)
 
 
 class TestCorrelation:
