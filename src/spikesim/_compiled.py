@@ -159,22 +159,43 @@ _FLOAT_BYTES = 24
 
 
 def load_formatter() -> Callable | None:
-    """``format_rows`` bound to the library's row formatter, or None.  It
-    calls no Python, so it runs with the GIL released (``CFUNCTYPE``)."""
+    """``format_rows`` bound to the library's row formatter and its power
+    table, or None.  It calls no Python, so it runs with the GIL released
+    (``CFUNCTYPE``)."""
     formatter = _entry("spikesim_format_rows",
                        ctypes.CFUNCTYPE(ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
                                         ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
-                                        ctypes.c_int64))
-    return None if formatter is None else functools.partial(format_rows, formatter)
+                                        ctypes.c_int64, ctypes.c_void_p))
+    return None if formatter is None else functools.partial(format_rows, formatter,
+                                                            pow10_table())
 
 
-def format_rows(formatter, columns: list[tuple[str, np.ndarray, float]], labels: tuple[str, ...],
-                slice_rows: int) -> Iterator[str]:
-    """The CSV lines of ``columns``, ``slice_rows`` rows per string.  Each
-    column is a (kind, values, unit) triple of a kind in ``KINDS``; the
-    caller has checked that the values are contiguous and 1-D, of one
-    length, of the kind's dtype, and that every label code indexes
-    ``labels``, since the C loop trusts all of that."""
+def pow10_table() -> ctypes.Array:
+    """The formatter's g(m) = floor(10^m * 2^(127 - floor(m log2 10))) + 1
+    for m = -292 .. 326, as 1238 {high, low} halves (see ``_kernel.c``).
+    With b the bit length of 10^|m|, floor(m log2 10) is b - 1 for m >= 0
+    and -b for m < 0, where 10^|m| is no power of two."""
+    powers = [1]
+    for _ in range(326):
+        powers.append(powers[-1] * 10)
+    halves = []
+    for m in range(-292, 327):
+        p = powers[abs(m)]
+        shift = 128 - p.bit_length()
+        g = ((1 << 127 + p.bit_length()) // p if m < 0
+             else p << shift if shift >= 0 else p >> -shift) + 1
+        halves += (g >> 64, g & (1 << 64) - 1)
+    return (ctypes.c_uint64 * len(halves))(*halves)
+
+
+def format_rows(formatter, powers: ctypes.Array, columns: list[tuple[str, np.ndarray, float]],
+                labels: tuple[str, ...], slice_rows: int) -> Iterator[str]:
+    """The CSV lines of ``columns``, ``slice_rows`` rows per string, with
+    ``powers`` the ``pow10_table()``.  Each column is a (kind, values,
+    unit) triple of a kind in ``KINDS``; the caller has checked that the
+    values are contiguous and 1-D, of one length, of the kind's dtype, and
+    that every label code indexes ``labels``, since the C loop trusts all
+    of that."""
     label_text = (ctypes.c_char_p * len(labels))(*(label.encode("ascii") for label in labels))
     cells = (Column * len(columns))(*(Column(KINDS.index(kind), values.ctypes.data, unit,
                                              label_text)
@@ -185,7 +206,7 @@ def format_rows(formatter, columns: list[tuple[str, np.ndarray, float]], labels:
     n_rows = len(columns[0][1])
     for start in range(0, n_rows, slice_rows):
         size = formatter(cells, len(columns), start, min(start + slice_rows, n_rows),
-                         buf, len(buf))
+                         buf, len(buf), powers)
         if size < 0:
             raise OverflowError("CSV slice exceeds its buffer")
         yield ctypes.string_at(buf, size).decode("ascii")

@@ -601,7 +601,8 @@ def _run_analyze(args: argparse.Namespace) -> int:
     _check_levels(args.a0, args.thr)
     _check_outputs({"pairs": args.pairs_out},
                    ["pairs"] if args.a0 is not None and args.thr is not None else [])
-    meta, columns = io.read_trajectory_csv(args.input)
+    with _argument_checks():
+        meta, columns = io.read_trajectory_csv(args.input)
     if "t" not in columns or "n" not in columns:
         raise UsageError(f"{args.input}: expected columns t and n")
     alpha, beta, gamma, p = (_header_number(args.input, meta, key)

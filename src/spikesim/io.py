@@ -9,7 +9,7 @@ import functools
 import json
 import math
 import warnings
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -194,11 +194,18 @@ def write_survival_csv(
 
 def write_pairs_csv(
     path: str | Path,
-    pairs: list[tuple[float, float]],
+    pairs: np.ndarray | Sequence[tuple[float, float]],
     params: ModelParams,
     extra: dict | None = None,
 ) -> None:
-    table = np.asarray(pairs, dtype=np.float64).reshape(-1, 2)
+    """One row per (length, amplitude) pair: an (m, 2) array or a sequence
+    of pairs, an empty sequence being no pairs.  Anything else is a
+    ValueError, raised before the file is opened."""
+    table = np.asarray(pairs, dtype=np.float64)
+    if table.shape == (0,):
+        table = table.reshape(0, 2)
+    if table.ndim != 2 or table.shape[1] != 2:
+        raise ValueError(f"expected (length, amplitude) pairs, got shape {table.shape}")
     _write_csv(path, params, extra, ("plateau_length", "amplitude"),
                [("float", table[:, 0], 0.0), ("float", table[:, 1], 0.0)])
 
@@ -222,7 +229,9 @@ def write_json(path: str | Path, payload: dict, params: ModelParams | None = Non
 def read_trajectory_csv(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a trajectory CSV back as (meta dict, column arrays): each
     ``# key=value`` header line as a str, and each numeric column (t, r, n)
-    as a float64 array.  A jump CSV's channel column is not read."""
+    as a float64 array.  A jump CSV's channel column is not read.  A file
+    with no column-header line, or a row with a missing cell or a cell that
+    is not a number, is a ValueError that names the file."""
     meta: dict = {}
     with open(path) as fh:
         for line in fh:
@@ -239,6 +248,9 @@ def read_trajectory_csv(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         with warnings.catch_warnings():
             # A path with no data rows reads as empty columns.
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(fh, delimiter=",", usecols=[header.index(name) for name in names],
-                              unpack=True, ndmin=2)
+            try:
+                data = np.loadtxt(fh, delimiter=",", unpack=True, ndmin=2,
+                                  usecols=[header.index(name) for name in names])
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
     return meta, dict(zip(names, data))

@@ -502,11 +502,12 @@ class TestMaxJumpsSources:
 
 
 class TestAnalyzeRejectsMalformedInput:
-    def _analyze(self, fig1_params, out, rows):
-        """``analyze`` of an ODE CSV whose data rows are replaced by ``rows``."""
+    def _analyze(self, fig1_params, out, rows, header=True):
+        """``analyze`` of an ODE CSV whose data rows are replaced by ``rows``,
+        and whose column-header line is dropped unless ``header``."""
         io.write_ode_csv(out / "p.csv", integrate(fig1_params, State(0.01, 0.01), 1.0, dt=0.5))
         lines = [line for line in (out / "p.csv").read_text().splitlines()
-                 if line.startswith("#") or line == "t,r,n"]
+                 if line.startswith("#") or header and line == "t,r,n"]
         (out / "p.csv").write_text("\n".join(lines + rows) + "\n")
         return main(["analyze", "--input", str(out / "p.csv"), "--a0", "1", "--thr", "0.5",
                      "--out", str(out / "a.json")])
@@ -525,6 +526,18 @@ class TestAnalyzeRejectsMalformedInput:
         code = self._analyze(fig1_params, out, [",".join(row) for row in rows])
         assert code == 1
         assert f"column {'trn'[column]} holds a value that is not finite" in capsys.readouterr().err
+        assert sorted(path.name for path in out.iterdir()) == ["p.csv"]
+
+    @pytest.mark.parametrize("rows, header, message", [
+        (["0,0.01,0.01", "1.0,1.0,x,leak"], True, "could not convert string 'x'"),
+        (["0,0.01,0.01", "0.0,1.0"], True, "invalid column index 2"),
+        ([], False, "no header line found"),
+    ], ids=["not a number", "too few cells", "no header line"])
+    def test_malformed_file(self, fig1_params, out, capsys, rows, header, message):
+        code = self._analyze(fig1_params, out, rows, header)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"spikesim: error: {out / 'p.csv'}: " in err and message in err
         assert sorted(path.name for path in out.iterdir()) == ["p.csv"]
 
     def test_equal_consecutive_times_are_legal(self, fig1_params, out):

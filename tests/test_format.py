@@ -1,13 +1,13 @@
 """The compiled row formatter of the CSV writers.
 
 Its floats must be ``repr``'s to the byte.  The digits come from an exact
-shortest-digit algorithm with a table of 128-bit powers of ten, so the
-tests hold the output to ``repr`` on the values where such an algorithm
-goes wrong (interval bounds, ties, powers of two, notation switches) and
-the table to its definition, recomputed with Python integers.
+shortest-digit algorithm with a table of 128-bit powers of ten, which
+``_compiled`` makes at load and hands to the C loop, so the tests hold the
+output to ``repr`` on the values where such an algorithm goes wrong
+(interval bounds, ties, powers of two, notation switches) and the table to
+its definition, recomputed here one power at a time with Python integers.
 """
 
-import ctypes
 import functools
 import subprocess
 
@@ -71,13 +71,11 @@ def _pow10(m: int) -> int:
     return (10**m << shift if shift >= 0 else 10**m >> -shift) + 1
 
 
-@compiled
 def test_power_of_ten_table_is_exact():
-    entry = _compiled._entry("spikesim_pow10",
-                             ctypes.CFUNCTYPE(ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p))
-    out = (ctypes.c_uint64 * 2)()
-    table = {m: out[0] << 64 | out[1] for m in range(-300, 340) if entry(m, out) == 0}
-    assert table == {m: _pow10(m) for m in range(-292, 327)}
+    table = _compiled.pow10_table()
+    assert len(table) == 1238
+    for i, m in enumerate(range(-292, 327)):
+        assert table[2 * i] << 64 | table[2 * i + 1] == _pow10(m), f"g({m})"
 
 
 @pytest.mark.parametrize("code", [5, -1])
@@ -96,6 +94,14 @@ def test_channel_codes_outside_the_labels_are_rejected(tmp_path, monkeypatch, co
     with pytest.raises(ValueError, match="channel codes"):
         write_jump_csv(tmp_path / "jump.csv", traj)
     assert not (tmp_path / "jump.csv").exists()  # checked before the file is opened
+
+
+@pytest.mark.parametrize("pairs", [[1.0, 2.0, 3.0, 4.0], np.ones((2, 3))], ids=["flat", "3-wide"])
+def test_pairs_that_are_not_pairs_are_rejected(tmp_path, pairs):
+    params = ModelParams(alpha=0.01, beta=1.0, gamma=2.0, p=7.0)
+    with pytest.raises(ValueError, match="pairs"):
+        io.write_pairs_csv(tmp_path / "pairs.csv", pairs, params)
+    assert not (tmp_path / "pairs.csv").exists()
 
 
 def test_kernel_compiles_without_warnings():

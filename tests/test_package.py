@@ -4,6 +4,7 @@ example runs."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -113,6 +114,17 @@ def test_only_io_writes_files():
               for path in MODULES}
     assert writes.pop("io.py")  # the check sees io's own writes
     assert {name: lines for name, lines in writes.items() if lines} == {}
+
+
+def test_every_exported_c_function_is_loaded():
+    # A function of the library that is not static is an entry point, and
+    # _compiled must be what takes it, so the C file exports nothing that
+    # only a test calls.  Unused static functions fail the -Wall build.
+    source = (PACKAGE / "_kernel.c").read_text()
+    exported = re.findall(r"^(?!static\b)[A-Za-z_][\w \t*]*?\b(\w+)\(", source, re.M)
+    assert exported  # the pattern sees the definitions
+    loader = (PACKAGE / "_compiled.py").read_text()
+    assert [name for name in exported if f'"{name}"' not in loader] == []
 
 
 def test_readme_library_example_runs(capsys):
