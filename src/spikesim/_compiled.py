@@ -1,6 +1,7 @@
 """The library of ``_kernel.c``: built on first use and loaded with ctypes.
-It holds the direct-method loop (run a chunk at a time), the RK4 loop and
-the row formatter of the CSV writers.
+It holds the direct-method loop (run a chunk at a time), the RK4 loop, the
+row formatter of the CSV writers and the row reader of trajectory CSVs (fed
+the file a block at a time).
 
 ``spikesim.jump``, ``spikesim.ode`` and ``spikesim.io`` import this module
 on the first call that wants the library, never at import.  The library is
@@ -14,6 +15,7 @@ as ``Generator`` does.
 import ctypes
 import functools
 import hashlib
+import math
 import os
 import platform
 import sys
@@ -80,10 +82,9 @@ def _entry(name: str, prototype) -> Callable | None:
 
 
 def load() -> Callable | None:
-    """``run`` bound to the library's direct-method loop, or None."""
-    loop = _entry("spikesim_direct_method",
+    """The library's direct-method loop, for ``run`` and ``step``, or None."""
+    return _entry("spikesim_direct_method",
                   ctypes.CFUNCTYPE(ctypes.c_int64, *(ctypes.c_void_p,) * 5))
-    return None if loop is None else functools.partial(run, loop)
 
 
 def run(loop, tab: Table, kr: int, kn: int, rng: np.random.Generator, t_end: float,
@@ -107,6 +108,19 @@ def run(loop, tab: Table, kr: int, kn: int, rng: np.random.Generator, t_end: flo
             picks += pick_buf[:count]
             if state.stop or len(picks) == limit:
                 return times, picks, state.stop
+
+
+def step(loop, tab: Table, kr: int, kn: int,
+         rng: np.random.Generator) -> tuple[float, int] | None:
+    """One event of ``run`` from (kr, kn) with no time horizon, into a few
+    bytes made for it rather than a run's buffers: its time and channel
+    index, or None when (kr, kn) is absorbing."""
+    state, time, pick = _Run(0.0, math.inf, kr, kn, 1), ctypes.c_double(), ctypes.c_int8()
+    bitgen = rng.bit_generator
+    with bitgen.lock:
+        count = loop(bitgen.ctypes.bit_generator, ctypes.addressof(tab), ctypes.addressof(state),
+                     ctypes.addressof(time), ctypes.addressof(pick))
+    return (time.value, pick.value) if count else None
 
 
 class Rk4(ctypes.Structure):
@@ -170,11 +184,13 @@ def load_formatter() -> Callable | None:
                                                             pow10_table())
 
 
+@functools.cache
 def pow10_table() -> ctypes.Array:
     """The formatter's g(m) = floor(10^m * 2^(127 - floor(m log2 10))) + 1
-    for m = -292 .. 326, as 1238 {high, low} halves (see ``_kernel.c``).
-    With b the bit length of 10^|m|, floor(m log2 10) is b - 1 for m >= 0
-    and -b for m < 0, where 10^|m| is no power of two."""
+    for m = -292 .. 326, as 1238 {high, low} halves (see ``_kernel.c``); the
+    reader uses g(m) - 1.  Made once per process for both.  With b the bit
+    length of 10^|m|, floor(m log2 10) is b - 1 for m >= 0 and -b for
+    m < 0, where 10^|m| is no power of two."""
     powers = [1]
     for _ in range(326):
         powers.append(powers[-1] * 10)
@@ -210,6 +226,76 @@ def format_rows(formatter, powers: ctypes.Array, columns: list[tuple[str, np.nda
         if size < 0:
             raise OverflowError("CSV slice exceeds its buffer")
         yield ctypes.string_at(buf, size).decode("ascii")
+
+
+class Rows(ctypes.Structure):
+    """The rows read so far and where they go (struct rows)."""
+
+    _fields_ = [("n_cells", ctypes.c_int64), ("column", ctypes.POINTER(ctypes.c_int64)),
+                ("columns", ctypes.POINTER(ctypes.c_void_p)), ("count", ctypes.c_int64),
+                ("capacity", ctypes.c_int64)]
+
+
+# Bytes read from the file at a time.  A block ends mid-row, and the rest
+# of that row opens the next block.
+READ_BLOCK = 1 << 16
+
+
+def load_reader() -> Callable | None:
+    """``read_rows`` bound to the library's row reader and the power table,
+    or None.  It calls no Python, so it runs with the GIL released
+    (``CFUNCTYPE``)."""
+    reader = _entry("spikesim_read_rows",
+                    ctypes.CFUNCTYPE(ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
+                                     ctypes.c_int64, ctypes.c_void_p))
+    return None if reader is None else functools.partial(read_rows, reader, pow10_table())
+
+
+def read_rows(reader, powers: ctypes.Array, fh, cells: list[int], size: int,
+              block: int = READ_BLOCK) -> list[np.ndarray] | None:
+    """The rows of the binary file ``fh``, from where it stands to its end
+    (about ``size`` bytes), as float64 columns: cell i of each row is read
+    into column ``cells[i]``, or skipped as a label where that is -1.  None
+    when a row is outside the loop's grammar or longer than ``block``
+    bytes, or the last one does not end with '\\n'.  ``powers`` is the
+    ``pow10_table()``.
+
+    The file is read ``block`` bytes at a time.  When the columns are full
+    they grow to the row count projected from the bytes read so far, and
+    at the end they shrink to the rows read."""
+    columns = [np.empty(1024) for _ in range(max(cells) + 1)]
+    pointers = (ctypes.c_void_p * len(columns))(*(column.ctypes.data for column in columns))
+    rows = Rows(len(cells), (ctypes.c_int64 * len(cells))(*cells), pointers, 0, 1024)
+    buf = bytearray(block)
+    start = ctypes.addressof((ctypes.c_char * block).from_buffer(buf))
+    view = memoryview(buf)
+    held = read = 0  # bytes of an unfinished row at the start of buf; bytes read into rows
+    while got := fh.readinto(view[held:]):
+        end, done = held + got, 0
+        while True:
+            count = reader(ctypes.addressof(rows), start + done, end - done, powers)
+            if count < 0:
+                return None
+            done += count
+            if rows.count < rows.capacity:
+                break
+            rows.capacity = max(rows.count * size // (read + done), rows.count) * 9 // 8 + 1024
+            for i, column in enumerate(columns):
+                # Not resize, which zero-fills the new rows: the rows not yet
+                # read stay untouched, and so take no memory.
+                columns[i] = np.empty(rows.capacity)
+                columns[i][:rows.count] = column[:rows.count]
+                pointers[i] = columns[i].ctypes.data
+        read += done
+        held = end - done
+        if held == block:
+            return None
+        ctypes.memmove(start, start + done, held)
+    if held:
+        return None
+    for column in columns:
+        column.resize(rows.count, refcheck=False)  # no view of it exists
+    return columns
 
 
 def build_library() -> Path:

@@ -1,8 +1,9 @@
 /* The compiled library of spikesim: the direct-method loop of spikesim.jump,
-   the RK4 loop of spikesim.ode and the row formatter of spikesim.io's CSV
-   writers.  spikesim._compiled builds it on first use, links it against
-   numpy's libnpyrandom.a and loads it with ctypes; each entry point is used
-   only where it reproduces its Python reference, which stays the fallback.
+   the RK4 loop of spikesim.ode, and the row formatter and row reader of
+   spikesim.io's CSV files.  spikesim._compiled builds it on first use, links
+   it against numpy's libnpyrandom.a and loads it with ctypes; each entry
+   point is used only where it reproduces its Python reference, which stays
+   the fallback.
 
    Build it with -ffp-contract=off and without -ffast-math, so that no
    multiply-add is fused and no sum is reordered: both loops must do their
@@ -29,6 +30,7 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #include "numpy/random/distributions.h"
@@ -205,8 +207,8 @@ int64_t spikesim_rk4(struct rk4 *rk4, double *ts, double *rs, double *ns)
    g(m) = floor(10^m * 2^(127 - floor(m log2 10))) + 1 for m = -292 .. 326,
    as {high, low} 64-bit halves: 2^127 <= g(m) < 2^128.  spikesim._compiled
    makes the table from this definition with Python integers when it loads
-   the formatter, so the library holds loops and no data. */
-enum { POW10_MIN = -292 };
+   the formatter or the reader, so the library holds loops and no data. */
+enum { POW10_MIN = -292, POW10_MAX = 326 };
 
 /* The 128-bit product a * b as its high and low halves. */
 static inline uint64_t mul_64(uint64_t a, uint64_t b, uint64_t *low)
@@ -398,4 +400,192 @@ int64_t spikesim_format_rows(const struct column *columns, int64_t n_columns, in
         }
     }
     return out - buf;
+}
+
+
+/* The rows of spikesim.io's trajectory reader: the data rows of a CSV as
+   the writers write them, each cell either a number, read into a float64
+   column, or a channel label, skipped.  Only the writers' own grammar is
+   read: a number is -?D+(.D+)?(e[+-]?D+)?, nan, inf or -inf, a label is
+   [a-z-]*, cells are separated by ',' and a row ends with '\n'.  Anything
+   else (spaces, '+', '.5', '\r', an empty number) is refused, and the
+   caller reads the whole file with numpy's loadtxt instead.
+
+   A number w * 10^q with at most 19 significant digits is converted by
+   Clinger's fast path when w < 2^53 and |q| <= 22, where both are exact
+   doubles and one correctly rounded product or quotient gives the result,
+   and otherwise by Eisel-Lemire (D. Lemire, "Number parsing at a gigabyte
+   per second", Softw. Pract. Exp. 51:1700, 2021): w times the truncated
+   128-bit power of ten, which is the formatter's g(m) - 1, rounded to
+   nearest-even when the product's bits decide it.  strtod, correctly
+   rounded in glibc, takes the rest: longer digit strings, q outside the
+   table, halfway cases, and results that are subnormal or overflow. */
+
+/* Significant digits a uint64_t always holds. */
+enum { MAX_DIGITS = 19 };
+
+/* 10^m for m = 0 .. 22, exactly: 5^m < 2^53, so all the bits of 10^m lie
+   in the high half of g(m) - 1, whose low half is 0 (g's is 1). */
+static inline double exact_power(const uint64_t (*pow10)[2], int m)
+{
+    /* 2^(floor(m log2 10) - 63), which scales that half back to 10^m. */
+    const uint64_t scale_bits = (uint64_t)(((217706 * m) >> 16) - 63 + 1023) << 52;
+    double scale;
+    memcpy(&scale, &scale_bits, sizeof scale);
+    return (double)pow10[m - POW10_MIN][0] * scale;
+}
+
+/* The bits of w * 10^q, w != 0 and q in POW10_MIN .. POW10_MAX, rounded to
+   nearest-even: 1 with *bits set, or 0 when the 128-bit product cannot
+   decide it or the result is not a normal double. */
+static int eisel_lemire(uint64_t w, int q, const uint64_t (*pow10)[2], uint64_t *bits)
+{
+    const uint64_t *g = pow10[q - POW10_MIN];
+    const uint64_t t_low = g[1] - 1, t_high = g[0] - (g[1] == 0);  /* g(q) - 1 */
+    const int shift = __builtin_clzll(w);
+    w <<= shift;
+    uint64_t x_low, x_high = mul_64(w, t_high, &x_low);
+    /* The truncated power under-estimates the product by less than w, so
+       only then can the lower half carry into the bits kept. */
+    if ((x_high & 0x1ff) == 0x1ff && x_low + w < w) {
+        uint64_t y_low, y_high = mul_64(w, t_low, &y_low);
+        const uint64_t merged_low = x_low + y_high;
+        const uint64_t merged_high = x_high + (merged_low < x_low);
+        if ((merged_high & 0x1ff) == 0x1ff && merged_low + 1 == 0 && y_low + w < w)
+            return 0;
+        x_high = merged_high;
+        x_low = merged_low;
+    }
+    const uint64_t top = x_high >> 63;
+    uint64_t mantissa = x_high >> (top + 9);  /* 54 bits: 53 and a rounding bit */
+    /* floor(q log2 10) + 64 + bias - shift, less 1 when the top bit is clear. */
+    int64_t exponent = ((217706 * (int64_t)q) >> 16) + 64 + 1023 - shift - (int64_t)(1 ^ top);
+    if (x_low == 0 && (x_high & 0x1ff) == 0 && (mantissa & 3) == 1)
+        return 0;  /* exactly halfway, or just above: not decided */
+    mantissa += mantissa & 1;
+    mantissa >>= 1;
+    if (mantissa >> 53) {
+        mantissa >>= 1;
+        exponent++;
+    }
+    if (exponent <= 0 || exponent >= 0x7ff)
+        return 0;
+    *bits = (uint64_t)exponent << 52 | (mantissa & ((UINT64_C(1) << 52) - 1));
+    return 1;
+}
+
+static inline int is_digit(char c)
+{
+    return (unsigned char)(c - '0') < 10;
+}
+
+/* Read the number at p, which must end with 'end', into *x and return the
+   text after 'end'; NULL when the cell is outside the grammar. */
+static const char *read_number(const char *p, char end, const uint64_t (*pow10)[2], double *x)
+{
+    const char *const start = p;
+    const int negative = *p == '-';
+    p += negative;
+    if (p[0] == 'i' && p[1] == 'n' && p[2] == 'f' && p[3] == end) {
+        *x = negative ? -HUGE_VAL : HUGE_VAL;
+        return p + 4;
+    }
+    if (!negative && p[0] == 'n' && p[1] == 'a' && p[2] == 'n' && p[3] == end) {
+        const uint64_t nan = UINT64_C(0x7ff8000000000000);  /* the nan loadtxt reads */
+        memcpy(x, &nan, sizeof nan);
+        return p + 4;
+    }
+
+    uint64_t w = 0;  /* the first MAX_DIGITS significant digits */
+    int64_t digits = 0, q = 0;  /* significant digits; value = w * 10^q */
+    const char *mark = p;
+    for (; is_digit(*p); p++) {
+        if (w || *p != '0') {
+            if (digits++ < MAX_DIGITS)
+                w = 10 * w + (uint64_t)(*p - '0');
+        }
+    }
+    if (p == mark)
+        return NULL;
+    if (*p == '.') {
+        mark = ++p;
+        for (; is_digit(*p); p++, q--) {
+            if (w || *p != '0') {
+                if (digits++ < MAX_DIGITS)
+                    w = 10 * w + (uint64_t)(*p - '0');
+            }
+        }
+        if (p == mark)
+            return NULL;
+    }
+    if (*p == 'e') {
+        p++;
+        const int minus = *p == '-';
+        p += *p == '-' || *p == '+';
+        mark = p;
+        int64_t e = 0;
+        for (; is_digit(*p); p++) {
+            if (e < 100000)  /* far past the table; strtod reads the rest */
+                e = 10 * e + (*p - '0');
+        }
+        if (p == mark)
+            return NULL;
+        q += minus ? -e : e;
+    }
+    if (*p != end)
+        return NULL;
+
+    uint64_t bits = 0;  /* w = 0: a zero, of the sign written */
+    if (w >> 53 == 0 && -22 <= q && q <= 22) {
+        /* Clinger: two exact doubles, one rounding. */
+        const double value = q < 0 ? (double)w / exact_power(pow10, (int)-q)
+                                   : (double)w * exact_power(pow10, (int)q);
+        memcpy(&bits, &value, sizeof bits);
+    } else if (w && (digits > MAX_DIGITS || q < POW10_MIN || q > POW10_MAX
+                     || !eisel_lemire(w, (int)q, pow10, &bits))) {
+        char *stop;
+        *x = strtod(start, &stop);
+        /* A locale with another decimal point stops strtod early. */
+        return stop == p ? p + 1 : NULL;
+    }
+    bits |= (uint64_t)negative << 63;
+    memcpy(x, &bits, sizeof bits);
+    return p + 1;
+}
+
+struct rows {                  /* _compiled.Rows */
+    int64_t n_cells;           /* cells in a row */
+    const int64_t *column;     /* per cell: its column, or -1 for a label */
+    double *const *columns;    /* the float64 columns */
+    int64_t count, capacity;   /* rows stored so far; rows the columns hold */
+};
+
+/* Read the complete rows of text[0, size), those ending in '\n', into the
+   columns from row rows->count on, until they are full.  Returns the bytes
+   read, which end a row, or -1 when a row is outside the grammar. */
+int64_t spikesim_read_rows(struct rows *rows, const char *text, int64_t size,
+                           const uint64_t (*pow10)[2])
+{
+    const char *p = text, *stop = text + size;
+    while (stop > text && stop[-1] != '\n')
+        stop--;
+    const int64_t last = rows->n_cells - 1;
+    int64_t count = rows->count;
+    /* Every read below stops at the '\n' that ends its row. */
+    for (; p < stop && count < rows->capacity; count++) {
+        for (int64_t j = 0; j <= last; j++) {
+            const char end = j < last ? ',' : '\n';
+            const int64_t column = rows->column[j];
+            if (column < 0) {
+                while ((*p >= 'a' && *p <= 'z') || *p == '-')
+                    p++;
+                if (*p++ != end)
+                    return -1;
+            } else if (!(p = read_number(p, end, pow10, rows->columns[column] + count))) {
+                return -1;
+            }
+        }
+    }
+    rows->count = count;
+    return p - text;
 }

@@ -3,13 +3,21 @@
 Every file embeds the full parameter set, seed and tool version so that it
 is enough on its own to rerun the experiment.  CSV output is locale
 independent: '.' decimal separator, '\\n' newlines, no grouping.
+
+Rows are written by the compiled library's formatter and read back by its
+reader where the library builds and passes its load-time check; otherwise
+by ``_python_rows`` and ``np.loadtxt``, which give the same bytes and the
+same floats.
 """
 
 import functools
 import json
 import math
+import os
 import warnings
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from io import BytesIO
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -108,12 +116,26 @@ def _compiled_formatter() -> Callable | None:
     format_rows = _compiled.load_formatter()
     if format_rows is None:
         return None
-    # Special values, subnormals, 17-digit values, powers of two from 2^-1074
-    # to 2^1023 (every eighth: repr of all 2098 takes 10-20 ms in a fresh
-    # interpreter, most of a short run; the tests take every one), and the
-    # powers of ten around the switches between positional and exponent
-    # notation with both their neighbours; beside them a small table of
-    # lattice values, indices up to 2^53 + 1, and every channel label.
+    # In slices of seven rows, so that slices end mid-table.
+    got = "".join(format_rows(_check_columns(), CHANNEL_LABELS, 7))
+    return format_rows if got == _check_text() else None
+
+
+@functools.cache
+def _check_text() -> str:
+    """The rows of ``_check_columns`` as ``_python_rows`` writes them, made
+    once for both load-time checks."""
+    return "".join(_python_rows(_check_columns(), CHANNEL_LABELS, 7))
+
+
+def _check_columns() -> list[tuple[str, np.ndarray, float]]:
+    """The rows the load-time checks of the formatter and the reader use:
+    special values, subnormals, 17-digit values, powers of two from 2^-1074
+    to 2^1023 (every eighth: repr of all 2098 takes 10-20 ms in a fresh
+    interpreter, most of a short run; the tests take every one), and the
+    powers of ten around the switches between positional and exponent
+    notation with both their neighbours; beside them a small table of
+    lattice values, indices up to 2^53 + 1, and every channel label."""
     twos = np.ldexp(1.0, np.r_[-1074:1024:8, -1022, 1023])
     tens = 10.0 ** np.arange(-7, 19)
     values = np.concatenate([
@@ -123,15 +145,11 @@ def _compiled_formatter() -> Callable | None:
         twos * np.resize([1, -1], len(twos)), tens, np.nextafter(tens, 0.0),
         np.nextafter(tens, math.inf)])
     rows = np.arange(len(values))
-    columns = _checked_columns([("float", values, 0.0),
-                                ("lattice", np.resize([0, 1, 2, 7, 1000, 2**31, 2**53 + 1],
-                                                      len(rows)), 1 / 3),
-                                ("lattice", rows % 11, 0.02),
-                                ("label", rows % len(CHANNEL_LABELS), 0.0)])
-    # In slices of seven rows, so that slices end mid-table.
-    got, expected = ("".join(lines(columns, CHANNEL_LABELS, 7))
-                     for lines in (format_rows, _python_rows))
-    return format_rows if got == expected else None
+    return _checked_columns([("float", values, 0.0),
+                             ("lattice", np.resize([0, 1, 2, 7, 1000, 2**31, 2**53 + 1],
+                                                   len(rows)), 1 / 3),
+                             ("lattice", rows % 11, 0.02),
+                             ("label", rows % len(CHANNEL_LABELS), 0.0)])
 
 
 class _LatticeText(dict):
@@ -230,27 +248,130 @@ def read_trajectory_csv(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a trajectory CSV back as (meta dict, column arrays): each
     ``# key=value`` header line as a str, and each numeric column (t, r, n)
     as a float64 array.  A jump CSV's channel column is not read.  A file
-    with no column-header line, or a row with a missing cell or a cell that
-    is not a number, is a ValueError that names the file."""
-    meta: dict = {}
+    with no column-header line is a ValueError that names the file; so is a
+    row with a missing cell or a cell that is not a number, and the error
+    names the row's line as well.
+
+    A file as the writers write it is read by the compiled reader where it
+    is available; any other file, or any file without it, by
+    ``np.loadtxt``.  Both read every number to the same float."""
+    return _read_compiled(path) or _read_text(path)
+
+
+def _read_compiled(path: str | Path) -> tuple[dict, dict[str, np.ndarray]] | None:
+    """``read_trajectory_csv`` by the compiled reader; None when it is not
+    available, or when the file is not as the writers write it (a header
+    that is not ASCII or holds a '\\r', or a row outside the reader's
+    grammar).  The file is read a block at a time, never whole."""
+    read_rows = _compiled_reader()
+    if read_rows is None:
+        return None
+    with open(path, "rb") as fh:
+        try:
+            meta, header, _lines = _read_header(_ascii_lines(fh), path)
+        except ValueError:
+            return None
+        names, usecols = _numeric_columns(header)
+        columns = read_rows(fh, [usecols.index(i) if i in usecols else -1
+                                 for i in range(len(header))],
+                            os.fstat(fh.fileno()).st_size - fh.tell())
+    return None if columns is None else (meta, dict(zip(names, columns)))
+
+
+def _ascii_lines(fh) -> Iterator[str]:
+    """The lines of the binary file ``fh``, up to the first that is not
+    ASCII or holds a '\\r', where text mode could split or decode it
+    otherwise."""
+    for line in iter(fh.readline, b""):
+        if not line.isascii() or b"\r" in line:
+            return
+        yield line.decode("ascii")
+
+
+def _read_text(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """``read_trajectory_csv`` by ``np.loadtxt``, for any file it reads."""
     with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                meta[key.strip()] = value.strip()
-            elif line:
-                header = line.split(",")
-                break
-        else:
-            raise ValueError(f"{path}: no header line found")
-        names = [name for name in header if name != "channel"]
-        with warnings.catch_warnings():
-            # A path with no data rows reads as empty columns.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            try:
-                data = np.loadtxt(fh, delimiter=",", unpack=True, ndmin=2,
-                                  usecols=[header.index(name) for name in names])
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from exc
+        meta, header, lines = _read_header(fh, path)
+        names, usecols = _numeric_columns(header)
+        try:
+            data = _loadtxt(fh, usecols)
+        except ValueError as exc:
+            fh.seek(0)
+            _raise_first_bad_row(islice(fh, lines, None), lines + 1, usecols, path)
+            raise ValueError(f"{path}: {exc}") from exc
     return meta, dict(zip(names, data))
+
+
+def _read_header(lines: Iterable[str], path: str | Path) -> tuple[dict, list[str], int]:
+    """The ``# key=value`` lines as a dict of str, the column names, and
+    the count of lines up to and including the column-header line."""
+    meta: dict = {}
+    for count, line in enumerate(lines, 1):
+        line = line.rstrip("\n")
+        if line.startswith("#"):
+            key, _, value = line[1:].strip().partition("=")
+            meta[key.strip()] = value.strip()
+        elif line:
+            return meta, line.split(","), count
+    raise ValueError(f"{path}: no header line found")
+
+
+def _numeric_columns(header: list[str]) -> tuple[list[str], list[int]]:
+    """The names of the columns read, each once, and their cell indices."""
+    names = list(dict.fromkeys(name for name in header if name != "channel"))
+    return names, [header.index(name) for name in names]
+
+
+def _loadtxt(lines: Iterable[str], usecols: list[int]) -> np.ndarray:
+    """The cells ``usecols`` of ``lines``, one float64 row per column."""
+    with warnings.catch_warnings():
+        # A path with no data rows reads as empty columns.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(lines, delimiter=",", unpack=True, ndmin=2, usecols=usecols)
+
+
+# Rows ``_raise_first_bad_row`` hands loadtxt at a time.
+_SEARCH_ROWS = 4096
+
+
+def _raise_first_bad_row(lines: Iterator[str], first: int, usecols: list[int],
+                         path: str | Path) -> None:
+    """Raise loadtxt's error for the first of ``lines``, the file's lines
+    from line ``first`` on, that loadtxt cannot read, with the file name and
+    that line in place of loadtxt's row and column.  The lines are tried a
+    block at a time, and one at a time in the first block that fails."""
+    numbered = enumerate(lines, first)
+    while block := list(islice(numbered, _SEARCH_ROWS)):
+        try:
+            _loadtxt([line for _number, line in block], usecols)
+        except ValueError:
+            for number, line in block:
+                try:
+                    _loadtxt([line], usecols)
+                except ValueError as exc:
+                    reason = str(exc).split(" at row ")[0]
+                    raise ValueError(f"{path}: line {number}: {reason}") from None
+
+
+@functools.cache
+def _compiled_reader() -> Callable | None:
+    """The library's ``read_rows``, loaded on first use; None (loadtxt
+    reads) when the library cannot be built or loaded, or when it does not
+    read the rows of ``_check_columns`` to the floats loadtxt reads, bit
+    for bit."""
+    from . import _compiled
+
+    read_rows = _compiled.load_reader()
+    if read_rows is None:
+        return None
+    # Beside the rows written, decimals no repr is: two exact ties (2^53 + 1
+    # and 1e23), the largest and smallest subnormals, and long digit strings.
+    text = _check_text() + (
+        "9007199254740993,1e23,2.2250738585072011e-308,leak\n"
+        "4.9406564584124654e-324,-0,123456789012345678901234567890e-40,\n")
+    expected = _loadtxt(text.splitlines(), [0, 1, 2])
+    # In blocks of 256 bytes, so that rows cross the ends of blocks.
+    got = read_rows(BytesIO(text.encode("ascii")), [0, 1, 2, -1], len(text), block=256)
+    same = got is not None and all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
+                                   for a, b in zip(got, expected))
+    return read_rows if same else None

@@ -286,10 +286,12 @@ def _run(spec: ProcessSpec, kr: int, kn: int, rng: np.random.Generator, t_end: f
     """At most ``limit`` events from (kr, kn) at t = 0: event times, channel
     indices and why the loop stopped.  The compiled loop runs where it is
     available, the Python kernel elsewhere; the two draw the same stream."""
-    compiled = _compiled_run()
-    if compiled is None:
+    loop = _compiled_run()
+    if loop is None:
         return _run_python(spec, kr, kn, rng, t_end, limit)
-    times, picks, stop = compiled(spec._table, kr, kn, rng, t_end, limit)
+    from . import _compiled
+
+    times, picks, stop = _compiled.run(loop, spec._table, kr, kn, rng, t_end, limit)
     return times, picks, _STOPS[stop]
 
 
@@ -360,13 +362,13 @@ def engine() -> str:
 
 @functools.cache
 def _compiled_run() -> Callable | None:
-    """The compiled loop's ``run``, loaded on first use; None (the Python
-    kernel runs) when it cannot be built or loaded, or when it does not
-    reproduce the Python kernel."""
+    """The compiled loop, loaded on first use; None (the Python kernel runs)
+    when it cannot be built or loaded, or when it does not reproduce the
+    Python kernel."""
     from . import _compiled
 
-    compiled = _compiled.load()
-    if compiled is None:
+    loop = _compiled.load()
+    if loop is None:
         return None
     # A toolchain that fuses or reorders floating-point operations, or a
     # libnpyrandom that draws differently, would change the stream.  This
@@ -382,9 +384,10 @@ def _compiled_run() -> Callable | None:
                                       {"k_n": 1.0, "div": 0.7}),
                        r_unit=Fraction(1, 3), n_unit=Fraction(1))
     # From a high state, so that the rates take a wide range of values.
-    times, picks, stop = compiled(spec._table, 5, 200, np.random.default_rng(0), math.inf, 400)
+    times, picks, stop = _compiled.run(loop, spec._table, 5, 200, np.random.default_rng(0),
+                                       math.inf, 400)
     expected = _run_python(spec, 5, 200, np.random.default_rng(0), math.inf, 400)
-    return compiled if (times, picks, _STOPS[stop]) == expected else None
+    return loop if (times, picks, _STOPS[stop]) == expected else None
 
 
 def next_jump(
@@ -396,8 +399,13 @@ def next_jump(
     one uniform), so trajectories are reproducible from the seed and draw
     count alone.
     """
-    times, picks, _ = _run(spec, s.kr, s.kn, rng, math.inf, 1)
-    return (times[0], picks[0]) if picks else None
+    loop = _compiled_run()
+    if loop is None:
+        times, picks, _ = _run_python(spec, s.kr, s.kn, rng, math.inf, 1)
+        return (times[0], picks[0]) if picks else None
+    from . import _compiled
+
+    return _compiled.step(loop, spec._table, s.kr, s.kn, rng)
 
 
 def simulate(
@@ -412,7 +420,9 @@ def simulate(
     """Exact direct-method simulation until a horizon or absorption.
 
     Identical (spec, initial, seed) give identical trajectories.  The number
-    of stored events is hard-capped at ``max_events``.  The loop keeps only
+    of stored events is hard-capped at ``max_events``.  A run whose event
+    times overflow to inf, at a total rate too small for its waiting times
+    to be floats, is a ValueError.  The loop keeps only
     event times and channel indices (9 bytes an event); the states are
     rebuilt afterwards as an exact integer cumulative sum of the steps.
     """
@@ -435,6 +445,10 @@ def simulate(
     )
     if len(picks) > max_events:
         raise EventCapError(f"event cap of {max_events} exceeded at t = {times[-1]:.6g}")
+    # Times never decrease, so the last one is finite when all are.
+    if times and not math.isfinite(times[-1]):
+        raise ValueError(f"event time {times[-1]} is not finite: the total rate is too small "
+                         f"for its waiting time to be a float")
 
     channels = np.frombuffer(picks, dtype=np.int8)
     krs, kns = path = np.take(_STEPS, channels, axis=1)  # exact integer step sums

@@ -7,7 +7,7 @@ import pytest
 
 import spikesim.cli
 from spikesim import ModelParams, State, __version__, build_oneunit, integrate, simulate
-from spikesim import io
+from spikesim import io, jump
 from spikesim.cli import (
     RunConfig,
     UsageError,
@@ -358,6 +358,18 @@ def test_out_of_range_argument_is_usage_error(out, capsys, case):
     assert list(out.iterdir()) == []  # nothing written
 
 
+@pytest.mark.parametrize("kernel", ["in use", "python"])
+def test_event_times_that_overflow_are_usage_error(out, capsys, monkeypatch, kernel):
+    # At a total rate of 5e-324 every waiting time overflows to inf.
+    if kernel == "python":
+        monkeypatch.setattr(jump, "_compiled_run", lambda: None)
+    code = main(["simulate", "--mode", "oneunit", "--alpha", "0", "--p", "5e-324", "--r0", "0",
+                 "--n0", "0", "--max-jumps", "3", "--seed", "0", "--out", str(out / "run.csv")])
+    assert code == 1
+    assert "event time inf is not finite" in capsys.readouterr().err
+    assert list(out.iterdir()) == []  # nothing written
+
+
 # An output flag whose file the run would not write, judged on the levels
 # the run resolves (the environment's included).
 UNWRITTEN_OUTPUT = {
@@ -531,14 +543,25 @@ class TestAnalyzeRejectsMalformedInput:
     @pytest.mark.parametrize("rows, header, message", [
         (["0,0.01,0.01", "1.0,1.0,x,leak"], True, "could not convert string 'x'"),
         (["0,0.01,0.01", "0.0,1.0"], True, "invalid column index 2"),
+        # Past the first block of rows the error search hands loadtxt.
+        ([f"{i}.0,0.01,0.01" for i in range(5000)] + ["5000.0,1.0,x"], True,
+         "could not convert string 'x'"),
         ([], False, "no header line found"),
-    ], ids=["not a number", "too few cells", "no header line"])
-    def test_malformed_file(self, fig1_params, out, capsys, rows, header, message):
-        code = self._analyze(fig1_params, out, rows, header)
-        assert code == 1
-        err = capsys.readouterr().err
-        assert f"spikesim: error: {out / 'p.csv'}: " in err and message in err
-        assert sorted(path.name for path in out.iterdir()) == ["p.csv"]
+    ], ids=["not a number", "too few cells", "not a number past a block", "no header line"])
+    def test_malformed_file(self, fig1_params, out, capsys, monkeypatch, rows, header, message):
+        errors = []
+        # With the compiled reader where it is available, then without it.
+        for reader in (io._compiled_reader, lambda: None):
+            monkeypatch.setattr(io, "_compiled_reader", reader)
+            code = self._analyze(fig1_params, out, rows, header)
+            assert code == 1
+            errors.append(capsys.readouterr().err)
+            assert sorted(path.name for path in out.iterdir()) == ["p.csv"]
+        where = f"{out / 'p.csv'}: "
+        if rows:  # the bad row's line in the file, counted from 1
+            where += f"line {(out / 'p.csv').read_text().splitlines().index(rows[-1]) + 1}: "
+        assert f"spikesim: error: {where}{message}" in errors[0]
+        assert errors[1] == errors[0]
 
     def test_equal_consecutive_times_are_legal(self, fig1_params, out):
         # Two jump events may share a time.

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -223,12 +225,17 @@ class TestSimulate:
     def test_top_edge_pick_is_a_channel_with_a_positive_rate(self, monkeypatch, make, kernel):
         # At (0, 0) with p = 5e-324 only pumping has a positive rate, and the
         # uniform times that subnormal total rounds onto the top edge of the
-        # cumulative rates, past which lies the leak at rate 0.
+        # cumulative rates, past which lies the leak at rate 0.  The waiting
+        # times at that rate overflow to inf, which ``simulate`` refuses, so
+        # the kernel runs on its own.
         spec = make(ModelParams(alpha=0.0, beta=1.0, gamma=100.0, p=5e-324))
         if kernel == "python":
             monkeypatch.setattr(jump, "_compiled_run", lambda: None)
-        traj = simulate(spec, spec.lattice_state(0.0, 0.0), max_jumps=3, seed=0)
-        assert [CHANNEL_LABELS[c] for c in traj.channels] == ["pumping"] * 3
+        times, picks, _stop = jump._run(spec, 0, 0, np.random.default_rng(0), math.inf, 3)
+        assert [CHANNEL_LABELS[c] for c in picks] == ["pumping"] * 3
+        assert list(times) == [math.inf] * 3
+        with pytest.raises(ValueError, match="event time inf is not finite"):
+            simulate(spec, spec.lattice_state(0.0, 0.0), max_jumps=3, seed=0)
 
     def test_a_lattice_state_has_one_value_along_the_path(self, fig1_params, tmp_path):
         spec = build_meanfield(fig1_params)

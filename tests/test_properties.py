@@ -7,6 +7,7 @@ the same verdict on every run.
 import functools
 import math
 from fractions import Fraction
+from io import BytesIO
 from typing import NamedTuple
 from unittest import mock
 
@@ -90,8 +91,6 @@ def _build(kind: str, params: ModelParams, n_units: int):
     n0=st.floats(0.0, 20.0, **finite),
     seed=st.integers(0, 2**32),
 )
-@example(params=ModelParams(alpha=0.0, beta=1.0, gamma=100.0, p=5e-324), kind="oneunit",
-         n_units=1, r0=0.0, n0=0.0, seed=0)
 def test_lattice_states_stay_non_negative(params, kind, n_units, r0, n0, seed):
     spec = _build(kind, params, n_units)
     traj = simulate(spec, spec.lattice_state(r0, n0), max_jumps=400, seed=seed)
@@ -178,10 +177,11 @@ lattice_index = st.one_of(st.integers(0, 2), st.integers(0, 200))
 
 
 def _outcome(spec, start, **run):
-    """The trajectory of ``simulate``, or the message of its EventCapError."""
+    """The trajectory of ``simulate``, or the message of its EventCapError
+    or of its ValueError for event times that overflow to inf."""
     try:
         return simulate(spec, start, **run)
-    except EventCapError as exc:
+    except (EventCapError, ValueError) as exc:
         return str(exc)
 
 
@@ -191,6 +191,9 @@ COMPILED_RUN = _compiled.load()
 # The compiled row formatter as built, without the check that would replace
 # it by the row loop if it wrote differently.
 COMPILED_FORMATTER = _compiled.load_formatter()
+# The compiled row reader as built, without the check that would replace it
+# by loadtxt if it read differently.
+COMPILED_READER = _compiled.load_reader()
 
 
 @pytest.mark.skipif(COMPILED_RUN is None, reason="no compiled jump engine here")
@@ -450,6 +453,77 @@ def test_jump_writer_matches_the_row_loop_on_sparse_lattices(
     with mock.patch.object(io, "_compiled_formatter", lambda: formatter):
         write_jump_csv(path, traj)
     assert path.read_bytes() == _reference_bytes(path, _reference_write_jump_csv, traj)
+
+
+def _float_bits(values) -> np.ndarray:
+    """The bits of float64 ``values``, each NaN as the one NaN a CSV reads
+    back as (the writers write every NaN as ``nan``)."""
+    values = np.array(values, dtype=np.float64)
+    values[np.isnan(values)] = math.nan
+    return values.view(np.uint64)
+
+
+@pytest.mark.skipif(COMPILED_READER is None, reason="no compiled library here")
+@SLICED
+@given(
+    params=params_strategy,
+    seed=st.integers(0, 2**32),
+    rows=st.sampled_from(ROW_COUNTS),
+    kind=st.sampled_from(["ode", "jump"]),
+)
+def test_any_float_reads_back_to_the_bit_on_both_readers(tmp_path_factory, params, seed, rows,
+                                                         kind):
+    # Uniform bit patterns and edge values: subnormals, signed zeros, nan
+    # and infinities, in every column the writers write.
+    rng = np.random.default_rng(seed)
+    path = tmp_path_factory.mktemp("csv") / "path.csv"
+    if kind == "ode":
+        t, r, n = (_any_floats(rng, rows) for _ in range(3))
+        write_ode_csv(path, Trajectory(t=t, r=r, n=n, params=params, dt=1e-3, sample_every=1))
+    else:
+        spec = build_oneunit(params)
+        traj = JumpTrajectory(
+            spec, spec.lattice_state(0.0, 0.0), seed, _any_floats(rng, rows),
+            *rng.integers(0, 2**53, size=(2, rows), endpoint=True),
+            rng.integers(0, len(CHANNEL_LABELS), size=rows).astype(np.int8),
+            Termination.TIME_HORIZON, 1.0)
+        write_jump_csv(path, traj)
+        t, r, n = traj.step_times(), traj.step_r(), traj.step_n()
+    with mock.patch.object(io, "_compiled_reader", lambda: COMPILED_READER):
+        compiled = io._read_compiled(path)
+    assert compiled is not None  # the file is the writers', so the reader read it
+    loadtxt = io._read_text(path)
+    assert compiled[0] == loadtxt[0]
+    for name, written in zip("trn", (t, r, n)):
+        assert np.array_equal(compiled[1][name].view(np.uint64), _float_bits(written))
+        assert np.array_equal(loadtxt[1][name].view(np.uint64), _float_bits(written))
+
+
+@st.composite
+def decimal_strings(draw) -> str:
+    """-?D+(.D+)?(e[+-]?D+)? with 1 to 25 significant digits, leading zeros
+    or none, and no exponent or one in -350 .. 320."""
+    digits = str(draw(st.integers(1, 10**25 - 1)))
+    point = draw(st.integers(0, len(digits)))
+    text = (digits[:point] or "0") + ("." + digits[point:] if point < len(digits) else "")
+    exponent = draw(st.one_of(st.none(), st.integers(-350, 320)))
+    if exponent is not None:
+        text += f"e{exponent:+d}" if draw(st.booleans()) else f"e{exponent}"
+    return "-" + text if draw(st.booleans()) else text
+
+
+@pytest.mark.skipif(COMPILED_READER is None, reason="no compiled library here")
+@settings(PROPERTY, max_examples=300)
+@given(cells=st.lists(decimal_strings(), min_size=1, max_size=50))
+@example(cells=["9007199254740993", "2.2250738585072011e-308", "4.9406564584124654e-324",
+                "1e23"])
+def test_decimal_strings_read_as_float_reads_them(cells):
+    text = "".join(f"{cell},{cell},label\n" for cell in cells).encode("ascii")
+    columns = COMPILED_READER(BytesIO(text), [0, 1, -1], len(text))
+    assert columns is not None
+    expected = np.array([float(cell) for cell in cells]).view(np.uint64)
+    for column in columns:
+        assert np.array_equal(column.view(np.uint64), expected)
 
 
 def _reference_integrate(params, initial, t_end, dt, sample_every=None):
