@@ -1,9 +1,13 @@
 """Command-line front end: run trajectories, stability and drift reports,
 spike analyses, and the figure-reproduction presets, writing CSV/JSON files.
 
-Option precedence: built-in defaults < config file (flat key=value lines)
-< SPIKESIM_* environment variables < command-line flags.  Exit codes:
-0 success, 1 usage error, 2 runtime error.
+Every option of OPTION_DEFAULTS that a command takes is resolved by
+precedence: built-in defaults < config file (flat key=value lines; ds,
+stability, simulate and lyapunov take --config) < SPIKESIM_* environment
+variables < command-line flags.  analyze takes its levels --a0/--thr from
+SPIKESIM_A0/SPIKESIM_THR too.  preset --seed/--t-end and lyapunov
+--box-kr/--box-kn are flag-only.  Exit codes: 0 success, 1 usage error,
+2 runtime error.
 """
 
 import argparse
@@ -45,7 +49,8 @@ from .spikes import (
 
 ENV_PREFIX = "SPIKESIM_"
 
-# Resolvable option table: name -> (type, default).
+# Every resolvable option, once: name -> (type, default).  A command's
+# ``--name`` flags are made from it, and resolved in its order.
 OPTION_DEFAULTS: dict[str, tuple[type, object]] = {
     "alpha": (float, 0.01),
     "beta": (float, 1.0),
@@ -62,6 +67,8 @@ OPTION_DEFAULTS: dict[str, tuple[type, object]] = {
     "dt": (float, 1e-3),
     "epsilon": (float, 0.1),
 }
+# The options that make a ModelParams.
+_PARAMS = ("alpha", "beta", "gamma", "p")
 
 
 class UsageError(ValueError):
@@ -367,12 +374,16 @@ class _Version(argparse.Action):
         parser.exit()
 
 
-def _add_param_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--alpha", type=float)
-    sub.add_argument("--beta", type=float)
-    sub.add_argument("--gamma", type=float)
-    sub.add_argument("--p", type=float)
-    sub.add_argument("--config", help="flat key=value config file")
+def _add_options(sub: argparse.ArgumentParser, *names: str, **helps: str) -> None:
+    """Add the table options ``names`` to ``sub`` as ``--name`` flags (dashes
+    for underscores) of the table's type, each with its help from ``helps``."""
+    for name in names:
+        sub.add_argument("--" + name.replace("_", "-"), dest=name,
+                         type=OPTION_DEFAULTS[name][0], help=helps.get(name))
+
+
+_LEVEL_HELP = {"a0": "spike threshold; enables tail analysis",
+              "thr": "plateau threshold; enables pairing"}
 
 
 def build_parser() -> _Parser:
@@ -381,28 +392,17 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     ds = subs.add_parser("ds", help="integrate the deterministic system")
-    _add_param_flags(ds)
-    ds.add_argument("--r0", type=float)
-    ds.add_argument("--n0", type=float)
-    ds.add_argument("--t-end", type=float, dest="t_end")
-    ds.add_argument("--dt", type=float)
+    _add_options(ds, *_PARAMS, "r0", "n0", "t_end", "dt")
     ds.add_argument("--out", required=True)
 
     st = subs.add_parser("stability", help="stationary point, eigenvalues, regime")
-    _add_param_flags(st)
+    _add_options(st, *_PARAMS)
     st.add_argument("--out", required=True)
 
     sim = subs.add_parser("simulate", help="simulate a jump process")
-    _add_param_flags(sim)
     sim.add_argument("--mode", choices=["global", "meanfield", "oneunit"], required=True)
-    sim.add_argument("--n-units", type=int, dest="n_units")
-    sim.add_argument("--seed", type=int)
-    sim.add_argument("--t-end", type=float, dest="t_end")
-    sim.add_argument("--max-jumps", type=int, dest="max_jumps")
-    sim.add_argument("--r0", type=float)
-    sim.add_argument("--n0", type=float)
-    sim.add_argument("--a0", type=float, help="spike threshold; enables tail analysis")
-    sim.add_argument("--thr", type=float, help="plateau threshold; enables pairing")
+    _add_options(sim, *_PARAMS, "n_units", "seed", "t_end", "max_jumps", "r0", "n0", "a0", "thr",
+                 **_LEVEL_HELP)
     sim.add_argument("--lln-reference", action="store_true",
                      help="also integrate the ODE and report the sup distance")
     sim.add_argument("--out", required=True)
@@ -412,25 +412,25 @@ def build_parser() -> _Parser:
 
     an = subs.add_parser("analyze", help="spike/plateau analysis of a trajectory CSV")
     an.add_argument("--input", required=True)
-    an.add_argument("--a0", type=float)
-    an.add_argument("--thr", type=float)
+    _add_options(an, "a0", "thr", **_LEVEL_HELP)
     an.add_argument("--out", required=True)
     an.add_argument("--pairs-out", dest="pairs_out")
 
     ly = subs.add_parser("lyapunov", help="drift-condition scan")
-    _add_param_flags(ly)
     ly.add_argument("--mode", choices=["meanfield", "oneunit"], required=True)
-    ly.add_argument("--epsilon", type=float)
+    _add_options(ly, *_PARAMS, "epsilon")
     ly.add_argument("--box-kr", type=int, dest="box_kr")
     ly.add_argument("--box-kn", type=int, dest="box_kn")
     ly.add_argument("--out", required=True)
 
+    for sub in (ds, st, sim, ly):
+        sub.add_argument("--config", help="flat key=value config file")
+
     pr = subs.add_parser("preset", help="run a figure-reproduction recipe")
     pr.add_argument("name", help="fig1 | fig2 | fig3 | fig5 | fig6 | fig7")
     pr.add_argument("--outdir", default=".")
-    pr.add_argument("--seed", type=int)
-    pr.add_argument("--t-end", type=float, dest="t_end",
-                    help="override the preset horizon (all runs)")
+    # Flag-only overrides of the recipe: preset resolves no option.
+    _add_options(pr, "seed", "t_end", t_end="override the preset horizon (all runs)")
     return parser
 
 
@@ -465,31 +465,25 @@ def _convert(name: str, text: str, source: str):
         raise UsageError(f"{source}: {name}={text!r} is not a valid {typ.__name__}") from None
 
 
-def _resolve(name: str, args: argparse.Namespace, file_values: dict[str, object]):
-    """defaults < config file < environment < flags."""
-    value = file_values.get(name, OPTION_DEFAULTS[name][1])
-    env_name = ENV_PREFIX + name.upper()
-    env = os.environ.get(env_name)
-    if env is not None:
-        value = _convert(name, env, f"environment variable {env_name}")
-    flag = getattr(args, name, None)
-    if flag is not None:
-        value = flag
-    return value
-
-
-def _given(name: str, args: argparse.Namespace, file_values: dict[str, object]) -> bool:
-    """Whether the config file, the environment or a flag sets ``name``."""
-    return (name in file_values or ENV_PREFIX + name.upper() in os.environ
-            or getattr(args, name, None) is not None)
-
-
-def _params_from(args: argparse.Namespace, file_values: dict[str, object]) -> ModelParams:
-    values = {name: _resolve(name, args, file_values) for name in ("alpha", "beta", "gamma", "p")}
-    try:
-        return ModelParams(**values)
-    except ValueError as exc:
-        raise UsageError(f"invalid parameter combination: {exc}") from exc
+def _resolve_options(args: argparse.Namespace) -> tuple[dict[str, object], set[str]]:
+    """The value of each table option the command declares (each that is an
+    attribute of ``args``), in table order, by defaults < config file <
+    environment < flags; and the names of those that some source sets."""
+    file_values = _read_config_file(getattr(args, "config", None))
+    values: dict[str, object] = {}
+    given: set[str] = set()
+    for name, (_type, default) in OPTION_DEFAULTS.items():
+        if not hasattr(args, name):
+            continue
+        env_name = ENV_PREFIX + name.upper()
+        env, flag = os.environ.get(env_name), getattr(args, name)
+        value = file_values.get(name, default)
+        if env is not None:
+            value = _convert(name, env, f"environment variable {env_name}")
+        values[name] = value if flag is None else flag
+        if name in file_values or env is not None or flag is not None:
+            given.add(name)
+    return values, given
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -509,49 +503,44 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    file_values = _read_config_file(getattr(args, "config", None))
+    if args.command == "preset":
+        return _run_preset(args)
+    options, given = _resolve_options(args)
+    if args.command == "analyze":
+        return _run_analyze(args, options["a0"], options["thr"])
+    try:
+        params = ModelParams(**{name: options.pop(name) for name in _PARAMS})
+    except ValueError as exc:
+        raise UsageError(f"invalid parameter combination: {exc}") from exc
 
     if args.command == "ds":
-        params = _params_from(args, file_values)
-        config = RunConfig(
-            params=params,
-            mode="ds",
-            initial=State(_resolve("r0", args, file_values), _resolve("n0", args, file_values)),
-            t_end=_resolve("t_end", args, file_values),
-            dt=_resolve("dt", args, file_values),
-            out=args.out,
-        )
+        initial = State(options.pop("r0"), options.pop("n0"))
+        config = RunConfig(params=params, mode="ds", initial=initial, out=args.out, **options)
         analyse_run(config, simulate_run(config), Path(args.out).parent)
         return 0
 
     if args.command == "stability":
-        params = _params_from(args, file_values)
         with _argument_checks():
             report = stability_report(params)
         io.write_json(args.out, report.to_dict(), params)
         return 0
 
     if args.command == "simulate":
-        params = _params_from(args, file_values)
-        max_jumps = _resolve("max_jumps", args, file_values)
+        # A jump count alone bounds the run unless a horizon is set too.
+        if options["max_jumps"] is not None and "t_end" not in given:
+            options["t_end"] = None
+        initial = State(options.pop("r0"), options.pop("n0"))
         config = RunConfig(
             params=params,
             mode=args.mode,
-            n_units=_resolve("n_units", args, file_values),
-            initial=State(_resolve("r0", args, file_values), _resolve("n0", args, file_values)),
-            # A jump count alone bounds the run unless a horizon is set too.
-            t_end=None if max_jumps is not None and not _given("t_end", args, file_values)
-            else _resolve("t_end", args, file_values),
-            max_jumps=max_jumps,
-            seed=_resolve("seed", args, file_values),
-            a0=_resolve("a0", args, file_values),
-            thr=_resolve("thr", args, file_values),
+            initial=initial,
             lln_reference=args.lln_reference,
             out=args.out,
             report_out=args.report_out,
             pairs_out=args.pairs_out,
             survival_out=args.survival_out,
             label=Path(args.out).stem,
+            **options,
         )
         _check_levels(config.a0, config.thr)
         if config.lln_reference and config.t_end is None:
@@ -561,11 +550,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         analyse_run(config, simulate_run(config), Path(args.out).parent)
         return 0
 
-    if args.command == "analyze":
-        return _run_analyze(args)
-
     if args.command == "lyapunov":
-        params = _params_from(args, file_values)
         kind = ProcessKind.MEANFIELD if args.mode == "meanfield" else ProcessKind.ONEUNIT
         box = None
         if args.box_kr is not None or args.box_kn is not None:
@@ -573,34 +558,33 @@ def _dispatch(args: argparse.Namespace) -> int:
                 raise UsageError("provide both --box-kr and --box-kn or neither")
             box = (args.box_kr, args.box_kn)
         with _argument_checks():
-            report = scan_drift_condition(
-                kind, params, epsilon=_resolve("epsilon", args, file_values), scan_box=box
-            )
+            report = scan_drift_condition(kind, params, epsilon=options["epsilon"], scan_box=box)
         io.write_json(args.out, report.to_dict(), params)
         return 0 if (report.passed or report.inconclusive) else 2
-
-    if args.command == "preset":
-        runs = preset(args.name)
-        _check_overrides(args.seed, args.t_end)
-        if args.seed is not None:
-            runs = [replace(config, seed=args.seed) for config in runs]
-        if args.t_end is not None:
-            runs = [replace(config, t_end=args.t_end) for config in runs]
-        # Adjacent runs on the same path share one simulation, so only one
-        # path is held at a time.
-        for _key, group in groupby(runs, key=RunConfig.path_key):
-            group = list(group)
-            for written in analyse_group(group, simulate_run(group[0]), outdir=args.outdir):
-                print(written)
-        return 0
 
     raise UsageError(f"unknown command {args.command!r}")
 
 
-def _run_analyze(args: argparse.Namespace) -> int:
-    _check_levels(args.a0, args.thr)
+def _run_preset(args: argparse.Namespace) -> int:
+    runs = preset(args.name)
+    _check_overrides(args.seed, args.t_end)
+    if args.seed is not None:
+        runs = [replace(config, seed=args.seed) for config in runs]
+    if args.t_end is not None:
+        runs = [replace(config, t_end=args.t_end) for config in runs]
+    # Adjacent runs on the same path share one simulation, so only one
+    # path is held at a time.
+    for _key, group in groupby(runs, key=RunConfig.path_key):
+        group = list(group)
+        for written in analyse_group(group, simulate_run(group[0]), outdir=args.outdir):
+            print(written)
+    return 0
+
+
+def _run_analyze(args: argparse.Namespace, a0: float | None, thr: float | None) -> int:
+    _check_levels(a0, thr)
     _check_outputs({"pairs": args.pairs_out},
-                   ["pairs"] if args.a0 is not None and args.thr is not None else [])
+                   ["pairs"] if a0 is not None and thr is not None else [])
     with _argument_checks():
         meta, columns = io.read_trajectory_csv(args.input)
     if "t" not in columns or "n" not in columns:
@@ -629,10 +613,10 @@ def _run_analyze(args: argparse.Namespace) -> int:
     series = PathSeries(times=t, values=columns["n"], t_end=t_end, step=step)
 
     report: dict = {"input": str(args.input), "mode": meta.get("mode", "unknown")}
-    stats, _amps, pairs = _analyse(series, args.a0, args.thr)
+    stats, _amps, pairs = _analyse(series, a0, thr)
     report.update(stats)
     if pairs is not None and args.pairs_out:
-        io.write_pairs_csv(args.pairs_out, pairs, params, {"a0": args.a0, "thr": args.thr})
+        io.write_pairs_csv(args.pairs_out, pairs, params, {"a0": a0, "thr": thr})
     io.write_json(args.out, report, params)
     return 0
 

@@ -97,12 +97,16 @@ def _python_rows(columns: list[tuple[str, np.ndarray, float]], labels: tuple[str
     """The CSV lines of checked ``columns``, ``slice_rows`` rows per string,
     formatted in Python: the compiled formatter's reference, and its
     fallback."""
-    formats = [_LatticeText(unit).__getitem__ if kind == "lattice"
-               else repr if kind == "float" else labels.__getitem__
-               for kind, _values, unit in columns]
     for start in range(0, len(columns[0][1]), slice_rows):
-        cells = [map(fmt, values[start:start + slice_rows].tolist())
-                 for fmt, (_kind, values, _unit) in zip(formats, columns)]
+        cells = []
+        for kind, values, unit in columns:
+            part = values[start:start + slice_rows]
+            if kind == "label":
+                cells.append(map(labels.__getitem__, part.tolist()))
+            else:
+                # A lattice value is the int64-times-float64 product that
+                # ``JumpTrajectory.step_r``/``step_n`` form.
+                cells.append(map(repr, (part * unit if kind == "lattice" else part).tolist()))
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
@@ -150,24 +154,6 @@ def _check_columns() -> list[tuple[str, np.ndarray, float]]:
                                                    len(rows)), 1 / 3),
                              ("lattice", rows % 11, 0.02),
                              ("label", rows % len(CHANNEL_LABELS), 0.0)])
-
-
-class _LatticeText(dict):
-    """The text of lattice value ``k * unit`` by index ``k``.
-
-    Each entry is made the first time its index is looked up, so the table
-    holds one entry per distinct index on the path and no full-length
-    temporary is built.  The value is the int64-times-float64 product that
-    ``JumpTrajectory.r_values``/``n_values`` form.
-    """
-
-    def __init__(self, unit: float) -> None:
-        super().__init__()
-        self.unit = unit
-
-    def __missing__(self, k: int) -> str:
-        text = self[k] = repr(float(np.int64(k) * self.unit))
-        return text
 
 
 def write_ode_csv(path: str | Path, traj: Trajectory, extra: dict | None = None) -> None:
@@ -239,9 +225,11 @@ def write_json(path: str | Path, payload: dict, params: ModelParams | None = Non
             "z": params.z,
         }
     doc.update(payload)
+    # Encoded before the file is opened, so a value JSON cannot hold (a
+    # number that is not finite) leaves no file behind.
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     with open(path, "w", newline="") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=False, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)
 
 
 def read_trajectory_csv(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:

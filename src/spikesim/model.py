@@ -39,7 +39,8 @@ class Regime(str, Enum):
 class ModelParams:
     """The four model parameters plus the derived combination z = beta*p + alpha.
 
-    Constraints: all four finite, beta > 0, gamma > 0, alpha >= 0, p >= 0.
+    Constraints: all four finite, beta > 0, gamma > 0, alpha >= 0, p >= 0,
+    and z finite.
     ``z`` is computed once at construction; the dataclass is frozen so it
     cannot go stale.
     """
@@ -62,7 +63,10 @@ class ModelParams:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if self.p < 0:
             raise ValueError(f"p must be >= 0, got {self.p}")
-        object.__setattr__(self, "z", self.beta * self.p + self.alpha)
+        z = self.beta * self.p + self.alpha
+        if not math.isfinite(z):
+            raise ValueError(f"z = beta*p + alpha must be finite, got {z}")
+        object.__setattr__(self, "z", z)
 
     def require_pumped(self) -> None:
         """Operations built on the stationary point need z > 0."""

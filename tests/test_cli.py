@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +11,11 @@ import spikesim.cli
 from spikesim import ModelParams, State, __version__, build_oneunit, integrate, simulate
 from spikesim import io, jump
 from spikesim.cli import (
+    OPTION_DEFAULTS,
     RunConfig,
     UsageError,
     analyse_run,
+    build_parser,
     main,
     preset,
     simulate_run,
@@ -62,6 +66,7 @@ class TestIO:
     def test_json_rejects_non_finite_numbers(self, fig1_params, out):
         with pytest.raises(ValueError):
             io.write_json(out / "r.json", {"value": math.nan}, fig1_params)
+        assert list(out.iterdir()) == []  # no half-written file
 
     def test_json_embeds_params_and_version(self, fig1_params, out):
         path = out / "r.json"
@@ -342,6 +347,8 @@ OUT_OF_RANGE = {
         "--lln-reference needs a horizon (--t-end)"),
     "stability --p 0 --alpha 0": (["stability", "--p", "0", "--alpha", "0"],
                                   "stationary point undefined"),
+    "stability z overflows": (["stability", "--alpha", "1e308", "--beta", "1e308", "--gamma", "1",
+                               "--p", "1e308"], "z = beta*p + alpha must be finite"),
     "lyapunov meanfield --p 0 --alpha 0": (
         ["lyapunov", "--mode", "meanfield", "--p", "0", "--alpha", "0"],
         "stationary point undefined"),
@@ -356,6 +363,13 @@ def test_out_of_range_argument_is_usage_error(out, capsys, case):
     assert code == 1
     assert message in capsys.readouterr().err
     assert list(out.iterdir()) == []  # nothing written
+
+
+def test_a_report_json_cannot_hold_leaves_no_file(out, capsys):
+    # At gamma 1e-310 an eigenvalue overflows to -inf, which JSON cannot hold.
+    assert main(["stability", "--gamma", "1e-310", "--out", str(out / "s.json")]) == 2
+    assert "not JSON compliant" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("kernel", ["in use", "python"])
@@ -511,6 +525,83 @@ class TestMaxJumpsSources:
         meta, columns = io.read_trajectory_csv(path)
         assert float(meta["t_end"]) == 0.5
         assert 0 < len(columns["t"]) - 1 < 1000
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    (subs,) = [action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction)]
+    return subs.choices
+
+
+def _declared(sub: argparse.ArgumentParser) -> list[str]:
+    """The table options a command takes, in the order of its flags."""
+    return [action.dest for action in sub._actions if action.dest in OPTION_DEFAULTS]
+
+
+def test_every_table_option_is_a_flag_of_its_type():
+    declared = set()
+    for command, sub in _subcommands().items():
+        for name in _declared(sub):
+            action = next(action for action in sub._actions if action.dest == name)
+            assert action.type is OPTION_DEFAULTS[name][0], (command, name)
+            assert action.option_strings == ["--" + name.replace("_", "-")], (command, name)
+            declared.add(name)
+    assert declared == set(OPTION_DEFAULTS)  # no config key that nothing reads
+
+
+# A value of each table option that is not its default, and the other
+# arguments of each command that resolves options, on tiny horizons and
+# boxes.  preset resolves none: its --seed and --t-end are flag-only.
+OPTION_VALUES = {"alpha": "0.02", "beta": "0.5", "gamma": "50", "p": "3", "n_units": "3",
+                 "seed": "5", "t_end": "20", "max_jumps": "40", "r0": "0.5", "n0": "0.25",
+                 "a0": "2", "thr": "1", "dt": "0.01", "epsilon": "0.2"}
+INPUT = "<input>"  # stands for a jump CSV that analyze reads
+COMMAND_ARGV = {
+    "ds": ["ds", "--out", "ds.csv"],
+    "stability": ["stability", "--out", "s.json"],
+    "simulate": ["simulate", "--mode", "global", "--out", "p.csv"],
+    "analyze": ["analyze", "--input", INPUT, "--out", "r.json", "--pairs-out", "pairs.csv"],
+    "lyapunov": ["lyapunov", "--mode", "oneunit", "--box-kr", "20", "--box-kn", "20",
+                 "--out", "d.json"],
+}
+OPTION_ROUTES = [
+    (command, name, route)
+    for command, sub in _subcommands().items() if command != "preset"
+    for name in _declared(sub)
+    for route in (["environment", "config"] if "--config" in sub._option_string_actions
+                  else ["environment"])
+]
+
+
+@pytest.mark.parametrize("command, name, route", OPTION_ROUTES,
+                         ids=["-".join(case) for case in OPTION_ROUTES])
+def test_every_source_of_an_option_writes_what_its_flag_writes(
+        fig1_params, tmp_path, monkeypatch, command, name, route):
+    spec = build_oneunit(fig1_params)
+    io.write_jump_csv(tmp_path / "in.csv", simulate(spec, spec.lattice_state(0.0, 0.0),
+                                                    t_end=200.0, seed=1))
+    argv = [str(tmp_path / "in.csv") if arg == INPUT else arg for arg in COMMAND_ARGV[command]]
+    # Every other option the command takes is set by its flag.
+    argv += [arg for other in _declared(_subcommands()[command]) if other != name
+             for arg in ("--" + other.replace("_", "-"), OPTION_VALUES[other])]
+    (tmp_path / "run.cfg").write_text(f"{name}={OPTION_VALUES[name]}\n")
+
+    def written(source: str, extra: list[str], env: dict[str, str]):
+        (tmp_path / source).mkdir()
+        monkeypatch.chdir(tmp_path / source)
+        with monkeypatch.context() as patch:
+            for key, value in env.items():
+                patch.setenv(key, value)
+            code = main(argv + extra)
+        return code, {path.name: path.read_bytes() for path in Path.cwd().iterdir()}
+
+    flag = written("flag", ["--" + name.replace("_", "-"), OPTION_VALUES[name]], {})
+    assert flag[0] in (0, 2) and flag[1]  # lyapunov exits 2 on a failed scan
+    if route == "environment":
+        assert written(route, [], {f"SPIKESIM_{name.upper()}": OPTION_VALUES[name]}) == flag
+    else:
+        assert written(route, ["--config", str(tmp_path / "run.cfg")], {}) == flag
+    assert written("unset", [], {}) != flag  # the option changes what is written
 
 
 class TestAnalyzeRejectsMalformedInput:

@@ -26,6 +26,7 @@ from spikesim import (
     build_global,
     build_meanfield,
     build_oneunit,
+    integrate,
     next_jump,
     simulate,
 )
@@ -212,10 +213,13 @@ def _has_fma() -> bool:
 
 class TestBuild:
     """The compiled library is built into the cache on first use, and the
-    Python kernel, RK4 loop and row writer run where it cannot be built."""
+    Python kernel, RK4 loop, row writer and row reader run where it cannot
+    be built."""
 
-    # Each module's checked entry point into the library, loaded once.
-    LOADED = (jump._compiled_run, ode._compiled_rk4, io._compiled_formatter)
+    # Each module's checked entry point into the library, and the table the
+    # formatter and reader share, each made once.
+    LOADED = (jump._compiled_run, ode._compiled_rk4, io._compiled_formatter,
+              io._compiled_reader, _compiled.pow10_table)
 
     @pytest.fixture
     def empty_cache(self, monkeypatch, tmp_path):
@@ -240,6 +244,22 @@ class TestBuild:
         for write in (test_csv_bytes.ode_fig1, test_csv_bytes.ode_fig2_strided,
                       test_csv_bytes.jump_meanfield, test_csv_bytes.jump_oneunit):
             test_csv_bytes.test_csv_bytes_are_frozen(tmp_path_factory.mktemp("csv"), write)
+        # The CSV reader takes loadtxt, and reads the floats written.
+        assert io._compiled_reader() is None
+        params = ModelParams(alpha=0.01, beta=1.0, gamma=100.0, p=7.0)
+        spec = build_oneunit(params)
+        traj = simulate(spec, spec.lattice_state(0.0, 0.0), t_end=50.0, seed=1)
+        ode_traj = integrate(params, State(0.01, 0.01), t_end=1.0, dt=0.01)
+        csv = tmp_path_factory.mktemp("read")
+        io.write_jump_csv(csv / "jump.csv", traj)
+        io.write_ode_csv(csv / "ode.csv", ode_traj)
+        _meta, columns = io.read_trajectory_csv(csv / "jump.csv")
+        assert np.array_equal(columns["t"][1:], traj.times)
+        assert np.array_equal(columns["r"], traj.step_r())
+        assert np.array_equal(columns["n"], traj.step_n())
+        _meta, columns = io.read_trajectory_csv(csv / "ode.csv")
+        for name in ("t", "r", "n"):
+            assert np.array_equal(columns[name], getattr(ode_traj, name))
 
     @pytest.mark.skipif(jump.engine() != "compiled", reason="no compiled jump engine here")
     def test_builds_once_into_the_cache(self, empty_cache):

@@ -44,6 +44,10 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(**kwargs)
 
+    def test_rejects_a_z_that_overflows(self):
+        with pytest.raises(ValueError, match="z = beta\\*p \\+ alpha must be finite"):
+            ModelParams(alpha=1e308, beta=1e308, gamma=1.0, p=1e308)
+
     @pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "p"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, name, value):
