@@ -15,7 +15,6 @@ as ``Generator`` does.
 import ctypes
 import functools
 import hashlib
-import math
 import os
 import platform
 import sys
@@ -82,22 +81,23 @@ def _entry(name: str, prototype) -> Callable | None:
 
 
 def load() -> Callable | None:
-    """The library's direct-method loop, for ``run`` and ``step``, or None."""
-    return _entry("spikesim_direct_method",
+    """``run`` bound to the library's direct-method loop, or None."""
+    loop = _entry("spikesim_direct_method",
                   ctypes.CFUNCTYPE(ctypes.c_int64, *(ctypes.c_void_p,) * 5))
+    return None if loop is None else functools.partial(run, loop)
 
 
-def run(loop, tab: Table, kr: int, kn: int, rng: np.random.Generator, t_end: float,
+def run(loop, spec, kr: int, kn: int, rng: np.random.Generator, t_end: float,
         limit: int) -> tuple[array, bytearray, int]:
-    """At most ``limit`` events from (kr, kn) at t = 0: event times, channel
-    indices and why the loop stopped (0 limit, 1 absorbed, 2 time horizon).
-    Each chunk resumes from the state, time and bit generator the last one
-    left."""
+    """At most ``limit`` events of the process ``spec`` from (kr, kn) at
+    t = 0: event times, channel indices and why the loop stopped (0 limit,
+    1 absorbed, 2 time horizon).  Each chunk resumes from the state, time
+    and bit generator the last one left."""
     times, picks = array("d"), bytearray()
     size = min(limit, CHUNK_EVENTS)
     time_buf, pick_buf = array("d", bytes(8 * size)), array("b", bytes(size))
     state = _Run(0.0, t_end, kr, kn)
-    args = (ctypes.addressof(tab), ctypes.addressof(state),
+    args = (ctypes.addressof(spec._table), ctypes.addressof(state),
             time_buf.buffer_info()[0], pick_buf.buffer_info()[0])
     bitgen = rng.bit_generator
     with bitgen.lock:
@@ -108,19 +108,6 @@ def run(loop, tab: Table, kr: int, kn: int, rng: np.random.Generator, t_end: flo
             picks += pick_buf[:count]
             if state.stop or len(picks) == limit:
                 return times, picks, state.stop
-
-
-def step(loop, tab: Table, kr: int, kn: int,
-         rng: np.random.Generator) -> tuple[float, int] | None:
-    """One event of ``run`` from (kr, kn) with no time horizon, into a few
-    bytes made for it rather than a run's buffers: its time and channel
-    index, or None when (kr, kn) is absorbing."""
-    state, time, pick = _Run(0.0, math.inf, kr, kn, 1), ctypes.c_double(), ctypes.c_int8()
-    bitgen = rng.bit_generator
-    with bitgen.lock:
-        count = loop(bitgen.ctypes.bit_generator, ctypes.addressof(tab), ctypes.addressof(state),
-                     ctypes.addressof(time), ctypes.addressof(pick))
-    return (time.value, pick.value) if count else None
 
 
 class Rk4(ctypes.Structure):

@@ -211,21 +211,14 @@ def simulate_run(config: RunConfig) -> Trajectory | JumpTrajectory:
         )
 
 
-def analyse_run(
-    config: RunConfig, traj: Trajectory | JumpTrajectory, outdir: str | Path = "."
-) -> list[Path]:
-    """Write the artifacts of one RunConfig from its path ``traj`` (as made
-    by ``simulate_run``); returns the artifact paths written."""
-    return list(analyse_group([config], traj, outdir))
-
-
 def analyse_group(
     configs: list[RunConfig], traj: Trajectory | JumpTrajectory, outdir: str | Path = "."
 ) -> Iterator[Path]:
-    """``analyse_run`` for each of ``configs``, RunConfigs that share the path
-    ``traj``, in turn, yielding each artifact path once it is written.  The
-    path's series is built once, when a config first asks for spikes or
-    plateaus, and its spikes are detected once per level."""
+    """Write the artifacts of each of ``configs``, RunConfigs that share the
+    path ``traj`` (as made by ``simulate_run``), in turn, yielding each
+    artifact path once it is written.  The path's series is built once, when
+    a config first asks for spikes or plateaus, and its spikes are detected
+    once per level."""
     outdir = Path(outdir)
     series: PathSeries | None = None
     spikes_at: dict[float, np.recarray] = {}
@@ -516,7 +509,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "ds":
         initial = State(options.pop("r0"), options.pop("n0"))
         config = RunConfig(params=params, mode="ds", initial=initial, out=args.out, **options)
-        analyse_run(config, simulate_run(config), Path(args.out).parent)
+        list(analyse_group([config], simulate_run(config), Path(args.out).parent))
         return 0
 
     if args.command == "stability":
@@ -547,7 +540,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             raise UsageError("--lln-reference needs a horizon (--t-end)")
         _check_outputs({"survival": config.survival_out, "pairs": config.pairs_out,
                         "report": config.report_out}, config.artifacts())
-        analyse_run(config, simulate_run(config), Path(args.out).parent)
+        list(analyse_group([config], simulate_run(config), Path(args.out).parent))
         return 0
 
     if args.command == "lyapunov":

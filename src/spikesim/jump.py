@@ -8,7 +8,8 @@ integer lattice, each with a bilinear intensity
 * global(N): density process on (1/(gamma*N))Z+ x (1/N)Z+, rates of order N;
 * meanfield: a single unit whose interaction term is frozen at an anchor
   (by default the deterministic fixed point), lattice (1/gamma)Z+ x Z+;
-* oneunit:  the N = 1 chain on the same lattice, rates x*y, alpha*x, y, p, y/beta.
+* oneunit:  the N = 1 chain, global(1) on the same lattice: rates x*y, alpha*x,
+  y, p, y/beta.
 
 A process is its coefficient table (one row per channel).  Simulation is the
 exact direct method: exponential waiting time at the total rate, categorical
@@ -26,7 +27,7 @@ the fallback where it cannot be built or loaded.
 import functools
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Callable
@@ -194,20 +195,14 @@ class JumpTrajectory:
     def n_events(self) -> int:
         return len(self.times)
 
-    def r_values(self) -> np.ndarray:
-        return self.krs * float(self.spec.r_unit)
-
-    def n_values(self) -> np.ndarray:
-        return self.kns * float(self.spec.n_unit)
-
     def step_times(self) -> np.ndarray:
         """Event times prefixed with t = 0 (matching step_* value arrays)."""
         return np.concatenate(([0.0], self.times))
 
     def step_r(self) -> np.ndarray:
-        """r at t = 0, then after each event.  Every entry, the first one
-        included, is the lattice index times the unit as ``r_values`` forms
-        it, so a lattice state has one value along the path."""
+        """r at t = 0, then after each event: each entry, the first one
+        included, is the lattice index times the unit, so a lattice state
+        has one value along the path."""
         return np.concatenate(([self.initial.kr], self.krs)) * float(self.spec.r_unit)
 
     def step_n(self) -> np.ndarray:
@@ -261,17 +256,9 @@ def build_meanfield(params: ModelParams, anchor: State | None = None) -> Process
 
 
 def build_oneunit(params: ModelParams) -> ProcessSpec:
-    """The N = 1 chain: rates x*y, alpha*x, y, p, y/beta on (1/gamma)Z+ x Z+."""
-    a, b, p = params.alpha, params.beta, params.p
-    return ProcessSpec(
-        params=params,
-        kind=ProcessKind.ONEUNIT,
-        channels=_make_channels(
-            {"k_rn": 1.0}, {"k_r": a}, {"k_n": 1.0}, {"k_1": p}, {"k_n": 1.0, "div": b},
-        ),
-        r_unit=Fraction(1) / Fraction(params.gamma),
-        n_unit=Fraction(1),
-    )
+    """The N = 1 chain: rates x*y, alpha*x, y, p, y/beta on (1/gamma)Z+ x Z+.
+    It is global(1) bit for bit (a * 1.0 == a), under its own kind."""
+    return replace(build_global(params, 1), kind=ProcessKind.ONEUNIT)
 
 
 def _make_channels(*rows: dict) -> tuple[JumpChannel, ...]:
@@ -282,21 +269,16 @@ def _make_channels(*rows: dict) -> tuple[JumpChannel, ...]:
 
 
 def _run(spec: ProcessSpec, kr: int, kn: int, rng: np.random.Generator, t_end: float,
-         limit: int) -> tuple[array, bytearray, Termination]:
+         limit: int) -> tuple[array, bytearray, int]:
     """At most ``limit`` events from (kr, kn) at t = 0: event times, channel
-    indices and why the loop stopped.  The compiled loop runs where it is
-    available, the Python kernel elsewhere; the two draw the same stream."""
-    loop = _compiled_run()
-    if loop is None:
-        return _run_python(spec, kr, kn, rng, t_end, limit)
-    from . import _compiled
-
-    times, picks, stop = _compiled.run(loop, spec._table, kr, kn, rng, t_end, limit)
-    return times, picks, _STOPS[stop]
+    indices and the stop code, an index into ``_STOPS``.  The compiled loop
+    runs where it is available, the Python kernel elsewhere; the two draw
+    the same stream."""
+    return (_compiled_run() or _run_python)(spec, kr, kn, rng, t_end, limit)
 
 
 def _run_python(spec: ProcessSpec, kr: int, kn: int, rng: np.random.Generator, t_end: float,
-                limit: int) -> tuple[array, bytearray, Termination]:
+                limit: int) -> tuple[array, bytearray, int]:
     """``spikesim_direct_method`` of ``_kernel.c``, statement for statement.
 
     Per event: the channel rates, each summed term by term left to right
@@ -305,7 +287,8 @@ def _run_python(spec: ProcessSpec, kr: int, kn: int, rng: np.random.Generator, t
     waiting time, then one uniform for the channel, picked as the first
     cumulative rate above it (the last channel with a positive rate when
     round-off puts it on the top edge).  Only the event time and the channel
-    index are stored.
+    index are stored.  The stop code is 0 at the limit, 1 when absorbed and
+    2 at the time horizon, as the C loop's.
     """
     rows, r_unit, n_unit = spec._rows, float(spec.r_unit), float(spec.n_unit)
     exponential, uniform = rng.standard_exponential, rng.random
@@ -332,10 +315,10 @@ def _run_python(spec: ProcessSpec, kr: int, kn: int, rng: np.random.Generator, t
             total += rate
             cum[i] = total
         if total <= 0.0:
-            return times, picks, Termination.ABSORBED
+            return times, picks, 1
         t_next = t + exponential() / total
         if t_next > t_end:
-            return times, picks, Termination.TIME_HORIZON
+            return times, picks, 2
         t = t_next
         u = uniform() * total
         pick = top
@@ -347,10 +330,10 @@ def _run_python(spec: ProcessSpec, kr: int, kn: int, rng: np.random.Generator, t
         kn += rows[pick][8]
         times.append(t)
         picks.append(pick)
-    return times, picks, Termination.MAX_JUMPS
+    return times, picks, 0
 
 
-# Termination by the compiled loop's stop code.
+# Termination by the direct-method loop's stop code.
 _STOPS = (Termination.MAX_JUMPS, Termination.ABSORBED, Termination.TIME_HORIZON)
 
 
@@ -362,13 +345,13 @@ def engine() -> str:
 
 @functools.cache
 def _compiled_run() -> Callable | None:
-    """The compiled loop, loaded on first use; None (the Python kernel runs)
-    when it cannot be built or loaded, or when it does not reproduce the
-    Python kernel."""
+    """The compiled loop as ``_run_python``'s equal, loaded on first use;
+    None (the Python kernel runs) when it cannot be built or loaded, or when
+    it does not reproduce the Python kernel."""
     from . import _compiled
 
-    loop = _compiled.load()
-    if loop is None:
+    run = _compiled.load()
+    if run is None:
         return None
     # A toolchain that fuses or reorders floating-point operations, or a
     # libnpyrandom that draws differently, would change the stream.  This
@@ -384,10 +367,9 @@ def _compiled_run() -> Callable | None:
                                       {"k_n": 1.0, "div": 0.7}),
                        r_unit=Fraction(1, 3), n_unit=Fraction(1))
     # From a high state, so that the rates take a wide range of values.
-    times, picks, stop = _compiled.run(loop, spec._table, 5, 200, np.random.default_rng(0),
-                                       math.inf, 400)
-    expected = _run_python(spec, 5, 200, np.random.default_rng(0), math.inf, 400)
-    return loop if (times, picks, _STOPS[stop]) == expected else None
+    compiled, python = (kernel(spec, 5, 200, np.random.default_rng(0), math.inf, 400)
+                        for kernel in (run, _run_python))
+    return run if compiled == python else None
 
 
 def next_jump(
@@ -395,17 +377,12 @@ def next_jump(
 ) -> tuple[float, int] | None:
     """Draw (waiting time, channel index) at state ``s``, or None if absorbed.
 
-    One step of the ``simulate`` kernel: exactly two draws (one exponential,
-    one uniform), so trajectories are reproducible from the seed and draw
-    count alone.
+    One event of the ``simulate`` kernel, with no horizon: exactly two draws
+    (one exponential, one uniform), so trajectories are reproducible from
+    the seed and draw count alone.
     """
-    loop = _compiled_run()
-    if loop is None:
-        times, picks, _ = _run_python(spec, s.kr, s.kn, rng, math.inf, 1)
-        return (times[0], picks[0]) if picks else None
-    from . import _compiled
-
-    return _compiled.step(loop, spec._table, s.kr, s.kn, rng)
+    times, picks, _stop = _run(spec, s.kr, s.kn, rng, math.inf, 1)
+    return (times[0], picks[0]) if picks else None
 
 
 def simulate(
@@ -439,7 +416,7 @@ def simulate(
 
     # One event past the cap is enough to know the cap is exceeded.
     limit = max_events + 1 if max_jumps is None else min(max_jumps, max_events + 1)
-    times, picks, terminated = _run(
+    times, picks, stop = _run(
         spec, initial.kr, initial.kn, np.random.default_rng(seed),
         math.inf if t_end is None else t_end, limit,
     )
@@ -458,7 +435,7 @@ def simulate(
         raise RuntimeError("negative lattice state on the simulated path")
     covered = t_end if t_end is not None else (times[-1] if times else 0.0)
     return JumpTrajectory(spec, initial, seed, np.frombuffer(times, dtype=np.float64),
-                          krs, kns, channels, terminated, covered)
+                          krs, kns, channels, _STOPS[stop], covered)
 
 
 def expected_drift(spec: ProcessSpec, s: LatticeState) -> tuple[float, float]:

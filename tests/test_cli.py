@@ -14,7 +14,7 @@ from spikesim.cli import (
     OPTION_DEFAULTS,
     RunConfig,
     UsageError,
-    analyse_run,
+    analyse_group,
     build_parser,
     main,
     preset,
@@ -81,7 +81,7 @@ class TestRun:
     def test_ds_run_writes_csv(self, fig1_params, out):
         config = RunConfig(params=fig1_params, mode="ds", initial=State(0.01, 0.01),
                            t_end=1.0, dt=1e-2, label="demo")
-        written = analyse_run(config, simulate_run(config), out)
+        written = list(analyse_group([config], simulate_run(config), out))
         assert written == [out / "demo.csv"]
         header = [
             line for line in written[0].read_text().splitlines()
@@ -94,7 +94,7 @@ class TestRun:
             params=fig1_params, mode="oneunit", initial=State(0.0, 0.0),
             t_end=3000.0, seed=2, a0=10.0, thr=10.0, label="stats",
         )
-        written = analyse_run(config, simulate_run(config), out)
+        written = list(analyse_group([config], simulate_run(config), out))
         names = {p.name for p in written}
         assert names == {"stats_survival.csv", "stats_pairs.csv", "stats_report.json"}
         report = json.loads((out / "stats_report.json").read_text())
@@ -108,7 +108,7 @@ class TestRun:
             initial=State(0.01, 0.01), t_end=5.0, seed=3,
             lln_reference=True, label="lln",
         )
-        analyse_run(config, simulate_run(config), out)
+        list(analyse_group([config], simulate_run(config), out))
         report = json.loads((out / "lln_report.json").read_text())
         assert report["lln_sup_distance"] > 0
 
@@ -705,7 +705,7 @@ class TestAnalyzeRoutesAgree:
         )
         traj = simulate_run(config)
         assert traj.step_n()[-1] > 10.0  # the last spike is still open
-        analyse_run(config, traj, out)
+        list(analyse_group([config], traj, out))
         inline = json.loads((out / "path_report.json").read_text())
         analysed = self._analyze(out / "path.csv", out / "a.json", out / "a_pairs.csv")
         assert inline["correlation"]["n"] >= 3
@@ -824,7 +824,7 @@ class TestPresetDeduplication:
 
         for config in preset("fig7"):
             config = replace(config, t_end=300.0)
-            analyse_run(config, simulate_run(config), alone)
+            list(analyse_group([config], simulate_run(config), alone))
         assert len(calls) == 2 + 4
         assert len(detections) == 2 + 4
         names = sorted(p.name for p in shared.iterdir())

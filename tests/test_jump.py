@@ -1,13 +1,17 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import PARAM_GRID
 
 from spikesim import (
     CHANNEL_LABELS,
     EventCapError,
     LatticeState,
     ModelParams,
+    ProcessKind,
+    ProcessSpec,
     State,
     Termination,
     build_global,
@@ -102,6 +106,45 @@ class TestBuilders:
             build_oneunit(fig1_params),
         ):
             assert tuple(ch.label for ch in spec.channels) == CHANNEL_LABELS
+
+
+def _oneunit_as_written(params: ModelParams) -> ProcessSpec:
+    """The N = 1 chain from its own rates, x*y, alpha*x, y, p and y/beta on
+    (1/gamma)Z+ x Z+, not from the N-unit builder."""
+    return ProcessSpec(
+        params, ProcessKind.ONEUNIT,
+        jump._make_channels({"k_rn": 1.0}, {"k_r": params.alpha}, {"k_n": 1.0},
+                            {"k_1": params.p}, {"k_n": 1.0, "div": params.beta}),
+        r_unit=Fraction(1) / Fraction(params.gamma), n_unit=Fraction(1),
+    )
+
+
+class TestOneUnitIsGlobalOfOne:
+    """``build_oneunit`` is ``build_global(params, 1)`` under its own kind,
+    bit for bit the chain its rates describe."""
+
+    @pytest.mark.parametrize("params", PARAM_GRID)
+    def test_same_table_and_lattice(self, params):
+        oneunit = build_oneunit(params)
+        assert oneunit.kind is ProcessKind.ONEUNIT
+        assert oneunit == _oneunit_as_written(params)
+        for spec in (build_global(params, 1), _oneunit_as_written(params)):
+            assert spec._rows == oneunit._rows
+            assert (spec.r_unit, spec.n_unit, spec.n_units) == (
+                oneunit.r_unit, oneunit.n_unit, oneunit.n_units)
+
+    @pytest.mark.parametrize("kernel", ["in use", "python"])
+    @pytest.mark.parametrize("params", PARAM_GRID)
+    def test_same_paths(self, params, kernel, monkeypatch):
+        if kernel == "python":
+            monkeypatch.setattr(jump, "_compiled_run", lambda: None)
+        specs = (build_oneunit(params), build_global(params, 1), _oneunit_as_written(params))
+        for seed in (0, 1, 2):
+            first, *others = (simulate(spec, spec.lattice_state(0.0, 0.0), t_end=50.0,
+                                       max_jumps=300, seed=seed) for spec in specs)
+            for other in others:
+                for name in ("times", "krs", "kns", "channels"):
+                    assert np.array_equal(getattr(other, name), getattr(first, name))
 
 
 class TestDensityDependence:
@@ -287,7 +330,7 @@ class TestSimulate:
         hits = 0
         for k in range(10):
             traj = simulate(spec, init, t_end=200.0, seed=derive_path_seed(100, k))
-            if traj.n_values().max() > 2 * n_star:
+            if traj.step_n()[1:].max() > 2 * n_star:
                 hits += 1
         assert hits >= 8
 

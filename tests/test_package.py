@@ -66,12 +66,43 @@ def test_every_import_is_used(path):
     assert unused == {}, f"{path.name}: imported and never used"
 
 
+def _global_reads(tree: ast.Module) -> set[str]:
+    """The names a module reads as its globals: at module level, or in a
+    function that neither takes nor assigns them."""
+    reads = set()
+
+    def scan(node: ast.AST, local: frozenset) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            local = local | {n.arg for n in ast.walk(node.args) if isinstance(n, ast.arg)} | {
+                n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Store)}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in local:
+            reads.add(node.id)
+        for child in ast.iter_child_nodes(node):
+            scan(child, local)
+
+    scan(tree, frozenset())
+    return reads
+
+
 def test_every_private_module_level_name_is_used():
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
     used = set().union(*map(_referenced_names, trees.values()))
+    # ``_compiled`` is private as a whole, though its names carry no
+    # underscore: each of its functions and classes must be read by its own
+    # code or as ``_compiled.<name>``, so a binding only tests call fails.
+    compiled = PACKAGE / "_compiled.py"
+    taken = _global_reads(trees[compiled]) | {
+        node.attr for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "_compiled"}
     unused = []
     for path, tree in trees.items():
         for node in tree.body:
+            if path == compiled and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if node.name not in taken:
+                    unused.append(f"{path.name}:{node.lineno} {node.name}")
+                continue
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):

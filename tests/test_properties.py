@@ -330,8 +330,8 @@ def _reference_write_jump_csv(path, traj):
     if spec.anchor is not None:
         meta["anchor_r"] = spec.anchor.r
         meta["anchor_n"] = spec.anchor.n
-    rs = traj.r_values()
-    ns = traj.n_values()
+    rs = traj.step_r()[1:]
+    ns = traj.step_n()[1:]
     r0 = float(np.int64(traj.initial.kr) * float(spec.r_unit))
     n0 = float(np.int64(traj.initial.kn) * float(spec.n_unit))
     with open(path, "w", newline="") as fh:
