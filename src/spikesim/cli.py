@@ -224,12 +224,13 @@ def analyse_group(
     spikes_at: dict[float, np.recarray] = {}
     for config in configs:
         files = config.artifacts(outdir)
-        ref = None
+        lln = None
         if config.lln_reference and config.mode != "ds":
-            # Before anything is written: a reference that cannot be integrated
-            # leaves no artifact.
+            # Before anything is written: a reference that cannot be integrated,
+            # or a window the path does not cover, leaves no artifact.
             with _argument_checks():
                 ref = integrate(config.params, config.initial, config.t_end, dt=config.dt)
+            lln = lln_sup_distance(traj, ref, config.t_end)
         outdir.mkdir(parents=True, exist_ok=True)
         report: dict = {"mode": config.mode, "seed": config.seed, "label": config.label}
         if config.mode != "ds":
@@ -265,8 +266,8 @@ def analyse_group(
             )
             yield files["pairs"]
 
-        if ref is not None:
-            report["lln_sup_distance"] = lln_sup_distance(traj, ref, config.t_end)
+        if lln is not None:
+            report["lln_sup_distance"] = lln
 
         if "report" in files:
             io.write_json(files["report"], report, config.params)

@@ -177,8 +177,9 @@ class JumpTrajectory:
     """Event-indexed path: state *after* event i is (krs[i], kns[i]).
 
     ``t_end`` is the horizon actually covered: the requested time horizon
-    when one was given (the final state persists up to it), otherwise the
-    last event time.
+    when the run reached it or was absorbed (the final state persists up to
+    it), otherwise, when the jump count stopped the run or no horizon was
+    given, the last event time (0.0 with no event).
     """
 
     spec: ProcessSpec
@@ -433,9 +434,11 @@ def simulate(
     np.cumsum(path, axis=1, out=path)
     if path.size and path.min() < 0:  # cannot happen with censoring; guards regressions
         raise RuntimeError("negative lattice state on the simulated path")
-    covered = t_end if t_end is not None else (times[-1] if times else 0.0)
+    terminated = _STOPS[stop]
+    if t_end is None or terminated is Termination.MAX_JUMPS:
+        t_end = times[-1] if times else 0.0
     return JumpTrajectory(spec, initial, seed, np.frombuffer(times, dtype=np.float64),
-                          krs, kns, channels, _STOPS[stop], covered)
+                          krs, kns, channels, terminated, t_end)
 
 
 def expected_drift(spec: ProcessSpec, s: LatticeState) -> tuple[float, float]:

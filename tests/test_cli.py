@@ -527,6 +527,27 @@ class TestMaxJumpsSources:
         assert 0 < len(columns["t"]) - 1 < 1000
 
 
+    def test_a_path_the_jump_count_stops_ends_at_its_last_event(self, out):
+        # This path's last event, an absorption, takes n from 14 to 13, so a
+        # plateau at or below 13 opens there.  Held to the horizon asked for
+        # (t = 1e6) rather than to the last event, the path would show a
+        # fourth plateau that it never had.
+        assert main(self.ARGV + ["--gamma", "2", "--seed", "7", "--max-jumps", "50",
+                                 "--t-end", "1e6", "--out", str(out / "p.csv")]) == 0
+        meta, columns = io.read_trajectory_csv(out / "p.csv")
+        assert meta["terminated_by"] == "MaxJumps"
+        assert float(meta["t_end"]) == columns["t"][-1] < 10.0
+        assert list(columns["n"][-2:]) == [14.0, 13.0]
+        assert main(["analyze", "--input", str(out / "p.csv"), "--thr", "13",
+                     "--out", str(out / "a.json")]) == 0
+        assert json.loads((out / "a.json").read_text())["plateaus"]["count"] == 3
+
+    def test_lln_reference_past_the_last_event_leaves_no_file(self, out, capsys):
+        assert main(["simulate", "--mode", "global", "--n-units", "10", "--max-jumps", "50",
+                     "--t-end", "20", "--lln-reference", "--out", str(out / "p.csv")]) == 2
+        assert "requested [0, 20.0]" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 def _subcommands() -> dict[str, argparse.ArgumentParser]:
     (subs,) = [action for action in build_parser()._actions
                if isinstance(action, argparse._SubParsersAction)]
@@ -581,8 +602,11 @@ def test_every_source_of_an_option_writes_what_its_flag_writes(
     io.write_jump_csv(tmp_path / "in.csv", simulate(spec, spec.lattice_state(0.0, 0.0),
                                                     t_end=200.0, seed=1))
     argv = [str(tmp_path / "in.csv") if arg == INPUT else arg for arg in COMMAND_ARGV[command]]
-    # Every other option the command takes is set by its flag.
-    argv += [arg for other in _declared(_subcommands()[command]) if other != name
+    # Every other option the command takes is set by its flag, except a jump
+    # count beside a horizon under test: its run stops before t_end, and so
+    # covers only up to its last event whatever t_end is.
+    argv += [arg for other in _declared(_subcommands()[command])
+             if other != name and (name, other) != ("t_end", "max_jumps")
              for arg in ("--" + other.replace("_", "-"), OPTION_VALUES[other])]
     (tmp_path / "run.cfg").write_text(f"{name}={OPTION_VALUES[name]}\n")
 

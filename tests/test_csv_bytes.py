@@ -118,7 +118,7 @@ def pairs_long(path):
 CASES = {
     ode_fig1: "9356b65c18e4be7d7115763b787b9d1295c0867faec58b4e593d60cafbca952e",  # 20001
     ode_fig2_strided: "3912762575c9dcfc9f63216275c181e5362ed2f36e174aa07393b608efb3b9da",  # 7144
-    jump_global_n50: "5b327d6ffc75f26ae66a460896dd86049bbed4ef36bd918f195c7e8aae718754",  # 20001
+    jump_global_n50: "3d46f13c426eb1c542ac3210fdc1dcee6222796db980210e6ec78a320d58cf00",  # 20001
     jump_meanfield: "533732a6bc00c559f644bfb8976f3368c09be35980eed89d6dbc819bd9855d18",  # 1182
     jump_oneunit: "88e65a56f22727b67edbc08fa82bf5d1f3000db14d71f474199b49c4f86e8d76",  # 10220
     jump_no_events: "396f6aee9667c60f1834c407ab3057e8e5f02afe699a58b4e820921ba6887ad5",  # 1

@@ -40,7 +40,8 @@ BUILDERS = {
 START = {"oneunit": (0.0, 0.0), "meanfield": (0.01, 0.01), "global": (0.01, 0.01)}
 
 # (kind, gamma, beta, seed) -> digest of simulate(t_end=100, max_jumps=5000)
-# with alpha = 0.01, p = 7.
+# with alpha = 0.01, p = 7.  The global runs stop at 5000 jumps before
+# t = 100, so each covers, and hashes as its t_end, its last event time.
 GRID_DIGESTS = {
     ("oneunit", 100.0, 1.0, 0): "8cd3b1a7b6fa97294a03a1f697e8c24853a39a80e827110d7d42844cfefb254e",
     ("oneunit", 100.0, 1.0, 1): "72e54175efa7bdf99fe8b97c4f25a09b37a724477f4f3a8acbbea65faa03a001",
@@ -74,22 +75,22 @@ GRID_DIGESTS = {
     ("meanfield", 2.0, 0.7, 1): "99d3eae2d17ffcd6216a19cbc40b0afcd65758fd4a2f1a0cafcb78c6eac29d33",
     ("meanfield", 2.0, 0.7, 2): "d16ca1d6cd6b24cb10b6709d9d4b083f2cb39a61b8b796749ff4c2835a02b2b8",
     ("meanfield", 2.0, 0.7, 7): "ab56856a41bc0c383563ed65d38355d508814e0014db4860968cfa453adddabc",
-    ("global", 100.0, 1.0, 0): "b90df0806b40a9d0758e4a9be3af8b63836670619948f6c769b4c07f2dd6a8fa",
-    ("global", 100.0, 1.0, 1): "49220ff97c92bae82cd120e238071bead611ee44d2f485817396f9d72da6b83c",
-    ("global", 100.0, 1.0, 2): "407e1816cba43dab26ddbc847ef979ef894aaf39a266b3d9f1b623da6e843abc",
-    ("global", 100.0, 1.0, 7): "ef093ad9494b76cf83addc8f0c6bbc694781d192f743697b11961f0d2058029c",
-    ("global", 100.0, 0.7, 0): "7358120f152494f8b20fc70e1ea4727ef8266e10d33d972138a554bf5a7281df",
-    ("global", 100.0, 0.7, 1): "4d57d66a517363fae01d3f129eab87bce004f365981fb4147ba63b7a5b9575ba",
-    ("global", 100.0, 0.7, 2): "e62cc6f3c95e1e1f254a97588302643f8f07aa72e9cf223524531bd3d1de5b23",
-    ("global", 100.0, 0.7, 7): "f15bd83f23102891a98b70aa09d2bfeeafe657b7e691b6d760d5475e6ac2c77c",
-    ("global", 2.0, 1.0, 0): "2c406255a1486a70eabc62d9850d98ab9b65a9a6505f091d3dcea20dfb7f481d",
-    ("global", 2.0, 1.0, 1): "f860732909048871dbc72308b6431fc3000e947d998cf0d2dfe164bd9cee7bca",
-    ("global", 2.0, 1.0, 2): "85300c89306d3e6372d8001aa2d45ef72c27586a52b8b63e386951edbf25a3d4",
-    ("global", 2.0, 1.0, 7): "5af7cd0489171e4b3be7b8914623ed117b4972e23b993d6b5c4a489c6fda5658",
-    ("global", 2.0, 0.7, 0): "f8b31d03f0ab5c63f43fb585f29634a91bd90d599cc63d59706fbbd8336841fb",
-    ("global", 2.0, 0.7, 1): "bebaec67c18aaf470876712f5741638ddd8abb2506b3598700cf66c2ae5cba51",
-    ("global", 2.0, 0.7, 2): "89cc9a552577144c720ec4f8f57a7f1a3acb826a82cfe1c87f2e0494710126b5",
-    ("global", 2.0, 0.7, 7): "01d6fb6befea7eeb444348fb9cc45be7cddafe356ca2c63d615302f2686b1db7",
+    ("global", 100.0, 1.0, 0): "89464e04181e649e4642b076839ca595e0beb126289e114d9738e1f318ce9ece",
+    ("global", 100.0, 1.0, 1): "49ae29910d4c8d59c4d13669112b56c3006ea9fad9e26a761dcde5be8832fa85",
+    ("global", 100.0, 1.0, 2): "c590e0a64a3a4c6d0b9642e4e318042aee92f24775f6cf3463a0484dc7918b2b",
+    ("global", 100.0, 1.0, 7): "e97831af1366586bb589132729adfbcee414a9ef706e23ad7fed094b6438ca36",
+    ("global", 100.0, 0.7, 0): "2a8035c8bfc04a9b7f0ce6a8f0ea7e3c9985a841a7675fc66c1d387535b1c3d4",
+    ("global", 100.0, 0.7, 1): "399751059f43e66173fc7695574c39a319e93f18eee22d739e045bcea440e9e7",
+    ("global", 100.0, 0.7, 2): "686c40f75cebcb0cdfa14a980b358e72c47446f3b1c5936121dccbeeec8f97d7",
+    ("global", 100.0, 0.7, 7): "8a3d2620575719fa09f9a731b239db90c2ea9b04438712ec5e2446410fa5d8df",
+    ("global", 2.0, 1.0, 0): "bc9172b18e681f9895a012c40e06490f36e40feab777ed44bb8ff78d6fb20c14",
+    ("global", 2.0, 1.0, 1): "53179d5e03872ef05f20c0c12f735a5fddc32d55cf8f74ddee393ace785e784f",
+    ("global", 2.0, 1.0, 2): "fa5da9568fdbfe004acdc2f210b9a347b6594aa2baa83a65aa45eb71271120fe",
+    ("global", 2.0, 1.0, 7): "ae240e26e6f8bb1dd7a4c2b0ec1425614d82dc5978648a00cd6c287a15f010e2",
+    ("global", 2.0, 0.7, 0): "cd3e943cfda791d00913b10402bdd012329a6aa11daf82ef72abd35da2aa6463",
+    ("global", 2.0, 0.7, 1): "d03c55583d9649ddb84a263eff2b066896ba619b35d83545d1feed69cf8257bc",
+    ("global", 2.0, 0.7, 2): "bdb6e22498f783348cd582e60cf5d4ed93c1e56d4da850b396c68e06831d85d2",
+    ("global", 2.0, 0.7, 7): "ada966dbee97356952f128e51bc15e40f71cbd96fe9df2634a9d1845e1503e7f",
 }
 
 # Edge cases: absorption, a dropped (zero) rate term, a zero mean-field

@@ -224,6 +224,23 @@ class TestSimulate:
         assert traj.n_events == 100
         assert traj.terminated_by is Termination.MAX_JUMPS
 
+    @pytest.mark.parametrize("max_jumps", [0, 3])
+    def test_a_run_the_jump_count_stops_covers_up_to_its_last_event(self, fig1_params,
+                                                                    max_jumps):
+        spec = build_oneunit(fig1_params)
+        traj = simulate(spec, spec.lattice_state(0.0, 0.0), t_end=200.0, max_jumps=max_jumps,
+                        seed=1)
+        assert traj.terminated_by is Termination.MAX_JUMPS
+        assert traj.n_events == max_jumps
+        assert traj.t_end == (traj.times[-1] if max_jumps else 0.0)
+        assert traj.t_end < 1.0  # the third event is at t = 0.216
+
+    def test_absorbed_run_covers_its_horizon(self):
+        spec = build_oneunit(ModelParams(alpha=0.5, beta=1.0, gamma=2.0, p=0.0))
+        traj = simulate(spec, spec.lattice_state(3.0, 2.0), t_end=1e6, max_jumps=10**6, seed=11)
+        assert traj.terminated_by is Termination.ABSORBED
+        assert traj.t_end == 1e6
+
     def test_time_horizon_termination(self, fig1_params):
         spec = build_oneunit(fig1_params)
         traj = simulate(spec, spec.lattice_state(0.0, 0.0), t_end=10.0, seed=3)
