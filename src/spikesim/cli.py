@@ -11,6 +11,7 @@ SPIKESIM_A0/SPIKESIM_THR too.  preset --seed/--t-end and lyapunov
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -428,6 +429,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser every ``main`` call parses with, built on the first.  Each
+    ``parse_args`` fills a fresh namespace, so no call sees another's."""
+    return build_parser()
+
+
 def _read_config_file(path: str | None) -> dict[str, object]:
     """The options a config file sets, converted to their types."""
     if not path:
@@ -481,9 +489,8 @@ def _resolve_options(args: argparse.Namespace) -> tuple[dict[str, object], set[s
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

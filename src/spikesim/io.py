@@ -17,7 +17,7 @@ import os
 import warnings
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from io import BytesIO
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -227,9 +227,35 @@ def write_json(path: str | Path, payload: dict, params: ModelParams | None = Non
     doc.update(payload)
     # Encoded before the file is opened, so a value JSON cannot hold (a
     # number that is not finite) leaves no file behind.
-    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    text = _json_text(doc)
     with open(path, "w", newline="") as fh:
         fh.write(text)
+
+
+def _json_text(doc: dict) -> str:
+    """``json.dumps(doc, indent=2, allow_nan=False) + "\\n"``, byte for byte.
+    With an indent the stdlib encodes in pure Python, so a top-level list of
+    int pairs (a drift report's ``set_A``) is left empty there and written
+    by one join in the encoder's layout instead: at indent 2 the members of
+    the top-level object, and only they, start a line with two spaces and a
+    quote."""
+    pairs = {key: value for key, value in doc.items()
+             if isinstance(key, str) and _is_int_pairs(value)}
+    text = json.dumps({**doc, **dict.fromkeys(pairs, [])}, indent=2, allow_nan=False)
+    for key, value in pairs.items():
+        head = f"\n  {json.dumps(key)}: "
+        rows = ",\n".join(["    [\n      %d,\n      %d\n    ]"] * len(value))
+        rows %= tuple(chain.from_iterable(value))
+        text = text.replace(head + "[]", f"{head}[\n{rows}\n  ]", 1)
+    return text + "\n"
+
+
+def _is_int_pairs(value) -> bool:
+    """Whether ``value`` is a non-empty list of two-item lists of exact ints
+    (the encoder writes a bool, an int subclass, as true or false)."""
+    return (type(value) is list and set(map(type, value)) == {list}
+            and set(map(len, value)) == {2}
+            and set(map(type, chain.from_iterable(value))) == {int})
 
 
 def read_trajectory_csv(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:

@@ -25,6 +25,10 @@ from .model import ModelParams, stationary_point
 
 DEFAULT_EPSILON = 0.1
 AUTO_BOX_CAP = 1024  # per-axis cap when auto-sizing the scan box
+# Grid elements per block of rows the scan works on: each float64 grid of a
+# block is 128 kB, so a block's temporaries stay in cache and the scan's
+# memory does not grow with the box.
+_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -170,21 +174,27 @@ def scan_drift_condition(
     )
 
     spec = build_oneunit(params) if kind is ProcessKind.ONEUNIT else build_meanfield(params)
-    # Physical coordinates as a column (kr) and a row (kn); every grid
-    # expression broadcasts them to the (kr_max + 1) x (kn_max + 1) box.
+    weights = _f_weights(spec)
+    # Physical coordinates as a column (kr) and a row (kn); each block of
+    # rows broadcasts its slice of the column against the whole row.
     X = (np.arange(kr_max + 1) / params.gamma)[:, None]
     Y = np.arange(kn_max + 1, dtype=np.float64)[None, :]
+    rows = max(_BLOCK_ELEMENTS // (kn_max + 1), 1)
 
-    in_a = in_exceptional_set(kind, params, X, Y, epsilon)
-    drift_grid = _generator_sum(spec, *_f_weights(spec), X, Y)
+    blocks_a = []
+    violations = []
+    for k0 in range(0, kr_max + 1, rows):
+        x = X[k0:k0 + rows]
+        in_a = in_exceptional_set(kind, params, x, Y, epsilon)
+        drift_grid = _generator_sum(spec, *weights, x, Y, (k0, 0))
+        bad = (~in_a) & (drift_grid > -epsilon)
+        violations += [
+            {"kr": k0 + int(i), "kn": int(j), "drift": float(drift_grid[i, j])}
+            for i, j in zip(*np.nonzero(bad))
+        ]
+        blocks_a.append(np.argwhere(in_a) + (k0, 0))
 
-    bad = (~in_a) & (drift_grid > -epsilon)
-    violations = [
-        {"kr": int(i), "kn": int(j), "drift": float(drift_grid[i, j])}
-        for i, j in zip(*np.nonzero(bad))
-    ]
-
-    set_a = np.argwhere(in_a)
+    set_a = np.concatenate(blocks_a)
     extent = tuple(map(int, set_a.max(axis=0))) if len(set_a) else (0, 0)
 
     return DriftReport(

@@ -68,6 +68,33 @@ class TestIO:
             io.write_json(out / "r.json", {"value": math.nan}, fig1_params)
         assert list(out.iterdir()) == []  # no half-written file
 
+    def test_json_with_int_pairs_rejects_non_finite_numbers(self, fig1_params, out):
+        with pytest.raises(ValueError):
+            io.write_json(out / "r.json", {"set_A": [[0, 0], [1, 2]], "value": math.inf},
+                          fig1_params)
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("payload", [
+        {"set_A": []},
+        {"set_A": [[0, 0]]},
+        {"set_A": [[0, 0], [3, -1], [2**70, 5]], "after": [1, 2]},
+        {"first": [[1, 2]], "second": [[3, 4]], "s\u00e9t\n\"A\"": [[5, 6]]},
+        # Not a list of int pairs, so the encoder writes each of these.
+        {"set_A": [[True, 1]]},
+        {"set_A": [[1.0, 2]]},
+        {"set_A": [[1, 2, 3]]},
+        {"set_A": [(1, 2)]},
+        {"set_A": [[1, 2], []]},
+        # Only a top-level list is written by the join; no string holds
+        # what a member line holds.
+        {"nested": {"set_A": [[1, 2]]}, "set_A": [[4, 5]], "deep": [[[1, 2]]]},
+        {"text": '\n  "set_A": []', "set_A": [[1, 2]]},
+    ], ids=["empty", "one", "many", "three_keys", "bool", "float", "triple", "tuple",
+            "ragged", "nested", "member_text"])
+    def test_json_is_the_stdlib_encoding(self, fig1_params, out, payload):
+        io.write_json(out / "r.json", payload, fig1_params)
+        assert (out / "r.json").read_text() == _stdlib_json(payload, fig1_params)
+
     def test_json_embeds_params_and_version(self, fig1_params, out):
         path = out / "r.json"
         io.write_json(path, {"hello": 1}, fig1_params)
@@ -75,6 +102,15 @@ class TestIO:
         assert doc["params"]["alpha"] == 0.01
         assert doc["version"]
         assert doc["hello"] == 1
+
+
+def _stdlib_json(payload: dict, params: ModelParams | None) -> str:
+    """What ``io.write_json`` must write: the stdlib encoder's text."""
+    doc = {"version": __version__}
+    if params is not None:
+        doc["params"] = {"alpha": params.alpha, "beta": params.beta, "gamma": params.gamma,
+                         "p": params.p, "z": params.z}
+    return json.dumps({**doc, **payload}, indent=2, allow_nan=False) + "\n"
 
 
 class TestRun:
@@ -626,6 +662,79 @@ def test_every_source_of_an_option_writes_what_its_flag_writes(
     else:
         assert written(route, ["--config", str(tmp_path / "run.cfg")], {}) == flag
     assert written("unset", [], {}) != flag  # the option changes what is written
+
+
+# Each report command, and the set_A pairs of its report (None: no set_A).
+JSON_REPORTS = {
+    "drift_no_pairs": (["lyapunov", "--mode", "oneunit", "--gamma", "0.5"], 0),
+    "drift_one_pair": (["lyapunov", "--mode", "oneunit", "--alpha", "0.5", "--gamma", "2",
+                        "--p", "0", "--box-kr", "50", "--box-kn", "50"], 1),
+    "drift_many_pairs": (["lyapunov", "--mode", "meanfield", "--box-kr", "300",
+                          "--box-kn", "300"], 2408),
+    "stability": (["stability"], None),
+    "analyze": (["analyze", "--input", INPUT, "--a0", "2", "--thr", "1",
+                 "--pairs-out", "pairs.csv"], None),
+}
+
+
+@pytest.mark.parametrize("case", list(JSON_REPORTS))
+def test_report_json_is_the_stdlib_encoding(out, monkeypatch, case):
+    argv, pairs = JSON_REPORTS[case]
+    if INPUT in argv:
+        assert main(["simulate", "--mode", "oneunit", "--t-end", "200",
+                     "--out", str(out / "p.csv")]) == 0
+    files = {INPUT: out / "p.csv", "pairs.csv": out / "pairs.csv"}
+    argv = [str(files.get(arg, arg)) for arg in argv]
+    written = []
+    write_json = io.write_json
+    monkeypatch.setattr(io, "write_json", lambda path, payload, params=None: (
+        written.append((payload, params)), write_json(path, payload, params)))
+    assert main(argv + ["--out", str(out / "r.json")]) == 0
+    ((payload, params),) = written
+    assert (out / "r.json").read_text() == _stdlib_json(payload, params)
+    assert len(payload.get("set_A", ())) == (pairs or 0)
+
+
+class TestParserReuse:
+    """Every main call parses with one parser, built on the first call; no
+    call's flags, environment or errors reach the next."""
+
+    ARGV = ["lyapunov", "--mode", "oneunit", "--box-kr", "20", "--box-kn", "20", "--out"]
+
+    def test_the_parser_is_built_once(self, out, monkeypatch):
+        builds = []
+        monkeypatch.setattr(spikesim.cli, "build_parser",
+                            lambda: builds.append(1) or build_parser())
+        spikesim.cli._parser.cache_clear()
+        assert main(self.ARGV + [str(out / "a.json")]) == 0
+        assert main(["stability", "--out", str(out / "s.json")]) == 0
+        assert main(["stability", "--frobnicate", "--out", str(out / "x.json")]) == 1
+        assert builds == [1]
+
+    def test_a_flag_does_not_outlive_its_call(self, out):
+        spikesim.cli._parser.cache_clear()
+        assert main(self.ARGV + [str(out / "first.json")]) == 0
+        assert main(self.ARGV + [str(out / "flag.json"), "--epsilon", "0.5"]) == 0
+        assert main(self.ARGV + [str(out / "again.json")]) == 0
+        assert json.loads((out / "flag.json").read_text())["epsilon"] == 0.5
+        assert (out / "again.json").read_bytes() == (out / "first.json").read_bytes()
+
+    def test_environment_set_between_calls_is_read(self, out, monkeypatch):
+        assert main(self.ARGV + [str(out / "before.json")]) == 0
+        assert main(self.ARGV + [str(out / "flag.json"), "--epsilon", "0.5"]) == 0
+        monkeypatch.setenv("SPIKESIM_EPSILON", "0.5")
+        assert main(self.ARGV + [str(out / "env.json")]) == 0
+        assert json.loads((out / "before.json").read_text())["epsilon"] == 0.1
+        assert (out / "env.json").read_bytes() == (out / "flag.json").read_bytes()
+
+    @pytest.mark.parametrize("bad", [
+        ["lyapunov", "--mode", "global"],  # rejected by the parser
+        ["lyapunov", "--mode", "oneunit", "--box-kr", "20"],  # rejected after parsing
+    ], ids=["parse", "resolve"])
+    def test_a_usage_error_leaves_the_next_call_whole(self, out, capsys, bad):
+        assert main(bad + ["--out", str(out / "bad.json")]) == 1
+        assert main(self.ARGV + [str(out / "good.json")]) == 0
+        assert not (out / "bad.json").exists() and (out / "good.json").exists()
 
 
 class TestAnalyzeRejectsMalformedInput:

@@ -1,5 +1,9 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+import test_drift_bytes
 
 import spikesim.lyapunov
 from spikesim import (
@@ -109,6 +113,69 @@ def test_scan_grid_equals_drift_via_generator(monkeypatch, kind, params):
         for kn in range(10):
             s = LatticeState(kr, kn, spec.r_unit, spec.n_unit)
             assert grid[kr, kn] == drift_via_generator(spec, s)
+
+
+def _block_grids(monkeypatch, kind, params, epsilon, box) -> list[np.ndarray]:
+    """The generator-sum grids of each block of rows a scan works on."""
+    grids = []
+    box_sum = spikesim.lyapunov._generator_sum
+    with monkeypatch.context() as patch:
+        patch.setattr(spikesim.lyapunov, "_generator_sum",
+                      lambda *args: grids.append(box_sum(*args)) or grids[-1])
+        scan_drift_condition(kind, params, epsilon=epsilon, scan_box=box)
+    return grids
+
+
+@pytest.mark.parametrize("kind", [ProcessKind.ONEUNIT, ProcessKind.MEANFIELD])
+@pytest.mark.parametrize("params", [
+    ModelParams(0.01, 1.0, 100.0, 7.0),
+    ModelParams(0.01, 1.0, 2.0, 7.0),
+    ModelParams(0.3, 0.7, 3.0, 2.5),
+    ModelParams(0.0, 1.3, 7.0, 0.4),
+], ids=["gamma100", "gamma2", "gamma3_beta0.7", "alpha0"])
+def test_row_blocks_stitch_to_drift_via_generator(monkeypatch, kind, params):
+    # Blocks of 5 rows of a 13 x 10 box: only the first holds the censored
+    # kr = 0 edge, and each block's grid starts at its own first kr.
+    monkeypatch.setattr(spikesim.lyapunov, "_BLOCK_ELEMENTS", 5 * 10)
+    grids = _block_grids(monkeypatch, kind, params, 0.1, (12, 9))
+    assert [grid.shape for grid in grids] == [(5, 10), (5, 10), (3, 10)]
+    grid = np.vstack(grids)
+    spec = build_oneunit(params) if kind is ProcessKind.ONEUNIT else build_meanfield(params)
+    for kr in range(13):
+        for kn in range(10):
+            s = LatticeState(kr, kn, spec.r_unit, spec.n_unit)
+            assert grid[kr, kn] == drift_via_generator(spec, s)
+
+
+@pytest.mark.parametrize("rows", [1, 7, "whole box"])
+@pytest.mark.parametrize("case", list(test_drift_bytes.SCANS))
+def test_block_edges_do_not_change_the_report(monkeypatch, case, rows):
+    kind, params, epsilon, box = test_drift_bytes.SCANS[case]
+    report = scan_drift_condition(kind, params, epsilon, box)
+    kr_max, kn_max = report.scan_box
+    rows = kr_max + 2 if rows == "whole box" else rows
+    monkeypatch.setattr(spikesim.lyapunov, "_BLOCK_ELEMENTS", rows * (kn_max + 1))
+    assert test_drift_bytes.scan_digest(kind, params, epsilon, box) == \
+        test_drift_bytes.DIGESTS[case]
+    # The blocks are as many as the rows ask for; an inconclusive scan has none.
+    grids = _block_grids(monkeypatch, kind, params, epsilon, box)
+    assert len(grids) == (0 if report.inconclusive else math.ceil((kr_max + 1) / rows))
+
+
+@pytest.mark.parametrize("kind", [ProcessKind.ONEUNIT, ProcessKind.MEANFIELD])
+def test_scan_memory_does_not_grow_with_the_box(fig1_params, kind):
+    # numpy reports its buffers to tracemalloc.  Whole-box grids of a
+    # 2000 x 2000 scan took 68 MB; a scan holds one block's grids, and
+    # set_A twice at most (its blocks and their concatenation).
+    scan_drift_condition(kind, fig1_params, epsilon=0.1, scan_box=(20, 20))
+    tracemalloc.start()
+    try:
+        report = scan_drift_condition(kind, fig1_params, epsilon=0.1, scan_box=(2000, 2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.set_A) > 10_000
+    assert peak < 2 * report.set_A.nbytes + 4_000_000
 
 
 class TestErgodicityCondition:

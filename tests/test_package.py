@@ -19,18 +19,29 @@ TESTS = sorted(Path(__file__).parent.glob("*.py"))
 README = Path(__file__).parents[1] / "README.md"
 
 
-def test_import_and_building_specs_load_no_compiled_library():
-    # The compiled library, and subprocess for its build, load on the first
-    # run that wants them, never at import or when a process is built.
-    code = ("import sys, spikesim\n"
-            "p = spikesim.ModelParams(alpha=0.01, beta=1.0, gamma=100.0, p=7.0)\n"
-            "spikesim.build_global(p, 10), spikesim.build_meanfield(p), spikesim.build_oneunit(p)\n"
-            "print(sorted({'spikesim._compiled', 'subprocess'} & set(sys.modules)))\n")
+def _fresh_output(code: str) -> str:
+    """What ``code`` prints in a fresh interpreter that imports this package."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True, timeout=60)
-    assert result.stdout == "[]\n"
+    return result.stdout
+
+
+def test_import_and_building_specs_load_no_compiled_library():
+    # The compiled library, and subprocess for its build, load on the first
+    # run that wants them, never at import or when a process is built.
+    assert _fresh_output(
+        "import sys, spikesim\n"
+        "p = spikesim.ModelParams(alpha=0.01, beta=1.0, gamma=100.0, p=7.0)\n"
+        "spikesim.build_global(p, 10), spikesim.build_meanfield(p), spikesim.build_oneunit(p)\n"
+        "print(sorted({'spikesim._compiled', 'subprocess'} & set(sys.modules)))\n") == "[]\n"
+
+
+def test_importing_the_cli_builds_no_parser():
+    # main builds its parser on its first call, so an import stays cheap.
+    assert _fresh_output("import spikesim.cli as cli\n"
+                         "print(cli._parser.cache_info().currsize)\n") == "0\n"
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -85,34 +96,45 @@ def _global_reads(tree: ast.Module) -> set[str]:
     return reads
 
 
+def _taken_names(trees: dict[Path, ast.Module]) -> dict[str, set[str]]:
+    """By module name, the module-level names the package reads: each
+    module's own global reads, the names other modules import from it, and
+    the ``<module>.<name>`` attributes they read."""
+    taken = {path.stem: _global_reads(tree) for path, tree in trees.items()}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                module = node.module.rpartition(".")[2]
+                taken.get(module, set()).update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                taken.get(node.value.id, set()).add(node.attr)
+    return taken
+
+
 def test_every_private_module_level_name_is_used():
+    # A name counts as used only where it is read as that module-level
+    # binding, so a function's local or an attribute of another object that
+    # happens to share the name does not keep a dead private name alive.
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
-    used = set().union(*map(_referenced_names, trees.values()))
-    # ``_compiled`` is private as a whole, though its names carry no
-    # underscore: each of its functions and classes must be read by its own
-    # code or as ``_compiled.<name>``, so a binding only tests call fails.
-    compiled = PACKAGE / "_compiled.py"
-    taken = _global_reads(trees[compiled]) | {
-        node.attr for tree in trees.values() for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-        and node.value.id == "_compiled"}
+    taken = _taken_names(trees)
     unused = []
     for path, tree in trees.items():
         for node in tree.body:
-            if path == compiled and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                if node.name not in taken:
-                    unused.append(f"{path.name}:{node.lineno} {node.name}")
-                continue
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
+                # ``_compiled`` is private as a whole, though its names carry
+                # no underscore: each of its functions and classes must be
+                # read too, so a binding only tests call fails.
+                everyone = path.stem == "_compiled"
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 names = [t.id for t in targets if isinstance(t, ast.Name)]
+                everyone = False
             else:
                 continue
             unused += [f"{path.name}:{node.lineno} {name}" for name in names
-                       if name.startswith("_") and not name.startswith("__")
-                       and name not in used]
+                       if (everyone or name.startswith("_") and not name.startswith("__"))
+                       and name not in taken[path.stem]]
     assert unused == [], "private names that nothing in the package refers to"
 
 
