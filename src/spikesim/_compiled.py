@@ -126,22 +126,14 @@ def load_rk4() -> Callable | None:
     return None if loop is None else functools.partial(rk4, loop)
 
 
-# What failed a step, by the loop's fail code: a non-finite state, or r or n
-# below the overshoot limit.
-_FAILURES = (None, "non-finite", "r", "n")
-
-
 def rk4(loop, params, h: float, n_steps: int, sample_every: int, overshoot_limit: float,
-        ts: np.ndarray, rs: np.ndarray, ns: np.ndarray) -> tuple[int, int, tuple | None]:
-    """``n_steps`` RK4 steps of size ``h`` from (rs[0], ns[0]) at t = 0, the
-    samples stored in the float64 arrays ``ts``, ``rs`` and ``ns``: the
-    samples stored, the clamp count, and None or, when a step fails, (what
-    failed it, the step, the value below the limit)."""
+        ts: np.ndarray, rs: np.ndarray, ns: np.ndarray) -> tuple[int, int, int, int, float]:
+    """``n_steps`` RK4 steps of size ``h`` from (rs[0], ns[0]) at t = 0 into
+    the float64 arrays ``ts``, ``rs`` and ``ns``: ``ode._rk4_python``'s result."""
     run = Rk4(params.alpha, params.beta, params.gamma, params.p, h, overshoot_limit,
               n_steps, sample_every)
     kept = loop(ctypes.addressof(run), ts.ctypes.data, rs.ctypes.data, ns.ctypes.data)
-    failure = _FAILURES[run.fail]
-    return kept, run.clamps, None if failure is None else (failure, run.fail_step, run.fail_value)
+    return kept, run.clamps, run.fail, run.fail_step, run.fail_value
 
 
 class Column(ctypes.Structure):

@@ -139,6 +139,16 @@ class ProcessSpec:
     n_units: int = 1
     anchor: State | None = None
 
+    def __post_init__(self):
+        # The loops and the paths take the units as floats.
+        for name in ("r_unit", "n_unit"):
+            try:
+                unit = float(getattr(self, name))
+            except OverflowError:
+                unit = math.inf
+            if not 0 < unit < math.inf:
+                raise ValueError(f"lattice unit {name} = {unit} is not a finite float above 0")
+
     @functools.cached_property
     def _rows(self) -> tuple[tuple, ...]:
         """The table as both direct-method loops read it, one row per
@@ -214,8 +224,11 @@ def build_global(params: ModelParams, n_units: int) -> ProcessSpec:
     """N-unit density process: rates N*r*n, alpha*N*r, N*n, N*p, N*n/beta."""
     if not isinstance(n_units, int) or n_units < 1:
         raise ValueError(f"n_units must be a positive integer, got {n_units}")
+    try:
+        nf = float(n_units)
+    except OverflowError:
+        raise ValueError("n_units must be finite as a float") from None
     a, b, p = params.alpha, params.beta, params.p
-    nf = float(n_units)
     return ProcessSpec(
         params=params,
         kind=ProcessKind.GLOBAL,

@@ -238,12 +238,13 @@ def _analytic_extent(
     kind: ProcessKind, params: ModelParams, epsilon: float
 ) -> tuple[int | None, int | None]:
     """Largest lattice indices that can satisfy the A-inequality, per axis
-    (None when A is unbounded along that axis)."""
+    (None when A is unbounded along that axis, or when its extent there is
+    not a finite float)."""
     c_x, c_y = _decay_coefficients(kind, params)
     bound = membership_bound(params, epsilon)
-    kr_ext = int(bound / c_x * params.gamma) if c_x > 0 else None
-    kn_ext = int(bound / c_y) if c_y > 0 else None
-    return kr_ext, kn_ext
+    extents = (bound / c_x * params.gamma if c_x > 0 else math.inf,
+               bound / c_y if c_y > 0 else math.inf)
+    return tuple(int(ext) if math.isfinite(ext) else None for ext in extents)
 
 
 def _f_weights(spec: ProcessSpec) -> tuple[float, float]:

@@ -210,7 +210,8 @@ def gamma_boundaries(params: ModelParams) -> GammaBoundaries:
     c = a * (1.0 + b) / (z * b)
     u_plus = (2.0 / b - c) + 2.0 * math.sqrt((p - a) / (z * b))
     gamma1 = z / u_plus
-    gamma2 = z * u_plus / (c * c)
+    # Where c * c underflows to 0, gamma2 takes its alpha -> 0 limit.
+    gamma2 = z * u_plus / (c * c) if c * c else math.inf
     return GammaBoundaries(None, gamma1, gamma2, gamma_star, delta_at_star)
 
 

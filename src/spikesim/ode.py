@@ -87,43 +87,52 @@ def integrate(
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
 
     rk4 = _compiled_rk4() or _rk4_python
-    return _integrate(rk4, params, r0, n0, h, n_steps, sample_every)
+    return _integrate(rk4, params, r0, n0, h, n_steps, sample_every, OVERSHOOT_LIMIT)
 
 
 def _integrate(rk4: Callable, params: ModelParams, r0: float, n0: float, h: float,
-               n_steps: int, sample_every: int) -> Trajectory:
-    """The trajectory of ``n_steps`` steps of size ``h`` from (r0, n0), run
-    by ``rk4`` (``_rk4_python`` or the compiled loop)."""
-    n_kept = n_steps // sample_every + 1
-    if n_steps % sample_every:
-        n_kept += 1  # keep the terminal state even off-stride
-    ts = np.empty(n_kept)
-    rs = np.empty(n_kept)
-    ns = np.empty(n_kept)
-    ts[0], rs[0], ns[0] = 0.0, r0, n0
-    kept, clamps = rk4(params, h, n_steps, sample_every, ts, rs, ns)
-    return Trajectory(
-        t=ts[:kept],
-        r=rs[:kept],
-        n=ns[:kept],
-        params=params,
-        dt=h,
-        sample_every=sample_every,
-        clamp_count=clamps,
-    )
+               n_steps: int, sample_every: int, overshoot_limit: float) -> Trajectory:
+    """The trajectory of ``n_steps`` steps of size ``h`` from (r0, n0) run by
+    ``rk4`` (``_rk4_python`` or the compiled loop), or its failed step's error."""
+    (_kept, clamps, fail, step, value), (t, r, n) = _outcome(
+        rk4, params, r0, n0, h, n_steps, sample_every, overshoot_limit)
+    if fail:
+        error, message = _FAILURES[fail]
+        raise error(message.format(step=step, t=step * h, value=value))
+    return Trajectory(t, r, n, params, h, sample_every, clamps)
+
+
+# By the RK4 loops' fail code, the error of a failed step and its message.
+_FAILURES = (
+    None,
+    (IntegrationBlowupError, "non-finite state at step {step} (t = {t:.6g})"),
+    (NegativeOvershootError, "r = {value:.6g} below overshoot limit at step {step} (t = {t:.6g})"),
+    (NegativeOvershootError, "n = {value:.6g} below overshoot limit at step {step} (t = {t:.6g})"),
+)
+
+
+def _outcome(rk4: Callable, params: ModelParams, r0: float, n0: float, h: float,
+             n_steps: int, sample_every: int, overshoot_limit: float) -> tuple[tuple, np.ndarray]:
+    """What ``rk4`` returns for ``n_steps`` steps of size ``h`` from
+    (r0, n0), and the times, r and n of the samples it kept, as rows."""
+    # The start, every stride, and the terminal state even off-stride.
+    samples = np.empty((3, -(-n_steps // sample_every) + 1))
+    samples[:, 0] = 0.0, r0, n0
+    result = rk4(params, h, n_steps, sample_every, overshoot_limit, *samples)
+    return result, samples[:, :result[0]]
 
 
 def _rk4_python(params: ModelParams, h: float, n_steps: int, sample_every: int,
-                ts: np.ndarray, rs: np.ndarray, ns: np.ndarray) -> tuple[int, int]:
-    """The RK4 loop from (rs[0], ns[0]): it stores the samples in ``ts``,
-    ``rs`` and ``ns`` and returns how many it stored, the start included,
-    and the clamp count.  The reference of the compiled loop and its
-    fallback."""
+                overshoot_limit: float, ts: np.ndarray, rs: np.ndarray,
+                ns: np.ndarray) -> tuple[int, int, int, int, float]:
+    """``spikesim_rk4`` of ``_kernel.c`` from (rs[0], ns[0]), statement for
+    statement.  It stores the samples in ``ts``, ``rs`` and ``ns`` and returns
+    how many it stored (the start included), the clamp count, the fail code
+    (an index into ``_FAILURES``, 0 when no step failed), the step it ended at
+    (n_steps + 1 when none failed) and the component below the limit, or 0.0."""
     r, n = float(rs[0]), float(ns[0])
-    clamps = 0
-    kept = 1
-    half = 0.5 * h
-    sixth = h / 6.0
+    clamps, kept = 0, 1
+    half, sixth = 0.5 * h, h / 6.0
     alpha, beta, gamma, p = params.alpha, params.beta, params.gamma, params.p
     isfinite = math.isfinite
     for step in range(1, n_steps + 1):
@@ -144,64 +153,46 @@ def _rk4_python(params: ModelParams, h: float, n_steps: int, sample_every: int,
         n += sixth * (k1n + 2.0 * k2n + 2.0 * k3n + k4n)
 
         if not (isfinite(r) and isfinite(n)):
-            raise _blowup(step, h)
+            return kept, clamps, 1, step, 0.0
         if r < 0.0:
-            r = _floor_component(r, "r", step, step * h)
+            if r < overshoot_limit:
+                return kept, clamps, 2, step, r
+            r = 0.0
             clamps += 1
         if n < 0.0:
-            n = _floor_component(n, "n", step, step * h)
+            if n < overshoot_limit:
+                return kept, clamps, 3, step, n
+            n = 0.0
             clamps += 1
 
         if step % sample_every == 0 or step == n_steps:
             ts[kept], rs[kept], ns[kept] = step * h, r, n
             kept += 1
-    return kept, clamps
+    return kept, clamps, 0, n_steps + 1, 0.0
 
 
-def _rk4_compiled(loop: Callable, params: ModelParams, h: float, n_steps: int,
-                  sample_every: int, ts: np.ndarray, rs: np.ndarray,
-                  ns: np.ndarray) -> tuple[int, int]:
-    """``_rk4_python`` run by the compiled loop, raising what it raises."""
-    kept, clamps, failure = loop(params, h, n_steps, sample_every, OVERSHOOT_LIMIT, ts, rs, ns)
-    if failure is not None:
-        what, step, value = failure
-        if what == "non-finite":
-            raise _blowup(step, h)
-        _floor_component(value, what, step, step * h)
-    return kept, clamps
+# The runs the compiled loop must reproduce ``_rk4_python`` on: one that clamps
+# r to 0 on many steps, its terminal sample off-stride, and one that clamps
+# twice and then fails on r just below the overshoot limit at step 3.
+_PROBES = ((ModelParams(alpha=7.0, beta=0.05, gamma=0.01, p=0.0), 0.0, 1e-10, 1e-2, 500, 7),
+           (ModelParams(alpha=7.0, beta=1.0, gamma=0.01, p=0.0), 0.0, 1e-10, 1e-2, 50, 1))
 
 
 @functools.cache
 def _compiled_rk4() -> Callable | None:
-    """``_rk4_compiled`` on the library's loop, loaded on first use; None
-    (``_rk4_python`` runs) when the library cannot be built or loaded, or
-    when its loop does not reproduce ``_rk4_python``."""
+    """The library's RK4 loop, loaded on first use; None (``_rk4_python`` runs)
+    when it cannot be built or loaded, or does not reproduce ``_rk4_python``."""
     from . import _compiled
 
-    loop = _compiled.load_rk4()
-    if loop is None:
+    rk4 = _compiled.load_rk4()
+    if rk4 is None:
         return None
-    rk4 = functools.partial(_rk4_compiled, loop)
+
     # A toolchain that fuses or reorders floating-point operations would
-    # move the path.  These parameters clamp r to 0 on many steps, and the
-    # stride leaves the terminal sample off-stride.
-    run = (ModelParams(alpha=7.0, beta=0.05, gamma=0.01, p=0.0), 0.0, 1e-10, 1e-2, 500, 7)
-    expected = _integrate(_rk4_python, *run)
-    try:
-        got = _integrate(rk4, *run)
-    except (IntegrationBlowupError, NegativeOvershootError):
-        return None
-    same = all(np.array_equal(getattr(got, key), getattr(expected, key)) for key in "trn")
-    return rk4 if same and got.clamp_count == expected.clamp_count > 0 else None
+    # move the path, or the step or value of a failure.
+    def outcome(loop, probe):
+        result, samples = _outcome(loop, *probe, OVERSHOOT_LIMIT)
+        return result, samples.tobytes()
 
-
-def _blowup(step: int, h: float) -> IntegrationBlowupError:
-    return IntegrationBlowupError(f"non-finite state at step {step} (t = {step * h:.6g})")
-
-
-def _floor_component(value: float, name: str, step: int, t: float) -> float:
-    if value < OVERSHOOT_LIMIT:
-        raise NegativeOvershootError(
-            f"{name} = {value:.6g} below overshoot limit at step {step} (t = {t:.6g})"
-        )
-    return 0.0
+    same = all(outcome(rk4, probe) == outcome(_rk4_python, probe) for probe in _PROBES)
+    return rk4 if same else None

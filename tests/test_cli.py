@@ -21,6 +21,7 @@ from spikesim.cli import (
     simulate_run,
 )
 from spikesim.jump import engine
+from spikesim.lyapunov import AUTO_BOX_CAP
 
 
 @pytest.fixture
@@ -330,6 +331,23 @@ class TestCLI:
         assert doc["analytic_extent"][1] == 0
         assert doc["scan_box"] == [1024, 1]
 
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "oneunit", "--alpha", "1e-320", "--box-kr", "5", "--box-kn", "5"],
+        ["--mode", "oneunit", "--gamma", "1e300"],
+        ["--mode", "meanfield", "--gamma", "1e300"],
+        ["--mode", "oneunit", "--epsilon", "1e308"],
+    ], ids=["alpha 1e-320", "oneunit gamma 1e300", "meanfield gamma 1e300", "epsilon 1e308"])
+    def test_lyapunov_extent_that_overflows(self, out, argv):
+        # The analytic extent along kr overflows: that axis is unbounded, so
+        # the auto box takes the cap there and A is not shown contained.
+        path = out / "ly.json"
+        code = main(["lyapunov", *argv, "--out", str(path)])
+        doc = json.loads(path.read_text())
+        assert code == (0 if doc["passed"] else 2)
+        assert doc["analytic_extent"][0] is None and not doc["contained"]
+        if "--box-kr" not in argv:
+            assert doc["scan_box"][0] == AUTO_BOX_CAP
+
 
 OUT = "<out>"  # stands for the output path (or directory) of each command below
 
@@ -358,6 +376,15 @@ OUT_OF_RANGE = {
     "simulate --r0 1e307": (["simulate", "--mode", "oneunit", "--r0", "1e307",
                              "--max-jumps", "5"],
                             "is past lattice index 2**62"),
+    # At gamma 1e-310 the r unit 1/gamma is past the largest float, and so
+    # is N = 1e400.
+    **{f"simulate {mode} --gamma 1e-310": (
+        ["simulate", "--mode", mode, "--gamma", "1e-310", "--t-end", "1"],
+        "lattice unit r_unit = inf is not a finite float above 0")
+       for mode in ("oneunit", "meanfield", "global")},
+    "simulate --n-units 1e400": (
+        ["simulate", "--mode", "global", "--n-units", "1" + "0" * 400, "--t-end", "1"],
+        "n_units must be finite as a float"),
     "ds --dt 0": (["ds", "--t-end", "1", "--dt", "0"], "dt must satisfy 0 < dt <= t_end"),
     "ds --t-end inf": (["ds", "--t-end", "inf"], "t_end must be finite and > 0"),
     "ds --r0 nan": (["ds", "--t-end", "1", "--r0", "nan"],
@@ -404,6 +431,13 @@ def test_out_of_range_argument_is_usage_error(out, capsys, case):
 def test_a_report_json_cannot_hold_leaves_no_file(out, capsys):
     # At gamma 1e-310 an eigenvalue overflows to -inf, which JSON cannot hold.
     assert main(["stability", "--gamma", "1e-310", "--out", str(out / "s.json")]) == 2
+    assert "not JSON compliant" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_stability_at_an_alpha_whose_gamma2_is_inf_leaves_no_file(out, capsys):
+    # Below alpha ~ 5e-162, gamma2 is inf, which JSON cannot hold.
+    assert main(["stability", "--alpha", "1e-200", "--out", str(out / "s.json")]) == 2
     assert "not JSON compliant" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 

@@ -55,6 +55,23 @@ class TestBuilders:
         with pytest.raises(ValueError):
             build_global(fig1_params, 0)
 
+    @pytest.mark.parametrize("build", [build_oneunit, build_meanfield,
+                                       lambda params: build_global(params, 3)],
+                             ids=["oneunit", "meanfield", "global"])
+    def test_rejects_a_unit_past_the_largest_float(self, build):
+        # r_unit = 1/gamma (over N) is about 1e310.
+        with pytest.raises(ValueError, match="lattice unit r_unit = inf is not a finite float"):
+            build(ModelParams(alpha=0.01, beta=1.0, gamma=1e-310, p=7.0))
+
+    def test_global_rejects_a_unit_that_rounds_to_zero(self):
+        # r_unit = 1/(N gamma) = 1e-330 is below the least float.
+        with pytest.raises(ValueError, match="lattice unit r_unit = 0.0 is not a finite float"):
+            build_global(ModelParams(alpha=0.01, beta=1.0, gamma=1e300, p=7.0), 10**30)
+
+    def test_global_rejects_n_units_past_the_largest_float(self, fig1_params):
+        with pytest.raises(ValueError, match="n_units must be finite as a float"):
+            build_global(fig1_params, 10**400)
+
     def test_meanfield_boundary_censoring(self, fig1_params):
         spec = build_meanfield(fig1_params)
         r_star = stationary_point(fig1_params).r

@@ -21,7 +21,7 @@ from spikesim import (
     simulate,
     stationary_point,
 )
-from spikesim.lyapunov import membership_bound
+from spikesim.lyapunov import AUTO_BOX_CAP, _analytic_extent, membership_bound
 
 
 class TestLyapunovValue:
@@ -278,6 +278,30 @@ class TestScan:
         kr_max, kn_max = report.scan_box
         assert kr_max >= report.a_extent[0]
         assert kn_max >= 4 * report.a_extent[1] - 4
+
+    @pytest.mark.parametrize("kind, params, epsilon, extent", [
+        (ProcessKind.ONEUNIT, ModelParams(alpha=1e-320, beta=1.0, gamma=100.0, p=7.0), 0.1,
+         (None, 7)),
+        (ProcessKind.ONEUNIT, ModelParams(alpha=0.01, beta=1.0, gamma=1e300, p=7.0), 0.1,
+         (None, 7)),
+        (ProcessKind.MEANFIELD, ModelParams(alpha=0.01, beta=1.0, gamma=1e300, p=7.0), 0.1,
+         (None, 7)),
+        (ProcessKind.ONEUNIT, ModelParams(alpha=0.01, beta=1.0, gamma=100.0, p=7.0), 1e308,
+         (None, None)),
+        (ProcessKind.MEANFIELD, ModelParams(alpha=0.01, beta=1.0, gamma=100.0, p=7.0), 1e308,
+         (None, None)),
+    ])
+    def test_extent_that_overflows_is_unbounded(self, kind, params, epsilon, extent):
+        # The extent along kr (and at epsilon 1e308 along kn too) overflows
+        # to inf: that axis is unbounded, as when its decay coefficient is 0.
+        assert _analytic_extent(kind, params, epsilon) == extent
+
+    def test_auto_box_caps_an_overflowing_extent(self):
+        params = ModelParams(alpha=0.01, beta=1.0, gamma=1e300, p=7.0)
+        report = scan_drift_condition(ProcessKind.MEANFIELD, params, epsilon=0.1)
+        assert report.analytic_extent == (None, 7)
+        assert report.scan_box == (AUTO_BOX_CAP, 28)
+        assert report.passed and not report.contained
 
     def test_report_serializes(self, fig1_params):
         report = scan_drift_condition(

@@ -191,6 +191,15 @@ class TestGammaBoundaries:
         assert b.gamma1 == pytest.approx(pref * (lead - root), rel=1e-6)
         assert b.gamma2 == pytest.approx(pref * (lead + root), rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", [1e-200, 5e-324])
+    def test_gamma2_is_its_limit_where_c_squared_underflows(self, alpha):
+        # c ~ alpha, so c * c underflows to 0 below alpha ~ 5e-162; gamma2 is
+        # then inf, its alpha -> 0 limit, as it already is at alpha = 1e-160.
+        b = gamma_boundaries(ModelParams(alpha, 1.0, 5.0, 7.0))
+        assert b.gamma2 == math.inf
+        assert b.gamma1 == pytest.approx(1.75)
+        assert gamma_boundaries(ModelParams(1e-160, 1.0, 5.0, 7.0)).gamma2 == math.inf
+
     def test_absent_for_alpha_at_or_above_p(self):
         for a in (7.0, 9.0):
             b = gamma_boundaries(ModelParams(a, 1.0, 5.0, 7.0))

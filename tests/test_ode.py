@@ -1,3 +1,6 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,18 @@ from spikesim import (
     integrate,
     stationary_point,
 )
-from spikesim.ode import _floor_component, NegativeOvershootError
+from spikesim import _compiled, ode
+from spikesim.ode import (
+    OVERSHOOT_LIMIT,
+    NegativeOvershootError,
+    _integrate,
+    _outcome,
+    _rk4_python,
+)
+
+# The RK4 loops as run, the compiled one without its check: _rk4_python and,
+# where the library builds, the library's loop.
+RK4_LOOPS = [loop for loop in (_rk4_python, _compiled.load_rk4()) if loop is not None]
 
 
 class TestIntegrate:
@@ -122,6 +136,57 @@ class TestSafety:
             integrate(params, State(0.01, 0.01), t_end=100.0, dt=0.1)
 
     def test_floor_policy(self):
-        assert _floor_component(-1e-12, "n", 3, 0.3) == 0.0
-        with pytest.raises(NegativeOvershootError):
-            _floor_component(-1e-6, "n", 3, 0.3)
+        # After two clamps, step 3 of this run takes r to -1.00704e-9: a limit
+        # just below that clamps it to 0, one just above fails the step.
+        run = (ModelParams(alpha=7.0, beta=1.0, gamma=0.01, p=0.0), 0.0, 1e-10, 1e-2, 3, 1)
+        r3 = -1.0070429206373245e-09
+        assert r3 < OVERSHOOT_LIMIT
+        for loop in RK4_LOOPS:
+            traj = _integrate(loop, *run, math.nextafter(r3, -math.inf))
+            assert traj.clamp_count == 3 and traj.r[-1] == 0.0
+            with pytest.raises(NegativeOvershootError) as exc:
+                _integrate(loop, *run, math.nextafter(r3, math.inf))
+            assert str(exc.value) == "r = -1.00704e-09 below overshoot limit at step 3 (t = 0.03)"
+
+
+def _altered(index: int, change):
+    """``_rk4_python`` with entry ``index`` of a failed run's result changed."""
+    def loop(*args):
+        result = list(_rk4_python(*args))
+        if result[2]:
+            result[index] = change(result[index])
+        return tuple(result)
+    return loop
+
+
+class TestCompiledCheck:
+    """``_compiled_rk4`` keeps the library's loop only where it gives
+    ``_rk4_python``'s whole outcome, a failed step's included."""
+
+    @pytest.fixture
+    def offer(self, monkeypatch):
+        """Hand ``_compiled_rk4``'s check a loop in place of the library's."""
+        def offer(loop):
+            monkeypatch.setattr(_compiled, "load_rk4", lambda: loop)
+            ode._compiled_rk4.cache_clear()
+            return ode._compiled_rk4()
+        yield offer
+        ode._compiled_rk4.cache_clear()
+
+    def test_probes_clamp_and_fail(self):
+        (clamped, _), (failed, _) = (_outcome(_rk4_python, *probe, OVERSHOOT_LIMIT)
+                                     for probe in ode._PROBES)
+        assert clamped[1] > 0 and clamped[2] == 0
+        assert failed[2] == 2 and failed[3] == 3
+
+    def test_keeps_a_loop_that_reproduces_the_python_loop(self, offer):
+        loop = functools.partial(_rk4_python)
+        assert offer(loop) is loop
+
+    @pytest.mark.parametrize("index, change", [
+        (2, lambda fail: 3),
+        (3, lambda step: step + 1),
+        (4, lambda value: math.nextafter(value, 0.0)),
+    ], ids=["code", "step", "value"])
+    def test_refuses_a_loop_that_fails_differently(self, offer, index, change):
+        assert offer(_altered(index, change)) is None

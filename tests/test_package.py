@@ -3,6 +3,8 @@ test files carry no leftovers of removed code, and the README's library
 example runs."""
 
 import ast
+import functools
+import inspect
 import os
 import re
 import subprocess
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import spikesim
+from spikesim import _compiled, io, jump, ode
 
 PACKAGE = Path(spikesim.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -178,6 +181,20 @@ def test_every_exported_c_function_is_loaded():
     assert exported  # the pattern sees the definitions
     loader = (PACKAGE / "_compiled.py").read_text()
     assert [name for name in exported if f'"{name}"' not in loader] == []
+
+
+@pytest.mark.parametrize("binding, bound, twin", [
+    (_compiled.run, 1, jump._run_python),
+    (_compiled.rk4, 1, ode._rk4_python),
+    (_compiled.format_rows, 2, io._python_rows),
+], ids=["run", "rk4", "format_rows"])
+def test_each_compiled_binding_takes_its_python_twins_arguments(binding, bound, twin):
+    # Bound to its C function (and table), a binding stands in for its
+    # Python twin, so it must take the same parameters in the same order.
+    def parameters(function):
+        return [(p.name, p.kind) for p in inspect.signature(function).parameters.values()]
+
+    assert parameters(functools.partial(binding, *[None] * bound)) == parameters(twin)
 
 
 def test_readme_library_example_runs(capsys):

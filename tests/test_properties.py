@@ -4,7 +4,6 @@ Examples are drawn from a fixed seed (``derandomize``), so the suite gives
 the same verdict on every run.
 """
 
-import functools
 import math
 from fractions import Fraction
 from io import BytesIO
@@ -56,9 +55,9 @@ from spikesim.io import (
 from spikesim.jump import CHANNEL_LABELS, ProcessSpec, _make_channels
 from spikesim.ode import (
     MAX_STORED_SAMPLES,
+    OVERSHOOT_LIMIT,
     IntegrationBlowupError,
     NegativeOvershootError,
-    _floor_component,
 )
 from spikesim.spikes import _average_ranks
 
@@ -547,11 +546,15 @@ def _reference_integrate(params, initial, t_end, dt, sample_every=None):
             raise IntegrationBlowupError(
                 f"non-finite state at step {step} (t = {step * h:.6g})"
             )
+        for name, value in (("r", r), ("n", n)):
+            if value < OVERSHOOT_LIMIT:
+                raise NegativeOvershootError(f"{name} = {value:.6g} below overshoot limit "
+                                             f"at step {step} (t = {step * h:.6g})")
         if r < 0.0:
-            r = _floor_component(r, "r", step, step * h)
+            r = 0.0
             clamps += 1
         if n < 0.0:
-            n = _floor_component(n, "n", step, step * h)
+            n = 0.0
             clamps += 1
         if step % sample_every == 0 or step == n_steps:
             ts.append(step * h)
@@ -643,7 +646,7 @@ rk4_start = st.one_of(st.sampled_from([0.0, -0.0, 1e-10]), st.floats(0.0, 50.0, 
 )
 def test_compiled_and_python_rk4_agree(params, r0, n0, t_end, dt, sample_every):
     run = (params, State(r0, n0), t_end, min(dt, t_end), sample_every)
-    compiled = _rk4_outcome(functools.partial(ode._rk4_compiled, COMPILED_RK4), *run)
+    compiled = _rk4_outcome(COMPILED_RK4, *run)
     python = _rk4_outcome(None, *run)
     assert len(compiled) == len(python)
     if len(python) == 2:  # both raised

@@ -11,6 +11,8 @@ from spikesim import (
     PathSeries,
     State,
     Trajectory,
+    build_global,
+    build_meanfield,
     build_oneunit,
     correlation,
     detect_plateaus,
@@ -325,7 +327,39 @@ def constant_ode(params, r, n, t_end, n_samples=11):
     )
 
 
+def _reference_sup_distance(jump_traj, ode_traj, t):
+    """``lln_sup_distance`` as its definition reads: at every jump time,
+    every ODE sample time and t itself, both one-sided values of the step
+    path against ``np.interp`` of the ODE path."""
+    jt = jump_traj.step_times()
+    points = np.concatenate((jump_traj.times, ode_traj.t, [t]))
+    points = points[points <= t]
+    after = np.searchsorted(jt, points, side="right") - 1
+    before = np.maximum(np.searchsorted(jt, points, side="left") - 1, 0)
+    gap = 0.0
+    for step, ode in ((jump_traj.step_r(), ode_traj.r), (jump_traj.step_n(), ode_traj.n)):
+        ode_at = np.interp(points, ode_traj.t, ode)
+        for index in (before, after):
+            gap = max(gap, float(np.max(np.abs(step[index] - ode_at))))
+    return gap
+
+
 class TestLLNSupDistance:
+    @pytest.mark.parametrize("gamma", [100.0, 2.0])
+    @pytest.mark.parametrize("build", [build_oneunit, build_meanfield,
+                                       lambda params: build_global(params, 10)],
+                             ids=["oneunit", "meanfield", "global"])
+    def test_matches_the_reference(self, build, gamma):
+        params = ModelParams(alpha=0.01, beta=1.0, gamma=gamma, p=7.0)
+        spec = build(params)
+        odes = [integrate(params, State(0.01, 0.01), t_end=40.0, dt=dt) for dt in (1e-2, 0.37)]
+        for seed in range(6):
+            traj = simulate(spec, spec.lattice_state(0.01, 0.01), t_end=40.0, seed=seed)
+            for ode_traj in odes:
+                for t in (5.0, 20.0, 37.3, 40.0):
+                    want = _reference_sup_distance(traj, ode_traj, t)
+                    assert lln_sup_distance(traj, ode_traj, t) == want
+
     def test_zero_for_identical_constant_paths(self, fig1_params):
         spec = build_oneunit(ModelParams(0.5, 1.0, 2.0, 0.0))
         init = spec.lattice_state(1.0, 0.0)
