@@ -1,10 +1,11 @@
 """The library of ``_kernel.c``: built on first use and loaded with ctypes.
 It holds the direct-method loop (run a chunk at a time), the RK4 loop, the
-row formatter of the CSV writers and the row reader of trajectory CSVs (fed
-the file a block at a time).
+drift scan (a block of rows at a time), the row formatter of the CSV writers
+and the row reader of trajectory CSVs (fed the file a block at a time).
 
-``spikesim.jump``, ``spikesim.ode`` and ``spikesim.io`` import this module
-on the first call that wants the library, never at import.  The library is
+``spikesim.jump``, ``spikesim.ode``, ``spikesim.lyapunov`` and
+``spikesim.io`` import this module on the first call that wants the
+library, never at import.  The library is
 compiled once per C source, flags, numpy, Python and platform into
 ``$XDG_CACHE_HOME/spikesim`` or ``~/.cache/spikesim`` (a per-user directory
 in the temp dir when neither can be written), against numpy's random headers
@@ -134,6 +135,47 @@ def rk4(loop, params, h: float, n_steps: int, sample_every: int, overshoot_limit
               n_steps, sample_every)
     kept = loop(ctypes.addressof(run), ts.ctypes.data, rs.ctypes.data, ns.ctypes.data)
     return kept, run.clamps, run.fail, run.fail_step, run.fail_value
+
+
+class Scan(ctypes.Structure):
+    """A drift scan's settings, buffers and, after each block, its counts
+    (struct scan)."""
+
+    _fields_ = [*((name, ctypes.c_double) for name in ("gamma", "w_r", "w_n")),
+                ("product", ctypes.c_int64),
+                *((name, ctypes.c_double) for name in ("c_x", "c_y", "bound", "epsilon")),
+                ("kn_max", ctypes.c_int64), ("row", ctypes.c_void_p), ("set_a", ctypes.c_void_p),
+                ("bad", ctypes.c_void_p), ("drift", ctypes.c_void_p), ("n_a", ctypes.c_int64),
+                ("n_bad", ctypes.c_int64)]
+
+
+def load_scan() -> Callable | None:
+    """``drift_scan`` bound to the library's drift scan, or None."""
+    scan = _entry("spikesim_drift_scan",
+                  ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+                                   ctypes.c_int64))
+    return None if scan is None else functools.partial(drift_scan, scan)
+
+
+def drift_scan(scan, spec, weights: tuple[float, float], decay: tuple[bool, float, float],
+               bound: float, epsilon: float, box: tuple[int, int],
+               rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The box kr = 0 .. box[0], kn = 0 .. box[1] of the process ``spec``
+    scanned ``rows`` rows at a time: ``lyapunov._scan_python``'s result."""
+    kr_max, kn_max = box
+    size = min(rows, kr_max + 1) * (kn_max + 1)
+    row, drift = np.empty(kn_max + 1), np.empty(size)
+    set_a, bad = np.empty((size, 2), np.int64), np.empty((size, 2), np.int64)
+    state = Scan(spec.params.gamma, *weights, *decay, bound, epsilon, kn_max, row.ctypes.data,
+                 set_a.ctypes.data, bad.ctypes.data, drift.ctypes.data)
+    table, blocks = ctypes.addressof(spec._table), []
+    for k0 in range(0, kr_max + 1, rows):
+        scan(table, ctypes.addressof(state), k0, min(k0 + rows, kr_max + 1))
+        blocks.append((set_a[:state.n_a].copy(), bad[:state.n_bad].copy(),
+                       drift[:state.n_bad].copy()))
+    # Freed first, so that the result can take their memory.
+    del row, set_a, bad, drift
+    return tuple(map(np.concatenate, zip(*blocks)))
 
 
 class Column(ctypes.Structure):

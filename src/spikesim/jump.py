@@ -368,22 +368,27 @@ def _compiled_run() -> Callable | None:
     if run is None:
         return None
     # A toolchain that fuses or reorders floating-point operations, or a
-    # libnpyrandom that draws differently, would change the stream.  This
-    # table has every kind of term, unit coefficients, divisors, guards (on
-    # channels 0, 1 and 2) and rates of one to four terms with and without a
-    # guard; a build that fuses a multiply into the sum of a rate moves the
-    # first event's time in its last bit.
-    spec = ProcessSpec(ModelParams(alpha=0.01, beta=0.7, gamma=3.0, p=7.0), ProcessKind.ONEUNIT,
+    # libnpyrandom that draws differently, would change the stream; a build
+    # that fuses a multiply into the sum of a rate moves the first event's
+    # time in its last bit.  From a high state, so that the rates take a
+    # wide range of values.
+    compiled, python = (kernel(_probe_spec(), 5, 200, np.random.default_rng(0), math.inf, 400)
+                        for kernel in (run, _run_python))
+    return run if compiled == python else None
+
+
+def _probe_spec() -> ProcessSpec:
+    """The table the compiled loops over coefficient tables are checked on.
+    It has every kind of term, unit coefficients, divisors, guards on kr
+    (channels 0 and 1) and on kn (channel 2), and rates of one to four terms
+    with and without a guard."""
+    return ProcessSpec(ModelParams(alpha=0.01, beta=0.7, gamma=3.0, p=7.0), ProcessKind.ONEUNIT,
                        _make_channels({"k_rn": 7.4, "k_r": 2.2, "k_1": 1.5, "div": 4.7},
                                       {"k_rn": 5.9, "k_r": 7.8, "k_n": 6.6, "k_1": 2.3},
                                       {"k_rn": 1.5, "k_r": 0.8, "k_n": 1.0},
                                       {"k_rn": 5.5, "k_r": 4.9, "k_n": 3.8, "k_1": 6.7, "div": 4.8},
                                       {"k_n": 1.0, "div": 0.7}),
                        r_unit=Fraction(1, 3), n_unit=Fraction(1))
-    # From a high state, so that the rates take a wide range of values.
-    compiled, python = (kernel(spec, 5, 200, np.random.default_rng(0), math.inf, 400)
-                        for kernel in (run, _run_python))
-    return run if compiled == python else None
 
 
 def next_jump(

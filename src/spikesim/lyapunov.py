@@ -8,8 +8,11 @@ ergodicity conditions, and scans a lattice box to exhibit the exceptional set
 and verify drift <= -epsilon outside it.
 """
 
+import functools
+import hashlib
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -18,6 +21,7 @@ from .jump import (
     ProcessKind,
     ProcessSpec,
     _generator_sum,
+    _probe_spec,
     build_meanfield,
     build_oneunit,
 )
@@ -95,7 +99,7 @@ def drift_closed_form(kind: ProcessKind, params: ModelParams, x, y):
     edge it differs from the actual chain drift (which is larger there).
     """
     g = params.gamma
-    return -_decay(kind, params, x, y) / g + (g + 1.0) / g * params.p
+    return -_decay(_decay_coefficients(kind, params), x, y) / g + (g + 1.0) / g * params.p
 
 
 def drift_via_generator(spec: ProcessSpec, s: LatticeState) -> float:
@@ -110,7 +114,7 @@ def ergodicity_condition(kind: ProcessKind, params: ModelParams) -> ErgodicityCh
     if kind is ProcessKind.ONEUNIT:
         margin = params.gamma - params.beta
         return ErgodicityCheck(kind, margin >= 0.0, margin, "gamma >= beta")
-    margin = _decay_coefficients(kind, params)[1]
+    margin = _decay_coefficients(kind, params)[2]
     return ErgodicityCheck(kind, margin > 0.0, margin, "gamma/beta + r*/2 > 1")
 
 
@@ -121,7 +125,7 @@ def membership_bound(params: ModelParams, epsilon: float) -> float:
 
 def in_exceptional_set(kind: ProcessKind, params: ModelParams, x, y, epsilon: float):
     """Membership in the exceptional set A (broadcasts over arrays)."""
-    return _decay(kind, params, x, y) <= membership_bound(params, epsilon)
+    return _decay(_decay_coefficients(kind, params), x, y) <= membership_bound(params, epsilon)
 
 
 def scan_drift_condition(
@@ -137,6 +141,11 @@ def scan_drift_condition(
     extent of the full set; ``contained`` says whether A provably fits
     strictly inside the box.  With small spontaneous rates A stretches very
     far along the y = 0 axis, so a truncated scan is the norm.
+
+    A state outside A is a violation unless its drift is <= -epsilon, so a
+    NaN drift is one.  A violation whose drift is not a finite float (NaN or
+    +inf, where the rates overflow) raises ValueError naming the first such
+    state in row-major order.
     """
     if not (0 < epsilon < math.inf):
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
@@ -174,27 +183,17 @@ def scan_drift_condition(
     )
 
     spec = build_oneunit(params) if kind is ProcessKind.ONEUNIT else build_meanfield(params)
-    weights = _f_weights(spec)
-    # Physical coordinates as a column (kr) and a row (kn); each block of
-    # rows broadcasts its slice of the column against the whole row.
-    X = (np.arange(kr_max + 1) / params.gamma)[:, None]
-    Y = np.arange(kn_max + 1, dtype=np.float64)[None, :]
-    rows = max(_BLOCK_ELEMENTS // (kn_max + 1), 1)
-
-    blocks_a = []
-    violations = []
-    for k0 in range(0, kr_max + 1, rows):
-        x = X[k0:k0 + rows]
-        in_a = in_exceptional_set(kind, params, x, Y, epsilon)
-        drift_grid = _generator_sum(spec, *weights, x, Y, (k0, 0))
-        bad = (~in_a) & (drift_grid > -epsilon)
-        violations += [
-            {"kr": k0 + int(i), "kn": int(j), "drift": float(drift_grid[i, j])}
-            for i, j in zip(*np.nonzero(bad))
-        ]
-        blocks_a.append(np.argwhere(in_a) + (k0, 0))
-
-    set_a = np.concatenate(blocks_a)
+    set_a, bad, drift = (_compiled_scan() or _scan_python)(
+        spec, _f_weights(spec), _decay_coefficients(kind, params),
+        membership_bound(params, epsilon), epsilon, (kr_max, kn_max),
+        max(_BLOCK_ELEMENTS // (kn_max + 1), 1))
+    finite = np.isfinite(drift)
+    if not finite.all():
+        first = np.argmin(finite)
+        raise ValueError(f"the drift at (kr, kn) = {tuple(bad[first].tolist())} is "
+                         f"{drift[first]}, not a finite float")
+    violations = [{"kr": kr, "kn": kn, "drift": value}
+                  for (kr, kn), value in zip(bad.tolist(), drift.tolist())]
     extent = tuple(map(int, set_a.max(axis=0))) if len(set_a) else (0, 0)
 
     return DriftReport(
@@ -212,24 +211,99 @@ def scan_drift_condition(
     )
 
 
-def _decay_coefficients(kind: ProcessKind, params: ModelParams) -> tuple[float, float]:
-    """(c_x, c_y) of the decay polynomial c_x*x + c_y*y (plus x*y for the
-    one-unit kind); the mean-field chain is frozen at the fixed point."""
+def _scan_python(spec: ProcessSpec, weights: tuple[float, float],
+                 decay: tuple[bool, float, float], bound: float, epsilon: float,
+                 box: tuple[int, int], rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``spikesim_drift_scan`` of ``_kernel.c`` over the box kr = 0 ..
+    box[0], kn = 0 .. box[1], ``rows`` rows at a time, in numpy.
+
+    A state is in A when its decay polynomial (``decay`` as
+    ``_decay_coefficients`` gives it) is <= ``bound``; a state outside A is a
+    violation unless its drift, the generator applied to f with the
+    f-increments ``weights``, is <= -epsilon, so a NaN drift is one.
+    Returns A's (kr, kn) pairs, the violations' pairs and their drifts, all
+    in row-major order.
+    """
+    kr_max, kn_max = box
+    # Physical coordinates as a column (kr) and a row (kn); each block of
+    # rows broadcasts its slice of the column against the whole row.
+    X = (np.arange(kr_max + 1) / spec.params.gamma)[:, None]
+    Y = np.arange(kn_max + 1, dtype=np.float64)[None, :]
+    blocks = []
+    # The compiled scan raises no floating-point warnings either.
+    with np.errstate(all="ignore"):
+        for k0 in range(0, kr_max + 1, rows):
+            x = X[k0:k0 + rows]
+            in_a = _decay(decay, x, Y) <= bound
+            drift_grid = _generator_sum(spec, *weights, x, Y, (k0, 0))
+            bad = ~(in_a | (drift_grid <= -epsilon))
+            blocks.append((np.argwhere(in_a) + (k0, 0), np.argwhere(bad) + (k0, 0),
+                           drift_grid[bad]))
+    return tuple(map(np.concatenate, zip(*blocks)))
+
+
+@functools.cache
+def _compiled_scan() -> Callable | None:
+    """The compiled scan as ``_scan_python``'s equal, loaded on first use;
+    None (the numpy scan runs) when it cannot be built or loaded, or when it
+    does not reproduce the numpy scan's outcome on the probes."""
+    from . import _compiled
+
+    scan = _compiled.load_scan()
+    if scan is None:
+        return None
+    spec = _probe_spec()
+    for (decay, bound, rows), digest in _SCAN_PROBES.items():
+        if _scan_digest(scan(spec, _f_weights(spec), decay, bound, math.inf, (13, 11),
+                             rows)) != digest:
+            return None
+    return scan
+
+
+# The engine's probe table scanned in blocks of 4 rows with the decay's x*y
+# term and in one block without it: (decay, bound, rows) and the digest of
+# ``_scan_python``'s outcome, which a test recomputes.  With epsilon = inf
+# every state outside A is a violation, so every drift there is in the
+# digest bit for bit: a build that fuses, reorders or rewrites an operation
+# of a rate, of the sum over the channels or of the decay changes some of
+# them.  The compiled scan is held to digests rather than to a run of the
+# numpy scan: that run alone raised the peak RSS of a drift_scan benchmark
+# pass, which otherwise never runs the numpy scan, by 0.2-0.4 MB.
+_SCAN_PROBES = {
+    ((True, 0.3, 0.7), 20.0, 4):
+        "e9d4d7ba0476f12df6e8e9d055ac26a4dd59d408a00de41e91154527e93c7284",
+    ((False, 0.3, 0.7), 5.0, 14):
+        "1e737924518ceb3b13e4cc8654cb38be1c34a686642395c39e08e589fbd57bd1",
+}
+
+
+def _scan_digest(outcome: tuple[np.ndarray, ...]) -> str:
+    """sha256 of a scan's outcome: the shapes and bytes of its arrays."""
+    digest = hashlib.sha256(repr([array.shape for array in outcome]).encode())
+    for array in outcome:
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def _decay_coefficients(kind: ProcessKind, params: ModelParams) -> tuple[bool, float, float]:
+    """(product, c_x, c_y) of the decay polynomial c_x*x + c_y*y, plus x*y
+    first where ``product`` (the one-unit kind); the mean-field chain is
+    frozen at the fixed point."""
     a, b, g = params.alpha, params.beta, params.gamma
     if kind is ProcessKind.ONEUNIT:
-        return a, g / b - 1.0
+        return True, a, g / b - 1.0
     if kind is ProcessKind.MEANFIELD:
         ra, na = stationary_point(params)
-        return na / 2.0 + a, g / b + ra / 2.0 - 1.0
+        return False, na / 2.0 + a, g / b + ra / 2.0 - 1.0
     raise ValueError(f"no Lyapunov drift for kind {kind}")
 
 
-def _decay(kind: ProcessKind, params: ModelParams, x, y):
-    """The decay polynomial: gamma * ((gamma + 1) p / gamma - drift of f).
-    The one-unit sum stays one expression, so that numpy adds into the x*y
-    temporary in place."""
-    c_x, c_y = _decay_coefficients(kind, params)
-    if kind is ProcessKind.ONEUNIT:
+def _decay(coefficients: tuple[bool, float, float], x, y):
+    """The decay polynomial of ``_decay_coefficients``: gamma * ((gamma +
+    1) p / gamma - drift of f).  The one-unit sum stays one expression, so
+    that numpy adds into the x*y temporary in place."""
+    product, c_x, c_y = coefficients
+    if product:
         return x * y + c_x * x + c_y * y
     return c_x * x + c_y * y
 
@@ -240,7 +314,7 @@ def _analytic_extent(
     """Largest lattice indices that can satisfy the A-inequality, per axis
     (None when A is unbounded along that axis, or when its extent there is
     not a finite float)."""
-    c_x, c_y = _decay_coefficients(kind, params)
+    _product, c_x, c_y = _decay_coefficients(kind, params)
     bound = membership_bound(params, epsilon)
     extents = (bound / c_x * params.gamma if c_x > 0 else math.inf,
                bound / c_y if c_y > 0 else math.inf)

@@ -415,6 +415,15 @@ OUT_OF_RANGE = {
     "lyapunov meanfield --p 0 --alpha 0": (
         ["lyapunov", "--mode", "meanfield", "--p", "0", "--alpha", "0"],
         "stationary point undefined"),
+    # The rates overflow: a drift outside A is NaN, or inf in the mean field.
+    "lyapunov oneunit nan drift": (
+        ["lyapunov", "--mode", "oneunit", "--alpha", "0.01", "--beta", "1e-308", "--gamma",
+         "3e-308", "--p", "7", "--box-kr", "5", "--box-kn", "5"],
+        "the drift at (kr, kn) = (0, 4) is nan, not a finite float"),
+    "lyapunov meanfield inf drift": (
+        ["lyapunov", "--mode", "meanfield", "--alpha", "0.01", "--beta", "1e-308", "--gamma",
+         "3e-308", "--p", "7", "--box-kr", "5", "--box-kn", "5"],
+        "the drift at (kr, kn) = (0, 1) is inf, not a finite float"),
 }
 
 

@@ -18,6 +18,7 @@ import tempfile
 import numpy as np
 import pytest
 import test_csv_bytes
+import test_drift_bytes
 
 from spikesim import (
     EventCapError,
@@ -30,7 +31,7 @@ from spikesim import (
     next_jump,
     simulate,
 )
-from spikesim import _compiled, io, jump, ode
+from spikesim import _compiled, io, jump, lyapunov, ode
 
 BUILDERS = {
     "oneunit": build_oneunit,
@@ -214,13 +215,13 @@ def _has_fma() -> bool:
 
 class TestBuild:
     """The compiled library is built into the cache on first use, and the
-    Python kernel, RK4 loop, row writer and row reader run where it cannot
-    be built."""
+    Python kernel, RK4 loop, drift scan, row writer and row reader run where
+    it cannot be built."""
 
     # Each module's checked entry point into the library, and the table the
     # formatter and reader share, each made once.
-    LOADED = (jump._compiled_run, ode._compiled_rk4, io._compiled_formatter,
-              io._compiled_reader, _compiled.pow10_table)
+    LOADED = (jump._compiled_run, ode._compiled_rk4, lyapunov._compiled_scan,
+              io._compiled_formatter, io._compiled_reader, _compiled.pow10_table)
 
     @pytest.fixture
     def empty_cache(self, monkeypatch, tmp_path):
@@ -245,6 +246,10 @@ class TestBuild:
         for write in (test_csv_bytes.ode_fig1, test_csv_bytes.ode_fig2_strided,
                       test_csv_bytes.jump_meanfield, test_csv_bytes.jump_oneunit):
             test_csv_bytes.test_csv_bytes_are_frozen(tmp_path_factory.mktemp("csv"), write)
+        # The drift scans take the numpy scan, same bytes.
+        assert lyapunov._compiled_scan() is None
+        for case in test_drift_bytes.SCANS:
+            test_drift_bytes.test_scan_report_bytes_are_frozen(case)
         # The CSV reader takes loadtxt, and reads the floats written.
         assert io._compiled_reader() is None
         params = ModelParams(alpha=0.01, beta=1.0, gamma=100.0, p=7.0)

@@ -1,4 +1,6 @@
+import functools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,7 +23,23 @@ from spikesim import (
     simulate,
     stationary_point,
 )
+from spikesim import _compiled
 from spikesim.lyapunov import AUTO_BOX_CAP, _analytic_extent, membership_bound
+
+
+@pytest.fixture
+def python_scan(monkeypatch):
+    """The numpy scan, the reference, in place of the compiled one."""
+    monkeypatch.setattr(spikesim.lyapunov, "_compiled_scan", lambda: None)
+
+
+@pytest.fixture(params=["compiled", "python"])
+def each_scan(request, monkeypatch):
+    """The compiled scan, then the numpy scan."""
+    if request.param == "python":
+        monkeypatch.setattr(spikesim.lyapunov, "_compiled_scan", lambda: None)
+    elif spikesim.lyapunov._compiled_scan() is None:
+        pytest.skip("no compiled scan here")
 
 
 class TestLyapunovValue:
@@ -96,7 +114,7 @@ class TestDrift:
     ModelParams(0.3, 0.7, 3.0, 2.5),
     ModelParams(0.0, 1.3, 7.0, 0.4),
 ], ids=["gamma100", "gamma2", "gamma3_beta0.7", "alpha0"])
-def test_scan_grid_equals_drift_via_generator(monkeypatch, kind, params):
+def test_scan_grid_equals_drift_via_generator(monkeypatch, python_scan, kind, params):
     # The scan sums the generator over the whole box at once; each state of
     # it, the kr = 0 and kn = 0 edges included, must equal the sum at that
     # state alone.
@@ -133,7 +151,7 @@ def _block_grids(monkeypatch, kind, params, epsilon, box) -> list[np.ndarray]:
     ModelParams(0.3, 0.7, 3.0, 2.5),
     ModelParams(0.0, 1.3, 7.0, 0.4),
 ], ids=["gamma100", "gamma2", "gamma3_beta0.7", "alpha0"])
-def test_row_blocks_stitch_to_drift_via_generator(monkeypatch, kind, params):
+def test_row_blocks_stitch_to_drift_via_generator(monkeypatch, python_scan, kind, params):
     # Blocks of 5 rows of a 13 x 10 box: only the first holds the censored
     # kr = 0 edge, and each block's grid starts at its own first kr.
     monkeypatch.setattr(spikesim.lyapunov, "_BLOCK_ELEMENTS", 5 * 10)
@@ -149,7 +167,7 @@ def test_row_blocks_stitch_to_drift_via_generator(monkeypatch, kind, params):
 
 @pytest.mark.parametrize("rows", [1, 7, "whole box"])
 @pytest.mark.parametrize("case", list(test_drift_bytes.SCANS))
-def test_block_edges_do_not_change_the_report(monkeypatch, case, rows):
+def test_block_edges_do_not_change_the_report(monkeypatch, python_scan, case, rows):
     kind, params, epsilon, box = test_drift_bytes.SCANS[case]
     report = scan_drift_condition(kind, params, epsilon, box)
     kr_max, kn_max = report.scan_box
@@ -160,6 +178,52 @@ def test_block_edges_do_not_change_the_report(monkeypatch, case, rows):
     # The blocks are as many as the rows ask for; an inconclusive scan has none.
     grids = _block_grids(monkeypatch, kind, params, epsilon, box)
     assert len(grids) == (0 if report.inconclusive else math.ceil((kr_max + 1) / rows))
+
+
+@pytest.mark.parametrize("rows", [1, 7, "whole box"])
+@pytest.mark.parametrize("case", list(test_drift_bytes.SCANS))
+def test_compiled_block_edges_do_not_change_the_report(monkeypatch, case, rows):
+    scan = spikesim.lyapunov._compiled_scan()
+    if scan is None:
+        pytest.skip("no compiled scan here")
+    kind, params, epsilon, box = test_drift_bytes.SCANS[case]
+    report = scan_drift_condition(kind, params, epsilon, box)
+    kr_max, kn_max = report.scan_box
+    rows = kr_max + 2 if rows == "whole box" else rows
+    monkeypatch.setattr(spikesim.lyapunov, "_BLOCK_ELEMENTS", rows * (kn_max + 1))
+    # Each call of the C scan is one block of rows [k0, k1).
+    edges, block = [], scan.args[0]
+    spy = functools.partial(_compiled.drift_scan,
+                            lambda *args: edges.append(args[2:]) or block(*args))
+    monkeypatch.setattr(spikesim.lyapunov, "_compiled_scan", lambda: spy)
+    assert test_drift_bytes.scan_digest(kind, params, epsilon, box) == \
+        test_drift_bytes.DIGESTS[case]
+    assert edges == ([] if report.inconclusive else
+                     [(k0, min(k0 + rows, kr_max + 1)) for k0 in range(0, kr_max + 1, rows)])
+
+
+@pytest.mark.parametrize("case", list(test_drift_bytes.SCANS))
+def test_python_scan_report_bytes_are_frozen(python_scan, case):
+    test_drift_bytes.test_scan_report_bytes_are_frozen(case)
+
+
+@pytest.mark.parametrize("probe", list(spikesim.lyapunov._SCAN_PROBES))
+def test_the_compiled_scans_check_digests_the_numpy_scan(probe):
+    # The compiled scan is checked against these digests at load, so they
+    # must be the numpy scan's outcome on each probe.
+    decay, bound, rows = probe
+    spec = spikesim.lyapunov._probe_spec()
+    outcome = spikesim.lyapunov._scan_python(spec, spikesim.lyapunov._f_weights(spec), decay,
+                                             bound, math.inf, (13, 11), rows)
+    # Every state is in A or a violation, so every drift is digested.
+    assert len(outcome[0]) + len(outcome[1]) == 14 * 12
+    assert spikesim.lyapunov._scan_digest(outcome) == spikesim.lyapunov._SCAN_PROBES[probe]
+
+
+def test_the_compiled_scan_runs_wherever_the_library_builds():
+    # A scan that builds but computes differently falls back to the numpy
+    # scan at its check; that must not pass unnoticed.
+    assert (spikesim.lyapunov._compiled_scan() is None) == (_compiled.load_scan() is None)
 
 
 @pytest.mark.parametrize("kind", [ProcessKind.ONEUNIT, ProcessKind.MEANFIELD])
@@ -302,6 +366,32 @@ class TestScan:
         assert report.analytic_extent == (None, 7)
         assert report.scan_box == (AUTO_BOX_CAP, 28)
         assert report.passed and not report.contained
+
+    @pytest.mark.parametrize("kind, first, drift", [
+        (ProcessKind.ONEUNIT, (0, 4), "nan"),
+        (ProcessKind.MEANFIELD, (0, 1), "inf"),
+    ])
+    def test_a_drift_that_is_not_finite_is_an_error(self, each_scan, kind, first, drift):
+        # beta and gamma near the smallest normal float: the rates overflow,
+        # and the drift is NaN (or inf) at most states of the box.  A NaN
+        # is not <= -epsilon, so it is a violation, and the report names
+        # the first state in row-major order whose drift is not finite.
+        params = ModelParams(alpha=0.01, beta=1e-308, gamma=3e-308, p=7.0)
+        with pytest.raises(ValueError, match=re.escape(
+                f"the drift at (kr, kn) = {first} is {drift}, not a finite float")):
+            scan_drift_condition(kind, params, epsilon=0.1, scan_box=(5, 5))
+
+    def test_a_drift_of_minus_inf_passes(self, each_scan):
+        # The leak rate n / beta overflows at kn >= 2: the drift is -inf
+        # there, which is <= -epsilon.
+        params = ModelParams(alpha=0.01, beta=1e-308, gamma=1.0, p=7.0)
+        report = scan_drift_condition(ProcessKind.ONEUNIT, params, epsilon=0.1,
+                                      scan_box=(5, 5))
+        spec = build_oneunit(params)
+        with np.errstate(over="ignore"):
+            assert drift_via_generator(spec, LatticeState(1, 2, spec.r_unit,
+                                                          spec.n_unit)) == -math.inf
+        assert report.passed and report.violations == []
 
     def test_report_serializes(self, fig1_params):
         report = scan_drift_condition(

@@ -42,7 +42,7 @@ from spikesim import (
     tail_survival,
     vector_field,
 )
-from spikesim import _compiled, io, jump, ode
+from spikesim import _compiled, io, jump, lyapunov, ode
 from spikesim.io import (
     _SLICE_ROWS,
     _meta_lines,
@@ -655,6 +655,49 @@ def test_compiled_and_python_rk4_agree(params, r0, n0, t_end, dt, sample_every):
     for got, expected in zip(compiled[:3], python[:3]):
         assert np.array_equal(got, expected)
     assert compiled[3] == python[3]
+
+
+# The compiled drift scan as built, without the check that would replace it
+# by the numpy scan if it computed differently.
+COMPILED_SCAN = _compiled.load_scan()
+
+# beta is never 1, so the leak channel divides; alpha = 0 and p = 0 leave
+# channels with no term at all.
+scan_params_strategy = st.builds(
+    ModelParams,
+    alpha=st.one_of(st.just(0.0), st.floats(0.0, 20.0, **finite)),
+    beta=st.floats(0.05, 20.0, **finite).filter(lambda beta: beta != 1.0),
+    gamma=st.floats(0.1, 500.0, **finite),
+    p=st.one_of(st.just(0.0), st.floats(0.0, 20.0, **finite)),
+)
+
+
+@pytest.mark.skipif(COMPILED_SCAN is None, reason="no compiled library here")
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    params=scan_params_strategy,
+    kind=st.sampled_from(["oneunit", "meanfield", "probe table"]),
+    box=st.tuples(st.integers(1, 60), st.integers(1, 60)),
+    epsilon=st.floats(1e-3, 10.0, **finite),
+    every_drift=st.booleans(),
+    rows=st.sampled_from([1, 7, "whole box"]),
+)
+def test_compiled_and_python_scans_agree(params, kind, box, epsilon, every_drift, rows):
+    if kind == "probe table":  # guards on kr and on kn, every kind of term
+        spec = jump._probe_spec()
+    else:
+        spec = _build(kind, params, 1)
+    bound = lyapunov.membership_bound(params, epsilon)
+    # With epsilon = inf, every state outside A is a violation, so every
+    # drift there is compared.
+    scan = (spec, lyapunov._f_weights(spec), lyapunov._decay_coefficients(spec.kind, params),
+            bound, math.inf if every_drift else epsilon, box,
+            box[0] + 1 if rows == "whole box" else rows)
+    compiled, python = COMPILED_SCAN(*scan), lyapunov._scan_python(*scan)
+    # A's pairs, the violations' pairs, and their drifts bit for bit.
+    for got, expected in zip(compiled, python, strict=True):
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 # Reference implementations: the per-run spike and plateau loops, the
