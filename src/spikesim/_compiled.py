@@ -1,16 +1,22 @@
-"""The library of ``_kernel.c``: built on first use and loaded with ctypes.
-It holds the direct-method loop (run a chunk at a time), the RK4 loop, the
-drift scan (a block of rows at a time), the row formatter of the CSV writers
-and the row reader of trajectory CSVs (fed the file a block at a time).
+"""The library of ``_kernel.c``: built on first use, checked once when it
+is built, and loaded with ctypes.  It holds the direct-method loop (run a
+chunk at a time), the RK4 loop, the drift scan (a block of rows at a time),
+the row formatter of the CSV writers and the row reader of trajectory CSVs
+(fed the file a block at a time).
 
 ``spikesim.jump``, ``spikesim.ode``, ``spikesim.lyapunov`` and
 ``spikesim.io`` import this module on the first call that wants the
-library, never at import.  The library is
-compiled once per C source, flags, numpy, Python and platform into
+library, never at import.  The library is compiled once per key into
 ``$XDG_CACHE_HOME/spikesim`` or ``~/.cache/spikesim`` (a per-user directory
 in the temp dir when neither can be written), against numpy's random headers
 and ``libnpyrandom.a``, so it draws from the caller's bit generator exactly
 as ``Generator`` does.
+
+A build is checked once, as a whole: each of its five loops must reproduce
+its Python twin on that module's probe (the ``_agrees`` functions).  Only a
+library that passes all five goes into the cache; one that fails is refused
+whole, and an empty ``.refused`` file under its name keeps later processes
+from building or checking it again.  A failed compile is not remembered.
 """
 
 import ctypes
@@ -20,9 +26,10 @@ import os
 import platform
 import sys
 import tempfile
+import time
 from array import array
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -31,6 +38,13 @@ import numpy as np
 CHUNK_EVENTS = 1 << 16
 SOURCE = Path(__file__).with_name("_kernel.c")
 CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# The files whose bytes the build key hashes: the C source, this module, and
+# the modules that hold a loop's Python twin and its check, so that a
+# library's verdict is never older than the code it vouches for.
+KEYED = (SOURCE, *(SOURCE.with_name(f"{name}.py")
+                   for name in ("_compiled", "jump", "ode", "lyapunov", "io")))
+# A build that passes its check removes the other builds unmodified this long.
+STALE_SECONDS = 7 * 24 * 3600
 
 
 class Table(ctypes.Structure):
@@ -58,34 +72,51 @@ def table(rows, r_unit: float, n_unit: float) -> Table:
                  pairs(*(d for row in rows for d in row[7:])))
 
 
-# One handle per library file, however many entry points are taken from it.
-_open = functools.cache(ctypes.CDLL)
+class Loops(NamedTuple):
+    """The library's five loops, each bound to its binding below, which
+    takes its Python twin's arguments and returns its twin's result."""
+
+    run: Callable
+    rk4: Callable
+    scan: Callable
+    formatter: Callable
+    reader: Callable
 
 
-def library() -> ctypes.CDLL | None:
-    """The library, built if it is not in the cache; None when it cannot be
-    built (no compiler, headers or static library) or loaded."""
+@functools.cache
+def library() -> Loops | None:
+    """The loops of the checked library, built and checked when the cache
+    holds neither it nor its refusal; None when it cannot be built or
+    loaded, or was refused.  Made once per process, whatever the outcome."""
     try:
-        return _open(str(build_library()))
+        target = cache_dir() / f"_kernel-{build_key()}.so"
+        if target.exists():
+            return bind(target)
+        if target.with_suffix(".refused").exists():
+            return None
+        return build_library(target)
     except OSError:
         return None
 
 
-def _entry(name: str, prototype) -> Callable | None:
-    """The library's function ``name`` declared as ``prototype``, or None
-    when the library or the function cannot be had."""
-    lib = library()
-    try:
-        return None if lib is None else prototype((name, lib))
-    except AttributeError:
-        return None
+def bind(path: str | Path) -> Loops:
+    """The loops of the library file ``path``; OSError when it cannot be
+    loaded."""
+    lib = ctypes.CDLL(str(path))
 
+    def entry(name: str, result, *arguments) -> Callable:
+        return ctypes.CFUNCTYPE(result, *arguments)((name, lib))
 
-def load() -> Callable | None:
-    """``run`` bound to the library's direct-method loop, or None."""
-    loop = _entry("spikesim_direct_method",
-                  ctypes.CFUNCTYPE(ctypes.c_int64, *(ctypes.c_void_p,) * 5))
-    return None if loop is None else functools.partial(run, loop)
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    # The formatter and the reader call no Python, so they run with the GIL
+    # released (``CFUNCTYPE``).
+    return Loops(
+        functools.partial(run, entry("spikesim_direct_method", i64, *(ptr,) * 5)),
+        functools.partial(rk4, entry("spikesim_rk4", i64, *(ptr,) * 4)),
+        functools.partial(drift_scan, entry("spikesim_drift_scan", None, ptr, ptr, i64, i64)),
+        functools.partial(format_rows, entry("spikesim_format_rows", i64, ptr, i64, i64, i64,
+                                             ptr, i64, ptr)),
+        functools.partial(read_rows, entry("spikesim_read_rows", i64, ptr, ptr, i64, ptr)))
 
 
 def run(loop, spec, kr: int, kn: int, rng: np.random.Generator, t_end: float,
@@ -121,12 +152,6 @@ class Rk4(ctypes.Structure):
                 ("fail_value", ctypes.c_double)]
 
 
-def load_rk4() -> Callable | None:
-    """``rk4`` bound to the library's RK4 loop, or None."""
-    loop = _entry("spikesim_rk4", ctypes.CFUNCTYPE(ctypes.c_int64, *(ctypes.c_void_p,) * 4))
-    return None if loop is None else functools.partial(rk4, loop)
-
-
 def rk4(loop, params, h: float, n_steps: int, sample_every: int, overshoot_limit: float,
         ts: np.ndarray, rs: np.ndarray, ns: np.ndarray) -> tuple[int, int, int, int, float]:
     """``n_steps`` RK4 steps of size ``h`` from (rs[0], ns[0]) at t = 0 into
@@ -147,14 +172,6 @@ class Scan(ctypes.Structure):
                 ("kn_max", ctypes.c_int64), ("row", ctypes.c_void_p), ("set_a", ctypes.c_void_p),
                 ("bad", ctypes.c_void_p), ("drift", ctypes.c_void_p), ("n_a", ctypes.c_int64),
                 ("n_bad", ctypes.c_int64)]
-
-
-def load_scan() -> Callable | None:
-    """``drift_scan`` bound to the library's drift scan, or None."""
-    scan = _entry("spikesim_drift_scan",
-                  ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
-                                   ctypes.c_int64))
-    return None if scan is None else functools.partial(drift_scan, scan)
 
 
 def drift_scan(scan, spec, weights: tuple[float, float], decay: tuple[bool, float, float],
@@ -193,25 +210,14 @@ KINDS = ("float", "lattice", "label")
 _FLOAT_BYTES = 24
 
 
-def load_formatter() -> Callable | None:
-    """``format_rows`` bound to the library's row formatter and its power
-    table, or None.  It calls no Python, so it runs with the GIL released
-    (``CFUNCTYPE``)."""
-    formatter = _entry("spikesim_format_rows",
-                       ctypes.CFUNCTYPE(ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
-                                        ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
-                                        ctypes.c_int64, ctypes.c_void_p))
-    return None if formatter is None else functools.partial(format_rows, formatter,
-                                                            pow10_table())
-
-
 @functools.cache
 def pow10_table() -> ctypes.Array:
     """The formatter's g(m) = floor(10^m * 2^(127 - floor(m log2 10))) + 1
     for m = -292 .. 326, as 1238 {high, low} halves (see ``_kernel.c``); the
-    reader uses g(m) - 1.  Made once per process for both.  With b the bit
-    length of 10^|m|, floor(m log2 10) is b - 1 for m >= 0 and -b for
-    m < 0, where 10^|m| is no power of two."""
+    reader uses g(m) - 1.  Made once per process, on the first write or
+    read through the library, for both.  With b the bit length of 10^|m|,
+    floor(m log2 10) is b - 1 for m >= 0 and -b for m < 0, where 10^|m| is
+    no power of two."""
     powers = [1]
     for _ in range(326):
         powers.append(powers[-1] * 10)
@@ -225,21 +231,20 @@ def pow10_table() -> ctypes.Array:
     return (ctypes.c_uint64 * len(halves))(*halves)
 
 
-def format_rows(formatter, powers: ctypes.Array, columns: list[tuple[str, np.ndarray, float]],
+def format_rows(formatter, columns: list[tuple[str, np.ndarray, float]],
                 labels: tuple[str, ...], slice_rows: int) -> Iterator[str]:
-    """The CSV lines of ``columns``, ``slice_rows`` rows per string, with
-    ``powers`` the ``pow10_table()``.  Each column is a (kind, values,
-    unit) triple of a kind in ``KINDS``; the caller has checked that the
-    values are contiguous and 1-D, of one length, of the kind's dtype, and
-    that every label code indexes ``labels``, since the C loop trusts all
-    of that."""
+    """The CSV lines of ``columns``, ``slice_rows`` rows per string.  Each
+    column is a (kind, values, unit) triple of a kind in ``KINDS``; the
+    caller has checked that the values are contiguous and 1-D, of one
+    length, of the kind's dtype, and that every label code indexes
+    ``labels``, since the C loop trusts all of that."""
     label_text = (ctypes.c_char_p * len(labels))(*(label.encode("ascii") for label in labels))
     cells = (Column * len(columns))(*(Column(KINDS.index(kind), values.ctypes.data, unit,
                                              label_text)
                                       for kind, values, unit in columns))
     width = sum(max(map(len, labels)) + 1 if kind == "label" else _FLOAT_BYTES + 1
                 for kind, _values, _unit in columns)
-    buf = ctypes.create_string_buffer(slice_rows * width)
+    buf, powers = ctypes.create_string_buffer(slice_rows * width), pow10_table()
     n_rows = len(columns[0][1])
     for start in range(0, n_rows, slice_rows):
         size = formatter(cells, len(columns), start, min(start + slice_rows, n_rows),
@@ -262,24 +267,13 @@ class Rows(ctypes.Structure):
 READ_BLOCK = 1 << 16
 
 
-def load_reader() -> Callable | None:
-    """``read_rows`` bound to the library's row reader and the power table,
-    or None.  It calls no Python, so it runs with the GIL released
-    (``CFUNCTYPE``)."""
-    reader = _entry("spikesim_read_rows",
-                    ctypes.CFUNCTYPE(ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
-                                     ctypes.c_int64, ctypes.c_void_p))
-    return None if reader is None else functools.partial(read_rows, reader, pow10_table())
-
-
-def read_rows(reader, powers: ctypes.Array, fh, cells: list[int], size: int,
+def read_rows(reader, fh, cells: list[int], size: int,
               block: int = READ_BLOCK) -> list[np.ndarray] | None:
     """The rows of the binary file ``fh``, from where it stands to its end
     (about ``size`` bytes), as float64 columns: cell i of each row is read
     into column ``cells[i]``, or skipped as a label where that is -1.  None
     when a row is outside the loop's grammar or longer than ``block``
-    bytes, or the last one does not end with '\\n'.  ``powers`` is the
-    ``pow10_table()``.
+    bytes, or the last one does not end with '\\n'.
 
     The file is read ``block`` bytes at a time.  When the columns are full
     they grow to the row count projected from the bytes read so far, and
@@ -287,7 +281,7 @@ def read_rows(reader, powers: ctypes.Array, fh, cells: list[int], size: int,
     columns = [np.empty(1024) for _ in range(max(cells) + 1)]
     pointers = (ctypes.c_void_p * len(columns))(*(column.ctypes.data for column in columns))
     rows = Rows(len(cells), (ctypes.c_int64 * len(cells))(*cells), pointers, 0, 1024)
-    buf = bytearray(block)
+    buf, powers = bytearray(block), pow10_table()
     start = ctypes.addressof((ctypes.c_char * block).from_buffer(buf))
     view = memoryview(buf)
     held = read = 0  # bytes of an unfinished row at the start of buf; bytes read into rows
@@ -319,34 +313,62 @@ def read_rows(reader, powers: ctypes.Array, fh, cells: list[int], size: int,
     return columns
 
 
-def build_library() -> Path:
-    """Compile ``_kernel.c`` into the cache directory, unless a library built
-    from the same source, flags, numpy, Python and platform is there."""
-    key = hashlib.sha256(SOURCE.read_bytes())
+def build_key() -> str:
+    """The hash of everything the library and its verdict depend on: the
+    bytes of ``KEYED``, ``CFLAGS``, numpy, Python and the platform."""
+    key = hashlib.sha256()
+    for path in KEYED:
+        key.update(hashlib.sha256(path.read_bytes()).digest())
     for part in (CFLAGS, np.__version__, sys.version, sys.platform, platform.machine()):
         key.update(repr(part).encode())
-    target = cache_dir() / f"_kernel-{key.hexdigest()[:16]}.so"
-    if target.exists():
-        return target
+    return key.hexdigest()[:16]
 
-    # Only a build needs it; subprocess alone takes about 8 ms to import.
+
+def build_library(target: Path) -> Loops | None:
+    """Compile ``_kernel.c``, check the build, and put it at ``target`` when
+    it passes: its loops, or None when it fails the check and ``target``'s
+    ``.refused`` file is left in its place.  OSError when it cannot be
+    compiled or loaded."""
+    # Only a build needs them; subprocess alone takes about 8 ms to import.
     import subprocess
+
+    from . import io, jump, lyapunov, ode
 
     static = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
     fd, partial = tempfile.mkstemp(suffix=".so.tmp", dir=target.parent)
     os.close(fd)
     try:
-        # Written under a temporary name and renamed into place, so that
-        # concurrent first uses never load a half-written library.
+        # Written, loaded and checked under a temporary name and renamed into
+        # place, so that concurrent first uses never load a half-written or
+        # unchecked library.
         subprocess.run([*compile_command(), str(SOURCE), str(static), "-lm", "-o", partial],
                        check=True, capture_output=True, timeout=300)
+        loops = bind(partial)
+        checks = (jump._agrees, ode._agrees, lyapunov._agrees, io._formatter_agrees,
+                  io._reader_agrees)
+        if not all(check(loop) for check, loop in zip(checks, loops)):
+            target.with_suffix(".refused").touch()
+            return None
         os.replace(partial, target)
     except subprocess.SubprocessError as exc:
         raise OSError(f"cannot build the compiled library: {exc}") from exc
     finally:
         if os.path.exists(partial):
             os.unlink(partial)
-    return target
+    prune(target)
+    return loops
+
+
+def prune(keep: Path) -> None:
+    """Remove the other libraries and refusals in ``keep``'s directory that
+    have not been modified for ``STALE_SECONDS``."""
+    stale = time.time() - STALE_SECONDS
+    for path in keep.parent.glob("_kernel-*"):
+        try:
+            if path != keep and path.stat().st_mtime < stale:
+                path.unlink()
+        except OSError:
+            pass  # gone already, or not ours to remove
 
 
 def compile_command() -> list[str]:

@@ -2,8 +2,10 @@
    the RK4 loop of spikesim.ode, the drift scan of spikesim.lyapunov, and the
    row formatter and row reader of spikesim.io's CSV files.
    spikesim._compiled builds it on first use, links it against numpy's
-   libnpyrandom.a and loads it with ctypes; each entry point is used only
-   where it reproduces its Python reference, which stays the fallback.
+   libnpyrandom.a, checks it once, when it is built, and loads it with
+   ctypes.  The library is used whole or not at all: only where each of its
+   five entry points reproduces its Python reference on that module's probe.
+   A build that fails one is refused, and the Python references run.
 
    Build it with -ffp-contract=off and without -ffast-math, so that no
    multiply-add is fused and no sum is reordered: each numeric loop must do

@@ -5,12 +5,11 @@ is enough on its own to rerun the experiment.  CSV output is locale
 independent: '.' decimal separator, '\\n' newlines, no grouping.
 
 Rows are written by the compiled library's formatter and read back by its
-reader where the library builds and passes its load-time check; otherwise
-by ``_python_rows`` and ``np.loadtxt``, which give the same bytes and the
-same floats.
+reader where the library builds and passes its check; otherwise by
+``_python_rows`` and ``np.loadtxt``, which give the same bytes and the same
+floats.
 """
 
-import functools
 import json
 import math
 import os
@@ -110,37 +109,30 @@ def _python_rows(columns: list[tuple[str, np.ndarray, float]], labels: tuple[str
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
-@functools.cache
 def _compiled_formatter() -> Callable | None:
-    """The library's ``format_rows``, loaded on first use; None
-    (``_python_rows`` writes) when the library cannot be built or loaded,
-    or when it does not write what ``_python_rows`` writes."""
+    """The checked library's ``format_rows``; None (``_python_rows`` writes)
+    where it has none."""
     from . import _compiled
 
-    format_rows = _compiled.load_formatter()
-    if format_rows is None:
-        return None
-    # In slices of seven rows, so that slices end mid-table.
-    got = "".join(format_rows(_check_columns(), CHANNEL_LABELS, 7))
-    return format_rows if got == _check_text() else None
+    return getattr(_compiled.library(), "formatter", None)
 
 
-@functools.cache
-def _check_text() -> str:
-    """The rows of ``_check_columns`` as ``_python_rows`` writes them, made
-    once for both load-time checks."""
-    return "".join(_python_rows(_check_columns(), CHANNEL_LABELS, 7))
+def _formatter_agrees(format_rows: Callable) -> bool:
+    """Whether ``format_rows``, a build's formatter, writes the rows of
+    ``_check_columns`` as ``_python_rows`` does, in slices of seven rows, so
+    that slices end mid-table."""
+    return "".join(format_rows(_check_columns(), CHANNEL_LABELS, 7)) == \
+        "".join(_python_rows(_check_columns(), CHANNEL_LABELS, 7))
 
 
 def _check_columns() -> list[tuple[str, np.ndarray, float]]:
-    """The rows the load-time checks of the formatter and the reader use:
-    special values, subnormals, 17-digit values, powers of two from 2^-1074
-    to 2^1023 (every eighth: repr of all 2098 takes 10-20 ms in a fresh
-    interpreter, most of a short run; the tests take every one), and the
-    powers of ten around the switches between positional and exponent
-    notation with both their neighbours; beside them a small table of
-    lattice values, indices up to 2^53 + 1, and every channel label."""
-    twos = np.ldexp(1.0, np.r_[-1074:1024:8, -1022, 1023])
+    """The rows the checks of the formatter and the reader use: special
+    values, subnormals, 17-digit values, every power of two from 2^-1074 to
+    2^1023, and the powers of ten around the switches between positional
+    and exponent notation with both their neighbours; beside them a small
+    table of lattice values, indices up to 2^53 + 1, and every channel
+    label."""
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
     tens = 10.0 ** np.arange(-7, 19)
     values = np.concatenate([
         [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072014e-308,
@@ -367,25 +359,24 @@ def _raise_first_bad_row(lines: Iterator[str], first: int, usecols: list[int],
                     raise ValueError(f"{path}: line {number}: {reason}") from None
 
 
-@functools.cache
 def _compiled_reader() -> Callable | None:
-    """The library's ``read_rows``, loaded on first use; None (loadtxt
-    reads) when the library cannot be built or loaded, or when it does not
-    read the rows of ``_check_columns`` to the floats loadtxt reads, bit
-    for bit."""
+    """The checked library's ``read_rows``; None (loadtxt reads) where it
+    has none."""
     from . import _compiled
 
-    read_rows = _compiled.load_reader()
-    if read_rows is None:
-        return None
-    # Beside the rows written, decimals no repr is: two exact ties (2^53 + 1
-    # and 1e23), the largest and smallest subnormals, and long digit strings.
-    text = _check_text() + (
+    return getattr(_compiled.library(), "reader", None)
+
+
+def _reader_agrees(read_rows: Callable) -> bool:
+    """Whether ``read_rows``, a build's reader, reads the rows of
+    ``_check_columns`` to the floats loadtxt reads, bit for bit.  Beside the
+    rows written, decimals no repr is: two exact ties (2^53 + 1 and 1e23),
+    the largest and smallest subnormals, and long digit strings."""
+    text = "".join(_python_rows(_check_columns(), CHANNEL_LABELS, 7)) + (
         "9007199254740993,1e23,2.2250738585072011e-308,leak\n"
         "4.9406564584124654e-324,-0,123456789012345678901234567890e-40,\n")
     expected = _loadtxt(text.splitlines(), [0, 1, 2])
     # In blocks of 256 bytes, so that rows cross the ends of blocks.
     got = read_rows(BytesIO(text.encode("ascii")), [0, 1, 2, -1], len(text), block=256)
-    same = got is not None and all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    return got is not None and all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
                                    for a, b in zip(got, expected))
-    return read_rows if same else None

@@ -353,28 +353,28 @@ _STOPS = (Termination.MAX_JUMPS, Termination.ABSORBED, Termination.TIME_HORIZON)
 
 def engine() -> str:
     """The jump engine that ``simulate`` and ``next_jump`` run: "compiled" or
-    "python".  The first call builds the compiled loop if it is not built."""
+    "python", the compiled library's one verdict.  The first call builds and
+    checks the library if it is not in the cache."""
     return "python" if _compiled_run() is None else "compiled"
 
 
-@functools.cache
 def _compiled_run() -> Callable | None:
-    """The compiled loop as ``_run_python``'s equal, loaded on first use;
-    None (the Python kernel runs) when it cannot be built or loaded, or when
-    it does not reproduce the Python kernel."""
+    """The checked library's loop; None (the Python kernel runs) where it
+    has none."""
     from . import _compiled
 
-    run = _compiled.load()
-    if run is None:
-        return None
-    # A toolchain that fuses or reorders floating-point operations, or a
-    # libnpyrandom that draws differently, would change the stream; a build
-    # that fuses a multiply into the sum of a rate moves the first event's
-    # time in its last bit.  From a high state, so that the rates take a
-    # wide range of values.
+    return getattr(_compiled.library(), "run", None)
+
+
+def _agrees(run: Callable) -> bool:
+    """Whether ``run``, a build's loop, draws ``_run_python``'s stream on the
+    probe.  A build that fuses a multiply into the sum of a rate moves the
+    first event's time in its last bit; a libnpyrandom that draws
+    differently moves more.  From a high state, so that the rates take a
+    wide range of values."""
     compiled, python = (kernel(_probe_spec(), 5, 200, np.random.default_rng(0), math.inf, 400)
                         for kernel in (run, _run_python))
-    return run if compiled == python else None
+    return compiled == python
 
 
 def _probe_spec() -> ProcessSpec:

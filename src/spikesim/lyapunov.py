@@ -8,8 +8,6 @@ ergodicity conditions, and scans a lattice box to exhibit the exceptional set
 and verify drift <= -epsilon outside it.
 """
 
-import functools
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -242,47 +240,31 @@ def _scan_python(spec: ProcessSpec, weights: tuple[float, float],
     return tuple(map(np.concatenate, zip(*blocks)))
 
 
-@functools.cache
 def _compiled_scan() -> Callable | None:
-    """The compiled scan as ``_scan_python``'s equal, loaded on first use;
-    None (the numpy scan runs) when it cannot be built or loaded, or when it
-    does not reproduce the numpy scan's outcome on the probes."""
+    """The checked library's drift scan; None (the numpy scan runs) where it
+    has none."""
     from . import _compiled
 
-    scan = _compiled.load_scan()
-    if scan is None:
-        return None
-    spec = _probe_spec()
-    for (decay, bound, rows), digest in _SCAN_PROBES.items():
-        if _scan_digest(scan(spec, _f_weights(spec), decay, bound, math.inf, (13, 11),
-                             rows)) != digest:
-            return None
-    return scan
+    return getattr(_compiled.library(), "scan", None)
 
 
 # The engine's probe table scanned in blocks of 4 rows with the decay's x*y
-# term and in one block without it: (decay, bound, rows) and the digest of
-# ``_scan_python``'s outcome, which a test recomputes.  With epsilon = inf
-# every state outside A is a violation, so every drift there is in the
-# digest bit for bit: a build that fuses, reorders or rewrites an operation
-# of a rate, of the sum over the channels or of the decay changes some of
-# them.  The compiled scan is held to digests rather than to a run of the
-# numpy scan: that run alone raised the peak RSS of a drift_scan benchmark
-# pass, which otherwise never runs the numpy scan, by 0.2-0.4 MB.
-_SCAN_PROBES = {
-    ((True, 0.3, 0.7), 20.0, 4):
-        "e9d4d7ba0476f12df6e8e9d055ac26a4dd59d408a00de41e91154527e93c7284",
-    ((False, 0.3, 0.7), 5.0, 14):
-        "1e737924518ceb3b13e4cc8654cb38be1c34a686642395c39e08e589fbd57bd1",
-}
+# term and in one block without it: (decay, bound, rows).  With epsilon = inf
+# every state outside A is a violation, so every drift there is compared bit
+# for bit: a build that fuses, reorders or rewrites an operation of a rate,
+# of the sum over the channels or of the decay changes some of them.
+_PROBES = (((True, 0.3, 0.7), 20.0, 4), ((False, 0.3, 0.7), 5.0, 14))
 
 
-def _scan_digest(outcome: tuple[np.ndarray, ...]) -> str:
-    """sha256 of a scan's outcome: the shapes and bytes of its arrays."""
-    digest = hashlib.sha256(repr([array.shape for array in outcome]).encode())
-    for array in outcome:
-        digest.update(array.tobytes())
-    return digest.hexdigest()
+def _agrees(scan: Callable) -> bool:
+    """Whether ``scan``, a build's scan, gives ``_scan_python``'s outcome on
+    the probes, array for array and bit for bit."""
+    spec = _probe_spec()
+    probes = [(spec, _f_weights(spec), decay, bound, math.inf, (13, 11), rows)
+              for decay, bound, rows in _PROBES]
+    return all(got.dtype == expected.dtype and got.shape == expected.shape
+               and got.tobytes() == expected.tobytes()
+               for probe in probes for got, expected in zip(scan(*probe), _scan_python(*probe)))
 
 
 def _decay_coefficients(kind: ProcessKind, params: ModelParams) -> tuple[bool, float, float]:

@@ -5,7 +5,6 @@ jump paths trivial; the system is two-dimensional and non-stiff at the
 parameter sets of interest, so adaptivity buys nothing.
 """
 
-import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -79,12 +78,16 @@ def integrate(
     if not (0 < dt <= t_end):
         raise ValueError(f"dt must satisfy 0 < dt <= t_end, got {dt}")
 
+    # Both loops count steps in int64, as the compiled one stores them.
+    if not t_end / dt < 2**63:
+        raise ValueError(f"t_end / dt must be below 2**63 steps, got {t_end / dt:.6g}")
+
     n_steps = max(1, round(t_end / dt))
     h = t_end / n_steps
     if sample_every is None:
         sample_every = max(1, math.ceil(n_steps / MAX_STORED_SAMPLES))
-    if sample_every < 1:
-        raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+    if not 1 <= sample_every < 2**63:
+        raise ValueError(f"sample_every must be in [1, 2**63), got {sample_every}")
 
     rk4 = _compiled_rk4() or _rk4_python
     return _integrate(rk4, params, r0, n0, h, n_steps, sample_every, OVERSHOOT_LIMIT)
@@ -178,21 +181,20 @@ _PROBES = ((ModelParams(alpha=7.0, beta=0.05, gamma=0.01, p=0.0), 0.0, 1e-10, 1e
            (ModelParams(alpha=7.0, beta=1.0, gamma=0.01, p=0.0), 0.0, 1e-10, 1e-2, 50, 1))
 
 
-@functools.cache
 def _compiled_rk4() -> Callable | None:
-    """The library's RK4 loop, loaded on first use; None (``_rk4_python`` runs)
-    when it cannot be built or loaded, or does not reproduce ``_rk4_python``."""
+    """The checked library's RK4 loop; None (``_rk4_python`` runs) where it
+    has none."""
     from . import _compiled
 
-    rk4 = _compiled.load_rk4()
-    if rk4 is None:
-        return None
+    return getattr(_compiled.library(), "rk4", None)
 
-    # A toolchain that fuses or reorders floating-point operations would
-    # move the path, or the step or value of a failure.
+
+def _agrees(rk4: Callable) -> bool:
+    """Whether ``rk4``, a build's loop, gives ``_rk4_python``'s whole outcome
+    on the probes, a failed step's included: a fused or reordered
+    floating-point operation would move the path, or a failure."""
     def outcome(loop, probe):
         result, samples = _outcome(loop, *probe, OVERSHOOT_LIMIT)
         return result, samples.tobytes()
 
-    same = all(outcome(rk4, probe) == outcome(_rk4_python, probe) for probe in _PROBES)
-    return rk4 if same else None
+    return all(outcome(rk4, probe) == outcome(_rk4_python, probe) for probe in _PROBES)

@@ -387,6 +387,9 @@ OUT_OF_RANGE = {
         "n_units must be finite as a float"),
     "ds --dt 0": (["ds", "--t-end", "1", "--dt", "0"], "dt must satisfy 0 < dt <= t_end"),
     "ds --t-end inf": (["ds", "--t-end", "inf"], "t_end must be finite and > 0"),
+    # 1e300 steps: past the int64 step count of the RK4 loops.
+    "ds --dt 1e-300": (["ds", "--t-end", "1", "--dt", "1e-300"],
+                       "t_end / dt must be below 2**63 steps, got 1e+300"),
     "ds --r0 nan": (["ds", "--t-end", "1", "--r0", "nan"],
                     "initial state must be finite and non-negative"),
     "lyapunov --epsilon 0": (["lyapunov", "--mode", "oneunit", "--epsilon", "0"],

@@ -160,7 +160,8 @@ class TestPythonPaths:
 
 
 def test_the_compiled_library_runs_wherever_it_builds():
-    # An entry point that builds but computes differently falls back to its
-    # Python reference at its check; that must not pass unnoticed.
-    assert (ode._compiled_rk4() is None) == (_compiled.load_rk4() is None)
-    assert (io._compiled_formatter() is None) == (_compiled.load_formatter() is None)
+    # A library that builds but computes differently is refused whole at its
+    # check, and the Python references run; that must not pass unnoticed.
+    assert (ode._compiled_rk4() is None) == (io._compiled_formatter() is None) \
+        == (_compiled.library() is None)
+    assert not (_compiled.cache_dir() / f"_kernel-{_compiled.build_key()}.refused").exists()

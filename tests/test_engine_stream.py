@@ -11,9 +11,15 @@ stream must not move.  The module-level tests run the engine in use
 """
 
 import hashlib
+import os
 import platform
+import subprocess
+import sys
 import sysconfig
 import tempfile
+import time
+from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,9 +203,10 @@ def test_runs_across_chunks_match_the_python_kernel(run, monkeypatch):
 
 
 def test_the_compiled_engine_runs_wherever_it_builds():
-    # A loop that builds but draws differently falls back to the Python
-    # kernel at its check run; that must not pass unnoticed.
-    assert jump.engine() == ("python" if _compiled.load() is None else "compiled")
+    # A library that builds but draws differently is refused whole at its
+    # check, and the Python kernel runs; that must not pass unnoticed.
+    assert jump.engine() == ("python" if _compiled.library() is None else "compiled")
+    assert not (_compiled.cache_dir() / f"_kernel-{_compiled.build_key()}.refused").exists()
 
 
 def _has_fma() -> bool:
@@ -213,24 +220,33 @@ def _has_fma() -> bool:
         return False
 
 
-class TestBuild:
-    """The compiled library is built into the cache on first use, and the
-    Python kernel, RK4 loop, drift scan, row writer and row reader run where
-    it cannot be built."""
+# Each module's entry point into the library: None where the library is not
+# available, the library's loop elsewhere.
+ACCESSORS = (jump._compiled_run, ode._compiled_rk4, lyapunov._compiled_scan,
+             io._compiled_formatter, io._compiled_reader)
 
-    # Each module's checked entry point into the library, and the table the
-    # formatter and reader share, each made once.
-    LOADED = (jump._compiled_run, ode._compiled_rk4, lyapunov._compiled_scan,
-              io._compiled_formatter, io._compiled_reader, _compiled.pow10_table)
+
+class TestBuild:
+    """The compiled library is built into the cache on first use and checked
+    once, when it is built; the Python kernel, RK4 loop, drift scan, row
+    writer and row reader run where it cannot be built or is refused."""
 
     @pytest.fixture
     def empty_cache(self, monkeypatch, tmp_path):
         monkeypatch.setattr(_compiled, "cache_dir", lambda: tmp_path)
-        for loaded in self.LOADED:
-            loaded.cache_clear()
+        _compiled.library.cache_clear()
         yield tmp_path
-        for loaded in self.LOADED:
-            loaded.cache_clear()
+        _compiled.library.cache_clear()
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        """The compiler commands run from here on (``subprocess.run`` calls)."""
+        commands = []
+        run = subprocess.run
+        monkeypatch.setattr(subprocess, "run",
+                            lambda command, **kwargs: commands.append(command)
+                            or run(command, **kwargs))
+        return commands
 
     def test_falls_back_to_the_python_kernel_without_a_compiler(self, empty_cache, monkeypatch,
                                                                 tmp_path_factory):
@@ -267,23 +283,119 @@ class TestBuild:
         for name in ("t", "r", "n"):
             assert np.array_equal(columns[name], getattr(ode_traj, name))
 
+    def test_a_failed_compile_is_tried_once_per_process(self, empty_cache, monkeypatch,
+                                                        compiles):
+        config_var = sysconfig.get_config_var
+        monkeypatch.setattr(sysconfig, "get_config_var",
+                            lambda name: "false" if name == "CC" else config_var(name))
+        assert [accessor() for accessor in ACCESSORS] == [None] * 5
+        assert jump.engine() == "python"
+        assert len(compiles) == 1
+        # Not remembered: the headers may be installed later, so the next
+        # process tries again.
+        assert list(empty_cache.iterdir()) == []
+        _compiled.library.cache_clear()
+        assert _compiled.library() is None and len(compiles) == 2
+
     @pytest.mark.skipif(jump.engine() != "compiled", reason="no compiled jump engine here")
-    def test_builds_once_into_the_cache(self, empty_cache):
+    def test_builds_once_into_the_cache(self, empty_cache, compiles):
         assert jump.engine() == "compiled"
         (library,) = empty_cache.iterdir()
         assert library.name.startswith("_kernel-") and library.suffix == ".so"
         built = library.stat().st_mtime_ns
-        jump._compiled_run.cache_clear()
+        _compiled.library.cache_clear()
         assert jump.engine() == "compiled"
         assert [p.stat().st_mtime_ns for p in empty_cache.iterdir()] == [built]
+        assert len(compiles) == 1
+
+    @pytest.mark.skipif(jump.engine() != "compiled", reason="no compiled jump engine here")
+    def test_a_checked_library_is_used_with_no_check(self):
+        # A fresh process that finds the checked library in the cache (this
+        # process built it, at the latest when it asked for the engine) runs
+        # none of the Python twins the check holds the loops to.
+        code = (
+            "from spikesim import ModelParams, build_oneunit, io, jump, lyapunov, ode, simulate\n"
+            "calls = []\n"
+            "def spy(module, name):\n"
+            "    twin = getattr(module, name)\n"
+            "    setattr(module, name, lambda *args, **kw: calls.append(name) or twin(*args, **kw))\n"
+            "for module, name in [(jump, '_run_python'), (ode, '_rk4_python'),\n"
+            "                     (lyapunov, '_scan_python'), (io, '_python_rows'),\n"
+            "                     (io, '_loadtxt')]:\n"
+            "    spy(module, name)\n"
+            "spec = build_oneunit(ModelParams(alpha=0.01, beta=1.0, gamma=100.0, p=7.0))\n"
+            "simulate(spec, spec.lattice_state(0.0, 0.0), max_jumps=10, seed=1)\n"
+            "print(jump.engine(), calls)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(Path(_compiled.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, check=True, timeout=60)
+        assert result.stdout == "compiled []\n"
 
     @pytest.mark.skipif(jump.engine() != "compiled" or not _has_fma(),
                         reason="needs the compiled jump engine on an x86-64 CPU with FMA")
-    def test_rejects_a_build_that_fuses_multiply_adds(self, empty_cache, monkeypatch):
-        # Fused, a rate's sum rounds once fewer than the Python kernel's.
+    def test_rejects_a_build_that_fuses_multiply_adds(self, empty_cache, monkeypatch, compiles):
+        # Fused, a rate's sum rounds once fewer than the Python kernel's, so
+        # the jump loop fails its check and the whole library is refused.
         monkeypatch.setattr(_compiled, "CFLAGS", (*_compiled.CFLAGS, "-mfma", "-ffp-contract=fast"))
-        assert _compiled.load() is not None  # it builds and loads, and is refused:
-        assert jump._compiled_run() is None
+        self._assert_refused(empty_cache, compiles)
+
+    @pytest.mark.skipif(jump.engine() != "compiled", reason="no compiled jump engine here")
+    @pytest.mark.parametrize("module, twin, differs", [
+        (jump, "_run_python", lambda *args: (array("d"), bytearray(), 1)),
+        (ode, "_rk4_python", lambda *args: (1, 0, 0, 1, 0.0)),
+        (lyapunov, "_scan_python",
+         lambda *args: (np.empty((0, 2), np.int64), np.empty((0, 2), np.int64), np.empty(0))),
+        (io, "_python_rows", lambda *args: iter(["0\n"])),
+        (io, "_loadtxt", lambda lines, usecols: np.zeros((len(usecols), 1))),
+    ], ids=["run", "rk4", "scan", "formatter", "reader"])
+    def test_a_build_that_fails_one_check_is_refused_whole(self, empty_cache, monkeypatch,
+                                                           compiles, module, twin, differs):
+        monkeypatch.setattr(module, twin, differs)
+        self._assert_refused(empty_cache, compiles)
+
+    @staticmethod
+    def _assert_refused(cache, compiles):
+        """The library built into ``cache`` is refused whole, and remembered."""
+        assert [accessor() for accessor in ACCESSORS] == [None] * 5
+        assert jump.engine() == "python"
+        (refused,) = cache.iterdir()
+        assert refused.name.startswith("_kernel-") and refused.suffix == ".refused"
+        assert refused.stat().st_size == 0
+        # Another process neither builds nor checks it again.
+        _compiled.library.cache_clear()
+        assert _compiled.library() is None
+        assert len(compiles) == 1
+
+    @pytest.mark.skipif(jump.engine() != "compiled", reason="no compiled jump engine here")
+    def test_a_passing_build_removes_stale_files(self, empty_cache):
+        stale = time.time() - _compiled.STALE_SECONDS - 60
+        fresh = time.time() - _compiled.STALE_SECONDS + 60
+        for name, mtime in [("_kernel-0.so", stale), ("_kernel-1.refused", stale),
+                            ("_kernel-2.so", fresh), ("_kernel-3.refused", fresh),
+                            ("notes.txt", stale)]:
+            (empty_cache / name).touch()
+            os.utime(empty_cache / name, (mtime, mtime))
+        assert jump.engine() == "compiled"
+        library = f"_kernel-{_compiled.build_key()}.so"
+        assert sorted(p.name for p in empty_cache.iterdir()) == sorted(
+            [library, "_kernel-2.so", "_kernel-3.refused", "notes.txt"])
+        # Never the library just built, however old it looks.
+        os.utime(empty_cache / library, (stale, stale))
+        _compiled.prune(empty_cache / library)
+        assert (empty_cache / library).exists()
+
+    @pytest.mark.parametrize("index", range(len(_compiled.KEYED)),
+                             ids=[path.name for path in _compiled.KEYED])
+    def test_each_keyed_files_bytes_change_the_key(self, monkeypatch, tmp_path, index):
+        # A changed twin, probe or binding builds and checks a new library.
+        keyed = list(_compiled.KEYED)
+        key = _compiled.build_key()
+        changed = tmp_path / keyed[index].name
+        changed.write_bytes(keyed[index].read_bytes() + b"\n")
+        keyed[index] = changed
+        monkeypatch.setattr(_compiled, "KEYED", tuple(keyed))
+        assert _compiled.build_key() != key
 
     def test_cache_directory(self, monkeypatch, tmp_path):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))

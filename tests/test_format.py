@@ -3,7 +3,7 @@ reader of trajectory CSVs.
 
 The formatter's floats must be ``repr``'s to the byte.  The digits come
 from an exact shortest-digit algorithm with a table of 128-bit powers of
-ten, which ``_compiled`` makes at load and hands to the C loop, so the tests
+ten, which ``_compiled`` makes on first use and hands to the C loop, so the tests
 hold the output to ``repr`` on the values where such an algorithm goes wrong
 (interval bounds, ties, powers of two, notation switches) and the table to
 its definition, recomputed here one power at a time with Python integers.
@@ -26,10 +26,11 @@ import pytest
 from spikesim import ModelParams, Trajectory, _compiled, build_oneunit, io, simulate
 from spikesim.io import read_trajectory_csv, write_jump_csv, write_ode_csv
 
-# The formatter and the reader as built, without the checks that would
-# replace them by the row loop and loadtxt if they differed.
-FORMATTER = _compiled.load_formatter()
-READER = _compiled.load_reader()
+# The formatter and the reader of the library, where it builds and passes its
+# check (a library refused here fails the tests that it runs wherever it
+# builds, in test_engine_stream and test_csv_bytes).
+FORMATTER = io._compiled_formatter()
+READER = io._compiled_reader()
 compiled = pytest.mark.skipif(FORMATTER is None or READER is None,
                               reason="no compiled library here")
 
@@ -247,8 +248,8 @@ def test_a_row_longer_than_a_block_is_refused():
 
 @compiled
 def test_the_checked_reader_is_the_one_built():
-    # The load-time check passes wherever the reader builds.
-    assert io._compiled_reader() is not None
+    # The checks that passed the library at its build pass its loops.
+    assert io._formatter_agrees(FORMATTER) and io._reader_agrees(READER)
 
 
 @compiled
@@ -259,7 +260,7 @@ def test_reading_does_not_hold_the_file(tmp_path):
     write_ode_csv(tmp_path / "p.csv", Trajectory(t=t, r=r, n=n, params=ModelParams(
         alpha=0.01, beta=1.0, gamma=2.0, p=7.0), dt=1e-3, sample_every=1))
     size = (tmp_path / "p.csv").stat().st_size
-    io._compiled_reader()  # loaded and checked before the count starts
+    io._compiled_reader()  # loaded before the count starts
     tracemalloc.start()
     try:
         _meta, columns = read_trajectory_csv(tmp_path / "p.csv")

@@ -207,23 +207,33 @@ def test_python_scan_report_bytes_are_frozen(python_scan, case):
     test_drift_bytes.test_scan_report_bytes_are_frozen(case)
 
 
-@pytest.mark.parametrize("probe", list(spikesim.lyapunov._SCAN_PROBES))
-def test_the_compiled_scans_check_digests_the_numpy_scan(probe):
-    # The compiled scan is checked against these digests at load, so they
-    # must be the numpy scan's outcome on each probe.
+@pytest.mark.parametrize("probe", list(spikesim.lyapunov._PROBES))
+def test_the_scan_probes_compare_every_drift(probe):
+    # The compiled scan is checked on these probes when the library is
+    # built: every state is in A or a violation, so every drift is compared.
     decay, bound, rows = probe
     spec = spikesim.lyapunov._probe_spec()
     outcome = spikesim.lyapunov._scan_python(spec, spikesim.lyapunov._f_weights(spec), decay,
                                              bound, math.inf, (13, 11), rows)
-    # Every state is in A or a violation, so every drift is digested.
     assert len(outcome[0]) + len(outcome[1]) == 14 * 12
-    assert spikesim.lyapunov._scan_digest(outcome) == spikesim.lyapunov._SCAN_PROBES[probe]
+    assert len(outcome[0]) and len(outcome[1])
+
+
+def test_the_scan_check_refuses_a_drift_one_bit_off():
+    def off(*args):
+        set_a, bad, drift = spikesim.lyapunov._scan_python(*args)
+        drift[-1] = np.nextafter(drift[-1], math.inf)
+        return set_a, bad, drift
+
+    assert spikesim.lyapunov._agrees(spikesim.lyapunov._scan_python)
+    assert not spikesim.lyapunov._agrees(off)
 
 
 def test_the_compiled_scan_runs_wherever_the_library_builds():
-    # A scan that builds but computes differently falls back to the numpy
-    # scan at its check; that must not pass unnoticed.
-    assert (spikesim.lyapunov._compiled_scan() is None) == (_compiled.load_scan() is None)
+    # A library that builds but computes differently is refused whole at its
+    # check, and the numpy scan runs; that must not pass unnoticed.
+    assert (spikesim.lyapunov._compiled_scan() is None) == (_compiled.library() is None)
+    assert not (_compiled.cache_dir() / f"_kernel-{_compiled.build_key()}.refused").exists()
 
 
 @pytest.mark.parametrize("kind", [ProcessKind.ONEUNIT, ProcessKind.MEANFIELD])

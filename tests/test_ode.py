@@ -12,7 +12,7 @@ from spikesim import (
     integrate,
     stationary_point,
 )
-from spikesim import _compiled, ode
+from spikesim import ode
 from spikesim.ode import (
     OVERSHOOT_LIMIT,
     NegativeOvershootError,
@@ -21,9 +21,13 @@ from spikesim.ode import (
     _rk4_python,
 )
 
-# The RK4 loops as run, the compiled one without its check: _rk4_python and,
-# where the library builds, the library's loop.
-RK4_LOOPS = [loop for loop in (_rk4_python, _compiled.load_rk4()) if loop is not None]
+# The RK4 loops: _rk4_python and, where the library builds and passes its
+# check, the library's loop.
+RK4_LOOPS = [loop for loop in (_rk4_python, ode._compiled_rk4()) if loop is not None]
+
+
+def _loop_name(loop) -> str:
+    return "python" if loop is _rk4_python else "compiled"
 
 
 class TestIntegrate:
@@ -57,6 +61,27 @@ class TestIntegrate:
         traj = integrate(fig1_params, State(0.01, 0.01), t_end=1.0, dt=1e-3,
                          sample_every=300)
         assert traj.t[-1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("loop", RK4_LOOPS, ids=_loop_name)
+    @pytest.mark.parametrize("run", [{"dt": 0.1, "sample_every": 2**64},
+                                     {"dt": 0.1, "sample_every": 2**64 + 3},
+                                     {"dt": 0.1, "sample_every": 2**63},
+                                     {"dt": 1e-300},
+                                     {"dt": 1e-300, "t_end": 1e10}],
+                             ids=["stride 2^64", "stride 2^64 + 3", "stride 2^63",
+                                  "1e300 steps", "steps past the largest float"])
+    def test_counts_past_int64_are_rejected(self, fig1_params, monkeypatch, loop, run):
+        # Both loops count in int64, where the compiled one would wrap them.
+        monkeypatch.setattr(ode, "_compiled_rk4", lambda: loop)
+        run = {"t_end": 1.0, **run}
+        with pytest.raises(ValueError, match="below 2\\*\\*63|in \\[1, 2\\*\\*63\\)"):
+            integrate(fig1_params, State(0.01, 0.01), **run)
+
+    @pytest.mark.parametrize("loop", RK4_LOOPS, ids=_loop_name)
+    def test_the_largest_int64_stride_keeps_start_and_end(self, fig1_params, monkeypatch, loop):
+        monkeypatch.setattr(ode, "_compiled_rk4", lambda: loop)
+        traj = integrate(fig1_params, State(0.01, 0.01), 1.0, dt=0.1, sample_every=2**63 - 1)
+        assert traj.t.tolist() == [0.0, 1.0]
 
     def test_default_stride_caps_storage(self, fig1_params):
         traj = integrate(fig1_params, State(0.01, 0.01), t_end=500.0, dt=1e-3)
@@ -160,18 +185,8 @@ def _altered(index: int, change):
 
 
 class TestCompiledCheck:
-    """``_compiled_rk4`` keeps the library's loop only where it gives
+    """``ode._agrees`` passes a build's RK4 loop only where it gives
     ``_rk4_python``'s whole outcome, a failed step's included."""
-
-    @pytest.fixture
-    def offer(self, monkeypatch):
-        """Hand ``_compiled_rk4``'s check a loop in place of the library's."""
-        def offer(loop):
-            monkeypatch.setattr(_compiled, "load_rk4", lambda: loop)
-            ode._compiled_rk4.cache_clear()
-            return ode._compiled_rk4()
-        yield offer
-        ode._compiled_rk4.cache_clear()
 
     def test_probes_clamp_and_fail(self):
         (clamped, _), (failed, _) = (_outcome(_rk4_python, *probe, OVERSHOOT_LIMIT)
@@ -179,14 +194,13 @@ class TestCompiledCheck:
         assert clamped[1] > 0 and clamped[2] == 0
         assert failed[2] == 2 and failed[3] == 3
 
-    def test_keeps_a_loop_that_reproduces_the_python_loop(self, offer):
-        loop = functools.partial(_rk4_python)
-        assert offer(loop) is loop
+    def test_keeps_a_loop_that_reproduces_the_python_loop(self):
+        assert ode._agrees(functools.partial(_rk4_python))
 
     @pytest.mark.parametrize("index, change", [
         (2, lambda fail: 3),
         (3, lambda step: step + 1),
         (4, lambda value: math.nextafter(value, 0.0)),
     ], ids=["code", "step", "value"])
-    def test_refuses_a_loop_that_fails_differently(self, offer, index, change):
-        assert offer(_altered(index, change)) is None
+    def test_refuses_a_loop_that_fails_differently(self, index, change):
+        assert not ode._agrees(_altered(index, change))

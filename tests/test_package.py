@@ -186,7 +186,7 @@ def test_every_exported_c_function_is_loaded():
 @pytest.mark.parametrize("binding, bound, twin", [
     (_compiled.run, 1, jump._run_python),
     (_compiled.rk4, 1, ode._rk4_python),
-    (_compiled.format_rows, 2, io._python_rows),
+    (_compiled.format_rows, 1, io._python_rows),
     (_compiled.drift_scan, 1, lyapunov._scan_python),
 ], ids=["run", "rk4", "format_rows", "drift_scan"])
 def test_each_compiled_binding_takes_its_python_twins_arguments(binding, bound, twin):

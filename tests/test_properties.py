@@ -184,15 +184,12 @@ def _outcome(spec, start, **run):
         return str(exc)
 
 
-# The compiled loop as built, without the check run that would replace it by
-# the Python kernel if it drew differently.
-COMPILED_RUN = _compiled.load()
-# The compiled row formatter as built, without the check that would replace
-# it by the row loop if it wrote differently.
-COMPILED_FORMATTER = _compiled.load_formatter()
-# The compiled row reader as built, without the check that would replace it
-# by loadtxt if it read differently.
-COMPILED_READER = _compiled.load_reader()
+# The library's loop, row formatter and row reader, where it builds and passes
+# its check (a library refused here fails the tests that it runs wherever it
+# builds).
+COMPILED_RUN = jump._compiled_run()
+COMPILED_FORMATTER = io._compiled_formatter()
+COMPILED_READER = io._compiled_reader()
 
 
 @pytest.mark.skipif(COMPILED_RUN is None, reason="no compiled jump engine here")
@@ -605,9 +602,8 @@ def test_inlined_rk4_matches_vector_field(params, r0, n0, dt, sample_every):
     _assert_rk4_matches_vector_field(params, State(r0, n0), 2.0, dt, sample_every)
 
 
-# The compiled RK4 loop as built, without the check that would replace it by
-# the Python loop if it computed differently.
-COMPILED_RK4 = _compiled.load_rk4()
+# The library's RK4 loop, where it builds and passes its check.
+COMPILED_RK4 = ode._compiled_rk4()
 
 
 def _rk4_outcome(rk4, params, initial, t_end, dt, sample_every):
@@ -657,9 +653,8 @@ def test_compiled_and_python_rk4_agree(params, r0, n0, t_end, dt, sample_every):
     assert compiled[3] == python[3]
 
 
-# The compiled drift scan as built, without the check that would replace it
-# by the numpy scan if it computed differently.
-COMPILED_SCAN = _compiled.load_scan()
+# The library's drift scan, where it builds and passes its check.
+COMPILED_SCAN = lyapunov._compiled_scan()
 
 # beta is never 1, so the leak channel divides; alpha = 0 and p = 0 leave
 # channels with no term at all.
