@@ -33,7 +33,6 @@ from .ode import (  # noqa: F401
 from .jump import (  # noqa: F401
     CHANNEL_LABELS,
     EventCapError,
-    JumpChannel,
     JumpTrajectory,
     LatticeState,
     ProcessKind,
@@ -55,7 +54,6 @@ from .lyapunov import (  # noqa: F401
     drift_via_generator,
     ergodicity_condition,
     in_exceptional_set,
-    lyapunov_value,
     scan_drift_condition,
 )
 from .spikes import (  # noqa: F401

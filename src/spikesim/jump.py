@@ -90,50 +90,18 @@ class LatticeState:
 
 
 @dataclass(frozen=True)
-class JumpChannel:
-    """One transition type: lattice increment plus one row of the
-    coefficient table, rate(r, n) = (k_rn*r*n + k_r*r + k_n*n + k_1) / div.
-
-    ``rate`` is the uncensored intensity; the engine zeroes it whenever the
-    jump would leave the lattice.  The divisor keeps a rate such as n / beta
-    exactly as written, which n * (1 / beta) would not be.
-    """
-
-    label: str
-    dkr: int
-    dkn: int
-    k_rn: float = 0.0
-    k_r: float = 0.0
-    k_n: float = 0.0
-    k_1: float = 0.0
-    div: float = 1.0
-
-    def rate(self, r, n):
-        """Zero terms are skipped, which gives the same float as the full
-        form; over a column of r and a row of n, a rate in one variable
-        stays a column or a row."""
-        value = self.k_rn * r * n if self.k_rn else 0.0
-        for coef, var in ((self.k_r, r), (self.k_n, n), (self.k_1, 1.0)):
-            if coef:
-                value = value + coef * var
-        return value / self.div if self.div != 1.0 else value
-
-    @property
-    def guard(self) -> tuple[int, int]:
-        """(kr, kn) below which the rate must be forced to zero (0: never).
-        Steps are unit steps, so a term in r vanishes at kr = 0 and a term
-        in n at kn = 0; only a term that survives there needs a guard."""
-        return (-self.dkr if self.dkr < 0 and (self.k_n or self.k_1) else 0,
-                -self.dkn if self.dkn < 0 and (self.k_r or self.k_1) else 0)
-
-
-@dataclass(frozen=True)
 class ProcessSpec:
-    """Immutable definition of one jump process (shareable across threads)."""
+    """Immutable definition of one jump process (shareable across threads).
+
+    ``table`` is the coefficient table, one row ``(k_rn, k_r, k_n, k_1,
+    div)`` per channel in ``CHANNEL_LABELS`` order: the uncensored rate
+    (k_rn*r*n + k_r*r + k_n*n + k_1) / div.  The divisor keeps a rate such
+    as n / beta exactly as written, which n * (1 / beta) would not be.
+    """
 
     params: ModelParams
     kind: ProcessKind
-    channels: tuple[JumpChannel, ...]
+    table: tuple[tuple[float, float, float, float, float], ...]
     r_unit: Fraction
     n_unit: Fraction
     n_units: int = 1
@@ -151,10 +119,17 @@ class ProcessSpec:
 
     @functools.cached_property
     def _rows(self) -> tuple[tuple, ...]:
-        """The table as both direct-method loops read it, one row per
-        channel: (k_rn, k_r, k_n, k_1, div, guard_kr, guard_kn, dkr, dkn)."""
-        return tuple((ch.k_rn, ch.k_r, ch.k_n, ch.k_1, ch.div, *ch.guard, ch.dkr, ch.dkn)
-                     for ch in self.channels)
+        """The table as the direct-method loops and the generator sums read
+        it, one row per channel: (k_rn, k_r, k_n, k_1, div, guard_kr,
+        guard_kn, dkr, dkn).  The guard is the (kr, kn) below which the rate
+        is forced to zero (0: never).  Steps are unit steps, so a term in r
+        vanishes at kr = 0 and a term in n at kn = 0; only a term that
+        survives there needs a guard."""
+        return tuple((k_rn, k_r, k_n, k_1, div,
+                      -dkr if dkr < 0 and (k_n or k_1) else 0,
+                      -dkn if dkn < 0 and (k_r or k_1) else 0, dkr, dkn)
+                     for (k_rn, k_r, k_n, k_1, div), (dkr, dkn)
+                     in zip(self.table, CHANNEL_STEPS, strict=True))
 
     @functools.cached_property
     def _table(self):
@@ -176,10 +151,20 @@ class ProcessSpec:
         """Censored intensities at ``s``: a channel below its guard
         contributes zero."""
         r, n = s.r, s.n
-        return [
-            ch.rate(r, n) if s.kr >= ch.guard[0] and s.kn >= ch.guard[1] else 0.0
-            for ch in self.channels
-        ]
+        return [_rate(row, r, n) if s.kr >= row[5] and s.kn >= row[6] else 0.0
+                for row in self._rows]
+
+
+def _rate(row: tuple, r, n):
+    """The uncensored rate of a ``_rows`` row.  Zero terms are skipped,
+    which gives the same float as the full form; over a column of r and a
+    row of n, a rate in one variable stays a column or a row."""
+    k_rn, k_r, k_n, k_1, div = row[:5]
+    value = k_rn * r * n if k_rn else 0.0
+    for coef, var in ((k_r, r), (k_n, n), (k_1, 1.0)):
+        if coef:
+            value = value + coef * var
+    return value / div if div != 1.0 else value
 
 
 @dataclass
@@ -232,7 +217,7 @@ def build_global(params: ModelParams, n_units: int) -> ProcessSpec:
     return ProcessSpec(
         params=params,
         kind=ProcessKind.GLOBAL,
-        channels=_make_channels(
+        table=_make_table(
             {"k_rn": nf}, {"k_r": a * nf}, {"k_n": nf}, {"k_1": nf * p}, {"k_n": nf, "div": b},
         ),
         r_unit=Fraction(1, n_units) / Fraction(params.gamma),
@@ -259,7 +244,7 @@ def build_meanfield(params: ModelParams, anchor: State | None = None) -> Process
     return ProcessSpec(
         params=params,
         kind=ProcessKind.MEANFIELD,
-        channels=_make_channels(
+        table=_make_table(
             {"k_r": 0.5 * na, "k_n": 0.5 * ra}, {"k_r": a}, {"k_n": 1.0}, {"k_1": p},
             {"k_n": 1.0, "div": b},
         ),
@@ -275,11 +260,13 @@ def build_oneunit(params: ModelParams) -> ProcessSpec:
     return replace(build_global(params, 1), kind=ProcessKind.ONEUNIT)
 
 
-def _make_channels(*rows: dict) -> tuple[JumpChannel, ...]:
-    return tuple(
-        JumpChannel(label=lbl, dkr=dkr, dkn=dkn, **row)
-        for lbl, (dkr, dkn), row in zip(CHANNEL_LABELS, CHANNEL_STEPS, rows, strict=True)
-    )
+def _make_table(*terms: dict) -> tuple[tuple[float, float, float, float, float], ...]:
+    """Table rows from each channel's named terms, in ``CHANNEL_LABELS``
+    order; a term left out is 0.0, a divisor left out 1.0."""
+    def row(k_rn=0.0, k_r=0.0, k_n=0.0, k_1=0.0, div=1.0):
+        return k_rn, k_r, k_n, k_1, div
+
+    return tuple(row(**named) for named in terms)
 
 
 def _run(spec: ProcessSpec, kr: int, kn: int, rng: np.random.Generator, t_end: float,
@@ -383,11 +370,11 @@ def _probe_spec() -> ProcessSpec:
     (channels 0 and 1) and on kn (channel 2), and rates of one to four terms
     with and without a guard."""
     return ProcessSpec(ModelParams(alpha=0.01, beta=0.7, gamma=3.0, p=7.0), ProcessKind.ONEUNIT,
-                       _make_channels({"k_rn": 7.4, "k_r": 2.2, "k_1": 1.5, "div": 4.7},
-                                      {"k_rn": 5.9, "k_r": 7.8, "k_n": 6.6, "k_1": 2.3},
-                                      {"k_rn": 1.5, "k_r": 0.8, "k_n": 1.0},
-                                      {"k_rn": 5.5, "k_r": 4.9, "k_n": 3.8, "k_1": 6.7, "div": 4.8},
-                                      {"k_n": 1.0, "div": 0.7}),
+                       _make_table({"k_rn": 7.4, "k_r": 2.2, "k_1": 1.5, "div": 4.7},
+                                   {"k_rn": 5.9, "k_r": 7.8, "k_n": 6.6, "k_1": 2.3},
+                                   {"k_rn": 1.5, "k_r": 0.8, "k_n": 1.0},
+                                   {"k_rn": 5.5, "k_r": 4.9, "k_n": 3.8, "k_1": 6.7, "div": 4.8},
+                                   {"k_n": 1.0, "div": 0.7}),
                        r_unit=Fraction(1, 3), n_unit=Fraction(1))
 
 
@@ -483,17 +470,17 @@ def _generator_sum(spec: ProcessSpec, w_r: float, w_n: float, r: np.ndarray, n: 
     before it is added.
     """
     total = np.zeros((r.shape[0], n.shape[1]))
-    for ch in spec.channels:
-        rate = ch.rate(r, n)
+    for row in spec._rows:
+        rate = _rate(row, r, n)
         # Rows and columns of the box below the channel's guard.
-        cut_r, cut_n = (max(low - k, 0) for low, k in zip(ch.guard, first))
+        cut_r, cut_n = (max(low - k, 0) for low, k in zip(row[5:7], first))
         if cut_r or cut_n:
             if np.shape(rate) != total.shape:
                 rate = np.broadcast_to(rate, total.shape).copy()
             rate[:cut_r] = 0.0
             rate[:, :cut_n] = 0.0
         full = np.shape(rate) == total.shape
-        total += np.multiply(rate, w_r * ch.dkr + w_n * ch.dkn, out=rate if full else None)
+        total += np.multiply(rate, w_r * row[7] + w_n * row[8], out=rate if full else None)
     return total
 
 

@@ -2,8 +2,8 @@
 
 For both the frozen mean-field and the one-unit process the function
 f(x, y) = (gamma + 1) x + y decreases in expectation outside a finite set of
-lattice states.  This module evaluates f, the generator drift (in closed form
-and by direct generator application, which must agree), the sufficient
+lattice states.  This module evaluates the generator drift of f (in closed
+form and by direct generator application, which must agree), the sufficient
 ergodicity conditions, and scans a lattice box to exhibit the exceptional set
 and verify drift <= -epsilon outside it.
 """
@@ -79,15 +79,6 @@ class DriftReport:
             "a_extent": list(self.a_extent),
             "analytic_extent": list(self.analytic_extent),
         }
-
-
-def lyapunov_value(s: LatticeState, gamma: float) -> float:
-    """f(x, y) = (gamma + 1) x + y at the physical coordinates of ``s``.
-
-    Defined on the unit-photon lattice of the mean-field and one-unit
-    processes (n_unit = 1).
-    """
-    return (gamma + 1.0) * s.r + s.n
 
 
 def drift_closed_form(kind: ProcessKind, params: ModelParams, x, y):

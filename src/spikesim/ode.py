@@ -41,9 +41,6 @@ class Trajectory:
     sample_every: int
     clamp_count: int = 0
 
-    def final_state(self) -> State:
-        return State(float(self.r[-1]), float(self.n[-1]))
-
     def state_at(self, t: float) -> State:
         """Piecewise-linear interpolation between stored samples."""
         return State(

@@ -77,7 +77,7 @@ class TestBuilders:
         r_star = stationary_point(fig1_params).r
         s = spec.lattice_state(0.0, 5.0)
         # Raw intensity is positive, but the jump would take kr to -1.
-        assert spec.channels[0].rate(s.r, s.n) == pytest.approx(0.5 * r_star * 5)
+        assert jump._rate(spec._rows[0], s.r, s.n) == pytest.approx(0.5 * r_star * 5)
         assert spec.channel_rates(s)[0] == 0.0
 
     def test_meanfield_origin_total_rate(self, fig1_params):
@@ -88,7 +88,7 @@ class TestBuilders:
         params = ModelParams(alpha=0.0, beta=1.0, gamma=2.0, p=7.0)
         spec = build_meanfield(params, anchor=State(0.0, 0.0))
         for r, n in [(1.0, 3.0), (2.5, 0.0), (4.0, 11.0)]:
-            assert spec.channels[0].rate(r, n) == 0.0
+            assert jump._rate(spec._rows[0], r, n) == 0.0
 
     def test_meanfield_rejects_negative_anchor(self, fig1_params):
         with pytest.raises(ValueError):
@@ -122,7 +122,7 @@ class TestBuilders:
             build_meanfield(fig1_params),
             build_oneunit(fig1_params),
         ):
-            assert tuple(ch.label for ch in spec.channels) == CHANNEL_LABELS
+            assert [len(row) for row in spec.table] == [5] * len(CHANNEL_LABELS)
 
 
 def _oneunit_as_written(params: ModelParams) -> ProcessSpec:
@@ -130,8 +130,8 @@ def _oneunit_as_written(params: ModelParams) -> ProcessSpec:
     (1/gamma)Z+ x Z+, not from the N-unit builder."""
     return ProcessSpec(
         params, ProcessKind.ONEUNIT,
-        jump._make_channels({"k_rn": 1.0}, {"k_r": params.alpha}, {"k_n": 1.0},
-                            {"k_1": params.p}, {"k_n": 1.0, "div": params.beta}),
+        jump._make_table({"k_rn": 1.0}, {"k_r": params.alpha}, {"k_n": 1.0},
+                         {"k_1": params.p}, {"k_n": 1.0, "div": params.beta}),
         r_unit=Fraction(1) / Fraction(params.gamma), n_unit=Fraction(1),
     )
 
@@ -433,6 +433,14 @@ class TestSeedDerivation:
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
             derive_path_seed(1, -1)
+
+    @pytest.mark.parametrize("seed, index, expected", [
+        (0, 0, 0xE220A8397B1DCDAF),  # SplitMix64's first output from state 0
+        (1, 2, 0x975835DE1C9756CF),
+        (2**64 - 1, 1, 0x6EF5D21376FDA33E),
+    ])
+    def test_golden_values(self, seed, index, expected):
+        assert derive_path_seed(seed, index) == expected
 
     def test_order_independent_ensembles(self, fig1_params):
         spec = build_oneunit(fig1_params)

@@ -18,7 +18,6 @@ from spikesim import (
     drift_via_generator,
     ergodicity_condition,
     in_exceptional_set,
-    lyapunov_value,
     scan_drift_condition,
     simulate,
     stationary_point,
@@ -40,23 +39,6 @@ def each_scan(request, monkeypatch):
         monkeypatch.setattr(spikesim.lyapunov, "_compiled_scan", lambda: None)
     elif spikesim.lyapunov._compiled_scan() is None:
         pytest.skip("no compiled scan here")
-
-
-class TestLyapunovValue:
-    def test_zero_at_origin(self, fig1_params):
-        spec = build_oneunit(fig1_params)
-        assert lyapunov_value(spec.lattice_state(0.0, 0.0), 100.0) == 0.0
-
-    def test_example_value(self, fig1_params):
-        spec = build_oneunit(fig1_params)
-        s = spec.lattice_state(1.0, 2.0)
-        assert lyapunov_value(s, 100.0) == pytest.approx(103.0)
-
-    def test_increasing_in_each_coordinate(self, fig1_params):
-        spec = build_oneunit(fig1_params)
-        base = lyapunov_value(spec.lattice_state(1.0, 5.0), 100.0)
-        assert lyapunov_value(spec.lattice_state(1.01, 5.0), 100.0) > base
-        assert lyapunov_value(spec.lattice_state(1.0, 6.0), 100.0) > base
 
 
 class TestDrift:
@@ -345,6 +327,17 @@ class TestScan:
         )
         assert report.contained and report.passed
         assert report.a_extent[0] < 500 and report.a_extent[1] < 40
+
+    @pytest.mark.parametrize("box, contained", [
+        ((46, 40), False), ((47, 40), True), ((500, 2), False), ((500, 3), True),
+    ])
+    def test_contained_only_past_the_analytic_extent(self, box, contained):
+        # A reaches index 46 in kr and 2 in kn: a box edge on A's extent
+        # does not hold it strictly inside, one step past it does.
+        params = ModelParams(alpha=5.0, beta=1.0, gamma=10.0, p=2.0)
+        report = scan_drift_condition(ProcessKind.ONEUNIT, params, epsilon=0.1, scan_box=box)
+        assert report.analytic_extent == (46, 2)
+        assert report.contained is contained
 
     def test_auto_box(self, fig1_params):
         report = scan_drift_condition(ProcessKind.MEANFIELD, fig1_params, epsilon=0.1)

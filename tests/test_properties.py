@@ -52,7 +52,7 @@ from spikesim.io import (
     write_pairs_csv,
     write_survival_csv,
 )
-from spikesim.jump import CHANNEL_LABELS, ProcessSpec, _make_channels
+from spikesim.jump import CHANNEL_LABELS, CHANNEL_STEPS, ProcessSpec, _make_table
 from spikesim.ode import (
     MAX_STORED_SAMPLES,
     OVERSHOOT_LIMIT,
@@ -119,19 +119,24 @@ def test_global_expected_drift_is_the_vector_field(params, n_units, kr, kn):
 
 
 def _reference_channel_rates(spec, s):
-    """Censoring by the step itself: zero when the jump would leave the
-    lattice."""
-    return [0.0 if s.kr + ch.dkr < 0 or s.kn + ch.dkn < 0 else ch.rate(s.r, s.n)
-            for ch in spec.channels]
+    """Every rate of ``spec.table`` in its full form, all four terms and the
+    divisor written out, and censored by the step itself: zero when the
+    jump would leave the lattice.  For finite r, n >= 0 a zero term adds
+    +0.0 and a divisor of one divides exactly, so this is bit for bit the
+    rate with its zero terms skipped."""
+    r, n = s.r, s.n
+    return [0.0 if s.kr + dkr < 0 or s.kn + dkn < 0
+            else (k_rn * r * n + k_r * r + k_n * n + k_1) / div
+            for (k_rn, k_r, k_n, k_1, div), (dkr, dkn) in zip(spec.table, CHANNEL_STEPS)]
 
 
 def _reference_expected_drift(spec, s):
     """One scalar accumulation per component, channel by channel."""
     ru, nu = float(spec.r_unit), float(spec.n_unit)
     dr = dn = 0.0
-    for ch, rate in zip(spec.channels, _reference_channel_rates(spec, s)):
-        dr += rate * ch.dkr * ru
-        dn += rate * ch.dkn * nu
+    for (dkr, dkn), rate in zip(CHANNEL_STEPS, _reference_channel_rates(spec, s)):
+        dr += rate * dkr * ru
+        dn += rate * dkn * nu
     return dr, dn
 
 
@@ -139,8 +144,8 @@ def _reference_drift_via_generator(spec, s):
     g = spec.params.gamma
     ru, nu = float(spec.r_unit), float(spec.n_unit)
     total = 0.0
-    for ch, rate in zip(spec.channels, _reference_channel_rates(spec, s)):
-        total += rate * ((g + 1.0) * ch.dkr * ru + ch.dkn * nu)
+    for (dkr, dkn), rate in zip(CHANNEL_STEPS, _reference_channel_rates(spec, s)):
+        total += rate * ((g + 1.0) * dkr * ru + dkn * nu)
     return total
 
 
@@ -217,7 +222,7 @@ def test_compiled_and_python_kernels_draw_the_same_stream(
     rows, units, kr, kn, seed, t_end, max_jumps, max_events, chunk
 ):
     spec = ProcessSpec(ModelParams(alpha=0.01, beta=1.0, gamma=float(units[0]), p=7.0),
-                       ProcessKind.ONEUNIT, _make_channels(*rows),
+                       ProcessKind.ONEUNIT, _make_table(*rows),
                        r_unit=Fraction(1, units[0]), n_unit=Fraction(1, units[1]))
     start = LatticeState(kr, kn, spec.r_unit, spec.n_unit)
     run = {"t_end": t_end, "max_jumps": max_jumps, "seed": seed, "max_events": max_events}

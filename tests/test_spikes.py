@@ -224,6 +224,11 @@ class TestFitExponential:
         fit = fit_exponential(amps, 10.0)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
+    def test_two_positive_survival_points_fit_exactly(self):
+        # Survival 1 at a0 and 1/3 at 11: a line passes through both.
+        fit = fit_exponential([11.0, 11.0, 12.0], 10.0)
+        assert fit.r_squared == 1.0
+
     def test_degenerate_sample_has_no_r_squared(self):
         fit = fit_exponential([12.0, 12.0, 12.0], 10.0)
         assert fit.lambda_hat == pytest.approx(0.5)
