@@ -15,8 +15,9 @@ as ``Generator`` does.
 A build is checked once, as a whole: each of its five loops must reproduce
 its Python twin on that module's probe (the ``_agrees`` functions).  Only a
 library that passes all five goes into the cache; one that fails is refused
-whole, and an empty ``.refused`` file under its name keeps later processes
-from building or checking it again.  A failed compile is not remembered.
+whole, and a ``.refused`` file under its name, which names the loops that
+failed, keeps later processes from building or checking it again.  A
+failed compile is not remembered.
 """
 
 import ctypes
@@ -97,6 +98,18 @@ def library() -> Loops | None:
         return build_library(target)
     except OSError:
         return None
+
+
+def refused() -> tuple[str, ...]:
+    """The loops (``Loops`` field names) whose check refused this key's
+    build, as its ``.refused`` file names them; () when the library is in
+    use, was not refused, or its refusal names none."""
+    if library() is not None:
+        return ()
+    try:
+        return tuple((cache_dir() / f"_kernel-{build_key()}.refused").read_text().split())
+    except OSError:
+        return ()
 
 
 def bind(path: str | Path) -> Loops:
@@ -327,8 +340,9 @@ def build_key() -> str:
 def build_library(target: Path) -> Loops | None:
     """Compile ``_kernel.c``, check the build, and put it at ``target`` when
     it passes: its loops, or None when it fails the check and ``target``'s
-    ``.refused`` file is left in its place.  OSError when it cannot be
-    compiled or loaded."""
+    ``.refused`` file, one failing loop's name a line, is left in its place.
+    Every loop is checked, and one whose check raises fails it.  OSError
+    when it cannot be compiled or loaded."""
     # Only a build needs them; subprocess alone takes about 8 ms to import.
     import subprocess
 
@@ -346,8 +360,10 @@ def build_library(target: Path) -> Loops | None:
         loops = bind(partial)
         checks = (jump._agrees, ode._agrees, lyapunov._agrees, io._formatter_agrees,
                   io._reader_agrees)
-        if not all(check(loop) for check, loop in zip(checks, loops)):
-            target.with_suffix(".refused").touch()
+        failed = [name for name, check, loop in zip(Loops._fields, checks, loops)
+                  if not _passes(check, loop)]
+        if failed:
+            io._write_text(target.with_suffix(".refused"), "".join(f"{name}\n" for name in failed))
             return None
         os.replace(partial, target)
     except subprocess.SubprocessError as exc:
@@ -357,6 +373,16 @@ def build_library(target: Path) -> Loops | None:
             os.unlink(partial)
     prune(target)
     return loops
+
+
+def _passes(check: Callable, loop: Callable) -> bool:
+    """Whether ``loop`` passes ``check``; not when the check raises, as it
+    does where a formatter overflows its buffer or a reader's text is no
+    table."""
+    try:
+        return check(loop)
+    except Exception:
+        return False
 
 
 def prune(keep: Path) -> None:

@@ -303,7 +303,17 @@ int64_t spikesim_rk4(struct rk4 *rk4, double *ts, double *rs, double *ns)
    g(m) = floor(10^m * 2^(127 - floor(m log2 10))) + 1 for m = -292 .. 326,
    as {high, low} 64-bit halves: 2^127 <= g(m) < 2^128.  spikesim._compiled
    makes the table from this definition with Python integers when it loads
-   the formatter or the reader, so the library holds loops and no data. */
+   the formatter or the reader, so the library holds no table of 128-bit
+   powers, only the two small ones of the digit writer below.
+
+   Most of a row's cost is the digits, so the formatter does as little of
+   that as it can.  The trailing zeros of the shortest digits go 8 at a
+   time, then 4, 2 and 1, where one at a time took up to 16 divisions for a
+   short decimal, and the digits are written in two groups of 8, a pair at
+   a time.  A jump path's lattice cells repeat: the index moves by at most
+   1 an event, and the same index gives the same double, so the same text.
+   Each lattice column keeps the text of its recent indices, and a repeated
+   index copies it instead of formatting the value again. */
 enum { POW10_MIN = -292, POW10_MAX = 326 };
 
 /* The 128-bit product a * b as its high and low halves. */
@@ -377,11 +387,35 @@ static uint64_t shortest(const uint64_t (*pow10)[2], uint64_t fraction, int bias
 /* Bytes a value takes at most: the 24 of "-2.2250738585072014e-308". */
 #define FLOAT_BYTES 24
 
+/* "00" .. "99": a pair of digits at a time. */
+static const char DIGIT_PAIRS[200] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* 10^0 .. 10^17. */
+static const uint64_t POWERS_OF_TEN[18] = {
+    1, 10, 100, 1000, 10000, 100000, 1000000, 10000000, 100000000, 1000000000, 10000000000,
+    100000000000, 1000000000000, 10000000000000, 100000000000000, 1000000000000000,
+    10000000000000000, 100000000000000000};
+
+/* The 8 digits of v < 10^8, leading zeros included, at out. */
+static inline void write_8_digits(uint32_t v, char *out)
+{
+    const uint32_t high = v / 10000, low = v % 10000;
+    memcpy(out, DIGIT_PAIRS + 2 * (high / 100), 2);
+    memcpy(out + 2, DIGIT_PAIRS + 2 * (high % 100), 2);
+    memcpy(out + 4, DIGIT_PAIRS + 2 * (low / 100), 2);
+    memcpy(out + 6, DIGIT_PAIRS + 2 * (low % 100), 2);
+}
+
 /* Write x as repr(x) writes it and return the end of the text: nan, inf,
    -inf; positional notation when the decimal point falls from 4 places
    before the first digit to 16 places after it, with at least one digit
    after the point; otherwise d.ddde+XX, the exponent of two digits at
-   least. */
+   least.  The digits, at most 17, are written as one digit and two groups
+   of 8, leading zeros included, and the text starts at the first digit
+   that is not one. */
 static char *format_double(const uint64_t (*pow10)[2], double x, char *out)
 {
     uint64_t bits;
@@ -405,16 +439,30 @@ static char *format_double(const uint64_t (*pow10)[2], double x, char *out)
 
     int exponent;
     uint64_t value = shortest(pow10, fraction, biased, &exponent);
-    while (value % 10 == 0) {
+    while (value % 100000000 == 0) {
+        value /= 100000000;
+        exponent += 8;
+    }
+    if (value % 10000 == 0) {
+        value /= 10000;
+        exponent += 4;
+    }
+    if (value % 100 == 0) {
+        value /= 100;
+        exponent += 2;
+    }
+    if (value % 10 == 0) {
         value /= 10;
         exponent++;
     }
-    char digits[20];
-    int n = 20;
-    for (; value; value /= 10)
-        digits[--n] = (char)('0' + value % 10);
-    const char *first = digits + n;
-    n = 20 - n;
+    /* n, the digits of value: floor(log10(2^b)) or one more, for its b bits. */
+    const int guess = (64 - __builtin_clzll(value)) * 1233 >> 12;
+    const int n = guess + (value >= POWERS_OF_TEN[guess]);
+    char digits[17];
+    digits[0] = (char)('0' + value / 10000000000000000);
+    write_8_digits((uint32_t)(value / 100000000 % 100000000), digits + 1);
+    write_8_digits((uint32_t)(value % 100000000), digits + 9);
+    const char *first = digits + 17 - n;
     const int point = exponent + n;  /* x = 0.digits * 10^point */
 
     if (point < -3 || point > 16) {
@@ -464,17 +512,39 @@ struct column {                  /* _compiled.Column */
     const char *const *labels;   /* COLUMN_LABEL: the text of each code */
 };
 
+/* The text of a lattice column's recent values, direct-mapped by index:
+   slot k & (MEMO_SLOTS - 1) holds index k's text. */
+enum { MEMO_SLOTS = 256, MEMO_COLUMNS = 4 };
+
+struct memo {
+    int64_t k[MEMO_SLOTS];
+    uint8_t len[MEMO_SLOTS];     /* 0: the slot is empty */
+    char text[MEMO_SLOTS][FLOAT_BYTES];
+};
+
 /* The CSV text of rows [start, stop) of n_columns columns: the values of a
    row joined by ',' and ended by '\n'.  A float, and a lattice value
    (double)k * unit, is written as repr writes it; a label code as its
    label, which the caller has checked is in its table; pow10 is the table
    of g(m) above.  Returns the bytes written to buf, or -1 when they would
-   not fit in size. */
+   not fit in size.
+
+   The first MEMO_COLUMNS lattice columns each keep a memo, emptied at
+   every call: a hit copies the FLOAT_BYTES bytes of its slot and keeps
+   the length of its text, a miss formats the value and stores it.
+   format_double is called from one place, so that it is inlined here and
+   the loops above keep their place in the library: called from three, it
+   was put ahead of them, and the drift scan, its code unchanged, ran 10%
+   slower. */
 int64_t spikesim_format_rows(const struct column *columns, int64_t n_columns, int64_t start,
                              int64_t stop, char *buf, int64_t size, const uint64_t (*pow10)[2])
 {
+    struct memo memos[MEMO_COLUMNS];
+    for (int m = 0; m < MEMO_COLUMNS; m++)
+        memset(memos[m].len, 0, sizeof memos[m].len);
     char *out = buf, *const end = buf + size;
     for (int64_t i = start; i < stop; i++) {
+        int lattice = 0;  /* the lattice columns before column j */
         for (int64_t j = 0; j < n_columns; j++) {
             const struct column *column = columns + j;
             if (column->kind == COLUMN_LABEL) {
@@ -484,13 +554,36 @@ int64_t spikesim_format_rows(const struct column *columns, int64_t n_columns, in
                     return -1;
                 memcpy(out, label, len);
                 out += len;
+            } else if (end - out <= FLOAT_BYTES) {
+                return -1;
             } else {
-                if (end - out <= FLOAT_BYTES)
-                    return -1;
-                double x = column->kind == COLUMN_FLOAT
-                    ? ((const double *)column->values)[i]
-                    : (double)((const int64_t *)column->values)[i] * column->unit;
-                out = format_double(pow10, x, out);
+                struct memo *memo = NULL;  /* a lattice column's, where it has one */
+                unsigned slot = 0;
+                int64_t k = 0;
+                double x;
+                if (column->kind == COLUMN_FLOAT) {
+                    x = ((const double *)column->values)[i];
+                } else {
+                    k = ((const int64_t *)column->values)[i];
+                    x = (double)k * column->unit;
+                    if (lattice < MEMO_COLUMNS) {
+                        memo = memos + lattice;
+                        slot = (unsigned)((uint64_t)k & (MEMO_SLOTS - 1));
+                    }
+                    lattice++;
+                }
+                if (memo && memo->len[slot] && memo->k[slot] == k) {
+                    memcpy(out, memo->text[slot], FLOAT_BYTES);
+                    out += memo->len[slot];
+                } else {
+                    char *text = format_double(pow10, x, out);
+                    if (memo) {
+                        memcpy(memo->text[slot], out, FLOAT_BYTES);
+                        memo->len[slot] = (uint8_t)(text - out);
+                        memo->k[slot] = k;
+                    }
+                    out = text;
+                }
             }
             *out++ = j + 1 < n_columns ? ',' : '\n';
         }

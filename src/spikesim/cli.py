@@ -30,7 +30,7 @@ from .jump import (
     build_global,
     build_meanfield,
     build_oneunit,
-    engine,
+    engine_status,
     simulate,
 )
 from .lyapunov import scan_drift_condition
@@ -358,14 +358,15 @@ class _Parser(argparse.ArgumentParser):
 
 class _Version(argparse.Action):
     """--version: the package version and the jump engine in use, which is
-    built here if it is not built yet."""
+    built here if it is not built yet, with the loops whose check refused
+    the library where that is why the engine is "python"."""
 
     def __init__(self, option_strings, dest, **kwargs):
         super().__init__(option_strings, dest, nargs=0,
                          help="show the version and the jump engine, then exit")
 
     def __call__(self, parser, namespace, values, option_string=None):
-        print(f"spikesim {__version__} (jump engine: {engine()})")
+        print(f"spikesim {__version__} (jump engine: {engine_status()})")
         parser.exit()
 
 

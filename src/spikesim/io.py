@@ -120,18 +120,23 @@ def _compiled_formatter() -> Callable | None:
 def _formatter_agrees(format_rows: Callable) -> bool:
     """Whether ``format_rows``, a build's formatter, writes the rows of
     ``_check_columns`` as ``_python_rows`` does, in slices of seven rows, so
-    that slices end mid-table."""
-    return "".join(format_rows(_check_columns(), CHANNEL_LABELS, 7)) == \
-        "".join(_python_rows(_check_columns(), CHANNEL_LABELS, 7))
+    that slices end mid-table; and again with the columns in reverse order,
+    so that a lattice column's memo serves another unit than on the last
+    call."""
+    return all("".join(format_rows(columns, CHANNEL_LABELS, 7)) ==
+               "".join(_python_rows(columns, CHANNEL_LABELS, 7))
+               for columns in (_check_columns(), _check_columns()[::-1]))
 
 
 def _check_columns() -> list[tuple[str, np.ndarray, float]]:
     """The rows the checks of the formatter and the reader use: special
     values, subnormals, 17-digit values, every power of two from 2^-1074 to
     2^1023, and the powers of ten around the switches between positional
-    and exponent notation with both their neighbours; beside them a small
-    table of lattice values, indices up to 2^53 + 1, and every channel
-    label."""
+    and exponent notation with both their neighbours; beside them lattice
+    values of four units: indices up to 2^53 + 1, small indices repeated,
+    a walk of steps of +-1, and indices that share a slot of the
+    formatter's memo (k, k + 256, k + 512 and k - 256, interleaved), which
+    repeat under the other units too; and every channel label."""
     twos = np.ldexp(1.0, np.arange(-1074, 1024))
     tens = 10.0 ** np.arange(-7, 19)
     values = np.concatenate([
@@ -141,10 +146,14 @@ def _check_columns() -> list[tuple[str, np.ndarray, float]]:
         twos * np.resize([1, -1], len(twos)), tens, np.nextafter(tens, 0.0),
         np.nextafter(tens, math.inf)])
     rows = np.arange(len(values))
+    walk = np.cumsum(np.random.default_rng(0).choice([-1, 1], len(rows)))
     return _checked_columns([("float", values, 0.0),
                              ("lattice", np.resize([0, 1, 2, 7, 1000, 2**31, 2**53 + 1],
                                                    len(rows)), 1 / 3),
                              ("lattice", rows % 11, 0.02),
+                             ("lattice", walk, 1 / 5000),
+                             ("lattice", np.resize([3, 259, 3, 515, 1, -253, 2, 259], len(rows)),
+                              1.0),
                              ("label", rows % len(CHANNEL_LABELS), 0.0)])
 
 
@@ -219,7 +228,12 @@ def write_json(path: str | Path, payload: dict, params: ModelParams | None = Non
     doc.update(payload)
     # Encoded before the file is opened, so a value JSON cannot hold (a
     # number that is not finite) leaves no file behind.
-    text = _json_text(doc)
+    _write_text(path, _json_text(doc))
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as it is: a JSON document, or the names of
+    the loops that failed a compiled library's check."""
     with open(path, "w", newline="") as fh:
         fh.write(text)
 
@@ -373,10 +387,10 @@ def _reader_agrees(read_rows: Callable) -> bool:
     rows written, decimals no repr is: two exact ties (2^53 + 1 and 1e23),
     the largest and smallest subnormals, and long digit strings."""
     text = "".join(_python_rows(_check_columns(), CHANNEL_LABELS, 7)) + (
-        "9007199254740993,1e23,2.2250738585072011e-308,leak\n"
-        "4.9406564584124654e-324,-0,123456789012345678901234567890e-40,\n")
-    expected = _loadtxt(text.splitlines(), [0, 1, 2])
+        "9007199254740993,1e23,2.2250738585072011e-308,0.0,1e-5,leak\n"
+        "4.9406564584124654e-324,-0,123456789012345678901234567890e-40,-1.5,2,\n")
+    expected = _loadtxt(text.splitlines(), [0, 1, 2, 3, 4])
     # In blocks of 256 bytes, so that rows cross the ends of blocks.
-    got = read_rows(BytesIO(text.encode("ascii")), [0, 1, 2, -1], len(text), block=256)
+    got = read_rows(BytesIO(text.encode("ascii")), [0, 1, 2, 3, 4, -1], len(text), block=256)
     return got is not None and all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
                                    for a, b in zip(got, expected))

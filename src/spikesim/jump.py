@@ -345,6 +345,15 @@ def engine() -> str:
     return "python" if _compiled_run() is None else "compiled"
 
 
+def engine_status() -> str:
+    """``engine()``, and after "python" the loops whose check refused the
+    library, where that is why: "python; refused: formatter"."""
+    from . import _compiled
+
+    refused = _compiled.refused()
+    return f"python; refused: {', '.join(refused)}" if refused else engine()
+
+
 def _compiled_run() -> Callable | None:
     """The checked library's loop; None (the Python kernel runs) where it
     has none."""

@@ -1,7 +1,7 @@
 import pytest
 
 from spikesim import ModelParams
-from spikesim.jump import engine
+from spikesim.jump import engine_status
 
 # For the test that runs a failing property in a separate pytest.
 pytest_plugins = ["pytester"]
@@ -23,7 +23,7 @@ PARAM_GRID = [
 
 
 def pytest_report_header(config):
-    return f"spikesim jump engine: {engine()}"
+    return f"spikesim jump engine: {engine_status()}"
 
 
 @pytest.fixture

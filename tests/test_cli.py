@@ -1,6 +1,9 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -320,6 +323,27 @@ class TestCLI:
         assert main(["--version"]) == 0
         assert engine() in ("compiled", "python")
         assert capsys.readouterr().out == f"spikesim {__version__} (jump engine: {engine()})\n"
+
+    @pytest.mark.skipif(engine() != "compiled", reason="no compiled library here")
+    def test_version_names_the_check_that_refused_the_build(self, tmp_path):
+        # A build whose formatter check fails, in a private cache: the
+        # refusal names the formatter, and so does --version, both in the
+        # process that refused the build and in a later one that finds the
+        # refusal and builds nothing.
+        code = ("import sys\n"
+                "from spikesim import cli, io\n"
+                "if sys.argv[1] == 'fail':\n"
+                "    io._formatter_agrees = lambda format_rows: False\n"
+                "sys.exit(cli.main(['--version']))\n")
+        env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=os.pathsep.join(
+            filter(None, [str(Path(spikesim.cli.__file__).parents[1]),
+                          os.environ.get("PYTHONPATH")])))
+        outs = [subprocess.run([sys.executable, "-c", code, run], env=env, capture_output=True,
+                               text=True, check=True, timeout=120).stdout
+                for run in ("fail", "again")]
+        assert outs == [f"spikesim {__version__} (jump engine: python; refused: formatter)\n"] * 2
+        (refused,) = (tmp_path / "spikesim").iterdir()
+        assert refused.suffix == ".refused" and refused.read_text() == "formatter\n"
 
     def test_lyapunov_auto_box_with_a_zero_extent(self, out):
         # Unpumped with a fast leak: the exceptional set's analytic extent

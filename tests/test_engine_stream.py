@@ -347,7 +347,7 @@ class TestBuild:
         # Fused, a rate's sum rounds once fewer than the Python kernel's, so
         # the jump loop fails its check and the whole library is refused.
         monkeypatch.setattr(_compiled, "CFLAGS", (*_compiled.CFLAGS, "-mfma", "-ffp-contract=fast"))
-        self._assert_refused(empty_cache, compiles)
+        self._assert_refused(empty_cache, compiles, "run")
 
     @pytest.mark.skipif(jump.engine() != "compiled", reason="no compiled jump engine here")
     @pytest.mark.parametrize("module, twin, differs", [
@@ -359,18 +359,21 @@ class TestBuild:
         (io, "_loadtxt", lambda lines, usecols: np.zeros((len(usecols), 1))),
     ], ids=["run", "rk4", "scan", "formatter", "reader"])
     def test_a_build_that_fails_one_check_is_refused_whole(self, empty_cache, monkeypatch,
-                                                           compiles, module, twin, differs):
+                                                           compiles, module, twin, differs,
+                                                           request):
         monkeypatch.setattr(module, twin, differs)
-        self._assert_refused(empty_cache, compiles)
+        self._assert_refused(empty_cache, compiles, request.node.callspec.id)
 
     @staticmethod
-    def _assert_refused(cache, compiles):
-        """The library built into ``cache`` is refused whole, and remembered."""
+    def _assert_refused(cache, compiles, loop):
+        """The library built into ``cache`` is refused whole, and remembered
+        with the names of the loops that failed, ``loop`` among them."""
         assert [accessor() for accessor in ACCESSORS] == [None] * 5
         assert jump.engine() == "python"
         (refused,) = cache.iterdir()
         assert refused.name.startswith("_kernel-") and refused.suffix == ".refused"
-        assert refused.stat().st_size == 0
+        names = refused.read_text().split()
+        assert loop in names and set(names) <= set(_compiled.Loops._fields)
         # Another process neither builds nor checks it again.
         _compiled.library.cache_clear()
         assert _compiled.library() is None

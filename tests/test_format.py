@@ -25,6 +25,7 @@ import pytest
 
 from spikesim import ModelParams, Trajectory, _compiled, build_oneunit, io, simulate
 from spikesim.io import read_trajectory_csv, write_jump_csv, write_ode_csv
+from spikesim.jump import CHANNEL_LABELS
 
 # The formatter and the reader of the library, where it builds and passes its
 # check (a library refused here fails the tests that it runs wherever it
@@ -56,11 +57,19 @@ def _values() -> dict[str, np.ndarray]:
         "integers around 2^53": np.arange(-2**53 - 50_000, -2**53 + 50_000).astype(np.float64),
         # The doubles nearest to short decimals, of 1 to 17 digits.
         "short decimals": np.array([float(f"{x:.{d}e}") for d in range(17) for x in short]),
+        # The doubles nearest to decimals of 1, 7, 8 and 9 significant
+        # digits, whose shortest digits, 16 or 17 of them before the
+        # formatter strips their zeros, end in 14-15, 8-11, 7-9 and 6-9
+        # zeros: around the strip's steps of 8, 4, 2 and 1.  No digits
+        # ending in 16 zeros turned up among a million doubles near d * 10^e.
+        "trailing zeros": np.array([float(f"{m}e{e}") for d in (1, 7, 8, 9)
+                                    for m in rng.integers(10**(d - 1), 10**d, size=60).tolist()
+                                    for e in range(-30, 31)]),
     }
 
 
 KINDS = ["uniform bits", "powers of two", "powers of ten", "subnormals", "integers around 2^53",
-         "short decimals"]
+         "short decimals", "trailing zeros"]
 
 
 @compiled
@@ -72,6 +81,54 @@ def test_floats_are_written_as_their_repr(kind):
     if got != expected:
         wrong = [(w, g) for w, g in zip(expected.split("\n"), got.split("\n")) if w != g]
         pytest.fail(f"{len(wrong)} values written unlike repr, first (repr, written): {wrong[:5]}")
+
+
+def _assert_rows_as_python_writes_them(columns, slice_rows):
+    checked = io._checked_columns(columns)
+    got = list(FORMATTER(checked, CHANNEL_LABELS, slice_rows))
+    expected = list(io._python_rows(checked, CHANNEL_LABELS, slice_rows))
+    if got != expected:
+        rows = [(w, g) for w, g in zip("".join(expected).split("\n"), "".join(got).split("\n"))
+                if w != g]
+        pytest.fail(f"{len(rows)} rows unlike _python_rows, first (expected, written): "
+                    f"{rows[:3]}")
+
+
+@compiled
+@pytest.mark.parametrize("slice_rows", [1, 7, 1024, 4096])
+@pytest.mark.parametrize("unit", [1 / 3, 0.02, 1 / 5000, 1.0], ids=["1/3", "0.02", "1/5000", "1"])
+def test_lattice_values_are_written_as_their_repr(unit, slice_rows):
+    # Lattice cells repeat, and the formatter copies a repeated index's
+    # text from a memo of 256 slots a column: seeded walks of +-1 from 0 and
+    # from far out, indices that share a slot (k, k + 256, k + 512 and
+    # k - 256), the indices 0, 2^31, 2^53 + 1 and 2^62 and their negatives,
+    # and the walk again under a second unit.
+    rng = np.random.default_rng(7)
+    rows = 6000
+    steps = rng.choice([-1, 1], size=(2, rows))
+    walk = np.cumsum(steps[0])
+    far = 2**62 - rows + np.cumsum(steps[1])
+    shared = rng.integers(0, 6, size=rows) + 256 * rng.integers(-1, 3, size=rows)
+    named = np.resize([0, 2**31, 2**53 + 1, 2**62, -2**31, -2**53 - 1, -2**62, 1], rows)
+    _assert_rows_as_python_writes_them(
+        [("lattice", walk, unit), ("lattice", far, unit), ("lattice", shared, unit),
+         ("lattice", named, unit), ("lattice", walk, 0.7), ("label", walk % 5, 0.0)], slice_rows)
+
+
+@compiled
+@pytest.mark.parametrize("slice_rows", [1, 1024])
+def test_rows_of_the_widest_cells_fit_their_buffer(slice_rows):
+    # Every number takes FLOAT_BYTES, 24, a lattice hit copies all 24 bytes
+    # of its slot, and every label is the longest: the rows fill the buffer
+    # to its last byte.
+    widest = -2.2250738585072014e-308
+    ks = np.resize([1, 5, 1, 6, 8, 5], 3000)  # k * widest takes 24 bytes
+    columns = [("float", np.full(3000, widest), 0.0), ("lattice", ks, widest),
+               ("lattice", -ks, -widest),
+               ("label", np.full(3000, CHANNEL_LABELS.index(max(CHANNEL_LABELS, key=len))), 0.0)]
+    text = "".join(io._python_rows(io._checked_columns(columns), CHANNEL_LABELS, slice_rows))
+    assert {len(cell) for cell in text.replace("\n", ",").split(",")[:-1]} == {24, 14}
+    _assert_rows_as_python_writes_them(columns, slice_rows)
 
 
 def _pow10(m: int) -> int:
