@@ -25,6 +25,7 @@ import functools
 import hashlib
 import os
 import platform
+import stat
 import sys
 import tempfile
 import time
@@ -411,12 +412,25 @@ def cache_dir() -> Path:
     """``$XDG_CACHE_HOME/spikesim`` or ``~/.cache/spikesim``; a per-user
     directory in the temp dir when that cannot be made or written."""
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-    for cache in (Path(base, "spikesim"), Path(tempfile.gettempdir(), f"spikesim-{os.getuid()}")):
-        try:
-            cache.mkdir(mode=0o700, parents=True, exist_ok=True)
-        except OSError:
-            continue
-        # Only a directory of the user's own: the library in it gets loaded.
-        if cache.stat().st_uid == os.getuid() and os.access(cache, os.W_OK):
-            return cache
+    if _own_directory(cache := Path(base, "spikesim")):
+        return cache
+    # Looked up only here: finding the temp dir writes a file into it.
+    if _own_directory(cache := Path(tempfile.gettempdir(), f"spikesim-{os.getuid()}")):
+        return cache
     raise OSError("no writable cache directory for the compiled library")
+
+
+def _own_directory(path: Path) -> bool:
+    """Whether ``path`` is a directory of the user's own that the user can
+    write; it is made, mode 0700, only when it is missing."""
+    try:
+        try:
+            info = path.stat()
+        except FileNotFoundError:
+            path.mkdir(mode=0o700, parents=True, exist_ok=True)
+            info = path.stat()
+    except OSError:
+        return False
+    # Only a directory of the user's own: the library in it gets loaded.
+    return (stat.S_ISDIR(info.st_mode) and info.st_uid == os.getuid()
+            and os.access(path, os.W_OK))

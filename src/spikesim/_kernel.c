@@ -21,9 +21,9 @@
      right with the zero terms left out, then divided by div unless div is 1;
    * a channel below its guard, (kr, kn) < (guard_kr, guard_kn), has rate 0;
    * the cumulative rates are summed in channel order, and the channel picked
-     is the first whose cumulative rate exceeds the uniform times the total,
-     or the last one with a positive rate when round-off puts the uniform on
-     the top edge.
+     is the smallest i below top, the last channel with a positive rate,
+     whose cumulative rate exceeds the uniform times the total; top itself
+     when there is none, as where round-off puts the uniform on the top edge.
 
    Sums start at 0.0, which changes no value: 0.0 + x is x, apart from the
    sign of a zero, which no comparison sees. */
@@ -95,13 +95,11 @@ int64_t spikesim_direct_method(bitgen_t *bitgen, const struct table *table, stru
         }
         t = t_next;
         double u = next_double(bitgen) * total;
+        /* Downward with a conditional move, not a forward loop with a break:
+           the break's branch is mispredicted about once an event. */
         int pick = top;
-        for (int i = 0; i < top; i++) {
-            if (u < cum[i]) {
-                pick = i;
-                break;
-            }
-        }
+        for (int i = top - 1; i >= 0; i--)
+            pick = u < cum[i] ? i : pick;
         kr += step[2 * pick];
         kn += step[2 * pick + 1];
         times[count] = t;

@@ -19,9 +19,9 @@ jumps.
 
 The direct-method loop runs in C (``_kernel.c``, driven by ``_compiled``),
 built on first use and called on the caller's numpy bit generator.  The
-Python kernel, ``_run_python``, is the same loop over the same table,
-statement for statement: the reference the C loop is checked against, and
-the fallback where it cannot be built or loaded.
+Python kernel, ``_run_python``, is the same loop over the same table, with
+the same draws and operations in the same order: the reference the C loop
+is checked against, and the fallback where it cannot be built or loaded.
 """
 
 import functools
@@ -280,16 +280,20 @@ def _run(spec: ProcessSpec, kr: int, kn: int, rng: np.random.Generator, t_end: f
 
 def _run_python(spec: ProcessSpec, kr: int, kn: int, rng: np.random.Generator, t_end: float,
                 limit: int) -> tuple[array, bytearray, int]:
-    """``spikesim_direct_method`` of ``_kernel.c``, statement for statement.
+    """``spikesim_direct_method`` of ``_kernel.c``: the same draws and the
+    same floating-point operations in the same order.
 
     Per event: the channel rates, each summed term by term left to right
     with its zero terms left out and zero below its guard; their cumulative
     sums in channel order up to the total; one standard exponential for the
-    waiting time, then one uniform for the channel, picked as the first
-    cumulative rate above it (the last channel with a positive rate when
-    round-off puts it on the top edge).  Only the event time and the channel
-    index are stored.  The stop code is 0 at the limit, 1 when absorbed and
-    2 at the time horizon, as the C loop's.
+    waiting time, then one uniform for the channel.  With top the last
+    channel with a positive rate, the channel is the smallest i < top whose
+    cumulative rate is above the uniform, else top (as where round-off puts
+    the uniform on the top edge).  The C loop finds it by a downward scan
+    without a branch; here the forward loop with its break is the faster
+    form.  Only the event time and the channel index are stored.  The stop
+    code is 0 at the limit, 1 when absorbed and 2 at the time horizon, as
+    the C loop's.
     """
     rows, r_unit, n_unit = spec._rows, float(spec.r_unit), float(spec.n_unit)
     exponential, uniform = rng.standard_exponential, rng.random
@@ -363,14 +367,18 @@ def _compiled_run() -> Callable | None:
 
 
 def _agrees(run: Callable) -> bool:
-    """Whether ``run``, a build's loop, draws ``_run_python``'s stream on the
-    probe.  A build that fuses a multiply into the sum of a rate moves the
-    first event's time in its last bit; a libnpyrandom that draws
-    differently moves more.  From a high state, so that the rates take a
-    wide range of values."""
-    compiled, python = (kernel(_probe_spec(), 5, 200, np.random.default_rng(0), math.inf, 400)
-                        for kernel in (run, _run_python))
-    return compiled == python
+    """Whether ``run``, a build's loop, draws ``_run_python``'s stream on two
+    probes.  On ``_probe_spec``, from a high state so that the rates take a
+    wide range of values: a build that fuses a multiply into the sum of a
+    rate moves the first event's time in its last bit, and a libnpyrandom
+    that draws differently moves more.  On a table whose one positive rate,
+    pumping, is subnormal: the uniform times the total is then 0.0 about
+    half the time, equal to the cumulative rate of every channel below
+    pumping, and a pick that takes such a tie leaves the stream."""
+    tie = replace(_probe_spec(), table=_make_table({}, {}, {}, {"k_1": 5e-324}, {}))
+    return all(run(spec, kr, kn, np.random.default_rng(0), math.inf, 400)
+               == _run_python(spec, kr, kn, np.random.default_rng(0), math.inf, 400)
+               for spec, kr, kn in ((_probe_spec(), 5, 200), (tie, 0, 0)))
 
 
 def _probe_spec() -> ProcessSpec:

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,47 @@ def test_import_and_building_specs_load_no_compiled_library():
         "p = spikesim.ModelParams(alpha=0.01, beta=1.0, gamma=100.0, p=7.0)\n"
         "spikesim.build_global(p, 10), spikesim.build_meanfield(p), spikesim.build_oneunit(p)\n"
         "print(sorted({'spikesim._compiled', 'subprocess'} & set(sys.modules)))\n") == "[]\n"
+
+
+def test_the_figure_pipeline_never_imports_numpy_ma(tmp_path):
+    # numpy.ma takes about 10 ms to import, and np.unique without indices or
+    # counts imports it; nothing in the figure pipeline needs it.
+    jump_csv = tmp_path / "jump.csv"
+    runs = [["preset", name, "--t-end", "100", "--outdir", str(tmp_path)]
+            for name in ("fig6", "fig7")]
+    runs += [["simulate", "--mode", "oneunit", "--gamma", "2", "--t-end", "100",
+              "--out", str(jump_csv)],
+             ["analyze", "--input", str(jump_csv), "--a0", "2", "--thr", "0",
+              "--out", str(tmp_path / "a.json"), "--pairs-out", str(tmp_path / "p.csv")]]
+    assert _fresh_output(
+        "import sys\n"
+        "from spikesim import cli\n"
+        f"print([cli.main(argv) for argv in {runs!r}], 'numpy.ma' in sys.modules)\n"
+    ).splitlines()[-1] == "[0, 0, 0, 0] False"
+
+
+def test_cache_directory_is_made_only_when_missing(monkeypatch, tmp_path):
+    (tmp_path / "home").mkdir()
+    (tmp_path / "home" / "spikesim").write_text("")
+
+    def no_mkdir(*args, **kwargs):
+        raise PermissionError("mkdir")
+
+    def no_temp_dir():
+        raise AssertionError("the temp dir is looked up only when the cache home fails")
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    with monkeypatch.context() as patch:
+        patch.setattr(tempfile, "gettempdir", no_temp_dir)
+        made = _compiled.cache_dir()
+        assert made == tmp_path / "xdg" / "spikesim" and made.stat().st_mode & 0o777 == 0o700
+        # An existing directory is taken as it is, with no mkdir.
+        patch.setattr(Path, "mkdir", no_mkdir)
+        assert _compiled.cache_dir() == made
+    # A file where the directory should be: the temp dir instead.
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "home"))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    assert _compiled.cache_dir().parent == tmp_path / "tmp"
 
 
 def test_importing_the_cli_builds_no_parser():

@@ -903,6 +903,31 @@ def test_tail_survival_matches_the_grid_matrix(amps, a0):
     assert np.array_equal(survival, want_survival)
 
 
+def _unique_tail_survival(amplitudes, a0):
+    """The tail grid as np.unique gives it, and the survival as a
+    searchsorted over the sorted sample gives it."""
+    amps = np.asarray(amplitudes, dtype=np.float64)
+    amps = amps[amps > a0]
+    grid = np.concatenate(([a0], np.unique(amps)))
+    return grid, (len(amps) - np.searchsorted(np.sort(amps), grid, side="right")) / len(amps)
+
+
+@LOOPS
+@given(amps=st.lists(st.one_of(st.sampled_from([-0.0, 0.0, 10.0, 11.0, 12.0]),
+                               st.floats(-5.0, 40.0, **finite)), min_size=1, max_size=60),
+       a0=st.sampled_from([-1.0, 0.0, 10.0, 11.0, 12.0]), as_array=st.booleans())
+@example(amps=[12.0, 11.0, 12.0, 10.5, 12.0], a0=10.0, as_array=False)  # ties at the maximum
+@example(amps=[11.0, 10.0, 11.0, 11.0], a0=10.0, as_array=True)  # one distinct value, and a0
+@example(amps=[0.0, -0.0, 1.0, -0.0], a0=-1.0, as_array=False)  # zeros of both signs
+def test_tail_grid_is_np_uniques_bit_for_bit(amps, a0, as_array):
+    if not any(a > a0 for a in amps):
+        return
+    grid, survival = tail_survival(np.array(amps) if as_array else amps, a0)
+    want_grid, want_survival = _unique_tail_survival(amps, a0)
+    assert grid.tobytes() == want_grid.tobytes()
+    assert survival.tobytes() == want_survival.tobytes()
+
+
 def test_a_failing_property_reports_its_falsifying_example(pytester, pytestconfig):
     # Under this suite's warning filters, where any warning is an error.
     filters = "".join(f"\n    {entry}" for entry in pytestconfig.getini("filterwarnings"))
