@@ -16,7 +16,7 @@ import os
 import warnings
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from io import BytesIO
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -239,29 +239,24 @@ def _write_text(path: str | Path, text: str) -> None:
 
 
 def _json_text(doc: dict) -> str:
-    """``json.dumps(doc, indent=2, allow_nan=False) + "\\n"``, byte for byte.
-    With an indent the stdlib encodes in pure Python, so a top-level list of
-    int pairs (a drift report's ``set_A``) is left empty there and written
-    by one join in the encoder's layout instead: at indent 2 the members of
-    the top-level object, and only they, start a line with two spaces and a
-    quote."""
+    """``json.dumps(doc, indent=2, allow_nan=False) + "\\n"``, byte for byte,
+    with a top-level int64 (m, 2) array (a drift report's ``set_A``) written
+    as its list of pairs.  With an indent the stdlib encodes in pure Python,
+    so such an array is left empty there and written by one join in the
+    encoder's layout instead: at indent 2 the members of the top-level
+    object, and only they, start a line with two spaces and a quote.  Any
+    other array is the encoder's to refuse."""
     pairs = {key: value for key, value in doc.items()
-             if isinstance(key, str) and _is_int_pairs(value)}
+             if isinstance(key, str) and isinstance(value, np.ndarray)
+             and value.dtype == np.int64 and value.shape[1:] == (2,)}
     text = json.dumps({**doc, **dict.fromkeys(pairs, [])}, indent=2, allow_nan=False)
     for key, value in pairs.items():
-        head = f"\n  {json.dumps(key)}: "
-        rows = ",\n".join(["    [\n      %d,\n      %d\n    ]"] * len(value))
-        rows %= tuple(chain.from_iterable(value))
-        text = text.replace(head + "[]", f"{head}[\n{rows}\n  ]", 1)
+        if len(value):
+            head = f"\n  {json.dumps(key)}: "
+            rows = ",\n".join(["    [\n      %d,\n      %d\n    ]"] * len(value))
+            rows %= tuple(value.ravel().tolist())
+            text = text.replace(head + "[]", f"{head}[\n{rows}\n  ]", 1)
     return text + "\n"
-
-
-def _is_int_pairs(value) -> bool:
-    """Whether ``value`` is a non-empty list of two-item lists of exact ints
-    (the encoder writes a bool, an int subclass, as true or false)."""
-    return (type(value) is list and set(map(type, value)) == {list}
-            and set(map(len, value)) == {2}
-            and set(map(type, chain.from_iterable(value))) == {int})
 
 
 def read_trajectory_csv(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:

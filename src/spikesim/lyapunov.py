@@ -51,7 +51,8 @@ class ErgodicityCheck:
 class DriftReport:
     """``set_A`` holds the (kr, kn) lattice indices of the exceptional set
     found in the scan box as an (m, 2) int64 array, one row per state in
-    row-major order."""
+    row-major order.  ``to_dict`` hands the array on as it is, and
+    ``io.write_json`` writes it as a list of pairs."""
 
     mode: str
     epsilon: float
@@ -70,7 +71,7 @@ class DriftReport:
             "mode": self.mode,
             "epsilon": self.epsilon,
             "scan_box": list(self.scan_box),
-            "set_A": self.set_A.tolist(),
+            "set_A": self.set_A,
             "violations": self.violations,
             "passed": self.passed,
             "inconclusive": self.inconclusive,
@@ -131,6 +132,10 @@ def scan_drift_condition(
     strictly inside the box.  With small spontaneous rates A stretches very
     far along the y = 0 axis, so a truncated scan is the norm.
 
+    A box given smaller than 1x1 raises ValueError.  Where the ergodicity
+    condition fails nothing is scanned: the report is inconclusive, with an
+    empty A and, unless one was given, a 0x0 box.
+
     A state outside A is a violation unless its drift is <= -epsilon, so a
     NaN drift is one.  A violation whose drift is not a finite float (NaN or
     +inf, where the rates overflow) raises ValueError naming the first such
@@ -138,44 +143,26 @@ def scan_drift_condition(
     """
     if not (0 < epsilon < math.inf):
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+    if scan_box is not None and min(scan_box) < 1:
+        raise ValueError(f"scan box must be at least 1x1, got {scan_box}")
     condition = ergodicity_condition(kind, params)
     analytic = _analytic_extent(kind, params, epsilon)
 
-    if not condition.holds:
-        return DriftReport(
-            mode=kind.value,
-            epsilon=epsilon,
-            scan_box=scan_box or (0, 0),
-            set_A=np.empty((0, 2), dtype=np.int64),
-            violations=[],
-            passed=False,
-            inconclusive=True,
-            contained=False,
-            condition_margin=condition.margin,
-            analytic_extent=analytic,
-        )
-
-    if scan_box is None:
-        scan_box = tuple(
+    if condition.holds:
+        kr_max, kn_max = scan_box or tuple(
             max(min(4 * ext, AUTO_BOX_CAP), 1) if ext is not None else AUTO_BOX_CAP
             for ext in analytic
         )
-    kr_max, kn_max = scan_box
-    if kr_max < 1 or kn_max < 1:
-        raise ValueError(f"scan box must be at least 1x1, got {scan_box}")
-
-    contained = (
-        analytic[0] is not None
-        and analytic[1] is not None
-        and analytic[0] < kr_max
-        and analytic[1] < kn_max
-    )
-
-    spec = build_oneunit(params) if kind is ProcessKind.ONEUNIT else build_meanfield(params)
-    set_a, bad, drift = (_compiled_scan() or _scan_python)(
-        spec, _f_weights(spec), _decay_coefficients(kind, params),
-        membership_bound(params, epsilon), epsilon, (kr_max, kn_max),
-        max(_BLOCK_ELEMENTS // (kn_max + 1), 1))
+        spec = build_oneunit(params) if kind is ProcessKind.ONEUNIT else build_meanfield(params)
+        set_a, bad, drift = (_compiled_scan() or _scan_python)(
+            spec, _f_weights(spec), _decay_coefficients(kind, params),
+            membership_bound(params, epsilon), epsilon, (kr_max, kn_max),
+            max(_BLOCK_ELEMENTS // (kn_max + 1), 1))
+    else:
+        # Inconclusive: nothing is scanned, and an auto-sized box is 0x0.
+        kr_max, kn_max = scan_box or (0, 0)
+        set_a = bad = np.empty((0, 2), dtype=np.int64)
+        drift = np.empty(0)
     finite = np.isfinite(drift)
     if not finite.all():
         first = np.argmin(finite)
@@ -183,7 +170,14 @@ def scan_drift_condition(
                          f"{drift[first]}, not a finite float")
     violations = [{"kr": kr, "kn": kn, "drift": value}
                   for (kr, kn), value in zip(bad.tolist(), drift.tolist())]
-    extent = tuple(map(int, set_a.max(axis=0))) if len(set_a) else (0, 0)
+    # Where the condition fails A is unbounded along y, so an inconclusive
+    # report is never contained.
+    contained = (
+        analytic[0] is not None
+        and analytic[1] is not None
+        and analytic[0] < kr_max
+        and analytic[1] < kn_max
+    )
 
     return DriftReport(
         mode=kind.value,
@@ -191,11 +185,11 @@ def scan_drift_condition(
         scan_box=(kr_max, kn_max),
         set_A=set_a,
         violations=violations,
-        passed=len(violations) == 0,
-        inconclusive=False,
+        passed=condition.holds and not violations,
+        inconclusive=not condition.holds,
         contained=contained,
         condition_margin=condition.margin,
-        a_extent=extent,
+        a_extent=tuple(map(int, set_a.max(axis=0))) if len(set_a) else (0, 0),
         analytic_extent=analytic,
     )
 

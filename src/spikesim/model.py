@@ -14,7 +14,7 @@ oscillations, the deterministic trace of photon spikes).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -96,15 +96,15 @@ class GammaBoundaries:
 
 @dataclass(frozen=True)
 class StabilityReport:
+    """The fixed point's linearisation, with the gamma boundaries of the same
+    (alpha, beta, p); ``to_dict`` writes the boundaries' fields flat, after
+    ``regime``."""
+
     fixed_point: State
     eigenvalues: tuple[complex, complex]
     discriminant: float
     regime: Regime
-    gamma0: float | None
-    gamma1: float | None
-    gamma2: float | None
-    gamma_star: float | None
-    delta_at_star: float | None
+    boundaries: GammaBoundaries
 
     def to_dict(self) -> dict:
         return {
@@ -114,11 +114,7 @@ class StabilityReport:
             ],
             "discriminant": self.discriminant,
             "regime": self.regime.value,
-            "gamma0": self.gamma0,
-            "gamma1": self.gamma1,
-            "gamma2": self.gamma2,
-            "gamma_star": self.gamma_star,
-            "delta_at_star": self.delta_at_star,
+            **asdict(self.boundaries),
         }
 
 
@@ -216,15 +212,10 @@ def gamma_boundaries(params: ModelParams) -> GammaBoundaries:
 
 
 def stability_report(params: ModelParams) -> StabilityReport:
-    bounds = gamma_boundaries(params)
     return StabilityReport(
         fixed_point=stationary_point(params),
         eigenvalues=eigenvalues(params),
         discriminant=discriminant(params),
         regime=classify_regime(params),
-        gamma0=bounds.gamma0,
-        gamma1=bounds.gamma1,
-        gamma2=bounds.gamma2,
-        gamma_star=bounds.gamma_star,
-        delta_at_star=bounds.delta_at_star,
+        boundaries=gamma_boundaries(params),
     )

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from spikesim import ModelParams
@@ -23,7 +24,8 @@ PARAM_GRID = [
 
 
 def pytest_report_header(config):
-    return f"spikesim jump engine: {engine_status()}"
+    # The stream digests were recorded under numpy 2.4.6.
+    return f"spikesim jump engine: {engine_status()}; numpy {np.__version__}"
 
 
 @pytest.fixture

@@ -78,6 +78,28 @@ class TestIO:
                           fig1_params)
         assert list(out.iterdir()) == []
 
+    def test_json_with_an_int_pair_array_rejects_non_finite_numbers(self, fig1_params, out):
+        with pytest.raises(ValueError):
+            io.write_json(out / "r.json", {"set_A": np.array([[0, 0], [1, 2]]),
+                                           "value": math.inf}, fig1_params)
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("payload", [
+        {"set_A": np.array([[0.0, 1.0]])},
+        {"set_A": np.array([[0, 1]], dtype=np.int32)},
+        {"set_A": np.array([[0, 1, 2]])},
+        {"set_A": np.array([0, 1])},
+        {"set_A": np.empty((0, 3), dtype=np.int64)},
+        {"nested": {"set_A": np.array([[0, 1]])}},
+        {1: np.array([[0, 1]])},
+    ], ids=["float", "int32", "triple", "flat", "empty_triple", "nested", "int_key"])
+    def test_json_refuses_any_other_array(self, fig1_params, out, payload):
+        # Only an int64 (m, 2) array under a top-level str key is written;
+        # the encoder refuses every other array, before the file is opened.
+        with pytest.raises(TypeError):
+            io.write_json(out / "r.json", payload, fig1_params)
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("payload", [
         {"set_A": []},
         {"set_A": [[0, 0]]},
@@ -93,8 +115,15 @@ class TestIO:
         # what a member line holds.
         {"nested": {"set_A": [[1, 2]]}, "set_A": [[4, 5]], "deep": [[[1, 2]]]},
         {"text": '\n  "set_A": []', "set_A": [[1, 2]]},
+        # An int64 (m, 2) array is written as its list of pairs.
+        {"set_A": np.empty((0, 2), dtype=np.int64)},
+        {"set_A": np.array([[3, 4]])},
+        {"set_A": np.array([[0, 0], [3, -1], [2**31, 5], [-2**40, 2**62]]),
+         "after": [1, 2], "second": np.arange(8).reshape(4, 2)},
+        {"text": '\n  "set_A": []', "set_A": np.array([[1, 2]])},
     ], ids=["empty", "one", "many", "three_keys", "bool", "float", "triple", "tuple",
-            "ragged", "nested", "member_text"])
+            "ragged", "nested", "member_text", "array_empty", "array_one", "array_many",
+            "array_member_text"])
     def test_json_is_the_stdlib_encoding(self, fig1_params, out, payload):
         io.write_json(out / "r.json", payload, fig1_params)
         assert (out / "r.json").read_text() == _stdlib_json(payload, fig1_params)
@@ -109,11 +138,14 @@ class TestIO:
 
 
 def _stdlib_json(payload: dict, params: ModelParams | None) -> str:
-    """What ``io.write_json`` must write: the stdlib encoder's text."""
+    """What ``io.write_json`` must write: the stdlib encoder's text, with each
+    top-level array (a drift report's ``set_A``) as its list."""
     doc = {"version": __version__}
     if params is not None:
         doc["params"] = {"alpha": params.alpha, "beta": params.beta, "gamma": params.gamma,
                          "p": params.p, "z": params.z}
+    payload = {key: value.tolist() if isinstance(value, np.ndarray) else value
+               for key, value in payload.items()}
     return json.dumps({**doc, **payload}, indent=2, allow_nan=False) + "\n"
 
 
@@ -422,6 +454,11 @@ OUT_OF_RANGE = {
                                "epsilon must be finite and > 0"),
     "lyapunov --box-kr 0": (["lyapunov", "--mode", "oneunit", "--box-kr", "0", "--box-kn", "10"],
                             "scan box must be at least 1x1"),
+    # The condition fails at gamma 0.5, so nothing is scanned; the box is
+    # checked all the same.
+    "lyapunov inconclusive --box-kr -5": (
+        ["lyapunov", "--mode", "oneunit", "--gamma", "0.5", "--box-kr", "-5", "--box-kn", "-5"],
+        "scan box must be at least 1x1"),
     "preset --t-end -1": (["preset", "fig5", "--t-end", "-1", "--outdir", OUT],
                           "t_end must be finite and > 0"),
     # fig1's first run integrates the ODE, which needs no seed.

@@ -55,7 +55,7 @@ DIGESTS = {
 
 def scan_digest(kind, params, epsilon, box) -> str:
     report = scan_drift_condition(kind, params, epsilon=epsilon, scan_box=box)
-    text = json.dumps(report.to_dict(), allow_nan=False)
+    text = json.dumps({**report.to_dict(), "set_A": report.set_A.tolist()}, allow_nan=False)
     return hashlib.sha256(text.encode()).hexdigest()
 
 

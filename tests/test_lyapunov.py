@@ -318,6 +318,14 @@ class TestScan:
         params = ModelParams(alpha=0.01, beta=1.0, gamma=0.5, p=7.0)
         report = scan_drift_condition(ProcessKind.ONEUNIT, params, epsilon=0.1)
         assert report.inconclusive and not report.passed
+        assert report.scan_box == (0, 0)  # nothing scanned
+
+    def test_inconclusive_scan_checks_an_explicit_box(self):
+        params = ModelParams(alpha=0.01, beta=1.0, gamma=0.5, p=7.0)
+        with pytest.raises(ValueError, match="scan box must be at least 1x1"):
+            scan_drift_condition(ProcessKind.ONEUNIT, params, scan_box=(0, 3))
+        report = scan_drift_condition(ProcessKind.ONEUNIT, params, scan_box=(1, 3))
+        assert report.inconclusive and report.scan_box == (1, 3)
 
     def test_contained_scan(self):
         # Large alpha keeps the set small enough to enclose completely.
@@ -406,8 +414,8 @@ class TestScan:
         assert d["epsilon"] == 0.1
         assert d["scan_box"] == [40, 40]
         assert d["violations"] == []
-        assert d["set_A"] == report.set_A.tolist() and len(d["set_A"]) > 0
-        assert all(len(pair) == 2 for pair in d["set_A"])
+        # The array itself goes to the writer, with no list made of it.
+        assert d["set_A"] is report.set_A and len(d["set_A"]) > 0
 
 
 class TestEmpiricalRecurrence:
