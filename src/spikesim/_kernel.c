@@ -598,51 +598,32 @@ int64_t spikesim_format_rows(const struct column *columns, int64_t n_columns, in
    else (spaces, '+', '.5', '\r', an empty number) is refused, and the
    caller reads the whole file with numpy's loadtxt instead.
 
-   A number w * 10^q with at most 19 significant digits is converted by
-   Clinger's fast path when w < 2^53 and |q| <= 22, where both are exact
-   doubles and one correctly rounded product or quotient gives the result,
-   and otherwise by Eisel-Lemire (D. Lemire, "Number parsing at a gigabyte
-   per second", Softw. Pract. Exp. 51:1700, 2021): w times the truncated
-   128-bit power of ten, which is the formatter's g(m) - 1, rounded to
-   nearest-even when the product's bits decide it.  strtod, correctly
-   rounded in glibc, takes the rest: longer digit strings, q outside the
-   table, halfway cases, and results that are subnormal or overflow. */
+   A number w * 10^q with at most 19 significant digits, w != 0, is
+   converted by Eisel-Lemire (D. Lemire, "Number parsing at a gigabyte per
+   second", Softw. Pract. Exp. 51:1700, 2021): w times the high half of the
+   truncated 128-bit power of ten, which is the formatter's g(m) - 1,
+   rounded to nearest-even when that one product's bits decide it.  strtod,
+   correctly rounded in glibc, takes the rest: longer digit strings, q
+   outside the table, products whose dropped low half could carry into the
+   bits kept, halfway cases, and results that are subnormal or overflow. */
 
 /* Significant digits a uint64_t always holds. */
 enum { MAX_DIGITS = 19 };
 
-/* 10^m for m = 0 .. 22, exactly: 5^m < 2^53, so all the bits of 10^m lie
-   in the high half of g(m) - 1, whose low half is 0 (g's is 1). */
-static inline double exact_power(const uint64_t (*pow10)[2], int m)
-{
-    /* 2^(floor(m log2 10) - 63), which scales that half back to 10^m. */
-    const uint64_t scale_bits = (uint64_t)(((217706 * m) >> 16) - 63 + 1023) << 52;
-    double scale;
-    memcpy(&scale, &scale_bits, sizeof scale);
-    return (double)pow10[m - POW10_MIN][0] * scale;
-}
-
 /* The bits of w * 10^q, w != 0 and q in POW10_MIN .. POW10_MAX, rounded to
-   nearest-even: 1 with *bits set, or 0 when the 128-bit product cannot
-   decide it or the result is not a normal double. */
+   nearest-even: 1 with *bits set, or 0 when the product cannot decide it
+   or the result is not a normal double. */
 static int eisel_lemire(uint64_t w, int q, const uint64_t (*pow10)[2], uint64_t *bits)
 {
     const uint64_t *g = pow10[q - POW10_MIN];
-    const uint64_t t_low = g[1] - 1, t_high = g[0] - (g[1] == 0);  /* g(q) - 1 */
+    const uint64_t t_high = g[0] - (g[1] == 0);  /* the high half of g(q) - 1 */
     const int shift = __builtin_clzll(w);
     w <<= shift;
     uint64_t x_low, x_high = mul_64(w, t_high, &x_low);
-    /* The truncated power under-estimates the product by less than w, so
-       only then can the lower half carry into the bits kept. */
-    if ((x_high & 0x1ff) == 0x1ff && x_low + w < w) {
-        uint64_t y_low, y_high = mul_64(w, t_low, &y_low);
-        const uint64_t merged_low = x_low + y_high;
-        const uint64_t merged_high = x_high + (merged_low < x_low);
-        if ((merged_high & 0x1ff) == 0x1ff && merged_low + 1 == 0 && y_low + w < w)
-            return 0;
-        x_high = merged_high;
-        x_low = merged_low;
-    }
+    /* The dropped low half of the power adds less than w to x_low, so it
+       can change the bits kept only where x_low + w carries into them. */
+    if ((x_high & 0x1ff) == 0x1ff && x_low + w < w)
+        return 0;
     const uint64_t top = x_high >> 63;
     uint64_t mantissa = x_high >> (top + 9);  /* 54 bits: 53 and a rounding bit */
     /* floor(q log2 10) + 64 + bias - shift, less 1 when the top bit is clear. */
@@ -723,13 +704,8 @@ static const char *read_number(const char *p, char end, const uint64_t (*pow10)[
         return NULL;
 
     uint64_t bits = 0;  /* w = 0: a zero, of the sign written */
-    if (w >> 53 == 0 && -22 <= q && q <= 22) {
-        /* Clinger: two exact doubles, one rounding. */
-        const double value = q < 0 ? (double)w / exact_power(pow10, (int)-q)
-                                   : (double)w * exact_power(pow10, (int)q);
-        memcpy(&bits, &value, sizeof bits);
-    } else if (w && (digits > MAX_DIGITS || q < POW10_MIN || q > POW10_MAX
-                     || !eisel_lemire(w, (int)q, pow10, &bits))) {
+    if (w && (digits > MAX_DIGITS || q < POW10_MIN || q > POW10_MAX
+              || !eisel_lemire(w, (int)q, pow10, &bits))) {
         char *stop;
         *x = strtod(start, &stop);
         /* A locale with another decimal point stops strtod early. */

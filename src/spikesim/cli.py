@@ -340,6 +340,20 @@ def _check_outputs(named: dict[str, str | None], written) -> None:
             raise UsageError(f"--{kind}-out writes nothing without {_NEEDS[kind]}")
 
 
+def _check_paths(written: dict[str, str | Path | None], read: dict[str, str | None]) -> None:
+    """Reject a command two of whose files resolve to one path, where one
+    write would replace the other file: the files it writes and those it
+    reads, each keyed by what it holds.  Checked before anything is
+    simulated, read or written."""
+    seen: dict[str, str] = {}
+    for name, path in [*read.items(), *written.items()]:
+        if path:
+            key = os.path.realpath(path)
+            if key in seen:
+                raise UsageError(f"{path} would be both the {seen[key]} and the {name}")
+            seen[key] = name
+
+
 def _build_spec(config: RunConfig):
     if config.mode == "global":
         return build_global(config.params, config.n_units)
@@ -507,6 +521,8 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "preset":
         return _run_preset(args)
+    if args.command in ("ds", "stability", "lyapunov"):
+        _check_paths({"output": args.out}, {"config": args.config})
     options, given = _resolve_options(args)
     if args.command == "analyze":
         return _run_analyze(args, options["a0"], options["thr"])
@@ -547,9 +563,12 @@ def _dispatch(args: argparse.Namespace) -> int:
         _check_levels(config.a0, config.thr)
         if config.lln_reference and config.t_end is None:
             raise UsageError("--lln-reference needs a horizon (--t-end)")
+        outdir = Path(args.out).parent
+        files = config.artifacts(outdir)
         _check_outputs({"survival": config.survival_out, "pairs": config.pairs_out,
-                        "report": config.report_out}, config.artifacts())
-        list(analyse_group([config], simulate_run(config), Path(args.out).parent))
+                        "report": config.report_out}, files)
+        _check_paths(files, {"config": args.config})
+        list(analyse_group([config], simulate_run(config), outdir))
         return 0
 
     if args.command == "lyapunov":
@@ -587,6 +606,7 @@ def _run_analyze(args: argparse.Namespace, a0: float | None, thr: float | None) 
     _check_levels(a0, thr)
     _check_outputs({"pairs": args.pairs_out},
                    ["pairs"] if a0 is not None and thr is not None else [])
+    _check_paths({"report": args.out, "pairs": args.pairs_out}, {"input": args.input})
     with _argument_checks():
         meta, columns = io.read_trajectory_csv(args.input)
     if "t" not in columns or "n" not in columns:

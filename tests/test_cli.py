@@ -559,6 +559,41 @@ def test_output_that_nothing_writes_is_usage_error(fig1_params, out, capsys, mon
     assert [path.name for path in out.iterdir()] == ["in.csv"]
 
 
+# Two files of one command, written or read, that resolve to one path.
+SIMULATE = ["simulate", "--mode", "oneunit", "--t-end", "200", "--a0", "10"]
+ANALYZE = ["analyze", "--input", "in.csv", "--a0", "10", "--thr", "10"]
+SAME_FILE = {
+    "simulate --report-out is --out": SIMULATE + ["--out", "x.csv", "--report-out", "x.csv"],
+    "simulate --report-out is ./--out": SIMULATE + ["--out", "./x.csv", "--report-out", "x.csv"],
+    "simulate --survival-out is the default report": SIMULATE + [
+        "--out", "x2.csv", "--survival-out", "x2_report.json"],
+    "simulate --survival-out is the default report beside --out": SIMULATE + [
+        "--out", "sub/x2.csv", "--survival-out", "sub/x2_report.json"],
+    "simulate --out is --config": SIMULATE + ["--config", "c.cfg", "--out", "c.cfg"],
+    "analyze --out is --input": ANALYZE + ["--out", "in.csv"],
+    "analyze --pairs-out is --input": ANALYZE + ["--out", "r.json", "--pairs-out", "in.csv"],
+    "analyze --pairs-out is --out": ANALYZE + ["--out", "r.json", "--pairs-out", "./r.json"],
+    "stability --out is --config": ["stability", "--config", "c.cfg", "--out", "c.cfg"],
+    "ds --out is --config": ["ds", "--config", "c.cfg", "--out", "c.cfg"],
+    "lyapunov --out is --config": ["lyapunov", "--mode", "oneunit", "--config", "c.cfg",
+                                   "--out", "c.cfg"],
+}
+
+
+@pytest.mark.parametrize("case", list(SAME_FILE))
+def test_two_files_of_a_command_at_one_path_is_usage_error(fig1_params, out, capsys,
+                                                           monkeypatch, case):
+    spec = build_oneunit(fig1_params)
+    io.write_jump_csv(out / "in.csv", simulate(spec, spec.lattice_state(0.0, 0.0),
+                                                t_end=5.0, seed=1))
+    (out / "c.cfg").write_text("beta = 1\n")
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    monkeypatch.chdir(out)
+    assert main(SAME_FILE[case]) == 1
+    assert "would be both the" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
 # The levels a simulate run can set, and whether each output flag's file is
 # written, given the level flags set.
 LEVELS = {"none": [], "a0 10": ["--a0", "10"], "a0 1000": ["--a0", "1000"],

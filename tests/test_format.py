@@ -9,9 +9,11 @@ hold the output to ``repr`` on the values where such an algorithm goes wrong
 its definition, recomputed here one power at a time with Python integers.
 
 The reader's floats must be ``float()``'s, and so loadtxt's, to the bit: on
-halfway cases, the edges of the subnormals and the table, and long digit
-strings, where Eisel-Lemire hands the cell to strtod.  A file outside its
-grammar must read as loadtxt reads it.
+halfway cases, the edges of the subnormals and the table, long digit
+strings, and products whose low bits Eisel-Lemire's one product cannot
+decide, where it hands the cell to strtod, and on short decimals, 1 to 15
+digits times 10^-22 .. 10^22.  A file outside its grammar must read as
+loadtxt reads it.
 """
 
 import functools
@@ -173,12 +175,14 @@ def test_pairs_that_are_not_pairs_are_rejected(tmp_path, pairs):
     assert not (tmp_path / "pairs.csv").exists()
 
 
-def test_kernel_compiles_without_warnings():
+def test_kernel_compiles_without_warnings(tmp_path):
+    # Compiled as it is built, so the warnings that only the optimiser
+    # emits (-Wmaybe-uninitialized, -Wstringop-overflow) are checked too.
     command = _compiled.compile_command()
     try:
-        result = subprocess.run([*command, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
-                                 str(_compiled.SOURCE)], capture_output=True, text=True,
-                                timeout=120)
+        result = subprocess.run([*command, "-Wall", "-Wextra", "-Werror", "-c",
+                                 str(_compiled.SOURCE), "-o", str(tmp_path / "kernel.o")],
+                                capture_output=True, text=True, timeout=120)
     except FileNotFoundError:
         pytest.skip(f"no C compiler {command[0]!r} here")
     assert result.returncode == 0, result.stderr
@@ -197,13 +201,24 @@ def _bits(values) -> np.ndarray:
 
 # Where a correctly rounded reader is most easily wrong: a halfway case
 # (2^53 + 1), the largest subnormal and the smallest one, 1e23 (the double
-# nearest it is below it), and the edges of Clinger's fast path and of the
-# power table.
+# nearest it is below it), 2^53 times 10^22 and 2^53 + 1 times 10^-22, the
+# edges of the power table, and cells of a fig1 jump CSV whose one product
+# cannot decide their rounding, so strtod reads them (0.125 and 0.25 are
+# exact doubles, which the truncated powers 10^-3 and 10^-2 put just below
+# a carry).
 NAMED = ["9007199254740993", "2.2250738585072011e-308", "4.9406564584124654e-324", "1e23",
          "9007199254740992e22", "9007199254740993e-22", "1e-292", "1e-293", "1e326", "1e308",
          "1.7976931348623157e308", "1.7976931348623159e308", "2.4703282292062328e-324",
          "2.4703282292062327e-324", "123456789012345678901234567890", "0e999", "-0.0",
-         "0.000000000000000000000000000001e-300", "7.2057594037927933e16"]
+         "0.000000000000000000000000000001e-300", "7.2057594037927933e16",
+         "0.125", "0.25", "0.948953313420972", "3.031013858010841"]
+
+
+def _assert_read_as_float(cells: list[str]) -> None:
+    got = _bits(_read_floats(cells))
+    expected = _bits([float(cell) for cell in cells])
+    wrong = [cells[i] for i in np.flatnonzero(got != expected)[:5]]
+    assert wrong == [], "read unlike float()"
 
 
 @compiled
@@ -228,10 +243,30 @@ def test_random_decimals_read_as_float_reads_them():
         cell = (d[:point] or "0") + ("." + d[point:] if point < len(d) else "")
         cell += ("", f"e{e}", f"e{e:+d}", f"e{e}")[style]
         cells.append("-" + cell if style == 3 else cell)
-    got = _bits(_read_floats(cells))
-    expected = _bits([float(cell) for cell in cells])
-    wrong = [cells[i] for i in np.flatnonzero(got != expected)[:5]]
-    assert wrong == [], "read unlike float()"
+    _assert_read_as_float(cells)
+
+
+@compiled
+def test_short_decimals_read_as_float_reads_them():
+    # 100,000 decimals w * 10^q of 1 to 15 significant digits (w < 2^53)
+    # and q in -22..22, either sign, with and without a fraction and an
+    # exponent: where both w and 10^|q| are exact doubles.
+    rng = np.random.default_rng(5)
+    size = 100_000
+    lengths = rng.integers(1, 16, size=size)
+    digits = ["".join(map(str, row[:k])) for row, k in
+              zip(rng.integers(0, 10, size=(size, 15)).tolist(), lengths.tolist())]
+    points = rng.integers(0, lengths + 1).tolist()
+    qs = rng.integers(-22, 23, size=size).tolist()
+    styles = rng.integers(0, 3, size=size).tolist()
+    signs = rng.integers(0, 2, size=size).tolist()
+    cells = []
+    for d, point, q, style, sign in zip(digits, points, qs, styles, signs):
+        cell = (d[:point] or "0") + ("." + d[point:] if point < len(d) else "")
+        e = q + len(d) - point  # written, it makes the value d * 10^q
+        cell += ("", f"e{e}", f"e{e:+d}")[style]
+        cells.append("-" + cell if sign else cell)
+    _assert_read_as_float(cells)
 
 
 @compiled
