@@ -34,7 +34,7 @@ from .jump import (
     simulate,
 )
 from .lyapunov import scan_drift_condition
-from .model import ModelParams, State, stability_report
+from .model import _PARAMS, ModelParams, State, stability_report
 from .ode import Trajectory, integrate
 from .spikes import (
     InsufficientDataError,
@@ -68,8 +68,6 @@ OPTION_DEFAULTS: dict[str, tuple[type, object]] = {
     "dt": (float, 1e-3),
     "epsilon": (float, 0.1),
 }
-# The options that make a ModelParams.
-_PARAMS = ("alpha", "beta", "gamma", "p")
 
 
 class UsageError(ValueError):
@@ -611,10 +609,9 @@ def _run_analyze(args: argparse.Namespace, a0: float | None, thr: float | None) 
         meta, columns = io.read_trajectory_csv(args.input)
     if "t" not in columns or "n" not in columns:
         raise UsageError(f"{args.input}: expected columns t and n")
-    alpha, beta, gamma, p = (_header_number(args.input, meta, key)
-                             for key in ("alpha", "beta", "gamma", "p"))
+    values = {key: _header_number(args.input, meta, key) for key in _PARAMS}
     try:
-        params = ModelParams(alpha=alpha, beta=beta, gamma=gamma, p=p)
+        params = ModelParams(**values)
     except ValueError as exc:
         raise UsageError(f"{args.input}: invalid parameter header: {exc}") from exc
     t = columns["t"]

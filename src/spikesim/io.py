@@ -15,6 +15,7 @@ import math
 import os
 import warnings
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from dataclasses import asdict
 from io import BytesIO
 from itertools import islice
 from pathlib import Path
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .jump import CHANNEL_LABELS, JumpTrajectory
-from .model import ModelParams
+from .model import _PARAMS, ModelParams
 from .ode import Trajectory
 
 # Rows per write.  A slice's text is about 100 kB.  Slices of 8192 rows
@@ -33,13 +34,7 @@ _SLICE_ROWS = 1024
 
 
 def _meta_lines(params: ModelParams, extra: dict | None = None) -> list[str]:
-    items = {
-        "version": __version__,
-        "alpha": repr(params.alpha),
-        "beta": repr(params.beta),
-        "gamma": repr(params.gamma),
-        "p": repr(params.p),
-    }
+    items = {"version": __version__, **{name: repr(getattr(params, name)) for name in _PARAMS}}
     if extra:
         items.update(
             {k: repr(float(v)) if isinstance(v, float) else str(v) for k, v in extra.items()}
@@ -218,13 +213,7 @@ def write_pairs_csv(
 def write_json(path: str | Path, payload: dict, params: ModelParams | None = None) -> None:
     doc = {"version": __version__}
     if params is not None:
-        doc["params"] = {
-            "alpha": params.alpha,
-            "beta": params.beta,
-            "gamma": params.gamma,
-            "p": params.p,
-            "z": params.z,
-        }
+        doc["params"] = asdict(params)
     doc.update(payload)
     # Encoded before the file is opened, so a value JSON cannot hold (a
     # number that is not finite) leaves no file behind.

@@ -149,8 +149,11 @@ class ProcessSpec:
 
     def channel_rates(self, s: LatticeState) -> list[float]:
         """Censored intensities at ``s``: a channel below its guard
-        contributes zero."""
-        r, n = s.r, s.n
+        contributes zero.  They are the rates both direct-method loops draw
+        against, evaluated at the loops' products ``kr * float(r_unit)`` and
+        ``kn * float(n_unit)``, which can differ from ``s.r``/``s.n`` (the
+        correctly rounded ``kr * r_unit``) in the last bit."""
+        r, n = s.kr * float(self.r_unit), s.kn * float(self.n_unit)
         return [_rate(row, r, n) if s.kr >= row[5] and s.kn >= row[6] else 0.0
                 for row in self._rows]
 
@@ -384,14 +387,16 @@ def _agrees(run: Callable) -> bool:
 def _probe_spec() -> ProcessSpec:
     """The table the compiled loops over coefficient tables are checked on.
     It has every kind of term, unit coefficients, divisors, guards on kr
-    (channels 0 and 1) and on kn (channel 2), and rates of one to four terms
-    with and without a guard."""
+    (channels 0 and 1) and on kn (channels 2 and 4), and rates of one to
+    four terms with and without a guard.  Two rates, each of a term in r and
+    a constant, are the same all along a row of the drift scan: one with
+    neither a divisor nor a guard (channel 3), and one with both (channel 4)."""
     return ProcessSpec(ModelParams(alpha=0.01, beta=0.7, gamma=3.0, p=7.0), ProcessKind.ONEUNIT,
-                       _make_table({"k_rn": 7.4, "k_r": 2.2, "k_1": 1.5, "div": 4.7},
-                                   {"k_rn": 5.9, "k_r": 7.8, "k_n": 6.6, "k_1": 2.3},
+                       _make_table({"k_rn": 7.4, "k_r": 2.2, "k_n": 6.6, "k_1": 1.5, "div": 4.7},
+                                   {"k_n": 1.0},
                                    {"k_rn": 1.5, "k_r": 0.8, "k_n": 1.0},
-                                   {"k_rn": 5.5, "k_r": 4.9, "k_n": 3.8, "k_1": 6.7, "div": 4.8},
-                                   {"k_n": 1.0, "div": 0.7}),
+                                   {"k_r": 4.9, "k_1": 6.7},
+                                   {"k_r": 1.3, "k_1": 0.4, "div": 0.7}),
                        r_unit=Fraction(1, 3), n_unit=Fraction(1))
 
 

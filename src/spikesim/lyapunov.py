@@ -67,19 +67,8 @@ class DriftReport:
     analytic_extent: tuple[int | None, int | None] = (None, None)
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "epsilon": self.epsilon,
-            "scan_box": list(self.scan_box),
-            "set_A": self.set_A,
-            "violations": self.violations,
-            "passed": self.passed,
-            "inconclusive": self.inconclusive,
-            "contained": self.contained,
-            "condition_margin": self.condition_margin,
-            "a_extent": list(self.a_extent),
-            "analytic_extent": list(self.analytic_extent),
-        }
+        return dict(vars(self), scan_box=list(self.scan_box), a_extent=list(self.a_extent),
+                    analytic_extent=list(self.analytic_extent))
 
 
 def drift_closed_form(kind: ProcessKind, params: ModelParams, x, y):

@@ -14,7 +14,7 @@ oscillations, the deterministic trace of photon spikes).
 """
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from typing import NamedTuple
 
@@ -52,7 +52,7 @@ class ModelParams:
     z: float = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma", "p"):
+        for name in _PARAMS:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.beta > 0):
@@ -74,6 +74,10 @@ class ModelParams:
             raise UndefinedStationaryPointError(
                 "stationary point undefined: p = 0 and alpha = 0"
             )
+
+
+# The fields a ModelParams is made from, in order: the parameter list.
+_PARAMS = tuple(f.name for f in fields(ModelParams) if f.init)
 
 
 @dataclass(frozen=True)
@@ -108,7 +112,7 @@ class StabilityReport:
 
     def to_dict(self) -> dict:
         return {
-            "fixed_point": {"r": self.fixed_point.r, "n": self.fixed_point.n},
+            "fixed_point": self.fixed_point._asdict(),
             "eigenvalues": [
                 {"re": ev.real, "im": ev.imag} for ev in self.eigenvalues
             ],

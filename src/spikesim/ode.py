@@ -172,10 +172,15 @@ def _rk4_python(params: ModelParams, h: float, n_steps: int, sample_every: int,
 
 
 # The runs the compiled loop must reproduce ``_rk4_python`` on: one that clamps
-# r to 0 on many steps, its terminal sample off-stride, and one that clamps
-# twice and then fails on r just below the overshoot limit at step 3.
+# r to 0 on many steps, its terminal sample off-stride; one that clamps twice
+# and then fails on r just below the overshoot limit at step 3; one that
+# clamps n to 0 once, at step 1; one that fails on n at step 1; and one whose
+# state is not finite after step 1.  So each branch of a step is taken.
 _PROBES = ((ModelParams(alpha=7.0, beta=0.05, gamma=0.01, p=0.0), 0.0, 1e-10, 1e-2, 500, 7),
-           (ModelParams(alpha=7.0, beta=1.0, gamma=0.01, p=0.0), 0.0, 1e-10, 1e-2, 50, 1))
+           (ModelParams(alpha=7.0, beta=1.0, gamma=0.01, p=0.0), 0.0, 1e-10, 1e-2, 50, 1),
+           (ModelParams(alpha=0.0, beta=0.05, gamma=0.01, p=1.0), 0.0, 1e-14, 0.3, 500, 13),
+           (ModelParams(alpha=0.0, beta=0.01, gamma=0.01, p=0.0), 0.0, 1.0, 0.5, 5, 1),
+           (ModelParams(alpha=0.01, beta=1.0, gamma=1.0, p=7.0), 1e200, 1e200, 1e-2, 5, 1))
 
 
 def _compiled_rk4() -> Callable | None:

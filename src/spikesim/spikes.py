@@ -6,7 +6,7 @@ lives entirely in the jump engine.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -59,12 +59,7 @@ class TailFit:
     n_spikes: int
 
     def to_dict(self) -> dict:
-        return {
-            "a0": self.a0,
-            "lambda_hat": self.lambda_hat,
-            "r_squared": self.r_squared,
-            "n_spikes": self.n_spikes,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -74,7 +69,7 @@ class CorrelationSummary:
     n: int
 
     def to_dict(self) -> dict:
-        return {"pearson": self.pearson, "spearman": self.spearman, "n": self.n}
+        return asdict(self)
 
 
 def _excursions(

@@ -946,8 +946,8 @@ class TestAnalyzeRoutesAgree:
 
     ANALYSED = ("spikes", "plateaus", "correlation")
 
-    def _analyze(self, csv_path, report_path, pairs_path=None) -> dict:
-        argv = ["analyze", "--input", str(csv_path), "--a0", "10", "--thr", "10",
+    def _analyze(self, csv_path, report_path, pairs_path=None, level="10") -> dict:
+        argv = ["analyze", "--input", str(csv_path), "--a0", level, "--thr", level,
                 "--out", str(report_path)]
         if pairs_path is not None:
             argv += ["--pairs-out", str(pairs_path)]
@@ -987,6 +987,19 @@ class TestAnalyzeRoutesAgree:
         for key in self.ANALYSED:
             assert analysed[key] == inline[key]
         assert _data_rows(out / "a_pairs.csv") == _data_rows(out / "path_pairs.csv")
+
+    def test_ode_path_analysed_in_process(self, fig1_params, out):
+        # analyse_group reads an ODE path as linear between its samples, as
+        # analyze reads the CSV it writes.
+        config = RunConfig(params=fig1_params, mode="ds", initial=State(0.01, 0.01),
+                           t_end=200.0, dt=1e-2, a0=8.0, thr=8.0, label="ode")
+        list(analyse_group([config], simulate_run(config), out))
+        inline = json.loads((out / "ode_report.json").read_text())
+        analysed = self._analyze(out / "ode.csv", out / "a.json", out / "a_pairs.csv", level="8")
+        assert inline["correlation"]["n"] >= 3
+        for key in self.ANALYSED:
+            assert analysed[key] == inline[key]
+        assert _data_rows(out / "a_pairs.csv") == _data_rows(out / "ode_pairs.csv")
 
     def test_ode_path_ends_at_its_last_sample(self, fig1_params, out):
         traj = integrate(fig1_params, State(0.01, 0.01), t_end=1.0, dt=1e-2)

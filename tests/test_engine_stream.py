@@ -364,6 +364,31 @@ class TestBuild:
         monkeypatch.setattr(module, twin, differs)
         self._assert_refused(empty_cache, compiles, request.node.callspec.id)
 
+    @pytest.mark.skipif(jump.engine() != "compiled", reason="no compiled jump engine here")
+    @pytest.mark.parametrize("loop, line, mutant", [
+        # The drift scan's rate that is the same all along a row, with and
+        # without a divisor.
+        ("scan", "(div != 1.0 ? (b + k_1) / div : b + k_1)",
+         "(div != 1.0 ? (k_1 + b * 1.0000000000000002) / div : b + k_1)"),
+        ("scan", "(div != 1.0 ? (b + k_1) / div : b + k_1)",
+         "(div != 1.0 ? (b + k_1) / div : k_1 + b * 1.0000000000000002)"),
+        # A non-finite state reported as n below the limit, and an n below
+        # the limit reported as r.
+        ("rk4", "fail = RK4_NOT_FINITE;", "fail = RK4_N_BELOW;"),
+        ("rk4", "rk4->fail_value = n;", "rk4->fail_value = r;"),
+    ], ids=["scan_row_rate_div", "scan_row_rate", "rk4_not_finite", "rk4_n_fail_value"])
+    def test_refuses_a_kernel_wrong_on_one_branch(self, empty_cache, monkeypatch, compiles,
+                                                  tmp_path_factory, loop, line, mutant):
+        # A C-only fault, which no Python twin shares, on a branch that only
+        # one of the probes takes.
+        source = _compiled.SOURCE.read_text()
+        assert source.count(line) == 1
+        copy = tmp_path_factory.mktemp("kernel") / _compiled.SOURCE.name
+        copy.write_text(source.replace(line, mutant))
+        monkeypatch.setattr(_compiled, "SOURCE", copy)
+        monkeypatch.setattr(_compiled, "KEYED", (copy, *_compiled.KEYED[1:]))
+        self._assert_refused(empty_cache, compiles, loop)
+
     @staticmethod
     def _assert_refused(cache, compiles, loop):
         """The library built into ``cache`` is refused whole, and remembered

@@ -16,6 +16,7 @@ digits times 10^-22 .. 10^22.  A file outside its grammar must read as
 loadtxt reads it.
 """
 
+import ctypes
 import functools
 import subprocess
 import tracemalloc
@@ -186,6 +187,36 @@ def test_kernel_compiles_without_warnings(tmp_path):
     except FileNotFoundError:
         pytest.skip(f"no C compiler {command[0]!r} here")
     assert result.returncode == 0, result.stderr
+
+
+# The ctypes mirror of each struct of the kernel, by the struct's name.
+MIRRORS = {"table": _compiled.Table, "run": _compiled._Run, "rk4": _compiled.Rk4,
+           "scan": _compiled.Scan, "column": _compiled.Column, "rows": _compiled.Rows}
+
+
+def test_ctypes_mirrors_match_the_kernel_structs(tmp_path):
+    # The compiler checks each field's offset and size, and each struct's
+    # size, against its mirror's.
+    lines = [f'#include "{_compiled.SOURCE}"']
+    for name, mirror in MIRRORS.items():
+        for field, _type in mirror._fields_:
+            got = getattr(mirror, field)
+            lines.append(f"_Static_assert(offsetof(struct {name}, {field}) == {got.offset} && "
+                         f"sizeof(((struct {name} *)0)->{field}) == {got.size}, "
+                         f'"{name}.{field}");')
+        lines.append(f"_Static_assert(sizeof(struct {name}) == {ctypes.sizeof(mirror)}, "
+                     f'"sizeof(struct {name})");')
+    (tmp_path / "mirrors.c").write_text("#include <stddef.h>\n" + "\n".join(lines) + "\n")
+    command = _compiled.compile_command()
+    try:
+        result = subprocess.run([*command, "-fsyntax-only", str(tmp_path / "mirrors.c")],
+                                capture_output=True, text=True, timeout=120)
+    except FileNotFoundError:
+        pytest.skip(f"no C compiler {command[0]!r} here")
+    assert result.returncode == 0, result.stderr
+    assert set(MIRRORS.values()) == {value for value in vars(_compiled).values()
+                                     if isinstance(value, type)
+                                     and issubclass(value, ctypes.Structure)}
 
 
 def _read_floats(cells: list[str]) -> np.ndarray:

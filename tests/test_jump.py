@@ -208,6 +208,37 @@ class TestNextJump:
         assert chi2 < CHI2_99_DF4
 
 
+def _draw_from_channel_rates(spec: ProcessSpec, s: LatticeState) -> tuple[float, int]:
+    """The draw of ``next_jump(spec, s, default_rng(0))`` rebuilt from
+    ``channel_rates(s)``: the exponential over the rate sum, then the first
+    channel whose cumulative rate exceeds the uniform times the sum, else
+    the last channel with a positive rate."""
+    rates = spec.channel_rates(s)
+    cum, total = [], 0.0
+    for rate in rates:
+        total += rate
+        cum.append(total)
+    rng = np.random.default_rng(0)
+    wait = rng.standard_exponential() / total
+    u = rng.random() * total
+    top = max(i for i, rate in enumerate(rates) if rate > 0.0)
+    return wait, next((i for i in range(top) if u < cum[i]), top)
+
+
+class TestChannelRates:
+    @pytest.mark.parametrize("gamma", [3.0, 7.0, 10.0, 100.0])
+    def test_the_loops_draw_against_channel_rates(self, gamma):
+        # At gamma = 10, kr = 3 is r = 0.3 as a rounded fraction, but
+        # 0.30000000000000004 as the loops' kr * float(r_unit).
+        params = ModelParams(alpha=0.01, beta=0.7, gamma=gamma, p=7.0)
+        for spec in (build_oneunit(params), build_global(params, 10), build_meanfield(params)):
+            for kr in range(1, 40):
+                for kn in (0, 1, 5):
+                    s = LatticeState(kr, kn, spec.r_unit, spec.n_unit)
+                    assert (next_jump(spec, s, np.random.default_rng(0))
+                            == _draw_from_channel_rates(spec, s)), (spec.kind, kr, kn)
+
+
 class TestSimulate:
     def test_deterministic_for_fixed_seed(self, fig1_params):
         spec = build_oneunit(fig1_params)

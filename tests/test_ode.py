@@ -188,10 +188,13 @@ class TestCompiledCheck:
     ``_rk4_python``'s whole outcome, a failed step's included."""
 
     def test_probes_clamp_and_fail(self):
-        (clamped, _), (failed, _) = (_outcome(_rk4_python, *probe, OVERSHOOT_LIMIT)
-                                     for probe in ode._PROBES)
+        clamped, failed, clamped_n, failed_n, not_finite = (
+            _outcome(_rk4_python, *probe, OVERSHOOT_LIMIT)[0] for probe in ode._PROBES)
         assert clamped[1] > 0 and clamped[2] == 0
         assert failed[2] == 2 and failed[3] == 3
+        assert clamped_n[1] == 1 and clamped_n[2] == 0
+        assert failed_n[2:4] == (3, 1) and failed_n[4] < OVERSHOOT_LIMIT
+        assert not_finite[2:4] == (1, 1)
 
     def test_keeps_a_loop_that_reproduces_the_python_loop(self):
         assert ode._agrees(functools.partial(_rk4_python))

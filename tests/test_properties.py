@@ -118,13 +118,13 @@ def test_global_expected_drift_is_the_vector_field(params, n_units, kr, kn):
         assert abs(got - want) <= 1e-12 * (1.0 + scale)
 
 
-def _reference_channel_rates(spec, s):
-    """Every rate of ``spec.table`` in its full form, all four terms and the
-    divisor written out, and censored by the step itself: zero when the
-    jump would leave the lattice.  For finite r, n >= 0 a zero term adds
-    +0.0 and a divisor of one divides exactly, so this is bit for bit the
-    rate with its zero terms skipped."""
-    r, n = s.r, s.n
+def _reference_channel_rates(spec, s, r, n):
+    """Every rate of ``spec.table`` at (r, n), the physical values of ``s``,
+    in its full form, all four terms and the divisor written out, and
+    censored by the step itself: zero when the jump would leave the
+    lattice.  For finite r, n >= 0 a zero term adds +0.0 and a divisor of
+    one divides exactly, so this is bit for bit the rate with its zero
+    terms skipped."""
     return [0.0 if s.kr + dkr < 0 or s.kn + dkn < 0
             else (k_rn * r * n + k_r * r + k_n * n + k_1) / div
             for (k_rn, k_r, k_n, k_1, div), (dkr, dkn) in zip(spec.table, CHANNEL_STEPS)]
@@ -134,7 +134,7 @@ def _reference_expected_drift(spec, s):
     """One scalar accumulation per component, channel by channel."""
     ru, nu = float(spec.r_unit), float(spec.n_unit)
     dr = dn = 0.0
-    for (dkr, dkn), rate in zip(CHANNEL_STEPS, _reference_channel_rates(spec, s)):
+    for (dkr, dkn), rate in zip(CHANNEL_STEPS, _reference_channel_rates(spec, s, s.r, s.n)):
         dr += rate * dkr * ru
         dn += rate * dkn * nu
     return dr, dn
@@ -144,7 +144,7 @@ def _reference_drift_via_generator(spec, s):
     g = spec.params.gamma
     ru, nu = float(spec.r_unit), float(spec.n_unit)
     total = 0.0
-    for (dkr, dkn), rate in zip(CHANNEL_STEPS, _reference_channel_rates(spec, s)):
+    for (dkr, dkn), rate in zip(CHANNEL_STEPS, _reference_channel_rates(spec, s, s.r, s.n)):
         total += rate * ((g + 1.0) * dkr * ru + dkn * nu)
     return total
 
@@ -163,7 +163,10 @@ lattice_index = st.one_of(st.integers(0, 2), st.integers(0, 5_000))
 def test_rates_and_generator_sums_match_the_scalar_loops(params, kind, n_units, kr, kn):
     spec = _build(kind, params, n_units)
     s = LatticeState(kr, kn, spec.r_unit, spec.n_unit)
-    assert spec.channel_rates(s) == _reference_channel_rates(spec, s)
+    # channel_rates at the loops' products, the generator sums at the
+    # correctly rounded state.
+    assert spec.channel_rates(s) == _reference_channel_rates(
+        spec, s, kr * float(spec.r_unit), kn * float(spec.n_unit))
     assert expected_drift(spec, s) == _reference_expected_drift(spec, s)
     if spec.kind is not ProcessKind.GLOBAL:
         assert drift_via_generator(spec, s) == _reference_drift_via_generator(spec, s)
