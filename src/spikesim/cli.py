@@ -51,21 +51,22 @@ from .spikes import (
 ENV_PREFIX = "SPIKESIM_"
 
 # Every resolvable option, once: name -> (type, default).  A command's
-# ``--name`` flags are made from it, and resolved in its order.
+# ``--name`` flags are made from it, and resolved in its order.  A run option
+# that no source sets is None here and takes RunConfig's default.
 OPTION_DEFAULTS: dict[str, tuple[type, object]] = {
     "alpha": (float, 0.01),
     "beta": (float, 1.0),
     "gamma": (float, 100.0),
     "p": (float, 7.0),
     "n_units": (int, 10),
-    "seed": (int, 1),
-    "t_end": (float, 200.0),
+    "seed": (int, None),
+    "t_end": (float, None),
     "max_jumps": (int, None),
     "r0": (float, 0.01),
     "n0": (float, 0.01),
     "a0": (float, None),
     "thr": (float, None),
-    "dt": (float, 1e-3),
+    "dt": (float, None),
     "epsilon": (float, 0.1),
 }
 
@@ -85,7 +86,10 @@ def _argument_checks():
 
 @dataclass
 class RunConfig:
-    """One trajectory-producing run plus optional analyses."""
+    """One trajectory-producing run plus optional analyses.  It is checked
+    when it is made, so a run that cannot be done, or whose ``*_out`` names
+    a file it would not write, fails before anything is simulated or
+    written."""
 
     params: ModelParams
     mode: str  # ds | global | meanfield | oneunit
@@ -103,6 +107,22 @@ class RunConfig:
     pairs_out: str | None = None
     survival_out: str | None = None
     label: str = "run"
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
+        if self.t_end is None:
+            if self.mode == "ds":
+                raise UsageError("ds mode needs --t-end")
+            if self.lln_reference:
+                raise UsageError("--lln-reference needs a horizon (--t-end)")
+        elif not (0 < self.t_end < math.inf):
+            raise UsageError(f"t_end must be finite and > 0, got {self.t_end}")
+        _check_levels(self.a0, self.thr)
+        written = self.artifacts()
+        for kind, needs in _NEEDS.items():
+            if getattr(self, f"{kind}_out") and kind not in written:
+                raise UsageError(f"--{kind}-out writes nothing without {needs}")
 
     def path_key(self) -> tuple:
         """Everything the simulated or integrated path depends on."""
@@ -161,19 +181,17 @@ def preset(name: str) -> list[RunConfig]:
         ]
     if name == "fig5":
         return [
-            RunConfig(params=p100, mode="oneunit", initial=State(0.0, 0.0),
-                      label="fig5_oneunit_gamma100"),
-            RunConfig(params=p2, mode="oneunit", initial=State(0.0, 0.0),
-                      label="fig5_oneunit_gamma2"),
+            RunConfig(params=p100, mode="oneunit", label="fig5_oneunit_gamma100"),
+            RunConfig(params=p2, mode="oneunit", label="fig5_oneunit_gamma2"),
         ]
     if name == "fig6":
         # Amplitude-tail statistics; trajectories are not kept, only the
         # survival curves and fits.
         return [
-            RunConfig(params=p100, mode="oneunit", initial=State(0.0, 0.0),
-                      t_end=1e5, a0=10.0, label="fig6_oneunit_gamma100"),
-            RunConfig(params=p2, mode="oneunit", initial=State(0.0, 0.0),
-                      t_end=1e5, a0=20.0, label="fig6_oneunit_gamma2"),
+            RunConfig(params=p100, mode="oneunit", t_end=1e5, a0=10.0,
+                      label="fig6_oneunit_gamma100"),
+            RunConfig(params=p2, mode="oneunit", t_end=1e5, a0=20.0,
+                      label="fig6_oneunit_gamma2"),
         ]
     if name == "fig7":
         # Plateau-amplitude scatter data under both plateau definitions.
@@ -181,8 +199,7 @@ def preset(name: str) -> list[RunConfig]:
         for params, tag, a0 in ((p100, "gamma100", 10.0), (p2, "gamma2", 20.0)):
             for thr in (0.0, 10.0):
                 runs.append(
-                    RunConfig(params=params, mode="oneunit", initial=State(0.0, 0.0),
-                              t_end=1e5, a0=a0, thr=thr,
+                    RunConfig(params=params, mode="oneunit", t_end=1e5, a0=a0, thr=thr,
                               label=f"fig7_oneunit_{tag}_thr{int(thr)}")
                 )
         return runs
@@ -193,12 +210,9 @@ def simulate_run(config: RunConfig) -> Trajectory | JumpTrajectory:
     """The path a RunConfig analyses: the ODE solution in ds mode, else one
     jump-process trajectory.  It depends on ``config.path_key()`` alone.
     Arguments the library rejects raise UsageError."""
-    if config.mode == "ds":
-        if config.t_end is None:
-            raise UsageError("ds mode needs --t-end")
-        with _argument_checks():
-            return integrate(config.params, config.initial, config.t_end, dt=config.dt)
     with _argument_checks():
+        if config.mode == "ds":
+            return integrate(config.params, config.initial, config.t_end, dt=config.dt)
         spec = _build_spec(config)
         initial = spec.lattice_state(config.initial.r, config.initial.n)
         return simulate(
@@ -227,9 +241,7 @@ def analyse_group(
         if config.lln_reference and config.mode != "ds":
             # Before anything is written: a reference that cannot be integrated,
             # or a window the path does not cover, leaves no artifact.
-            with _argument_checks():
-                ref = integrate(config.params, config.initial, config.t_end, dt=config.dt)
-            lln = lln_sup_distance(traj, ref, config.t_end)
+            lln = lln_sup_distance(traj, simulate_run(replace(config, mode="ds")), config.t_end)
         outdir.mkdir(parents=True, exist_ok=True)
         report: dict = {"mode": config.mode, "seed": config.seed, "label": config.label}
         if config.mode != "ds":
@@ -306,15 +318,6 @@ def _analyse(
     return report, amps, pairs
 
 
-def _check_overrides(seed: int | None, t_end: float | None) -> None:
-    """Reject a preset's seed and horizon overrides, when given, before its
-    first run writes anything."""
-    if seed is not None and seed < 0:
-        raise UsageError(f"seed must be >= 0, got {seed}")
-    if t_end is not None and not (0 < t_end < math.inf):
-        raise UsageError(f"t_end must be finite and > 0, got {t_end}")
-
-
 def _check_levels(a0: float | None, thr: float | None) -> None:
     """Reject spike and plateau levels the analysis cannot use, before
     anything is simulated or written."""
@@ -324,18 +327,10 @@ def _check_levels(a0: float | None, thr: float | None) -> None:
         raise UsageError(f"thr must be finite and >= 0, got {thr}")
 
 
-# What each optional artifact needs, by kind.
+# What each optional artifact needs, by kind: a ``--<kind>-out`` flag that
+# names a file the run would not write is a usage error.
 _NEEDS = {"survival": "--a0", "pairs": "both --a0 and --thr",
           "report": "--a0, --thr or --lln-reference"}
-
-
-def _check_outputs(named: dict[str, str | None], written) -> None:
-    """Reject an output flag, ``--<kind>-out`` by kind, that names a file
-    the run would not write (its kind is not in ``written``), before
-    anything is simulated or written."""
-    for kind, path in named.items():
-        if path and kind not in written:
-            raise UsageError(f"--{kind}-out writes nothing without {_NEEDS[kind]}")
 
 
 def _check_paths(written: dict[str, str | Path | None], read: dict[str, str | None]) -> None:
@@ -402,6 +397,9 @@ def build_parser() -> _Parser:
     ds = subs.add_parser("ds", help="integrate the deterministic system")
     _add_options(ds, *_PARAMS, "r0", "n0", "t_end", "dt")
     ds.add_argument("--out", required=True)
+    # A ds run is a simulate run of the ODE, without analyses.
+    ds.set_defaults(mode="ds", lln_reference=False, report_out=None, pairs_out=None,
+                    survival_out=None)
 
     st = subs.add_parser("stability", help="stationary point, eigenvalues, regime")
     _add_options(st, *_PARAMS)
@@ -480,13 +478,12 @@ def _convert(name: str, text: str, source: str):
         raise UsageError(f"{source}: {name}={text!r} is not a valid {typ.__name__}") from None
 
 
-def _resolve_options(args: argparse.Namespace) -> tuple[dict[str, object], set[str]]:
+def _resolve_options(args: argparse.Namespace) -> dict[str, object]:
     """The value of each table option the command declares (each that is an
     attribute of ``args``), in table order, by defaults < config file <
-    environment < flags; and the names of those that some source sets."""
+    environment < flags."""
     file_values = _read_config_file(getattr(args, "config", None))
     values: dict[str, object] = {}
-    given: set[str] = set()
     for name, (_type, default) in OPTION_DEFAULTS.items():
         if not hasattr(args, name):
             continue
@@ -496,9 +493,7 @@ def _resolve_options(args: argparse.Namespace) -> tuple[dict[str, object], set[s
         if env is not None:
             value = _convert(name, env, f"environment variable {env_name}")
         values[name] = value if flag is None else flag
-        if name in file_values or env is not None or flag is not None:
-            given.add(name)
-    return values, given
+    return values
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -521,7 +516,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _run_preset(args)
     if args.command in ("ds", "stability", "lyapunov"):
         _check_paths({"output": args.out}, {"config": args.config})
-    options, given = _resolve_options(args)
+    options = _resolve_options(args)
     if args.command == "analyze":
         return _run_analyze(args, options["a0"], options["thr"])
     try:
@@ -529,42 +524,25 @@ def _dispatch(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(f"invalid parameter combination: {exc}") from exc
 
-    if args.command == "ds":
-        initial = State(options.pop("r0"), options.pop("n0"))
-        config = RunConfig(params=params, mode="ds", initial=initial, out=args.out, **options)
-        list(analyse_group([config], simulate_run(config), Path(args.out).parent))
-        return 0
-
     if args.command == "stability":
         with _argument_checks():
             report = stability_report(params)
         io.write_json(args.out, report.to_dict(), params)
         return 0
 
-    if args.command == "simulate":
-        # A jump count alone bounds the run unless a horizon is set too.
-        if options["max_jumps"] is not None and "t_end" not in given:
-            options["t_end"] = None
+    if args.command in ("ds", "simulate"):
+        # An option no source sets takes RunConfig's default, but a jump
+        # count alone bounds the run unless a horizon is set too.
+        options = {name: value for name, value in options.items() if value is not None}
+        if "max_jumps" in options:
+            options.setdefault("t_end", None)
         initial = State(options.pop("r0"), options.pop("n0"))
-        config = RunConfig(
-            params=params,
-            mode=args.mode,
-            initial=initial,
-            lln_reference=args.lln_reference,
-            out=args.out,
-            report_out=args.report_out,
-            pairs_out=args.pairs_out,
-            survival_out=args.survival_out,
-            label=Path(args.out).stem,
-            **options,
-        )
-        _check_levels(config.a0, config.thr)
-        if config.lln_reference and config.t_end is None:
-            raise UsageError("--lln-reference needs a horizon (--t-end)")
+        config = RunConfig(params=params, mode=args.mode, initial=initial,
+                           lln_reference=args.lln_reference, out=args.out,
+                           report_out=args.report_out, pairs_out=args.pairs_out,
+                           survival_out=args.survival_out, label=Path(args.out).stem, **options)
         outdir = Path(args.out).parent
         files = config.artifacts(outdir)
-        _check_outputs({"survival": config.survival_out, "pairs": config.pairs_out,
-                        "report": config.report_out}, files)
         _check_paths(files, {"config": args.config})
         list(analyse_group([config], simulate_run(config), outdir))
         return 0
@@ -585,12 +563,9 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def _run_preset(args: argparse.Namespace) -> int:
-    runs = preset(args.name)
-    _check_overrides(args.seed, args.t_end)
-    if args.seed is not None:
-        runs = [replace(config, seed=args.seed) for config in runs]
-    if args.t_end is not None:
-        runs = [replace(config, t_end=args.t_end) for config in runs]
+    overrides = {name: getattr(args, name) for name in ("seed", "t_end")
+                 if getattr(args, name) is not None}
+    runs = [replace(config, **overrides) for config in preset(args.name)]
     # Adjacent runs on the same path share one simulation, so only one
     # path is held at a time.
     for _key, group in groupby(runs, key=RunConfig.path_key):
@@ -602,8 +577,8 @@ def _run_preset(args: argparse.Namespace) -> int:
 
 def _run_analyze(args: argparse.Namespace, a0: float | None, thr: float | None) -> int:
     _check_levels(a0, thr)
-    _check_outputs({"pairs": args.pairs_out},
-                   ["pairs"] if a0 is not None and thr is not None else [])
+    if args.pairs_out and (a0 is None or thr is None):
+        raise UsageError(f"--pairs-out writes nothing without {_NEEDS['pairs']}")
     _check_paths({"report": args.out, "pairs": args.pairs_out}, {"input": args.input})
     with _argument_checks():
         meta, columns = io.read_trajectory_csv(args.input)

@@ -9,7 +9,7 @@ and verify drift <= -epsilon outside it.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -226,7 +226,11 @@ def _compiled_scan() -> Callable | None:
 # term and in one block without it: (decay, bound, rows).  With epsilon = inf
 # every state outside A is a violation, so every drift there is compared bit
 # for bit: a build that fuses, reorders or rewrites an operation of a rate,
-# of the sum over the channels or of the decay changes some of them.
+# of the sum over the channels or of the decay changes some of them.  In the
+# sum a rate meets its channel's f-weight, and a fault in its last bit can
+# round away there; so each channel's row is also scanned alone, the others
+# zero, under the weights (1, 0) and (0, 1), with A empty: each rate then
+# meets a weight of +-1 in one of them, and is compared bit for bit.
 _PROBES = (((True, 0.3, 0.7), 20.0, 4), ((False, 0.3, 0.7), 5.0, 14))
 
 
@@ -236,6 +240,12 @@ def _agrees(scan: Callable) -> bool:
     spec = _probe_spec()
     probes = [(spec, _f_weights(spec), decay, bound, math.inf, (13, 11), rows)
               for decay, bound, rows in _PROBES]
+    zero = (0.0, 0.0, 0.0, 0.0, 1.0)
+    for i in range(len(spec.table)):
+        alone = replace(spec, table=tuple(row if j == i else zero
+                                          for j, row in enumerate(spec.table)))
+        probes += [(alone, weights, (False, 0.3, 0.7), -1.0, math.inf, (13, 11), 4)
+                   for weights in ((1.0, 0.0), (0.0, 1.0))]
     return all(got.dtype == expected.dtype and got.shape == expected.shape
                and got.tobytes() == expected.tobytes()
                for probe in probes for got, expected in zip(scan(*probe), _scan_python(*probe)))

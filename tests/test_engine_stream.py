@@ -10,6 +10,7 @@ stream must not move.  The module-level tests run the engine in use
 ``TestPythonKernel`` runs them again on the Python kernel.
 """
 
+import dataclasses
 import hashlib
 import os
 import platform
@@ -365,22 +366,32 @@ class TestBuild:
         self._assert_refused(empty_cache, compiles, request.node.callspec.id)
 
     @pytest.mark.skipif(jump.engine() != "compiled", reason="no compiled jump engine here")
-    @pytest.mark.parametrize("loop, line, mutant", [
+    @pytest.mark.parametrize("loop, line, mutant, order", [
         # The drift scan's rate that is the same all along a row, with and
         # without a divisor.
         ("scan", "(div != 1.0 ? (b + k_1) / div : b + k_1)",
-         "(div != 1.0 ? (k_1 + b * 1.0000000000000002) / div : b + k_1)"),
+         "(div != 1.0 ? (k_1 + b * 1.0000000000000002) / div : b + k_1)", None),
         ("scan", "(div != 1.0 ? (b + k_1) / div : b + k_1)",
-         "(div != 1.0 ? (b + k_1) / div : k_1 + b * 1.0000000000000002)"),
+         "(div != 1.0 ? (b + k_1) / div : k_1 + b * 1.0000000000000002)", None),
+        # The first fault with the probe table's rows in another order, in
+        # which the sum over the channels rounds it away: each channel's
+        # rate is compared on its own too.
+        ("scan", "(div != 1.0 ? (b + k_1) / div : b + k_1)",
+         "(div != 1.0 ? (k_1 + b * 1.0000000000000002) / div : b + k_1)", (4, 1, 3, 2, 0)),
         # A non-finite state reported as n below the limit, and an n below
         # the limit reported as r.
-        ("rk4", "fail = RK4_NOT_FINITE;", "fail = RK4_N_BELOW;"),
-        ("rk4", "rk4->fail_value = n;", "rk4->fail_value = r;"),
-    ], ids=["scan_row_rate_div", "scan_row_rate", "rk4_not_finite", "rk4_n_fail_value"])
+        ("rk4", "fail = RK4_NOT_FINITE;", "fail = RK4_N_BELOW;", None),
+        ("rk4", "rk4->fail_value = n;", "rk4->fail_value = r;", None),
+    ], ids=["scan_row_rate_div", "scan_row_rate", "scan_row_rate_div_rows_41320",
+            "rk4_not_finite", "rk4_n_fail_value"])
     def test_refuses_a_kernel_wrong_on_one_branch(self, empty_cache, monkeypatch, compiles,
-                                                  tmp_path_factory, loop, line, mutant):
+                                                  tmp_path_factory, loop, line, mutant, order):
         # A C-only fault, which no Python twin shares, on a branch that only
         # one of the probes takes.
+        if order:
+            probe = lyapunov._probe_spec()
+            monkeypatch.setattr(lyapunov, "_probe_spec", lambda: dataclasses.replace(
+                probe, table=tuple(probe.table[i] for i in order)))
         source = _compiled.SOURCE.read_text()
         assert source.count(line) == 1
         copy = tmp_path_factory.mktemp("kernel") / _compiled.SOURCE.name

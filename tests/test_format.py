@@ -18,9 +18,10 @@ loadtxt reads it.
 
 import ctypes
 import functools
+import random
 import subprocess
 import tracemalloc
-from io import BytesIO
+from io import BytesIO, TextIOWrapper
 from unittest import mock
 
 import numpy as np
@@ -367,6 +368,48 @@ def test_a_row_longer_than_a_block_is_refused():
     assert READER(BytesIO(text), [0, 1, 2], len(text), block=len(text) - 1) is None
     assert [list(c) for c in READER(BytesIO(text), [0, 1, 2], len(text), block=len(text))] == [
         [0.1], [0.2], [0.3]]
+
+
+# Bytes a hostile file may hold where the writers write a row.
+HOSTILE = b"0123456789.,+-eEinfaINx_ \t\r\n\0\xff"
+
+
+@compiled
+def test_hostile_rows_are_refused_or_read_as_loadtxt_reads_them():
+    # Mutations of the check's rows, in windows of one to eight rows: a byte
+    # replaced, inserted or deleted, or a run of nines inserted.  Each is
+    # read in blocks of 64, 256 and 65,536 bytes; the reader may refuse it,
+    # but what it reads is loadtxt's floats, and it refuses what loadtxt
+    # refuses.
+    rows = "".join(io._python_rows(io._check_columns(), CHANNEL_LABELS, 7)).encode("ascii")
+    rows = rows.splitlines(keepends=True)
+    rng = random.Random(0)
+    accepted = 0
+    for _ in range(3000):
+        first = rng.randrange(len(rows))
+        text = bytearray(b"".join(rows[first:first + rng.randint(1, 8)]))
+        at, kind = rng.randrange(len(text)), rng.randrange(4)
+        if kind == 0:
+            text[at] = rng.choice(HOSTILE)
+        elif kind == 1:
+            text.insert(at, rng.choice(HOSTILE))
+        elif kind == 2:
+            del text[at]
+        else:
+            text[at:at] = b"9" * rng.randint(1, 39)
+        try:
+            expected = io._loadtxt(TextIOWrapper(BytesIO(text), encoding="ascii"),
+                                   [0, 1, 2, 3, 4])
+        except ValueError:
+            expected = None
+        for block in (64, 256, 65_536):
+            got = READER(BytesIO(text), [0, 1, 2, 3, 4, -1], len(text), block=block)
+            if got is not None:
+                assert expected is not None, bytes(text)
+                assert all(np.array_equal(_bits(a), _bits(b))
+                           for a, b in zip(got, expected, strict=True)), bytes(text)
+                accepted += 1
+    assert accepted > 0
 
 
 @compiled

@@ -115,6 +115,28 @@ class TestFocusOscillations:
         assert len(peaks) >= 3
         assert all(a > b for a, b in zip(peaks, peaks[1:]))
 
+    @pytest.mark.parametrize("loop", RK4_LOOPS, ids=_loop_name)
+    def test_ringing_has_the_eigenvalues_period_and_decay(self, fig1_params, monkeypatch, loop):
+        # Started just off the fixed point, the path rings as its
+        # linearisation does: n - n* peaks every 2 pi / Im(lambda) and its
+        # peaks decay at Re(lambda).  Each late peak is located by the
+        # parabola through its three samples.
+        monkeypatch.setattr(ode, "_compiled_rk4", lambda: loop)
+        fp = stationary_point(fig1_params)
+        traj = integrate(fig1_params, State(1.001 * fp.r, fp.n), t_end=400.0, dt=1e-3,
+                         sample_every=1)
+        t, d = traj.t, traj.n - fp.n
+        i = np.flatnonzero((d[1:-1] > d[:-2]) & (d[1:-1] >= d[2:]) & (t[1:-1] > 100.0)) + 1
+        left, mid, right = d[i - 1], d[i], d[i + 1]
+        offset = 0.5 * (left - right) / (left - 2.0 * mid + right)
+        times = t[i] + offset * (t[i + 1] - t[i])
+        heights = mid - 0.25 * (left - right) * offset
+        assert len(times) == 13
+        root = eigenvalues(fig1_params)[0]
+        period = (times[-1] - times[0]) / (len(times) - 1)
+        assert period == pytest.approx(2.0 * math.pi / root.imag, rel=1e-4)
+        assert np.polyfit(times, np.log(heights), 1)[0] == pytest.approx(root.real, rel=1e-3)
+
     def test_node_regime_monotone_contraction(self):
         params = ModelParams(alpha=0.01, beta=1.0, gamma=1.0, p=7.0)
         traj = integrate(params, State(0.01, 0.01), t_end=20.0, dt=1e-3)
