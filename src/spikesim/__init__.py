@@ -33,6 +33,8 @@ from .ode import (  # noqa: F401
 from .jump import (  # noqa: F401
     CHANNEL_LABELS,
     EventCapError,
+    JumpChunk,
+    JumpStream,
     JumpTrajectory,
     LatticeState,
     ProcessKind,
@@ -46,6 +48,7 @@ from .jump import (  # noqa: F401
     meanfield_drift_field,
     next_jump,
     simulate,
+    simulate_chunks,
 )
 from .lyapunov import (  # noqa: F401
     DriftReport,
@@ -59,6 +62,7 @@ from .lyapunov import (  # noqa: F401
 from .spikes import (  # noqa: F401
     CorrelationSummary,
     CoverageError,
+    ExcursionScan,
     InsufficientDataError,
     PathSeries,
     TailFit,
@@ -68,5 +72,6 @@ from .spikes import (  # noqa: F401
     fit_exponential,
     lln_sup_distance,
     pair_plateau_spike,
+    scan_levels,
     tail_survival,
 )

@@ -54,11 +54,12 @@ struct run {               /* where a run stands; _compiled._Run */
 };
 
 /* Run at most run->limit events from (run->kr, run->kn) at time run->t and
-   return how many ran.  Event i stores its time in times[i] and its channel
-   in picks[i].  On return run holds the state and the time after the last
-   event and why the loop stopped, so the next call continues the run. */
+   return how many ran.  Event i stores its time in times[i], the state
+   after it in krs[i] and kns[i], and its channel in picks[i].  On return run
+   holds the state and the time after the last event and why the loop
+   stopped, so the next call continues the run. */
 int64_t spikesim_direct_method(bitgen_t *bitgen, const struct table *table, struct run *run,
-                               double *times, int8_t *picks)
+                               double *times, int64_t *krs, int64_t *kns, int8_t *picks)
 {
     const int n_channels = (int)table->n_channels;
     const double *coef = table->coef, r_unit = table->r_unit, n_unit = table->n_unit;
@@ -103,6 +104,8 @@ int64_t spikesim_direct_method(bitgen_t *bitgen, const struct table *table, stru
         kr += step[2 * pick];
         kn += step[2 * pick + 1];
         times[count] = t;
+        krs[count] = kr;
+        kns[count] = kn;
         picks[count] = (int8_t)pick;
     }
     run->kr = kr;

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__, io
 from .jump import (
+    JumpStream,
     JumpTrajectory,
     ProcessKind,
     build_global,
@@ -32,6 +33,7 @@ from .jump import (
     build_oneunit,
     engine_status,
     simulate,
+    simulate_chunks,
 )
 from .lyapunov import scan_drift_condition
 from .model import _PARAMS, ModelParams, State, stability_report
@@ -45,6 +47,7 @@ from .spikes import (
     fit_exponential,
     lln_sup_distance,
     pair_plateau_spike,
+    scan_levels,
     tail_survival,
 )
 
@@ -206,61 +209,59 @@ def preset(name: str) -> list[RunConfig]:
     raise UsageError(f"unknown preset {name!r} (know fig1, fig2, fig3, fig5, fig6, fig7)")
 
 
-def simulate_run(config: RunConfig) -> Trajectory | JumpTrajectory:
-    """The path a RunConfig analyses: the ODE solution in ds mode, else one
-    jump-process trajectory.  It depends on ``config.path_key()`` alone.
-    Arguments the library rejects raise UsageError."""
+def simulate_run(*configs: RunConfig) -> Trajectory | JumpTrajectory | JumpStream:
+    """The path that ``configs``, RunConfigs of one ``path_key()``, analyse:
+    the ODE solution in ds mode, else one jump-process run.  The run is held
+    whole where a config writes it or compares it with the ODE
+    (``lln_reference``), and is a stream elsewhere, which ``analyse_group``
+    runs.  Arguments the library rejects raise UsageError."""
+    config = configs[0]
     with _argument_checks():
         if config.mode == "ds":
             return integrate(config.params, config.initial, config.t_end, dt=config.dt)
         spec = _build_spec(config)
         initial = spec.lattice_state(config.initial.r, config.initial.n)
-        return simulate(
-            spec,
-            initial,
-            t_end=config.t_end,
-            max_jumps=config.max_jumps,
-            seed=config.seed,
-        )
+        whole = any("path" in c.artifacts() or c.lln_reference for c in configs)
+        return (simulate if whole else simulate_chunks)(
+            spec, initial, t_end=config.t_end, max_jumps=config.max_jumps, seed=config.seed)
 
 
 def analyse_group(
-    configs: list[RunConfig], traj: Trajectory | JumpTrajectory, outdir: str | Path = "."
+    configs: list[RunConfig], path: Trajectory | JumpTrajectory | JumpStream,
+    outdir: str | Path = ".",
 ) -> Iterator[Path]:
     """Write the artifacts of each of ``configs``, RunConfigs that share the
-    path ``traj`` (as made by ``simulate_run``), in turn, yielding each
-    artifact path once it is written.  The path's series is built once, when
-    a config first asks for spikes or plateaus, and its spikes are detected
-    once per level."""
+    path ``path`` (as ``simulate_run`` makes it for them), in turn, yielding
+    each artifact path once it is written.  The path's spikes at each a0 and
+    plateaus at each thr of the configs are found first, in one pass over
+    it, which runs it if it is a stream."""
     outdir = Path(outdir)
-    series: PathSeries | None = None
-    spikes_at: dict[float, np.recarray] = {}
+    with _argument_checks():
+        spikes_at, plateaus_at = scan_levels(path, {c.a0 for c in configs} - {None},
+                                             {c.thr for c in configs} - {None})
     for config in configs:
         files = config.artifacts(outdir)
         lln = None
         if config.lln_reference and config.mode != "ds":
             # Before anything is written: a reference that cannot be integrated,
             # or a window the path does not cover, leaves no artifact.
-            lln = lln_sup_distance(traj, simulate_run(replace(config, mode="ds")), config.t_end)
+            lln = lln_sup_distance(path, simulate_run(replace(config, mode="ds")), config.t_end)
         outdir.mkdir(parents=True, exist_ok=True)
         report: dict = {"mode": config.mode, "seed": config.seed, "label": config.label}
         if config.mode != "ds":
-            report["n_events"] = traj.n_events
-            report["terminated_by"] = traj.terminated_by.value
+            report["n_events"] = path.n_events
+            report["terminated_by"] = path.terminated_by.value
 
         if "path" in files:
             if config.mode == "ds":
-                io.write_ode_csv(files["path"], traj,
+                io.write_ode_csv(files["path"], path,
                                  {"r0": config.initial.r, "n0": config.initial.n})
             else:
-                io.write_jump_csv(files["path"], traj)
+                io.write_jump_csv(files["path"], path)
             yield files["path"]
 
-        if series is None and (config.a0 is not None or config.thr is not None):
-            series = PathSeries.from_ode(traj) if config.mode == "ds" else PathSeries.from_jump(traj)
-        if config.a0 is not None and config.a0 not in spikes_at:
-            spikes_at[config.a0] = detect_spikes(series, config.a0)
-        stats, amps, pairs = _analyse(series, config.a0, config.thr, spikes_at.get(config.a0))
+        stats, amps, pairs = _analyse(config.a0, config.thr, spikes_at.get(config.a0),
+                                      plateaus_at.get(config.thr))
         report.update(stats)
         if "survival" in files:
             # Header only when no spike exceeds a0.
@@ -286,19 +287,16 @@ def analyse_group(
 
 
 def _analyse(
-    series: PathSeries | None, a0: float | None, thr: float | None,
-    spikes: np.recarray | None = None,
+    a0: float | None, thr: float | None, spikes: np.recarray | None, plateaus: np.recarray | None,
 ) -> tuple[dict, np.ndarray | None, np.ndarray | None]:
-    """The spike, tail-fit, plateau, pairing and correlation report of one
-    path, with the spike amplitudes (None without ``a0``) and the
-    plateau-spike pairs (None unless both levels are given).  ``series`` is
-    used only when a level is given; ``spikes`` are its spikes at ``a0``
-    when they are already detected."""
+    """The spike, tail-fit, plateau, pairing and correlation report of a
+    path's ``spikes`` above ``a0`` and ``plateaus`` at or below ``thr``
+    (each None without its level), with the spike amplitudes (None without
+    ``a0``) and the plateau-spike pairs (None unless both levels are
+    given)."""
     report: dict = {}
     amps = pairs = None
     if a0 is not None:
-        if spikes is None:
-            spikes = detect_spikes(series, a0)
         amps = spikes.amplitude
         report["spikes"] = {"a0": a0, "count": len(spikes)}
         try:
@@ -307,7 +305,6 @@ def _analyse(
             report["spikes"]["tail_fit"] = None
             report["spikes"]["note"] = str(exc)
     if thr is not None:
-        plateaus = detect_plateaus(series, thr)
         report["plateaus"] = {"thr": thr, "count": len(plateaus)}
         if spikes is not None:
             pairs = pair_plateau_spike(plateaus, spikes)
@@ -570,7 +567,7 @@ def _run_preset(args: argparse.Namespace) -> int:
     # path is held at a time.
     for _key, group in groupby(runs, key=RunConfig.path_key):
         group = list(group)
-        for written in analyse_group(group, simulate_run(group[0]), outdir=args.outdir):
+        for written in analyse_group(group, simulate_run(*group), outdir=args.outdir):
             print(written)
     return 0
 
@@ -607,7 +604,8 @@ def _run_analyze(args: argparse.Namespace, a0: float | None, thr: float | None) 
     series = PathSeries(times=t, values=columns["n"], t_end=t_end, step=step)
 
     report: dict = {"input": str(args.input), "mode": meta.get("mode", "unknown")}
-    stats, _amps, pairs = _analyse(series, a0, thr)
+    stats, _amps, pairs = _analyse(a0, thr, None if a0 is None else detect_spikes(series, a0),
+                                   None if thr is None else detect_plateaus(series, thr))
     report.update(stats)
     if pairs is not None and args.pairs_out:
         io.write_pairs_csv(args.pairs_out, pairs, params, {"a0": a0, "thr": thr})

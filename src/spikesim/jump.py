@@ -26,11 +26,12 @@ is checked against, and the fallback where it cannot be built or loaded.
 
 import functools
 import math
+import sys
 from array import array
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from .model import ModelParams, State, stationary_point
 CHANNEL_LABELS = ("stim-emission", "spont-emission", "absorption", "pumping", "leak")
 # (dkr, dkn) lattice increments, common to all three processes.
 CHANNEL_STEPS = ((-1, +1), (-1, +1), (+1, -1), (+1, 0), (0, -1))
-_STEPS = np.array(CHANNEL_STEPS, dtype=np.int64).T.copy()  # rows: dkr, dkn
 
 DEFAULT_MAX_EVENTS = 10_000_000
 
@@ -273,18 +273,35 @@ def _make_table(*terms: dict) -> tuple[tuple[float, float, float, float, float],
 
 
 def _run(spec: ProcessSpec, kr: int, kn: int, rng: np.random.Generator, t_end: float,
-         limit: int) -> tuple[array, bytearray, int]:
+         limit: int) -> tuple[np.ndarray, np.ndarray, int]:
     """At most ``limit`` events from (kr, kn) at t = 0: event times, channel
-    indices and the stop code, an index into ``_STOPS``.  The compiled loop
-    runs where it is available, the Python kernel elsewhere; the two draw
-    the same stream."""
-    return (_compiled_run() or _run_python)(spec, kr, kn, rng, t_end, limit)
+    indices and the stop code, an index into ``_STOPS``."""
+    (times, _krs, _kns, channels), stop = _collect(_kernel()(spec, kr, kn, rng, t_end, limit))
+    return times, channels, stop
+
+
+def _kernel() -> Callable:
+    """The compiled loop where it is available, the Python kernel elsewhere;
+    the two draw the same stream, in the same chunks."""
+    return _compiled_run() or _run_python
+
+
+def _collect(chunks) -> tuple[list[np.ndarray], int]:
+    """A run's chunks, each a (times, krs, kns, channels) tuple and its stop
+    code, joined by appending each in place: the whole run's four arrays and
+    its stop code."""
+    held = [bytearray() for _ in _DTYPES]
+    for arrays, stop in chunks:
+        for path, values in zip(held, arrays, strict=True):
+            path += values.data
+    return [np.frombuffer(path, dtype) for path, dtype in zip(held, _DTYPES)], stop
 
 
 def _run_python(spec: ProcessSpec, kr: int, kn: int, rng: np.random.Generator, t_end: float,
-                limit: int) -> tuple[array, bytearray, int]:
+                limit: int) -> Iterator[tuple[tuple[np.ndarray, ...], int | None]]:
     """``spikesim_direct_method`` of ``_kernel.c``: the same draws and the
-    same floating-point operations in the same order.
+    same floating-point operations in the same order, in the chunks that
+    ``_compiled.run`` calls it for, each with the stop code after the last.
 
     Per event: the channel rates, each summed term by term left to right
     with its zero terms left out and zero below its guard; their cumulative
@@ -294,16 +311,19 @@ def _run_python(spec: ProcessSpec, kr: int, kn: int, rng: np.random.Generator, t
     cumulative rate is above the uniform, else top (as where round-off puts
     the uniform on the top edge).  The C loop finds it by a downward scan
     without a branch; here the forward loop with its break is the faster
-    form.  Only the event time and the channel index are stored.  The stop
-    code is 0 at the limit, 1 when absorbed and 2 at the time horizon, as
-    the C loop's.
+    form.  The event time, the state after the event and the channel index
+    are stored.  The stop code is 0 at the limit, 1 when absorbed and 2 at
+    the time horizon, as the C loop's.
     """
+    from . import _compiled
+
     rows, r_unit, n_unit = spec._rows, float(spec.r_unit), float(spec.n_unit)
     exponential, uniform = rng.standard_exponential, rng.random
-    times, picks = array("d"), bytearray()
+    size, stop = _compiled.CHUNK_EVENTS, 0
+    times, krs, kns, picks = array("d"), array("q"), array("q"), bytearray()
     cum = [0.0] * len(rows)
     t = 0.0
-    for _ in range(limit):
+    for count in range(1, limit + 1):
         r, n, total, top = kr * r_unit, kn * n_unit, 0.0, 0
         for i, (k_rn, k_r, k_n, k_1, div, guard_kr, guard_kn, _dkr, _dkn) in enumerate(rows):
             rate = 0.0
@@ -323,10 +343,12 @@ def _run_python(spec: ProcessSpec, kr: int, kn: int, rng: np.random.Generator, t
             total += rate
             cum[i] = total
         if total <= 0.0:
-            return times, picks, 1
+            stop = 1
+            break
         t_next = t + exponential() / total
         if t_next > t_end:
-            return times, picks, 2
+            stop = 2
+            break
         t = t_next
         u = uniform() * total
         pick = top
@@ -337,8 +359,21 @@ def _run_python(spec: ProcessSpec, kr: int, kn: int, rng: np.random.Generator, t
         kr += rows[pick][7]
         kn += rows[pick][8]
         times.append(t)
+        krs.append(kr)
+        kns.append(kn)
         picks.append(pick)
-    return times, picks, 0
+        if len(picks) == size and count < limit:
+            yield _arrays(times, krs, kns, picks), None
+            times, krs, kns, picks = array("d"), array("q"), array("q"), bytearray()
+    yield _arrays(times, krs, kns, picks), stop
+
+
+# The dtypes of a run's event times, states (kr, kn) and channels.
+_DTYPES = (np.float64, np.int64, np.int64, np.int8)
+
+
+def _arrays(*held) -> tuple[np.ndarray, ...]:
+    return tuple(np.frombuffer(values, dtype) for values, dtype in zip(held, _DTYPES))
 
 
 # Termination by the direct-method loop's stop code.
@@ -378,10 +413,13 @@ def _agrees(run: Callable) -> bool:
     pumping, is subnormal: the uniform times the total is then 0.0 about
     half the time, equal to the cumulative rate of every channel below
     pumping, and a pick that takes such a tie leaves the stream."""
+    def outcome(loop, spec, kr, kn):
+        arrays, stop = _collect(loop(spec, kr, kn, np.random.default_rng(0), math.inf, 400))
+        return [values.tobytes() for values in arrays], stop
+
     tie = replace(_probe_spec(), table=_make_table({}, {}, {}, {"k_1": 5e-324}, {}))
-    return all(run(spec, kr, kn, np.random.default_rng(0), math.inf, 400)
-               == _run_python(spec, kr, kn, np.random.default_rng(0), math.inf, 400)
-               for spec, kr, kn in ((_probe_spec(), 5, 200), (tie, 0, 0)))
+    return all(outcome(run, *probe) == outcome(_run_python, *probe)
+               for probe in ((_probe_spec(), 5, 200), (tie, 0, 0)))
 
 
 def _probe_spec() -> ProcessSpec:
@@ -410,7 +448,99 @@ def next_jump(
     the seed and draw count alone.
     """
     times, picks, _stop = _run(spec, s.kr, s.kn, rng, math.inf, 1)
-    return (times[0], picks[0]) if picks else None
+    return (float(times[0]), int(picks[0])) if len(picks) else None
+
+
+class JumpChunk(NamedTuple):
+    """Consecutive events of a run, as ``JumpTrajectory`` holds a whole
+    path: their times, the state after each, and their channels."""
+
+    times: np.ndarray
+    krs: np.ndarray
+    kns: np.ndarray
+    channels: np.ndarray
+
+
+def _covered(stop: int, t_end: float | None, last: float) -> tuple[Termination, float]:
+    """A run's termination and the horizon it covers, given its stop code
+    and the time of its last event (0.0 with none): see ``JumpTrajectory``."""
+    terminated = _STOPS[stop]
+    if t_end is None or terminated is Termination.MAX_JUMPS:
+        t_end = last
+    return terminated, t_end
+
+
+def _check_run(spec: ProcessSpec, initial: LatticeState, t_end: float | None,
+               max_jumps: int | None, seed: int) -> None:
+    if t_end is None and max_jumps is None:
+        raise ValueError("provide t_end and/or max_jumps")
+    if t_end is not None and not (0 < t_end < math.inf):
+        raise ValueError(f"t_end must be finite and > 0, got {t_end}")
+    if max_jumps is not None and max_jumps < 0:
+        raise ValueError(f"max_jumps must be >= 0, got {max_jumps}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if initial.r_unit != spec.r_unit or initial.n_unit != spec.n_unit:
+        raise ValueError("initial state is not on the process lattice")
+
+
+class JumpStream:
+    """One run of ``simulate``, yielded a ``JumpChunk`` of at most
+    ``_compiled.CHUNK_EVENTS`` events at a time and held nowhere whole.  A
+    chunk's arrays are views of buffers that the next chunk overwrites.
+    ``n_events`` counts the events yielded so far; ``terminated_by`` and
+    ``t_end``, None until the stream ends, then hold what ``simulate``'s
+    trajectory would.  It runs once."""
+
+    def __init__(self, spec: ProcessSpec, initial: LatticeState, seed: int,
+                 t_end: float | None, limit: int) -> None:
+        self.spec, self.initial, self.seed = spec, initial, seed
+        self.n_events = 0
+        self.terminated_by: Termination | None = None
+        self.t_end: float | None = None
+        self._chunks = self._run(t_end, limit)
+
+    def __iter__(self) -> "JumpStream":
+        return self
+
+    def __next__(self) -> JumpChunk:
+        return next(self._chunks)
+
+    def _run(self, t_end: float | None, limit: int) -> Iterator[JumpChunk]:
+        last = 0.0
+        for arrays, stop in _kernel()(self.spec, self.initial.kr, self.initial.kn,
+                                      np.random.default_rng(self.seed),
+                                      math.inf if t_end is None else t_end, limit):
+            chunk = JumpChunk(*arrays)
+            if len(chunk.times):
+                # Cannot happen with censoring; guards regressions.
+                if min(chunk.krs.min(), chunk.kns.min()) < 0:
+                    raise RuntimeError("negative lattice state on the simulated path")
+                # Times never decrease, so the last one is finite when all are.
+                last = float(chunk.times[-1])
+                if not math.isfinite(last):
+                    raise ValueError(f"event time {last} is not finite: the total rate is too "
+                                     f"small for its waiting time to be a float")
+            self.n_events += len(chunk.times)
+            if stop is not None:
+                self.terminated_by, self.t_end = _covered(stop, t_end, last)
+            yield chunk
+
+
+def simulate_chunks(
+    spec: ProcessSpec,
+    initial: LatticeState,
+    *,
+    t_end: float | None = None,
+    max_jumps: int | None = None,
+    seed: int,
+) -> JumpStream:
+    """``simulate``'s run as a ``JumpStream``: the same events, a chunk at a
+    time, with no event cap, since no chunk outlives the next.  A run whose
+    event times overflow to inf raises ValueError at the chunk that holds
+    the first of them."""
+    _check_run(spec, initial, t_end, max_jumps, seed)
+    return JumpStream(spec, initial, seed, t_end, sys.maxsize if max_jumps is None else max_jumps)
 
 
 def simulate(
@@ -427,45 +557,19 @@ def simulate(
     Identical (spec, initial, seed) give identical trajectories.  The number
     of stored events is hard-capped at ``max_events``.  A run whose event
     times overflow to inf, at a total rate too small for its waiting times
-    to be floats, is a ValueError.  The loop keeps only
-    event times and channel indices (9 bytes an event); the states are
-    rebuilt afterwards as an exact integer cumulative sum of the steps.
+    to be floats, is a ValueError.  The path is the run's stream of chunks
+    (``simulate_chunks``) appended in place: 25 bytes an event, for the
+    event time, the lattice state after it and the channel.
     """
-    if t_end is None and max_jumps is None:
-        raise ValueError("provide t_end and/or max_jumps")
-    if t_end is not None and not (0 < t_end < math.inf):
-        raise ValueError(f"t_end must be finite and > 0, got {t_end}")
-    if max_jumps is not None and max_jumps < 0:
-        raise ValueError(f"max_jumps must be >= 0, got {max_jumps}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if initial.r_unit != spec.r_unit or initial.n_unit != spec.n_unit:
-        raise ValueError("initial state is not on the process lattice")
-
+    _check_run(spec, initial, t_end, max_jumps, seed)
     # One event past the cap is enough to know the cap is exceeded.
     limit = max_events + 1 if max_jumps is None else min(max_jumps, max_events + 1)
-    times, picks, stop = _run(
-        spec, initial.kr, initial.kn, np.random.default_rng(seed),
-        math.inf if t_end is None else t_end, limit,
-    )
-    if len(picks) > max_events:
+    stream = JumpStream(spec, initial, seed, t_end, limit)
+    (times, krs, kns, channels), _stop = _collect((chunk, None) for chunk in stream)
+    if len(times) > max_events:
         raise EventCapError(f"event cap of {max_events} exceeded at t = {times[-1]:.6g}")
-    # Times never decrease, so the last one is finite when all are.
-    if times and not math.isfinite(times[-1]):
-        raise ValueError(f"event time {times[-1]} is not finite: the total rate is too small "
-                         f"for its waiting time to be a float")
-
-    channels = np.frombuffer(picks, dtype=np.int8)
-    krs, kns = path = np.take(_STEPS, channels, axis=1)  # exact integer step sums
-    path[:, :1] += [[initial.kr], [initial.kn]]
-    np.cumsum(path, axis=1, out=path)
-    if path.size and path.min() < 0:  # cannot happen with censoring; guards regressions
-        raise RuntimeError("negative lattice state on the simulated path")
-    terminated = _STOPS[stop]
-    if t_end is None or terminated is Termination.MAX_JUMPS:
-        t_end = times[-1] if times else 0.0
-    return JumpTrajectory(spec, initial, seed, np.frombuffer(times, dtype=np.float64),
-                          krs, kns, channels, terminated, t_end)
+    return JumpTrajectory(spec, initial, seed, times, krs, kns, channels, stream.terminated_by,
+                          stream.t_end)
 
 
 def expected_drift(spec: ProcessSpec, s: LatticeState) -> tuple[float, float]:

@@ -6,11 +6,12 @@ lives entirely in the jump engine.
 """
 
 import math
+from collections.abc import Collection, Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .jump import JumpTrajectory
+from .jump import JumpStream, JumpTrajectory
 from .ode import Trajectory
 
 
@@ -72,26 +73,119 @@ class CorrelationSummary:
         return asdict(self)
 
 
-def _excursions(
-    series: PathSeries, inside: np.ndarray, level: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Maximal runs of True in the sample mask ``inside``: each run's first
-    index, the index just past its end, and its start and end times.
+class ExcursionScan:
+    """The maximal runs of a path's samples strictly above ``level`` (with
+    ``peaks``: spikes, each with its peak) or at or below it (plateaus),
+    found a chunk of samples at a time: ``feed`` it the path's chunks in
+    order, then ``close`` it at the path's end.
 
-    A run's ends are sample times on a step path and the linear crossings of
-    ``level`` on any other path.  A run open at the first sample starts at
-    its time, and one still open at the last sample ends at ``series.t_end``.
+    A run's ends are sample times on a ``step`` path and the linear
+    crossings of ``level`` on any other path.  A run open at the first
+    sample starts at its time, and one still open at the end ends there.
+    A run open at a chunk's last sample is carried into the next chunk: its
+    start time and, with peaks, its running peak and the first time it was
+    reached.  A linear path also carries its last sample, for a crossing
+    between it and the next chunk's first one.  A chunk's masks go into
+    buffers that the next chunk reuses.  ``level`` is an a0 above 0 with
+    peaks, else a thr at or above 0.
     """
-    t, v = series.times, series.values
-    edges = np.flatnonzero(np.diff(inside, prepend=False, append=False))
-    times = np.where(edges < len(t), t.take(edges, mode="clip"), series.t_end)
-    if not series.step:
-        # The two samples at an inner edge lie on opposite sides of the
-        # level, so the crossing is well defined.
-        inner = (edges > 0) & (edges < len(t))
-        i = edges[inner] - 1
-        times[inner] = t[i] + (level - v[i]) / (v[i + 1] - v[i]) * (t[i + 1] - t[i])
-    return edges[::2], edges[1::2], times[::2], times[1::2]
+
+    def __init__(self, level: float, *, peaks: bool, step: bool) -> None:
+        if peaks and not (level > 0):
+            raise ValueError(f"a0 must be > 0, got {level}")
+        if not peaks and not (level >= 0):
+            raise ValueError(f"thr must be >= 0, got {level}")
+        self.level, self.peaks, self.step = level, peaks, step
+        self._open = False  # whether a run is open at the last sample fed
+        self._start = self._peak = self._t_peak = None  # the open run's
+        self._last = None  # (time, value) of the last sample fed
+        self._runs: list[tuple[np.ndarray, ...]] = []  # per chunk, the runs it closed
+        self._inside = self._edge = np.empty(0, bool)
+
+    def feed(self, times: np.ndarray, values: np.ndarray) -> None:
+        """Scan the next chunk of the path: its sample times and values."""
+        size = len(values)
+        if not size:
+            return
+        if len(self._inside) < size:
+            self._inside, self._edge = np.empty(size, bool), np.empty(size, bool)
+        inside = (np.greater if self.peaks else np.less_equal)(values, self.level,
+                                                               out=self._inside[:size])
+        edge = self._edge[:size]
+        edge[0] = inside[0] != self._open
+        np.not_equal(inside[1:], inside[:-1], out=edge[1:])
+        edges = np.flatnonzero(edge)
+        at = times[edges]
+        if not self.step:
+            # The two samples at an edge lie on opposite sides of the level,
+            # so the crossing is well defined.
+            i, t, v = edges[edges > 0] - 1, times, values
+            inner = t[i] + (self.level - v[i]) / (v[i + 1] - v[i]) * (t[i + 1] - t[i])
+            at[len(at) - len(i):] = inner
+            if len(i) < len(at) and self._last is not None:
+                t, v = self._last
+                at[0] = t + (self.level - v) / (values[0] - v) * (times[0] - t)
+        carried = [self._start] if self._open else []
+        starts, ends = (at[1::2], at[::2]) if self._open else (at[::2], at[1::2])
+        starts = np.concatenate((carried, starts))
+        closed = len(ends)
+        runs = [starts[:closed], ends]
+        if self.peaks and len(starts):
+            # Each run's samples in this chunk, and those that follow it up
+            # to the next run's first, lie in one segment; the samples past
+            # its end lie at or below the level, so the segment's peak is
+            # the run's.
+            first = edges[int(self._open)::2]
+            if self._open:
+                first = np.concatenate(([0], first))
+            amps = np.maximum.reduceat(values, first)
+            # The samples that equal their segment's peak (the first segment
+            # taking in those before it too, all at or below the level); a
+            # run's first one is where it peaks.
+            lengths = np.diff(first, append=size)
+            lengths[0] += first[0]
+            hits = np.flatnonzero(np.equal(values, np.repeat(amps, lengths), out=inside))
+            t_peaks = times[hits[np.searchsorted(hits, first)]]
+            if self._open and not amps[0] > self._peak:
+                amps[0], t_peaks[0] = self._peak, self._t_peak
+            runs += [t_peaks[:closed], amps[:closed]]
+            self._peak, self._t_peak = amps[-1], t_peaks[-1]
+        if closed:
+            self._runs.append(tuple(runs))
+        self._open = len(starts) > closed
+        if self._open:
+            self._start = starts[-1]
+        self._last = times[-1], values[-1]
+
+    def close(self, t_end: float) -> np.recarray:
+        """The runs of the path fed, which ends at ``t_end``, time-ordered:
+        with peaks a record array with fields ``t_peak, amplitude, t_start,
+        t_end``, else ``t_start, t_end, length``."""
+        width = 4 if self.peaks else 2
+        runs = self._runs
+        if self._open:
+            runs = [*runs, tuple(np.array([value]) for value in
+                                 (self._start, t_end, self._t_peak, self._peak)[:width])]
+        columns = list(zip(*runs)) or [[np.empty(0)]] * width
+        if self.peaks:
+            # Each field written once, straight from the chunks' runs.
+            fields = dict(zip(("t_start", "t_end", "t_peak", "amplitude"), columns))
+            names = ("t_peak", "amplitude", "t_start", "t_end")
+            spikes = np.recarray(sum(map(len, columns[0])),
+                                 dtype=[(name, fields[name][0].dtype) for name in names])
+            for name in names:
+                np.concatenate(fields[name], out=spikes[name])
+            return spikes
+        t_start, t_end = map(np.concatenate, columns)
+        kept = t_end > t_start
+        t_start, t_end = t_start[kept], t_end[kept]
+        return np.rec.fromarrays([t_start, t_end, t_end - t_start],
+                                 names="t_start, t_end, length")
+
+
+def _scan_whole(scan: ExcursionScan, series: PathSeries) -> np.recarray:
+    scan.feed(series.times, series.values)
+    return scan.close(series.t_end)
 
 
 def detect_spikes(series: PathSeries, a0: float) -> np.recarray:
@@ -103,34 +197,51 @@ def detect_spikes(series: PathSeries, a0: float) -> np.recarray:
     amplitude is the absolute peak value.  On lattice paths a one-event
     excursion peaks at its entry point, so t_start == t_peak can occur.
     """
-    if not (a0 > 0):
-        raise ValueError(f"a0 must be > 0, got {a0}")
-    t, v = series.times, series.values
-    first, _, t_start, t_end = _excursions(series, v > a0, a0)
-    amps = t_peak = t_start  # the empty columns when no run is found
-    if len(first):
-        # The samples between two runs lie at or below a0, so each reduction
-        # from one run's first index to the next one's is that run's peak.
-        amps = np.maximum.reduceat(v, first)
-        # The samples that equal their run's peak; a run's first one is t_peak.
-        reached = first[0] + np.flatnonzero(
-            v[first[0]:] == np.repeat(amps, np.diff(first, append=len(v)))
-        )
-        t_peak = t[reached[np.searchsorted(reached, first)]]
-    return np.rec.fromarrays([t_peak, amps, t_start, t_end],
-                             names="t_peak, amplitude, t_start, t_end")
+    return _scan_whole(ExcursionScan(a0, peaks=True, step=series.step), series)
 
 
 def detect_plateaus(series: PathSeries, thr: float) -> np.recarray:
     """Maximal intervals [t_start, t_end) with the path at or below ``thr``,
     in continuous time: a record array with fields ``t_start, t_end, length``."""
-    if not (thr >= 0):
-        raise ValueError(f"thr must be >= 0, got {thr}")
-    _, _, t_start, t_end = _excursions(series, series.values <= thr, thr)
-    kept = t_end > t_start
-    t_start, t_end = t_start[kept], t_end[kept]
-    return np.rec.fromarrays([t_start, t_end, t_end - t_start],
-                             names="t_start, t_end, length")
+    return _scan_whole(ExcursionScan(thr, peaks=False, step=series.step), series)
+
+
+def scan_levels(
+    path: Trajectory | JumpTrajectory | JumpStream, a0s: Collection[float],
+    thrs: Collection[float],
+) -> tuple[dict[float, np.recarray], dict[float, np.recarray]]:
+    """The spikes above each level in ``a0s`` and the plateaus at or below
+    each level in ``thrs`` of the n path of ``path``, by level: an ODE or
+    jump trajectory, scanned whole, or a ``JumpStream``, run here and
+    scanned a chunk at a time, as its trajectory would be."""
+    if not isinstance(path, JumpStream):
+        if not (a0s or thrs):
+            return {}, {}
+        whole = PathSeries.from_ode if isinstance(path, Trajectory) else PathSeries.from_jump
+        series = whole(path)
+        return ({a0: detect_spikes(series, a0) for a0 in a0s},
+                {thr: detect_plateaus(series, thr) for thr in thrs})
+    spikes = {a0: ExcursionScan(a0, peaks=True, step=True) for a0 in a0s}
+    plateaus = {thr: ExcursionScan(thr, peaks=False, step=True) for thr in thrs}
+    scans = [*spikes.values(), *plateaus.values()]
+    for times, values in _jump_n(path):
+        for scan in scans:
+            scan.feed(times, values)
+    return ({a0: scan.close(path.t_end) for a0, scan in spikes.items()},
+            {thr: scan.close(path.t_end) for thr, scan in plateaus.items()})
+
+
+def _jump_n(stream: JumpStream) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The n path of ``stream`` as ``PathSeries.from_jump`` holds it whole, a
+    chunk at a time: t = 0 and the initial n, then each chunk's event times
+    and the n after each event, in a buffer that the next chunk reuses."""
+    n_unit = float(stream.spec.n_unit)
+    yield np.zeros(1), np.array([stream.initial.kn]) * n_unit
+    values = np.empty(0)
+    for chunk in stream:
+        if len(values) < len(chunk.kns):
+            values = np.empty(len(chunk.kns))
+        yield chunk.times, np.multiply(chunk.kns, n_unit, out=values[:len(chunk.kns)])
 
 
 def tail_survival(amplitudes, a0: float) -> tuple[np.ndarray, np.ndarray]:

@@ -1088,33 +1088,57 @@ class TestPresets:
         meta, _ = io.read_trajectory_csv(out / "fig5_oneunit_gamma2_seed5.csv")
         assert meta["seed"] == "5"
 
+    def test_fig6_memory_does_not_grow_with_the_horizon(self, out):
+        # fig6 writes no path, so its runs are streamed through their
+        # statistics: at horizon 4e5 each path is about 14 M events, past
+        # the 10 M cap of a path held in memory, in the peak RSS of 1e5.
+        code = ("import resource, sys\n"
+                "from spikesim.cli import main\n"
+                "assert main(['preset', 'fig6', '--outdir', sys.argv[1], '--t-end', sys.argv[2]])"
+                " == 0\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(Path(spikesim.cli.__file__).parents[1]),
+                          os.environ.get("PYTHONPATH")])))
+        peak_kb = {}
+        for horizon in ("1e5", "4e5"):
+            result = subprocess.run([sys.executable, "-c", code, str(out / horizon), horizon],
+                                    env=env, capture_output=True, text=True, check=True,
+                                    timeout=120)
+            peak_kb[horizon] = int(result.stdout.split()[-1])
+        report = json.loads((out / "4e5" / "fig6_oneunit_gamma100_report.json").read_text())
+        assert report["n_events"] > jump.DEFAULT_MAX_EVENTS
+        assert report["terminated_by"] == "TimeHorizon"
+        assert peak_kb["4e5"] - peak_kb["1e5"] <= 5 * 1024
+
 
 class TestPresetDeduplication:
     def test_fig7_simulates_each_path_once(self, out, monkeypatch):
+        # A path is simulated whole (simulate) or streamed (simulate_chunks),
+        # and scanned for all of its levels in one pass (scan_levels).
         calls, detections = [], []
-        engine, detect = spikesim.cli.simulate, spikesim.cli.detect_spikes
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs["seed"])
-            return engine(*args, **kwargs)
+        def counting(name):
+            engine = getattr(spikesim.cli, name)
+            monkeypatch.setattr(spikesim.cli, name, lambda *args, **kwargs: calls.append(
+                kwargs["seed"]) or engine(*args, **kwargs))
 
-        def counting_detect(series, a0):
-            detections.append(a0)
-            return detect(series, a0)
-
-        monkeypatch.setattr(spikesim.cli, "simulate", counting)
-        monkeypatch.setattr(spikesim.cli, "detect_spikes", counting_detect)
+        for name in ("simulate", "simulate_chunks"):
+            counting(name)
+        scan = spikesim.cli.scan_levels
+        monkeypatch.setattr(spikesim.cli, "scan_levels", lambda path, a0s, thrs: detections.append(
+            (len(a0s), len(thrs))) or scan(path, a0s, thrs))
         shared, alone = out / "shared", out / "alone"
         assert main(["preset", "fig7", "--outdir", str(shared), "--t-end", "300"]) == 0
         assert len(calls) == 2
         # Both plateau levels of a path pair with the spikes of one detection.
-        assert len(detections) == 2
+        assert detections == [(1, 2)] * 2
 
         for config in preset("fig7"):
             config = replace(config, t_end=300.0)
             list(analyse_group([config], simulate_run(config), alone))
         assert len(calls) == 2 + 4
-        assert len(detections) == 2 + 4
+        assert detections == [(1, 2)] * 2 + [(1, 1)] * 4
         names = sorted(p.name for p in shared.iterdir())
         assert names == sorted(p.name for p in alone.iterdir())
         assert len(names) == 12  # survival, pairs and report for each of 4 runs

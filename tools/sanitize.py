@@ -9,8 +9,8 @@ for (the current ``build_key()``), so that every process started with that
 cache binds the sanitized build in place of the checked one.  Then, under
 ``LD_PRELOAD=<the compiler's libasan.so> ASAN_OPTIONS=detect_leaks=0``, it
 runs the five build checks (the ``_agrees`` functions) on the build, and
-the format, CSV byte and property tests against it; pytest arguments given
-here are passed on.
+the format, CSV byte, property, engine stream and stream tests against it;
+pytest arguments given here are passed on.
 
 Exits 0 when the checks and the tests pass and no sanitizer reports
 anything; non-zero otherwise.  The user's own cache is not touched.  It is
@@ -33,7 +33,9 @@ import numpy as np  # noqa: E402
 from spikesim import _compiled  # noqa: E402
 
 SANITIZE = ("-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
-TESTS = ("tests/test_format.py", "tests/test_csv_bytes.py", "tests/test_properties.py")
+# The stream tests run the loop resumed at chunk sizes 1 and 7.
+TESTS = ("tests/test_format.py", "tests/test_csv_bytes.py", "tests/test_properties.py",
+         "tests/test_engine_stream.py", "tests/test_stream.py")
 # The five checks a build must pass, as ``_compiled.build_library`` runs them.
 CHECKS = """
 from spikesim import _compiled, io, jump, lyapunov, ode
