@@ -1,20 +1,18 @@
 """The library of ``_kernel.c``: built on first use, checked once when it
 is built, and loaded with ctypes.  It holds the direct-method loop (run a
-chunk at a time), the RK4 loop, the drift scan (a block of rows at a time),
-the row formatter of the CSV writers and the row reader of trajectory CSVs
-(fed the file a block at a time).
+chunk at a time), the RK4 loop, the row formatter of the CSV writers and the
+row reader of trajectory CSVs (fed the file a block at a time).
 
-``spikesim.jump``, ``spikesim.ode``, ``spikesim.lyapunov`` and
-``spikesim.io`` import this module on the first call that wants the
-library, never at import.  The library is compiled once per key into
-``$XDG_CACHE_HOME/spikesim`` or ``~/.cache/spikesim`` (a per-user directory
-in the temp dir when neither can be written), against numpy's random headers
-and ``libnpyrandom.a``, so it draws from the caller's bit generator exactly
-as ``Generator`` does.
+``spikesim.jump``, ``spikesim.ode`` and ``spikesim.io`` import this module
+on the first call that wants the library, never at import.  The library is
+compiled once per key into ``$XDG_CACHE_HOME/spikesim`` or
+``~/.cache/spikesim`` (a per-user directory in the temp dir when neither can
+be written), against numpy's random headers and ``libnpyrandom.a``, so it
+draws from the caller's bit generator exactly as ``Generator`` does.
 
-A build is checked once, as a whole: each of its five loops must reproduce
+A build is checked once, as a whole: each of its four loops must reproduce
 its Python twin on that module's probe (the ``_agrees`` functions).  Only a
-library that passes all five goes into the cache; one that fails is refused
+library that passes all four goes into the cache; one that fails is refused
 whole, and a ``.refused`` file under its name, which names the loops that
 failed, keeps later processes from building or checking it again.  A
 failed compile is not remembered.
@@ -47,7 +45,7 @@ CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 # the modules that hold a loop's Python twin and its check, so that a
 # library's verdict is never older than the code it vouches for.
 KEYED = (SOURCE, *(SOURCE.with_name(f"{name}.py")
-                   for name in ("_compiled", "jump", "ode", "lyapunov", "io")))
+                   for name in ("_compiled", "jump", "ode", "io")))
 # A build that passes its check removes the other builds unmodified this long.
 STALE_SECONDS = 7 * 24 * 3600
 
@@ -78,12 +76,11 @@ def table(rows, r_unit: float, n_unit: float) -> Table:
 
 
 class Loops(NamedTuple):
-    """The library's five loops, each bound to its binding below, which
+    """The library's four loops, each bound to its binding below, which
     takes its Python twin's arguments and returns its twin's result."""
 
     run: Callable
     rk4: Callable
-    scan: Callable
     formatter: Callable
     reader: Callable
 
@@ -130,7 +127,6 @@ def bind(path: str | Path) -> Loops:
     return Loops(
         functools.partial(run, entry("spikesim_direct_method", i64, *(ptr,) * 7)),
         functools.partial(rk4, entry("spikesim_rk4", i64, *(ptr,) * 4)),
-        functools.partial(drift_scan, entry("spikesim_drift_scan", None, ptr, ptr, i64, i64)),
         functools.partial(format_rows, entry("spikesim_format_rows", i64, ptr, i64, i64, i64,
                                              ptr, i64, ptr)),
         functools.partial(read_rows, entry("spikesim_read_rows", i64, ptr, ptr, i64, ptr)))
@@ -181,39 +177,6 @@ def rk4(loop, params, h: float, n_steps: int, sample_every: int, overshoot_limit
               n_steps, sample_every)
     kept = loop(ctypes.addressof(run), ts.ctypes.data, rs.ctypes.data, ns.ctypes.data)
     return kept, run.clamps, run.fail, run.fail_step, run.fail_value
-
-
-class Scan(ctypes.Structure):
-    """A drift scan's settings, buffers and, after each block, its counts
-    (struct scan)."""
-
-    _fields_ = [*((name, ctypes.c_double) for name in ("gamma", "w_r", "w_n")),
-                ("product", ctypes.c_int64),
-                *((name, ctypes.c_double) for name in ("c_x", "c_y", "bound", "epsilon")),
-                ("kn_max", ctypes.c_int64), ("row", ctypes.c_void_p), ("set_a", ctypes.c_void_p),
-                ("bad", ctypes.c_void_p), ("drift", ctypes.c_void_p), ("n_a", ctypes.c_int64),
-                ("n_bad", ctypes.c_int64)]
-
-
-def drift_scan(scan, spec, weights: tuple[float, float], decay: tuple[bool, float, float],
-               bound: float, epsilon: float, box: tuple[int, int],
-               rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The box kr = 0 .. box[0], kn = 0 .. box[1] of the process ``spec``
-    scanned ``rows`` rows at a time: ``lyapunov._scan_python``'s result."""
-    kr_max, kn_max = box
-    size = min(rows, kr_max + 1) * (kn_max + 1)
-    row, drift = np.empty(kn_max + 1), np.empty(size)
-    set_a, bad = np.empty((size, 2), np.int64), np.empty((size, 2), np.int64)
-    state = Scan(spec.params.gamma, *weights, *decay, bound, epsilon, kn_max, row.ctypes.data,
-                 set_a.ctypes.data, bad.ctypes.data, drift.ctypes.data)
-    table, blocks = ctypes.addressof(spec._table), []
-    for k0 in range(0, kr_max + 1, rows):
-        scan(table, ctypes.addressof(state), k0, min(k0 + rows, kr_max + 1))
-        blocks.append((set_a[:state.n_a].copy(), bad[:state.n_bad].copy(),
-                       drift[:state.n_bad].copy()))
-    # Freed first, so that the result can take their memory.
-    del row, set_a, bad, drift
-    return tuple(map(np.concatenate, zip(*blocks)))
 
 
 class Column(ctypes.Structure):
@@ -354,7 +317,7 @@ def build_library(target: Path) -> Loops | None:
     # Only a build needs them; subprocess alone takes about 8 ms to import.
     import subprocess
 
-    from . import io, jump, lyapunov, ode
+    from . import io, jump, ode
 
     static = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
     fd, partial = tempfile.mkstemp(suffix=".so.tmp", dir=target.parent)
@@ -366,8 +329,7 @@ def build_library(target: Path) -> Loops | None:
         subprocess.run([*compile_command(), str(SOURCE), str(static), "-lm", "-o", partial],
                        check=True, capture_output=True, timeout=300)
         loops = bind(partial)
-        checks = (jump._agrees, ode._agrees, lyapunov._agrees, io._formatter_agrees,
-                  io._reader_agrees)
+        checks = (jump._agrees, ode._agrees, io._formatter_agrees, io._reader_agrees)
         failed = [name for name, check, loop in zip(Loops._fields, checks, loops)
                   if not _passes(check, loop)]
         if failed:

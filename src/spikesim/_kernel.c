@@ -1,10 +1,10 @@
 /* The compiled library of spikesim: the direct-method loop of spikesim.jump,
-   the RK4 loop of spikesim.ode, the drift scan of spikesim.lyapunov, and the
-   row formatter and row reader of spikesim.io's CSV files.
+   the RK4 loop of spikesim.ode, and the row formatter and row reader of
+   spikesim.io's CSV files.
    spikesim._compiled builds it on first use, links it against numpy's
    libnpyrandom.a, checks it once, when it is built, and loads it with
    ctypes.  The library is used whole or not at all: only where each of its
-   five entry points reproduces its Python reference on that module's probe.
+   four entry points reproduces its Python reference on that module's probe.
    A build that fails one is refused, and the Python references run.
 
    Build it with -ffp-contract=off and without -ffast-math, so that no
@@ -113,100 +113,6 @@ int64_t spikesim_direct_method(bitgen_t *bitgen, const struct table *table, stru
     run->t = t;
     run->stop = stop;
     return count;
-}
-
-/* The drift scan of spikesim.lyapunov: lyapunov._scan_python on one block
-   of rows, bit for bit.  At state (kr, kn), with x = (double)kr / gamma and
-   y = (double)kn,
-
-   * the drift is the sum over the channels, in channel order from 0.0, of
-     rate * w, with w = w_r * dkr + w_n * dkn and the direct method's rate
-     ((k_rn * x * y + k_r * x) + k_n * y) + k_1, over div unless div is 1.
-     k_rn * x and k_r * x are taken once a row, as numpy takes them once a
-     column.  numpy leaves a zero term out; here it is 0.0, or 0.0 * y,
-     which changes no value but a zero's sign (y is finite; a zero term of
-     x is 0.0 itself, since 0.0 * x is NaN where x is inf).  A channel below
-     its guard adds nothing, where numpy adds its 0.0 * w.  No zero's sign
-     reaches the drift: w is finite, and a sum from 0.0 is never -0.0;
-   * the decay is (x * y + c_x * x) + c_y * y, or c_x * x + c_y * y when
-     product is 0, and the state is in A when decay <= bound;
-   * a state outside A is a violation unless drift <= -epsilon, so a NaN
-     drift is one.
-
-   The drift of a row is summed channel by channel along the row, each
-   channel in a loop without branches: a loop over the channels per state
-   was slower than numpy. */
-
-struct scan {               /* _compiled.Scan */
-    double gamma, w_r, w_n; /* x = kr / gamma; f-increments of a step in r and in n */
-    int64_t product;        /* the decay has its x * y term */
-    double c_x, c_y, bound, epsilon;
-    int64_t kn_max;         /* a row is kn = 0 .. kn_max */
-    double *row;            /* kn_max + 1 doubles: one row's drift */
-    int64_t *set_a, *bad;   /* out: (kr, kn) of each state of A, of each violation */
-    double *drift;          /* out: the drift of each violation */
-    int64_t n_a, n_bad;     /* out: how many of each the block has */
-};
-
-/* Scan rows k0 .. k1 - 1, kn = 0 .. kn_max each, into scan's buffers in
-   row-major order; they hold (k1 - k0) * (kn_max + 1) states.  The
-   coefficients are read into locals, which the stores to the row cannot
-   alias. */
-void spikesim_drift_scan(const struct table *table, struct scan *scan, int64_t k0, int64_t k1)
-{
-    const int n_channels = (int)table->n_channels;
-    const int64_t kn_max = scan->kn_max, product = scan->product;
-    const double gamma = scan->gamma, c_x = scan->c_x, c_y = scan->c_y;
-    const double bound = scan->bound, limit = -scan->epsilon;
-    double *const row = scan->row, *const drift = scan->drift;
-    int64_t *const set_a = scan->set_a, *const bad = scan->bad, n_a = 0, n_bad = 0;
-    double w[n_channels];
-
-    for (int i = 0; i < n_channels; i++)
-        w[i] = scan->w_r * (double)table->step[2 * i]
-             + scan->w_n * (double)table->step[2 * i + 1];
-    for (int64_t kr = k0; kr < k1; kr++) {
-        const double x = (double)kr / gamma;
-        for (int64_t kn = 0; kn <= kn_max; kn++)
-            row[kn] = 0.0;
-        for (int i = 0; i < n_channels; i++) {
-            if (kr < table->guard[2 * i])
-                continue;
-            const double *k = table->coef + 5 * i;
-            const double a = k[0] != 0.0 ? k[0] * x : 0.0, b = k[1] != 0.0 ? k[1] * x : 0.0;
-            const double k_n = k[2], k_1 = k[3], div = k[4], w_i = w[i];
-            int64_t kn = table->guard[2 * i + 1];
-            double y = (double)kn;
-            if (k[0] == 0.0 && k_n == 0.0) {  /* the same rate all along the row */
-                const double term = (div != 1.0 ? (b + k_1) / div : b + k_1) * w_i;
-                for (; kn <= kn_max; kn++)
-                    row[kn] += term;
-            } else if (div != 1.0) {
-                for (; kn <= kn_max; kn++, y += 1.0)
-                    row[kn] += (((a * y + b) + k_n * y) + k_1) / div * w_i;
-            } else {
-                for (; kn <= kn_max; kn++, y += 1.0)
-                    row[kn] += (((a * y + b) + k_n * y) + k_1) * w_i;
-            }
-        }
-        const double c_x_x = c_x * x;
-        double y = 0.0;
-        for (int64_t kn = 0; kn <= kn_max; kn++, y += 1.0) {
-            const double decay = (product ? x * y + c_x_x : c_x_x) + c_y * y;
-            if (decay <= bound) {
-                set_a[2 * n_a] = kr;
-                set_a[2 * n_a + 1] = kn;
-                n_a++;
-            } else if (!(row[kn] <= limit)) {
-                bad[2 * n_bad] = kr;
-                bad[2 * n_bad + 1] = kn;
-                drift[n_bad] = row[kn];
-                n_bad++;
-            }
-        }
-    }
-    scan->n_a = n_a;
-    scan->n_bad = n_bad;
 }
 
 /* The RK4 loop of spikesim.ode: classical RK4 on the rate equations
@@ -534,9 +440,7 @@ struct memo {
    every call: a hit copies the FLOAT_BYTES bytes of its slot and keeps
    the length of its text, a miss formats the value and stores it.
    format_double is called from one place, so that it is inlined here and
-   the loops above keep their place in the library: called from three, it
-   was put ahead of them, and the drift scan, its code unchanged, ran 10%
-   slower. */
+   the loops above keep their place in the library. */
 int64_t spikesim_format_rows(const struct column *columns, int64_t n_columns, int64_t start,
                              int64_t stop, char *buf, int64_t size, const uint64_t (*pow10)[2])
 {

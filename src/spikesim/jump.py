@@ -423,12 +423,14 @@ def _agrees(run: Callable) -> bool:
 
 
 def _probe_spec() -> ProcessSpec:
-    """The table the compiled loops over coefficient tables are checked on.
-    It has every kind of term, unit coefficients, divisors, guards on kr
-    (channels 0 and 1) and on kn (channels 2 and 4), and rates of one to
-    four terms with and without a guard.  Two rates, each of a term in r and
-    a constant, are the same all along a row of the drift scan: one with
-    neither a divisor nor a guard (channel 3), and one with both (channel 4)."""
+    """The table the compiled jump loop is checked on, and the drift scan
+    tested on.  It has every kind of term, unit coefficients, divisors,
+    guards on kr (channels 0 and 1) and on kn (channels 2 and 4), and rates
+    of one to four terms with and without a guard.  Two rates, each of a term
+    in r and a constant, are the same all along a row of fixed kr: one with
+    neither a divisor nor a guard (channel 3), and one with both (channel 4).
+    In the row kr = 0, where channels 0 and 1 are censored, the drift of the
+    scan's f rises along kn."""
     return ProcessSpec(ModelParams(alpha=0.01, beta=0.7, gamma=3.0, p=7.0), ProcessKind.ONEUNIT,
                        _make_table({"k_rn": 7.4, "k_r": 2.2, "k_n": 6.6, "k_1": 1.5, "div": 4.7},
                                    {"k_n": 1.0},
@@ -579,32 +581,27 @@ def expected_drift(spec: ProcessSpec, s: LatticeState) -> tuple[float, float]:
     field at every lattice state; for the frozen mean-field process it
     matches the mean-field drift field away from the censored kr = 0 edge.
     """
-    r, n, first = np.array([[s.r]]), np.array([[s.n]]), (s.kr, s.kn)
-    return (float(_generator_sum(spec, float(spec.r_unit), 0.0, r, n, first)[0, 0]),
-            float(_generator_sum(spec, 0.0, float(spec.n_unit), r, n, first)[0, 0]))
+    r, n = np.array([s.r]), np.array([s.n])
+    return (float(_generator_sum(spec, float(spec.r_unit), 0.0, r, n, s.kr, s.kn)[0]),
+            float(_generator_sum(spec, 0.0, float(spec.n_unit), r, n, s.kr, s.kn)[0]))
 
 
 def _generator_sum(spec: ProcessSpec, w_r: float, w_n: float, r: np.ndarray, n: np.ndarray,
-                   first: tuple[int, int] = (0, 0)) -> np.ndarray:
-    """Sum over the channels of censored rate * (w_r*dkr + w_n*dkn) on the
-    box of lattice states spanned by the column ``r`` (physical r at
-    kr = first[0], first[0] + 1, ...) and the row ``n`` (physical n at
-    kn = first[1], first[1] + 1, ...).  A single state is a 1x1 box.
+                   kr: np.ndarray | int, kn: np.ndarray | int) -> np.ndarray:
+    """Sum over the channels of censored rate * (w_r*dkr + w_n*dkn) at the
+    lattice states (kr, kn), whose physical values are ``r`` and ``n``.  The
+    four broadcast together: a column and a row span a box, 1-D arrays list
+    states one by one, and a state alone is an array of one.
 
-    One channel at a time, in channel order: a rate in r or n alone stays a
-    column or a row, and a full-size rate is censored and scaled in place
-    before it is added.
+    One channel at a time, in channel order: a rate in r or n alone keeps
+    the shape of r or n, and a full-size rate is censored and scaled in
+    place before it is added.
     """
-    total = np.zeros((r.shape[0], n.shape[1]))
+    total = np.zeros(np.broadcast_shapes(r.shape, n.shape))
     for row in spec._rows:
         rate = _rate(row, r, n)
-        # Rows and columns of the box below the channel's guard.
-        cut_r, cut_n = (max(low - k, 0) for low, k in zip(row[5:7], first))
-        if cut_r or cut_n:
-            if np.shape(rate) != total.shape:
-                rate = np.broadcast_to(rate, total.shape).copy()
-            rate[:cut_r] = 0.0
-            rate[:, :cut_n] = 0.0
+        if row[5] or row[6]:  # zero below the channel's guard
+            rate = np.where((kr >= row[5]) & (kn >= row[6]), rate, 0.0)
         full = np.shape(rate) == total.shape
         total += np.multiply(rate, w_r * row[7] + w_n * row[8], out=rate if full else None)
     return total

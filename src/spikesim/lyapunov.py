@@ -9,7 +9,7 @@ and verify drift <= -epsilon outside it.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -19,7 +19,6 @@ from .jump import (
     ProcessKind,
     ProcessSpec,
     _generator_sum,
-    _probe_spec,
     build_meanfield,
     build_oneunit,
 )
@@ -27,10 +26,16 @@ from .model import ModelParams, stationary_point
 
 DEFAULT_EPSILON = 0.1
 AUTO_BOX_CAP = 1024  # per-axis cap when auto-sizing the scan box
-# Grid elements per block of rows the scan works on: each float64 grid of a
-# block is 128 kB, so a block's temporaries stay in cache and the scan's
-# memory does not grow with the box.
+# States per block of rows whose drifts the scan evaluates at once: each
+# float64 array of a block is 128 kB, so a block's temporaries stay in cache
+# and the scan's memory does not grow with the box.
 _BLOCK_ELEMENTS = 1 << 14
+# The drift bound's margin in units of S (see ``_cut``): a dozen roundings
+# of 2**-53 each, with room to spare.
+_ROUNDING = 2.0 ** -40
+# The largest S along a row at which the bound is used: no value a drift of
+# the row passes through then overflows.
+_NO_OVERFLOW = 2.0 ** 1000
 
 
 @dataclass(frozen=True)
@@ -83,9 +88,8 @@ def drift_closed_form(kind: ProcessKind, params: ModelParams, x, y):
 
 def drift_via_generator(spec: ProcessSpec, s: LatticeState) -> float:
     """Sum of censored rate * f-increment over the five channels."""
-    total = _generator_sum(spec, *_f_weights(spec), np.array([[s.r]]), np.array([[s.n]]),
-                           (s.kr, s.kn))
-    return float(total[0, 0])
+    total = _generator_sum(spec, *_f_weights(spec), np.array([s.r]), np.array([s.n]), s.kr, s.kn)
+    return float(total[0])
 
 
 def ergodicity_condition(kind: ProcessKind, params: ModelParams) -> ErgodicityCheck:
@@ -113,8 +117,14 @@ def scan_drift_condition(
     epsilon: float = DEFAULT_EPSILON,
     scan_box: tuple[int, int] | None = None,
 ) -> DriftReport:
-    """Enumerate a lattice box, classify states by the A-inequality, and
-    check that the actual (censored) generator drift is <= -epsilon outside A.
+    """Classify the states of a lattice box by the A-inequality, and check
+    that the actual (censored) generator drift is <= -epsilon outside A.
+
+    The box is scanned a row at a time (``_scan``): A's prefix of each row
+    is bisected, the drift is bisected against a bound on its rounding
+    error to where no violation is possible, and only the states between
+    go through the exact generator sum.  The report is the same, byte for
+    byte, as that of every state evaluated.
 
     The report records A's extent inside the box together with the analytic
     extent of the full set; ``contained`` says whether A provably fits
@@ -143,10 +153,8 @@ def scan_drift_condition(
             for ext in analytic
         )
         spec = build_oneunit(params) if kind is ProcessKind.ONEUNIT else build_meanfield(params)
-        set_a, bad, drift = (_compiled_scan() or _scan_python)(
-            spec, _f_weights(spec), _decay_coefficients(kind, params),
-            membership_bound(params, epsilon), epsilon, (kr_max, kn_max),
-            max(_BLOCK_ELEMENTS // (kn_max + 1), 1))
+        set_a, bad, drift = _scan(spec, _f_weights(spec), _decay_coefficients(kind, params),
+                                  membership_bound(params, epsilon), epsilon, (kr_max, kn_max))
     else:
         # Inconclusive: nothing is scanned, and an auto-sized box is 0x0.
         kr_max, kn_max = scan_box or (0, 0)
@@ -183,72 +191,112 @@ def scan_drift_condition(
     )
 
 
-def _scan_python(spec: ProcessSpec, weights: tuple[float, float],
-                 decay: tuple[bool, float, float], bound: float, epsilon: float,
-                 box: tuple[int, int], rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``spikesim_drift_scan`` of ``_kernel.c`` over the box kr = 0 ..
-    box[0], kn = 0 .. box[1], ``rows`` rows at a time, in numpy.
+def _scan(spec: ProcessSpec, weights: tuple[float, float], decay: tuple[bool, float, float],
+          bound: float, epsilon: float,
+          box: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The box kr = 0 .. box[0], kn = 0 .. box[1] of ``spec`` scanned a row
+    at a time, at x = kr / gamma and y = kn.
 
     A state is in A when its decay polynomial (``decay`` as
     ``_decay_coefficients`` gives it) is <= ``bound``; a state outside A is a
     violation unless its drift, the generator applied to f with the
     f-increments ``weights``, is <= -epsilon, so a NaN drift is one.
     Returns A's (kr, kn) pairs, the violations' pairs and their drifts, all
-    in row-major order.
+    in row-major order, and all as the whole box evaluated state by state
+    would give them, bit for bit.
+
+    Where c_x and c_y are finite and c_y >= 0, the decay is non-decreasing
+    along each row (every rounding is monotone), so A holds a prefix of the
+    row, whose length is bisected.  The drift goes through
+    ``_generator_sum`` only from there to the row's cut (``_cut``), past
+    which no state can be a violation.  Elsewhere each row is evaluated
+    whole.
     """
     kr_max, kn_max = box
-    # Physical coordinates as a column (kr) and a row (kn); each block of
-    # rows broadcasts its slice of the column against the whole row.
-    X = (np.arange(kr_max + 1) / spec.params.gamma)[:, None]
-    Y = np.arange(kn_max + 1, dtype=np.float64)[None, :]
-    blocks = []
-    # The compiled scan raises no floating-point warnings either.
+    kr = np.arange(kr_max + 1)
+    _product, c_x, c_y = decay
+    zero, end = np.zeros_like(kr), np.full_like(kr, kn_max + 1)
     with np.errstate(all="ignore"):
-        for k0 in range(0, kr_max + 1, rows):
-            x = X[k0:k0 + rows]
-            in_a = _decay(decay, x, Y) <= bound
-            drift_grid = _generator_sum(spec, *weights, x, Y, (k0, 0))
-            bad = ~(in_a | (drift_grid <= -epsilon))
-            blocks.append((np.argwhere(in_a) + (k0, 0), np.argwhere(bad) + (k0, 0),
-                           drift_grid[bad]))
-    return tuple(map(np.concatenate, zip(*blocks)))
+        x = kr / spec.params.gamma
+        if math.isfinite(c_x) and 0.0 <= c_y < math.inf:
+            lo = _first(lambda y: ~(_decay(decay, x, y) <= bound), zero, end)
+            hi = _cut(spec, weights, kr, x, lo, epsilon, kn_max)
+        else:
+            lo, hi = zero, end
+        found = [(_states(kr, zero, lo), np.empty((0, 2), np.int64), np.empty(0))]
+        # The windows [lo, hi) of blocks of rows that hold about
+        # _BLOCK_ELEMENTS states (a wider row is a block of its own), each
+        # evaluated state by state.
+        ends, done = np.cumsum(hi - lo), 0
+        while done < ends[-1]:
+            k0 = int(np.searchsorted(ends, done, "right"))
+            k1 = max(int(np.searchsorted(ends, done + _BLOCK_ELEMENTS, "right")), k0 + 1)
+            states = _states(kr[k0:k1], lo[k0:k1], hi[k0:k1])
+            krs, kns = states.T
+            xs, ys = x[krs], kns.astype(np.float64)
+            in_a = _decay(decay, xs, ys) <= bound
+            drift = _generator_sum(spec, *weights, xs, ys, krs, kns)
+            bad = ~(in_a | (drift <= -epsilon))
+            found.append((states[in_a], states[bad], drift[bad]))
+            done = int(ends[k1 - 1])
+    return tuple(map(np.concatenate, zip(*found)))
 
 
-def _compiled_scan() -> Callable | None:
-    """The checked library's drift scan; None (the numpy scan runs) where it
-    has none."""
-    from . import _compiled
+def _cut(spec: ProcessSpec, weights: tuple[float, float], kr: np.ndarray, x: np.ndarray,
+         start: np.ndarray, epsilon: float, kn_max: int) -> np.ndarray:
+    """Per row kr at x, the first kn >= ``start`` from which no state's
+    drift can be a violation; kn_max + 1 where none is found.
 
-    return getattr(_compiled.library(), "scan", None)
+    At and past the row's kn guards the drift is affine in y, D0 + D1 y.
+    S(y) = S0 + S1 y bounds the magnitude of each term of the float drift,
+    of every value its sum passes through and of the rounding error of an
+    underflow, so the float drift lies within a dozen roundings of S(y) of
+    the affine one (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, sections 3-4).  A state where D0 + D1 y + 2**-40 S(y) <=
+    -epsilon is therefore no violation, where S stays below overflow all
+    along the row.  That test falls along y where its slope is <= 0, and is
+    bisected there; elsewhere the cut is kn_max + 1.
+    """
+    d0 = d1 = s0 = s1 = 0.0
+    guard = np.zeros_like(kr)
+    for k_rn, k_r, k_n, k_1, div, guard_kr, guard_kn, dkr, dkn in spec._rows:
+        on = kr >= guard_kr
+        w = weights[0] * dkr + weights[1] * dkn
+        a, b = k_rn * x, k_r * x  # the rate is (a y + b + k_n y + k_1) / div
+        scale = (abs(w) + 1.0) / min(abs(div), 1.0)
+        d0 = d0 + np.where(on, (b + k_1) * w / div, 0.0)
+        d1 = d1 + np.where(on, (a + k_n) * w / div, 0.0)
+        s0 = s0 + np.where(on, (np.abs(b) + abs(k_1) + 1.0) * scale, 0.0)
+        s1 = s1 + np.where(on, (np.abs(a) + abs(k_n) + 1.0) * scale, 0.0)
+        guard = np.where(on, np.maximum(guard, guard_kn), guard)
+    b0, b1 = d0 + _ROUNDING * s0, d1 + _ROUNDING * s1
+    falls = (b1 <= 0.0) & (s0 + s1 * kn_max <= _NO_OVERFLOW)
+    stop = np.full_like(kr, kn_max + 1)
+    return _first(lambda y: falls & (b0 + b1 * y <= -epsilon),
+                  np.minimum(np.maximum(start, guard), stop), stop)
 
 
-# The engine's probe table scanned in blocks of 4 rows with the decay's x*y
-# term and in one block without it: (decay, bound, rows).  With epsilon = inf
-# every state outside A is a violation, so every drift there is compared bit
-# for bit: a build that fuses, reorders or rewrites an operation of a rate,
-# of the sum over the channels or of the decay changes some of them.  In the
-# sum a rate meets its channel's f-weight, and a fault in its last bit can
-# round away there; so each channel's row is also scanned alone, the others
-# zero, under the weights (1, 0) and (0, 1), with A empty: each rate then
-# meets a weight of +-1 in one of them, and is compared bit for bit.
-_PROBES = (((True, 0.3, 0.7), 20.0, 4), ((False, 0.3, 0.7), 5.0, 14))
+def _first(test: Callable, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """Per row, the first y in [start, stop) that passes ``test`` (given a
+    float y per row), by bisection; stop where none there does.  Along each
+    row the test must fail up to some y and pass after it."""
+    lo, hi = start, stop
+    # Each step halves every row's range [lo, hi), at least.
+    for _ in range(int((stop - start).max()).bit_length()):
+        mid = (lo + hi) // 2
+        passed = test(mid.astype(np.float64))
+        lo, hi = np.where(passed, lo, np.minimum(mid + 1, hi)), np.where(passed, mid, hi)
+    return hi
 
 
-def _agrees(scan: Callable) -> bool:
-    """Whether ``scan``, a build's scan, gives ``_scan_python``'s outcome on
-    the probes, array for array and bit for bit."""
-    spec = _probe_spec()
-    probes = [(spec, _f_weights(spec), decay, bound, math.inf, (13, 11), rows)
-              for decay, bound, rows in _PROBES]
-    zero = (0.0, 0.0, 0.0, 0.0, 1.0)
-    for i in range(len(spec.table)):
-        alone = replace(spec, table=tuple(row if j == i else zero
-                                          for j, row in enumerate(spec.table)))
-        probes += [(alone, weights, (False, 0.3, 0.7), -1.0, math.inf, (13, 11), 4)
-                   for weights in ((1.0, 0.0), (0.0, 1.0))]
-    return all(got.dtype == expected.dtype and got.shape == expected.shape
-               and got.tobytes() == expected.tobytes()
-               for probe in probes for got, expected in zip(scan(*probe), _scan_python(*probe)))
+def _states(kr: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The (kr, kn) pairs of each row kr's kn = lo .. hi - 1, in row-major
+    order, as an (m, 2) int64 array."""
+    ends = np.cumsum(hi - lo)
+    states = np.empty((ends[-1], 2), np.int64)
+    states[:, 0] = np.repeat(kr, hi - lo)
+    states[:, 1] = np.arange(len(states)) - np.repeat(ends - hi, hi - lo)
+    return states
 
 
 def _decay_coefficients(kind: ProcessKind, params: ModelParams) -> tuple[bool, float, float]:

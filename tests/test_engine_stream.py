@@ -10,7 +10,6 @@ stream must not move.  The module-level tests run the engine in use
 ``TestPythonKernel`` runs them again on the Python kernel.
 """
 
-import dataclasses
 import hashlib
 import os
 import platform
@@ -38,7 +37,7 @@ from spikesim import (
     next_jump,
     simulate,
 )
-from spikesim import _compiled, io, jump, lyapunov, ode
+from spikesim import _compiled, io, jump, ode
 
 BUILDERS = {
     "oneunit": build_oneunit,
@@ -232,14 +231,14 @@ def _has_fma() -> bool:
 
 # Each module's entry point into the library: None where the library is not
 # available, the library's loop elsewhere.
-ACCESSORS = (jump._compiled_run, ode._compiled_rk4, lyapunov._compiled_scan,
-             io._compiled_formatter, io._compiled_reader)
+ACCESSORS = (jump._compiled_run, ode._compiled_rk4, io._compiled_formatter,
+             io._compiled_reader)
 
 
 class TestBuild:
     """The compiled library is built into the cache on first use and checked
-    once, when it is built; the Python kernel, RK4 loop, drift scan, row
-    writer and row reader run where it cannot be built or is refused."""
+    once, when it is built; the Python kernel, RK4 loop, row writer and row
+    reader run where it cannot be built or is refused."""
 
     @pytest.fixture
     def empty_cache(self, monkeypatch, tmp_path):
@@ -272,8 +271,7 @@ class TestBuild:
         for write in (test_csv_bytes.ode_fig1, test_csv_bytes.ode_fig2_strided,
                       test_csv_bytes.jump_meanfield, test_csv_bytes.jump_oneunit):
             test_csv_bytes.test_csv_bytes_are_frozen(tmp_path_factory.mktemp("csv"), write)
-        # The drift scans take the numpy scan, same bytes.
-        assert lyapunov._compiled_scan() is None
+        # The drift scans, which use no library, give the same bytes.
         for case in test_drift_bytes.SCANS:
             test_drift_bytes.test_scan_report_bytes_are_frozen(case)
         # The CSV reader takes loadtxt, and reads the floats written.
@@ -298,7 +296,7 @@ class TestBuild:
         config_var = sysconfig.get_config_var
         monkeypatch.setattr(sysconfig, "get_config_var",
                             lambda name: "false" if name == "CC" else config_var(name))
-        assert [accessor() for accessor in ACCESSORS] == [None] * 5
+        assert [accessor() for accessor in ACCESSORS] == [None] * 4
         assert jump.engine() == "python"
         assert len(compiles) == 1
         # Not remembered: the headers may be installed later, so the next
@@ -324,14 +322,13 @@ class TestBuild:
         # process built it, at the latest when it asked for the engine) runs
         # none of the Python twins the check holds the loops to.
         code = (
-            "from spikesim import ModelParams, build_oneunit, io, jump, lyapunov, ode, simulate\n"
+            "from spikesim import ModelParams, build_oneunit, io, jump, ode, simulate\n"
             "calls = []\n"
             "def spy(module, name):\n"
             "    twin = getattr(module, name)\n"
             "    setattr(module, name, lambda *args, **kw: calls.append(name) or twin(*args, **kw))\n"
             "for module, name in [(jump, '_run_python'), (ode, '_rk4_python'),\n"
-            "                     (lyapunov, '_scan_python'), (io, '_python_rows'),\n"
-            "                     (io, '_loadtxt')]:\n"
+            "                     (io, '_python_rows'), (io, '_loadtxt')]:\n"
             "    spy(module, name)\n"
             "spec = build_oneunit(ModelParams(alpha=0.01, beta=1.0, gamma=100.0, p=7.0))\n"
             "simulate(spec, spec.lattice_state(0.0, 0.0), max_jumps=10, seed=1)\n"
@@ -354,11 +351,9 @@ class TestBuild:
     @pytest.mark.parametrize("module, twin, differs", [
         (jump, "_run_python", lambda *args: (array("d"), bytearray(), 1)),
         (ode, "_rk4_python", lambda *args: (1, 0, 0, 1, 0.0)),
-        (lyapunov, "_scan_python",
-         lambda *args: (np.empty((0, 2), np.int64), np.empty((0, 2), np.int64), np.empty(0))),
         (io, "_python_rows", lambda *args: iter(["0\n"])),
         (io, "_loadtxt", lambda lines, usecols: np.zeros((len(usecols), 1))),
-    ], ids=["run", "rk4", "scan", "formatter", "reader"])
+    ], ids=["run", "rk4", "formatter", "reader"])
     def test_a_build_that_fails_one_check_is_refused_whole(self, empty_cache, monkeypatch,
                                                            compiles, module, twin, differs,
                                                            request):
@@ -366,32 +361,16 @@ class TestBuild:
         self._assert_refused(empty_cache, compiles, request.node.callspec.id)
 
     @pytest.mark.skipif(jump.engine() != "compiled", reason="no compiled jump engine here")
-    @pytest.mark.parametrize("loop, line, mutant, order", [
-        # The drift scan's rate that is the same all along a row, with and
-        # without a divisor.
-        ("scan", "(div != 1.0 ? (b + k_1) / div : b + k_1)",
-         "(div != 1.0 ? (k_1 + b * 1.0000000000000002) / div : b + k_1)", None),
-        ("scan", "(div != 1.0 ? (b + k_1) / div : b + k_1)",
-         "(div != 1.0 ? (b + k_1) / div : k_1 + b * 1.0000000000000002)", None),
-        # The first fault with the probe table's rows in another order, in
-        # which the sum over the channels rounds it away: each channel's
-        # rate is compared on its own too.
-        ("scan", "(div != 1.0 ? (b + k_1) / div : b + k_1)",
-         "(div != 1.0 ? (k_1 + b * 1.0000000000000002) / div : b + k_1)", (4, 1, 3, 2, 0)),
+    @pytest.mark.parametrize("loop, line, mutant", [
         # A non-finite state reported as n below the limit, and an n below
         # the limit reported as r.
-        ("rk4", "fail = RK4_NOT_FINITE;", "fail = RK4_N_BELOW;", None),
-        ("rk4", "rk4->fail_value = n;", "rk4->fail_value = r;", None),
-    ], ids=["scan_row_rate_div", "scan_row_rate", "scan_row_rate_div_rows_41320",
-            "rk4_not_finite", "rk4_n_fail_value"])
+        ("rk4", "fail = RK4_NOT_FINITE;", "fail = RK4_N_BELOW;"),
+        ("rk4", "rk4->fail_value = n;", "rk4->fail_value = r;"),
+    ], ids=["rk4_not_finite", "rk4_n_fail_value"])
     def test_refuses_a_kernel_wrong_on_one_branch(self, empty_cache, monkeypatch, compiles,
-                                                  tmp_path_factory, loop, line, mutant, order):
+                                                  tmp_path_factory, loop, line, mutant):
         # A C-only fault, which no Python twin shares, on a branch that only
         # one of the probes takes.
-        if order:
-            probe = lyapunov._probe_spec()
-            monkeypatch.setattr(lyapunov, "_probe_spec", lambda: dataclasses.replace(
-                probe, table=tuple(probe.table[i] for i in order)))
         source = _compiled.SOURCE.read_text()
         assert source.count(line) == 1
         copy = tmp_path_factory.mktemp("kernel") / _compiled.SOURCE.name
@@ -404,7 +383,7 @@ class TestBuild:
     def _assert_refused(cache, compiles, loop):
         """The library built into ``cache`` is refused whole, and remembered
         with the names of the loops that failed, ``loop`` among them."""
-        assert [accessor() for accessor in ACCESSORS] == [None] * 5
+        assert [accessor() for accessor in ACCESSORS] == [None] * 4
         assert jump.engine() == "python"
         (refused,) = cache.iterdir()
         assert refused.name.startswith("_kernel-") and refused.suffix == ".refused"

@@ -192,7 +192,7 @@ def test_kernel_compiles_without_warnings(tmp_path):
 
 # The ctypes mirror of each struct of the kernel, by the struct's name.
 MIRRORS = {"table": _compiled.Table, "run": _compiled._Run, "rk4": _compiled.Rk4,
-           "scan": _compiled.Scan, "column": _compiled.Column, "rows": _compiled.Rows}
+           "column": _compiled.Column, "rows": _compiled.Rows}
 
 
 def test_ctypes_mirrors_match_the_kernel_structs(tmp_path):

@@ -1,4 +1,3 @@
-import functools
 import math
 import re
 import tracemalloc
@@ -22,23 +21,39 @@ from spikesim import (
     simulate,
     stationary_point,
 )
-from spikesim import _compiled
-from spikesim.lyapunov import AUTO_BOX_CAP, _analytic_extent, membership_bound
+from spikesim.jump import _generator_sum
+from spikesim.lyapunov import (
+    AUTO_BOX_CAP,
+    _analytic_extent,
+    _decay,
+    _decay_coefficients,
+    _f_weights,
+    membership_bound,
+)
 
 
-@pytest.fixture
-def python_scan(monkeypatch):
-    """The numpy scan, the reference, in place of the compiled one."""
-    monkeypatch.setattr(spikesim.lyapunov, "_compiled_scan", lambda: None)
+def whole_box_scan(spec, weights, decay, bound, epsilon, box):
+    """``lyapunov._scan``'s outcome with every state of the box evaluated:
+    the decay and the generator sum over the whole box at once."""
+    kr, kn = np.arange(box[0] + 1)[:, None], np.arange(box[1] + 1)[None, :]
+    with np.errstate(all="ignore"):
+        x, y = kr / spec.params.gamma, kn.astype(np.float64)
+        in_a = _decay(decay, x, y) <= bound
+        drift = _generator_sum(spec, *weights, x, y, kr, kn)
+    bad = ~(in_a | (drift <= -epsilon))
+    return np.argwhere(in_a), np.argwhere(bad), drift[bad]
 
 
-@pytest.fixture(params=["compiled", "python"])
-def each_scan(request, monkeypatch):
-    """The compiled scan, then the numpy scan."""
-    if request.param == "python":
-        monkeypatch.setattr(spikesim.lyapunov, "_compiled_scan", lambda: None)
-    elif spikesim.lyapunov._compiled_scan() is None:
-        pytest.skip("no compiled scan here")
+def _every_drift(kind, params, box):
+    """The scan's drift at each state of ``box``, as a grid: with A empty
+    and epsilon = inf every state is a violation, reported with its drift."""
+    spec = build_oneunit(params) if kind is ProcessKind.ONEUNIT else build_meanfield(params)
+    set_a, bad, drift = spikesim.lyapunov._scan(spec, _f_weights(spec),
+                                                _decay_coefficients(kind, params), -math.inf,
+                                                math.inf, box)
+    assert len(set_a) == 0
+    assert bad.tolist() == [[kr, kn] for kr in range(box[0] + 1) for kn in range(box[1] + 1)]
+    return spec, drift.reshape(box[0] + 1, box[1] + 1)
 
 
 class TestDrift:
@@ -96,32 +111,31 @@ class TestDrift:
     ModelParams(0.3, 0.7, 3.0, 2.5),
     ModelParams(0.0, 1.3, 7.0, 0.4),
 ], ids=["gamma100", "gamma2", "gamma3_beta0.7", "alpha0"])
-def test_scan_grid_equals_drift_via_generator(monkeypatch, python_scan, kind, params):
-    # The scan sums the generator over the whole box at once; each state of
-    # it, the kr = 0 and kn = 0 edges included, must equal the sum at that
+def test_scan_grid_equals_drift_via_generator(kind, params):
+    # The scan sums the generator over a list of states; each state of the
+    # box, the kr = 0 and kn = 0 edges included, must equal the sum at that
     # state alone.
-    grids = []
-    box_sum = spikesim.lyapunov._generator_sum
-    monkeypatch.setattr(spikesim.lyapunov, "_generator_sum",
-                        lambda *args: grids.append(box_sum(*args)) or grids[-1])
-    scan_drift_condition(kind, params, epsilon=0.1, scan_box=(12, 9))
-    monkeypatch.undo()
-    (grid,) = grids
-    spec = build_oneunit(params) if kind is ProcessKind.ONEUNIT else build_meanfield(params)
-    assert grid.shape == (13, 10)
+    spec, grid = _every_drift(kind, params, (12, 9))
     for kr in range(13):
         for kn in range(10):
             s = LatticeState(kr, kn, spec.r_unit, spec.n_unit)
             assert grid[kr, kn] == drift_via_generator(spec, s)
 
 
-def _block_grids(monkeypatch, kind, params, epsilon, box) -> list[np.ndarray]:
-    """The generator-sum grids of each block of rows a scan works on."""
+def _spy(patch) -> list[np.ndarray]:
+    """The generator sums that scans evaluate from here on, one a block of
+    rows."""
     grids = []
     box_sum = spikesim.lyapunov._generator_sum
+    patch.setattr(spikesim.lyapunov, "_generator_sum",
+                  lambda *args: grids.append(box_sum(*args)) or grids[-1])
+    return grids
+
+
+def _block_grids(monkeypatch, kind, params, epsilon, box) -> list[np.ndarray]:
+    """The generator sums of each block of rows a scan evaluates."""
     with monkeypatch.context() as patch:
-        patch.setattr(spikesim.lyapunov, "_generator_sum",
-                      lambda *args: grids.append(box_sum(*args)) or grids[-1])
+        grids = _spy(patch)
         scan_drift_condition(kind, params, epsilon=epsilon, scan_box=box)
     return grids
 
@@ -133,14 +147,14 @@ def _block_grids(monkeypatch, kind, params, epsilon, box) -> list[np.ndarray]:
     ModelParams(0.3, 0.7, 3.0, 2.5),
     ModelParams(0.0, 1.3, 7.0, 0.4),
 ], ids=["gamma100", "gamma2", "gamma3_beta0.7", "alpha0"])
-def test_row_blocks_stitch_to_drift_via_generator(monkeypatch, python_scan, kind, params):
+def test_row_blocks_stitch_to_drift_via_generator(monkeypatch, kind, params):
     # Blocks of 5 rows of a 13 x 10 box: only the first holds the censored
-    # kr = 0 edge, and each block's grid starts at its own first kr.
+    # kr = 0 edge, and each block lists its own states.
     monkeypatch.setattr(spikesim.lyapunov, "_BLOCK_ELEMENTS", 5 * 10)
-    grids = _block_grids(monkeypatch, kind, params, 0.1, (12, 9))
-    assert [grid.shape for grid in grids] == [(5, 10), (5, 10), (3, 10)]
-    grid = np.vstack(grids)
-    spec = build_oneunit(params) if kind is ProcessKind.ONEUNIT else build_meanfield(params)
+    grids = _spy(monkeypatch)
+    spec, grid = _every_drift(kind, params, (12, 9))
+    assert [block.shape for block in grids] == [(50,), (50,), (30,)]
+    assert np.concatenate(grids).tobytes() == grid.tobytes()
     for kr in range(13):
         for kn in range(10):
             s = LatticeState(kr, kn, spec.r_unit, spec.n_unit)
@@ -149,73 +163,37 @@ def test_row_blocks_stitch_to_drift_via_generator(monkeypatch, python_scan, kind
 
 @pytest.mark.parametrize("rows", [1, 7, "whole box"])
 @pytest.mark.parametrize("case", list(test_drift_bytes.SCANS))
-def test_block_edges_do_not_change_the_report(monkeypatch, python_scan, case, rows):
+def test_block_edges_do_not_change_the_report(monkeypatch, case, rows):
     kind, params, epsilon, box = test_drift_bytes.SCANS[case]
     report = scan_drift_condition(kind, params, epsilon, box)
     kr_max, kn_max = report.scan_box
+    window = sum(grid.size for grid in _block_grids(monkeypatch, kind, params, epsilon, box))
     rows = kr_max + 2 if rows == "whole box" else rows
     monkeypatch.setattr(spikesim.lyapunov, "_BLOCK_ELEMENTS", rows * (kn_max + 1))
     assert test_drift_bytes.scan_digest(kind, params, epsilon, box) == \
         test_drift_bytes.DIGESTS[case]
-    # The blocks are as many as the rows ask for; an inconclusive scan has none.
+    # The blocks evaluate the same states, at most the rows' worth asked for
+    # each; an inconclusive scan evaluates none.
     grids = _block_grids(monkeypatch, kind, params, epsilon, box)
-    assert len(grids) == (0 if report.inconclusive else math.ceil((kr_max + 1) / rows))
-
-
-@pytest.mark.parametrize("rows", [1, 7, "whole box"])
-@pytest.mark.parametrize("case", list(test_drift_bytes.SCANS))
-def test_compiled_block_edges_do_not_change_the_report(monkeypatch, case, rows):
-    scan = spikesim.lyapunov._compiled_scan()
-    if scan is None:
-        pytest.skip("no compiled scan here")
-    kind, params, epsilon, box = test_drift_bytes.SCANS[case]
-    report = scan_drift_condition(kind, params, epsilon, box)
-    kr_max, kn_max = report.scan_box
-    rows = kr_max + 2 if rows == "whole box" else rows
-    monkeypatch.setattr(spikesim.lyapunov, "_BLOCK_ELEMENTS", rows * (kn_max + 1))
-    # Each call of the C scan is one block of rows [k0, k1).
-    edges, block = [], scan.args[0]
-    spy = functools.partial(_compiled.drift_scan,
-                            lambda *args: edges.append(args[2:]) or block(*args))
-    monkeypatch.setattr(spikesim.lyapunov, "_compiled_scan", lambda: spy)
-    assert test_drift_bytes.scan_digest(kind, params, epsilon, box) == \
-        test_drift_bytes.DIGESTS[case]
-    assert edges == ([] if report.inconclusive else
-                     [(k0, min(k0 + rows, kr_max + 1)) for k0 in range(0, kr_max + 1, rows)])
+    assert sum(grid.size for grid in grids) == window
+    assert all(grid.size <= rows * (kn_max + 1) for grid in grids)
+    assert not (report.inconclusive and grids)
 
 
 @pytest.mark.parametrize("case", list(test_drift_bytes.SCANS))
-def test_python_scan_report_bytes_are_frozen(python_scan, case):
+def test_python_scan_report_bytes_are_frozen(monkeypatch, case):
+    # The whole-box reference that the property tests hold the scan to
+    # gives the frozen reports too.
+    monkeypatch.setattr(spikesim.lyapunov, "_scan", whole_box_scan)
     test_drift_bytes.test_scan_report_bytes_are_frozen(case)
 
 
-@pytest.mark.parametrize("probe", list(spikesim.lyapunov._PROBES))
-def test_the_scan_probes_compare_every_drift(probe):
-    # The compiled scan is checked on these probes when the library is
-    # built: every state is in A or a violation, so every drift is compared.
-    decay, bound, rows = probe
-    spec = spikesim.lyapunov._probe_spec()
-    outcome = spikesim.lyapunov._scan_python(spec, spikesim.lyapunov._f_weights(spec), decay,
-                                             bound, math.inf, (13, 11), rows)
-    assert len(outcome[0]) + len(outcome[1]) == 14 * 12
-    assert len(outcome[0]) and len(outcome[1])
-
-
-def test_the_scan_check_refuses_a_drift_one_bit_off():
-    def off(*args):
-        set_a, bad, drift = spikesim.lyapunov._scan_python(*args)
-        drift[-1] = np.nextafter(drift[-1], math.inf)
-        return set_a, bad, drift
-
-    assert spikesim.lyapunov._agrees(spikesim.lyapunov._scan_python)
-    assert not spikesim.lyapunov._agrees(off)
-
-
-def test_the_compiled_scan_runs_wherever_the_library_builds():
-    # A library that builds but computes differently is refused whole at its
-    # check, and the numpy scan runs; that must not pass unnoticed.
-    assert (spikesim.lyapunov._compiled_scan() is None) == (_compiled.library() is None)
-    assert not (_compiled.cache_dir() / f"_kernel-{_compiled.build_key()}.refused").exists()
+def test_the_scan_evaluates_few_states_exactly(monkeypatch):
+    # Evaluated state by state, this box hands all of its 4.0 M states to
+    # the generator sum; the row scan only its windows.
+    grids = _block_grids(monkeypatch, ProcessKind.ONEUNIT, ModelParams(0.01, 1.0, 100.0, 7.0),
+                         0.1, (2000, 2000))
+    assert sum(grid.size for grid in grids) < 0.01 * 2001 * 2001
 
 
 @pytest.mark.parametrize("kind", [ProcessKind.ONEUNIT, ProcessKind.MEANFIELD])
@@ -382,7 +360,7 @@ class TestScan:
         (ProcessKind.ONEUNIT, (0, 4), "nan"),
         (ProcessKind.MEANFIELD, (0, 1), "inf"),
     ])
-    def test_a_drift_that_is_not_finite_is_an_error(self, each_scan, kind, first, drift):
+    def test_a_drift_that_is_not_finite_is_an_error(self, kind, first, drift):
         # beta and gamma near the smallest normal float: the rates overflow,
         # and the drift is NaN (or inf) at most states of the box.  A NaN
         # is not <= -epsilon, so it is a violation, and the report names
@@ -392,7 +370,7 @@ class TestScan:
                 f"the drift at (kr, kn) = {first} is {drift}, not a finite float")):
             scan_drift_condition(kind, params, epsilon=0.1, scan_box=(5, 5))
 
-    def test_a_drift_of_minus_inf_passes(self, each_scan):
+    def test_a_drift_of_minus_inf_passes(self):
         # The leak rate n / beta overflows at kn >= 2: the drift is -inf
         # there, which is <= -epsilon.
         params = ModelParams(alpha=0.01, beta=1e-308, gamma=1.0, p=7.0)

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import spikesim
-from spikesim import _compiled, io, jump, lyapunov, ode
+from spikesim import _compiled, io, jump, ode
 
 PACKAGE = Path(spikesim.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -229,8 +229,7 @@ def test_every_exported_c_function_is_loaded():
     (_compiled.run, 1, jump._run_python),
     (_compiled.rk4, 1, ode._rk4_python),
     (_compiled.format_rows, 1, io._python_rows),
-    (_compiled.drift_scan, 1, lyapunov._scan_python),
-], ids=["run", "rk4", "format_rows", "drift_scan"])
+], ids=["run", "rk4", "format_rows"])
 def test_each_compiled_binding_takes_its_python_twins_arguments(binding, bound, twin):
     # Bound to its C function (and table), a binding stands in for its
     # Python twin, so it must take the same parameters in the same order.

@@ -4,7 +4,9 @@ Examples are drawn from a fixed seed (``derandomize``), so the suite gives
 the same verdict on every run.
 """
 
+import dataclasses
 import math
+import re
 from fractions import Fraction
 from io import BytesIO
 from typing import NamedTuple
@@ -13,8 +15,9 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import PARAM_GRID
-from hypothesis import Phase, example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
+from test_lyapunov import whole_box_scan
 
 from spikesim import (
     EventCapError,
@@ -661,46 +664,94 @@ def test_compiled_and_python_rk4_agree(params, r0, n0, t_end, dt, sample_every):
     assert compiled[3] == python[3]
 
 
-# The library's drift scan, where it builds and passes its check.
-COMPILED_SCAN = lyapunov._compiled_scan()
-
 # beta is never 1, so the leak channel divides; alpha = 0 and p = 0 leave
-# channels with no term at all.
-scan_params_strategy = st.builds(
-    ModelParams,
-    alpha=st.one_of(st.just(0.0), st.floats(0.0, 20.0, **finite)),
-    beta=st.floats(0.05, 20.0, **finite).filter(lambda beta: beta != 1.0),
-    gamma=st.floats(0.1, 500.0, **finite),
-    p=st.one_of(st.just(0.0), st.floats(0.0, 20.0, **finite)),
+# channels with no term at all.  beta and gamma near the smallest normal
+# float overflow the rates: the drift is then NaN or inf at some states.
+scan_params_strategy = st.one_of(
+    st.builds(
+        ModelParams,
+        alpha=st.one_of(st.just(0.0), st.floats(0.0, 20.0, **finite)),
+        beta=st.floats(0.05, 20.0, **finite).filter(lambda beta: beta != 1.0),
+        gamma=st.floats(0.1, 500.0, **finite),
+        p=st.one_of(st.just(0.0), st.floats(0.0, 20.0, **finite)),
+    ),
+    st.builds(ModelParams, alpha=st.just(0.01), beta=st.sampled_from([1e-308, 1e-300]),
+              gamma=st.sampled_from([3e-308, 1e-300, 1.0]), p=st.just(7.0)),
 )
 
 
-@pytest.mark.skipif(COMPILED_SCAN is None, reason="no compiled library here")
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     params=scan_params_strategy,
-    kind=st.sampled_from(["oneunit", "meanfield", "probe table"]),
-    box=st.tuples(st.integers(1, 60), st.integers(1, 60)),
-    epsilon=st.floats(1e-3, 10.0, **finite),
-    every_drift=st.booleans(),
-    rows=st.sampled_from([1, 7, "whole box"]),
+    kind=st.sampled_from(["oneunit", "meanfield", "probe table", "random table", "c_y < 0"]),
+    rows=st.lists(row_strategy, min_size=5, max_size=5),
+    box=st.tuples(st.integers(1, 150), st.integers(1, 150)),
+    epsilon=st.floats(1e-12, 10.0, **finite),
+    tie=st.one_of(st.none(), st.tuples(st.integers(0, 10**6), st.sampled_from([-1, 0, 1]))),
+    decay=st.tuples(st.booleans(), st.floats(0.0, 20.0, **finite),
+                    st.floats(-10.0, -1e-3, **finite)),
 )
-def test_compiled_and_python_scans_agree(params, kind, box, epsilon, every_drift, rows):
-    if kind == "probe table":  # guards on kr and on kn, every kind of term
+# Absorption and leak rates of 1.5e306 kn and 3e306 kn: the drift falls
+# along kn, but the two terms overflow with opposite signs at kn >= 120 (a
+# NaN drift), while the bound's slope stays finite.
+@example(params=ModelParams(alpha=0.01, beta=1.0, gamma=1.0, p=7.0), kind="random table",
+         rows=[{"k_rn": 0.0, "k_r": 0.0, "k_n": k_n, "k_1": k_1, "div": 1.0}
+               for k_n, k_1 in ((0.0, 0.0), (0.0, 0.0), (1.5e306, 0.0), (0.0, 1.0), (3e306, 0.0))],
+         box=(3, 150), epsilon=0.1, tie=None, decay=(True, 0.0, -1.0))
+# Pumping, and a leak of kn + 10 guarded at kn = 0: the affine drift is
+# -8 - kn along the rows kr >= 1, but the drift at kn = 0 is +2.
+@example(params=ModelParams(alpha=1.0, beta=1.0, gamma=1.0, p=0.0), kind="random table",
+         rows=[{"k_rn": 0.0, "k_r": 0.0, "k_n": k_n, "k_1": k_1, "div": 1.0}
+               for k_n, k_1 in ((0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, 1.0), (1.0, 10.0))],
+         box=(3, 5), epsilon=0.1, tie=None, decay=(True, 0.0, -1.0))
+# A drift that rises along kn, -10 + kn / 2 in the rows kr >= 1, so that
+# only the last state of each row is a violation.
+@example(params=ModelParams(alpha=1.0, beta=1.0, gamma=1.0, p=0.0), kind="random table",
+         rows=[{"k_rn": 0.0, "k_r": 0.0, "k_n": k_n, "k_1": k_1, "div": 1.0}
+               for k_n, k_1 in ((0.0, 10.0), (0.0, 0.0), (0.5, 0.0), (0.0, 0.0), (0.0, 0.0))],
+         box=(3, 20), epsilon=0.1, tie=None, decay=(True, 0.0, -1.0))
+# epsilon one ulp off -drift at a state where the affine drift rounds to
+# the other side of -epsilon (found by a seeded search).
+@example(params=ModelParams(alpha=0.0, beta=3.720912502507677, gamma=378.45180048436754,
+                            p=7.079714106579512),
+         kind="probe table",
+         rows=[{"k_rn": 0.0, "k_r": 0.0, "k_n": 0.0, "k_1": 0.0, "div": 1.0}] * 5,
+         box=(12, 63), epsilon=0.8850388382303215, tie=None, decay=(True, 0.0, -1.0))
+def test_the_scan_equals_the_whole_box_evaluation(params, kind, rows, box, epsilon, tie, decay):
+    # The probe table has a row whose drift rises along kn, guards on kn and
+    # divisors; a random table, under the one-unit decay, has any of these.
+    # "c_y < 0" is a decay that need not be monotone along a row.  A tie
+    # sets epsilon at -drift of a state of the box, or one ulp off it.
+    mode = ProcessKind.MEANFIELD if kind == "meanfield" else ProcessKind.ONEUNIT
+    if kind in ("oneunit", "meanfield"):
+        assume(params.z > 0 and lyapunov.ergodicity_condition(mode, params).holds)
+    spec = _build(mode.value, params, 1)
+    if kind == "probe table":
         spec = jump._probe_spec()
-    else:
-        spec = _build(kind, params, 1)
-    bound = lyapunov.membership_bound(params, epsilon)
-    # With epsilon = inf, every state outside A is a violation, so every
-    # drift there is compared.
-    scan = (spec, lyapunov._f_weights(spec), lyapunov._decay_coefficients(spec.kind, params),
-            bound, math.inf if every_drift else epsilon, box,
-            box[0] + 1 if rows == "whole box" else rows)
-    compiled, python = COMPILED_SCAN(*scan), lyapunov._scan_python(*scan)
+    elif kind == "random table":
+        spec = dataclasses.replace(spec, table=_make_table(*rows))
+    if kind != "c_y < 0":
+        decay = lyapunov._decay_coefficients(mode, params)
+    weights = lyapunov._f_weights(spec)
+    if tie is not None:
+        bound = lyapunov.membership_bound(params, epsilon)
+        drifts = whole_box_scan(spec, weights, decay, bound, math.inf, box)[2]
+        drifts = drifts[np.isfinite(drifts) & (drifts < 0.0)]
+        if len(drifts):
+            epsilon = float(np.nextafter(-drifts[tie[0] % len(drifts)], tie[1] * math.inf)
+                            if tie[1] else -drifts[tie[0] % len(drifts)])
+    scan = (spec, weights, decay, lyapunov.membership_bound(params, epsilon), epsilon, box)
+    got, expected = lyapunov._scan(*scan), whole_box_scan(*scan)
     # A's pairs, the violations' pairs, and their drifts bit for bit.
-    for got, expected in zip(compiled, python, strict=True):
-        assert got.dtype == expected.dtype and got.shape == expected.shape
-        assert got.tobytes() == expected.tobytes()
+    for scanned, evaluated in zip(got, expected, strict=True):
+        assert scanned.dtype == evaluated.dtype and scanned.shape == evaluated.shape
+        assert scanned.tobytes() == evaluated.tobytes()
+    # A drift that is not finite names the first such state.
+    _in_a, violations, drifts = expected
+    if kind in ("oneunit", "meanfield") and not np.isfinite(drifts).all():
+        first = tuple(violations[np.argmin(np.isfinite(drifts))].tolist())
+        with pytest.raises(ValueError, match=re.escape(f"the drift at (kr, kn) = {first} is ")):
+            lyapunov.scan_drift_condition(mode, params, epsilon, box)
 
 
 # Reference implementations: the per-run spike and plateau loops, the

@@ -8,7 +8,7 @@ temporary ``XDG_CACHE_HOME``, under the name ``_compiled.library()`` looks
 for (the current ``build_key()``), so that every process started with that
 cache binds the sanitized build in place of the checked one.  Then, under
 ``LD_PRELOAD=<the compiler's libasan.so> ASAN_OPTIONS=detect_leaks=0``, it
-runs the five build checks (the ``_agrees`` functions) on the build, and
+runs the four build checks (the ``_agrees`` functions) on the build, and
 the format, CSV byte, property, engine stream and stream tests against it;
 pytest arguments given here are passed on.
 
@@ -36,12 +36,11 @@ SANITIZE = ("-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
 # The stream tests run the loop resumed at chunk sizes 1 and 7.
 TESTS = ("tests/test_format.py", "tests/test_csv_bytes.py", "tests/test_properties.py",
          "tests/test_engine_stream.py", "tests/test_stream.py")
-# The five checks a build must pass, as ``_compiled.build_library`` runs them.
+# The four checks a build must pass, as ``_compiled.build_library`` runs them.
 CHECKS = """
-from spikesim import _compiled, io, jump, lyapunov, ode
+from spikesim import _compiled, io, jump, ode
 loops = _compiled.library()
-checks = (jump._agrees, ode._agrees, lyapunov._agrees, io._formatter_agrees,
-          io._reader_agrees)
+checks = (jump._agrees, ode._agrees, io._formatter_agrees, io._reader_agrees)
 failed = [name for name, check, loop in zip(loops._fields, checks, loops) if not check(loop)]
 print(f"{len(checks) - len(failed)} of {len(checks)} build checks pass", *failed)
 raise SystemExit(1 if failed else 0)
