@@ -32,6 +32,14 @@ from spikesim.lyapunov import (
 )
 
 
+@pytest.fixture(params=["python", "whole box"])
+def each_scan(request, monkeypatch):
+    """The library's scan (numpy, a row at a time), then the whole-box
+    evaluation that it is held to."""
+    if request.param == "whole box":
+        monkeypatch.setattr(spikesim.lyapunov, "_scan", whole_box_scan)
+
+
 def whole_box_scan(spec, weights, decay, bound, epsilon, box):
     """``lyapunov._scan``'s outcome with every state of the box evaluated:
     the decay and the generator sum over the whole box at once."""
@@ -360,7 +368,7 @@ class TestScan:
         (ProcessKind.ONEUNIT, (0, 4), "nan"),
         (ProcessKind.MEANFIELD, (0, 1), "inf"),
     ])
-    def test_a_drift_that_is_not_finite_is_an_error(self, kind, first, drift):
+    def test_a_drift_that_is_not_finite_is_an_error(self, each_scan, kind, first, drift):
         # beta and gamma near the smallest normal float: the rates overflow,
         # and the drift is NaN (or inf) at most states of the box.  A NaN
         # is not <= -epsilon, so it is a violation, and the report names
@@ -370,7 +378,7 @@ class TestScan:
                 f"the drift at (kr, kn) = {first} is {drift}, not a finite float")):
             scan_drift_condition(kind, params, epsilon=0.1, scan_box=(5, 5))
 
-    def test_a_drift_of_minus_inf_passes(self):
+    def test_a_drift_of_minus_inf_passes(self, each_scan):
         # The leak rate n / beta overflows at kn >= 2: the drift is -inf
         # there, which is <= -epsilon.
         params = ModelParams(alpha=0.01, beta=1e-308, gamma=1.0, p=7.0)
