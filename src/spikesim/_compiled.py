@@ -183,7 +183,7 @@ class Column(ctypes.Structure):
     """One column of CSV rows as the formatter reads it (struct column)."""
 
     _fields_ = [("kind", ctypes.c_int64), ("values", ctypes.c_void_p), ("unit", ctypes.c_double),
-                ("labels", ctypes.POINTER(ctypes.c_char_p))]
+                ("labels", ctypes.c_char_p), ("n_labels", ctypes.c_int64)]
 
 
 # Column kinds (the C enum's order): float64 values, each written as its
@@ -192,6 +192,10 @@ class Column(ctypes.Structure):
 KINDS = ("float", "lattice", "label")
 # Bytes a float takes at most: the 24 of "-2.2250738585072014e-308".
 _FLOAT_BYTES = 24
+# Bytes of a label's slot in the label table, and bytes past the widest row
+# that the C loop's fixed-width copies may write (see ``_kernel.c``).
+_LABEL_BYTES = 16
+_COPY_BYTES = 16
 
 
 @functools.cache
@@ -216,26 +220,36 @@ def pow10_table() -> ctypes.Array:
 
 
 def format_rows(formatter, columns: list[tuple[str, np.ndarray, float]],
-                labels: tuple[str, ...], slice_rows: int) -> Iterator[str]:
-    """The CSV lines of ``columns``, ``slice_rows`` rows per string.  Each
-    column is a (kind, values, unit) triple of a kind in ``KINDS``; the
-    caller has checked that the values are contiguous and 1-D, of one
-    length, of the kind's dtype, and that every label code indexes
-    ``labels``, since the C loop trusts all of that."""
-    label_text = (ctypes.c_char_p * len(labels))(*(label.encode("ascii") for label in labels))
+                labels: tuple[str, ...], slice_rows: int) -> Iterator[memoryview]:
+    """The CSV lines of ``columns`` as ASCII bytes, ``slice_rows`` rows a
+    slice.  Each slice is a view of one buffer, which the next slice
+    overwrites: write it, or copy it, before taking the next.  Each column
+    is a (kind, values, unit) triple of a kind in ``KINDS``; the caller has
+    checked that the values are contiguous and 1-D, of one length, of the
+    kind's dtype, and that every label code indexes ``labels``, since the C
+    loop trusts all of that.
+
+    The C loop copies in fixed widths past the text it writes, so its slack
+    is allocated here: each label padded to ``_LABEL_BYTES``, and a buffer
+    that holds ``slice_rows`` of the widest row and ``_COPY_BYTES`` more."""
+    label_text = b"".join(label.encode("ascii").ljust(_LABEL_BYTES, b"\0") for label in labels)
+    if len(label_text) != _LABEL_BYTES * len(labels):
+        raise ValueError(f"labels must be at most {_LABEL_BYTES} bytes, got {labels}")
     cells = (Column * len(columns))(*(Column(KINDS.index(kind), values.ctypes.data, unit,
-                                             label_text)
+                                             label_text, len(labels))
                                       for kind, values, unit in columns))
-    width = sum(max(map(len, labels)) + 1 if kind == "label" else _FLOAT_BYTES + 1
+    width = sum(_LABEL_BYTES if kind == "label" else _FLOAT_BYTES + 1
                 for kind, _values, _unit in columns)
-    buf, powers = ctypes.create_string_buffer(slice_rows * width), pow10_table()
+    buf, powers = bytearray(slice_rows * width + _COPY_BYTES), pow10_table()
+    start = ctypes.addressof((ctypes.c_char * len(buf)).from_buffer(buf))
+    view = memoryview(buf)
     n_rows = len(columns[0][1])
-    for start in range(0, n_rows, slice_rows):
-        size = formatter(cells, len(columns), start, min(start + slice_rows, n_rows),
-                         buf, len(buf), powers)
+    for first in range(0, n_rows, slice_rows):
+        size = formatter(cells, len(columns), first, min(first + slice_rows, n_rows),
+                         start, len(buf), powers)
         if size < 0:
             raise OverflowError("CSV slice exceeds its buffer")
-        yield ctypes.string_at(buf, size).decode("ascii")
+        yield view[:size]
 
 
 class Rows(ctypes.Structure):

@@ -223,6 +223,11 @@ int64_t spikesim_rk4(struct rk4 *rk4, double *ts, double *rs, double *ns)
    index copies it instead of formatting the value again. */
 enum { POW10_MIN = -292, POW10_MAX = 326 };
 
+/* Code used from each of the formatter's loops is inlined into each all
+   the same, so that no copy of it lands ahead of the loops above and moves
+   them. */
+#define ALWAYS_INLINE inline __attribute__((always_inline))
+
 /* The 128-bit product a * b as its high and low halves. */
 static inline uint64_t mul_64(uint64_t a, uint64_t b, uint64_t *low)
 {
@@ -253,8 +258,8 @@ static inline uint64_t round_to_odd(const uint64_t *g, uint64_t cp)
 
 /* The shortest decimal digits * 10^*exponent that reads back as the
    positive finite double of these IEEE fields. */
-static uint64_t shortest(const uint64_t (*pow10)[2], uint64_t fraction, int biased,
-                         int *exponent)
+static ALWAYS_INLINE uint64_t shortest(const uint64_t (*pow10)[2], uint64_t fraction,
+                                       int biased, int *exponent)
 {
     const uint64_t c = biased ? fraction | (UINT64_C(1) << 52) : fraction;
     const int q = (biased ? biased : 1) - 1075;  /* value = c * 2^q */
@@ -293,6 +298,13 @@ static uint64_t shortest(const uint64_t (*pow10)[2], uint64_t fraction, int bias
 
 /* Bytes a value takes at most: the 24 of "-2.2250738585072014e-308". */
 #define FLOAT_BYTES 24
+/* Bytes of a label's slot in the caller's label table: the label, then NUL
+   padding.  A label is copied as its whole slot. */
+#define LABEL_BYTES 16
+/* Bytes past the widest row that its fixed-width copies may write: a float
+   cell's digits are copied 16 at a time and may reach 9 bytes past its
+   FLOAT_BYTES and separator.  The caller's buffer holds them. */
+#define COPY_BYTES 16
 
 /* "00" .. "99": a pair of digits at a time. */
 static const char DIGIT_PAIRS[200] =
@@ -321,9 +333,11 @@ static inline void write_8_digits(uint32_t v, char *out)
    before the first digit to 16 places after it, with at least one digit
    after the point; otherwise d.ddde+XX, the exponent of two digits at
    least.  The digits, at most 17, are written as one digit and two groups
-   of 8, leading zeros included, and the text starts at the first digit
-   that is not one. */
-static char *format_double(const uint64_t (*pow10)[2], double x, char *out)
+   of 8, leading zeros included, then zeros, and the text starts at the
+   first digit that is not one.  Every copy is of a fixed width: it may
+   write past the end of the text, up to 34 bytes from out, and the next
+   cell or the caller's slack takes those bytes. */
+static ALWAYS_INLINE char *format_double(const uint64_t (*pow10)[2], double x, char *out)
 {
     uint64_t bits;
     memcpy(&bits, &x, sizeof bits);
@@ -346,67 +360,68 @@ static char *format_double(const uint64_t (*pow10)[2], double x, char *out)
 
     int exponent;
     uint64_t value = shortest(pow10, fraction, biased, &exponent);
-    while (value % 100000000 == 0) {
-        value /= 100000000;
-        exponent += 8;
-    }
-    if (value % 10000 == 0) {
-        value /= 10000;
-        exponent += 4;
-    }
-    if (value % 100 == 0) {
-        value /= 100;
-        exponent += 2;
-    }
-    if (value % 10 == 0) {
-        value /= 10;
-        exponent++;
+    if (value % 10 == 0) {  /* most shortest digits have no trailing zero */
+        while (value % 100000000 == 0) {
+            value /= 100000000;
+            exponent += 8;
+        }
+        if (value % 10000 == 0) {
+            value /= 10000;
+            exponent += 4;
+        }
+        if (value % 100 == 0) {
+            value /= 100;
+            exponent += 2;
+        }
+        if (value % 10 == 0) {
+            value /= 10;
+            exponent++;
+        }
     }
     /* n, the digits of value: floor(log10(2^b)) or one more, for its b bits. */
     const int guess = (64 - __builtin_clzll(value)) * 1233 >> 12;
     const int n = guess + (value >= POWERS_OF_TEN[guess]);
-    char digits[17];
-    digits[0] = (char)('0' + value / 10000000000000000);
-    write_8_digits((uint32_t)(value / 100000000 % 100000000), digits + 1);
-    write_8_digits((uint32_t)(value % 100000000), digits + 9);
+    /* 17 digits, then 31 zeros: every copy below reads inside it. */
+    char digits[48];
+    memset(digits + 16, '0', 32);
+    const uint64_t high = value / 100000000;  /* below 10^9: 32-bit from here */
+    digits[0] = (char)('0' + (uint32_t)high / 100000000);
+    write_8_digits((uint32_t)high % 100000000, digits + 1);
+    write_8_digits((uint32_t)(value - high * 100000000), digits + 9);
     const char *first = digits + 17 - n;
     const int point = exponent + n;  /* x = 0.digits * 10^point */
 
     if (point < -3 || point > 16) {
-        *out++ = first[0];
-        if (n > 1) {
-            *out++ = '.';
-            memcpy(out, first + 1, (size_t)(n - 1));
-            out += n - 1;
-        }
+        /* The '.' and the copy are overwritten from out + 1 on when n is 1. */
+        out[0] = first[0];
+        out[1] = '.';
+        memcpy(out + 2, first + 1, 16);
+        out += n > 1 ? n + 1 : 1;
         int e = point - 1;
-        *out++ = 'e';
-        *out++ = e < 0 ? '-' : '+';
+        out[0] = 'e';
+        out[1] = e < 0 ? '-' : '+';
         e = e < 0 ? -e : e;
-        if (e >= 100)
-            *out++ = (char)('0' + e / 100);
-        *out++ = (char)('0' + e / 10 % 10);
-        *out++ = (char)('0' + e % 10);
-    } else if (point <= 0) {
-        memcpy(out, "0.000", (size_t)(2 - point));
-        out += 2 - point;
-        memcpy(out, first, (size_t)n);
-        out += n;
-    } else if (point < n) {
-        memcpy(out, first, (size_t)point);
-        out += point;
-        *out++ = '.';
-        memcpy(out, first + point, (size_t)(n - point));
-        out += n - point;
-    } else {
-        memcpy(out, first, (size_t)n);
-        out += n;
-        memset(out, '0', (size_t)(point - n));
-        out += point - n;
-        memcpy(out, ".0", 2);
-        out += 2;
+        if (e >= 100) {
+            out[2] = (char)('0' + e / 100);
+            e %= 100;
+            out++;
+        }
+        memcpy(out + 2, DIGIT_PAIRS + 2 * e, 2);
+        return out + 4;
     }
-    return out;
+    if (point <= 0) {
+        memcpy(out, "0.000", 5);
+        out += 2 - point;
+        memcpy(out, first, 17);
+        return out + n;
+    }
+    /* The integer part (the digits, then zeros where point passes them),
+       the point, and the rest of the digits, or the zero after them. */
+    memcpy(out, first, 16);
+    out += point;
+    *out++ = '.';
+    memcpy(out, first + point, 16);
+    return out + (point < n ? n - point : 1);
 }
 
 /* What a column holds, and how a value becomes text; _compiled's kinds. */
@@ -416,8 +431,12 @@ struct column {                  /* _compiled.Column */
     int64_t kind;
     const void *values;          /* double, int64_t or int8_t, by kind */
     double unit;                 /* COLUMN_LATTICE: index k is (double)k * unit */
-    const char *const *labels;   /* COLUMN_LABEL: the text of each code */
+    const char *labels;          /* COLUMN_LABEL: n_labels slots of LABEL_BYTES, one a code */
+    int64_t n_labels;
 };
+
+/* Label codes a column may hold: its int8 codes are at least 0. */
+enum { LABEL_CODES = 128 };
 
 /* The text of a lattice column's recent values, direct-mapped by index:
    slot k & (MEMO_SLOTS - 1) holds index k's text. */
@@ -429,66 +448,118 @@ struct memo {
     char text[MEMO_SLOTS][FLOAT_BYTES];
 };
 
+/* Write lattice index k's value, (double)k * unit, through memo: a hit
+   copies the FLOAT_BYTES bytes of its slot and keeps the length of its
+   text, a miss formats the value and stores it. */
+static ALWAYS_INLINE char *format_lattice(const uint64_t (*pow10)[2], struct memo *memo,
+                                          int64_t k, double unit, char *out)
+{
+    const unsigned slot = (unsigned)((uint64_t)k & (MEMO_SLOTS - 1));
+    if (memo->len[slot] && memo->k[slot] == k) {
+        memcpy(out, memo->text[slot], FLOAT_BYTES);
+        return out + memo->len[slot];
+    }
+    char *const text = format_double(pow10, (double)k * unit, out);
+    memcpy(memo->text[slot], out, FLOAT_BYTES);
+    memo->len[slot] = (uint8_t)(text - out);
+    memo->k[slot] = k;
+    return text;
+}
+
+/* Write row i's label of a label column, whose labels are len long: the
+   whole slot, kept to its length. */
+static ALWAYS_INLINE char *copy_label(const struct column *column, const uint8_t *len,
+                                      int64_t i, char *out)
+{
+    const int8_t code = ((const int8_t *)column->values)[i];
+    memcpy(out, column->labels + LABEL_BYTES * code, LABEL_BYTES);
+    return out + len[code];
+}
+
 /* The CSV text of rows [start, stop) of n_columns columns: the values of a
    row joined by ',' and ended by '\n'.  A float, and a lattice value
    (double)k * unit, is written as repr writes it; a label code as its
    label, which the caller has checked is in its table; pow10 is the table
    of g(m) above.  Returns the bytes written to buf, or -1 when they would
-   not fit in size.
+   not fit in size with COPY_BYTES to spare.
 
-   The first MEMO_COLUMNS lattice columns each keep a memo, emptied at
-   every call: a hit copies the FLOAT_BYTES bytes of its slot and keeps
-   the length of its text, a miss formats the value and stores it.
-   format_double is called from one place, so that it is inlined here and
-   the loops above keep their place in the library. */
+   The loop is picked once per call, by the row layout: all floats (an ODE
+   path, a survival curve, pairs), the jump row (time, r, n, channel), or
+   any other mix, whose loop looks up each cell's kind.  Each checks once a
+   row that the widest row and COPY_BYTES fit.  The first MEMO_COLUMNS
+   lattice columns each keep a memo, emptied at every call, and the
+   lengths of the labels are taken once a call. */
 int64_t spikesim_format_rows(const struct column *columns, int64_t n_columns, int64_t start,
                              int64_t stop, char *buf, int64_t size, const uint64_t (*pow10)[2])
 {
+    int64_t widest = COPY_BYTES;  /* the widest row, and the slack of its copies */
+    int64_t floats = 0;
+    for (int64_t j = 0; j < n_columns; j++) {
+        widest += columns[j].kind == COLUMN_LABEL ? LABEL_BYTES : FLOAT_BYTES + 1;
+        floats += columns[j].kind == COLUMN_FLOAT;
+    }
+    char *out = buf, *const end = buf + size;
+
+    if (floats == n_columns) {
+        for (int64_t i = start; i < stop; i++) {
+            if (end - out < widest)
+                return -1;
+            for (int64_t j = 0; j < n_columns; j++) {
+                out = format_double(pow10, ((const double *)columns[j].values)[i], out);
+                *out++ = ',';
+            }
+            out[-1] = '\n';
+        }
+        return out - buf;
+    }
+
     struct memo memos[MEMO_COLUMNS];
     for (int m = 0; m < MEMO_COLUMNS; m++)
         memset(memos[m].len, 0, sizeof memos[m].len);
-    char *out = buf, *const end = buf + size;
+    uint8_t label_len[n_columns][LABEL_CODES];  /* by column and code */
+    for (int64_t j = 0; j < n_columns; j++) {
+        for (int64_t c = 0; columns[j].kind == COLUMN_LABEL && c < columns[j].n_labels
+                            && c < LABEL_CODES; c++)
+            label_len[j][c] = (uint8_t)strnlen(columns[j].labels + LABEL_BYTES * c, LABEL_BYTES);
+    }
+
+    if (n_columns == 4 && columns[0].kind == COLUMN_FLOAT
+        && columns[1].kind == COLUMN_LATTICE && columns[2].kind == COLUMN_LATTICE
+        && columns[3].kind == COLUMN_LABEL) {
+        const double *const t = columns[0].values;
+        const int64_t *const kr = columns[1].values, *const kn = columns[2].values;
+        const double r_unit = columns[1].unit, n_unit = columns[2].unit;
+        for (int64_t i = start; i < stop; i++) {
+            if (end - out < widest)
+                return -1;
+            out = format_double(pow10, t[i], out);
+            *out++ = ',';
+            out = format_lattice(pow10, memos, kr[i], r_unit, out);
+            *out++ = ',';
+            out = format_lattice(pow10, memos + 1, kn[i], n_unit, out);
+            *out++ = ',';
+            out = copy_label(columns + 3, label_len[3], i, out);
+            *out++ = '\n';
+        }
+        return out - buf;
+    }
+
     for (int64_t i = start; i < stop; i++) {
+        if (end - out < widest)
+            return -1;
         int lattice = 0;  /* the lattice columns before column j */
         for (int64_t j = 0; j < n_columns; j++) {
             const struct column *column = columns + j;
             if (column->kind == COLUMN_LABEL) {
-                const char *label = column->labels[((const int8_t *)column->values)[i]];
-                size_t len = strlen(label);
-                if ((size_t)(end - out) <= len)
-                    return -1;
-                memcpy(out, label, len);
-                out += len;
-            } else if (end - out <= FLOAT_BYTES) {
-                return -1;
+                out = copy_label(column, label_len[j], i, out);
+            } else if (column->kind == COLUMN_FLOAT) {
+                out = format_double(pow10, ((const double *)column->values)[i], out);
             } else {
-                struct memo *memo = NULL;  /* a lattice column's, where it has one */
-                unsigned slot = 0;
-                int64_t k = 0;
-                double x;
-                if (column->kind == COLUMN_FLOAT) {
-                    x = ((const double *)column->values)[i];
-                } else {
-                    k = ((const int64_t *)column->values)[i];
-                    x = (double)k * column->unit;
-                    if (lattice < MEMO_COLUMNS) {
-                        memo = memos + lattice;
-                        slot = (unsigned)((uint64_t)k & (MEMO_SLOTS - 1));
-                    }
-                    lattice++;
-                }
-                if (memo && memo->len[slot] && memo->k[slot] == k) {
-                    memcpy(out, memo->text[slot], FLOAT_BYTES);
-                    out += memo->len[slot];
-                } else {
-                    char *text = format_double(pow10, x, out);
-                    if (memo) {
-                        memcpy(memo->text[slot], out, FLOAT_BYTES);
-                        memo->len[slot] = (uint8_t)(text - out);
-                        memo->k[slot] = k;
-                    }
-                    out = text;
-                }
+                const int64_t k = ((const int64_t *)column->values)[i];
+                out = lattice < MEMO_COLUMNS
+                    ? format_lattice(pow10, memos + lattice, k, column->unit, out)
+                    : format_double(pow10, (double)k * column->unit, out);
+                lattice++;
             }
             *out++ = j + 1 < n_columns ? ',' : '\n';
         }

@@ -27,9 +27,13 @@ from .jump import CHANNEL_LABELS, JumpTrajectory
 from .model import _PARAMS, ModelParams
 from .ode import Trajectory
 
-# Rows per write.  A slice's text is about 100 kB.  Slices of 8192 rows
-# wrote no faster, and on some seeds their larger temporaries left the heap
-# fragmented enough to raise sample_paths' peak RSS by about 9 MB.
+# Rows per write.  The formatter's buffer holds a slice of the widest rows,
+# 77 kB for an ODE path and 93 kB for a jump path, under glibc's 128 KiB
+# mmap threshold.  Over sample_paths' presets (best of 5 passes in one
+# process), slices of 1024, 4096 and 16,384 rows wrote the ODE CSVs in
+# 85-90 ms at each size and the jump CSVs in 50-51, 45 and 44-45 ms: 6 ms a
+# pass, inside sample_paths' run-to-run spread, so the buffers stay under
+# the threshold, whose sliding moves peak RSS.
 _SLICE_ROWS = 1024
 
 
@@ -54,17 +58,18 @@ def _write_csv(path: str | Path, params: ModelParams, meta: dict | None, names: 
     ``meta``, the line of column ``names``, ``first_row`` as it is (a whole
     line, or nothing), then one line per row of ``columns``.  Each column is
     a (kind, values, unit) triple with a kind of ``_DTYPES`` (unit is read
-    only for "lattice").  The rows go through the compiled formatter where
-    it is available, else ``_python_rows``, which gives the same bytes.
-    The columns are checked before the file is opened, so a rejected column
-    leaves no file behind."""
+    only for "lattice").  The file is written in binary: the header encoded
+    as UTF-8, then the rows' ASCII bytes as the compiled formatter hands
+    them over, each slice straight from its buffer, or as ``_python_rows``,
+    which gives the same bytes, makes them.  The columns are checked before
+    the file is opened, so a rejected column leaves no file behind."""
     checked = _checked_columns(columns)
     format_rows = _compiled_formatter() or _python_rows
-    with open(path, "w", newline="") as fh:
-        fh.write("".join(line + "\n" for line in _meta_lines(params, meta))
-                 + ",".join(names) + "\n" + first_row)
-        for text in format_rows(checked, CHANNEL_LABELS, _SLICE_ROWS):
-            fh.write(text)
+    with open(path, "wb") as fh:
+        fh.write(("".join(line + "\n" for line in _meta_lines(params, meta))
+                  + ",".join(names) + "\n" + first_row).encode())
+        for rows in format_rows(checked, CHANNEL_LABELS, _SLICE_ROWS):
+            fh.write(rows)
 
 
 def _checked_columns(columns) -> list[tuple[str, np.ndarray, float]]:
@@ -87,10 +92,10 @@ def _checked_columns(columns) -> list[tuple[str, np.ndarray, float]]:
 
 
 def _python_rows(columns: list[tuple[str, np.ndarray, float]], labels: tuple[str, ...],
-                 slice_rows: int) -> Iterator[str]:
-    """The CSV lines of checked ``columns``, ``slice_rows`` rows per string,
-    formatted in Python: the compiled formatter's reference, and its
-    fallback."""
+                 slice_rows: int) -> Iterator[bytes]:
+    """The CSV lines of checked ``columns`` as ASCII bytes, ``slice_rows``
+    rows a slice, formatted in Python: the compiled formatter's reference,
+    and its fallback."""
     for start in range(0, len(columns[0][1]), slice_rows):
         cells = []
         for kind, values, unit in columns:
@@ -101,7 +106,7 @@ def _python_rows(columns: list[tuple[str, np.ndarray, float]], labels: tuple[str
                 # A lattice value is the int64-times-float64 product that
                 # ``JumpTrajectory.step_r``/``step_n`` form.
                 cells.append(map(repr, (part * unit if kind == "lattice" else part).tolist()))
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+        yield ("\n".join(map(",".join, zip(*cells))) + "\n").encode("ascii")
 
 
 def _compiled_formatter() -> Callable | None:
@@ -113,14 +118,29 @@ def _compiled_formatter() -> Callable | None:
 
 
 def _formatter_agrees(format_rows: Callable) -> bool:
-    """Whether ``format_rows``, a build's formatter, writes the rows of
-    ``_check_columns`` as ``_python_rows`` does, in slices of seven rows, so
-    that slices end mid-table; and again with the columns in reverse order,
-    so that a lattice column's memo serves another unit than on the last
-    call."""
-    return all("".join(format_rows(columns, CHANNEL_LABELS, 7)) ==
-               "".join(_python_rows(columns, CHANNEL_LABELS, 7))
-               for columns in (_check_columns(), _check_columns()[::-1]))
+    """Whether ``format_rows``, a build's formatter, writes the rows of each
+    table of ``_layouts`` as ``_python_rows`` does, in slices of seven rows,
+    so that slices end mid-table.  Each slice is copied before the next
+    overwrites it."""
+    return all(b"".join(map(bytes, format_rows(columns, CHANNEL_LABELS, 7))) ==
+               b"".join(_python_rows(columns, CHANNEL_LABELS, 7))
+               for columns in _layouts())
+
+
+def _layouts() -> list[list[tuple[str, np.ndarray, float]]]:
+    """Tables of the columns of ``_check_columns`` that take each of the C
+    formatter's loops: its float column alone, beside itself rolled by one
+    row, and beside that and the column reversed (the all-float loop); the
+    float column, the walk, the shared-slot indices and the labels (the
+    jump-row loop); and all six columns, and again in reverse order, so that
+    a lattice column's memo serves another unit than on the last call (the
+    loop of any other mix)."""
+    columns = _check_columns()
+    floats = columns[0]
+    kind, values, unit = floats
+    others = [(kind, np.roll(values, 1), unit), (kind, values[::-1].copy(), unit)]
+    return [[floats], [floats, others[0]], [floats, *others], [floats, *columns[3:]],
+            columns, columns[::-1]]
 
 
 def _check_columns() -> list[tuple[str, np.ndarray, float]]:
@@ -370,11 +390,11 @@ def _reader_agrees(read_rows: Callable) -> bool:
     ``_check_columns`` to the floats loadtxt reads, bit for bit.  Beside the
     rows written, decimals no repr is: two exact ties (2^53 + 1 and 1e23),
     the largest and smallest subnormals, and long digit strings."""
-    text = "".join(_python_rows(_check_columns(), CHANNEL_LABELS, 7)) + (
-        "9007199254740993,1e23,2.2250738585072011e-308,0.0,1e-5,leak\n"
-        "4.9406564584124654e-324,-0,123456789012345678901234567890e-40,-1.5,2,\n")
-    expected = _loadtxt(text.splitlines(), [0, 1, 2, 3, 4])
+    text = b"".join(_python_rows(_check_columns(), CHANNEL_LABELS, 7)) + (
+        b"9007199254740993,1e23,2.2250738585072011e-308,0.0,1e-5,leak\n"
+        b"4.9406564584124654e-324,-0,123456789012345678901234567890e-40,-1.5,2,\n")
+    expected = _loadtxt(text.decode("ascii").splitlines(), [0, 1, 2, 3, 4])
     # In blocks of 256 bytes, so that rows cross the ends of blocks.
-    got = read_rows(BytesIO(text.encode("ascii")), [0, 1, 2, 3, 4, -1], len(text), block=256)
+    got = read_rows(BytesIO(text), [0, 1, 2, 3, 4, -1], len(text), block=256)
     return got is not None and all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
                                    for a, b in zip(got, expected))

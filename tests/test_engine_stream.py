@@ -351,7 +351,7 @@ class TestBuild:
     @pytest.mark.parametrize("module, twin, differs", [
         (jump, "_run_python", lambda *args: (array("d"), bytearray(), 1)),
         (ode, "_rk4_python", lambda *args: (1, 0, 0, 1, 0.0)),
-        (io, "_python_rows", lambda *args: iter(["0\n"])),
+        (io, "_python_rows", lambda *args: iter([b"0\n"])),
         (io, "_loadtxt", lambda lines, usecols: np.zeros((len(usecols), 1))),
     ], ids=["run", "rk4", "formatter", "reader"])
     def test_a_build_that_fails_one_check_is_refused_whole(self, empty_cache, monkeypatch,
@@ -366,7 +366,15 @@ class TestBuild:
         # the limit reported as r.
         ("rk4", "fail = RK4_NOT_FINITE;", "fail = RK4_N_BELOW;"),
         ("rk4", "rk4->fail_value = n;", "rk4->fail_value = r;"),
-    ], ids=["rk4_not_finite", "rk4_n_fail_value"])
+        # The float loop writes every column as the first one, and the
+        # jump-row loop keeps n's text in r's memo: faults that only a
+        # table of that loop's layout shows.
+        ("formatter", "((const double *)columns[j].values)[i]",
+         "((const double *)columns[0].values)[i]"),
+        ("formatter", "format_lattice(pow10, memos + 1, kn[i], n_unit, out);",
+         "format_lattice(pow10, memos, kn[i], n_unit, out);"),
+    ], ids=["rk4_not_finite", "rk4_n_fail_value", "formatter_floats_first_column",
+            "formatter_jump_shared_memo"])
     def test_refuses_a_kernel_wrong_on_one_branch(self, empty_cache, monkeypatch, compiles,
                                                   tmp_path_factory, loop, line, mutant):
         # A C-only fault, which no Python twin shares, on a branch that only

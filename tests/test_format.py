@@ -40,8 +40,35 @@ compiled = pytest.mark.skipif(FORMATTER is None or READER is None,
                               reason="no compiled library here")
 
 
-def _float_text(values: np.ndarray) -> str:
-    return "".join(FORMATTER([("float", values, 0.0)], ("x",), 4096))
+def _formatted(columns, slice_rows: int) -> bytes:
+    """The rows of ``columns`` as the compiled formatter writes them,
+    ``slice_rows`` rows a slice, each slice copied before the next one
+    overwrites its buffer."""
+    return b"".join(map(bytes, FORMATTER(io._checked_columns(columns), CHANNEL_LABELS,
+                                         slice_rows)))
+
+
+def _assert_rows_as_python_writes_them(columns, slice_rows):
+    got = _formatted(columns, slice_rows)
+    expected = b"".join(io._python_rows(io._checked_columns(columns), CHANNEL_LABELS, slice_rows))
+    if got != expected:
+        rows = [(w, g) for w, g in zip(expected.split(b"\n"), got.split(b"\n")) if w != g]
+        pytest.fail(f"{len(rows)} rows unlike _python_rows, first (expected, written): "
+                    f"{rows[:3]}")
+
+
+def _by_loop(values: np.ndarray, *lattice: tuple[np.ndarray, float]) -> list[tuple[str, list]]:
+    """Tables that take each of the formatter's loops, by the loop's name,
+    made of the float ``values``, each (indices, unit) of ``lattice`` and
+    labels: floats alone (a lattice column as its products k * unit); the
+    jump row, float, lattice, lattice, label, once for each two lattice
+    columns; and a mix of neither, the labels first."""
+    codes = ("label", np.arange(len(values)) % len(CHANNEL_LABELS), 0.0)
+    floats = ("float", values, 0.0)
+    columns = [("lattice", ks, unit) for ks, unit in lattice]
+    return [("floats", [floats, *(("float", ks * unit, 0.0) for ks, unit in lattice)]),
+            *(("jump", [floats, *columns[i:i + 2], codes]) for i in range(0, len(lattice) - 1, 2)),
+            ("mixed", [codes, floats, *columns])]
 
 
 @functools.cache
@@ -79,23 +106,24 @@ KINDS = ["uniform bits", "powers of two", "powers of ten", "subnormals", "intege
 @compiled
 @pytest.mark.parametrize("kind", KINDS)
 def test_floats_are_written_as_their_repr(kind):
+    # Through each of the formatter's loops, beside lattice columns and
+    # other floats, in slices of 1, 7 and 1024 rows: the whole set through
+    # the float loop in the writers' slices, its first 20,000 values
+    # otherwise.
     values = _values()[kind]
-    got = _float_text(values)
-    expected = "\n".join(map(repr, values.tolist())) + "\n"
-    if got != expected:
-        wrong = [(w, g) for w, g in zip(expected.split("\n"), got.split("\n")) if w != g]
-        pytest.fail(f"{len(wrong)} values written unlike repr, first (repr, written): {wrong[:5]}")
-
-
-def _assert_rows_as_python_writes_them(columns, slice_rows):
-    checked = io._checked_columns(columns)
-    got = list(FORMATTER(checked, CHANNEL_LABELS, slice_rows))
-    expected = list(io._python_rows(checked, CHANNEL_LABELS, slice_rows))
-    if got != expected:
-        rows = [(w, g) for w, g in zip("".join(expected).split("\n"), "".join(got).split("\n"))
-                if w != g]
-        pytest.fail(f"{len(rows)} rows unlike _python_rows, first (expected, written): "
-                    f"{rows[:3]}")
+    walk = np.cumsum(np.random.default_rng(1).choice([-1, 1], size=len(values)))
+    for loop, columns in _by_loop(values, (walk, 1 / 3), (walk % 300, 0.02)):
+        for slice_rows in [1, 7, io._SLICE_ROWS]:
+            whole = loop == "floats" and slice_rows == io._SLICE_ROWS
+            rows = len(values) if whole else 20_000
+            part = [(kind_, cells[:rows], unit) for kind_, cells, unit in columns]
+            got = _formatted(part, slice_rows)
+            expected = b"".join(io._python_rows(io._checked_columns(part), CHANNEL_LABELS, rows))
+            if got != expected:
+                wrong = [(w, g) for w, g in zip(expected.split(b"\n"), got.split(b"\n"))
+                         if w != g]
+                pytest.fail(f"{loop} loop, slices of {slice_rows}: {len(wrong)} rows unlike "
+                            f"repr, first (repr, written): {wrong[:5]}")
 
 
 @compiled
@@ -106,7 +134,8 @@ def test_lattice_values_are_written_as_their_repr(unit, slice_rows):
     # text from a memo of 256 slots a column: seeded walks of +-1 from 0 and
     # from far out, indices that share a slot (k, k + 256, k + 512 and
     # k - 256), the indices 0, 2^31, 2^53 + 1 and 2^62 and their negatives,
-    # and the walk again under a second unit.
+    # and the walk again under a second unit, through each of the
+    # formatter's loops (in the float loop, as their products k * unit).
     rng = np.random.default_rng(7)
     rows = 6000
     steps = rng.choice([-1, 1], size=(2, rows))
@@ -114,25 +143,29 @@ def test_lattice_values_are_written_as_their_repr(unit, slice_rows):
     far = 2**62 - rows + np.cumsum(steps[1])
     shared = rng.integers(0, 6, size=rows) + 256 * rng.integers(-1, 3, size=rows)
     named = np.resize([0, 2**31, 2**53 + 1, 2**62, -2**31, -2**53 - 1, -2**62, 1], rows)
-    _assert_rows_as_python_writes_them(
-        [("lattice", walk, unit), ("lattice", far, unit), ("lattice", shared, unit),
-         ("lattice", named, unit), ("lattice", walk, 0.7), ("label", walk % 5, 0.0)], slice_rows)
+    for _loop, columns in _by_loop(rng.random(rows), (walk, unit), (far, unit), (shared, unit),
+                                   (named, unit), (walk, 0.7)):
+        _assert_rows_as_python_writes_them(columns, slice_rows)
 
 
 @compiled
-@pytest.mark.parametrize("slice_rows", [1, 1024])
+@pytest.mark.parametrize("slice_rows", [1, 7, 1024])
 def test_rows_of_the_widest_cells_fit_their_buffer(slice_rows):
     # Every number takes FLOAT_BYTES, 24, a lattice hit copies all 24 bytes
-    # of its slot, and every label is the longest: the rows fill the buffer
-    # to its last byte.
+    # of its slot, every label is the longest and is copied as its whole
+    # 16-byte slot, and a cell's digits are copied 16 at a time: the rows
+    # fill the buffer up to its slack, through each of the formatter's
+    # loops.
     widest = -2.2250738585072014e-308
     ks = np.resize([1, 5, 1, 6, 8, 5], 3000)  # k * widest takes 24 bytes
-    columns = [("float", np.full(3000, widest), 0.0), ("lattice", ks, widest),
-               ("lattice", -ks, -widest),
-               ("label", np.full(3000, CHANNEL_LABELS.index(max(CHANNEL_LABELS, key=len))), 0.0)]
-    text = "".join(io._python_rows(io._checked_columns(columns), CHANNEL_LABELS, slice_rows))
-    assert {len(cell) for cell in text.replace("\n", ",").split(",")[:-1]} == {24, 14}
-    _assert_rows_as_python_writes_them(columns, slice_rows)
+    longest = ("label", np.full(3000, CHANNEL_LABELS.index(max(CHANNEL_LABELS, key=len))), 0.0)
+    for loop, columns in _by_loop(np.full(3000, widest), (ks, widest), (-ks, -widest)):
+        columns = [longest if kind == "label" else (kind, cells, unit)
+                   for kind, cells, unit in columns]
+        text = b"".join(io._python_rows(io._checked_columns(columns), CHANNEL_LABELS, 3000))
+        assert {len(cell) for cell in text.replace(b"\n", b",").split(b",")[:-1]} == (
+            {24} if loop == "floats" else {24, 14})
+        _assert_rows_as_python_writes_them(columns, slice_rows)
 
 
 def _pow10(m: int) -> int:
@@ -381,7 +414,7 @@ def test_hostile_rows_are_refused_or_read_as_loadtxt_reads_them():
     # read in blocks of 64, 256 and 65,536 bytes; the reader may refuse it,
     # but what it reads is loadtxt's floats, and it refuses what loadtxt
     # refuses.
-    rows = "".join(io._python_rows(io._check_columns(), CHANNEL_LABELS, 7)).encode("ascii")
+    rows = b"".join(io._python_rows(io._check_columns(), CHANNEL_LABELS, 7))
     rows = rows.splitlines(keepends=True)
     rng = random.Random(0)
     accepted = 0

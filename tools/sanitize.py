@@ -7,10 +7,13 @@ Builds ``_kernel.c`` with ``_compiled.compile_command()`` plus
 temporary ``XDG_CACHE_HOME``, under the name ``_compiled.library()`` looks
 for (the current ``build_key()``), so that every process started with that
 cache binds the sanitized build in place of the checked one.  Then, under
-``LD_PRELOAD=<the compiler's libasan.so> ASAN_OPTIONS=detect_leaks=0``, it
-runs the four build checks (the ``_agrees`` functions) on the build, and
-the format, CSV byte, property, engine stream and stream tests against it;
-pytest arguments given here are passed on.
+``LD_PRELOAD=<the compiler's libasan.so> ASAN_OPTIONS=detect_leaks=0
+PYTHONMALLOC=malloc``, it runs the four build checks (the ``_agrees``
+functions) on the build, and the format, CSV byte, property, engine stream
+and stream tests and the writers' round trips against it; pytest arguments
+given here are passed on.  With ``PYTHONMALLOC=malloc`` every Python object
+comes from the sanitized ``malloc``, so a read or write of the C loops past
+the end of a Python buffer (a label table, a row buffer) is reported too.
 
 Exits 0 when the checks and the tests pass and no sanitizer reports
 anything; non-zero otherwise.  The user's own cache is not touched.  It is
@@ -33,9 +36,10 @@ import numpy as np  # noqa: E402
 from spikesim import _compiled  # noqa: E402
 
 SANITIZE = ("-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
-# The stream tests run the loop resumed at chunk sizes 1 and 7.
+# The stream tests run the loop resumed at chunk sizes 1 and 7; TestIO
+# writes and reads back each kind of CSV in process.
 TESTS = ("tests/test_format.py", "tests/test_csv_bytes.py", "tests/test_properties.py",
-         "tests/test_engine_stream.py", "tests/test_stream.py")
+         "tests/test_engine_stream.py", "tests/test_stream.py", "tests/test_cli.py::TestIO")
 # The four checks a build must pass, as ``_compiled.build_library`` runs them.
 CHECKS = """
 from spikesim import _compiled, io, jump, ode
@@ -78,7 +82,7 @@ def main(pytest_args: list[str]) -> int:
                         "-o", str(target)], check=True)
         print(f"sanitized build: {time.perf_counter() - start:.1f} s", flush=True)
         env = dict(os.environ, XDG_CACHE_HOME=home, LD_PRELOAD=libasan,
-                   ASAN_OPTIONS="detect_leaks=0",
+                   ASAN_OPTIONS="detect_leaks=0", PYTHONMALLOC="malloc",
                    PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                             os.environ.get("PYTHONPATH")])))
         passed = run("build checks", [sys.executable, "-c", CHECKS], env)
