@@ -179,23 +179,36 @@ def rk4(loop, params, h: float, n_steps: int, sample_every: int, overshoot_limit
     return kept, run.clamps, run.fail, run.fail_step, run.fail_value
 
 
-class Column(ctypes.Structure):
-    """One column of CSV rows as the formatter reads it (struct column)."""
-
-    _fields_ = [("kind", ctypes.c_int64), ("values", ctypes.c_void_p), ("unit", ctypes.c_double),
-                ("labels", ctypes.c_char_p), ("n_labels", ctypes.c_int64)]
-
-
-# Column kinds (the C enum's order): float64 values, each written as its
-# repr; int64 lattice indices k, written as the repr of k * unit; int8 codes
-# into the label table, written as their label.
-KINDS = ("float", "lattice", "label")
 # Bytes a float takes at most: the 24 of "-2.2250738585072014e-308".
 _FLOAT_BYTES = 24
 # Bytes of a label's slot in the label table, and bytes past the widest row
 # that the C loop's fixed-width copies may write (see ``_kernel.c``).
 _LABEL_BYTES = 16
 _COPY_BYTES = 16
+
+
+class Memo(ctypes.Structure):
+    """A lattice column's text of its recent indices (struct memo), by slot
+    k % 256: the index, the text's length (0: empty) and the text."""
+
+    _fields_ = [("k", ctypes.c_int64 * 256), ("len", ctypes.c_uint8 * 256),
+                ("text", ctypes.c_char * _FLOAT_BYTES * 256)]
+
+
+class Column(ctypes.Structure):
+    """One column of CSV rows as the formatter reads it (struct column)."""
+
+    _fields_ = [("kind", ctypes.c_int64), ("values", ctypes.c_void_p), ("unit", ctypes.c_double),
+                ("memo", ctypes.c_void_p), ("labels", ctypes.c_char_p),
+                ("n_labels", ctypes.c_int64)]
+
+
+# Column kinds (the C enum's order): float64 values, each written as its
+# repr; int64 lattice indices k, written as the repr of k * unit; int8 codes
+# into the label table, written as their label.
+KINDS = ("float", "lattice", "label")
+# The formatter's FORMAT_OVERFLOW and FORMAT_LAYOUT (see ``_kernel.c``).
+_OVERFLOW, _LAYOUT = -1, -2
 
 
 @functools.cache
@@ -227,17 +240,21 @@ def format_rows(formatter, columns: list[tuple[str, np.ndarray, float]],
     is a (kind, values, unit) triple of a kind in ``KINDS``; the caller has
     checked that the values are contiguous and 1-D, of one length, of the
     kind's dtype, and that every label code indexes ``labels``, since the C
-    loop trusts all of that.
+    loop trusts all of that.  A layout other than the writers' two, all
+    floats or the jump row (float, lattice, lattice, label), is a ValueError.
 
     The C loop copies in fixed widths past the text it writes, so its slack
     is allocated here: each label padded to ``_LABEL_BYTES``, and a buffer
-    that holds ``slice_rows`` of the widest row and ``_COPY_BYTES`` more."""
+    that holds ``slice_rows`` of the widest row and ``_COPY_BYTES`` more.
+    Each lattice column gets one empty memo for all the table's slices."""
     label_text = b"".join(label.encode("ascii").ljust(_LABEL_BYTES, b"\0") for label in labels)
     if len(label_text) != _LABEL_BYTES * len(labels):
         raise ValueError(f"labels must be at most {_LABEL_BYTES} bytes, got {labels}")
-    cells = (Column * len(columns))(*(Column(KINDS.index(kind), values.ctypes.data, unit,
-                                             label_text, len(labels))
-                                      for kind, values, unit in columns))
+    memos = [Memo() if kind == "lattice" else None for kind, _values, _unit in columns]
+    cells = (Column * len(columns))(*(
+        Column(KINDS.index(kind), values.ctypes.data, unit,
+               None if memo is None else ctypes.addressof(memo), label_text, len(labels))
+        for (kind, values, unit), memo in zip(columns, memos)))
     width = sum(_LABEL_BYTES if kind == "label" else _FLOAT_BYTES + 1
                 for kind, _values, _unit in columns)
     buf, powers = bytearray(slice_rows * width + _COPY_BYTES), pow10_table()
@@ -247,7 +264,9 @@ def format_rows(formatter, columns: list[tuple[str, np.ndarray, float]],
     for first in range(0, n_rows, slice_rows):
         size = formatter(cells, len(columns), first, min(first + slice_rows, n_rows),
                          start, len(buf), powers)
-        if size < 0:
+        if size == _LAYOUT:
+            raise ValueError(f"no writer writes rows of {[kind for kind, *_ in columns]}")
+        if size == _OVERFLOW:
             raise OverflowError("CSV slice exceeds its buffer")
         yield view[:size]
 

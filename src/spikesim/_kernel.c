@@ -219,8 +219,9 @@ int64_t spikesim_rk4(struct rk4 *rk4, double *ts, double *rs, double *ns)
    short decimal, and the digits are written in two groups of 8, a pair at
    a time.  A jump path's lattice cells repeat: the index moves by at most
    1 an event, and the same index gives the same double, so the same text.
-   Each lattice column keeps the text of its recent indices, and a repeated
-   index copies it instead of formatting the value again. */
+   Each lattice column keeps the text of its recent indices for the whole
+   table, and a repeated index copies it instead of formatting the value
+   again. */
 enum { POW10_MIN = -292, POW10_MAX = 326 };
 
 /* Code used from each of the formatter's loops is inlined into each all
@@ -427,10 +428,21 @@ static ALWAYS_INLINE char *format_double(const uint64_t (*pow10)[2], double x, c
 /* What a column holds, and how a value becomes text; _compiled's kinds. */
 enum { COLUMN_FLOAT = 0, COLUMN_LATTICE = 1, COLUMN_LABEL = 2 };
 
+/* The text of a lattice column's recent values, direct-mapped by index:
+   slot k & (MEMO_SLOTS - 1) holds index k's text. */
+enum { MEMO_SLOTS = 256 };
+
+struct memo {                    /* _compiled.Memo */
+    int64_t k[MEMO_SLOTS];
+    uint8_t len[MEMO_SLOTS];     /* 0: the slot is empty */
+    char text[MEMO_SLOTS][FLOAT_BYTES];
+};
+
 struct column {                  /* _compiled.Column */
     int64_t kind;
     const void *values;          /* double, int64_t or int8_t, by kind */
     double unit;                 /* COLUMN_LATTICE: index k is (double)k * unit */
+    struct memo *memo;           /* COLUMN_LATTICE: its memo, for the whole table */
     const char *labels;          /* COLUMN_LABEL: n_labels slots of LABEL_BYTES, one a code */
     int64_t n_labels;
 };
@@ -438,15 +450,8 @@ struct column {                  /* _compiled.Column */
 /* Label codes a column may hold: its int8 codes are at least 0. */
 enum { LABEL_CODES = 128 };
 
-/* The text of a lattice column's recent values, direct-mapped by index:
-   slot k & (MEMO_SLOTS - 1) holds index k's text. */
-enum { MEMO_SLOTS = 256, MEMO_COLUMNS = 4 };
-
-struct memo {
-    int64_t k[MEMO_SLOTS];
-    uint8_t len[MEMO_SLOTS];     /* 0: the slot is empty */
-    char text[MEMO_SLOTS][FLOAT_BYTES];
-};
+/* What spikesim_format_rows returns, beside the bytes it wrote. */
+enum { FORMAT_OVERFLOW = -1, FORMAT_LAYOUT = -2 };
 
 /* Write lattice index k's value, (double)k * unit, through memo: a hit
    copies the FLOAT_BYTES bytes of its slot and keeps the length of its
@@ -466,44 +471,32 @@ static ALWAYS_INLINE char *format_lattice(const uint64_t (*pow10)[2], struct mem
     return text;
 }
 
-/* Write row i's label of a label column, whose labels are len long: the
-   whole slot, kept to its length. */
-static ALWAYS_INLINE char *copy_label(const struct column *column, const uint8_t *len,
-                                      int64_t i, char *out)
-{
-    const int8_t code = ((const int8_t *)column->values)[i];
-    memcpy(out, column->labels + LABEL_BYTES * code, LABEL_BYTES);
-    return out + len[code];
-}
-
 /* The CSV text of rows [start, stop) of n_columns columns: the values of a
    row joined by ',' and ended by '\n'.  A float, and a lattice value
    (double)k * unit, is written as repr writes it; a label code as its
    label, which the caller has checked is in its table; pow10 is the table
-   of g(m) above.  Returns the bytes written to buf, or -1 when they would
-   not fit in size with COPY_BYTES to spare.
+   of g(m) above.  Returns the bytes written to buf, FORMAT_OVERFLOW when
+   they would not fit in size with COPY_BYTES to spare, or FORMAT_LAYOUT
+   for a layout that no writer writes.
 
-   The loop is picked once per call, by the row layout: all floats (an ODE
-   path, a survival curve, pairs), the jump row (time, r, n, channel), or
-   any other mix, whose loop looks up each cell's kind.  Each checks once a
-   row that the widest row and COPY_BYTES fit.  The first MEMO_COLUMNS
-   lattice columns each keep a memo, emptied at every call, and the
-   lengths of the labels are taken once a call. */
+   The writers' two layouts each have a loop: all floats (an ODE path, a
+   survival curve, pairs) and the jump row (time, r, n, channel).  Each
+   checks once a row that the widest row and COPY_BYTES fit.  The jump
+   row's lattice columns each keep the memo that the caller empties once a
+   table, and the lengths of the labels are taken once a call. */
 int64_t spikesim_format_rows(const struct column *columns, int64_t n_columns, int64_t start,
                              int64_t stop, char *buf, int64_t size, const uint64_t (*pow10)[2])
 {
-    int64_t widest = COPY_BYTES;  /* the widest row, and the slack of its copies */
-    int64_t floats = 0;
-    for (int64_t j = 0; j < n_columns; j++) {
-        widest += columns[j].kind == COLUMN_LABEL ? LABEL_BYTES : FLOAT_BYTES + 1;
-        floats += columns[j].kind == COLUMN_FLOAT;
-    }
     char *out = buf, *const end = buf + size;
+    int64_t floats = 0;
+    for (int64_t j = 0; j < n_columns; j++)
+        floats += columns[j].kind == COLUMN_FLOAT;
 
     if (floats == n_columns) {
+        const int64_t widest = n_columns * (FLOAT_BYTES + 1) + COPY_BYTES;
         for (int64_t i = start; i < stop; i++) {
             if (end - out < widest)
-                return -1;
+                return FORMAT_OVERFLOW;
             for (int64_t j = 0; j < n_columns; j++) {
                 out = format_double(pow10, ((const double *)columns[j].values)[i], out);
                 *out++ = ',';
@@ -513,56 +506,33 @@ int64_t spikesim_format_rows(const struct column *columns, int64_t n_columns, in
         return out - buf;
     }
 
-    struct memo memos[MEMO_COLUMNS];
-    for (int m = 0; m < MEMO_COLUMNS; m++)
-        memset(memos[m].len, 0, sizeof memos[m].len);
-    uint8_t label_len[n_columns][LABEL_CODES];  /* by column and code */
-    for (int64_t j = 0; j < n_columns; j++) {
-        for (int64_t c = 0; columns[j].kind == COLUMN_LABEL && c < columns[j].n_labels
-                            && c < LABEL_CODES; c++)
-            label_len[j][c] = (uint8_t)strnlen(columns[j].labels + LABEL_BYTES * c, LABEL_BYTES);
-    }
-
-    if (n_columns == 4 && columns[0].kind == COLUMN_FLOAT
-        && columns[1].kind == COLUMN_LATTICE && columns[2].kind == COLUMN_LATTICE
-        && columns[3].kind == COLUMN_LABEL) {
-        const double *const t = columns[0].values;
-        const int64_t *const kr = columns[1].values, *const kn = columns[2].values;
-        const double r_unit = columns[1].unit, n_unit = columns[2].unit;
-        for (int64_t i = start; i < stop; i++) {
-            if (end - out < widest)
-                return -1;
-            out = format_double(pow10, t[i], out);
-            *out++ = ',';
-            out = format_lattice(pow10, memos, kr[i], r_unit, out);
-            *out++ = ',';
-            out = format_lattice(pow10, memos + 1, kn[i], n_unit, out);
-            *out++ = ',';
-            out = copy_label(columns + 3, label_len[3], i, out);
-            *out++ = '\n';
-        }
-        return out - buf;
-    }
-
+    if (!(n_columns == 4 && columns[0].kind == COLUMN_FLOAT
+          && columns[1].kind == COLUMN_LATTICE && columns[2].kind == COLUMN_LATTICE
+          && columns[3].kind == COLUMN_LABEL))
+        return FORMAT_LAYOUT;
+    const int64_t widest = 3 * (FLOAT_BYTES + 1) + LABEL_BYTES + COPY_BYTES;
+    const double *const t = columns[0].values;
+    const int64_t *const kr = columns[1].values, *const kn = columns[2].values;
+    const double r_unit = columns[1].unit, n_unit = columns[2].unit;
+    struct memo *const r_memo = columns[1].memo, *const n_memo = columns[2].memo;
+    const int8_t *const codes = columns[3].values;
+    const char *const labels = columns[3].labels;
+    uint8_t label_len[LABEL_CODES];
+    for (int64_t c = 0; c < columns[3].n_labels && c < LABEL_CODES; c++)
+        label_len[c] = (uint8_t)strnlen(labels + LABEL_BYTES * c, LABEL_BYTES);
     for (int64_t i = start; i < stop; i++) {
         if (end - out < widest)
-            return -1;
-        int lattice = 0;  /* the lattice columns before column j */
-        for (int64_t j = 0; j < n_columns; j++) {
-            const struct column *column = columns + j;
-            if (column->kind == COLUMN_LABEL) {
-                out = copy_label(column, label_len[j], i, out);
-            } else if (column->kind == COLUMN_FLOAT) {
-                out = format_double(pow10, ((const double *)column->values)[i], out);
-            } else {
-                const int64_t k = ((const int64_t *)column->values)[i];
-                out = lattice < MEMO_COLUMNS
-                    ? format_lattice(pow10, memos + lattice, k, column->unit, out)
-                    : format_double(pow10, (double)k * column->unit, out);
-                lattice++;
-            }
-            *out++ = j + 1 < n_columns ? ',' : '\n';
-        }
+            return FORMAT_OVERFLOW;
+        out = format_double(pow10, t[i], out);
+        *out++ = ',';
+        out = format_lattice(pow10, r_memo, kr[i], r_unit, out);
+        *out++ = ',';
+        out = format_lattice(pow10, n_memo, kn[i], n_unit, out);
+        *out++ = ',';
+        /* The label's whole slot, kept to its length. */
+        memcpy(out, labels + LABEL_BYTES * codes[i], LABEL_BYTES);
+        out += label_len[codes[i]];
+        *out++ = '\n';
     }
     return out - buf;
 }

@@ -29,11 +29,9 @@ from .ode import Trajectory
 
 # Rows per write.  The formatter's buffer holds a slice of the widest rows,
 # 77 kB for an ODE path and 93 kB for a jump path, under glibc's 128 KiB
-# mmap threshold.  Over sample_paths' presets (best of 5 passes in one
-# process), slices of 1024, 4096 and 16,384 rows wrote the ODE CSVs in
-# 85-90 ms at each size and the jump CSVs in 50-51, 45 and 44-45 ms: 6 ms a
-# pass, inside sample_paths' run-to-run spread, so the buffers stay under
-# the threshold, whose sliding moves peak RSS.
+# mmap threshold, whose sliding moves peak RSS.  The lattice memos last the
+# whole table, so larger slices gain nothing: sample_paths' jump tables took
+# 30-33 ms and its ODE tables 67-72 ms at 1024, 4096 and 16,384 rows alike.
 _SLICE_ROWS = 1024
 
 
@@ -128,19 +126,18 @@ def _formatter_agrees(format_rows: Callable) -> bool:
 
 
 def _layouts() -> list[list[tuple[str, np.ndarray, float]]]:
-    """Tables of the columns of ``_check_columns`` that take each of the C
-    formatter's loops: its float column alone, beside itself rolled by one
-    row, and beside that and the column reversed (the all-float loop); the
-    float column, the walk, the shared-slot indices and the labels (the
-    jump-row loop); and all six columns, and again in reverse order, so that
-    a lattice column's memo serves another unit than on the last call (the
-    loop of any other mix)."""
-    columns = _check_columns()
-    floats = columns[0]
+    """Tables of the columns of ``_check_columns`` in each of the C
+    formatter's two layouts: its float column alone, beside itself rolled by
+    one row, and beside that and the column reversed (the all-float loop);
+    the float column, the walk, the shared-slot indices and the labels, and
+    then the walk and the shared-slot indices under each other's units (the
+    jump-row loop), so that a memo kept past its table writes the second
+    table's indices as the first one's values."""
+    floats, *_, walk, shared, labels = _check_columns()
     kind, values, unit = floats
     others = [(kind, np.roll(values, 1), unit), (kind, values[::-1].copy(), unit)]
-    return [[floats], [floats, others[0]], [floats, *others], [floats, *columns[3:]],
-            columns, columns[::-1]]
+    return [[floats], [floats, others[0]], [floats, *others], [floats, walk, shared, labels],
+            [floats, (*walk[:2], shared[2]), (*shared[:2], walk[2]), labels]]
 
 
 def _check_columns() -> list[tuple[str, np.ndarray, float]]:

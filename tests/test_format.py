@@ -48,27 +48,27 @@ def _formatted(columns, slice_rows: int) -> bytes:
                                          slice_rows)))
 
 
-def _assert_rows_as_python_writes_them(columns, slice_rows):
+def _assert_rows_as_python_writes_them(loop, columns, slice_rows):
     got = _formatted(columns, slice_rows)
-    expected = b"".join(io._python_rows(io._checked_columns(columns), CHANNEL_LABELS, slice_rows))
+    expected = b"".join(io._python_rows(io._checked_columns(columns), CHANNEL_LABELS,
+                                        io._SLICE_ROWS))
     if got != expected:
         rows = [(w, g) for w, g in zip(expected.split(b"\n"), got.split(b"\n")) if w != g]
-        pytest.fail(f"{len(rows)} rows unlike _python_rows, first (expected, written): "
-                    f"{rows[:3]}")
+        pytest.fail(f"{loop} loop, slices of {slice_rows}: {len(rows)} rows unlike "
+                    f"_python_rows, first (expected, written): {rows[:5]}")
 
 
 def _by_loop(values: np.ndarray, *lattice: tuple[np.ndarray, float]) -> list[tuple[str, list]]:
-    """Tables that take each of the formatter's loops, by the loop's name,
-    made of the float ``values``, each (indices, unit) of ``lattice`` and
-    labels: floats alone (a lattice column as its products k * unit); the
-    jump row, float, lattice, lattice, label, once for each two lattice
-    columns; and a mix of neither, the labels first."""
+    """Tables in each of the writers' two layouts, which each take a loop
+    of the formatter, by the loop's name, made of the float ``values``, each
+    (indices, unit) of ``lattice`` and labels: floats alone (a lattice
+    column as its products k * unit); and the jump row, float, lattice,
+    lattice, label, once for each two lattice columns."""
     codes = ("label", np.arange(len(values)) % len(CHANNEL_LABELS), 0.0)
     floats = ("float", values, 0.0)
     columns = [("lattice", ks, unit) for ks, unit in lattice]
     return [("floats", [floats, *(("float", ks * unit, 0.0) for ks, unit in lattice)]),
-            *(("jump", [floats, *columns[i:i + 2], codes]) for i in range(0, len(lattice) - 1, 2)),
-            ("mixed", [codes, floats, *columns])]
+            *(("jump", [floats, *columns[i:i + 2], codes]) for i in range(0, len(lattice), 2))]
 
 
 @functools.cache
@@ -117,13 +117,7 @@ def test_floats_are_written_as_their_repr(kind):
             whole = loop == "floats" and slice_rows == io._SLICE_ROWS
             rows = len(values) if whole else 20_000
             part = [(kind_, cells[:rows], unit) for kind_, cells, unit in columns]
-            got = _formatted(part, slice_rows)
-            expected = b"".join(io._python_rows(io._checked_columns(part), CHANNEL_LABELS, rows))
-            if got != expected:
-                wrong = [(w, g) for w, g in zip(expected.split(b"\n"), got.split(b"\n"))
-                         if w != g]
-                pytest.fail(f"{loop} loop, slices of {slice_rows}: {len(wrong)} rows unlike "
-                            f"repr, first (repr, written): {wrong[:5]}")
+            _assert_rows_as_python_writes_them(loop, part, slice_rows)
 
 
 @compiled
@@ -134,8 +128,9 @@ def test_lattice_values_are_written_as_their_repr(unit, slice_rows):
     # text from a memo of 256 slots a column: seeded walks of +-1 from 0 and
     # from far out, indices that share a slot (k, k + 256, k + 512 and
     # k - 256), the indices 0, 2^31, 2^53 + 1 and 2^62 and their negatives,
-    # and the walk again under a second unit, through each of the
-    # formatter's loops (in the float loop, as their products k * unit).
+    # and the walk and the shared indices again under a second unit, beside
+    # themselves in the jump row, through each of the formatter's loops (in
+    # the float loop, as their products k * unit).
     rng = np.random.default_rng(7)
     rows = 6000
     steps = rng.choice([-1, 1], size=(2, rows))
@@ -143,9 +138,9 @@ def test_lattice_values_are_written_as_their_repr(unit, slice_rows):
     far = 2**62 - rows + np.cumsum(steps[1])
     shared = rng.integers(0, 6, size=rows) + 256 * rng.integers(-1, 3, size=rows)
     named = np.resize([0, 2**31, 2**53 + 1, 2**62, -2**31, -2**53 - 1, -2**62, 1], rows)
-    for _loop, columns in _by_loop(rng.random(rows), (walk, unit), (far, unit), (shared, unit),
-                                   (named, unit), (walk, 0.7)):
-        _assert_rows_as_python_writes_them(columns, slice_rows)
+    for loop, columns in _by_loop(rng.random(rows), (walk, unit), (walk, 0.7), (shared, unit),
+                                  (shared, 0.7), (far, unit), (named, unit)):
+        _assert_rows_as_python_writes_them(loop, columns, slice_rows)
 
 
 @compiled
@@ -155,7 +150,7 @@ def test_rows_of_the_widest_cells_fit_their_buffer(slice_rows):
     # of its slot, every label is the longest and is copied as its whole
     # 16-byte slot, and a cell's digits are copied 16 at a time: the rows
     # fill the buffer up to its slack, through each of the formatter's
-    # loops.
+    # loops (the longest label through the jump loop).
     widest = -2.2250738585072014e-308
     ks = np.resize([1, 5, 1, 6, 8, 5], 3000)  # k * widest takes 24 bytes
     longest = ("label", np.full(3000, CHANNEL_LABELS.index(max(CHANNEL_LABELS, key=len))), 0.0)
@@ -165,7 +160,18 @@ def test_rows_of_the_widest_cells_fit_their_buffer(slice_rows):
         text = b"".join(io._python_rows(io._checked_columns(columns), CHANNEL_LABELS, 3000))
         assert {len(cell) for cell in text.replace(b"\n", b",").split(b",")[:-1]} == (
             {24} if loop == "floats" else {24, 14})
-        _assert_rows_as_python_writes_them(columns, slice_rows)
+        _assert_rows_as_python_writes_them(loop, columns, slice_rows)
+
+
+@compiled
+@pytest.mark.parametrize("kinds", ["label float lattice", "lattice", "float lattice label lattice",
+                                   "float lattice lattice label float"])
+def test_a_layout_no_writer_writes_is_refused(kinds):
+    # Any table but all floats or the jump row: a ValueError, not an overflow.
+    columns = [(kind, np.arange(10) % len(CHANNEL_LABELS), 0.5) for kind in kinds.split()]
+    for slice_rows in [1, 7, io._SLICE_ROWS]:
+        with pytest.raises(ValueError, match="no writer writes"):
+            _formatted(columns, slice_rows)
 
 
 def _pow10(m: int) -> int:
@@ -225,7 +231,7 @@ def test_kernel_compiles_without_warnings(tmp_path):
 
 # The ctypes mirror of each struct of the kernel, by the struct's name.
 MIRRORS = {"table": _compiled.Table, "run": _compiled._Run, "rk4": _compiled.Rk4,
-           "column": _compiled.Column, "rows": _compiled.Rows}
+           "memo": _compiled.Memo, "column": _compiled.Column, "rows": _compiled.Rows}
 
 
 def test_ctypes_mirrors_match_the_kernel_structs(tmp_path):

@@ -13,7 +13,8 @@ functions) on the build, and the format, CSV byte, property, engine stream
 and stream tests and the writers' round trips against it; pytest arguments
 given here are passed on.  With ``PYTHONMALLOC=malloc`` every Python object
 comes from the sanitized ``malloc``, so a read or write of the C loops past
-the end of a Python buffer (a label table, a row buffer) is reported too.
+the end of a Python buffer (a label table, a row buffer, a lattice memo) is
+reported too.
 
 Exits 0 when the checks and the tests pass and no sanitizer reports
 anything; non-zero otherwise.  The user's own cache is not touched.  It is
