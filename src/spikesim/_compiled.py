@@ -1,7 +1,9 @@
 """The library of ``_kernel.c``: built on first use, checked once when it
 is built, and loaded with ctypes.  It holds the direct-method loop (run a
 chunk at a time), the RK4 loop, the row formatter of the CSV writers and the
-row reader of trajectory CSVs (fed the file a block at a time).
+row reader of trajectory CSVs (fed the file a block at a time).  Either
+numeric loop can also write the path CSV rows of what it computes, a slice
+at a time, as it runs.
 
 ``spikesim.jump``, ``spikesim.ode`` and ``spikesim.io`` import this module
 on the first call that wants the library, never at import.  The library is
@@ -122,36 +124,42 @@ def bind(path: str | Path) -> Loops:
         return ctypes.CFUNCTYPE(result, *arguments)((name, lib))
 
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    # The formatter and the reader call no Python, so they run with the GIL
-    # released (``CFUNCTYPE``).
+    # No loop calls Python, so each runs with the GIL released (``CFUNCTYPE``).
     return Loops(
-        functools.partial(run, entry("spikesim_direct_method", i64, *(ptr,) * 7)),
-        functools.partial(rk4, entry("spikesim_rk4", i64, *(ptr,) * 4)),
+        functools.partial(run, entry("spikesim_direct_method", i64, *(ptr,) * 8)),
+        functools.partial(rk4, entry("spikesim_rk4", i64, *(ptr,) * 5)),
         functools.partial(format_rows, entry("spikesim_format_rows", i64, ptr, i64, i64, i64,
                                              ptr, i64, ptr)),
         functools.partial(read_rows, entry("spikesim_read_rows", i64, ptr, ptr, i64, ptr)))
 
 
 def run(loop, spec, kr: int, kn: int, rng: np.random.Generator, t_end: float,
-        limit: int) -> Iterator[tuple[tuple[np.ndarray, ...], int | None]]:
+        limit: int, rows: Callable | None = None
+        ) -> Iterator[tuple[tuple[np.ndarray, ...], int | None]]:
     """At most ``limit`` events of the process ``spec`` from (kr, kn) at
     t = 0, ``CHUNK_EVENTS`` at a time.  Per chunk: its event times, the
     lattice state (kr, kn) after each event and the channel indices, views
     of four buffers that the next chunk overwrites, and None, or after the
     last chunk why the loop stopped (0 limit, 1 absorbed, 2 time horizon).
     Each chunk resumes from the state, time and bit generator the last one
-    left."""
+    left.  Given ``rows``, the loop writes each event as a jump CSV row
+    (``io.write_jump_csv``'s) into a slice, a chunk ends where the slice is
+    full, and ``rows`` is called with each chunk's rows before it is
+    yielded: a view of the slice, which the next chunk overwrites."""
     size = min(limit, CHUNK_EVENTS)
     buffers = (np.empty(size), np.empty(size, np.int64), np.empty(size, np.int64),
                np.empty(size, np.int8))
     state = _Run(0.0, t_end, kr, kn)
+    out, text = _slice(rows, _EVENT_ROW_BYTES)
     args = (ctypes.addressof(spec._table), ctypes.addressof(state),
-            *(buffer.ctypes.data for buffer in buffers))
+            *(buffer.ctypes.data for buffer in buffers), out and ctypes.addressof(out))
     bitgen = rng.bit_generator
     while True:
         state.limit = min(limit, size)
         with bitgen.lock:
             count = loop(bitgen.ctypes.bit_generator, *args)
+        if rows is not None:
+            rows(text[:out.used])
         limit -= count
         last = state.stop or not limit
         yield tuple(buffer[:count] for buffer in buffers), state.stop if last else None
@@ -160,31 +168,53 @@ def run(loop, spec, kr: int, kn: int, rng: np.random.Generator, t_end: float,
 
 
 class Rk4(ctypes.Structure):
-    """An RK4 run's settings and, after the loop, its outcome (struct rk4)."""
+    """An RK4 run's settings, where it stands between calls of the loop, and
+    its outcome (struct rk4)."""
 
     _fields_ = [*((name, ctypes.c_double)
                   for name in ("alpha", "beta", "gamma", "p", "h", "overshoot_limit")),
                 *((name, ctypes.c_int64)
-                  for name in ("n_steps", "sample_every", "clamps", "fail", "fail_step")),
+                  for name in ("n_steps", "sample_every", "capacity", "step")),
+                ("r", ctypes.c_double), ("n", ctypes.c_double),
+                ("clamps", ctypes.c_int64), ("fail", ctypes.c_int64),
                 ("fail_value", ctypes.c_double)]
 
 
 def rk4(loop, params, h: float, n_steps: int, sample_every: int, overshoot_limit: float,
-        ts: np.ndarray, rs: np.ndarray, ns: np.ndarray) -> tuple[int, int, int, int, float]:
+        ts: np.ndarray, rs: np.ndarray, ns: np.ndarray,
+        rows: Callable | None = None) -> tuple[int, int, int, int, float]:
     """``n_steps`` RK4 steps of size ``h`` from (rs[0], ns[0]) at t = 0 into
-    the float64 arrays ``ts``, ``rs`` and ``ns``: ``ode._rk4_python``'s result."""
+    the float64 arrays ``ts``, ``rs`` and ``ns``: ``ode._rk4_python``'s result.
+    Given ``rows``, the arrays are a chunk's buffers, the loop writes each
+    sample as an ODE CSV row into a slice, and the run goes on a call at a
+    time, each ending where the arrays or the slice are full and handing
+    ``rows`` a view of its rows, which the next call overwrites."""
     run = Rk4(params.alpha, params.beta, params.gamma, params.p, h, overshoot_limit,
-              n_steps, sample_every)
-    kept = loop(ctypes.addressof(run), ts.ctypes.data, rs.ctypes.data, ns.ctypes.data)
-    return kept, run.clamps, run.fail, run.fail_step, run.fail_value
+              n_steps, sample_every, len(ts), 0, rs[0], ns[0])
+    out, text = _slice(rows, _SAMPLE_ROW_BYTES)
+    args = (ctypes.addressof(run), ts.ctypes.data, rs.ctypes.data, ns.ctypes.data,
+            out and ctypes.addressof(out))
+    kept = 1
+    while True:
+        kept += loop(*args) - 1
+        if rows is None:
+            break
+        rows(text[:out.used])
+        if run.fail or run.step == n_steps:
+            break
+    return kept, run.clamps, run.fail, run.step if run.fail else n_steps + 1, run.fail_value
 
 
 # Bytes a float takes at most: the 24 of "-2.2250738585072014e-308".
 _FLOAT_BYTES = 24
 # Bytes of a label's slot in the label table, and bytes past the widest row
-# that the C loop's fixed-width copies may write (see ``_kernel.c``).
+# that the C loops' fixed-width copies may write (see ``_kernel.c``).
 _LABEL_BYTES = 16
 _COPY_BYTES = 16
+# Bytes of the widest row of an ODE path (t, r, n) and of a jump path (t,
+# r, n, channel), each with its separators.
+_SAMPLE_ROW_BYTES = 3 * (_FLOAT_BYTES + 1)
+_EVENT_ROW_BYTES = _SAMPLE_ROW_BYTES + _LABEL_BYTES
 
 
 class Memo(ctypes.Structure):
@@ -201,6 +231,47 @@ class Column(ctypes.Structure):
     _fields_ = [("kind", ctypes.c_int64), ("values", ctypes.c_void_p), ("unit", ctypes.c_double),
                 ("memo", ctypes.c_void_p), ("labels", ctypes.c_char_p),
                 ("n_labels", ctypes.c_int64)]
+
+
+class Slice(ctypes.Structure):
+    """A numeric loop's row output (struct slice): the buffer its rows go
+    to, its size and the bytes written, the table of g(m), and for a jump
+    path the memos of its lattice columns and the label table."""
+
+    _fields_ = [("buf", ctypes.c_void_p), ("size", ctypes.c_int64), ("used", ctypes.c_int64),
+                ("pow10", ctypes.c_void_p), ("memos", ctypes.c_void_p * 2),
+                ("labels", ctypes.c_char_p), ("n_labels", ctypes.c_int64)]
+
+
+def _slice(rows: Callable | None, width: int) -> tuple[Slice | None, memoryview | None]:
+    """The row output of one run of a numeric loop whose widest row takes
+    ``width`` bytes, and a view of its buffer; (None, None) without
+    ``rows``.  The buffer holds ``io._SLICE_ROWS`` such rows and
+    ``_COPY_BYTES`` more; the memos are empty, and last the whole run."""
+    if rows is None:
+        return None, None
+    from .io import _SLICE_ROWS
+    from .jump import CHANNEL_LABELS
+
+    buf = bytearray(_SLICE_ROWS * width + _COPY_BYTES)
+    out = Slice(_address(buf), len(buf), 0, ctypes.addressof(pow10_table()), (0, 0),
+                _label_table(CHANNEL_LABELS), len(CHANNEL_LABELS))
+    out.held = Memo(), Memo()  # the C struct holds only their addresses
+    out.memos[:] = [ctypes.addressof(memo) for memo in out.held]
+    return out, memoryview(buf)
+
+
+def _address(buf: bytearray) -> int:
+    return ctypes.addressof((ctypes.c_char * len(buf)).from_buffer(buf))
+
+
+def _label_table(labels: tuple[str, ...]) -> bytes:
+    """``labels`` as the C loops read them, each padded to ``_LABEL_BYTES``;
+    a ValueError when one is longer."""
+    text = b"".join(label.encode("ascii").ljust(_LABEL_BYTES, b"\0") for label in labels)
+    if len(text) != _LABEL_BYTES * len(labels):
+        raise ValueError(f"labels must be at most {_LABEL_BYTES} bytes, got {labels}")
+    return text
 
 
 # Column kinds (the C enum's order): float64 values, each written as its
@@ -246,10 +317,10 @@ def format_rows(formatter, columns: list[tuple[str, np.ndarray, float]],
     The C loop copies in fixed widths past the text it writes, so its slack
     is allocated here: each label padded to ``_LABEL_BYTES``, and a buffer
     that holds ``slice_rows`` of the widest row and ``_COPY_BYTES`` more.
-    Each lattice column gets one empty memo for all the table's slices."""
-    label_text = b"".join(label.encode("ascii").ljust(_LABEL_BYTES, b"\0") for label in labels)
-    if len(label_text) != _LABEL_BYTES * len(labels):
-        raise ValueError(f"labels must be at most {_LABEL_BYTES} bytes, got {labels}")
+    Each lattice column gets one empty memo for all the table's slices.
+    The layout is checked once, before the first slice, so that an empty
+    table is refused as one with rows is."""
+    label_text = _label_table(labels)
     memos = [Memo() if kind == "lattice" else None for kind, _values, _unit in columns]
     cells = (Column * len(columns))(*(
         Column(KINDS.index(kind), values.ctypes.data, unit,
@@ -258,14 +329,14 @@ def format_rows(formatter, columns: list[tuple[str, np.ndarray, float]],
     width = sum(_LABEL_BYTES if kind == "label" else _FLOAT_BYTES + 1
                 for kind, _values, _unit in columns)
     buf, powers = bytearray(slice_rows * width + _COPY_BYTES), pow10_table()
-    start = ctypes.addressof((ctypes.c_char * len(buf)).from_buffer(buf))
+    start = _address(buf)
     view = memoryview(buf)
+    if formatter(cells, len(columns), 0, 0, start, len(buf), powers) == _LAYOUT:
+        raise ValueError(f"no writer writes rows of {[kind for kind, *_ in columns]}")
     n_rows = len(columns[0][1])
     for first in range(0, n_rows, slice_rows):
         size = formatter(cells, len(columns), first, min(first + slice_rows, n_rows),
                          start, len(buf), powers)
-        if size == _LAYOUT:
-            raise ValueError(f"no writer writes rows of {[kind for kind, *_ in columns]}")
         if size == _OVERFLOW:
             raise OverflowError("CSV slice exceeds its buffer")
         yield view[:size]
@@ -299,7 +370,7 @@ def read_rows(reader, fh, cells: list[int], size: int,
     pointers = (ctypes.c_void_p * len(columns))(*(column.ctypes.data for column in columns))
     rows = Rows(len(cells), (ctypes.c_int64 * len(cells))(*cells), pointers, 0, 1024)
     buf, powers = bytearray(block), pow10_table()
-    start = ctypes.addressof((ctypes.c_char * block).from_buffer(buf))
+    start = _address(buf)
     view = memoryview(buf)
     held = read = 0  # bytes of an unfinished row at the start of buf; bytes read into rows
     while got := fh.readinto(view[held:]):

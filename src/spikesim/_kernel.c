@@ -26,7 +26,18 @@
      when there is none, as where round-off puts the uniform on the top edge.
 
    Sums start at 0.0, which changes no value: 0.0 + x is x, apart from the
-   sign of a zero, which no comparison sees. */
+   sign of a zero, which no comparison sees.
+
+   Both numeric loops take an optional row output, a slice (struct slice):
+   given one, a loop writes each event or sample it stores as a row of a
+   path CSV right after storing it, with the formatter's own code, and
+   returns when the slice cannot hold one more widest row.  The caller
+   writes the slice to the file and calls again, and the run resumes where
+   it stood, so a path CSV is written as its run goes and no path is held
+   whole.  Without a slice a loop runs as it would otherwise.  A path made
+   whole and then formatted costs two passes over it; formatted in the
+   loop, the formatter's integer work fills the latency of the loop's
+   floating-point chain. */
 
 #include <Python.h>  /* first, as Python.h requires */
 
@@ -36,164 +47,6 @@
 #include <string.h>
 
 #include "numpy/random/distributions.h"
-
-/* Why the loop stopped; the order of Termination in jump._STOPS. */
-enum { STOP_LIMIT = 0, STOP_ABSORBED = 1, STOP_HORIZON = 2 };
-
-struct table {             /* one process; _compiled.Table */
-    int64_t n_channels;
-    double r_unit, n_unit;
-    const double *coef;    /* (k_rn, k_r, k_n, k_1, div) per channel */
-    const int64_t *guard;  /* (kr, kn) below which the rate is 0, per channel */
-    const int64_t *step;   /* lattice step (dkr, dkn) per channel */
-};
-
-struct run {               /* where a run stands; _compiled._Run */
-    double t, t_end;
-    int64_t kr, kn, limit, stop;
-};
-
-/* Run at most run->limit events from (run->kr, run->kn) at time run->t and
-   return how many ran.  Event i stores its time in times[i], the state
-   after it in krs[i] and kns[i], and its channel in picks[i].  On return run
-   holds the state and the time after the last event and why the loop
-   stopped, so the next call continues the run. */
-int64_t spikesim_direct_method(bitgen_t *bitgen, const struct table *table, struct run *run,
-                               double *times, int64_t *krs, int64_t *kns, int8_t *picks)
-{
-    const int n_channels = (int)table->n_channels;
-    const double *coef = table->coef, r_unit = table->r_unit, n_unit = table->n_unit;
-    const int64_t *guard = table->guard, *step = table->step, limit = run->limit;
-    const double t_end = run->t_end;
-    int64_t kr = run->kr, kn = run->kn, count = 0;
-    double t = run->t, cum[n_channels];
-    int stop = STOP_LIMIT;
-
-    for (; count < limit; count++) {
-        double r = kr * r_unit, n = kn * n_unit, total = 0.0;
-        int top = 0;
-        for (int i = 0; i < n_channels; i++) {
-            const double *k = coef + 5 * i;
-            double rate = 0.0;
-            if (kr >= guard[2 * i] && kn >= guard[2 * i + 1]) {
-                if (k[0] != 0.0) rate += k[0] * r * n;
-                if (k[1] != 0.0) rate += k[1] * r;
-                if (k[2] != 0.0) rate += k[2] * n;
-                if (k[3] != 0.0) rate += k[3];
-                if (k[4] != 1.0) rate /= k[4];
-                if (rate > 0.0) top = i;
-            }
-            cum[i] = total += rate;
-        }
-        if (total <= 0.0) {
-            stop = STOP_ABSORBED;
-            break;
-        }
-        double t_next = t + random_standard_exponential(bitgen) / total;
-        if (t_next > t_end) {
-            stop = STOP_HORIZON;
-            break;
-        }
-        t = t_next;
-        double u = next_double(bitgen) * total;
-        /* Downward with a conditional move, not a forward loop with a break:
-           the break's branch is mispredicted about once an event. */
-        int pick = top;
-        for (int i = top - 1; i >= 0; i--)
-            pick = u < cum[i] ? i : pick;
-        kr += step[2 * pick];
-        kn += step[2 * pick + 1];
-        times[count] = t;
-        krs[count] = kr;
-        kns[count] = kn;
-        picks[count] = (int8_t)pick;
-    }
-    run->kr = kr;
-    run->kn = kn;
-    run->t = t;
-    run->stop = stop;
-    return count;
-}
-
-/* The RK4 loop of spikesim.ode: classical RK4 on the rate equations
-   dr/dt = ((-alpha r - n r + n) + p) / gamma,  dn/dt = (alpha r + n r - n) - n / beta
-   with ode._rk4_python's operations in its order, bit for bit (so again
-   -ffp-contract=off): the four stages, r += h/6 (k1 + 2 k2 + 2 k3 + k4), a
-   non-finite state fails the step, then a negative r and after it a
-   negative n is clamped to 0 and counted, or fails the step when it is
-   below the overshoot limit.  The state after every sample_every-th step
-   and after the last step is stored, at time step * h. */
-
-enum { RK4_OK = 0, RK4_NOT_FINITE = 1, RK4_R_BELOW = 2, RK4_N_BELOW = 3 };
-
-struct rk4 {                      /* _compiled.Rk4 */
-    double alpha, beta, gamma, p, h, overshoot_limit;
-    int64_t n_steps, sample_every;
-    int64_t clamps, fail, fail_step;  /* out: clamp count; why and where it failed */
-    double fail_value;                /* out: the component below the limit */
-};
-
-/* Integrate from (rs[0], ns[0]) at time 0 and return how many samples are
-   stored in ts, rs and ns, the start included.  A failed step ends the run
-   with rk4->fail set to its reason. */
-int64_t spikesim_rk4(struct rk4 *rk4, double *ts, double *rs, double *ns)
-{
-    const double alpha = rk4->alpha, beta = rk4->beta, gamma = rk4->gamma, p = rk4->p;
-    const double h = rk4->h, half = 0.5 * h, sixth = h / 6.0, limit = rk4->overshoot_limit;
-    const int64_t n_steps = rk4->n_steps, sample_every = rk4->sample_every;
-    double r = rs[0], n = ns[0];
-    int64_t kept = 1, clamps = 0, step;
-    int fail = RK4_OK;
-
-    for (step = 1; step <= n_steps; step++) {
-        double k1r = ((-alpha * r - n * r + n) + p) / gamma;
-        double k1n = (alpha * r + n * r - n) - n / beta;
-        double r2 = r + half * k1r, n2 = n + half * k1n;
-        double k2r = ((-alpha * r2 - n2 * r2 + n2) + p) / gamma;
-        double k2n = (alpha * r2 + n2 * r2 - n2) - n2 / beta;
-        double r3 = r + half * k2r, n3 = n + half * k2n;
-        double k3r = ((-alpha * r3 - n3 * r3 + n3) + p) / gamma;
-        double k3n = (alpha * r3 + n3 * r3 - n3) - n3 / beta;
-        double r4 = r + h * k3r, n4 = n + h * k3n;
-        double k4r = ((-alpha * r4 - n4 * r4 + n4) + p) / gamma;
-        double k4n = (alpha * r4 + n4 * r4 - n4) - n4 / beta;
-        r += sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r);
-        n += sixth * (k1n + 2.0 * k2n + 2.0 * k3n + k4n);
-
-        if (!(isfinite(r) && isfinite(n))) {
-            fail = RK4_NOT_FINITE;
-            break;
-        }
-        if (r < 0.0) {
-            if (r < limit) {
-                fail = RK4_R_BELOW;
-                rk4->fail_value = r;
-                break;
-            }
-            r = 0.0;
-            clamps++;
-        }
-        if (n < 0.0) {
-            if (n < limit) {
-                fail = RK4_N_BELOW;
-                rk4->fail_value = n;
-                break;
-            }
-            n = 0.0;
-            clamps++;
-        }
-        if (step % sample_every == 0 || step == n_steps) {
-            ts[kept] = (double)step * h;
-            rs[kept] = r;
-            ns[kept] = n;
-            kept++;
-        }
-    }
-    rk4->clamps = clamps;
-    rk4->fail = fail;
-    rk4->fail_step = step;
-    return kept;
-}
 
 /* The CSV rows of spikesim.io's writers.  A float is written as
    float.__repr__ writes it: the shortest decimal that reads back as the
@@ -425,9 +278,6 @@ static ALWAYS_INLINE char *format_double(const uint64_t (*pow10)[2], double x, c
     return out + (point < n ? n - point : 1);
 }
 
-/* What a column holds, and how a value becomes text; _compiled's kinds. */
-enum { COLUMN_FLOAT = 0, COLUMN_LATTICE = 1, COLUMN_LABEL = 2 };
-
 /* The text of a lattice column's recent values, direct-mapped by index:
    slot k & (MEMO_SLOTS - 1) holds index k's text. */
 enum { MEMO_SLOTS = 256 };
@@ -437,21 +287,6 @@ struct memo {                    /* _compiled.Memo */
     uint8_t len[MEMO_SLOTS];     /* 0: the slot is empty */
     char text[MEMO_SLOTS][FLOAT_BYTES];
 };
-
-struct column {                  /* _compiled.Column */
-    int64_t kind;
-    const void *values;          /* double, int64_t or int8_t, by kind */
-    double unit;                 /* COLUMN_LATTICE: index k is (double)k * unit */
-    struct memo *memo;           /* COLUMN_LATTICE: its memo, for the whole table */
-    const char *labels;          /* COLUMN_LABEL: n_labels slots of LABEL_BYTES, one a code */
-    int64_t n_labels;
-};
-
-/* Label codes a column may hold: its int8 codes are at least 0. */
-enum { LABEL_CODES = 128 };
-
-/* What spikesim_format_rows returns, beside the bytes it wrote. */
-enum { FORMAT_OVERFLOW = -1, FORMAT_LAYOUT = -2 };
 
 /* Write lattice index k's value, (double)k * unit, through memo: a hit
    copies the FLOAT_BYTES bytes of its slot and keeps the length of its
@@ -471,6 +306,307 @@ static ALWAYS_INLINE char *format_lattice(const uint64_t (*pow10)[2], struct mem
     return text;
 }
 
+/* Label codes a column may hold: its int8 codes are at least 0. */
+enum { LABEL_CODES = 128 };
+
+/* The rows of a jump path: event i's time, its lattice state (kr, kn), each
+   written through its memo, and its channel's label. */
+struct jump_rows {
+    const double *t;
+    const int64_t *kr, *kn;
+    const int8_t *codes;
+    double r_unit, n_unit;
+    struct memo *r_memo, *n_memo;
+    const char *labels;            /* a slot of LABEL_BYTES a code */
+    uint8_t label_len[LABEL_CODES];
+};
+
+/* Take the lengths of the first n_labels labels of rows. */
+static ALWAYS_INLINE void take_label_lengths(struct jump_rows *rows, int64_t n_labels)
+{
+    for (int64_t c = 0; c < n_labels && c < LABEL_CODES; c++)
+        rows->label_len[c] = (uint8_t)strnlen(rows->labels + LABEL_BYTES * c, LABEL_BYTES);
+}
+
+/* Write row i of a jump path and return the end of its text. */
+static ALWAYS_INLINE char *format_jump_row(const uint64_t (*pow10)[2],
+                                           const struct jump_rows *rows, int64_t i, char *out)
+{
+    const int64_t *const kr = rows->kr, *const kn = rows->kn;
+    struct memo *const r_memo = rows->r_memo, *const n_memo = rows->n_memo;
+    const double r_unit = rows->r_unit, n_unit = rows->n_unit;
+    const int8_t code = rows->codes[i];
+    out = format_double(pow10, rows->t[i], out);
+    *out++ = ',';
+    out = format_lattice(pow10, r_memo, kr[i], r_unit, out);
+    *out++ = ',';
+    out = format_lattice(pow10, n_memo, kn[i], n_unit, out);
+    *out++ = ',';
+    /* The label's whole slot, kept to its length. */
+    memcpy(out, rows->labels + LABEL_BYTES * code, LABEL_BYTES);
+    out += rows->label_len[code];
+    *out++ = '\n';
+    return out;
+}
+
+/* Bytes a loop's row takes at most, with the COPY_BYTES its copies may
+   write past it: a sample of the RK4 loop (t, r, n), and an event of the
+   direct-method loop (t, r, n, label). */
+enum {
+    SAMPLE_ROW_BYTES = 3 * (FLOAT_BYTES + 1) + COPY_BYTES,
+    EVENT_ROW_BYTES = 3 * (FLOAT_BYTES + 1) + LABEL_BYTES + COPY_BYTES,
+};
+
+/* A numeric loop's row output: a slice of a path CSV, which the caller
+   writes to the file after each call. */
+struct slice {                     /* _compiled.Slice */
+    char *buf;
+    int64_t size, used;            /* the bytes of buf; out: the bytes written */
+    const uint64_t (*pow10)[2];    /* the table of g(m) */
+    struct memo *memos[2];         /* events: r's and n's memo, for the whole table */
+    const char *labels;            /* events: n_labels slots of LABEL_BYTES, one a code */
+    int64_t n_labels;
+};
+
+/* Why the loop stopped; the order of Termination in jump._STOPS. */
+enum { STOP_LIMIT = 0, STOP_ABSORBED = 1, STOP_HORIZON = 2 };
+
+struct table {             /* one process; _compiled.Table */
+    int64_t n_channels;
+    double r_unit, n_unit;
+    const double *coef;    /* (k_rn, k_r, k_n, k_1, div) per channel */
+    const int64_t *guard;  /* (kr, kn) below which the rate is 0, per channel */
+    const int64_t *step;   /* lattice step (dkr, dkn) per channel */
+};
+
+struct run {               /* where a run stands; _compiled._Run */
+    double t, t_end;
+    int64_t kr, kn, limit, stop;
+};
+
+/* Run at most run->limit events from (run->kr, run->kn) at time run->t and
+   return how many ran.  Event i stores its time in times[i], the state
+   after it in krs[i] and kns[i], and its channel in picks[i].  Given rows,
+   each event is then written to it as a jump path's row, and the loop
+   returns with stop STOP_LIMIT when rows cannot hold one more.  On return
+   run holds the state and the time after the last event and why the loop
+   stopped, so the next call continues the run. */
+static ALWAYS_INLINE int64_t direct_method(bitgen_t *bitgen, const struct table *table,
+                                           struct run *run, double *times, int64_t *krs,
+                                           int64_t *kns, int8_t *picks, struct slice *rows)
+{
+    const int n_channels = (int)table->n_channels;
+    const double *coef = table->coef, r_unit = table->r_unit, n_unit = table->n_unit;
+    const int64_t *guard = table->guard, *step = table->step, limit = run->limit;
+    const double t_end = run->t_end;
+    int64_t kr = run->kr, kn = run->kn, count = 0;
+    double t = run->t, cum[n_channels];
+    int stop = STOP_LIMIT;
+    struct jump_rows path = {times, krs, kns, picks, r_unit, n_unit, NULL, NULL, NULL, {0}};
+    char *out = NULL, *end = NULL;
+    if (rows) {
+        path.r_memo = rows->memos[0];
+        path.n_memo = rows->memos[1];
+        path.labels = rows->labels;
+        take_label_lengths(&path, rows->n_labels);
+        out = rows->buf;
+        end = out + rows->size;
+    }
+
+    for (; count < limit; count++) {
+        if (out && end - out < EVENT_ROW_BYTES)
+            break;
+        double r = kr * r_unit, n = kn * n_unit, total = 0.0;
+        int top = 0;
+        for (int i = 0; i < n_channels; i++) {
+            const double *k = coef + 5 * i;
+            double rate = 0.0;
+            if (kr >= guard[2 * i] && kn >= guard[2 * i + 1]) {
+                if (k[0] != 0.0) rate += k[0] * r * n;
+                if (k[1] != 0.0) rate += k[1] * r;
+                if (k[2] != 0.0) rate += k[2] * n;
+                if (k[3] != 0.0) rate += k[3];
+                if (k[4] != 1.0) rate /= k[4];
+                if (rate > 0.0) top = i;
+            }
+            cum[i] = total += rate;
+        }
+        if (total <= 0.0) {
+            stop = STOP_ABSORBED;
+            break;
+        }
+        double t_next = t + random_standard_exponential(bitgen) / total;
+        if (t_next > t_end) {
+            stop = STOP_HORIZON;
+            break;
+        }
+        t = t_next;
+        double u = next_double(bitgen) * total;
+        /* Downward with a conditional move, not a forward loop with a break:
+           the break's branch is mispredicted about once an event. */
+        int pick = top;
+        for (int i = top - 1; i >= 0; i--)
+            pick = u < cum[i] ? i : pick;
+        kr += step[2 * pick];
+        kn += step[2 * pick + 1];
+        times[count] = t;
+        krs[count] = kr;
+        kns[count] = kn;
+        picks[count] = (int8_t)pick;
+        if (out)
+            out = format_jump_row(rows->pow10, &path, count, out);
+    }
+    run->kr = kr;
+    run->kn = kn;
+    run->t = t;
+    run->stop = stop;
+    if (rows)
+        rows->used = out - rows->buf;
+    return count;
+}
+
+static int64_t direct_method_rows(bitgen_t *bitgen, const struct table *table, struct run *run,
+                                  double *times, int64_t *krs, int64_t *kns, int8_t *picks,
+                                  struct slice *rows);
+
+int64_t spikesim_direct_method(bitgen_t *bitgen, const struct table *table, struct run *run,
+                               double *times, int64_t *krs, int64_t *kns, int8_t *picks,
+                               struct slice *rows)
+{
+    if (rows)
+        return direct_method_rows(bitgen, table, run, times, krs, kns, picks, rows);
+    return direct_method(bitgen, table, run, times, krs, kns, picks, NULL);
+}
+
+/* direct_method with rows, in a function of its own, so that the loop
+   without them is compiled as it would be alone, and in a section of its
+   own, which the linker puts after .text, so that it lands after the other
+   loops and moves none of them. */
+static __attribute__((noinline, section(".text.rows"))) int64_t direct_method_rows(
+    bitgen_t *bitgen, const struct table *table, struct run *run, double *times, int64_t *krs,
+    int64_t *kns, int8_t *picks, struct slice *rows)
+{
+    return direct_method(bitgen, table, run, times, krs, kns, picks, rows);
+}
+
+/* The RK4 loop of spikesim.ode: classical RK4 on the rate equations
+   dr/dt = ((-alpha r - n r + n) + p) / gamma,  dn/dt = (alpha r + n r - n) - n / beta
+   with ode._rk4_python's operations in its order, bit for bit (so again
+   -ffp-contract=off): the four stages, r += h/6 (k1 + 2 k2 + 2 k3 + k4), a
+   non-finite state fails the step, then a negative r and after it a
+   negative n is clamped to 0 and counted, or fails the step when it is
+   below the overshoot limit.  The state after every sample_every-th step
+   and after the last step is stored, at time step * h. */
+
+enum { RK4_OK = 0, RK4_NOT_FINITE = 1, RK4_R_BELOW = 2, RK4_N_BELOW = 3 };
+
+struct rk4 {                      /* _compiled.Rk4 */
+    double alpha, beta, gamma, p, h, overshoot_limit;
+    int64_t n_steps, sample_every;
+    int64_t capacity;             /* samples go at ts[1] .. ts[capacity - 1] */
+    int64_t step;                 /* in and out: the steps taken */
+    double r, n;                  /* in and out: the state after them */
+    int64_t clamps, fail;         /* in and out: the clamp count; out: why it failed */
+    double fail_value;            /* out: the component below the limit */
+};
+
+/* Continue the run from step rk4->step, at state (rk4->r, rk4->n), storing
+   samples in ts, rs and ns from index 1 until they are full or the run
+   ends, and return the index after the last sample stored.  Given rows,
+   each sample is then written to it as an ODE path's row (t, r, n), and
+   the loop returns when rows cannot hold one more.  A failed step ends the
+   run with rk4->fail set to its reason and rk4->step to the step. */
+int64_t spikesim_rk4(struct rk4 *rk4, double *ts, double *rs, double *ns, struct slice *rows)
+{
+    const double alpha = rk4->alpha, beta = rk4->beta, gamma = rk4->gamma, p = rk4->p;
+    const double h = rk4->h, half = 0.5 * h, sixth = h / 6.0, limit = rk4->overshoot_limit;
+    const int64_t n_steps = rk4->n_steps, sample_every = rk4->sample_every;
+    const int64_t capacity = rk4->capacity;
+    double r = rk4->r, n = rk4->n;
+    int64_t kept = 1, clamps = rk4->clamps, step = rk4->step;
+    int fail = RK4_OK;
+    const double *const sample[3] = {ts, rs, ns};
+    char *out = rows ? rows->buf : NULL, *const end = rows ? rows->buf + rows->size : NULL;
+
+    while (step < n_steps && kept < capacity) {
+        if (out && end - out < SAMPLE_ROW_BYTES)
+            break;
+        step++;
+        double k1r = ((-alpha * r - n * r + n) + p) / gamma;
+        double k1n = (alpha * r + n * r - n) - n / beta;
+        double r2 = r + half * k1r, n2 = n + half * k1n;
+        double k2r = ((-alpha * r2 - n2 * r2 + n2) + p) / gamma;
+        double k2n = (alpha * r2 + n2 * r2 - n2) - n2 / beta;
+        double r3 = r + half * k2r, n3 = n + half * k2n;
+        double k3r = ((-alpha * r3 - n3 * r3 + n3) + p) / gamma;
+        double k3n = (alpha * r3 + n3 * r3 - n3) - n3 / beta;
+        double r4 = r + h * k3r, n4 = n + h * k3n;
+        double k4r = ((-alpha * r4 - n4 * r4 + n4) + p) / gamma;
+        double k4n = (alpha * r4 + n4 * r4 - n4) - n4 / beta;
+        r += sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r);
+        n += sixth * (k1n + 2.0 * k2n + 2.0 * k3n + k4n);
+
+        if (!(isfinite(r) && isfinite(n))) {
+            fail = RK4_NOT_FINITE;
+            break;
+        }
+        if (r < 0.0) {
+            if (r < limit) {
+                fail = RK4_R_BELOW;
+                rk4->fail_value = r;
+                break;
+            }
+            r = 0.0;
+            clamps++;
+        }
+        if (n < 0.0) {
+            if (n < limit) {
+                fail = RK4_N_BELOW;
+                rk4->fail_value = n;
+                break;
+            }
+            n = 0.0;
+            clamps++;
+        }
+        if (step % sample_every == 0 || step == n_steps) {
+            ts[kept] = (double)step * h;
+            rs[kept] = r;
+            ns[kept] = n;
+            if (out) {
+                for (int j = 0; j < 3; j++) {
+                    out = format_double(rows->pow10, sample[j][kept], out);
+                    *out++ = ',';
+                }
+                out[-1] = '\n';
+            }
+            kept++;
+        }
+    }
+    rk4->step = step;
+    rk4->r = r;
+    rk4->n = n;
+    rk4->clamps = clamps;
+    rk4->fail = fail;
+    if (rows)
+        rows->used = out - rows->buf;
+    return kept;
+}
+
+/* What a column holds, and how a value becomes text; _compiled's kinds. */
+enum { COLUMN_FLOAT = 0, COLUMN_LATTICE = 1, COLUMN_LABEL = 2 };
+
+struct column {                  /* _compiled.Column */
+    int64_t kind;
+    const void *values;          /* double, int64_t or int8_t, by kind */
+    double unit;                 /* COLUMN_LATTICE: index k is (double)k * unit */
+    struct memo *memo;           /* COLUMN_LATTICE: its memo, for the whole table */
+    const char *labels;          /* COLUMN_LABEL: n_labels slots of LABEL_BYTES, one a code */
+    int64_t n_labels;
+};
+
+/* What spikesim_format_rows returns, beside the bytes it wrote. */
+enum { FORMAT_OVERFLOW = -1, FORMAT_LAYOUT = -2 };
+
 /* The CSV text of rows [start, stop) of n_columns columns: the values of a
    row joined by ',' and ended by '\n'.  A float, and a lattice value
    (double)k * unit, is written as repr writes it; a label code as its
@@ -483,7 +619,8 @@ static ALWAYS_INLINE char *format_lattice(const uint64_t (*pow10)[2], struct mem
    survival curve, pairs) and the jump row (time, r, n, channel).  Each
    checks once a row that the widest row and COPY_BYTES fit.  The jump
    row's lattice columns each keep the memo that the caller empties once a
-   table, and the lengths of the labels are taken once a call. */
+   table, and the lengths of the labels are taken once a call; the
+   direct-method loop writes its rows with the same code. */
 int64_t spikesim_format_rows(const struct column *columns, int64_t n_columns, int64_t start,
                              int64_t stop, char *buf, int64_t size, const uint64_t (*pow10)[2])
 {
@@ -510,29 +647,14 @@ int64_t spikesim_format_rows(const struct column *columns, int64_t n_columns, in
           && columns[1].kind == COLUMN_LATTICE && columns[2].kind == COLUMN_LATTICE
           && columns[3].kind == COLUMN_LABEL))
         return FORMAT_LAYOUT;
-    const int64_t widest = 3 * (FLOAT_BYTES + 1) + LABEL_BYTES + COPY_BYTES;
-    const double *const t = columns[0].values;
-    const int64_t *const kr = columns[1].values, *const kn = columns[2].values;
-    const double r_unit = columns[1].unit, n_unit = columns[2].unit;
-    struct memo *const r_memo = columns[1].memo, *const n_memo = columns[2].memo;
-    const int8_t *const codes = columns[3].values;
-    const char *const labels = columns[3].labels;
-    uint8_t label_len[LABEL_CODES];
-    for (int64_t c = 0; c < columns[3].n_labels && c < LABEL_CODES; c++)
-        label_len[c] = (uint8_t)strnlen(labels + LABEL_BYTES * c, LABEL_BYTES);
+    struct jump_rows path = {columns[0].values, columns[1].values, columns[2].values,
+                             columns[3].values, columns[1].unit, columns[2].unit,
+                             columns[1].memo, columns[2].memo, columns[3].labels, {0}};
+    take_label_lengths(&path, columns[3].n_labels);
     for (int64_t i = start; i < stop; i++) {
-        if (end - out < widest)
+        if (end - out < EVENT_ROW_BYTES)
             return FORMAT_OVERFLOW;
-        out = format_double(pow10, t[i], out);
-        *out++ = ',';
-        out = format_lattice(pow10, r_memo, kr[i], r_unit, out);
-        *out++ = ',';
-        out = format_lattice(pow10, n_memo, kn[i], n_unit, out);
-        *out++ = ',';
-        /* The label's whole slot, kept to its length. */
-        memcpy(out, labels + LABEL_BYTES * codes[i], LABEL_BYTES);
-        out += label_len[codes[i]];
-        *out++ = '\n';
+        out = format_jump_row(pow10, &path, i, out);
     }
     return out - buf;
 }

@@ -37,7 +37,7 @@ from .jump import (
 )
 from .lyapunov import scan_drift_condition
 from .model import _PARAMS, ModelParams, State, stability_report
-from .ode import Trajectory, integrate
+from .ode import OdeStream, Trajectory, integrate
 from .spikes import (
     InsufficientDataError,
     PathSeries,
@@ -209,37 +209,83 @@ def preset(name: str) -> list[RunConfig]:
     raise UsageError(f"unknown preset {name!r} (know fig1, fig2, fig3, fig5, fig6, fig7)")
 
 
-def simulate_run(*configs: RunConfig) -> Trajectory | JumpTrajectory | JumpStream:
+def simulate_run(*configs: RunConfig, whole: bool = True
+                 ) -> Trajectory | JumpTrajectory | JumpStream | OdeStream:
     """The path that ``configs``, RunConfigs of one ``path_key()``, analyse:
-    the ODE solution in ds mode, else one jump-process run.  The run is held
-    whole where a config writes it or compares it with the ODE
-    (``lln_reference``), and is a stream elsewhere, which ``analyse_group``
-    runs.  Arguments the library rejects raise UsageError."""
+    the ODE solution in ds mode, else one jump-process run.  It is held
+    whole, or where ``whole`` is False it is a stream that ``analyse_group``
+    runs once, writing the path CSVs as it goes.  An ODE path that a config
+    scans for a level is held all the same.  Arguments the library rejects
+    raise UsageError."""
     config = configs[0]
     with _argument_checks():
         if config.mode == "ds":
-            return integrate(config.params, config.initial, config.t_end, dt=config.dt)
+            if whole or any(c.a0 is not None or c.thr is not None for c in configs):
+                return integrate(config.params, config.initial, config.t_end, dt=config.dt)
+            return OdeStream(config.params, config.initial, config.t_end, dt=config.dt)
         spec = _build_spec(config)
         initial = spec.lattice_state(config.initial.r, config.initial.n)
-        whole = any("path" in c.artifacts() or c.lln_reference for c in configs)
         return (simulate if whole else simulate_chunks)(
             spec, initial, t_end=config.t_end, max_jumps=config.max_jumps, seed=config.seed)
 
 
 def analyse_group(
-    configs: list[RunConfig], path: Trajectory | JumpTrajectory | JumpStream,
+    configs: list[RunConfig], path: Trajectory | JumpTrajectory | JumpStream | OdeStream,
     outdir: str | Path = ".",
 ) -> Iterator[Path]:
     """Write the artifacts of each of ``configs``, RunConfigs that share the
     path ``path`` (as ``simulate_run`` makes it for them), in turn, yielding
     each artifact path once it is written.  The path's spikes at each a0 and
     plateaus at each thr of the configs are found first, in one pass over
-    it, which runs it if it is a stream."""
+    it, which runs it if it is a stream.  A stream's run hands its rows to
+    the path CSV of each config that writes one, begun under a temporary
+    name and put in place in the config's turn, and is held whole only
+    where a config compares it with the ODE (``lln_reference``)."""
     outdir = Path(outdir)
-    with _argument_checks():
-        spikes_at, plateaus_at = scan_levels(path, {c.a0 for c in configs} - {None},
-                                             {c.thr for c in configs} - {None})
-    for config in configs:
+    csvs: dict[int, io.PathCsv] = {}
+    try:
+        _begin_path_csvs(configs, path, outdir, csvs)
+        with _argument_checks():
+            if isinstance(path, OdeStream):
+                path.run()
+            elif isinstance(path, JumpStream) and any(c.lln_reference for c in configs):
+                path = path.collect()
+            spikes_at, plateaus_at = scan_levels(path, {c.a0 for c in configs} - {None},
+                                                 {c.thr for c in configs} - {None})
+        yield from _write_artifacts(configs, path, outdir, csvs, spikes_at, plateaus_at)
+    finally:
+        for csv in csvs.values():
+            csv.discard()
+
+
+def _begin_path_csvs(configs: list[RunConfig], path, outdir: Path,
+                     csvs: dict[int, io.PathCsv]) -> None:
+    """Begin the path CSVs of ``configs`` into ``csvs``, by index, where
+    ``path`` is a stream, and hand each slice of its rows to every one."""
+    if not isinstance(path, (JumpStream, OdeStream)):
+        return
+    for i, config in enumerate(configs):
+        files = config.artifacts(outdir)
+        if "path" in files:
+            outdir.mkdir(parents=True, exist_ok=True)
+            csvs[i] = (io._begin_ode_csv(files["path"], path, _ode_extra(config))
+                       if config.mode == "ds" else
+                       io._begin_jump_csv(files["path"], path, config.t_end))
+    if csvs:
+        writes = [csv.write for csv in csvs.values()]
+        path.rows = writes[0] if len(writes) == 1 else lambda rows: [w(rows) for w in writes]
+
+
+def _ode_extra(config: RunConfig) -> dict:
+    """What an ODE path CSV's header adds: its start."""
+    return {"r0": config.initial.r, "n0": config.initial.n}
+
+
+def _write_artifacts(configs: list[RunConfig], path, outdir: Path, csvs: dict[int, io.PathCsv],
+                     spikes_at: dict, plateaus_at: dict) -> Iterator[Path]:
+    """``analyse_group``'s artifacts once the path has run: each config's
+    in turn, its begun path CSV (``csvs``) put in place as its first."""
+    for i, config in enumerate(configs):
         files = config.artifacts(outdir)
         lln = None
         if config.lln_reference and config.mode != "ds":
@@ -253,9 +299,11 @@ def analyse_group(
             report["terminated_by"] = path.terminated_by.value
 
         if "path" in files:
-            if config.mode == "ds":
-                io.write_ode_csv(files["path"], path,
-                                 {"r0": config.initial.r, "n0": config.initial.n})
+            if i in csvs:
+                csvs.pop(i).commit(None if config.mode == "ds" else
+                                   io._jump_header(path, path.t_end, path.terminated_by))
+            elif config.mode == "ds":
+                io.write_ode_csv(files["path"], path, _ode_extra(config))
             else:
                 io.write_jump_csv(files["path"], path)
             yield files["path"]
@@ -541,7 +589,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         outdir = Path(args.out).parent
         files = config.artifacts(outdir)
         _check_paths(files, {"config": args.config})
-        list(analyse_group([config], simulate_run(config), outdir))
+        list(analyse_group([config], simulate_run(config, whole=False), outdir))
         return 0
 
     if args.command == "lyapunov":
@@ -567,7 +615,8 @@ def _run_preset(args: argparse.Namespace) -> int:
     # path is held at a time.
     for _key, group in groupby(runs, key=RunConfig.path_key):
         group = list(group)
-        for written in analyse_group(group, simulate_run(*group), outdir=args.outdir):
+        for written in analyse_group(group, simulate_run(*group, whole=False),
+                                     outdir=args.outdir):
             print(written)
     return 0
 

@@ -7,12 +7,15 @@ independent: '.' decimal separator, '\\n' newlines, no grouping.
 Rows are written by the compiled library's formatter and read back by its
 reader where the library builds and passes its check; otherwise by
 ``_python_rows`` and ``np.loadtxt``, which give the same bytes and the same
-floats.
+floats.  A path CSV can also be written as its run goes (``PathCsv``), from
+the rows that the run's loop writes.
 """
 
+import itertools
 import json
 import math
 import os
+import shutil
 import warnings
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import asdict
@@ -23,15 +26,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .jump import CHANNEL_LABELS, JumpTrajectory
+from .jump import CHANNEL_LABELS, JumpStream, JumpTrajectory, Termination, _event_columns
 from .model import _PARAMS, ModelParams
-from .ode import Trajectory
+from .ode import OdeStream, Trajectory
 
 # Rows per write.  The formatter's buffer holds a slice of the widest rows,
 # 77 kB for an ODE path and 93 kB for a jump path, under glibc's 128 KiB
 # mmap threshold, whose sliding moves peak RSS.  The lattice memos last the
 # whole table, so larger slices gain nothing: sample_paths' jump tables took
 # 30-33 ms and its ODE tables 67-72 ms at 1024, 4096 and 16,384 rows alike.
+# The RK4 and direct-method loops' row output (a path CSV written as its run
+# goes) is a buffer of the same size: each loop call writes rows until it
+# cannot hold one more of the widest, so a call writes 1024 rows or more,
+# and the Python twins' rows are handed over 1024 rows at a time.
 _SLICE_ROWS = 1024
 
 
@@ -50,24 +57,108 @@ def _meta_lines(params: ModelParams, extra: dict | None = None) -> list[str]:
 _DTYPES = {"float": np.float64, "lattice": np.int64, "label": np.int8}
 
 
-def _write_csv(path: str | Path, params: ModelParams, meta: dict | None, names: tuple[str, ...],
-               columns, first_row: str = "") -> None:
-    """Write a CSV file: the ``# key=value`` lines of ``params`` and
-    ``meta``, the line of column ``names``, ``first_row`` as it is (a whole
-    line, or nothing), then one line per row of ``columns``.  Each column is
-    a (kind, values, unit) triple with a kind of ``_DTYPES`` (unit is read
-    only for "lattice").  The file is written in binary: the header encoded
-    as UTF-8, then the rows' ASCII bytes as the compiled formatter hands
-    them over, each slice straight from its buffer, or as ``_python_rows``,
-    which gives the same bytes, makes them.  The columns are checked before
-    the file is opened, so a rejected column leaves no file behind."""
+def _write_csv(path: str | Path, header: bytes, columns) -> None:
+    """Write a CSV file: ``header`` (``_header``'s), then one line per row
+    of ``columns``.  Each column is a (kind, values, unit) triple with a
+    kind of ``_DTYPES`` (unit is read only for "lattice").  The rows' ASCII
+    bytes are written as the compiled formatter hands them over, each slice
+    straight from its buffer, or as ``_python_rows``, which gives the same
+    bytes, makes them.  The columns are checked before the file is opened,
+    so a rejected column leaves no file behind."""
     checked = _checked_columns(columns)
     format_rows = _compiled_formatter() or _python_rows
     with open(path, "wb") as fh:
-        fh.write(("".join(line + "\n" for line in _meta_lines(params, meta))
-                  + ",".join(names) + "\n" + first_row).encode())
+        fh.write(header)
         for rows in format_rows(checked, CHANNEL_LABELS, _SLICE_ROWS):
             fh.write(rows)
+
+
+def _header(params: ModelParams, meta: dict | None, names: tuple[str, ...],
+            first_row: str = "") -> bytes:
+    """A CSV file's header, as UTF-8: the ``# key=value`` lines of
+    ``params`` and ``meta``, the line of column ``names``, then
+    ``first_row`` as it is (a whole line, or nothing)."""
+    return ("".join(line + "\n" for line in _meta_lines(params, meta))
+            + ",".join(names) + "\n" + first_row).encode()
+
+
+class PathCsv:
+    """A path CSV written as its run goes: ``header``, then each slice of
+    rows that ``write`` is handed, into a new file beside ``path`` under a
+    temporary name.  ``commit`` puts it in place as ``path``, and
+    ``discard`` removes it, so that a run that fails leaves no file and any
+    file already at ``path`` as it was."""
+
+    def __init__(self, path: str | Path, header: bytes) -> None:
+        self.path, self._header = Path(path), header
+        self._temp, self._fh = _temporary(self.path)
+        self._fh.write(header)
+
+    def write(self, rows) -> None:
+        self._fh.write(rows)
+
+    def commit(self, header: bytes | None = None) -> None:
+        """Put the file in place.  With a ``header`` other than the one it
+        began with, the file is first rebuilt once, as that header followed
+        by the rows, copied file to file (``os.copy_file_range``)."""
+        self._fh.close()
+        if header is not None and header != self._header:
+            old, (self._temp, self._fh) = self._temp, _temporary(self.path)
+            try:
+                with self._fh, open(old, "rb", buffering=0) as rows:
+                    self._fh.write(header)
+                    self._fh.flush()
+                    rows.seek(len(self._header))
+                    _copy_rest(rows, self._fh)
+            finally:
+                os.unlink(old)
+        os.replace(self._temp, self.path)
+        self._temp = None
+
+    def discard(self) -> None:
+        """Remove the file, unless it is committed."""
+        self._fh.close()
+        if self._temp is not None:
+            os.unlink(self._temp)
+            self._temp = None
+
+
+def _temporary(path: Path):
+    """A new file beside ``path``, named after it, and the file open for
+    writing in binary."""
+    for attempt in itertools.count():
+        temp = path.with_name(f".{path.name}.{os.getpid()}.{attempt}.tmp")
+        try:
+            return temp, open(temp, "xb")
+        except FileExistsError:
+            continue
+
+
+def _copy_rest(source, target) -> None:
+    """Copy the rest of the file ``source`` to ``target``, each from where
+    it stands: in the kernel where the platform has ``os.copy_file_range``,
+    else through a buffer."""
+    try:
+        while os.copy_file_range(source.fileno(), target.fileno(), 1 << 30):
+            pass
+    except (AttributeError, OSError):
+        shutil.copyfileobj(source, target)
+
+
+def _begin_ode_csv(path: str | Path, stream: OdeStream,
+                   extra: dict | None = None) -> PathCsv:
+    """``write_ode_csv``'s file for the run of ``stream``, begun: its header
+    and the start's row.  Its other rows are the stream's."""
+    r0, n0 = stream.initial
+    return PathCsv(path, _ode_header(stream.params, stream.dt, stream.sample_every, extra)
+                   + f"{0.0!r},{r0!r},{n0!r}\n".encode())
+
+
+def _begin_jump_csv(path: str | Path, stream: JumpStream, t_end: float | None) -> PathCsv:
+    """``write_jump_csv``'s file for the run of ``stream``, begun with the
+    header of a run that reaches the horizon ``t_end``.  Its other rows are
+    the stream's; commit it with ``_jump_header`` of the run as it ended."""
+    return PathCsv(path, _jump_header(stream, t_end, Termination.TIME_HORIZON))
 
 
 def _checked_columns(columns) -> list[tuple[str, np.ndarray, float]]:
@@ -130,14 +221,16 @@ def _layouts() -> list[list[tuple[str, np.ndarray, float]]]:
     formatter's two layouts: its float column alone, beside itself rolled by
     one row, and beside that and the column reversed (the all-float loop);
     the float column, the walk, the shared-slot indices and the labels, and
-    then the walk and the shared-slot indices under each other's units (the
-    jump-row loop), so that a memo kept past its table writes the second
-    table's indices as the first one's values."""
-    floats, *_, walk, shared, labels = _check_columns()
+    then the walk and the shared-slot indices under each other's units, so
+    that a memo kept past its table writes the second table's indices as
+    the first one's values, and last the large indices and the small
+    repeated ones (the jump-row loop)."""
+    floats, large, small, walk, shared, labels = _check_columns()
     kind, values, unit = floats
     others = [(kind, np.roll(values, 1), unit), (kind, values[::-1].copy(), unit)]
     return [[floats], [floats, others[0]], [floats, *others], [floats, walk, shared, labels],
-            [floats, (*walk[:2], shared[2]), (*shared[:2], walk[2]), labels]]
+            [floats, (*walk[:2], shared[2]), (*shared[:2], walk[2]), labels],
+            [floats, large, small, labels]]
 
 
 def _check_columns() -> list[tuple[str, np.ndarray, float]]:
@@ -170,9 +263,13 @@ def _check_columns() -> list[tuple[str, np.ndarray, float]]:
 
 
 def write_ode_csv(path: str | Path, traj: Trajectory, extra: dict | None = None) -> None:
-    meta = {"mode": "ds", "dt": traj.dt, "sample_every": traj.sample_every, **(extra or {})}
-    _write_csv(path, traj.params, meta, ("t", "r", "n"),
+    _write_csv(path, _ode_header(traj.params, traj.dt, traj.sample_every, extra),
                [("float", column, 0.0) for column in (traj.t, traj.r, traj.n)])
+
+
+def _ode_header(params: ModelParams, dt: float, sample_every: int, extra: dict | None) -> bytes:
+    meta = {"mode": "ds", "dt": dt, "sample_every": sample_every, **(extra or {})}
+    return _header(params, meta, ("t", "r", "n"))
 
 
 def write_jump_csv(path: str | Path, traj: JumpTrajectory) -> None:
@@ -180,22 +277,29 @@ def write_jump_csv(path: str | Path, traj: JumpTrajectory) -> None:
     row per event: its time, the state after it and its channel label.  A
     state's values are the products that ``JumpTrajectory.step_r``/``step_n``
     form."""
-    spec = traj.spec
+    _write_csv(path, _jump_header(traj, traj.t_end, traj.terminated_by),
+               _event_columns(traj.spec, traj.times, traj.krs, traj.kns, traj.channels))
+
+
+def _jump_header(run: JumpTrajectory | JumpStream, t_end: float | None,
+                terminated_by: Termination) -> bytes:
+    """The header of ``write_jump_csv``'s file for the run of ``run`` (a
+    trajectory or a stream), which covers [0, t_end] and ended by
+    ``terminated_by``, with the initial state's row."""
+    spec, initial = run.spec, run.initial
     meta = {
         "mode": spec.kind.value,
         "n_units": spec.n_units,
-        "seed": traj.seed,
-        "t_end": traj.t_end,
-        "terminated_by": traj.terminated_by.value,
+        "seed": run.seed,
+        "t_end": t_end,
+        "terminated_by": terminated_by.value,
     }
     if spec.anchor is not None:
         meta["anchor_r"] = spec.anchor.r
         meta["anchor_n"] = spec.anchor.n
     r_unit, n_unit = float(spec.r_unit), float(spec.n_unit)
-    first_row = f"{0.0!r},{traj.initial.kr * r_unit!r},{traj.initial.kn * n_unit!r},\n"
-    _write_csv(path, spec.params, meta, ("t", "r", "n", "channel"),
-               [("float", traj.times, 0.0), ("lattice", traj.krs, r_unit),
-                ("lattice", traj.kns, n_unit), ("label", traj.channels, 0.0)], first_row)
+    first_row = f"{0.0!r},{initial.kr * r_unit!r},{initial.kn * n_unit!r},\n"
+    return _header(spec.params, meta, ("t", "r", "n", "channel"), first_row)
 
 
 def write_survival_csv(
@@ -205,7 +309,7 @@ def write_survival_csv(
     params: ModelParams,
     extra: dict | None = None,
 ) -> None:
-    _write_csv(path, params, extra, ("a", "survival"),
+    _write_csv(path, _header(params, extra, ("a", "survival")),
                [("float", grid, 0.0), ("float", survival, 0.0)])
 
 
@@ -223,7 +327,7 @@ def write_pairs_csv(
         table = table.reshape(0, 2)
     if table.ndim != 2 or table.shape[1] != 2:
         raise ValueError(f"expected (length, amplitude) pairs, got shape {table.shape}")
-    _write_csv(path, params, extra, ("plateau_length", "amplitude"),
+    _write_csv(path, _header(params, extra, ("plateau_length", "amplitude")),
                [("float", table[:, 0], 0.0), ("float", table[:, 1], 0.0)])
 
 

@@ -298,10 +298,13 @@ def _collect(chunks) -> tuple[list[np.ndarray], int]:
 
 
 def _run_python(spec: ProcessSpec, kr: int, kn: int, rng: np.random.Generator, t_end: float,
-                limit: int) -> Iterator[tuple[tuple[np.ndarray, ...], int | None]]:
+                limit: int, rows: Callable | None = None
+                ) -> Iterator[tuple[tuple[np.ndarray, ...], int | None]]:
     """``spikesim_direct_method`` of ``_kernel.c``: the same draws and the
     same floating-point operations in the same order, in the chunks that
     ``_compiled.run`` calls it for, each with the stop code after the last.
+    Given ``rows``, each chunk's jump CSV rows (``_python_rows``) are handed
+    to it before the chunk is yielded.
 
     Per event: the channel rates, each summed term by term left to right
     with its zero terms left out and zero below its guard; their cumulative
@@ -317,15 +320,15 @@ def _run_python(spec: ProcessSpec, kr: int, kn: int, rng: np.random.Generator, t
     """
     from . import _compiled
 
-    rows, r_unit, n_unit = spec._rows, float(spec.r_unit), float(spec.n_unit)
+    table, r_unit, n_unit = spec._rows, float(spec.r_unit), float(spec.n_unit)
     exponential, uniform = rng.standard_exponential, rng.random
     size, stop = _compiled.CHUNK_EVENTS, 0
     times, krs, kns, picks = array("d"), array("q"), array("q"), bytearray()
-    cum = [0.0] * len(rows)
+    cum = [0.0] * len(table)
     t = 0.0
     for count in range(1, limit + 1):
         r, n, total, top = kr * r_unit, kn * n_unit, 0.0, 0
-        for i, (k_rn, k_r, k_n, k_1, div, guard_kr, guard_kn, _dkr, _dkn) in enumerate(rows):
+        for i, (k_rn, k_r, k_n, k_1, div, guard_kr, guard_kn, _dkr, _dkn) in enumerate(table):
             rate = 0.0
             if kr >= guard_kr and kn >= guard_kn:
                 if k_rn:
@@ -356,24 +359,39 @@ def _run_python(spec: ProcessSpec, kr: int, kn: int, rng: np.random.Generator, t
             if u < cum[i]:
                 pick = i
                 break
-        kr += rows[pick][7]
-        kn += rows[pick][8]
+        kr += table[pick][7]
+        kn += table[pick][8]
         times.append(t)
         krs.append(kr)
         kns.append(kn)
         picks.append(pick)
         if len(picks) == size and count < limit:
-            yield _arrays(times, krs, kns, picks), None
+            yield _chunk(spec, rows, times, krs, kns, picks), None
             times, krs, kns, picks = array("d"), array("q"), array("q"), bytearray()
-    yield _arrays(times, krs, kns, picks), stop
+    yield _chunk(spec, rows, times, krs, kns, picks), stop
 
 
 # The dtypes of a run's event times, states (kr, kn) and channels.
 _DTYPES = (np.float64, np.int64, np.int64, np.int8)
 
 
-def _arrays(*held) -> tuple[np.ndarray, ...]:
-    return tuple(np.frombuffer(values, dtype) for values, dtype in zip(held, _DTYPES))
+def _chunk(spec: ProcessSpec, rows: Callable | None, *held) -> tuple[np.ndarray, ...]:
+    """The arrays of the events ``held``; given ``rows``, their rows are
+    handed to it first."""
+    arrays = tuple(np.frombuffer(values, dtype) for values, dtype in zip(held, _DTYPES))
+    if rows is not None:
+        from .io import _SLICE_ROWS, _python_rows
+
+        for text in _python_rows(_event_columns(spec, *arrays), CHANNEL_LABELS, _SLICE_ROWS):
+            rows(text)
+    return arrays
+
+
+def _event_columns(spec: ProcessSpec, times, krs, kns, channels) -> list[tuple]:
+    """A path's events as the columns of their jump CSV rows: the time, the
+    lattice state after the event and the channel."""
+    return [("float", times, 0.0), ("lattice", krs, float(spec.r_unit)),
+            ("lattice", kns, float(spec.n_unit)), ("label", channels, 0.0)]
 
 
 # Termination by the direct-method loop's stop code.
@@ -405,21 +423,28 @@ def _compiled_run() -> Callable | None:
 
 
 def _agrees(run: Callable) -> bool:
-    """Whether ``run``, a build's loop, draws ``_run_python``'s stream on two
-    probes.  On ``_probe_spec``, from a high state so that the rates take a
-    wide range of values: a build that fuses a multiply into the sum of a
-    rate moves the first event's time in its last bit, and a libnpyrandom
-    that draws differently moves more.  On a table whose one positive rate,
-    pumping, is subnormal: the uniform times the total is then 0.0 about
-    half the time, equal to the cumulative rate of every channel below
-    pumping, and a pick that takes such a tie leaves the stream."""
-    def outcome(loop, spec, kr, kn):
-        arrays, stop = _collect(loop(spec, kr, kn, np.random.default_rng(0), math.inf, 400))
-        return [values.tobytes() for values in arrays], stop
+    """Whether ``run``, a build's loop, draws ``_run_python``'s stream on
+    three probes, and with rows writes its rows too.  On ``_probe_spec``,
+    from a high state so that the rates take a wide range of values: a
+    build that fuses a multiply into the sum of a rate moves the first
+    event's time in its last bit, and a libnpyrandom that draws differently
+    moves more.  On a table whose one positive rate, pumping, is subnormal:
+    the uniform times the total is then 0.0 about half the time, equal to
+    the cumulative rate of every channel below pumping, and a pick that
+    takes such a tie leaves the stream.  On ``_probe_spec`` from lattice
+    indices past 2^53 and 2^31, for long enough that the rows fill the
+    loop's slice twice."""
+    def outcome(loop, spec, kr, kn, limit, rows):
+        text = bytearray()
+        arrays, stop = _collect(loop(spec, kr, kn, np.random.default_rng(0), math.inf, limit,
+                                     text.extend if rows else None))
+        return [values.tobytes() for values in arrays], stop, text
 
     tie = replace(_probe_spec(), table=_make_table({}, {}, {}, {"k_1": 5e-324}, {}))
-    return all(outcome(run, *probe) == outcome(_run_python, *probe)
-               for probe in ((_probe_spec(), 5, 200), (tie, 0, 0)))
+    return all(outcome(run, *probe, rows) == outcome(_run_python, *probe, rows)
+               for probe in ((_probe_spec(), 5, 200, 400), (tie, 0, 0, 400),
+                             (_probe_spec(), 2**53 + 1, 2**31, 5000))
+               for rows in (False, True))
 
 
 def _probe_spec() -> ProcessSpec:
@@ -492,7 +517,10 @@ class JumpStream:
     chunk's arrays are views of buffers that the next chunk overwrites.
     ``n_events`` counts the events yielded so far; ``terminated_by`` and
     ``t_end``, None until the stream ends, then hold what ``simulate``'s
-    trajectory would.  It runs once."""
+    trajectory would.  ``rows``, when it is set before the first chunk is
+    taken, is handed the jump CSV rows of each chunk's events before the
+    chunk (``io.write_jump_csv``'s rows after the first), in views that the
+    next chunk may overwrite.  It runs once."""
 
     def __init__(self, spec: ProcessSpec, initial: LatticeState, seed: int,
                  t_end: float | None, limit: int) -> None:
@@ -500,6 +528,7 @@ class JumpStream:
         self.n_events = 0
         self.terminated_by: Termination | None = None
         self.t_end: float | None = None
+        self.rows: Callable | None = None
         self._chunks = self._run(t_end, limit)
 
     def __iter__(self) -> "JumpStream":
@@ -512,7 +541,7 @@ class JumpStream:
         last = 0.0
         for arrays, stop in _kernel()(self.spec, self.initial.kr, self.initial.kn,
                                       np.random.default_rng(self.seed),
-                                      math.inf if t_end is None else t_end, limit):
+                                      math.inf if t_end is None else t_end, limit, self.rows):
             chunk = JumpChunk(*arrays)
             if len(chunk.times):
                 # Cannot happen with censoring; guards regressions.
@@ -527,6 +556,22 @@ class JumpStream:
             if stop is not None:
                 self.terminated_by, self.t_end = _covered(stop, t_end, last)
             yield chunk
+
+    def collect(self, max_events: int = DEFAULT_MAX_EVENTS) -> JumpTrajectory:
+        """The run held whole, taken from a stream none of whose chunks was
+        taken yet: ``simulate``'s trajectory, its chunks appended in place.
+        EventCapError at the chunk that holds event ``max_events`` + 1."""
+        def capped() -> Iterator[tuple[JumpChunk, None]]:
+            for chunk in self:
+                if self.n_events > max_events:
+                    first = self.n_events - len(chunk.times)
+                    raise EventCapError(f"event cap of {max_events} exceeded at "
+                                        f"t = {chunk.times[max_events - first]:.6g}")
+                yield chunk, None
+
+        (times, krs, kns, channels), _stop = _collect(capped())
+        return JumpTrajectory(self.spec, self.initial, self.seed, times, krs, kns, channels,
+                              self.terminated_by, self.t_end)
 
 
 def simulate_chunks(
@@ -566,12 +611,7 @@ def simulate(
     _check_run(spec, initial, t_end, max_jumps, seed)
     # One event past the cap is enough to know the cap is exceeded.
     limit = max_events + 1 if max_jumps is None else min(max_jumps, max_events + 1)
-    stream = JumpStream(spec, initial, seed, t_end, limit)
-    (times, krs, kns, channels), _stop = _collect((chunk, None) for chunk in stream)
-    if len(times) > max_events:
-        raise EventCapError(f"event cap of {max_events} exceeded at t = {times[-1]:.6g}")
-    return JumpTrajectory(spec, initial, seed, times, krs, kns, channels, stream.terminated_by,
-                          stream.t_end)
+    return JumpStream(spec, initial, seed, t_end, limit).collect(max_events)
 
 
 def expected_drift(spec: ProcessSpec, s: LatticeState) -> tuple[float, float]:

@@ -67,6 +67,15 @@ def integrate(
     ``clamp_count``; anything below that limit raises, as does a non-finite
     state, naming the first bad step.
     """
+    start, h, n_steps, sample_every = _steps(initial, t_end, dt, sample_every)
+    rk4 = _compiled_rk4() or _rk4_python
+    return _integrate(rk4, params, *start, h, n_steps, sample_every, OVERSHOOT_LIMIT)
+
+
+def _steps(initial: State, t_end: float, dt: float,
+           sample_every: int | None) -> tuple[State, float, int, int]:
+    """``integrate``'s arguments checked, as the run takes them: the start
+    as floats, the step, the step count and the stride."""
     r0, n0 = float(initial[0]), float(initial[1])
     if not (0 <= r0 < math.inf and 0 <= n0 < math.inf):
         raise ValueError(f"initial state must be finite and non-negative, got ({r0}, {n0})")
@@ -85,9 +94,39 @@ def integrate(
         sample_every = max(1, math.ceil(n_steps / MAX_STORED_SAMPLES))
     if not 1 <= sample_every < 2**63:
         raise ValueError(f"sample_every must be in [1, 2**63), got {sample_every}")
+    return State(r0, n0), h, n_steps, sample_every
 
-    rk4 = _compiled_rk4() or _rk4_python
-    return _integrate(rk4, params, r0, n0, h, n_steps, sample_every, OVERSHOOT_LIMIT)
+
+# Samples an ``OdeStream`` chunk holds.  The RK4 loop's slice fills at 1024
+# to about 6400 rows, and its three float64 arrays take 96 KiB, under
+# glibc's 128 KiB mmap threshold: one mapped and freed would raise the
+# threshold, and so move the peak RSS of what the process does next.
+_CHUNK_SAMPLES = 4096
+
+
+class OdeStream:
+    """One run of ``integrate`` that holds no path.  ``run`` integrates it a
+    chunk of samples at a time and hands ``rows`` the ODE CSV rows of each
+    (``io.write_ode_csv``'s, the start's excepted), which the next chunk
+    may overwrite: set it before the run.  ``initial``, ``dt`` and
+    ``sample_every`` are the start, step and stride ``integrate`` takes.
+    It raises ``integrate``'s errors, a failed step's when it comes to it."""
+
+    def __init__(self, params: ModelParams, initial: State, t_end: float, dt: float = 1e-3,
+                 sample_every: int | None = None) -> None:
+        self.params = params
+        self.initial, self.dt, self.n_steps, self.sample_every = _steps(
+            initial, t_end, dt, sample_every)
+        self.rows: Callable = lambda text: None
+
+    def run(self) -> None:
+        samples = np.empty((3, _CHUNK_SAMPLES))
+        samples[:, 0] = 0.0, *self.initial
+        rk4 = _compiled_rk4() or _rk4_python
+        _kept, _clamps, fail, step, value = rk4(self.params, self.dt, self.n_steps,
+                                                self.sample_every, OVERSHOOT_LIMIT, *samples,
+                                                self.rows)
+        _raise_failure(fail, step, value, self.dt)
 
 
 def _integrate(rk4: Callable, params: ModelParams, r0: float, n0: float, h: float,
@@ -96,10 +135,15 @@ def _integrate(rk4: Callable, params: ModelParams, r0: float, n0: float, h: floa
     ``rk4`` (``_rk4_python`` or the compiled loop), or its failed step's error."""
     (_kept, clamps, fail, step, value), (t, r, n) = _outcome(
         rk4, params, r0, n0, h, n_steps, sample_every, overshoot_limit)
+    _raise_failure(fail, step, value, h)
+    return Trajectory(t, r, n, params, h, sample_every, clamps)
+
+
+def _raise_failure(fail: int, step: int, value: float, h: float) -> None:
+    """Raise the error of an RK4 loop's fail code, unless it is 0."""
     if fail:
         error, message = _FAILURES[fail]
         raise error(message.format(step=step, t=step * h, value=value))
-    return Trajectory(t, r, n, params, h, sample_every, clamps)
 
 
 # By the RK4 loops' fail code, the error of a failed step and its message.
@@ -123,15 +167,19 @@ def _outcome(rk4: Callable, params: ModelParams, r0: float, n0: float, h: float,
 
 
 def _rk4_python(params: ModelParams, h: float, n_steps: int, sample_every: int,
-                overshoot_limit: float, ts: np.ndarray, rs: np.ndarray,
-                ns: np.ndarray) -> tuple[int, int, int, int, float]:
+                overshoot_limit: float, ts: np.ndarray, rs: np.ndarray, ns: np.ndarray,
+                rows: Callable | None = None) -> tuple[int, int, int, int, float]:
     """``spikesim_rk4`` of ``_kernel.c`` from (rs[0], ns[0]), statement for
-    statement.  It stores the samples in ``ts``, ``rs`` and ``ns`` and returns
-    how many it stored (the start included), the clamp count, the fail code
-    (an index into ``_FAILURES``, 0 when no step failed), the step it ended at
-    (n_steps + 1 when none failed) and the component below the limit, or 0.0."""
+    statement.  It stores the samples in ``ts``, ``rs`` and ``ns`` from index
+    1 on and returns how many it stored (the start included), the clamp
+    count, the fail code (an index into ``_FAILURES``, 0 when no step
+    failed), the step it ended at (n_steps + 1 when none failed) and the
+    component below the limit, or 0.0.  Given ``rows``, the arrays are a
+    chunk's buffers: each time they are full, and at the end, the rows of
+    the samples in them (``_python_rows``) are handed to ``rows``, and they
+    are filled again from index 1."""
     r, n = float(rs[0]), float(ns[0])
-    clamps, kept = 0, 1
+    clamps, kept, stored, fail, value = 0, 1, 1, 0, 0.0
     half, sixth = 0.5 * h, h / 6.0
     alpha, beta, gamma, p = params.alpha, params.beta, params.gamma, params.p
     isfinite = math.isfinite
@@ -153,22 +201,42 @@ def _rk4_python(params: ModelParams, h: float, n_steps: int, sample_every: int,
         n += sixth * (k1n + 2.0 * k2n + 2.0 * k3n + k4n)
 
         if not (isfinite(r) and isfinite(n)):
-            return kept, clamps, 1, step, 0.0
+            fail = 1
+            break
         if r < 0.0:
             if r < overshoot_limit:
-                return kept, clamps, 2, step, r
+                fail, value = 2, r
+                break
             r = 0.0
             clamps += 1
         if n < 0.0:
             if n < overshoot_limit:
-                return kept, clamps, 3, step, n
+                fail, value = 3, n
+                break
             n = 0.0
             clamps += 1
 
         if step % sample_every == 0 or step == n_steps:
-            ts[kept], rs[kept], ns[kept] = step * h, r, n
-            kept += 1
-    return kept, clamps, 0, n_steps + 1, 0.0
+            ts[stored], rs[stored], ns[stored] = step * h, r, n
+            stored += 1
+            if rows is not None and stored == len(ts):
+                _hand_rows(rows, ts, rs, ns, stored)
+                kept, stored = kept + stored - 1, 1
+    else:
+        step = n_steps + 1
+    if rows is not None:
+        _hand_rows(rows, ts, rs, ns, stored)
+    return kept + stored - 1, clamps, fail, step, value
+
+
+def _hand_rows(rows: Callable, ts: np.ndarray, rs: np.ndarray, ns: np.ndarray,
+               stored: int) -> None:
+    """Hand ``rows`` the rows of the samples at indices 1 .. stored - 1."""
+    from .io import _SLICE_ROWS, _python_rows
+
+    columns = [("float", values[1:stored], 0.0) for values in (ts, rs, ns)]
+    for text in _python_rows(columns, (), _SLICE_ROWS):
+        rows(text)
 
 
 # The runs the compiled loop must reproduce ``_rk4_python`` on: one that clamps
@@ -181,6 +249,8 @@ _PROBES = ((ModelParams(alpha=7.0, beta=0.05, gamma=0.01, p=0.0), 0.0, 1e-10, 1e
            (ModelParams(alpha=0.0, beta=0.05, gamma=0.01, p=1.0), 0.0, 1e-14, 0.3, 500, 13),
            (ModelParams(alpha=0.0, beta=0.01, gamma=0.01, p=0.0), 0.0, 1.0, 0.5, 5, 1),
            (ModelParams(alpha=0.01, beta=1.0, gamma=1.0, p=7.0), 1e200, 1e200, 1e-2, 5, 1))
+# A run whose rows fill the RK4 loop's slice more than twice.
+_ROWS_PROBE = (ModelParams(alpha=0.01, beta=1.0, gamma=100.0, p=7.0), 0.01, 0.01, 1e-2, 3000, 1)
 
 
 def _compiled_rk4() -> Callable | None:
@@ -194,9 +264,20 @@ def _compiled_rk4() -> Callable | None:
 def _agrees(rk4: Callable) -> bool:
     """Whether ``rk4``, a build's loop, gives ``_rk4_python``'s whole outcome
     on the probes, a failed step's included: a fused or reordered
-    floating-point operation would move the path, or a failure."""
+    floating-point operation would move the path, or a failure.  Then with
+    rows, the same outcome and the same rows, resumed where chunks of 8
+    samples fill, and on the probes and ``_ROWS_PROBE`` where its slices
+    fill."""
     def outcome(loop, probe):
         result, samples = _outcome(loop, *probe, OVERSHOOT_LIMIT)
         return result, samples.tobytes()
 
-    return all(outcome(rk4, probe) == outcome(_rk4_python, probe) for probe in _PROBES)
+    def streamed(loop, probe, capacity):
+        params, r0, n0, *run = probe
+        samples, text = np.empty((3, capacity)), bytearray()
+        samples[:, 0] = 0.0, r0, n0
+        return loop(params, *run, OVERSHOOT_LIMIT, *samples, text.extend), bytes(text)
+
+    return (all(outcome(rk4, probe) == outcome(_rk4_python, probe) for probe in _PROBES)
+            and all(streamed(rk4, probe, capacity) == streamed(_rk4_python, probe, capacity)
+                    for probe in (*_PROBES, _ROWS_PROBE) for capacity in (8, 4096)))

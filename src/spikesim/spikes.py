@@ -6,6 +6,7 @@ lives entirely in the jump engine.
 """
 
 import math
+from collections import deque
 from collections.abc import Collection, Iterator
 from dataclasses import asdict, dataclass
 
@@ -221,6 +222,9 @@ def scan_levels(
         series = whole(path)
         return ({a0: detect_spikes(series, a0) for a0 in a0s},
                 {thr: detect_plateaus(series, thr) for thr in thrs})
+    if not (a0s or thrs):
+        deque(path, maxlen=0)  # run, for its event count and termination
+        return {}, {}
     spikes = {a0: ExcursionScan(a0, peaks=True, step=True) for a0 in a0s}
     plateaus = {thr: ExcursionScan(thr, peaks=False, step=True) for thr in thrs}
     scans = [*spikes.values(), *plateaus.values()]

@@ -378,8 +378,19 @@ class TestBuild:
          "((const double *)columns[0].values)[i]"),
         ("formatter", "format_lattice(pow10, n_memo, kn[i], n_unit, out);",
          "format_lattice(pow10, r_memo, kn[i], n_unit, out);"),
+        # A lattice index truncated to 32 bits, which only indices past 2^31
+        # show.
+        ("formatter", "format_double(pow10, (double)k * unit, out);",
+         "format_double(pow10, (double)(int32_t)k * unit, out);"),
+        # Each numeric loop's row output: the jump loop drops each row's
+        # newline, and the RK4 loop writes a sample's time in each cell.
+        ("run", "out = format_jump_row(rows->pow10, &path, count, out);",
+         "out = format_jump_row(rows->pow10, &path, count, out) - 1;"),
+        ("rk4", "out = format_double(rows->pow10, sample[j][kept], out);",
+         "out = format_double(rows->pow10, sample[0][kept], out);"),
     ], ids=["rk4_not_finite", "rk4_n_fail_value", "formatter_floats_first_column",
-            "formatter_jump_shared_memo"])
+            "formatter_jump_shared_memo", "formatter_lattice_index_truncated", "run_rows",
+            "rk4_rows"])
     def test_refuses_a_kernel_wrong_on_one_branch(self, empty_cache, monkeypatch, compiles,
                                                   tmp_path_factory, loop, line, mutant):
         # A C-only fault, which no Python twin shares, on a branch that only

@@ -174,6 +174,18 @@ def test_a_layout_no_writer_writes_is_refused(kinds):
             _formatted(columns, slice_rows)
 
 
+@compiled
+@pytest.mark.parametrize("kinds", ["label float", "float lattice lattice label float"])
+def test_an_empty_table_of_a_layout_no_writer_writes_is_refused(kinds):
+    # The layout is checked before the first slice, so with no rows too.
+    columns = [(kind, np.zeros(0, np.int8 if kind == "label" else np.float64), 0.5)
+               for kind in kinds.split()]
+    with pytest.raises(ValueError, match="no writer writes"):
+        _formatted(columns, io._SLICE_ROWS)
+    # The writers' layouts of no rows write nothing.
+    assert _formatted([("float", np.zeros(0), 0.0)], io._SLICE_ROWS) == b""
+
+
 def _pow10(m: int) -> int:
     """floor(10^m * 2^(127 - floor(m log2 10))) + 1, in Python integers."""
     floor_log2 = (10**m).bit_length() - 1 if m >= 0 else -(10**-m).bit_length()
@@ -231,7 +243,8 @@ def test_kernel_compiles_without_warnings(tmp_path):
 
 # The ctypes mirror of each struct of the kernel, by the struct's name.
 MIRRORS = {"table": _compiled.Table, "run": _compiled._Run, "rk4": _compiled.Rk4,
-           "memo": _compiled.Memo, "column": _compiled.Column, "rows": _compiled.Rows}
+           "memo": _compiled.Memo, "slice": _compiled.Slice, "column": _compiled.Column,
+           "rows": _compiled.Rows}
 
 
 def test_ctypes_mirrors_match_the_kernel_structs(tmp_path):
