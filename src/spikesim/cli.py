@@ -32,7 +32,6 @@ from .jump import (
     build_meanfield,
     build_oneunit,
     engine_status,
-    simulate,
     simulate_chunks,
 )
 from .lyapunov import scan_drift_condition
@@ -209,24 +208,22 @@ def preset(name: str) -> list[RunConfig]:
     raise UsageError(f"unknown preset {name!r} (know fig1, fig2, fig3, fig5, fig6, fig7)")
 
 
-def simulate_run(*configs: RunConfig, whole: bool = True
-                 ) -> Trajectory | JumpTrajectory | JumpStream | OdeStream:
-    """The path that ``configs``, RunConfigs of one ``path_key()``, analyse:
-    the ODE solution in ds mode, else one jump-process run.  It is held
-    whole, or where ``whole`` is False it is a stream that ``analyse_group``
-    runs once, writing the path CSVs as it goes.  An ODE path that a config
-    scans for a level is held all the same.  Arguments the library rejects
-    raise UsageError."""
+def simulate_run(*configs: RunConfig) -> Trajectory | JumpStream | OdeStream:
+    """The path that ``configs``, RunConfigs of one ``path_key()``, analyse,
+    as a stream that ``analyse_group`` runs once, writing the path CSVs as
+    it goes: the ODE solution in ds mode, else one jump-process run.  An ODE
+    path that a config scans for a level is integrated whole here.
+    Arguments the library rejects raise UsageError."""
     config = configs[0]
     with _argument_checks():
         if config.mode == "ds":
-            if whole or any(c.a0 is not None or c.thr is not None for c in configs):
+            if any(c.a0 is not None or c.thr is not None for c in configs):
                 return integrate(config.params, config.initial, config.t_end, dt=config.dt)
             return OdeStream(config.params, config.initial, config.t_end, dt=config.dt)
         spec = _build_spec(config)
         initial = spec.lattice_state(config.initial.r, config.initial.n)
-        return (simulate if whole else simulate_chunks)(
-            spec, initial, t_end=config.t_end, max_jumps=config.max_jumps, seed=config.seed)
+        return simulate_chunks(spec, initial, t_end=config.t_end, max_jumps=config.max_jumps,
+                               seed=config.seed)
 
 
 def analyse_group(
@@ -234,7 +231,8 @@ def analyse_group(
     outdir: str | Path = ".",
 ) -> Iterator[Path]:
     """Write the artifacts of each of ``configs``, RunConfigs that share the
-    path ``path`` (as ``simulate_run`` makes it for them), in turn, yielding
+    path ``path`` (as ``simulate_run`` makes it for them, or a held jump
+    trajectory where no config writes its path CSV), in turn, yielding
     each artifact path once it is written.  The path's spikes at each a0 and
     plateaus at each thr of the configs are found first, in one pass over
     it, which runs it if it is a stream.  A stream's run hands its rows to
@@ -291,7 +289,9 @@ def _write_artifacts(configs: list[RunConfig], path, outdir: Path, csvs: dict[in
         if config.lln_reference and config.mode != "ds":
             # Before anything is written: a reference that cannot be integrated,
             # or a window the path does not cover, leaves no artifact.
-            lln = lln_sup_distance(path, simulate_run(replace(config, mode="ds")), config.t_end)
+            with _argument_checks():
+                reference = integrate(config.params, config.initial, config.t_end, dt=config.dt)
+            lln = lln_sup_distance(path, reference, config.t_end)
         outdir.mkdir(parents=True, exist_ok=True)
         report: dict = {"mode": config.mode, "seed": config.seed, "label": config.label}
         if config.mode != "ds":
@@ -300,12 +300,13 @@ def _write_artifacts(configs: list[RunConfig], path, outdir: Path, csvs: dict[in
 
         if "path" in files:
             if i in csvs:
-                csvs.pop(i).commit(None if config.mode == "ds" else
-                                   io._jump_header(path, path.t_end, path.terminated_by))
-            elif config.mode == "ds":
-                io.write_ode_csv(files["path"], path, _ode_extra(config))
+                # Removed only once committed, so that a commit that fails is
+                # discarded with the others.
+                csvs[i].commit(None if config.mode == "ds" else
+                               io._jump_header(path, path.t_end, path.terminated_by))
+                del csvs[i]
             else:
-                io.write_jump_csv(files["path"], path)
+                io.write_ode_csv(files["path"], path, _ode_extra(config))
             yield files["path"]
 
         stats, amps, pairs = _analyse(config.a0, config.thr, spikes_at.get(config.a0),
@@ -589,7 +590,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         outdir = Path(args.out).parent
         files = config.artifacts(outdir)
         _check_paths(files, {"config": args.config})
-        list(analyse_group([config], simulate_run(config, whole=False), outdir))
+        list(analyse_group([config], simulate_run(config), outdir))
         return 0
 
     if args.command == "lyapunov":
@@ -615,7 +616,7 @@ def _run_preset(args: argparse.Namespace) -> int:
     # path is held at a time.
     for _key, group in groupby(runs, key=RunConfig.path_key):
         group = list(group)
-        for written in analyse_group(group, simulate_run(*group, whole=False),
+        for written in analyse_group(group, simulate_run(*group),
                                      outdir=args.outdir):
             print(written)
     return 0

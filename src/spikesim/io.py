@@ -16,6 +16,8 @@ import json
 import math
 import os
 import shutil
+import stat
+import tempfile
 import warnings
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import asdict
@@ -84,14 +86,27 @@ def _header(params: ModelParams, meta: dict | None, names: tuple[str, ...],
 
 class PathCsv:
     """A path CSV written as its run goes: ``header``, then each slice of
-    rows that ``write`` is handed, into a new file beside ``path`` under a
-    temporary name.  ``commit`` puts it in place as ``path``, and
-    ``discard`` removes it, so that a run that fails leaves no file and any
-    file already at ``path`` as it was."""
+    rows that ``write`` is handed, into a new file under a temporary name
+    beside the file that ``path`` names (through any symbolic link).
+    ``commit`` puts it in place, and ``discard`` removes it, so that a run
+    that fails leaves no file and any file already at ``path`` as it was.
+    Where ``path`` names something a new file must not replace (a FIFO, a
+    device, a file with other hard links), the rows go to an unnamed
+    temporary file instead, and ``commit`` writes the file through its
+    name."""
 
     def __init__(self, path: str | Path, header: bytes) -> None:
-        self.path, self._header = Path(path), header
-        self._temp, self._fh = _temporary(self.path)
+        self.path, self._header = Path(os.path.realpath(path)), header
+        try:
+            target = os.stat(path)
+        except FileNotFoundError:
+            target = None
+        if target is None or (stat.S_ISREG(target.st_mode) and target.st_nlink == 1):
+            self._mode = None if target is None else stat.S_IMODE(target.st_mode)
+            self._temp, self._fh = _temporary(self.path, self._mode)
+        else:
+            self._temp, self._fh = None, tempfile.TemporaryFile()
+            self.path = Path(path)
         self._fh.write(header)
 
     def write(self, rows) -> None:
@@ -101,9 +116,17 @@ class PathCsv:
         """Put the file in place.  With a ``header`` other than the one it
         began with, the file is first rebuilt once, as that header followed
         by the rows, copied file to file (``os.copy_file_range``)."""
+        header = self._header if header is None else header
+        if self._temp is None:
+            with self._fh as rows, open(self.path, "wb") as fh:
+                fh.write(header)
+                fh.flush()
+                rows.seek(len(self._header))
+                _copy_rest(rows, fh)
+            return
         self._fh.close()
-        if header is not None and header != self._header:
-            old, (self._temp, self._fh) = self._temp, _temporary(self.path)
+        if header != self._header:
+            old, (self._temp, self._fh) = self._temp, _temporary(self.path, self._mode)
             try:
                 with self._fh, open(old, "rb", buffering=0) as rows:
                     self._fh.write(header)
@@ -123,15 +146,18 @@ class PathCsv:
             self._temp = None
 
 
-def _temporary(path: Path):
-    """A new file beside ``path``, named after it, and the file open for
-    writing in binary."""
+def _temporary(path: Path, mode: int | None = None):
+    """A new file beside ``path``, named after it, with the permission bits
+    ``mode`` where given, and the file open for writing in binary."""
     for attempt in itertools.count():
         temp = path.with_name(f".{path.name}.{os.getpid()}.{attempt}.tmp")
         try:
-            return temp, open(temp, "xb")
+            fh = open(temp, "xb")
         except FileExistsError:
             continue
+        if mode is not None:
+            os.chmod(temp, mode)
+        return temp, fh
 
 
 def _copy_rest(source, target) -> None:

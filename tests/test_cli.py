@@ -978,9 +978,9 @@ class TestAnalyzeRoutesAgree:
             n_units=n_units, initial=initial, t_end=t_end, seed=seed,
             a0=10.0, thr=10.0, out=str(out / "path.csv"), label="path",
         )
-        traj = simulate_run(config)
-        assert traj.step_n()[-1] > 10.0  # the last spike is still open
-        list(analyse_group([config], traj, out))
+        # The last spike is still open.
+        assert simulate_run(config).collect().step_n()[-1] > 10.0
+        list(analyse_group([config], simulate_run(config), out))
         inline = json.loads((out / "path_report.json").read_text())
         analysed = self._analyze(out / "path.csv", out / "a.json", out / "a_pairs.csv")
         assert inline["correlation"]["n"] >= 3
@@ -1114,17 +1114,12 @@ class TestPresets:
 
 class TestPresetDeduplication:
     def test_fig7_simulates_each_path_once(self, out, monkeypatch):
-        # A path is simulated whole (simulate) or streamed (simulate_chunks),
-        # and scanned for all of its levels in one pass (scan_levels).
+        # A path is streamed (simulate_chunks) and scanned for all of its
+        # levels in one pass (scan_levels).
         calls, detections = [], []
-
-        def counting(name):
-            engine = getattr(spikesim.cli, name)
-            monkeypatch.setattr(spikesim.cli, name, lambda *args, **kwargs: calls.append(
-                kwargs["seed"]) or engine(*args, **kwargs))
-
-        for name in ("simulate", "simulate_chunks"):
-            counting(name)
+        engine = spikesim.cli.simulate_chunks
+        monkeypatch.setattr(spikesim.cli, "simulate_chunks", lambda *args, **kwargs: (
+            calls.append(kwargs["seed"]) or engine(*args, **kwargs)))
         scan = spikesim.cli.scan_levels
         monkeypatch.setattr(spikesim.cli, "scan_levels", lambda path, a0s, thrs: detections.append(
             (len(a0s), len(thrs))) or scan(path, a0s, thrs))

@@ -1,19 +1,24 @@
 """A path CSV written as its run goes is the held path's file, byte for byte.
 
-``cli.analyse_group`` runs a stream (``simulate_run(..., whole=False)``)
-once: the RK4 or direct-method loop writes the rows of what it computes into
-a slice, and each slice goes straight to the path CSV, begun under a
-temporary name and put in place once the run has ended.  These tests hold
+``cli.analyse_group`` runs the stream that ``simulate_run`` makes once: the
+RK4 or direct-method loop writes the rows of what it computes into a slice,
+and each slice goes straight to the path CSV, begun under a temporary name
+and put in place once the run has ended.  These tests hold
 that route to the held-path writers: every artifact is the same bytes at
 slices of 1, 7 and 1024 rows, on both kernels; a jump run that does not end
 at its horizon rebuilds its header once; a run that fails leaves no file and
-keeps the file it would have replaced; and a streamed run's memory does not
-grow with its path.  ``tools/sanitize.py`` runs this file.
+keeps the file it would have replaced; an ``--out`` that is a symbolic link,
+a hard link or a FIFO is written where the held-path writer wrote it; and a
+streamed run's memory does not grow with its path.  ``tools/sanitize.py`` runs this file.
 """
 
+import contextlib
+import errno
 import os
+import stat
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -60,20 +65,41 @@ def kernel(request, monkeypatch):
         monkeypatch.setattr(ode, "_compiled_rk4", lambda: None)
 
 
-def _files(outdir: Path, config: RunConfig, whole: bool) -> dict[str, bytes]:
-    """The artifacts of ``config``'s run, held whole or streamed, by name."""
+def _files(outdir: Path, config: RunConfig) -> dict[str, bytes]:
+    """The artifacts of ``config``'s run, streamed, by name."""
     outdir.mkdir()
     config = replace(config, out=config.out and str(outdir / config.out))
-    written = list(analyse_group([config], simulate_run(config, whole=whole), outdir))
+    written = list(analyse_group([config], simulate_run(config), outdir))
     assert sorted(written) == sorted(outdir.iterdir())  # no temporary file is left
     return {path.name: path.read_bytes() for path in written}
+
+
+def _held_files(outdir: Path, config: RunConfig) -> dict[str, bytes]:
+    """The artifacts of ``config``'s run from its path held whole
+    (``ode.integrate`` or ``jump.simulate``): the path CSV from
+    ``io.write_ode_csv`` or ``io.write_jump_csv``, the others from
+    ``analyse_group`` given the held path."""
+    outdir.mkdir()
+    config = replace(config, out=config.out and str(outdir / config.out))
+    target = config.artifacts(outdir)["path"]
+    if config.mode == "ds":
+        path = ode.integrate(config.params, config.initial, config.t_end, dt=config.dt)
+        io.write_ode_csv(target, path, {"r0": config.initial.r, "n0": config.initial.n})
+    else:
+        spec = spikesim.cli._build_spec(config)
+        path = jump.simulate(spec, spec.lattice_state(config.initial.r, config.initial.n),
+                             t_end=config.t_end, max_jumps=config.max_jumps, seed=config.seed)
+        io.write_jump_csv(target, path)
+    if config.a0 is not None or config.thr is not None or config.lln_reference:
+        list(analyse_group([replace(config, out=None)], path, outdir))
+    return {path.name: path.read_bytes() for path in outdir.iterdir()}
 
 
 @pytest.fixture(scope="module")
 def held(tmp_path_factory):
     """Each run's artifacts from the held-path writers, by run."""
     cases = {**RUNS, **ENDS}
-    return {name: _files(tmp_path_factory.mktemp(name) / "held", config, whole=True)
+    return {name: _held_files(tmp_path_factory.mktemp(name) / "held", config)
             for name, config in cases.items()}
 
 
@@ -83,7 +109,7 @@ def held(tmp_path_factory):
 def test_a_streamed_run_writes_the_held_paths_bytes(name, slice_rows, held, tmp_path,
                                                     monkeypatch):
     monkeypatch.setattr(io, "_SLICE_ROWS", slice_rows)
-    streamed = _files(tmp_path / "streamed", RUNS[name], whole=False)
+    streamed = _files(tmp_path / "streamed", RUNS[name])
     assert streamed == held[name]
     assert len(streamed) == {"ds": 1, "global": 4, "meanfield": 3, "oneunit": 4}[name]
 
@@ -98,7 +124,7 @@ def test_a_run_that_ends_short_of_its_horizon_rebuilds_its_header(name, copy_fil
     monkeypatch.setattr(io, "_copy_rest", lambda *args: copies.append(args) or copy_rest(*args))
     if not copy_file_range:
         monkeypatch.delattr(os, "copy_file_range", raising=False)
-    streamed = _files(tmp_path / "streamed", ENDS[name], whole=False)
+    streamed = _files(tmp_path / "streamed", ENDS[name])
     assert streamed == held[name]
     assert len(copies) == 1
     meta = dict(line[2:].split("=", 1) for line in streamed[f"{name}_seed{ENDS[name].seed}.csv"]
@@ -109,14 +135,14 @@ def test_a_run_that_ends_short_of_its_horizon_rebuilds_its_header(name, copy_fil
 def test_a_run_that_reaches_its_horizon_keeps_the_header_it_began_with(tmp_path, monkeypatch):
     monkeypatch.setattr(io, "_copy_rest", lambda *args: pytest.fail("header rebuilt"))
     config = replace(RUNS["global"], a0=None, thr=None, out=None)
-    assert _files(tmp_path / "streamed", config, whole=False)
+    assert _files(tmp_path / "streamed", config)
 
 
 def test_path_csvs_of_one_stream_each_get_every_row(held, tmp_path):
     # Two configs of one path, each writing its own path CSV.
     config = replace(RUNS["meanfield"], out=str(tmp_path / "meanfield.csv"))
     other = replace(config, out=str(tmp_path / "other.csv"), a0=None, label="other")
-    written = list(analyse_group([config, other], simulate_run(config, other, whole=False),
+    written = list(analyse_group([config, other], simulate_run(config, other),
                                  tmp_path))
     assert [path.name for path in written] == [
         "meanfield.csv", "meanfield_survival.csv", "meanfield_report.json", "other.csv"]
@@ -150,6 +176,97 @@ def test_a_run_that_fails_leaves_no_file(name, old, slice_rows, tmp_path, monkey
     assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["run.csv"])
     if old is not None:
         assert path.read_bytes() == old
+
+
+@pytest.mark.parametrize("name, step", [("global", "replace"), ("absorbed", "copy")])
+def test_a_commit_that_fails_leaves_no_file(name, step, tmp_path, monkeypatch):
+    # Putting the file in place, or rebuilding its header, fails (no space
+    # left, say): the temporary file is discarded all the same.
+    def fail(*args):
+        raise OSError(errno.ENOSPC, "no space left")
+
+    monkeypatch.setattr(*((os, "replace", fail) if step == "replace" else
+                          (io, "_copy_rest", fail)))
+    config = {**RUNS, **ENDS}[name]
+    config = replace(config, out=str(tmp_path / "run.csv"), a0=None, thr=None)
+    with pytest.raises(OSError, match="no space left"):
+        list(analyse_group([config], simulate_run(config), tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
+def _path_name(config: RunConfig) -> str:
+    return config.artifacts()["path"].name
+
+
+@pytest.mark.parametrize("name", ["ds", "absorbed"])
+def test_a_symlinked_out_is_written_to_the_file_it_names(name, held, tmp_path):
+    # The new file is put in place beside the file the link names, with its
+    # mode, and the link stays a link.
+    config = {**RUNS, **ENDS}[name]
+    real = tmp_path / "real"
+    real.mkdir()
+    target = real / "run.csv"
+    target.write_bytes(b"an old file\n")
+    target.chmod(0o640)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    config = replace(config, out=str(link))
+    assert list(analyse_group([config], simulate_run(config), tmp_path)) == [link]
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == held[name][_path_name({**RUNS, **ENDS}[name])]
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert [p.name for p in real.iterdir()] == ["run.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real"]
+
+
+def test_a_run_that_fails_keeps_the_file_a_symlinked_out_names(tmp_path, capsys):
+    argv, code, message = FAILING["overshoot"]
+    real = tmp_path / "real"
+    real.mkdir()
+    (real / "run.csv").write_bytes(b"an old file\n")
+    (tmp_path / "link.csv").symlink_to(real / "run.csv")
+    assert main([*argv, "--out", str(tmp_path / "link.csv")]) == code
+    assert message in capsys.readouterr().err
+    assert (tmp_path / "link.csv").is_symlink()
+    assert [p.name for p in real.iterdir()] == ["run.csv"]
+    assert (real / "run.csv").read_bytes() == b"an old file\n"
+
+
+def test_a_hard_linked_out_keeps_its_links(held, tmp_path, capsys):
+    # Written through its name, as the held-path writer writes it, header
+    # rebuilt; a run that fails leaves both names as they were.
+    out, other = tmp_path / "run.csv", tmp_path / "other.csv"
+    out.write_bytes(b"an old file\n")
+    os.link(out, other)
+    argv, code, _message = FAILING["event_time"]
+    assert main([*argv, "--out", str(out)]) == code
+    assert out.read_bytes() == other.read_bytes() == b"an old file\n"
+    config = replace(ENDS["absorbed"], out=str(out))
+    assert list(analyse_group([config], simulate_run(config), tmp_path)) == [out]
+    assert os.path.samefile(out, other)
+    assert out.read_bytes() == held["absorbed"][_path_name(ENDS["absorbed"])]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["other.csv", "run.csv"]
+
+
+def test_a_fifo_out_is_written_through_its_name(held, tmp_path):
+    fifo = tmp_path / "run.csv"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    config = replace(ENDS["absorbed"], out=str(fifo))
+    try:
+        assert list(analyse_group([config], simulate_run(config), tmp_path)) == [fifo]
+    except BaseException:
+        # Let a reader that no writer opened for end.
+        with contextlib.suppress(OSError):
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        raise
+    finally:
+        reader.join(timeout=60)
+    assert got == [held["absorbed"][_path_name(ENDS["absorbed"])]]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
 
 
 def test_a_streamed_path_csv_holds_no_path(tmp_path):
