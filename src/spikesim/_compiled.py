@@ -1,7 +1,7 @@
 """The library of ``_kernel.c``: built on first use, checked once when it
-is built, and loaded with ctypes.  It holds the direct-method loop (run a
-chunk at a time), the RK4 loop, the row formatter of the CSV writers and the
-row reader of trajectory CSVs (fed the file a block at a time).  Either
+is built, and loaded with ctypes.  It holds the direct-method loop and the
+RK4 loop (each run a chunk at a time), the row formatter of the CSV writers
+and the row reader of trajectory CSVs (fed the file a block at a time).  Either
 numeric loop can also write the path CSV rows of what it computes, a slice
 at a time, as it runs.
 
@@ -181,28 +181,29 @@ class Rk4(ctypes.Structure):
 
 
 def rk4(loop, params, h: float, n_steps: int, sample_every: int, overshoot_limit: float,
-        ts: np.ndarray, rs: np.ndarray, ns: np.ndarray,
-        rows: Callable | None = None) -> tuple[int, int, int, int, float]:
-    """``n_steps`` RK4 steps of size ``h`` from (rs[0], ns[0]) at t = 0 into
-    the float64 arrays ``ts``, ``rs`` and ``ns``: ``ode._rk4_python``'s result.
-    Given ``rows``, the arrays are a chunk's buffers, the loop writes each
-    sample as an ODE CSV row into a slice, and the run goes on a call at a
-    time, each ending where the arrays or the slice are full and handing
-    ``rows`` a view of its rows, which the next call overwrites."""
+        ts: np.ndarray, rs: np.ndarray, ns: np.ndarray, rows: Callable | None = None
+        ) -> Iterator[tuple[tuple[np.ndarray, ...], tuple[int, int, int, float] | None]]:
+    """``n_steps`` RK4 steps of size ``h`` from (rs[0], ns[0]) at t = 0:
+    ``ode._rk4_python``'s chunks, one per call of the loop, each the views
+    of the samples it stored in ``ts``, ``rs`` and ``ns`` from index 1 on
+    (which the next call overwrites), and None, or after the last call the
+    outcome.  Given ``rows``, the loop writes each sample as an ODE CSV row
+    into a slice, a call also ends where the slice is full, and ``rows`` is
+    handed a view of the call's rows before its samples."""
     run = Rk4(params.alpha, params.beta, params.gamma, params.p, h, overshoot_limit,
               n_steps, sample_every, len(ts), 0, rs[0], ns[0])
     out, text = _slice(rows, _SAMPLE_ROW_BYTES)
     args = (ctypes.addressof(run), ts.ctypes.data, rs.ctypes.data, ns.ctypes.data,
             out and ctypes.addressof(out))
-    kept = 1
     while True:
-        kept += loop(*args) - 1
-        if rows is None:
-            break
-        rows(text[:out.used])
-        if run.fail or run.step == n_steps:
-            break
-    return kept, run.clamps, run.fail, run.step if run.fail else n_steps + 1, run.fail_value
+        stored = loop(*args)
+        if rows is not None:
+            rows(text[:out.used])
+        last = run.fail or run.step == n_steps
+        yield ((ts[1:stored], rs[1:stored], ns[1:stored]),
+               (run.clamps, run.fail, run.step, run.fail_value) if last else None)
+        if last:
+            return
 
 
 # Bytes a float takes at most: the 24 of "-2.2250738585072014e-308".

@@ -39,14 +39,14 @@ from .model import _PARAMS, ModelParams, State, stability_report
 from .ode import OdeStream, Trajectory, integrate
 from .spikes import (
     InsufficientDataError,
+    LlnGap,
     PathSeries,
     correlation,
     detect_plateaus,
     detect_spikes,
     fit_exponential,
-    lln_sup_distance,
+    _scan_path,
     pair_plateau_spike,
-    scan_levels,
     tail_survival,
 )
 
@@ -208,17 +208,14 @@ def preset(name: str) -> list[RunConfig]:
     raise UsageError(f"unknown preset {name!r} (know fig1, fig2, fig3, fig5, fig6, fig7)")
 
 
-def simulate_run(*configs: RunConfig) -> Trajectory | JumpStream | OdeStream:
+def simulate_run(*configs: RunConfig) -> JumpStream | OdeStream:
     """The path that ``configs``, RunConfigs of one ``path_key()``, analyse,
     as a stream that ``analyse_group`` runs once, writing the path CSVs as
-    it goes: the ODE solution in ds mode, else one jump-process run.  An ODE
-    path that a config scans for a level is integrated whole here.
+    it goes: the ODE solution in ds mode, else one jump-process run.
     Arguments the library rejects raise UsageError."""
     config = configs[0]
     with _argument_checks():
         if config.mode == "ds":
-            if any(c.a0 is not None or c.thr is not None for c in configs):
-                return integrate(config.params, config.initial, config.t_end, dt=config.dt)
             return OdeStream(config.params, config.initial, config.t_end, dt=config.dt)
         spec = _build_spec(config)
         initial = spec.lattice_state(config.initial.r, config.initial.n)
@@ -231,26 +228,26 @@ def analyse_group(
     outdir: str | Path = ".",
 ) -> Iterator[Path]:
     """Write the artifacts of each of ``configs``, RunConfigs that share the
-    path ``path`` (as ``simulate_run`` makes it for them, or a held jump
-    trajectory where no config writes its path CSV), in turn, yielding
-    each artifact path once it is written.  The path's spikes at each a0 and
-    plateaus at each thr of the configs are found first, in one pass over
-    it, which runs it if it is a stream.  A stream's run hands its rows to
-    the path CSV of each config that writes one, begun under a temporary
-    name and put in place in the config's turn, and is held whole only
-    where a config compares it with the ODE (``lln_reference``)."""
+    path ``path`` (as ``simulate_run`` makes it, or a held trajectory, whose
+    path CSV is not written here), in turn, yielding each once written.  The
+    path runs once, before any file is put in place: its rows go to the path
+    CSVs, begun under temporary names, and its chunks to the scans for each
+    a0 and thr of the configs and, for ``lln_reference``, to the gap from the
+    ODE path, integrated first.  So a run that fails, or a gap whose window
+    the path does not cover, leaves no file."""
     outdir = Path(outdir)
     csvs: dict[int, io.PathCsv] = {}
     try:
-        _begin_path_csvs(configs, path, outdir, csvs)
         with _argument_checks():
-            if isinstance(path, OdeStream):
-                path.run()
-            elif isinstance(path, JumpStream) and any(c.lln_reference for c in configs):
-                path = path.collect()
-            spikes_at, plateaus_at = scan_levels(path, {c.a0 for c in configs} - {None},
-                                                 {c.thr for c in configs} - {None})
-        yield from _write_artifacts(configs, path, outdir, csvs, spikes_at, plateaus_at)
+            config = configs[0]
+            gap = (LlnGap(integrate(config.params, config.initial, config.t_end, dt=config.dt),
+                          config.t_end)
+                   if config.mode != "ds" and any(c.lln_reference for c in configs) else None)
+            _begin_path_csvs(configs, path, outdir, csvs)
+            spikes_at, plateaus_at = _scan_path(path, {c.a0 for c in configs} - {None},
+                                                {c.thr for c in configs} - {None}, gap)
+        lln = None if gap is None else gap.close(path.t_end)
+        yield from _write_artifacts(configs, path, outdir, csvs, spikes_at, plateaus_at, lln)
     finally:
         for csv in csvs.values():
             csv.discard()
@@ -266,7 +263,8 @@ def _begin_path_csvs(configs: list[RunConfig], path, outdir: Path,
         files = config.artifacts(outdir)
         if "path" in files:
             outdir.mkdir(parents=True, exist_ok=True)
-            csvs[i] = (io._begin_ode_csv(files["path"], path, _ode_extra(config))
+            csvs[i] = (io._begin_ode_csv(files["path"], path,
+                                         {"r0": config.initial.r, "n0": config.initial.n})
                        if config.mode == "ds" else
                        io._begin_jump_csv(files["path"], path, config.t_end))
     if csvs:
@@ -274,39 +272,24 @@ def _begin_path_csvs(configs: list[RunConfig], path, outdir: Path,
         path.rows = writes[0] if len(writes) == 1 else lambda rows: [w(rows) for w in writes]
 
 
-def _ode_extra(config: RunConfig) -> dict:
-    """What an ODE path CSV's header adds: its start."""
-    return {"r0": config.initial.r, "n0": config.initial.n}
-
-
 def _write_artifacts(configs: list[RunConfig], path, outdir: Path, csvs: dict[int, io.PathCsv],
-                     spikes_at: dict, plateaus_at: dict) -> Iterator[Path]:
+                     spikes_at: dict, plateaus_at: dict, lln: float | None) -> Iterator[Path]:
     """``analyse_group``'s artifacts once the path has run: each config's
     in turn, its begun path CSV (``csvs``) put in place as its first."""
     for i, config in enumerate(configs):
         files = config.artifacts(outdir)
-        lln = None
-        if config.lln_reference and config.mode != "ds":
-            # Before anything is written: a reference that cannot be integrated,
-            # or a window the path does not cover, leaves no artifact.
-            with _argument_checks():
-                reference = integrate(config.params, config.initial, config.t_end, dt=config.dt)
-            lln = lln_sup_distance(path, reference, config.t_end)
         outdir.mkdir(parents=True, exist_ok=True)
         report: dict = {"mode": config.mode, "seed": config.seed, "label": config.label}
         if config.mode != "ds":
             report["n_events"] = path.n_events
             report["terminated_by"] = path.terminated_by.value
 
-        if "path" in files:
-            if i in csvs:
-                # Removed only once committed, so that a commit that fails is
-                # discarded with the others.
-                csvs[i].commit(None if config.mode == "ds" else
-                               io._jump_header(path, path.t_end, path.terminated_by))
-                del csvs[i]
-            else:
-                io.write_ode_csv(files["path"], path, _ode_extra(config))
+        if i in csvs:
+            # Removed only once committed, so that a commit that fails is
+            # discarded with the others.
+            csvs[i].commit(None if config.mode == "ds" else
+                           io._jump_header(path, path.t_end, path.terminated_by))
+            del csvs[i]
             yield files["path"]
 
         stats, amps, pairs = _analyse(config.a0, config.thr, spikes_at.get(config.a0),
@@ -327,7 +310,7 @@ def _write_artifacts(configs: list[RunConfig], path, outdir: Path, csvs: dict[in
             )
             yield files["pairs"]
 
-        if lln is not None:
+        if config.lln_reference and lln is not None:
             report["lln_sup_distance"] = lln
 
         if "report" in files:

@@ -531,11 +531,8 @@ class JumpStream:
         self.rows: Callable | None = None
         self._chunks = self._run(t_end, limit)
 
-    def __iter__(self) -> "JumpStream":
-        return self
-
-    def __next__(self) -> JumpChunk:
-        return next(self._chunks)
+    def __iter__(self) -> Iterator[JumpChunk]:
+        return self._chunks
 
     def _run(self, t_end: float | None, limit: int) -> Iterator[JumpChunk]:
         last = 0.0

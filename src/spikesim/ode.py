@@ -3,10 +3,13 @@
 A fixed step keeps trajectories reproducible and makes time-alignment with
 jump paths trivial; the system is two-dimensional and non-stiff at the
 parameter sets of interest, so adaptivity buys nothing.
+
+A run is one stream of chunks of samples (``OdeStream``), one chunk per call
+of the RK4 loop, compiled or its Python twin; ``integrate`` holds it whole.
 """
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,13 +44,6 @@ class Trajectory:
     sample_every: int
     clamp_count: int = 0
 
-    def state_at(self, t: float) -> State:
-        """Piecewise-linear interpolation between stored samples."""
-        return State(
-            float(np.interp(t, self.t, self.r)),
-            float(np.interp(t, self.t, self.n)),
-        )
-
 
 def integrate(
     params: ModelParams,
@@ -56,7 +52,8 @@ def integrate(
     dt: float = 1e-3,
     sample_every: int | None = None,
 ) -> Trajectory:
-    """Integrate from ``initial`` over [0, t_end] with classical RK4.
+    """Integrate from ``initial`` over [0, t_end] with classical RK4: the run
+    of ``OdeStream`` held whole (its ``collect``).
 
     The step actually used is t_end/round(t_end/dt) so the horizon is hit
     exactly.  Samples are kept every ``sample_every`` steps (plus the final
@@ -67,34 +64,7 @@ def integrate(
     ``clamp_count``; anything below that limit raises, as does a non-finite
     state, naming the first bad step.
     """
-    start, h, n_steps, sample_every = _steps(initial, t_end, dt, sample_every)
-    rk4 = _compiled_rk4() or _rk4_python
-    return _integrate(rk4, params, *start, h, n_steps, sample_every, OVERSHOOT_LIMIT)
-
-
-def _steps(initial: State, t_end: float, dt: float,
-           sample_every: int | None) -> tuple[State, float, int, int]:
-    """``integrate``'s arguments checked, as the run takes them: the start
-    as floats, the step, the step count and the stride."""
-    r0, n0 = float(initial[0]), float(initial[1])
-    if not (0 <= r0 < math.inf and 0 <= n0 < math.inf):
-        raise ValueError(f"initial state must be finite and non-negative, got ({r0}, {n0})")
-    if not (0 < t_end < math.inf):
-        raise ValueError(f"t_end must be finite and > 0, got {t_end}")
-    if not (0 < dt <= t_end):
-        raise ValueError(f"dt must satisfy 0 < dt <= t_end, got {dt}")
-
-    # Both loops count steps in int64, as the compiled one stores them.
-    if not t_end / dt < 2**63:
-        raise ValueError(f"t_end / dt must be below 2**63 steps, got {t_end / dt:.6g}")
-
-    n_steps = max(1, round(t_end / dt))
-    h = t_end / n_steps
-    if sample_every is None:
-        sample_every = max(1, math.ceil(n_steps / MAX_STORED_SAMPLES))
-    if not 1 <= sample_every < 2**63:
-        raise ValueError(f"sample_every must be in [1, 2**63), got {sample_every}")
-    return State(r0, n0), h, n_steps, sample_every
+    return OdeStream(params, initial, t_end, dt, sample_every).collect()
 
 
 # Samples an ``OdeStream`` chunk holds.  The RK4 loop's slice fills at 1024
@@ -105,45 +75,71 @@ _CHUNK_SAMPLES = 4096
 
 
 class OdeStream:
-    """One run of ``integrate`` that holds no path.  ``run`` integrates it a
-    chunk of samples at a time and hands ``rows`` the ODE CSV rows of each
-    (``io.write_ode_csv``'s, the start's excepted), which the next chunk
-    may overwrite: set it before the run.  ``initial``, ``dt`` and
-    ``sample_every`` are the start, step and stride ``integrate`` takes.
-    It raises ``integrate``'s errors, a failed step's when it comes to it."""
+    """One run of ``integrate``, a chunk of samples at a time and held
+    nowhere whole: the start, then the samples of each call of the RK4 loop,
+    each chunk (t, r, n) views of buffers that the next chunk overwrites.
+    Its arguments are checked as ``integrate``'s; ``initial``, ``dt`` and
+    ``sample_every`` are then the start as floats, the step actually used
+    and the stride, and ``clamp_count`` the clamps once it has ended.
+    ``rows``, set before the first chunk is taken, is handed the ODE CSV
+    rows of each chunk (``io.write_ode_csv``'s, the start's excepted) before
+    it, in views that the next chunk may overwrite.  A failed step raises
+    ``integrate``'s error in place of its chunk.  It runs once."""
 
     def __init__(self, params: ModelParams, initial: State, t_end: float, dt: float = 1e-3,
                  sample_every: int | None = None) -> None:
-        self.params = params
-        self.initial, self.dt, self.n_steps, self.sample_every = _steps(
-            initial, t_end, dt, sample_every)
-        self.rows: Callable = lambda text: None
+        r0, n0 = float(initial[0]), float(initial[1])
+        if not (0 <= r0 < math.inf and 0 <= n0 < math.inf):
+            raise ValueError(f"initial state must be finite and non-negative, got ({r0}, {n0})")
+        if not (0 < t_end < math.inf):
+            raise ValueError(f"t_end must be finite and > 0, got {t_end}")
+        if not (0 < dt <= t_end):
+            raise ValueError(f"dt must satisfy 0 < dt <= t_end, got {dt}")
 
-    def run(self) -> None:
+        # Both loops count steps in int64, as the compiled one stores them.
+        if not t_end / dt < 2**63:
+            raise ValueError(f"t_end / dt must be below 2**63 steps, got {t_end / dt:.6g}")
+
+        self.n_steps = max(1, round(t_end / dt))
+        self.dt = t_end / self.n_steps
+        if sample_every is None:
+            sample_every = max(1, math.ceil(self.n_steps / MAX_STORED_SAMPLES))
+        if not 1 <= sample_every < 2**63:
+            raise ValueError(f"sample_every must be in [1, 2**63), got {sample_every}")
+        self.params, self.initial, self.sample_every = params, State(r0, n0), sample_every
+        self.clamp_count = 0
+        self.rows: Callable | None = None
+        self._chunks = self._run()
+
+    def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        return self._chunks
+
+    def _run(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         samples = np.empty((3, _CHUNK_SAMPLES))
         samples[:, 0] = 0.0, *self.initial
+        yield tuple(samples[:, :1])  # the loops store from index 1 on
         rk4 = _compiled_rk4() or _rk4_python
-        _kept, _clamps, fail, step, value = rk4(self.params, self.dt, self.n_steps,
-                                                self.sample_every, OVERSHOOT_LIMIT, *samples,
-                                                self.rows)
-        _raise_failure(fail, step, value, self.dt)
+        for chunk, outcome in rk4(self.params, self.dt, self.n_steps, self.sample_every,
+                                  OVERSHOOT_LIMIT, *samples, self.rows):
+            if outcome is not None:
+                self.clamp_count, fail, step, value = outcome
+                if fail:
+                    error, message = _FAILURES[fail]
+                    raise error(message.format(step=step, t=step * self.dt, value=value))
+            yield chunk
 
-
-def _integrate(rk4: Callable, params: ModelParams, r0: float, n0: float, h: float,
-               n_steps: int, sample_every: int, overshoot_limit: float) -> Trajectory:
-    """The trajectory of ``n_steps`` steps of size ``h`` from (r0, n0) run by
-    ``rk4`` (``_rk4_python`` or the compiled loop), or its failed step's error."""
-    (_kept, clamps, fail, step, value), (t, r, n) = _outcome(
-        rk4, params, r0, n0, h, n_steps, sample_every, overshoot_limit)
-    _raise_failure(fail, step, value, h)
-    return Trajectory(t, r, n, params, h, sample_every, clamps)
-
-
-def _raise_failure(fail: int, step: int, value: float, h: float) -> None:
-    """Raise the error of an RK4 loop's fail code, unless it is 0."""
-    if fail:
-        error, message = _FAILURES[fail]
-        raise error(message.format(step=step, t=step * h, value=value))
+    def collect(self) -> Trajectory:
+        """The run held whole, taken from a stream none of whose chunks was
+        taken yet: ``integrate``'s trajectory."""
+        # The start, every stride, and the terminal state even off-stride.
+        path = np.empty((3, -(-self.n_steps // self.sample_every) + 1))
+        kept = 0
+        for chunk in self:
+            size = len(chunk[0])
+            path[:, kept:kept + size] = chunk
+            kept += size
+        return Trajectory(*path[:, :kept], self.params, self.dt, self.sample_every,
+                          self.clamp_count)
 
 
 # By the RK4 loops' fail code, the error of a failed step and its message.
@@ -155,31 +151,19 @@ _FAILURES = (
 )
 
 
-def _outcome(rk4: Callable, params: ModelParams, r0: float, n0: float, h: float,
-             n_steps: int, sample_every: int, overshoot_limit: float) -> tuple[tuple, np.ndarray]:
-    """What ``rk4`` returns for ``n_steps`` steps of size ``h`` from
-    (r0, n0), and the times, r and n of the samples it kept, as rows."""
-    # The start, every stride, and the terminal state even off-stride.
-    samples = np.empty((3, -(-n_steps // sample_every) + 1))
-    samples[:, 0] = 0.0, r0, n0
-    result = rk4(params, h, n_steps, sample_every, overshoot_limit, *samples)
-    return result, samples[:, :result[0]]
-
-
 def _rk4_python(params: ModelParams, h: float, n_steps: int, sample_every: int,
                 overshoot_limit: float, ts: np.ndarray, rs: np.ndarray, ns: np.ndarray,
-                rows: Callable | None = None) -> tuple[int, int, int, int, float]:
+                rows: Callable | None = None
+                ) -> Iterator[tuple[tuple[np.ndarray, ...], tuple[int, int, int, float] | None]]:
     """``spikesim_rk4`` of ``_kernel.c`` from (rs[0], ns[0]), statement for
-    statement.  It stores the samples in ``ts``, ``rs`` and ``ns`` from index
-    1 on and returns how many it stored (the start included), the clamp
-    count, the fail code (an index into ``_FAILURES``, 0 when no step
-    failed), the step it ended at (n_steps + 1 when none failed) and the
-    component below the limit, or 0.0.  Given ``rows``, the arrays are a
-    chunk's buffers: each time they are full, and at the end, the rows of
-    the samples in them (``_python_rows``) are handed to ``rows``, and they
-    are filled again from index 1."""
+    statement: the samples stored in ``ts``, ``rs`` and ``ns`` from index 1
+    on, yielded each time they are full and at the end, and None, or at the
+    end the outcome: the clamp count, the fail code (an index into
+    ``_FAILURES``, 0 when no step failed), the step it ended at and the
+    component below the limit, or 0.0.  Given ``rows``, each chunk's rows
+    (``_python_rows``) are handed to it first."""
     r, n = float(rs[0]), float(ns[0])
-    clamps, kept, stored, fail, value = 0, 1, 1, 0, 0.0
+    clamps, stored, fail, value = 0, 1, 0, 0.0
     half, sixth = 0.5 * h, h / 6.0
     alpha, beta, gamma, p = params.alpha, params.beta, params.gamma, params.p
     isfinite = math.isfinite
@@ -219,24 +203,24 @@ def _rk4_python(params: ModelParams, h: float, n_steps: int, sample_every: int,
         if step % sample_every == 0 or step == n_steps:
             ts[stored], rs[stored], ns[stored] = step * h, r, n
             stored += 1
-            if rows is not None and stored == len(ts):
-                _hand_rows(rows, ts, rs, ns, stored)
-                kept, stored = kept + stored - 1, 1
-    else:
-        step = n_steps + 1
+            if stored == len(ts) and step < n_steps:
+                yield _stored(rows, ts, rs, ns, stored), None
+                stored = 1
+    yield _stored(rows, ts, rs, ns, stored), (clamps, fail, step, value)
+
+
+def _stored(rows: Callable | None, ts: np.ndarray, rs: np.ndarray, ns: np.ndarray,
+            stored: int) -> tuple[np.ndarray, ...]:
+    """The samples at indices 1 .. stored - 1; given ``rows``, their rows
+    are handed to it first."""
+    samples = ts[1:stored], rs[1:stored], ns[1:stored]
     if rows is not None:
-        _hand_rows(rows, ts, rs, ns, stored)
-    return kept + stored - 1, clamps, fail, step, value
+        from .io import _SLICE_ROWS, _python_rows
 
-
-def _hand_rows(rows: Callable, ts: np.ndarray, rs: np.ndarray, ns: np.ndarray,
-               stored: int) -> None:
-    """Hand ``rows`` the rows of the samples at indices 1 .. stored - 1."""
-    from .io import _SLICE_ROWS, _python_rows
-
-    columns = [("float", values[1:stored], 0.0) for values in (ts, rs, ns)]
-    for text in _python_rows(columns, (), _SLICE_ROWS):
-        rows(text)
+        for text in _python_rows([("float", values, 0.0) for values in samples], (),
+                                 _SLICE_ROWS):
+            rows(text)
+    return samples
 
 
 # The runs the compiled loop must reproduce ``_rk4_python`` on: one that clamps
@@ -262,22 +246,20 @@ def _compiled_rk4() -> Callable | None:
 
 
 def _agrees(rk4: Callable) -> bool:
-    """Whether ``rk4``, a build's loop, gives ``_rk4_python``'s whole outcome
-    on the probes, a failed step's included: a fused or reordered
-    floating-point operation would move the path, or a failure.  Then with
-    rows, the same outcome and the same rows, resumed where chunks of 8
-    samples fill, and on the probes and ``_ROWS_PROBE`` where its slices
-    fill."""
-    def outcome(loop, probe):
-        result, samples = _outcome(loop, *probe, OVERSHOOT_LIMIT)
-        return result, samples.tobytes()
-
-    def streamed(loop, probe, capacity):
+    """Whether ``rk4``, a build's loop, gives ``_rk4_python``'s samples and
+    outcome, a failed step's included, and with rows its rows, on the probes
+    and ``_ROWS_PROBE`` in chunks of 8 samples and of ``OdeStream``'s: a
+    fused or reordered floating-point operation would move the path."""
+    def outcome(loop, probe, capacity, rows):
         params, r0, n0, *run = probe
-        samples, text = np.empty((3, capacity)), bytearray()
-        samples[:, 0] = 0.0, r0, n0
-        return loop(params, *run, OVERSHOOT_LIMIT, *samples, text.extend), bytes(text)
+        buffers, path, text = np.empty((3, capacity)), [bytearray() for _ in "trn"], bytearray()
+        buffers[:, 0] = 0.0, r0, n0
+        for samples, end in loop(params, *run, OVERSHOOT_LIMIT, *buffers,
+                                 text.extend if rows else None):
+            for held, values in zip(path, samples, strict=True):
+                held += values.tobytes()
+        return path, end, text
 
-    return (all(outcome(rk4, probe) == outcome(_rk4_python, probe) for probe in _PROBES)
-            and all(streamed(rk4, probe, capacity) == streamed(_rk4_python, probe, capacity)
-                    for probe in (*_PROBES, _ROWS_PROBE) for capacity in (8, 4096)))
+    return all(outcome(rk4, probe, capacity, rows) == outcome(_rk4_python, probe, capacity, rows)
+               for probe in (*_PROBES, _ROWS_PROBE) for capacity in (8, _CHUNK_SAMPLES)
+               for rows in (False, True))

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .jump import JumpStream, JumpTrajectory
-from .ode import Trajectory
+from .ode import OdeStream, Trajectory
 
 
 class InsufficientDataError(ValueError):
@@ -40,10 +40,6 @@ class PathSeries:
     @classmethod
     def from_jump(cls, traj: JumpTrajectory) -> "PathSeries":
         return cls(traj.step_times(), traj.step_n(), traj.t_end, step=True)
-
-    @classmethod
-    def from_ode(cls, traj: Trajectory) -> "PathSeries":
-        return cls(traj.t, traj.n, float(traj.t[-1]), step=False)
 
 
 @dataclass(frozen=True)
@@ -208,44 +204,65 @@ def detect_plateaus(series: PathSeries, thr: float) -> np.recarray:
 
 
 def scan_levels(
-    path: Trajectory | JumpTrajectory | JumpStream, a0s: Collection[float],
+    path: Trajectory | JumpTrajectory | OdeStream | JumpStream, a0s: Collection[float],
     thrs: Collection[float],
 ) -> tuple[dict[float, np.recarray], dict[float, np.recarray]]:
     """The spikes above each level in ``a0s`` and the plateaus at or below
     each level in ``thrs`` of the n path of ``path``, by level: an ODE or
-    jump trajectory, scanned whole, or a ``JumpStream``, run here and
-    scanned a chunk at a time, as its trajectory would be."""
-    if not isinstance(path, JumpStream):
-        if not (a0s or thrs):
-            return {}, {}
-        whole = PathSeries.from_ode if isinstance(path, Trajectory) else PathSeries.from_jump
-        series = whole(path)
-        return ({a0: detect_spikes(series, a0) for a0 in a0s},
-                {thr: detect_plateaus(series, thr) for thr in thrs})
-    if not (a0s or thrs):
-        deque(path, maxlen=0)  # run, for its event count and termination
-        return {}, {}
-    spikes = {a0: ExcursionScan(a0, peaks=True, step=True) for a0 in a0s}
-    plateaus = {thr: ExcursionScan(thr, peaks=False, step=True) for thr in thrs}
+    jump trajectory, scanned whole, or an ``OdeStream`` or ``JumpStream``,
+    run here and scanned a chunk at a time, as its trajectory would be."""
+    return _scan_path(path, a0s, thrs)
+
+
+def _scan_path(path: Trajectory | JumpTrajectory | OdeStream | JumpStream,
+               a0s: Collection[float], thrs: Collection[float], gap: "LlnGap | None" = None
+               ) -> tuple[dict[float, np.recarray], dict[float, np.recarray]]:
+    """``scan_levels``, feeding the jump path to ``gap`` too where given.  A
+    stream runs even when nothing is scanned, for its rows, count and end."""
+    step = not isinstance(path, (Trajectory, OdeStream))
+    spikes = {a0: ExcursionScan(a0, peaks=True, step=step) for a0 in a0s}
+    plateaus = {thr: ExcursionScan(thr, peaks=False, step=step) for thr in thrs}
     scans = [*spikes.values(), *plateaus.values()]
-    for times, values in _jump_n(path):
+    if not scans and gap is None:
+        if isinstance(path, (OdeStream, JumpStream)):
+            deque(path, maxlen=0)
+        return {}, {}
+    for times, rs, ns in _samples(path, gap is not None):
         for scan in scans:
-            scan.feed(times, values)
-    return ({a0: scan.close(path.t_end) for a0, scan in spikes.items()},
-            {thr: scan.close(path.t_end) for thr, scan in plateaus.items()})
+            scan.feed(times, ns)
+        if gap is not None:
+            gap.feed(times, rs, ns)
+        if len(times):
+            last = times[-1]
+    # A jump path covers its horizon; an ODE path ends at its last sample.
+    t_end = path.t_end if step else float(last)
+    return ({a0: scan.close(t_end) for a0, scan in spikes.items()},
+            {thr: scan.close(t_end) for thr, scan in plateaus.items()})
 
 
-def _jump_n(stream: JumpStream) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The n path of ``stream`` as ``PathSeries.from_jump`` holds it whole, a
-    chunk at a time: t = 0 and the initial n, then each chunk's event times
-    and the n after each event, in a buffer that the next chunk reuses."""
-    n_unit = float(stream.spec.n_unit)
-    yield np.zeros(1), np.array([stream.initial.kn]) * n_unit
-    values = np.empty(0)
-    for chunk in stream:
-        if len(values) < len(chunk.kns):
-            values = np.empty(len(chunk.kns))
-        yield chunk.times, np.multiply(chunk.kns, n_unit, out=values[:len(chunk.kns)])
+def _samples(path: Trajectory | JumpTrajectory | OdeStream | JumpStream, with_r: bool
+             ) -> Iterator[tuple[np.ndarray, np.ndarray | None, np.ndarray]]:
+    """The (t, r, n) samples of ``path`` a chunk at a time, r only ``with_r``:
+    a trajectory in one chunk, a jump path's step values as ``step_*`` hold
+    them, and a stream's chunks as it runs (a jump stream's values in
+    buffers that the next chunk reuses)."""
+    if isinstance(path, Trajectory):
+        yield path.t, path.r, path.n
+    elif isinstance(path, JumpTrajectory):
+        yield path.step_times(), path.step_r() if with_r else None, path.step_n()
+    elif isinstance(path, OdeStream):
+        yield from path
+    else:
+        r_unit, n_unit = float(path.spec.r_unit), float(path.spec.n_unit)
+        yield (np.zeros(1), np.array([path.initial.kr]) * r_unit,
+               np.array([path.initial.kn]) * n_unit)
+        rs = ns = np.empty(0)
+        for chunk in path:
+            size = len(chunk.kns)
+            if len(ns) < size:
+                rs, ns = np.empty(size if with_r else 0), np.empty(size)
+            yield (chunk.times, np.multiply(chunk.krs, r_unit, out=rs[:size]) if with_r else None,
+                   np.multiply(chunk.kns, n_unit, out=ns[:size]))
 
 
 def tail_survival(amplitudes, a0: float) -> tuple[np.ndarray, np.ndarray]:
@@ -352,56 +369,65 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     return (0.5 * (2 * last - counts + 1) + 1.0)[group]
 
 
+class LlnGap:
+    """The sup over [0, t] of the max-norm gap between a jump path
+    (piecewise constant) and the ODE path ``ode_traj`` (piecewise linear), a
+    chunk of the jump path at a time: ``feed`` it the step path's chunks in
+    order, t = 0 first (as ``JumpTrajectory.step_*`` hold it), then ``close``
+    it at the path's end.
+
+    Both one-sided limits of the step path are compared at every jump time,
+    and both paths at every ODE sample time and at t, which is exact for
+    these interpolation classes.  The values after the last sample fed are
+    carried, for the next chunk's first left limit and the ODE samples before
+    it; an ODE sample at or past a chunk's last time waits for the next."""
+
+    def __init__(self, ode_traj: Trajectory, t: float) -> None:
+        if t <= 0:
+            raise ValueError(f"t must be > 0, got {t}")
+        self.ode, self.t = ode_traj, t
+        self._gap = 0.0
+        self._last = ()  # r and n after the last sample fed
+        self._next = 0  # the first ODE sample not compared yet
+        self._end = int(np.count_nonzero(ode_traj.t <= t))  # past the ODE samples in [0, t]
+
+    def feed(self, times: np.ndarray, rs: np.ndarray, ns: np.ndarray) -> None:
+        """Compare the next chunk of the step path: its sample times, and r
+        and n from each time on."""
+        size = int(np.searchsorted(times, self.t, side="right"))  # the samples in [0, t]
+        if not size:
+            return
+        times, ode, first = times[:size], self.ode, self._next
+        before, inside = first + np.searchsorted(ode.t[first:self._end], times[[0, -1]])
+        held = np.searchsorted(times, ode.t[before:inside], side="right") - 1
+        for values, last, path in zip((rs[:size], ns[:size]), self._last or (None, None),
+                                      (ode.r, ode.n)):
+            at = np.interp(times, ode.t, path)
+            gaps = [values - at, values[:-1] - at[1:], values[held] - path[before:inside]]
+            if last is not None:
+                gaps += [last - at[:1], last - path[first:before]]
+            self._gap = max(self._gap, *(np.abs(gap).max(initial=0.0) for gap in gaps))
+        self._next, self._last = int(inside), (rs[size - 1], ns[size - 1])
+
+    def close(self, t_end: float) -> float:
+        """The gap of the path fed, which covers [0, t_end]."""
+        ode, t = self.ode, self.t
+        if t_end < t or float(ode.t[-1]) < t:
+            raise CoverageError(f"trajectories cover [0, {t_end:.6g}] and "
+                                f"[0, {float(ode.t[-1]):.6g}], requested [0, {t}]")
+        # The ODE samples past the last time fed, and t itself: the gap on the
+        # final segment is linear in time, so its maximum sits at one of them.
+        return float(max(self._gap, *(
+            np.abs(last - np.append(path[self._next:self._end], np.interp(t, ode.t, path))).max()
+            for last, path in zip(self._last, (ode.r, ode.n)))))
+
+
 def lln_sup_distance(
     jump_traj: JumpTrajectory, ode_traj: Trajectory, t: float
 ) -> float:
     """Sup over [0, t] of the max-norm gap between the jump path (piecewise
-    constant) and the ODE path (piecewise linear).
-
-    Both one-sided limits of the step path are compared at every jump time,
-    and both paths are compared at every ODE sample time, which is exact for
-    these interpolation classes.
-    """
-    if t <= 0:
-        raise ValueError(f"t must be > 0, got {t}")
-    if jump_traj.t_end < t or float(ode_traj.t[-1]) < t:
-        raise CoverageError(
-            f"trajectories cover [0, {jump_traj.t_end:.6g}] and "
-            f"[0, {float(ode_traj.t[-1]):.6g}], requested [0, {t}]"
-        )
-
-    jt = jump_traj.step_times()
-    jr = jump_traj.step_r()
-    jn = jump_traj.step_n()
-    in_window = jt <= t
-    jt, jr, jn = jt[in_window], jr[in_window], jn[in_window]
-
-    # Gap at jump times: step value after the jump vs the ODE path there,
-    # and the pre-jump value vs the ODE path (left limit of the gap).
-    ode_r = np.interp(jt, ode_traj.t, ode_traj.r)
-    ode_n = np.interp(jt, ode_traj.t, ode_traj.n)
-    gap = max(
-        float(np.max(np.abs(jr - ode_r))),
-        float(np.max(np.abs(jn - ode_n))),
-    )
-    if len(jt) > 1:
-        gap = max(
-            gap,
-            float(np.max(np.abs(jr[:-1] - ode_r[1:]))),
-            float(np.max(np.abs(jn[:-1] - ode_n[1:]))),
-        )
-
-    # Gap at ODE sample times: locate the step value in force at each sample.
-    st = ode_traj.t[ode_traj.t <= t]
-    idx = np.searchsorted(jt, st, side="right") - 1
-    gap = max(
-        gap,
-        float(np.max(np.abs(jr[idx] - ode_traj.r[: len(st)]))),
-        float(np.max(np.abs(jn[idx] - ode_traj.n[: len(st)]))),
-    )
-
-    # Endpoint t itself (the gap on the final segment is linear in time, so
-    # its maximum sits at a compared point or here).
-    r_t, n_t = ode_traj.state_at(t)
-    gap = max(gap, abs(float(jr[-1]) - r_t), abs(float(jn[-1]) - n_t))
-    return gap
+    constant) and the ODE path (piecewise linear): an ``LlnGap`` fed the
+    jump path whole."""
+    gap = LlnGap(ode_traj, t)
+    gap.feed(jump_traj.step_times(), jump_traj.step_r(), jump_traj.step_n())
+    return gap.close(jump_traj.t_end)

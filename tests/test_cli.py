@@ -1115,14 +1115,14 @@ class TestPresets:
 class TestPresetDeduplication:
     def test_fig7_simulates_each_path_once(self, out, monkeypatch):
         # A path is streamed (simulate_chunks) and scanned for all of its
-        # levels in one pass (scan_levels).
+        # levels in one pass (spikes._scan_path, scan_levels' pass).
         calls, detections = [], []
         engine = spikesim.cli.simulate_chunks
         monkeypatch.setattr(spikesim.cli, "simulate_chunks", lambda *args, **kwargs: (
             calls.append(kwargs["seed"]) or engine(*args, **kwargs)))
-        scan = spikesim.cli.scan_levels
-        monkeypatch.setattr(spikesim.cli, "scan_levels", lambda path, a0s, thrs: detections.append(
-            (len(a0s), len(thrs))) or scan(path, a0s, thrs))
+        scan = spikesim.cli._scan_path
+        monkeypatch.setattr(spikesim.cli, "_scan_path", lambda path, a0s, thrs, gap: (
+            detections.append((len(a0s), len(thrs))) or scan(path, a0s, thrs, gap)))
         shared, alone = out / "shared", out / "alone"
         assert main(["preset", "fig7", "--outdir", str(shared), "--t-end", "300"]) == 0
         assert len(calls) == 2

@@ -16,8 +16,7 @@ from spikesim import ode
 from spikesim.ode import (
     OVERSHOOT_LIMIT,
     NegativeOvershootError,
-    _integrate,
-    _outcome,
+    OdeStream,
     _rk4_python,
 )
 
@@ -181,27 +180,58 @@ class TestSafety:
         with pytest.raises(NegativeOvershootError):
             integrate(params, State(0.01, 0.01), t_end=100.0, dt=0.1)
 
-    def test_floor_policy(self):
+    def test_floor_policy(self, monkeypatch):
         # After two clamps, step 3 of this run takes r to -1.00704e-9: a limit
         # just below that clamps it to 0, one just above fails the step.
-        run = (ModelParams(alpha=7.0, beta=1.0, gamma=0.01, p=0.0), 0.0, 1e-10, 1e-2, 3, 1)
+        params = ModelParams(alpha=7.0, beta=1.0, gamma=0.01, p=0.0)
         r3 = -1.0070429206373245e-09
         assert r3 < OVERSHOOT_LIMIT
         for loop in RK4_LOOPS:
-            traj = _integrate(loop, *run, math.nextafter(r3, -math.inf))
+            monkeypatch.setattr(ode, "_compiled_rk4", lambda: loop)
+            monkeypatch.setattr(ode, "OVERSHOOT_LIMIT", math.nextafter(r3, -math.inf))
+            traj = integrate(params, State(0.0, 1e-10), t_end=0.03, dt=1e-2, sample_every=1)
             assert traj.clamp_count == 3 and traj.r[-1] == 0.0
+            monkeypatch.setattr(ode, "OVERSHOOT_LIMIT", math.nextafter(r3, math.inf))
             with pytest.raises(NegativeOvershootError) as exc:
-                _integrate(loop, *run, math.nextafter(r3, math.inf))
+                integrate(params, State(0.0, 1e-10), t_end=0.03, dt=1e-2, sample_every=1)
             assert str(exc.value) == "r = -1.00704e-09 below overshoot limit at step 3 (t = 0.03)"
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["", "rows"])
+    @pytest.mark.parametrize("loop", RK4_LOOPS, ids=_loop_name)
+    def test_a_stream_runs_every_step(self, monkeypatch, loop, rows):
+        # 200,000 steps take many calls of the loop, with rows or without;
+        # each call's samples are the stream's next chunk.
+        monkeypatch.setattr(ode, "_compiled_rk4", lambda: loop)
+        params = ModelParams(alpha=0.01, beta=1.0, gamma=100.0, p=7.0)
+        stream = OdeStream(params, State(0.01, 0.01), t_end=200.0, dt=1e-3)
+        text = bytearray()
+        if rows:
+            stream.rows = text.extend
+        times = np.concatenate([t.copy() for t, _r, _n in stream])
+        assert times[0] == 0.0 and times[-1] == 200.0 and len(times) == 200_001
+        assert np.all(np.diff(times) > 0)
+        assert text.count(b"\n") == (200_000 if rows else 0)
+
+
+def _outcome(loop, probe, capacity=4096):
+    """The samples ``loop`` stores on the probe ``probe`` in buffers of
+    ``capacity`` samples, start first, and the outcome of its last call."""
+    params, r0, n0, *run = probe
+    buffers = np.empty((3, capacity))
+    buffers[:, 0] = 0.0, r0, n0
+    chunks = [tuple(buffers[:, :1].copy())]
+    for samples, end in loop(params, *run, OVERSHOOT_LIMIT, *buffers):
+        chunks.append(tuple(values.copy() for values in samples))
+    return [np.concatenate(values) for values in zip(*chunks)], end
 
 
 def _altered(index: int, change):
-    """``_rk4_python`` with entry ``index`` of a failed run's result changed."""
+    """``_rk4_python`` with entry ``index`` of a failed run's outcome changed."""
     def loop(*args):
-        result = list(_rk4_python(*args))
-        if result[2]:
-            result[index] = change(result[index])
-        return tuple(result)
+        for samples, end in _rk4_python(*args):
+            if end is not None and end[1]:
+                end = (*end[:index], change(end[index]), *end[index + 1:])
+            yield samples, end
     return loop
 
 
@@ -211,20 +241,29 @@ class TestCompiledCheck:
 
     def test_probes_clamp_and_fail(self):
         clamped, failed, clamped_n, failed_n, not_finite = (
-            _outcome(_rk4_python, *probe, OVERSHOOT_LIMIT)[0] for probe in ode._PROBES)
-        assert clamped[1] > 0 and clamped[2] == 0
-        assert failed[2] == 2 and failed[3] == 3
-        assert clamped_n[1] == 1 and clamped_n[2] == 0
-        assert failed_n[2:4] == (3, 1) and failed_n[4] < OVERSHOOT_LIMIT
-        assert not_finite[2:4] == (1, 1)
+            _outcome(_rk4_python, probe)[1] for probe in ode._PROBES)
+        assert clamped[0] > 0 and clamped[1] == 0
+        assert failed[1] == 2 and failed[2] == 3
+        assert clamped_n[0] == 1 and clamped_n[1] == 0
+        assert failed_n[1:3] == (3, 1) and failed_n[3] < OVERSHOOT_LIMIT
+        assert not_finite[1:3] == (1, 1)
+
+    @pytest.mark.parametrize("capacity", [2, 8, 4096])
+    @pytest.mark.parametrize("loop", RK4_LOOPS, ids=_loop_name)
+    def test_the_probes_samples_are_bit_identical_in_any_chunking(self, loop, capacity):
+        for probe in (*ode._PROBES, ode._ROWS_PROBE):
+            (want, want_end), (got, got_end) = _outcome(_rk4_python, probe), _outcome(
+                loop, probe, capacity)
+            assert got_end == want_end
+            assert [values.tobytes() for values in got] == [values.tobytes() for values in want]
 
     def test_keeps_a_loop_that_reproduces_the_python_loop(self):
         assert ode._agrees(functools.partial(_rk4_python))
 
     @pytest.mark.parametrize("index, change", [
-        (2, lambda fail: 3),
-        (3, lambda step: step + 1),
-        (4, lambda value: math.nextafter(value, 0.0)),
+        (1, lambda fail: 3),
+        (2, lambda step: step + 1),
+        (3, lambda value: math.nextafter(value, 0.0)),
     ], ids=["code", "step", "value"])
     def test_refuses_a_loop_that_fails_differently(self, index, change):
         assert not ode._agrees(_altered(index, change))

@@ -245,3 +245,33 @@ def test_readme_library_example_runs(capsys):
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, f"{README.name}, Library example", "exec"), {})
     assert capsys.readouterr().out.startswith("TailFit(a0=10.0, lambda_hat=")
+
+
+def _sanitize_script():
+    """``tools/sanitize.py`` as a module; its ``main`` runs only as a script."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "sanitize", Path(__file__).parents[1] / "tools" / "sanitize.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_sanitizer_runs_what_exists():
+    # Each test file or node it runs is there, and each build check it
+    # calls is a function of its module, so that no sanitized run passes
+    # for running less than it names.
+    script = _sanitize_script()
+    root = Path(__file__).parents[1]
+    for entry in script.TESTS:
+        path, *names = entry.split("::")
+        body = ast.parse((root / path).read_text()).body
+        for name in names:
+            (node,) = [node for node in body if getattr(node, "name", None) == name]
+            body = node.body
+    checks = [node for node in ast.walk(ast.parse(script.CHECKS))
+              if isinstance(node, ast.Attribute) and node.attr.endswith("_agrees")]
+    assert len(checks) == len(_compiled.Loops._fields)
+    for check in checks:
+        assert callable(getattr(getattr(spikesim, check.value.id), check.attr))

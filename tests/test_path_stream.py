@@ -32,11 +32,13 @@ P100 = ModelParams(alpha=0.01, beta=1.0, gamma=100.0, p=7.0)
 P2 = ModelParams(alpha=0.01, beta=1.0, gamma=2.0, p=7.0)
 START = State(0.01, 0.01)
 
-# One run of each kind, each writing its path CSV; the jump runs write
-# survival, pairs and reports too, and the one-unit run compares its path
-# with the ODE, so that its stream is also held whole.
+# One run of each kind, each writing its path CSV; an ODE run and the jump
+# runs write survival, pairs and reports too, and the one-unit run compares
+# its path with the ODE.
 RUNS = {
     "ds": RunConfig(params=P100, mode="ds", initial=START, t_end=20.0, label="ds"),
+    "ds_levels": RunConfig(params=P100, mode="ds", initial=START, t_end=100.0, dt=1e-2,
+                           a0=8.0, thr=8.0, label="ds_levels"),
     "global": RunConfig(params=P2, mode="global", n_units=10, initial=START, t_end=60.0, seed=3,
                         a0=2.0, thr=2.0, out="global.csv", label="global"),
     "meanfield": RunConfig(params=P100, mode="meanfield", initial=START, t_end=80.0, seed=4,
@@ -78,7 +80,8 @@ def _held_files(outdir: Path, config: RunConfig) -> dict[str, bytes]:
     """The artifacts of ``config``'s run from its path held whole
     (``ode.integrate`` or ``jump.simulate``): the path CSV from
     ``io.write_ode_csv`` or ``io.write_jump_csv``, the others from
-    ``analyse_group`` given the held path."""
+    ``analyse_group`` given the held path, which it scans whole and
+    compares with the ODE whole (``lln_sup_distance``)."""
     outdir.mkdir()
     config = replace(config, out=config.out and str(outdir / config.out))
     target = config.artifacts(outdir)["path"]
@@ -111,7 +114,8 @@ def test_a_streamed_run_writes_the_held_paths_bytes(name, slice_rows, held, tmp_
     monkeypatch.setattr(io, "_SLICE_ROWS", slice_rows)
     streamed = _files(tmp_path / "streamed", RUNS[name])
     assert streamed == held[name]
-    assert len(streamed) == {"ds": 1, "global": 4, "meanfield": 3, "oneunit": 4}[name]
+    assert len(streamed) == {"ds": 1, "ds_levels": 4, "global": 4, "meanfield": 3,
+                             "oneunit": 4}[name]
 
 
 @pytest.mark.usefixtures("kernel")
@@ -269,21 +273,41 @@ def test_a_fifo_out_is_written_through_its_name(held, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
 
 
+def test_a_group_whose_lln_window_the_path_does_not_cover_leaves_no_file(tmp_path):
+    # The jump count stops the path before the window's end: the gap fails
+    # before the config ahead of the one that compares is put in place.
+    path = replace(ENDS["max_jumps"], out=str(tmp_path / "path.csv"))
+    lln = replace(ENDS["max_jumps"], lln_reference=True, label="lln")
+    with pytest.raises(ValueError, match="requested \\[0, 100.0\\]"):
+        list(analyse_group([path, lln], simulate_run(path, lln), tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_a_streamed_path_csv_holds_no_path(tmp_path):
     # A path-CSV run at two horizons 4x apart, each in a fresh interpreter:
     # the longer run's peak RSS grows by far less than the 25 bytes an event
     # that a held path takes.
+    _assert_peak_rss_is_flat(tmp_path)
+
+
+def test_an_lln_reference_holds_no_path(tmp_path):
+    # So too when the run is compared with the ODE: the reference is the
+    # same size at both horizons, and the jump path is held nowhere.
+    _assert_peak_rss_is_flat(tmp_path, "--lln-reference")
+
+
+def _assert_peak_rss_is_flat(tmp_path, *flags: str) -> None:
     code = ("import resource, sys\n"
             "from spikesim.cli import main\n"
             "assert main(['simulate', '--mode', 'oneunit', '--gamma', '100', '--seed', '1',\n"
-            "             '--t-end', sys.argv[2], '--out', sys.argv[1]]) == 0\n"
+            "             '--t-end', sys.argv[2], '--out', sys.argv[1], *sys.argv[3:]]) == 0\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(Path(spikesim.cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
     peak_kb, events = {}, {}
     for horizon in ("7500", "30000"):
         path = tmp_path / f"{horizon}.csv"
-        result = subprocess.run([sys.executable, "-c", code, str(path), horizon], env=env,
+        result = subprocess.run([sys.executable, "-c", code, str(path), horizon, *flags], env=env,
                                 capture_output=True, text=True, check=True, timeout=120)
         peak_kb[horizon] = int(result.stdout.split()[-1])
         with open(path, "rb") as fh:

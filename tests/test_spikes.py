@@ -24,6 +24,8 @@ from spikesim import (
     simulate,
     tail_survival,
 )
+from spikesim._compiled import CHUNK_EVENTS
+from spikesim.spikes import LlnGap
 
 
 def step_series(times, values, t_end):
@@ -364,6 +366,30 @@ class TestLLNSupDistance:
                 for t in (5.0, 20.0, 37.3, 40.0):
                     want = _reference_sup_distance(traj, ode_traj, t)
                     assert lln_sup_distance(traj, ode_traj, t) == want
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096, CHUNK_EVENTS])
+    @pytest.mark.parametrize("gamma", [100.0, 2.0])
+    @pytest.mark.parametrize("build", [build_oneunit, build_meanfield,
+                                       lambda params: build_global(params, 10)],
+                             ids=["oneunit", "meanfield", "global"])
+    def test_a_gap_fed_in_chunks_is_the_whole_paths(self, build, gamma, chunk):
+        # Fed as a stream hands it over, t = 0 first and then ``chunk``
+        # events at a time, the gap is the whole path's, float for float.
+        # One event a chunk takes a feed an event, so it runs the window that
+        # ends mid-path on one seed.
+        params = ModelParams(alpha=0.01, beta=1.0, gamma=gamma, p=7.0)
+        spec = build(params)
+        odes = [integrate(params, State(0.01, 0.01), t_end=40.0, dt=dt) for dt in (1e-2, 0.37)]
+        for seed in range(6 if chunk > 7 else 1):
+            traj = simulate(spec, spec.lattice_state(0.01, 0.01), t_end=40.0, seed=seed)
+            path = traj.step_times(), traj.step_r(), traj.step_n()
+            bounds = [0, *range(1, len(path[0]), chunk), len(path[0])]
+            for ode_traj in odes:
+                for t in (5.0, 20.0, 37.3, 40.0) if chunk > 1 else (37.3,):
+                    gap = LlnGap(ode_traj, t)
+                    for lo, hi in zip(bounds, bounds[1:]):
+                        gap.feed(*(values[lo:hi] for values in path))
+                    assert gap.close(traj.t_end) == lln_sup_distance(traj, ode_traj, t)
 
     def test_zero_for_identical_constant_paths(self, fig1_params):
         spec = build_oneunit(ModelParams(0.5, 1.0, 2.0, 0.0))

@@ -10,7 +10,7 @@ cache binds the sanitized build in place of the checked one.  Then, under
 ``LD_PRELOAD=<the compiler's libasan.so> ASAN_OPTIONS=detect_leaks=0
 PYTHONMALLOC=malloc``, it runs the four build checks (the ``_agrees``
 functions) on the build, and the format, CSV byte, property, engine stream,
-stream and path stream tests and the writers' round trips against it;
+stream, path stream and ODE tests and the writers' round trips against it;
 pytest arguments given here are passed on.  With ``PYTHONMALLOC=malloc``
 every Python object comes from the sanitized ``malloc``, so a read or write
 of the C loops past the end of a Python buffer (a label table, a row buffer,
@@ -39,10 +39,11 @@ from spikesim import _compiled  # noqa: E402
 SANITIZE = ("-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
 # The stream tests run the loop resumed at chunk sizes 1 and 7; the path
 # stream tests run both numeric loops writing their rows into slices of 1,
-# 7 and 1024 rows; TestIO writes and reads back each kind of CSV in process.
+# 7 and 1024 rows; the ODE tests run the RK4 loop resumed in chunks of 1, 7
+# and 4095 samples; TestIO writes and reads back each kind of CSV in process.
 TESTS = ("tests/test_format.py", "tests/test_csv_bytes.py", "tests/test_properties.py",
          "tests/test_engine_stream.py", "tests/test_stream.py", "tests/test_path_stream.py",
-         "tests/test_cli.py::TestIO")
+         "tests/test_ode.py", "tests/test_cli.py::TestIO")
 # The four checks a build must pass, as ``_compiled.build_library`` runs them.
 CHECKS = """
 from spikesim import _compiled, io, jump, ode
