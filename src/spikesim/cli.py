@@ -127,7 +127,10 @@ class RunConfig:
                 raise UsageError(f"--{kind}-out writes nothing without {needs}")
 
     def path_key(self) -> tuple:
-        """Everything the simulated or integrated path depends on."""
+        """Everything the simulated or integrated path and its CSV depend on:
+        an ODE path takes no seed, unit count or jump cap."""
+        if self.mode == "ds":
+            return self.mode, self.params, self.initial, self.t_end, self.dt
         return (self.mode, self.params, self.n_units, self.initial, self.t_end,
                 self.max_jumps, self.dt, self.seed)
 
@@ -234,10 +237,15 @@ def analyse_group(
     CSVs, begun under temporary names, and its chunks to the scans for each
     a0 and thr of the configs and, for ``lln_reference``, to the gap from the
     ODE path, integrated first.  So a run that fails, or a gap whose window
-    the path does not cover, leaves no file."""
+    the path does not cover, leaves no file.  A group that writes its path
+    CSVs alone, whose path this process has already written, copies that
+    file and does not run (``_copy_path_csvs``)."""
     outdir = Path(outdir)
     csvs: dict[int, io.PathCsv] = {}
     try:
+        if _copy_path_csvs(configs, path, outdir, csvs):
+            yield from _write_artifacts(configs, None, outdir, csvs, {}, {}, None)
+            return
         with _argument_checks():
             config = configs[0]
             gap = (LlnGap(integrate(config.params, config.initial, config.t_end, dt=config.dt),
@@ -251,6 +259,29 @@ def analyse_group(
     finally:
         for csv in csvs.values():
             csv.discard()
+
+
+# The path CSV this process last committed for each path key: its real path
+# and its ``io._IDENTITY`` just after it was put in place.  No rows are held.
+_PATH_CSVS: dict[tuple, tuple[Path, tuple]] = {}
+
+
+def _copy_path_csvs(configs: list[RunConfig], path, outdir: Path,
+                    csvs: dict[int, io.PathCsv]) -> bool:
+    """Begin the path CSVs of ``configs`` into ``csvs``, by index, as copies
+    of the one this process last committed for their path key, and say so;
+    else begin none.  Only where ``path`` is a stream, each config writes
+    its path CSV alone, and that file is as it was committed
+    (``io._begin_copies``)."""
+    written = _PATH_CSVS.get(configs[0].path_key())
+    files = [config.artifacts(outdir) for config in configs]
+    if (written is None or not isinstance(path, (JumpStream, OdeStream))
+            or any(kinds.keys() != {"path"} for kinds in files)):
+        return False
+    outdir.mkdir(parents=True, exist_ok=True)
+    copies = io._begin_copies([kinds["path"] for kinds in files], *written)
+    csvs.update(enumerate(copies or ()))
+    return copies is not None
 
 
 def _begin_path_csvs(configs: list[RunConfig], path, outdir: Path,
@@ -274,27 +305,24 @@ def _begin_path_csvs(configs: list[RunConfig], path, outdir: Path,
 
 def _write_artifacts(configs: list[RunConfig], path, outdir: Path, csvs: dict[int, io.PathCsv],
                      spikes_at: dict, plateaus_at: dict, lln: float | None) -> Iterator[Path]:
-    """``analyse_group``'s artifacts once the path has run: each config's
-    in turn, its begun path CSV (``csvs``) put in place as its first."""
+    """``analyse_group``'s artifacts once the path has run (``path`` None
+    where each path CSV is a copy): each config's in turn, its begun path
+    CSV (``csvs``) put in place as its first."""
     for i, config in enumerate(configs):
         files = config.artifacts(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        report: dict = {"mode": config.mode, "seed": config.seed, "label": config.label}
-        if config.mode != "ds":
-            report["n_events"] = path.n_events
-            report["terminated_by"] = path.terminated_by.value
 
         if i in csvs:
             # Removed only once committed, so that a commit that fails is
             # discarded with the others.
-            csvs[i].commit(None if config.mode == "ds" else
+            csvs[i].commit(None if path is None or config.mode == "ds" else
                            io._jump_header(path, path.t_end, path.terminated_by))
+            _PATH_CSVS[config.path_key()] = csvs[i].path, io._IDENTITY(os.stat(csvs[i].path))
             del csvs[i]
             yield files["path"]
 
         stats, amps, pairs = _analyse(config.a0, config.thr, spikes_at.get(config.a0),
                                       plateaus_at.get(config.thr))
-        report.update(stats)
         if "survival" in files:
             # Header only when no spike exceeds a0.
             grid, survival = tail_survival(amps, config.a0) if len(amps) else ((), ())
@@ -310,10 +338,14 @@ def _write_artifacts(configs: list[RunConfig], path, outdir: Path, csvs: dict[in
             )
             yield files["pairs"]
 
-        if config.lln_reference and lln is not None:
-            report["lln_sup_distance"] = lln
-
         if "report" in files:
+            report: dict = {"mode": config.mode, "seed": config.seed, "label": config.label}
+            if config.mode != "ds":
+                report["n_events"] = path.n_events
+                report["terminated_by"] = path.terminated_by.value
+            report.update(stats)
+            if config.lln_reference and lln is not None:
+                report["lln_sup_distance"] = lln
             io.write_json(files["report"], report, config.params)
             yield files["report"]
 

@@ -23,6 +23,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import asdict
 from io import BytesIO
 from itertools import islice
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +170,41 @@ def _copy_rest(source, target) -> None:
             pass
     except (AttributeError, OSError):
         shutil.copyfileobj(source, target)
+
+
+# What tells a file from the same name rewritten, replaced or grown, as
+# ``os.stat`` gives it.  A rewrite of the same size in the clock tick of the
+# stat that recorded it goes unseen, unless the kernel then gives the file
+# a finer timestamp (Linux's multigrain timestamps, on ext4, xfs, btrfs and
+# tmpfs).
+_IDENTITY = attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns", "st_ctime_ns")
+
+
+def _begin_copies(paths: list[Path], source: Path, identity: tuple) -> list[PathCsv] | None:
+    """Path CSVs begun at ``paths`` as copies of the file ``source``, a
+    path CSV as committed, to be committed with no header; None, beginning
+    none, unless the file opened is a regular file of one link whose
+    ``_IDENTITY`` is ``identity``, checked on the descriptor copied from."""
+    try:
+        # Without blocking, should a FIFO now stand at the name.
+        fd = os.open(source, os.O_RDONLY | os.O_NONBLOCK)
+    except OSError:
+        return None
+    csvs: list[PathCsv] = []
+    with open(fd, "rb", buffering=0) as fh:
+        st = os.fstat(fd)
+        if not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and _IDENTITY(st) == identity):
+            return None
+        try:
+            for path in paths:
+                csvs.append(PathCsv(path, b""))
+                fh.seek(0)
+                _copy_rest(fh, csvs[-1]._fh)
+        except BaseException:
+            for csv in csvs:
+                csv.discard()
+            raise
+    return csvs
 
 
 def _begin_ode_csv(path: str | Path, stream: OdeStream,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spikesim import ModelParams
+from spikesim import ModelParams, cli
 from spikesim.jump import engine_status
 
 # For the test that runs a failing property in a separate pytest.
@@ -26,6 +26,13 @@ PARAM_GRID = [
 def pytest_report_header(config):
     # The stream digests were recorded under numpy 2.4.6.
     return f"spikesim jump engine: {engine_status()}; numpy {np.__version__}"
+
+
+@pytest.fixture(autouse=True)
+def no_path_csv_to_copy():
+    """Each test starts as a fresh CLI process does, with no path CSV
+    written that a later run of the same path would copy."""
+    cli._PATH_CSVS.clear()
 
 
 @pytest.fixture

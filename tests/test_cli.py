@@ -1,4 +1,5 @@
 import argparse
+import errno
 import json
 import math
 import os
@@ -1144,3 +1145,133 @@ class TestPresetDeduplication:
         thr0, thr10 = preset("fig7")[:2]
         assert thr0.path_key() == thr10.path_key()
         assert thr0.path_key() != replace(thr0, seed=2).path_key()
+        # An ODE path and its CSV depend on none of a jump run's settings,
+        # while a jump run's key keeps them all, and dt, which its LLN
+        # reference integrates at.
+        fig1_ds, fig3_ds = preset("fig1")[0], preset("fig3")[0]
+        assert fig1_ds.path_key() == replace(fig3_ds, seed=6, n_units=50,
+                                             max_jumps=10).path_key()
+        assert fig1_ds.path_key() != replace(fig1_ds, dt=1e-2).path_key()
+        for change in ({"seed": 2}, {"n_units": 2}, {"max_jumps": 10}, {"dt": 1e-2}):
+            assert thr0.path_key() != replace(thr0, **change).path_key()
+
+    @staticmethod
+    def _count_runs(monkeypatch) -> dict[str, int]:
+        """Count the ODE and jump paths run from now on: a stream made but
+        never iterated is no run."""
+        runs = {"ode": 0, "jump": 0}
+        for kind, stream in (("ode", spikesim.cli.OdeStream), ("jump", jump.JumpStream)):
+            def counted(self, kind=kind, chunks=stream.__iter__):
+                runs[kind] += 1
+                return chunks(self)
+
+            monkeypatch.setattr(stream, "__iter__", counted)
+        return runs
+
+    def test_fig3_copies_the_ode_paths_of_fig1_and_fig2(self, out, monkeypatch):
+        runs = self._count_runs(monkeypatch)
+        for name in ("fig1", "fig2", "fig3"):
+            assert main(["preset", name, "--outdir", str(out / "one"), "--t-end", "20"]) == 0
+        assert runs["ode"] == 2
+        spikesim.cli._PATH_CSVS.clear()
+        assert main(["preset", "fig3", "--outdir", str(out / "fresh"), "--t-end", "20"]) == 0
+        assert runs["ode"] == 4
+        fresh = sorted(p.name for p in (out / "fresh").iterdir())
+        assert len(fresh) == 4
+        for name in fresh:
+            assert (out / "one" / name).read_bytes() == (out / "fresh" / name).read_bytes()
+        assert ((out / "one" / "fig3_ds_gamma2.csv").read_bytes()
+                == (out / "one" / "fig2_ds.csv").read_bytes())
+
+    @pytest.mark.parametrize("change", ["none", "appended", "rewritten", "deleted", "replaced",
+                                        "hard_linked"])
+    def test_a_path_csv_changed_since_it_was_written_is_not_copied(self, out, monkeypatch,
+                                                                   change):
+        runs = self._count_runs(monkeypatch)
+        source, copy = out / "source.csv", out / "copy.csv"
+        argv = ["ds", "--t-end", "20", "--out"]
+        assert main([*argv, str(source)]) == 0
+        written = source.read_bytes()
+        if change == "appended":
+            with open(source, "ab") as fh:
+                fh.write(b"1,2,3\n")
+        elif change == "rewritten":
+            with open(source, "r+b") as fh:
+                fh.write(written[:-2].replace(b"0", b"1") + b"9\n")
+            assert source.stat().st_size == len(written) and source.read_bytes() != written
+        elif change == "deleted":
+            source.unlink()
+        elif change == "replaced":
+            (out / "new.csv").write_bytes(b"another file\n")
+            os.replace(out / "new.csv", source)
+        elif change == "hard_linked":
+            os.link(source, out / "link.csv")
+        assert main([*argv, str(copy)]) == 0
+        assert runs["ode"] == (1 if change == "none" else 2)
+        assert copy.read_bytes() == written
+        assert not list(out.glob(".*"))
+
+    @pytest.mark.parametrize("target", ["device", "hard_linked"])
+    def test_a_path_csv_written_through_a_device_or_a_link_is_not_copied(self, out, monkeypatch,
+                                                                          target):
+        # Such a file is written through its name, unchanged since: neither
+        # a device, whose reads are no path, nor a file another name writes.
+        runs = self._count_runs(monkeypatch)
+        argv = ["ds", "--t-end", "20", "--out"]
+        source = Path(os.devnull) if target == "device" else out / "source.csv"
+        if target == "hard_linked":
+            source.write_bytes(b"")
+            os.link(source, out / "link.csv")
+        assert main([*argv, str(source)]) == 0
+        assert main([*argv, str(out / "copy.csv")]) == 0
+        assert runs["ode"] == 2
+        spikesim.cli._PATH_CSVS.clear()
+        assert main([*argv, str(out / "fresh.csv")]) == 0
+        assert (out / "copy.csv").read_bytes() == (out / "fresh.csv").read_bytes()
+
+    def test_a_run_with_a_level_or_an_lln_reference_is_never_copied(self, out, monkeypatch):
+        runs = self._count_runs(monkeypatch)
+        argv = ["simulate", "--mode", "oneunit", "--gamma", "2", "--t-end", "50", "--out"]
+        assert main([*argv, str(out / "path.csv")]) == 0
+        assert main([*argv, str(out / "a0.csv"), "--a0", "2"]) == 0
+        assert main([*argv, str(out / "thr.csv"), "--thr", "2"]) == 0
+        assert main([*argv, str(out / "lln.csv"), "--lln-reference"]) == 0
+        assert runs == {"ode": 1, "jump": 4}  # the ODE path is the LLN reference
+        # A jump path's CSV is copied too, its header as the run ended.
+        assert main([*argv, str(out / "copy.csv")]) == 0
+        assert runs == {"ode": 1, "jump": 4}
+        for name in ("a0.csv", "thr.csv", "lln.csv", "copy.csv"):
+            assert (out / name).read_bytes() == (out / "path.csv").read_bytes()
+
+    def test_each_path_csv_of_a_group_is_a_whole_copy(self, out, monkeypatch):
+        runs = self._count_runs(monkeypatch)
+        assert main(["ds", "--t-end", "20", "--out", str(out / "ds.csv")]) == 0
+        group = [replace(preset("fig1")[0], t_end=20.0, label=label) for label in "ab"]
+        assert list(analyse_group(group, simulate_run(*group), out)) == [out / "a.csv",
+                                                                        out / "b.csv"]
+        assert runs["ode"] == 1
+        assert (out / "a.csv").read_bytes() == (out / "b.csv").read_bytes() == (
+            out / "ds.csv").read_bytes()
+
+    def test_a_copy_that_fails_leaves_no_file(self, out, monkeypatch, capsys):
+        argv = ["ds", "--t-end", "20", "--out"]
+        assert main([*argv, str(out / "source.csv")]) == 0
+        (out / "copy.csv").write_bytes(b"an old file\n")
+
+        def no_space(source, target):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(io, "_copy_rest", no_space)
+        assert main([*argv, str(out / "copy.csv")]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert (out / "copy.csv").read_bytes() == b"an old file\n"
+        assert sorted(p.name for p in out.iterdir()) == ["copy.csv", "source.csv"]
+
+    def test_a_preset_run_twice_into_one_outdir_writes_the_same_files(self, out, monkeypatch):
+        runs = self._count_runs(monkeypatch)
+        argv = ["preset", "fig1", "--outdir", str(out), "--t-end", "20"]
+        assert main(argv) == 0
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(argv) == 0
+        assert runs == {"ode": 1, "jump": 2}
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first

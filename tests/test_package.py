@@ -59,6 +59,33 @@ def test_the_figure_pipeline_never_imports_numpy_ma(tmp_path):
     ).splitlines()[-1] == "[0, 0, 0, 0] False"
 
 
+def test_one_process_writes_the_files_of_the_sample_paths_presets_run_alone(tmp_path):
+    # In one interpreter fig3 copies the ODE path CSVs that fig1 and fig2
+    # wrote; each file is the one its preset writes in an interpreter of its
+    # own, and the peak RSS is no higher than theirs, since the record of
+    # the files written holds no path (the two ODE CSVs are 1.9 MB; the
+    # peaks of runs alike vary by about 0.2 MB).  The peak is VmHWM, the
+    # interpreter's own: ru_maxrss would also count the pytest process that
+    # it was started from.
+    names = ("fig1", "fig2", "fig3", "fig5")
+
+    def run(outdir: Path, *presets: str) -> int:
+        return int(_fresh_output(
+            "from spikesim import cli\n"
+            f"for name in {presets!r}:\n"
+            f"    argv = ['preset', name, '--t-end', '20', '--outdir', {str(outdir)!r}]\n"
+            "    assert cli.main(argv) == 0\n"
+            "print(*[line.split()[1] for line in open('/proc/self/status')\n"
+            "        if line.startswith('VmHWM:')])\n").split()[-1])
+
+    together_kb = run(tmp_path / "together", *names)
+    alone_kb = max(run(tmp_path / name, name) for name in names)
+    alone = {p.name: p.read_bytes() for name in names for p in (tmp_path / name).iterdir()}
+    assert len(alone) == 12
+    assert {p.name: p.read_bytes() for p in (tmp_path / "together").iterdir()} == alone
+    assert together_kb <= alone_kb + 512, (together_kb, alone_kb)
+
+
 def test_cache_directory_is_made_only_when_missing(monkeypatch, tmp_path):
     (tmp_path / "home").mkdir()
     (tmp_path / "home" / "spikesim").write_text("")
