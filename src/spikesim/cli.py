@@ -239,21 +239,20 @@ def analyse_group(
     ODE path, integrated first.  So a run that fails, or a gap whose window
     the path does not cover, leaves no file.  A group that writes its path
     CSVs alone, whose path this process has already written, copies that
-    file and does not run (``_copy_path_csvs``)."""
+    file and does not run (``_begin_path_csvs``)."""
     outdir = Path(outdir)
     csvs: dict[int, io.PathCsv] = {}
     try:
-        if _copy_path_csvs(configs, path, outdir, csvs):
-            yield from _write_artifacts(configs, None, outdir, csvs, {}, {}, None)
-            return
         with _argument_checks():
             config = configs[0]
             gap = (LlnGap(integrate(config.params, config.initial, config.t_end, dt=config.dt),
                           config.t_end)
                    if config.mode != "ds" and any(c.lln_reference for c in configs) else None)
-            _begin_path_csvs(configs, path, outdir, csvs)
-            spikes_at, plateaus_at = _scan_path(path, {c.a0 for c in configs} - {None},
-                                                {c.thr for c in configs} - {None}, gap)
+            if _begin_path_csvs(configs, path, outdir, csvs):
+                spikes_at, plateaus_at = _scan_path(path, {c.a0 for c in configs} - {None},
+                                                    {c.thr for c in configs} - {None}, gap)
+            else:
+                path, spikes_at, plateaus_at = None, {}, {}
         lln = None if gap is None else gap.close(path.t_end)
         yield from _write_artifacts(configs, path, outdir, csvs, spikes_at, plateaus_at, lln)
     finally:
@@ -261,46 +260,33 @@ def analyse_group(
             csv.discard()
 
 
-# The path CSV this process last committed for each path key: its real path
-# and its ``io._IDENTITY`` just after it was put in place.  No rows are held.
-_PATH_CSVS: dict[tuple, tuple[Path, tuple]] = {}
-
-
-def _copy_path_csvs(configs: list[RunConfig], path, outdir: Path,
-                    csvs: dict[int, io.PathCsv]) -> bool:
-    """Begin the path CSVs of ``configs`` into ``csvs``, by index, as copies
-    of the one this process last committed for their path key, and say so;
-    else begin none.  Only where ``path`` is a stream, each config writes
-    its path CSV alone, and that file is as it was committed
-    (``io._begin_copies``)."""
-    written = _PATH_CSVS.get(configs[0].path_key())
-    files = [config.artifacts(outdir) for config in configs]
-    if (written is None or not isinstance(path, (JumpStream, OdeStream))
-            or any(kinds.keys() != {"path"} for kinds in files)):
-        return False
-    outdir.mkdir(parents=True, exist_ok=True)
-    copies = io._begin_copies([kinds["path"] for kinds in files], *written)
-    csvs.update(enumerate(copies or ()))
-    return copies is not None
-
-
 def _begin_path_csvs(configs: list[RunConfig], path, outdir: Path,
-                     csvs: dict[int, io.PathCsv]) -> None:
+                     csvs: dict[int, io.PathCsv]) -> bool:
     """Begin the path CSVs of ``configs`` into ``csvs``, by index, where
-    ``path`` is a stream, and hand each slice of its rows to every one."""
+    ``path`` is a stream, and say whether the path has still to run.  It
+    has not where each config writes its path CSV alone and each is a copy
+    of the one this process last committed for their path key
+    (``io._begin_copies``); else each slice of its rows goes to every one."""
     if not isinstance(path, (JumpStream, OdeStream)):
-        return
-    for i, config in enumerate(configs):
-        files = config.artifacts(outdir)
-        if "path" in files:
-            outdir.mkdir(parents=True, exist_ok=True)
-            csvs[i] = (io._begin_ode_csv(files["path"], path,
+        return True
+    files = [config.artifacts(outdir) for config in configs]
+    if any("path" in kinds for kinds in files):
+        outdir.mkdir(parents=True, exist_ok=True)
+    if all(kinds.keys() == {"path"} for kinds in files):
+        copies = io._begin_copies(configs[0].path_key(), [kinds["path"] for kinds in files])
+        if copies is not None:
+            csvs.update(enumerate(copies))
+            return False
+    for i, (config, kinds) in enumerate(zip(configs, files)):
+        if "path" in kinds:
+            csvs[i] = (io._begin_ode_csv(kinds["path"], path,
                                          {"r0": config.initial.r, "n0": config.initial.n})
                        if config.mode == "ds" else
-                       io._begin_jump_csv(files["path"], path, config.t_end))
+                       io._begin_jump_csv(kinds["path"], path, config.t_end))
     if csvs:
         writes = [csv.write for csv in csvs.values()]
         path.rows = writes[0] if len(writes) == 1 else lambda rows: [w(rows) for w in writes]
+    return True
 
 
 def _write_artifacts(configs: list[RunConfig], path, outdir: Path, csvs: dict[int, io.PathCsv],
@@ -316,8 +302,8 @@ def _write_artifacts(configs: list[RunConfig], path, outdir: Path, csvs: dict[in
             # Removed only once committed, so that a commit that fails is
             # discarded with the others.
             csvs[i].commit(None if path is None or config.mode == "ds" else
-                           io._jump_header(path, path.t_end, path.terminated_by))
-            _PATH_CSVS[config.path_key()] = csvs[i].path, io._IDENTITY(os.stat(csvs[i].path))
+                           io._jump_header(path, path.t_end, path.terminated_by),
+                           config.path_key())
             del csvs[i]
             yield files["path"]
 

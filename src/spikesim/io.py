@@ -18,6 +18,7 @@ import os
 import shutil
 import stat
 import tempfile
+import time
 import warnings
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import asdict
@@ -113,10 +114,13 @@ class PathCsv:
     def write(self, rows) -> None:
         self._fh.write(rows)
 
-    def commit(self, header: bytes | None = None) -> None:
+    def commit(self, header: bytes | None = None, key: tuple | None = None) -> None:
         """Put the file in place.  With a ``header`` other than the one it
         began with, the file is first rebuilt once, as that header followed
-        by the rows, copied file to file (``os.copy_file_range``)."""
+        by the rows, copied file to file (``os.copy_file_range``).  A file
+        renamed into place is recorded for ``key``, its path's
+        ``RunConfig.path_key()``, for a later run of the path to copy
+        (``_begin_copies``)."""
         header = self._header if header is None else header
         if self._temp is None:
             with self._fh as rows, open(self.path, "wb") as fh:
@@ -136,8 +140,22 @@ class PathCsv:
                     _copy_rest(rows, self._fh)
             finally:
                 os.unlink(old)
+        if key is not None:
+            # A modification time that no write after the rename can give
+            # the file: a write stamps it with the kernel's time then, which
+            # is later than ``stamp``, or the start of the clock tick that
+            # ``stamp`` was read in.  So ``_IDENTITY`` tells a rewrite made
+            # in that tick, which may leave the change time as it was.
+            stamp = time.time_ns()
+            os.utime(self._temp, ns=(stamp, stamp))
         os.replace(self._temp, self.path)
         self._temp = None
+        if key is not None:
+            st = os.stat(self.path)
+            # Else the file system keeps coarser times, or the file has
+            # been written since.
+            if st.st_mtime_ns == stamp:
+                _COMMITTED[key] = self.path, _IDENTITY(st)
 
     def discard(self) -> None:
         """Remove the file, unless it is committed."""
@@ -172,19 +190,26 @@ def _copy_rest(source, target) -> None:
         shutil.copyfileobj(source, target)
 
 
-# What tells a file from the same name rewritten, replaced or grown, as
-# ``os.stat`` gives it.  A rewrite of the same size in the clock tick of the
-# stat that recorded it goes unseen, unless the kernel then gives the file
-# a finer timestamp (Linux's multigrain timestamps, on ext4, xfs, btrfs and
-# tmpfs).
+# The path CSV this process last committed for each path key (``commit``'s
+# ``key``): its real path and its ``_IDENTITY`` just after it was put in
+# place.  No rows are held.
+_COMMITTED: dict[tuple, tuple[Path, tuple]] = {}
+
+# What tells a file from the same name replaced, grown, linked or rewritten,
+# as ``os.stat`` gives it; the modification time, as ``commit`` sets it,
+# changes with any write.
 _IDENTITY = attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns", "st_ctime_ns")
 
 
-def _begin_copies(paths: list[Path], source: Path, identity: tuple) -> list[PathCsv] | None:
-    """Path CSVs begun at ``paths`` as copies of the file ``source``, a
-    path CSV as committed, to be committed with no header; None, beginning
-    none, unless the file opened is a regular file of one link whose
-    ``_IDENTITY`` is ``identity``, checked on the descriptor copied from."""
+def _begin_copies(key: tuple, paths: list[Path]) -> list[PathCsv] | None:
+    """Path CSVs begun at ``paths`` as copies of the file this process last
+    committed for the path key ``key``, to be committed with no header;
+    None, beginning none, unless that file, opened, has the ``_IDENTITY`` it
+    was committed with and one link, checked on the descriptor copied
+    from."""
+    if key not in _COMMITTED:
+        return None
+    source, identity = _COMMITTED[key]
     try:
         # Without blocking, should a FIFO now stand at the name.
         fd = os.open(source, os.O_RDONLY | os.O_NONBLOCK)
@@ -193,7 +218,7 @@ def _begin_copies(paths: list[Path], source: Path, identity: tuple) -> list[Path
     csvs: list[PathCsv] = []
     with open(fd, "rb", buffering=0) as fh:
         st = os.fstat(fd)
-        if not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and _IDENTITY(st) == identity):
+        if not (st.st_nlink == 1 and _IDENTITY(st) == identity):
             return None
         try:
             for path in paths:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spikesim import ModelParams, cli
+from spikesim import ModelParams, io
 from spikesim.jump import engine_status
 
 # For the test that runs a failing property in a separate pytest.
@@ -28,11 +28,23 @@ def pytest_report_header(config):
     return f"spikesim jump engine: {engine_status()}; numpy {np.__version__}"
 
 
+BEGIN_COPIES = io._begin_copies
+
+
 @pytest.fixture(autouse=True)
-def no_path_csv_to_copy():
-    """Each test starts as a fresh CLI process does, with no path CSV
-    written that a later run of the same path would copy."""
-    cli._PATH_CSVS.clear()
+def no_path_csv_to_copy(monkeypatch):
+    """Every path runs, each time it is asked for, as in a CLI process of
+    its own: no call is served a copy of a path CSV written before, in this
+    test or another, unless the test asks for ``path_csv_copies``."""
+    monkeypatch.setattr(io, "_COMMITTED", {})
+    monkeypatch.setattr(io, "_begin_copies", lambda key, paths: None)
+
+
+@pytest.fixture
+def path_csv_copies(monkeypatch):
+    """A path CSV is copied, as in one CLI process, where this test has
+    committed the path's CSV before."""
+    monkeypatch.setattr(io, "_begin_copies", BEGIN_COPIES)
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -1114,7 +1115,7 @@ class TestPresets:
 
 
 class TestPresetDeduplication:
-    def test_fig7_simulates_each_path_once(self, out, monkeypatch):
+    def test_fig7_simulates_each_path_once(self, out, monkeypatch, path_csv_copies):
         # A path is streamed (simulate_chunks) and scanned for all of its
         # levels in one pass (spikes._scan_path, scan_levels' pass).
         calls, detections = [], []
@@ -1168,12 +1169,13 @@ class TestPresetDeduplication:
             monkeypatch.setattr(stream, "__iter__", counted)
         return runs
 
-    def test_fig3_copies_the_ode_paths_of_fig1_and_fig2(self, out, monkeypatch):
+    def test_fig3_copies_the_ode_paths_of_fig1_and_fig2(self, out, monkeypatch,
+                                                        path_csv_copies):
         runs = self._count_runs(monkeypatch)
         for name in ("fig1", "fig2", "fig3"):
             assert main(["preset", name, "--outdir", str(out / "one"), "--t-end", "20"]) == 0
         assert runs["ode"] == 2
-        spikesim.cli._PATH_CSVS.clear()
+        io._COMMITTED.clear()
         assert main(["preset", "fig3", "--outdir", str(out / "fresh"), "--t-end", "20"]) == 0
         assert runs["ode"] == 4
         fresh = sorted(p.name for p in (out / "fresh").iterdir())
@@ -1183,11 +1185,18 @@ class TestPresetDeduplication:
         assert ((out / "one" / "fig3_ds_gamma2.csv").read_bytes()
                 == (out / "one" / "fig2_ds.csv").read_bytes())
 
+    @pytest.mark.parametrize("ctime", ["seen", "unseen"])
     @pytest.mark.parametrize("change", ["none", "appended", "rewritten", "deleted", "replaced",
                                         "hard_linked"])
     def test_a_path_csv_changed_since_it_was_written_is_not_copied(self, out, monkeypatch,
-                                                                   change):
+                                                                   path_csv_copies, change,
+                                                                   ctime):
         runs = self._count_runs(monkeypatch)
+        if ctime == "unseen":
+            # As where a change made in the clock tick of the commit leaves
+            # the change time as it was.
+            monkeypatch.setattr(io, "_IDENTITY",
+                                attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns"))
         source, copy = out / "source.csv", out / "copy.csv"
         argv = ["ds", "--t-end", "20", "--out"]
         assert main([*argv, str(source)]) == 0
@@ -1211,9 +1220,18 @@ class TestPresetDeduplication:
         assert copy.read_bytes() == written
         assert not list(out.glob(".*"))
 
+    def test_a_path_csv_is_stamped_after_its_last_write(self, out, monkeypatch,
+                                                        path_csv_copies):
+        # With a modification time the process read after the last write,
+        # not the kernel's stamp of that write, which a rewrite in the same
+        # clock tick could repeat, leaving the size and times as they were.
+        monkeypatch.setattr(io.time, "time_ns", lambda: 10**18 + 1)
+        assert main(["ds", "--t-end", "20", "--out", str(out / "ds.csv")]) == 0
+        assert (out / "ds.csv").stat().st_mtime_ns == 10**18 + 1
+
     @pytest.mark.parametrize("target", ["device", "hard_linked"])
     def test_a_path_csv_written_through_a_device_or_a_link_is_not_copied(self, out, monkeypatch,
-                                                                          target):
+                                                                          path_csv_copies, target):
         # Such a file is written through its name, unchanged since: neither
         # a device, whose reads are no path, nor a file another name writes.
         runs = self._count_runs(monkeypatch)
@@ -1225,11 +1243,12 @@ class TestPresetDeduplication:
         assert main([*argv, str(source)]) == 0
         assert main([*argv, str(out / "copy.csv")]) == 0
         assert runs["ode"] == 2
-        spikesim.cli._PATH_CSVS.clear()
+        io._COMMITTED.clear()
         assert main([*argv, str(out / "fresh.csv")]) == 0
         assert (out / "copy.csv").read_bytes() == (out / "fresh.csv").read_bytes()
 
-    def test_a_run_with_a_level_or_an_lln_reference_is_never_copied(self, out, monkeypatch):
+    def test_a_run_with_a_level_or_an_lln_reference_is_never_copied(self, out, monkeypatch,
+                                                                    path_csv_copies):
         runs = self._count_runs(monkeypatch)
         argv = ["simulate", "--mode", "oneunit", "--gamma", "2", "--t-end", "50", "--out"]
         assert main([*argv, str(out / "path.csv")]) == 0
@@ -1243,7 +1262,7 @@ class TestPresetDeduplication:
         for name in ("a0.csv", "thr.csv", "lln.csv", "copy.csv"):
             assert (out / name).read_bytes() == (out / "path.csv").read_bytes()
 
-    def test_each_path_csv_of_a_group_is_a_whole_copy(self, out, monkeypatch):
+    def test_each_path_csv_of_a_group_is_a_whole_copy(self, out, monkeypatch, path_csv_copies):
         runs = self._count_runs(monkeypatch)
         assert main(["ds", "--t-end", "20", "--out", str(out / "ds.csv")]) == 0
         group = [replace(preset("fig1")[0], t_end=20.0, label=label) for label in "ab"]
@@ -1253,21 +1272,25 @@ class TestPresetDeduplication:
         assert (out / "a.csv").read_bytes() == (out / "b.csv").read_bytes() == (
             out / "ds.csv").read_bytes()
 
-    def test_a_copy_that_fails_leaves_no_file(self, out, monkeypatch, capsys):
+    def test_a_copy_that_fails_leaves_no_file(self, out, monkeypatch, path_csv_copies, capsys):
         argv = ["ds", "--t-end", "20", "--out"]
         assert main([*argv, str(out / "source.csv")]) == 0
         (out / "copy.csv").write_bytes(b"an old file\n")
+        copies = []
 
         def no_space(source, target):
+            copies.append(target)
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
         monkeypatch.setattr(io, "_copy_rest", no_space)
         assert main([*argv, str(out / "copy.csv")]) == 2
+        assert len(copies) == 1
         assert "No space left on device" in capsys.readouterr().err
         assert (out / "copy.csv").read_bytes() == b"an old file\n"
         assert sorted(p.name for p in out.iterdir()) == ["copy.csv", "source.csv"]
 
-    def test_a_preset_run_twice_into_one_outdir_writes_the_same_files(self, out, monkeypatch):
+    def test_a_preset_run_twice_into_one_outdir_writes_the_same_files(self, out, monkeypatch,
+                                                                      path_csv_copies):
         runs = self._count_runs(monkeypatch)
         argv = ["preset", "fig1", "--outdir", str(out), "--t-end", "20"]
         assert main(argv) == 0
